@@ -20,9 +20,8 @@ import (
 )
 
 // benchReport is the machine-readable form of one bench invocation
-// (-json): the workload configuration plus one row per engine. It is the
-// wire format of the repo's perf trajectory (see BENCH_PR4.json and the
-// CI bench artifact), so field names are stable.
+// (-json): the workload configuration plus one row per engine. Field
+// names are stable.
 type benchReport struct {
 	Keys       int               `json:"keys"`
 	Shards     int               `json:"shards"`

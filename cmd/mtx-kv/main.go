@@ -56,9 +56,7 @@
 // prefix always; cross-shard transactions atomically, never partially).
 //
 // With -json, bench emits a machine-readable report (workload config +
-// per-engine ops/sec and latency percentiles) on stdout — the same
-// trajectory format CI uploads as an artifact; see also
-// cmd/mtx-bench2json for converting `go test -bench` output.
+// per-engine ops/sec and latency percentiles) on stdout.
 //
 // The -engine flag accepts any name from the stm engine registry (lazy,
 // eager, global-lock, tl2, adaptive) or "all" (bench only) to run the

@@ -75,8 +75,8 @@ func main() {
 	c, _, _ := store.Get("user:carol")
 	fmt.Println("published carol:", string(c))
 
-	// Delete tombstones the key transactionally, then sweeps it from the
-	// table; the freed key can come back with a different kind.
+	// Delete writes "absent" over the value transactionally, then unlinks
+	// the entry; the freed key can come back with a different kind.
 	existed, _ := store.Delete("user:bob")
 	_, stillThere := store.FastGet("user:bob")
 	fmt.Printf("deleted bob: %v (visible after: %v)\n", existed, stillThere)

@@ -197,9 +197,15 @@ func runChaos(t *testing.T, eng stm.Engine) {
 		case transfers / 3:
 			cnet.Partition(true)
 			// Partitioning kills the live conns, so the client's blocked
-			// read fails now; holding the partition past its first backoff
-			// forces at least one redial to be refused by it.
-			time.Sleep(600 * time.Millisecond)
+			// read fails now; hold the partition until it has refused an
+			// operation (the client's redial, whenever its backoff lands).
+			deadline := time.Now().Add(30 * time.Second)
+			for cnet.Stats().Partitions == 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("the partition refused nothing in 30s: %+v", cnet.Stats())
+				}
+				time.Sleep(time.Millisecond)
+			}
 		case 2 * transfers / 3:
 			cnet.Partition(false)
 		}

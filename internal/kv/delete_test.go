@@ -3,6 +3,7 @@ package kv
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestDeleteBasic(t *testing.T) {
 			if ok, err := s.Delete("a"); err != nil || ok {
 				t.Fatalf("second Delete(a)=%v,%v, want false", ok, err)
 			}
-			// Gone on every read path, and swept from the table.
+			// Gone on every read path, and unlinked from the table.
 			if _, ok, _ := s.Get("a"); ok {
 				t.Fatal("Get sees deleted key")
 			}
@@ -69,7 +70,7 @@ func TestTxnDelete(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Delete inside a transaction: the key reads as absent within
-			// the same transaction and is swept after commit.
+			// the same transaction and is collected after commit.
 			err := s.Update([]string{"x", "y"}, func(tx *Txn) error {
 				if !tx.Delete("x") {
 					t.Error("Txn.Delete(x) reported absent")
@@ -95,7 +96,7 @@ func TestTxnDelete(t *testing.T) {
 				t.Fatalf("Len=%d, want 1", n)
 			}
 
-			// An aborted transaction rolls the tombstone back.
+			// An aborted transaction rolls the delete back.
 			boom := errors.New("boom")
 			err = s.Update([]string{"y"}, func(tx *Txn) error {
 				tx.Delete("y")
@@ -108,8 +109,8 @@ func TestTxnDelete(t *testing.T) {
 				t.Fatalf("aborted delete leaked: %q,%v", v, ok)
 			}
 
-			// Delete-then-Set in one transaction resurrects the key with
-			// the new value, atomically.
+			// Delete-then-Set in one transaction leaves the key with the
+			// new value, atomically.
 			err = s.Update([]string{"y"}, func(tx *Txn) error {
 				tx.Delete("y")
 				tx.Set("y", []byte("reborn"))
@@ -168,18 +169,18 @@ func TestTxnDeleteAddRestartsCounter(t *testing.T) {
 	}
 }
 
-// condemnUnswept commits a tombstone on key's entry WITHOUT sweeping it
-// from the table, reproducing the window between a concurrent Delete's
-// commit and its sweep.
-func condemnUnswept(t *testing.T, s *Store, key string) *entry {
+// deleteUncollected commits absent over key's value WITHOUT running the
+// collector, reproducing the window between a concurrent Delete's commit
+// and its collection.
+func deleteUncollected(t *testing.T, s *Store, key string) *entry {
 	t.Helper()
 	sh := s.shards[s.ShardOf(key)]
 	e := sh.lookup(key)
 	if e == nil {
-		t.Fatalf("key %q has no entry to condemn", key)
+		t.Fatalf("key %q has no entry to delete", key)
 	}
 	if err := sh.stm.Atomically(func(tx *stm.Tx) error {
-		tx.Write(e.dead, 1)
+		e.write(tx, absent)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -187,56 +188,163 @@ func condemnUnswept(t *testing.T, s *Store, key string) *entry {
 	return e
 }
 
-// TestPublishPrivatizeEnsureOnCondemnedEntry pins the fix for the
-// condemned-entry window: Publish, Privatize and EnsureKeys must not
-// operate on a tombstoned entry (whose sweep would silently discard
-// their writes) — they help the sweep and re-create the key.
-func TestPublishPrivatizeEnsureOnCondemnedEntry(t *testing.T) {
-	// Publish into a condemned entry must survive the sweep.
-	s := New(WithShards(2))
-	if err := s.Set("p", []byte("old")); err != nil {
+// retireUnlinked takes key's entry to the retired state WITHOUT
+// unlinking it: the collector stopped between its two steps.
+func retireUnlinked(t *testing.T, s *Store, key string) *entry {
+	t.Helper()
+	e := deleteUncollected(t, s, key)
+	sh := s.shards[s.ShardOf(key)]
+	if err := sh.stm.Atomically(func(tx *stm.Tx) error {
+		e.write(tx, retired)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	condemned := condemnUnswept(t, s, "p")
-	if err := s.Publish(map[string][]byte{"p": []byte("published")}); err != nil {
-		t.Fatal(err)
-	}
-	s.sweep(map[string]*entry{"p": condemned}) // the racing deleter's sweep lands late
-	if v, ok, err := s.Get("p"); err != nil || !ok || string(v) != "published" {
-		t.Fatalf("published value lost to the sweep: %q,%v,%v", v, ok, err)
-	}
+	return e
+}
 
-	// Privatize must hand back a handle on a live entry.
-	if err := s.Set("q", []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	condemned = condemnUnswept(t, s, "q")
-	vars, err := s.Privatize("q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vars[0].Store([]byte("private"))
-	s.sweep(map[string]*entry{"q": condemned})
-	if v, ok := s.FastGet("q"); !ok || string(v) != "private" {
-		t.Fatalf("privatized write lost to the sweep: %q,%v", v, ok)
-	}
+// TestPublishPrivatizeEnsureOnDyingEntry pins the dying-entry window:
+// Publish, Privatize and EnsureKeys that find a deleted key's entry not
+// yet collected must leave a key the late collector does not take —
+// their plain writes land in an entry a transaction made present first.
+func TestPublishPrivatizeEnsureOnDyingEntry(t *testing.T) {
+	for _, dying := range []struct {
+		name string
+		kill func(*testing.T, *Store, string) *entry
+	}{{"absent", deleteUncollected}, {"retired", retireUnlinked}} {
+		t.Run(dying.name, func(t *testing.T) {
+			s := New(WithShards(2))
+			late := func(key string, e *entry) { s.collect([]doomed{{key, e}}) } // the racing deleter's collector lands late
 
-	// EnsureKeys over a condemned entry re-creates the key.
-	if err := s.Set("r", []byte("old")); err != nil {
-		t.Fatal(err)
+			if err := s.Set("p", []byte("old")); err != nil {
+				t.Fatal(err)
+			}
+			e := dying.kill(t, s, "p")
+			if err := s.Publish(map[string][]byte{"p": []byte("published")}); err != nil {
+				t.Fatal(err)
+			}
+			late("p", e)
+			if v, ok, err := s.Get("p"); err != nil || !ok || string(v) != "published" {
+				t.Fatalf("published value lost to the collector: %q,%v,%v", v, ok, err)
+			}
+
+			// Privatize must hand back a handle on a present entry.
+			if err := s.Set("q", []byte("old")); err != nil {
+				t.Fatal(err)
+			}
+			e = dying.kill(t, s, "q")
+			vars, err := s.Privatize("q")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := vars[0].Load(); v != nil {
+				t.Fatalf("privatized handle of a re-created key loads %q, want nil", v)
+			}
+			vars[0].Store([]byte("private"))
+			late("q", e)
+			if v, ok := s.FastGet("q"); !ok || string(v) != "private" {
+				t.Fatalf("privatized write lost to the collector: %q,%v", v, ok)
+			}
+
+			// EnsureKeys / EnsureCounters over a dying entry leave the key
+			// present with the zero value.
+			if err := s.Set("r", []byte("old")); err != nil {
+				t.Fatal(err)
+			}
+			e = dying.kill(t, s, "r")
+			s.EnsureKeys("r")
+			late("r", e)
+			if v, ok := s.FastGet("r"); !ok || v != nil {
+				t.Fatalf("EnsureKeys over a dying entry: %q,%v, want nil,true", v, ok)
+			}
+			if _, err := s.CounterAdd("n", 5); err != nil {
+				t.Fatal(err)
+			}
+			e = dying.kill(t, s, "n")
+			s.EnsureCounters("n")
+			late("n", e)
+			if v, ok := s.FastCounterGet("n"); !ok || v != 0 {
+				t.Fatalf("EnsureCounters over a dying entry: %d,%v, want 0,true", v, ok)
+			}
+		})
 	}
-	condemned = condemnUnswept(t, s, "r")
-	s.EnsureKeys("r")
-	s.sweep(map[string]*entry{"r": condemned})
-	if _, ok := s.FastGet("r"); !ok {
-		t.Fatal("EnsureKeys reused a condemned entry; key vanished after sweep")
+}
+
+// TestDyingEntryIsAbsentAndWritable: between a delete's commit and the
+// end of its collection every reader sees no key, a writer of either
+// kind creates the key afresh (stepping over a retired entry, or helping
+// collect an absent one of the other kind), and the late collector takes
+// nothing that was written since.
+func TestDyingEntryIsAbsentAndWritable(t *testing.T) {
+	for _, e := range kvEngines {
+		for _, dying := range []struct {
+			name string
+			kill func(*testing.T, *Store, string) *entry
+		}{{"absent", deleteUncollected}, {"retired", retireUnlinked}} {
+			t.Run(e.String()+"/"+dying.name, func(t *testing.T) {
+				s := New(WithShards(2), WithEngine(e))
+				for _, k := range []string{"same", "other", "txn"} {
+					if _, err := s.CounterAdd(k, 7); err != nil {
+						t.Fatal(err)
+					}
+				}
+				old := map[string]*entry{}
+				for _, k := range []string{"same", "other", "txn"} {
+					old[k] = dying.kill(t, s, k)
+					if _, ok := s.FastGet(k); ok {
+						t.Fatalf("FastGet sees dying key %s", k)
+					}
+					if _, ok, err := s.Get(k); ok || err != nil {
+						t.Fatalf("Get sees dying key %s (%v)", k, err)
+					}
+					if _, ok, err := s.CounterGet(k); ok || err != nil {
+						t.Fatalf("CounterGet sees dying key %s (%v)", k, err)
+					}
+					if got, err := s.MGet(k); err != nil || len(got) != 0 {
+						t.Fatalf("MGet sees dying key %s: %v,%v", k, got, err)
+					}
+				}
+				// Same kind: the counter restarts at zero.
+				if v, err := s.CounterAdd("same", 1); err != nil || v != 1 {
+					t.Fatalf("CounterAdd on a dying counter = %d,%v, want 1", v, err)
+				}
+				// Other kind: deletion freed it, collected or not.
+				if err := s.Set("other", []byte("bytes now")); err != nil {
+					t.Fatalf("Set on a dying counter: %v", err)
+				}
+				if err := s.Update([]string{"txn"}, func(tx *Txn) error {
+					if tx.Delete("txn") {
+						t.Error("Txn.Delete reported a dying key present")
+					}
+					tx.Set("txn", []byte("in txn"))
+					return nil
+				}); err != nil {
+					t.Fatalf("Txn.Set on a dying counter: %v", err)
+				}
+				for k, e := range old {
+					s.collect([]doomed{{k, e}})
+				}
+				if v, ok, _ := s.CounterGet("same"); !ok || v != 1 {
+					t.Fatalf("re-created counter after the late collector: %d,%v", v, ok)
+				}
+				for k, want := range map[string]string{"other": "bytes now", "txn": "in txn"} {
+					if v, ok, err := s.Get(k); err != nil || !ok || string(v) != want {
+						t.Fatalf("Get(%s) after the late collector = %q,%v,%v", k, v, ok, err)
+					}
+				}
+				if n := s.Len(); n != 3 {
+					t.Fatalf("Len=%d, want 3 (collector leaked or lost entries)", n)
+				}
+			})
+		}
 	}
 }
 
 func TestTxnDeleteKindStaysFixedInTxn(t *testing.T) {
-	// In-transaction resurrection reuses the entry, so the kind cannot
-	// change within one transaction; the mismatch aborts with no effects
-	// (including the tombstone).
+	// Delete-then-Set in one transaction are two writes of one word, so
+	// the kind cannot change within the transaction; the mismatch aborts
+	// with no effects (including the delete). Once a delete has committed
+	// the kind is free.
 	s := New(WithShards(2))
 	if _, err := s.CounterAdd("k", 3); err != nil {
 		t.Fatal(err)
@@ -252,11 +360,67 @@ func TestTxnDeleteKindStaysFixedInTxn(t *testing.T) {
 	if v, ok, err := s.CounterGet("k"); err != nil || !ok || v != 3 {
 		t.Fatalf("failed txn disturbed the key: %d,%v,%v", v, ok, err)
 	}
+	if err := s.Update([]string{"k"}, func(tx *Txn) error {
+		tx.Delete("k")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Update([]string{"k"}, func(tx *Txn) error {
+		tx.Set("k", []byte("bytes now"))
+		return nil
+	}); err != nil {
+		t.Fatalf("Set after a committed Txn.Delete: %v", err)
+	}
+	if v, ok, _ := s.Get("k"); !ok || string(v) != "bytes now" {
+		t.Fatalf("re-created key reads %q,%v", v, ok)
+	}
+}
+
+// TestCounterReservedValues: the two lowest int64s are the counter
+// lane's absent and retired states. A write that would store one fails
+// with ErrCounterRange and leaves the key as it was, instead of silently
+// deleting it.
+func TestCounterReservedValues(t *testing.T) {
+	for _, e := range kvEngines {
+		t.Run(e.String(), func(t *testing.T) {
+			s := New(WithShards(2), WithEngine(e))
+			if _, err := s.CounterAdd("k", -5); err != nil {
+				t.Fatal(err)
+			}
+			for _, delta := range []int64{math.MinInt64 + 5, math.MinInt64 + 6} {
+				if v, err := s.CounterAdd("k", delta); !errors.Is(err, ErrCounterRange) {
+					t.Fatalf("CounterAdd(k, %d) = %d,%v, want ErrCounterRange", delta, v, err)
+				}
+			}
+			if v, err := s.CounterAdd("fresh", math.MinInt64); !errors.Is(err, ErrCounterRange) {
+				t.Fatalf("CounterAdd(fresh, MinInt64) = %d,%v, want ErrCounterRange", v, err)
+			}
+			err := s.Update([]string{"k"}, func(tx *Txn) error {
+				tx.Add("k", 1)
+				tx.CounterSet("k", math.MinInt64)
+				return nil
+			})
+			if !errors.Is(err, ErrCounterRange) {
+				t.Fatalf("Txn.CounterSet(MinInt64): %v, want ErrCounterRange", err)
+			}
+			if v, ok, err := s.CounterGet("k"); err != nil || !ok || v != -5 {
+				t.Fatalf("rejected writes disturbed the key: %d,%v,%v", v, ok, err)
+			}
+			if _, ok := s.FastCounterGet("fresh"); ok {
+				t.Fatal("a rejected creating CounterAdd left a key")
+			}
+			// The lowest storable value is storable.
+			if v, err := s.CounterAdd("k", math.MinInt64+7); err != nil || v != math.MinInt64+2 {
+				t.Fatalf("CounterAdd to MinInt64+2 = %d,%v", v, err)
+			}
+		})
+	}
 }
 
 // TestDeleteSetRace hammers Delete against Set/CounterAdd on a small hot
-// keyspace on every engine: writers must never resurrect a condemned
-// entry (lost update into a swept table), and the store must end in a
+// keyspace on every engine: writers must never write into a retired
+// entry (lost update into an unlinked one), and the store must end in a
 // coherent state where a final Set is durably readable. Run under -race.
 func TestDeleteSetRace(t *testing.T) {
 	for _, e := range kvEngines {
@@ -304,7 +468,7 @@ func TestDeleteSetRace(t *testing.T) {
 				}
 			}
 			if n := s.Len(); n != len(keys) {
-				t.Fatalf("Len=%d, want %d (sweep leaked or lost entries)", n, len(keys))
+				t.Fatalf("Len=%d, want %d (collector leaked or lost entries)", n, len(keys))
 			}
 		})
 	}

@@ -36,11 +36,14 @@ import (
 // with the post-transaction value — so replay is idempotent and
 // recovery can splice a snapshot anywhere into the record stream.
 //
-// Two mixed-mode paths are, by design, outside the log: key creation
-// via EnsureKeys/EnsureCounters (present-but-unwritten keys reappear
-// on first write) and plain writes through Privatize'd handles.
-// Publish IS logged: its sentinel transactions carry the published
-// values as SET ops.
+// Key creation and deletion are ordinary logged writes — a key exists
+// in the log exactly when a committed SET or CSET made it exist. Two
+// mixed-mode paths are, by design, outside the log: the entries
+// EnsureKeys/EnsureCounters link already present (bulk loading's
+// shortcut: a nil or 0 key no transaction wrote reappears on its first
+// write) and plain writes through Privatize'd handles. Publish IS
+// logged: its sentinel transactions carry the published values as SET
+// ops.
 
 // ErrNotDurable reports a durability operation on a store opened
 // without WithDurability.
@@ -360,19 +363,18 @@ func (s *Store) Recover() (RecoverInfo, error) {
 		if cut[i] < res.LastSeq {
 			info.TxnRolledShards++
 			info.TxnRolledRecords += int(res.LastSeq - cut[i])
+			bufs[i] = bufs[i][:0]
 			res, err = wal.RecoverLimitedFS(s.dur.fs, s.shardDir(i), uint32(i), cut[i], func(rec wal.Record) error {
-				return applyRecovered(sh, rec)
+				bufs[i] = append(bufs[i], rec)
+				return nil
 			}, &s.dur.m)
 			if err != nil {
 				return info, fmt.Errorf("kv: recover shard %d (cross-shard rollback to seq %d): %w", i, cut[i], err)
 			}
 			s.dur.results[i] = res
-		} else {
-			for _, rec := range bufs[i] {
-				if err := applyRecovered(sh, rec); err != nil {
-					return info, fmt.Errorf("kv: recover shard %d: %w", i, err)
-				}
-			}
+		}
+		if err := replay(sh, bufs[i]); err != nil {
+			return info, fmt.Errorf("kv: recover shard %d: %w", i, err)
 		}
 		bufs[i] = nil
 		sh.feed.seq = res.LastSeq
@@ -394,40 +396,49 @@ func (s *Store) Recover() (RecoverInfo, error) {
 	return info, nil
 }
 
-// applyRecovered replays one record into a shard. Recovery is
-// single-threaded and runs before the store serves, so it mutates the
-// shard's table in place instead of copy-on-write — replaying K keys
-// is O(K), not O(K²).
-func applyRecovered(sh *shard, rec wal.Record) error {
-	for _, op := range rec.Ops {
-		switch op.Kind {
-		case wal.KindSet:
-			sh.replayEntry(op.Key, false).b.Store(copyVal(op.Val))
-		case wal.KindCounterSet:
-			sh.replayEntry(op.Key, true).c.Store(op.N)
-		case wal.KindCounterAdd:
-			e := sh.replayEntry(op.Key, true)
-			e.c.Store(e.c.Load() + op.N)
-		case wal.KindDelete:
-			delete(*sh.vars.Load(), op.Key)
-		default:
-			return fmt.Errorf("kv: replay: unknown op kind %d", op.Kind)
+// replay installs in sh the state recs — snapshot chunks, then the log
+// tail, in order — leave behind: the records fold into each key's last
+// write, and the survivors are linked present in one batch per kind.
+// Recovery is single-threaded and runs before the store serves, so a
+// plain store into a linked entry is the whole write.
+func replay(sh *shard, recs []wal.Record) error {
+	final := make(map[string]wal.Op, len(recs)) // key → its last write, absolute
+	for _, rec := range recs {
+		for _, op := range rec.Ops {
+			switch op.Kind {
+			case wal.KindSet, wal.KindCounterSet:
+				final[op.Key] = op
+			case wal.KindCounterAdd:
+				if prev := final[op.Key]; prev.Kind == wal.KindCounterSet {
+					op.N += prev.N
+				}
+				op.Kind = wal.KindCounterSet
+				final[op.Key] = op
+			case wal.KindDelete:
+				delete(final, op.Key)
+			default:
+				return fmt.Errorf("kv: replay: unknown op kind %d", op.Kind)
+			}
+		}
+	}
+	var bs, cs []string
+	for k, op := range final {
+		if op.Kind == wal.KindSet {
+			bs = append(bs, k)
+		} else {
+			cs = append(cs, k)
+		}
+	}
+	sh.link(bs, false, true)
+	sh.link(cs, true, true)
+	for k, op := range final {
+		if e := sh.lookup(k); op.Kind == wal.KindSet {
+			e.b.Store(copyVal(op.Val))
+		} else {
+			e.c.Store(op.N)
 		}
 	}
 	return nil
-}
-
-// replayEntry returns key's entry of the requested kind, creating or
-// kind-replacing it in place. Replacement is what makes replay of a
-// SET → DELETE → ADD history land on the right kind at every step.
-func (sh *shard) replayEntry(key string, counter bool) *entry {
-	tbl := *sh.vars.Load()
-	if e := tbl[key]; e != nil && e.isCounter() == counter {
-		return e
-	}
-	e := sh.newEntry(key, counter)
-	tbl[key] = e
-	return e
 }
 
 // attachLogs opens every shard's log (continuing each repaired tail)
@@ -625,19 +636,20 @@ func (s *Store) checkpointShard(i int) error {
 	err := sh.stm.Atomically(func(tx *stm.Tx) error {
 		ops = ops[:0]
 		pend.reset()
-		// Key creations touch the keyspace version and publications
-		// bump the sentinel; reading both makes either conflict this
-		// snapshot instead of slipping past it.
+		// A link touches the keyspace version and a publication bumps
+		// the sentinel; reading both makes either conflict this snapshot
+		// instead of slipping past it.
 		_ = tx.Read(sh.kvers)
 		_ = tx.Read(sh.pub)
 		for k, e := range *sh.vars.Load() {
-			if tx.Read(e.dead) != 0 {
+			_, b, n, st := e.read(tx)
+			if st != live {
 				continue
 			}
 			if e.isCounter() {
-				ops = append(ops, wal.Op{Kind: wal.KindCounterSet, Key: k, N: tx.Read(e.c)})
+				ops = append(ops, wal.Op{Kind: wal.KindCounterSet, Key: k, N: n})
 			} else {
-				ops = append(ops, wal.Op{Kind: wal.KindSet, Key: k, Val: stm.ReadT(tx, e.b)})
+				ops = append(ops, wal.Op{Kind: wal.KindSet, Key: k, Val: b})
 			}
 		}
 		tx.SetTapData(&pend) // the marker: its tap seq is the snapshot's position

@@ -21,10 +21,17 @@
 // transactional readers. Read-only multi-key snapshots (View, MGet) ride
 // stm.AtomicallyReadMulti instead and never take write locks at all.
 //
-// Deletion (Delete, Txn.Delete) is tombstone-then-sweep: a transactional
-// per-entry liveness flag commits first, then the key is removed from
-// the COW table, so concurrent transactions serialize against the
-// tombstone write rather than racing the table edit.
+// A key's whole lifecycle lives in one transactional word. An entry is
+// linked into its shard's table holding a distinguished absent value,
+// and Set, CounterAdd, Delete and re-creation are ordinary reads and
+// writes of that word inside the caller's transaction — so a key
+// becomes visible exactly when the transaction that creates it commits,
+// and vanishes exactly when the one that deletes it does. The table
+// itself is not transactional, so a transactional lookup that finds no
+// entry reads the shard's keyspace version first and looks again (a miss
+// is a read: the link that follows invalidates it). Entries leave the
+// table through one collector, which moves a still-absent entry to a
+// permanent retired state before unlinking it (see Store.collect).
 //
 // Mixed-mode access follows the paper's §5 implementation model:
 //
@@ -44,6 +51,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"math/bits"
 	"sort"
 	"strconv"
@@ -59,6 +68,11 @@ import (
 // ErrWrongType reports an operation against a key holding the other kind
 // of value (bytes vs. counter).
 var ErrWrongType = errors.New("kv: operation against a key holding the wrong kind of value")
+
+// ErrCounterRange reports a counter write whose result is one of the two
+// lowest int64 values, which the counter lane reserves for its absent
+// and retired states. The write fails; the key is left as it was.
+var ErrCounterRange = errors.New("kv: counter value out of range")
 
 // Option configures a Store (see New).
 type Option func(*config)
@@ -115,22 +129,105 @@ func WithMetricsSampling(n int) Option {
 	}
 }
 
-// entry is one key's storage: exactly one of b (bytes kind) or c
-// (counter kind) is non-nil, fixed at creation. dead is the tombstone —
-// a transactional liveness flag (0 live, 1 condemned) that makes
-// deletion serializable even though the key table itself is not
-// transactional: Delete commits dead=1 and only then removes the key
-// from the COW table (the sweep), so any transaction that read the key
-// concurrently validates against the tombstone write and retries onto
-// the updated table. Committed condemnation is permanent for an entry;
-// re-creating the key installs a fresh entry (which may change kind).
+// entry is one key's storage: one transactional word, b (bytes kind) or
+// c (counter kind), fixed when the entry is made. The word holds the
+// key's value or one of two non-values. Absent is what a fresh entry and
+// a deleted key hold: readers report no key, and a writer of the entry's
+// kind simply writes a value over it. Retired is terminal, written only
+// by the collector on its way to unlinking the entry: a transaction that
+// reads it has a stale entry and looks the key up again.
 type entry struct {
-	b    *stm.TVar[[]byte]
-	c    *stm.Var
-	dead *stm.Var
+	b *stm.TVar[[]byte]
+	c *stm.Var
 }
 
 func (e *entry) isCounter() bool { return e.c != nil }
+
+// state is what an entry's word holds. The two non-values are encoded
+// alike on both lanes, by number: non-value s is the box nonBox[s] on
+// the bytes lane — told from every stored value by the box's identity,
+// without dereferencing it (so a Set never touches the box the last
+// writer left on another processor) — and nonCount+s on the counter lane
+// (see ErrCounterRange).
+type state uint8
+
+const (
+	absent state = iota
+	retired
+	live
+)
+
+var nonBox = [2]*[]byte{new([]byte), new([]byte)}
+
+const nonCount int64 = math.MinInt64
+
+// countErr rejects a counter result the lane cannot store.
+func countErr(key string, n int64) error {
+	if countState(n) != live {
+		return fmt.Errorf("kv: key %q: %w", key, ErrCounterRange)
+	}
+	return nil
+}
+
+func bytesState(box *[]byte) state {
+	switch box {
+	case nonBox[absent]:
+		return absent
+	case nonBox[retired]:
+		return retired
+	}
+	return live
+}
+
+func countState(n int64) state {
+	if n > nonCount+int64(retired) {
+		return live
+	}
+	return state(n - nonCount)
+}
+
+// read and readR read e's word in a transaction and in a read-only one,
+// and return e, the word's content on its lane, and what that content
+// is. (Scalars, not a struct: these sit under every operation, and the
+// copies a struct costs showed.)
+func (e *entry) read(tx *stm.Tx) (*entry, []byte, int64, state) {
+	if e.isCounter() {
+		n := tx.Read(e.c)
+		return e, nil, n, countState(n)
+	}
+	box := stm.ReadBox(tx, e.b)
+	return e, *box, 0, bytesState(box)
+}
+
+func (e *entry) readR(r *stm.ReadTx) (*entry, []byte, int64, state) {
+	if e.isCounter() {
+		n := r.Read(e.c)
+		return e, nil, n, countState(n)
+	}
+	box := stm.ReadTVarBox(r, e.b)
+	return e, *box, 0, bytesState(box)
+}
+
+// value surfaces what a read returned: counters as decimal, ok false
+// for a key holding no value (or no entry).
+func value(e *entry, b []byte, n int64, st state) ([]byte, bool) {
+	switch {
+	case st != live:
+		return nil, false
+	case e.isCounter():
+		return formatCounter(n), true
+	}
+	return b, true
+}
+
+// write stores non-value st in e's word.
+func (e *entry) write(tx *stm.Tx, st state) {
+	if e.isCounter() {
+		tx.Write(e.c, nonCount+int64(st))
+	} else {
+		stm.WriteBox(tx, e.b, nonBox[st])
+	}
+}
 
 // Store is a sharded transactional key-value store. All methods are safe
 // for concurrent use. Byte slices returned by reads are the stored boxes:
@@ -184,14 +281,14 @@ type shard struct {
 
 	// kvers is the keyspace version: a transactional variable Touched
 	// (version-stamped and waiter-notified, value untouched) after every
-	// insertion into or sweep from the copy-on-write key table. The key
-	// table itself is not transactional, so this is how a blocked
-	// WaitGet/Watch observes key creation and deletion: its transaction
-	// reads kvers when the key is absent or condemned, and the Touch
-	// wakes it to re-route the key (see stm.STM.Touch).
+	// link into or unlink from the copy-on-write key table. The table is
+	// not transactional, so this is what makes a miss a read: a
+	// transaction that routes a key to no entry (or to a retired one)
+	// reads kvers and then looks again (see find), so the link that
+	// follows conflicts it, and a WaitGet/Watch parked there is woken.
 	kvers *stm.Var
 
-	mu   sync.Mutex                        // guards insertions into vars
+	mu   sync.Mutex                        // guards link and unlink
 	vars atomic.Pointer[map[string]*entry] // copy-on-write key table
 }
 
@@ -344,153 +441,179 @@ func wrongType(key string) error {
 	return fmt.Errorf("kv: key %q: %w", key, ErrWrongType)
 }
 
-// checkBytesKinds rejects keys that already exist as counters, without
-// creating anything. Callers still handle ensure errors: a key created
-// concurrently between this check and ensure is caught there.
-func (s *Store) checkBytesKinds(keys []string) error {
-	for _, k := range keys {
-		if e := s.shards[s.ShardOf(k)].lookup(k); e != nil && e.isCounter() {
-			return wrongType(k)
-		}
-	}
-	return nil
-}
-
-func (sh *shard) newEntry(key string, counter bool) *entry {
-	dead := sh.stm.NewVar(key+"\x00dead", 0)
+// newEntry makes an unlinked entry, absent or — for the callers whose
+// contract is a key present on return — already holding the kind's zero
+// value (nil bytes, counter 0): nothing can read an entry before it is
+// linked, so initialising it there is the whole write.
+func (sh *shard) newEntry(key string, counter, present bool) *entry {
 	if counter {
-		return &entry{c: sh.stm.NewVar(key, 0), dead: dead}
+		n := nonCount + int64(absent)
+		if present {
+			n = 0
+		}
+		return &entry{c: sh.stm.NewVar(key, n)}
 	}
-	return &entry{b: stm.NewTVar(sh.stm, key, []byte(nil)), dead: dead}
+	e := &entry{b: stm.NewTVar(sh.stm, key, []byte(nil))}
+	if !present {
+		e.b.StoreBox(nonBox[absent])
+	}
+	return e
 }
 
-// ensure returns the key's entry of the requested kind, creating it on
-// first use (bytes keys start nil-valued but present; counters start 0).
-// Creation copies the shard's table, so steady-state reads stay
-// lock-free; use EnsureKeys / EnsureCounters to amortize bulk loads.
-func (sh *shard) ensure(key string, counter bool) (*entry, error) {
-	if e := sh.lookup(key); e != nil {
-		if e.isCounter() != counter {
-			return nil, wrongType(key)
-		}
-		return e, nil
-	}
+// link is the one way into the key table: it links a fresh entry of the
+// given kind for every key (all routed to sh) that has none, with one
+// table copy for the batch, and returns the keys that already had an
+// entry, whatever its kind or state. The table is copy-on-write, so
+// steady-state reads stay lock-free. It takes only leaf locks and runs
+// no transaction, so transaction bodies may call it.
+func (sh *shard) link(keys []string, counter, present bool) (had []string) {
 	sh.mu.Lock()
-	old := *sh.vars.Load()
-	if e := old[key]; e != nil {
-		sh.mu.Unlock()
-		if e.isCounter() != counter {
-			return nil, wrongType(key)
+	tbl := *sh.vars.Load()
+	copied := false
+	for _, k := range keys {
+		if tbl[k] != nil {
+			had = append(had, k)
+			continue
 		}
-		return e, nil
+		if !copied {
+			// Sized for the batch up front: growing a million-key load
+			// step by step would rehash it several times over.
+			next := make(map[string]*entry, len(tbl)+len(keys))
+			maps.Copy(next, tbl)
+			tbl, copied = next, true
+		}
+		tbl[k] = sh.newEntry(k, counter, present)
 	}
-	next := make(map[string]*entry, len(old)+1)
-	for k, v := range old {
-		next[k] = v
+	if copied {
+		sh.vars.Store(&tbl)
 	}
-	e := sh.newEntry(key, counter)
-	next[key] = e
-	sh.vars.Store(&next)
 	sh.mu.Unlock()
-	// The keyspace changed: wake WaitGet/Watch transactions parked on
-	// the key's absence. Touch takes only leaf locks, so it is safe here
-	// even when ensure runs inside an open transaction (Txn.Set/Add).
-	sh.stm.Touch(sh.kvers)
-	return e, nil
-}
-
-// ensureLive returns a live entry of the requested kind for key: like
-// ensure, but a condemned entry (tombstone committed, sweep not yet
-// done) is helped out of the table and re-created instead of being
-// handed to the caller, whose writes would otherwise be lost to the
-// concurrent sweep. The liveness check is transactional, so an in-flight
-// eager delete resolves before we judge the entry.
-func (s *Store) ensureLive(sh *shard, key string, counter bool) (*entry, error) {
-	for {
-		e, err := sh.ensure(key, counter)
-		if err != nil {
-			return nil, err
-		}
-		dead := false
-		if err := sh.stm.AtomicallyRead(func(r *stm.ReadTx) error {
-			dead = r.Read(e.dead) != 0
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		if !dead {
-			return e, nil
-		}
-		s.sweep(map[string]*entry{key: e}) // help the deleter, then re-create
+	if copied {
+		sh.stm.Touch(sh.kvers)
 	}
+	return had
 }
 
-// ensureBulk creates all missing keys of one kind with one table copy per
-// shard instead of one per key. Existing keys keep their kind; existing
-// condemned entries are help-swept and re-created (one transactional
-// liveness check per shard, not per key).
-func (s *Store) ensureBulk(counter bool, keys []string) {
+// linkAll is link across shards.
+func (s *Store) linkAll(keys []string, counter, present bool) (had []string) {
 	byShard := make(map[int][]string)
 	for _, k := range keys {
 		i := s.ShardOf(k)
 		byShard[i] = append(byShard[i], k)
 	}
 	for i, ks := range byShard {
-		sh := s.shards[i]
-		for {
-			reused := make(map[string]*entry)
-			sh.mu.Lock()
-			old := *sh.vars.Load()
-			next := make(map[string]*entry, len(old)+len(ks))
-			for k, v := range old {
-				next[k] = v
-			}
-			for _, k := range ks {
-				if e := next[k]; e != nil {
-					reused[k] = e
-				} else {
-					next[k] = sh.newEntry(k, counter)
-				}
-			}
-			sh.vars.Store(&next)
-			sh.mu.Unlock()
-			if len(reused) < len(ks) {
-				sh.stm.Touch(sh.kvers) // created at least one key
-			}
-			if len(reused) == 0 {
-				break
-			}
-			// Re-check reused entries' liveness in one transaction;
-			// condemned ones are swept and the loop re-creates them.
-			condemned := make(map[string]*entry)
-			err := sh.stm.AtomicallyRead(func(r *stm.ReadTx) error {
-				clear(condemned)
-				for k, e := range reused {
-					if r.Read(e.dead) != 0 {
-						condemned[k] = e
-					}
-				}
-				return nil
-			})
-			if err != nil || len(condemned) == 0 {
-				break
-			}
-			s.sweep(condemned)
-			ks = ks[:0]
-			for k := range condemned {
-				ks = append(ks, k)
-			}
+		had = append(had, s.shards[i].link(ks, counter, present)...)
+	}
+	return had
+}
+
+// doomed names an entry for the collector.
+type doomed struct {
+	key string
+	e   *entry
+}
+
+// unlink removes retired entries from the table. The identity check
+// (the table still maps the key to this entry) keeps it from touching a
+// successor linked since. Retired is permanent, so any goroutine that
+// reads it may finish the collector's work; like link, unlink is safe
+// inside a transaction body.
+func (sh *shard) unlink(items []doomed) {
+	sh.mu.Lock()
+	tbl := *sh.vars.Load()
+	copied := false
+	for _, it := range items {
+		if tbl[it.key] != it.e {
+			continue
 		}
+		if !copied {
+			tbl, copied = maps.Clone(tbl), true
+		}
+		delete(tbl, it.key)
+	}
+	if copied {
+		sh.vars.Store(&tbl)
+	}
+	sh.mu.Unlock()
+	if copied {
+		sh.stm.Touch(sh.kvers)
 	}
 }
 
-// EnsureKeys creates all missing keys as bytes keys (present, nil value).
-func (s *Store) EnsureKeys(keys ...string) { s.ensureBulk(false, keys) }
+// collect is the one way out of the key table, run after a committed
+// delete and by a writer that finds the key's name held by an absent
+// entry of the other kind. An entry that an ordinary write can re-create
+// cannot simply be dropped from the table — a writer holding it would
+// commit into an orphan — so collect first moves each entry that is
+// still absent to the retired state, in a transaction that serializes
+// with every such writer (the writer commits first and the entry stays,
+// or it reads retired and looks again), and only then unlinks it. It
+// reports how many of the entries held no value; live ones are left
+// alone.
+func (s *Store) collect(items []doomed) int {
+	byShard := make(map[*shard][]doomed)
+	for _, it := range items {
+		sh := s.shards[s.ShardOf(it.key)]
+		byShard[sh] = append(byShard[sh], it)
+	}
+	total := 0
+	for sh, its := range byShard {
+		var gone []doomed
+		err := sh.stm.Atomically(func(tx *stm.Tx) error {
+			gone = gone[:0]
+			for _, it := range its {
+				switch _, _, _, st := it.e.read(tx); st {
+				case absent:
+					it.e.write(tx, retired)
+					gone = append(gone, it)
+				case retired:
+					gone = append(gone, it)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			continue // retry budget spent: the entries stay linked, absent and invisible
+		}
+		sh.unlink(gone)
+		total += len(gone)
+	}
+	return total
+}
 
-// EnsureCounters creates all missing keys as counters initialized to 0.
-func (s *Store) EnsureCounters(keys ...string) { s.ensureBulk(true, keys) }
+// EnsureKeys makes all the keys present as bytes keys: missing ones are
+// created with a nil value, existing ones keep their kind and value.
+func (s *Store) EnsureKeys(keys ...string) { s.ensure(keys, false) }
 
-// Len returns the number of keys present.
+// EnsureCounters makes all the keys present as counters: missing ones
+// are created at 0, existing ones keep their kind and value.
+func (s *Store) EnsureCounters(keys ...string) { s.ensure(keys, true) }
+
+// ensure links the keys that have no entry already present, one table
+// copy per shard and no transaction — which is what keeps bulk loads
+// linear. The keys that had an entry go through one ordinary
+// transaction, which brings to life those holding no value (deleted and
+// not yet collected, or left by a failed creation).
+func (s *Store) ensure(keys []string, counter bool) {
+	had := s.linkAll(keys, counter, true)
+	if len(had) == 0 {
+		return
+	}
+	// No error to return: a key already holding the other kind keeps it,
+	// as EnsureKeys documents.
+	_ = s.Update(had, func(t *Txn) error {
+		for _, k := range had {
+			if _, ok := t.Get(k); !ok {
+				t.ensure(k, counter)
+			}
+		}
+		return nil
+	})
+}
+
+// Len returns the number of keys linked in the table. Between a
+// committed delete and its collection, and after a creation that failed,
+// that counts an entry no reader can see.
 func (s *Store) Len() int {
 	n := 0
 	for _, sh := range s.shards {
@@ -521,14 +644,15 @@ func (s *Store) FastGet(key string) ([]byte, bool) {
 	i := s.ShardOf(key)
 	s.fastGets[i].n.Add(1)
 	e := s.shards[i].lookup(key)
-	switch {
-	case e == nil, e.dead.Load() != 0:
+	if e == nil {
 		return nil, false
-	case e.isCounter():
-		return formatCounter(e.c.Load()), true
-	default:
-		return e.b.Load(), true
 	}
+	if e.isCounter() {
+		n := e.c.Load()
+		return value(e, nil, n, countState(n))
+	}
+	box := e.b.LoadBox()
+	return value(e, *box, 0, bytesState(box))
 }
 
 // FastCounterGet is FastGet on the int64 specialization: a single plain
@@ -538,10 +662,105 @@ func (s *Store) FastCounterGet(key string) (int64, bool) {
 	i := s.ShardOf(key)
 	s.fastGets[i].n.Add(1)
 	e := s.shards[i].lookup(key)
-	if e == nil || !e.isCounter() || e.dead.Load() != 0 {
+	if e == nil || !e.isCounter() {
 		return 0, false
 	}
-	return e.c.Load(), true
+	n := e.c.Load()
+	if countState(n) != live {
+		return 0, false
+	}
+	return n, true
+}
+
+// find reads key in tx (the result is read's, with a nil entry when
+// none is linked). The key is missing when no entry is linked or
+// the linked one is retired, and a miss is a read: kvers is read first
+// and the table looked up again after it. A link or unlink whose Touch
+// landed before the kvers read stored its table first, so the second
+// lookup sees it and the loop follows the table; one that lands after is
+// a conflict on kvers — at validation, at a tl2 timestamp extension, or
+// as the wake-up of a transaction that went on to Block. That order is
+// what keeps a View from reporting key a missing and its sibling b
+// present from the one transaction that created both, and a parked
+// WaitGet from sleeping past the creation it waits for (on the glock and
+// tl2 engines the kvers read alone would absorb an earlier Touch
+// without conflicting).
+func (sh *shard) find(tx *stm.Tx, key string) (e *entry, b []byte, n int64, st state) {
+	e = sh.lookup(key)
+	for {
+		if e != nil {
+			if _, b, n, st = e.read(tx); st != retired {
+				return e, b, n, st
+			}
+		}
+		tx.Read(sh.kvers)
+		next := sh.lookup(key)
+		if next == e {
+			return e, nil, 0, absent
+		}
+		e = next
+	}
+}
+
+// findR is find in a read-only transaction.
+func (sh *shard) findR(r *stm.ReadTx, key string) (e *entry, b []byte, n int64, st state) {
+	e = sh.lookup(key)
+	for {
+		if e != nil {
+			if _, b, n, st = e.readR(r); st != retired {
+				return e, b, n, st
+			}
+		}
+		r.Read(sh.kvers)
+		next := sh.lookup(key)
+		if next == e {
+			return e, nil, 0, absent
+		}
+		e = next
+	}
+}
+
+// own returns key's entry of the given kind and what tx reads in it
+// (absent or live — for a counter, with its value), for a write to
+// follow: a key with no entry gets a fresh absent one linked, and a
+// retired entry is unlinked and looked up again, so the entry is never
+// a stale one. ok is false when the name is held by an entry of the
+// other kind (returned): the caller fails with ErrWrongType, and its
+// wrapper asks the collector whether that entry was only an absent
+// leftover (see clashed).
+func (sh *shard) own(tx *stm.Tx, key string, counter bool) (e *entry, n int64, st state, ok bool) {
+	for {
+		e = sh.lookup(key)
+		switch {
+		case e == nil:
+			sh.link([]string{key}, counter, false)
+		case e.isCounter() != counter:
+			return e, 0, absent, false
+		default:
+			// Not e.read: a write needs no bytes, so the box is told by
+			// its pointer and left where its last writer's cache has it.
+			if counter {
+				n = tx.Read(e.c)
+				st = countState(n)
+			} else {
+				st = bytesState(stm.ReadBox(tx, e.b))
+			}
+			if st != retired {
+				return e, n, st, true
+			}
+			sh.unlink([]doomed{{key, e}})
+		}
+	}
+}
+
+// clashed reports whether an operation that failed with ErrWrongType on
+// e should run again: the collector found e holding no value (a deleted
+// key not yet collected, or a failed creation's leftover) and unlinked
+// it, freeing the name for the other kind. An entry with a value is a
+// real kind mismatch — including one the failed transaction itself had
+// deleted: within one transaction a key's kind stays fixed.
+func (s *Store) clashed(key string, e *entry) bool {
+	return e != nil && s.collect([]doomed{{key, e}}) > 0
 }
 
 // singleOp is pooled per-call scratch for the single-key hot paths: the
@@ -557,6 +776,7 @@ type singleOp struct {
 	delta int64  // CounterAdd input
 	n     int64  // CounterAdd / CounterGet output
 	ok    bool
+	clash *entry // other-kind entry the last write attempt ran into (see clashed)
 
 	getFn  func(*stm.ReadTx) error
 	cgetFn func(*stm.ReadTx) error
@@ -578,46 +798,36 @@ type singleOp struct {
 func (op *singleOp) release() {
 	s := op.s
 	op.sh, op.key, op.val = nil, "", nil
-	op.delta, op.n, op.ok = 0, 0, false
+	op.delta, op.n, op.ok, op.clash = 0, 0, false, nil
 	op.pend.reset()
 	s.singleOps.Put(op)
 }
 
 func (op *singleOp) runGet(r *stm.ReadTx) error {
-	op.val, op.ok = nil, false
-	e := op.sh.lookup(op.key) // re-resolve per attempt: the entry may be swept
-	if e == nil || r.Read(e.dead) != 0 {
-		return nil
-	}
-	if e.isCounter() {
-		op.val = formatCounter(r.Read(e.c))
-	} else {
-		op.val = stm.ReadTVar(r, e.b)
-	}
-	op.ok = true
+	// Re-resolved per attempt: the table may have moved.
+	op.val, op.ok = value(op.sh.findR(r, op.key))
 	return nil
 }
 
 func (op *singleOp) runCounterGet(r *stm.ReadTx) error {
+	e, _, n, st := op.sh.findR(r, op.key)
 	op.n, op.ok = 0, false
-	e := op.sh.lookup(op.key)
-	if e == nil || !e.isCounter() || r.Read(e.dead) != 0 {
+	if st != live {
 		return nil
 	}
-	op.n = r.Read(e.c)
-	op.ok = true
+	if !e.isCounter() {
+		return wrongType(op.key)
+	}
+	op.n, op.ok = n, true
 	return nil
 }
 
 func (op *singleOp) runSet(tx *stm.Tx) error {
-	e, err := op.sh.ensure(op.key, false)
-	if err != nil {
-		return err
-	}
-	if tx.Read(e.dead) != 0 {
-		// Condemned by a concurrent Delete whose table removal is in
-		// flight; retry onto the swept table (a fresh entry).
-		tx.Retry()
+	op.clash = nil
+	e, _, _, ok := op.sh.own(tx, op.key, false)
+	if !ok {
+		op.clash = e
+		return wrongType(op.key)
 	}
 	stm.WriteT(tx, e.b, op.val)
 	if op.s.tapOn.Load() {
@@ -629,14 +839,19 @@ func (op *singleOp) runSet(tx *stm.Tx) error {
 }
 
 func (op *singleOp) runAdd(tx *stm.Tx) error {
-	e, err := op.sh.ensure(op.key, true)
-	if err != nil {
+	op.clash = nil
+	e, n, st, ok := op.sh.own(tx, op.key, true)
+	if !ok {
+		op.clash = e
+		return wrongType(op.key)
+	}
+	op.n = op.delta
+	if st == live {
+		op.n += n // an absent counter counts from zero
+	}
+	if err := countErr(op.key, op.n); err != nil {
 		return err
 	}
-	if tx.Read(e.dead) != 0 {
-		tx.Retry() // see runSet
-	}
-	op.n = tx.Read(e.c) + op.delta
 	tx.Write(e.c, op.n)
 	if op.s.tapOn.Load() {
 		// Logged absolute (KindCounterSet, the post-transaction value),
@@ -683,10 +898,8 @@ func (s *Store) Get(key string) (val []byte, ok bool, err error) {
 // ok is false when the key is absent; a bytes key returns ErrWrongType.
 func (s *Store) CounterGet(key string) (val int64, ok bool, err error) {
 	sh := s.shards[s.ShardOf(key)]
-	if e := sh.lookup(key); e == nil {
+	if sh.lookup(key) == nil {
 		return 0, false, nil
-	} else if !e.isCounter() {
-		return 0, false, wrongType(key)
 	}
 	op := s.singleOps.Get().(*singleOp)
 	op.sh, op.key = sh, key
@@ -722,6 +935,9 @@ func (s *Store) Set(key string, val []byte) error {
 		t0 = time.Now()
 	}
 	err := sh.stm.Atomically(op.setFn)
+	for err != nil && s.clashed(key, op.clash) {
+		err = sh.stm.Atomically(op.setFn)
+	}
 	if err == nil {
 		err = s.waitDurable(sh, &op.pend)
 	}
@@ -735,7 +951,8 @@ func (s *Store) Set(key string, val []byte) error {
 // CounterAdd transactionally adds delta to a counter key (creating it at
 // 0 if absent) and returns the new value. This is the compatibility lane
 // on the int64 specialization: no boxing, no formatting, and (steady
-// state) no heap allocation.
+// state) no heap allocation. A result the lane reserves fails with
+// ErrCounterRange and leaves the key unchanged.
 func (s *Store) CounterAdd(key string, delta int64) (int64, error) {
 	if err := s.degradedGate(); err != nil {
 		return 0, err
@@ -749,6 +966,9 @@ func (s *Store) CounterAdd(key string, delta int64) (int64, error) {
 		t0 = time.Now()
 	}
 	err := sh.stm.Atomically(op.addFn)
+	for err != nil && s.clashed(key, op.clash) {
+		err = sh.stm.Atomically(op.addFn)
+	}
 	if err == nil {
 		err = s.waitDurable(sh, &op.pend)
 	}
@@ -760,97 +980,17 @@ func (s *Store) CounterAdd(key string, delta int64) (int64, error) {
 	return out, err
 }
 
-// Delete transactionally removes a key of either kind. It reports
-// whether the key existed. Deletion is two-step: the entry's tombstone
-// commits first (serializing against every transaction that touched the
-// key), then the key is swept from the copy-on-write table. A later Set
-// or CounterAdd re-creates the key fresh — so deletion also frees the
-// key's kind.
-func (s *Store) Delete(key string) (bool, error) {
-	if err := s.degradedGate(); err != nil {
-		return false, err
-	}
-	sh := s.shards[s.ShardOf(key)]
-	var condemned *entry
-	var pend pendingOps
-	existed := false
-	err := sh.stm.Atomically(func(tx *stm.Tx) error {
-		condemned, existed = nil, false
-		pend.reset()
-		e := sh.lookup(key)
-		if e == nil {
-			return nil
-		}
-		if tx.Read(e.dead) != 0 {
-			// Already condemned by a concurrent Delete; help its sweep.
-			condemned = e
-			return nil
-		}
-		tx.Write(e.dead, 1)
-		condemned = e
-		existed = true
-		if s.tapOn.Load() {
-			pend.ops = append(pend.ops, wal.Op{Kind: wal.KindDelete, Key: key})
-			tx.SetTapData(&pend)
-		}
+// Delete transactionally removes a key of either kind: it writes absent
+// over the value, so the key is gone exactly when the transaction
+// commits. It reports whether the key existed. The collector then
+// unlinks the entry, and a later Set or CounterAdd creates the key
+// afresh — so deletion also frees the key's kind.
+func (s *Store) Delete(key string) (existed bool, err error) {
+	err = s.Update([]string{key}, func(t *Txn) error {
+		existed = t.Delete(key)
 		return nil
 	})
-	if err != nil {
-		return false, err
-	}
-	if condemned != nil {
-		s.sweep(map[string]*entry{key: condemned})
-	}
-	if werr := s.waitDurable(sh, &pend); werr != nil {
-		return existed, werr
-	}
-	return existed, nil
-}
-
-// sweep removes condemned entries from their shards' COW tables. The
-// identity check (table still maps the key to the condemned entry) makes
-// the sweep safe against concurrent re-creation: once an entry's
-// tombstone is committed nothing ever writes its dead flag again, so
-// matching identity implies the entry really is condemned.
-func (s *Store) sweep(condemned map[string]*entry) {
-	byShard := make(map[int]map[string]*entry)
-	for k, e := range condemned {
-		i := s.ShardOf(k)
-		if byShard[i] == nil {
-			byShard[i] = make(map[string]*entry)
-		}
-		byShard[i][k] = e
-	}
-	for i, kills := range byShard {
-		sh := s.shards[i]
-		sh.mu.Lock()
-		old := *sh.vars.Load()
-		any := false
-		for k, e := range kills {
-			if old[k] == e {
-				any = true
-				break
-			}
-		}
-		if any {
-			next := make(map[string]*entry, len(old))
-			for k, v := range old {
-				if e, kill := kills[k]; kill && v == e {
-					continue
-				}
-				next[k] = v
-			}
-			sh.vars.Store(&next)
-		}
-		sh.mu.Unlock()
-		if any {
-			// The swept entries' variables will never change again, so
-			// waiters parked through them (a WaitGet that saw the
-			// tombstone) move to the keyspace version — announce the
-			// table change there.
-			sh.stm.Touch(sh.kvers)
-		}
-	}
+	return existed, err
 }
 
 // MGet reads the given keys in one read-only transaction spanning every
@@ -907,11 +1047,11 @@ type Txn struct {
 	tap   bool
 	pends []pendingOps
 
-	// deleted tracks keys tombstoned by this transaction, for the
-	// post-commit sweep and for in-transaction resurrection (a Set or Add
-	// after a Delete of the same key un-condemns the entry instead of
-	// spinning on it).
-	deleted map[string]*entry
+	// deleted lists the entries this attempt's Deletes left (or found)
+	// absent, for the collector once the attempt has committed; clash is
+	// the other-kind entry a failed write ran into (see Store.clashed).
+	deleted []doomed
+	clash   doomed
 }
 
 // emit appends op to footprint position j's effect list, attaching the
@@ -952,13 +1092,20 @@ func (t *Txn) resolve(key string) (int, int, *stm.Tx, bool) {
 	return i, 0, nil, false
 }
 
-// live returns whether e is readable by this transaction: not condemned,
-// or condemned by this very transaction and not resurrected.
-func (t *Txn) live(tx *stm.Tx, key string, e *entry) bool {
-	if _, mine := t.deleted[key]; mine {
-		return false // deleted earlier in this transaction
+// own is resolve and then shard.own, for a write inside the
+// transaction. A nil entry means the transaction has failed on key; a
+// kind clash is noted for the wrapper.
+func (t *Txn) own(key string, counter bool) (j int, tx *stm.Tx, e *entry, n int64, st state) {
+	i, j, tx, ok := t.resolve(key)
+	if !ok {
+		return
 	}
-	return tx.Read(e.dead) == 0
+	if e, n, st, ok = t.s.shards[i].own(tx, key, counter); !ok {
+		t.clash = doomed{key, e}
+		t.fail(wrongType(key))
+		e = nil
+	}
+	return
 }
 
 // Get reads key inside the transaction; ok is false when the key is
@@ -969,71 +1116,34 @@ func (t *Txn) Get(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	e := t.s.shards[i].lookup(key)
-	if e == nil || !t.live(tx, key, e) {
-		return nil, false
-	}
-	if e.isCounter() {
-		return formatCounter(tx.Read(e.c)), true
-	}
-	return stm.ReadT(tx, e.b), true
+	return value(t.s.shards[i].find(tx, key))
 }
 
 // Set writes a bytes key inside the transaction, creating it if absent.
-// The value is copied on the way in. Setting a key deleted earlier in
-// the same transaction resurrects it (same entry, so the kind must still
-// match).
+// The value is copied on the way in.
 func (t *Txn) Set(key string, val []byte) {
-	i, j, tx, ok := t.resolve(key)
-	if !ok {
+	j, tx, e, _, _ := t.own(key, false)
+	if e == nil {
 		return
 	}
-	e, err := t.s.shards[i].ensure(key, false)
-	if err != nil {
-		t.fail(err)
-		return
-	}
-	if _, mine := t.deleted[key]; mine {
-		tx.Write(e.dead, 0) // resurrect our own tombstone
-		delete(t.deleted, key)
-	} else if tx.Read(e.dead) != 0 {
-		tx.Retry() // concurrent Delete's sweep in flight; see Store.Set
-	}
-	v := copyVal(val)
-	stm.WriteT(tx, e.b, v)
-	t.emit(j, tx, wal.Op{Kind: wal.KindSet, Key: key, Val: v})
+	b := copyVal(val)
+	stm.WriteT(tx, e.b, b)
+	t.emit(j, tx, wal.Op{Kind: wal.KindSet, Key: key, Val: b})
 }
 
 // Add adds delta to a counter key inside the transaction and returns the
-// new value. The key is routed and resolved once (this is the hot path of
-// TXN ADD and the transfer benchmarks).
+// new value; an absent key — never created, or deleted earlier in this
+// transaction — counts from zero. The key is routed and resolved once
+// (this is the hot path of TXN ADD and the transfer benchmarks).
 func (t *Txn) Add(key string, delta int64) int64 {
-	i, j, tx, ok := t.resolve(key)
-	if !ok {
+	j, tx, e, n, st := t.own(key, true)
+	if e == nil {
 		return 0
 	}
-	e, err := t.s.shards[i].ensure(key, true)
-	if err != nil {
-		t.fail(err)
-		return 0
+	if st == live {
+		delta += n
 	}
-	if _, mine := t.deleted[key]; mine {
-		// Resurrect our own tombstone. The deleted key read as absent, so
-		// the counter restarts at zero — the same result a committed
-		// Delete followed by CounterAdd produces via a fresh entry.
-		tx.Write(e.dead, 0)
-		delete(t.deleted, key)
-		tx.Write(e.c, delta)
-		t.emit(j, tx, wal.Op{Kind: wal.KindCounterSet, Key: key, N: delta})
-		return delta
-	}
-	if tx.Read(e.dead) != 0 {
-		tx.Retry()
-	}
-	nv := tx.Read(e.c) + delta
-	tx.Write(e.c, nv)
-	t.emit(j, tx, wal.Op{Kind: wal.KindCounterSet, Key: key, N: nv})
-	return nv
+	return t.putCount(j, tx, e, key, delta)
 }
 
 // CounterSet sets a counter key to an absolute value inside the
@@ -1042,50 +1152,57 @@ func (t *Txn) Add(key string, delta int64) int64 {
 // logged absolute so replay is idempotent), and is useful anywhere an
 // absolute counter write is wanted transactionally.
 func (t *Txn) CounterSet(key string, n int64) {
-	i, j, tx, ok := t.resolve(key)
-	if !ok {
-		return
+	if j, tx, e, _, _ := t.own(key, true); e != nil {
+		t.putCount(j, tx, e, key, n)
 	}
-	e, err := t.s.shards[i].ensure(key, true)
-	if err != nil {
+}
+
+// putCount writes n to a counter entry and logs it absolute; a value the
+// lane reserves fails the transaction instead.
+func (t *Txn) putCount(j int, tx *stm.Tx, e *entry, key string, n int64) int64 {
+	if err := countErr(key, n); err != nil {
 		t.fail(err)
-		return
-	}
-	if _, mine := t.deleted[key]; mine {
-		tx.Write(e.dead, 0) // resurrect our own tombstone
-		delete(t.deleted, key)
-	} else if tx.Read(e.dead) != 0 {
-		tx.Retry() // concurrent Delete's sweep in flight; see Store.Set
+		return 0
 	}
 	tx.Write(e.c, n)
 	t.emit(j, tx, wal.Op{Kind: wal.KindCounterSet, Key: key, N: n})
+	return n
 }
 
-// Delete tombstones a key of either kind inside the transaction,
-// reporting whether it existed. The committed removal from the key table
-// happens after the transaction commits (see Store.Delete); within the
-// transaction the key reads as absent, and a later Set/Add of the same
-// key resurrects it.
+// ensure makes key present as the given kind inside the transaction —
+// the kind's zero value if it holds none — and returns its entry (nil
+// when the transaction failed on it).
+func (t *Txn) ensure(key string, counter bool) *entry {
+	j, tx, e, _, st := t.own(key, counter)
+	if e == nil || st == live {
+		return e
+	}
+	if counter {
+		t.putCount(j, tx, e, key, 0)
+	} else {
+		stm.WriteT(tx, e.b, []byte(nil))
+		t.emit(j, tx, wal.Op{Kind: wal.KindSet, Key: key})
+	}
+	return e
+}
+
+// Delete removes a key of either kind inside the transaction, reporting
+// whether it existed: the key reads as absent from here on, and a later
+// Set/Add of the same key in this transaction is just the next write of
+// the same word (so the kind stays fixed until the transaction ends).
 func (t *Txn) Delete(key string) bool {
 	i, j, tx, ok := t.resolve(key)
 	if !ok {
 		return false
 	}
-	e := t.s.shards[i].lookup(key)
-	if e == nil {
+	e, _, _, st := t.s.shards[i].find(tx, key)
+	if e != nil {
+		t.deleted = append(t.deleted, doomed{key, e})
+	}
+	if st != live {
 		return false
 	}
-	if _, mine := t.deleted[key]; mine {
-		return false // already deleted in this transaction
-	}
-	if tx.Read(e.dead) != 0 {
-		return false // already condemned by a committed Delete
-	}
-	tx.Write(e.dead, 1)
-	if t.deleted == nil {
-		t.deleted = make(map[string]*entry, 2)
-	}
-	t.deleted[key] = e
+	e.write(tx, absent)
 	t.emit(j, tx, wal.Op{Kind: wal.KindDelete, Key: key})
 	return true
 }
@@ -1144,7 +1261,7 @@ func (op *multiOp) update(txs []*stm.Tx) error {
 	t.idxs = op.idxs
 	t.txs = txs
 	t.err = nil
-	t.deleted = nil // only the committed attempt's tombstones are swept
+	t.deleted, t.clash = nil, doomed{} // only the committed attempt's deletes are collected
 	t.tap = op.s.tapOn.Load()
 	if t.tap {
 		for len(op.pends) < len(op.idxs) {
@@ -1250,6 +1367,9 @@ func (s *Store) UpdateCtx(ctx context.Context, keys []string, fn func(*Txn) erro
 		t0 = time.Now()
 	}
 	err := stm.AtomicallyMultiCtx(ctx, op.stms, op.runUpdate)
+	for errors.Is(err, ErrWrongType) && s.clashed(op.txn.clash.key, op.txn.clash.e) {
+		err = stm.AtomicallyMultiCtx(ctx, op.stms, op.runUpdate)
+	}
 	committed := err == nil
 	deleted := op.txn.deleted
 	if committed && op.txn.tap && s.fsyncLevel() {
@@ -1277,10 +1397,10 @@ func (s *Store) UpdateCtx(ctx context.Context, keys []string, fn func(*Txn) erro
 	if sampled {
 		s.opHists[OpUpdate].Observe(time.Since(t0).Nanoseconds())
 	}
-	// The sweep keys off the commit, not the durable wait: a failed wait
-	// reports the log's sticky error, but the tombstones are committed.
+	// Collection keys off the commit, not the durable wait: a failed wait
+	// reports the log's sticky error, but the deletes are committed.
 	if committed && len(deleted) > 0 {
-		s.sweep(deleted)
+		s.collect(deleted)
 	}
 	return err
 }
@@ -1302,51 +1422,34 @@ func (t *ViewTxn) fail(err error) {
 	}
 }
 
-// resolve routes key to its live entry within the view's footprint.
-// ok is false (with no error) for absent or condemned keys, and the view
-// fails when the key's shard is outside the footprint.
-func (t *ViewTxn) resolve(key string) (*stm.ReadTx, *entry, bool) {
+// find reads key within the view's footprint; the view fails when the
+// key's shard is outside it.
+func (t *ViewTxn) find(key string) (*entry, []byte, int64, state) {
 	i := t.s.ShardOf(key)
-	var r *stm.ReadTx
 	for j, idx := range t.idxs {
 		if idx == i {
-			r = t.rtxs[j]
-			break
+			return t.s.shards[i].findR(t.rtxs[j], key)
 		}
 	}
-	if r == nil {
-		t.fail(fmt.Errorf("kv: key %q is outside the view footprint", key))
-		return nil, nil, false
-	}
-	e := t.s.shards[i].lookup(key)
-	if e == nil || r.Read(e.dead) != 0 {
-		return nil, nil, false
-	}
-	return r, e, true
+	t.fail(fmt.Errorf("kv: key %q is outside the view footprint", key))
+	return nil, nil, 0, absent
 }
 
 // Get reads key inside the view; ok is false when the key is absent.
 // Counter keys are formatted as decimal.
 func (t *ViewTxn) Get(key string) ([]byte, bool) {
-	r, e, ok := t.resolve(key)
-	if !ok {
-		return nil, false
-	}
-	if e.isCounter() {
-		return formatCounter(r.Read(e.c)), true
-	}
-	return stm.ReadTVar(r, e.b), true
+	return value(t.find(key))
 }
 
 // Counter reads a counter key inside the view on the int64 lane (no
 // boxing, no formatting). ok is false when the key is absent or holds
 // bytes.
 func (t *ViewTxn) Counter(key string) (int64, bool) {
-	r, e, ok := t.resolve(key)
-	if !ok || !e.isCounter() {
+	e, _, n, st := t.find(key)
+	if st != live || !e.isCounter() {
 		return 0, false
 	}
-	return r.Read(e.c), true
+	return n, true
 }
 
 // View runs fn as one read-only transaction over the shards owning keys
@@ -1388,19 +1491,12 @@ func (s *Store) ViewCtx(ctx context.Context, keys []string, fn func(*ViewTxn) er
 // routing flag inside a transaction), exactly as in the paper's
 // privatization idiom. Counter keys return ErrWrongType.
 func (s *Store) Privatize(keys ...string) ([]*stm.TVar[[]byte], error) {
-	// Check kinds before creating anything, so a wrong-type failure does
-	// not leave phantom bytes keys behind for the keys processed first.
-	if err := s.checkBytesKinds(keys); err != nil {
+	entries, err := s.bytesEntries(keys)
+	if err != nil {
 		return nil, err
 	}
 	vars := make([]*stm.TVar[[]byte], len(keys))
-	for i, k := range keys {
-		// ensureLive, not ensure: a handle on a condemned entry would have
-		// every subsequent plain Store silently lost to the sweep.
-		e, err := s.ensureLive(s.shards[s.ShardOf(k)], k, false)
-		if err != nil {
-			return nil, err
-		}
+	for i, e := range entries {
 		vars[i] = e.b
 	}
 	for _, i := range s.appendShardSet(nil, keys) {
@@ -1409,88 +1505,66 @@ func (s *Store) Privatize(keys ...string) ([]*stm.TVar[[]byte], error) {
 	return vars, nil
 }
 
+// bytesEntries returns the keys' entries, every key present as a bytes
+// key when it returns: one transaction creates the missing ones with a
+// nil value, so a counter among them fails the lot with ErrWrongType
+// and creates nothing. A plain store into an entry handed out here lands
+// in a present key — it cannot be lost to the collector, which only
+// takes absent entries.
+func (s *Store) bytesEntries(keys []string) ([]*entry, error) {
+	entries := make([]*entry, len(keys))
+	err := s.Update(keys, func(t *Txn) error {
+		for i, k := range keys {
+			entries[i] = t.ensure(k, false)
+		}
+		return nil
+	})
+	return entries, err
+}
+
 // Publish plainly stores vals (copied on the way in) and then commits a
-// sentinel transaction on each owning shard. A transactional reader
+// sentinel transaction across the owning shards. A transactional reader
 // ordered after the sentinel write (any transaction on the shard that
 // starts after Publish returns, or one that observes the bumped sentinel)
 // also sees the plain writes: publication by direct dependency, safe on
 // every engine without fences. Counter keys return ErrWrongType before
 // any write happens.
 func (s *Store) Publish(vals map[string][]byte) error {
-	if err := s.degradedGate(); err != nil {
-		return err
-	}
 	keys := make([]string, 0, len(vals))
 	for k := range vals {
 		keys = append(keys, k)
 	}
-	// Check kinds before creating anything, so a wrong-type failure does
-	// not leave phantom bytes keys behind (the map iterates in random
-	// order, so "before any write" would otherwise be best-effort).
-	if err := s.checkBytesKinds(keys); err != nil {
+	entries, err := s.bytesEntries(keys)
+	if err != nil {
 		return err
-	}
-	entries := make([]*entry, 0, len(vals))
-	for _, k := range keys {
-		// ensureLive, not ensure: plain stores into a condemned entry would
-		// be silently lost to the concurrent sweep.
-		e, err := s.ensureLive(s.shards[s.ShardOf(k)], k, false)
-		if err != nil {
-			return err
-		}
-		entries = append(entries, e)
 	}
 	copies := make([][]byte, len(keys))
 	for j, k := range keys {
 		copies[j] = copyVal(vals[k])
 		entries[j].b.Store(copies[j])
 	}
-	idxs := s.appendShardSet(nil, keys)
-	// The sentinel transactions carry the published values as SET ops,
+	// The sentinel transaction carries the published values as SET ops,
 	// so publication is logged (and fed to subscribers) even though the
-	// value writes themselves were plain.
-	var pends []pendingOps
-	if s.tapOn.Load() {
-		pends = make([]pendingOps, len(idxs))
-		pos := make(map[int]int, len(idxs))
-		for j, i := range idxs {
-			pos[i] = j
-		}
+	// value writes themselves were plain; across shards it is one
+	// cross-shard commit and recovers all-or-nothing like any other.
+	return s.Update(keys, func(t *Txn) error {
 		for j, k := range keys {
-			p := &pends[pos[s.ShardOf(k)]]
-			p.ops = append(p.ops, wal.Op{Kind: wal.KindSet, Key: k, Val: copies[j]})
-		}
-	}
-	durable := s.dur != nil && s.dur.attached
-	err := stm.AtomicallyMulti(s.appendSTMs(nil, idxs), func(txs []*stm.Tx) error {
-		// A multi-shard publication links its sentinels into one
-		// cross-shard commit, fresh per attempt, so the logged records
-		// recover all-or-nothing like any other cross-shard write.
-		var pt *pendingTxn
-		if pends != nil && durable && len(idxs) > 1 {
-			pt = newPendingTxn(len(idxs))
-		}
-		for j, i := range idxs {
-			txs[j].Write(s.shards[i].pub, txs[j].Read(s.shards[i].pub)+1)
-			if pends != nil {
-				pends[j].seq = 0 // ops are attempt-invariant; only the stamp resets
-				pends[j].txn = pt
-				txs[j].SetTapData(&pends[j])
-			}
+			t.publish(k, copies[j])
 		}
 		return nil
 	})
-	if err != nil || pends == nil || !s.fsyncLevel() {
-		return err
+}
+
+// publish bumps the publication sentinel of key's shard and logs val as
+// the key's SET.
+func (t *Txn) publish(key string, val []byte) {
+	i, j, tx, ok := t.resolve(key)
+	if !ok {
+		return
 	}
-	for j, i := range idxs {
-		if pends[j].seq != 0 {
-			if werr := s.shards[i].feed.log.WaitDurable(pends[j].seq); werr != nil {
-				return werr
-			}
-		}
-	}
-	return s.waitTxnDurable(pends[0].txn)
+	pub := t.s.shards[i].pub
+	tx.Write(pub, tx.Read(pub)+1)
+	t.emit(j, tx, wal.Op{Kind: wal.KindSet, Key: key, Val: val})
 }
 
 // Stats is an aggregate snapshot across shards. The JSON field names are

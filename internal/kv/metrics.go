@@ -156,10 +156,9 @@ const (
 // all shards, hottest first, at most n entries (n <= 0 means all
 // resident). Attribution is by the STM contention tables — each records
 // the variable a conflict lost to, by id — and this read side maps ids
-// back through the shards' key tables, so a key's value, counter and
-// tombstone variables all attribute to the key. Conflicts on shard
-// infrastructure surface as "(keyspace)" and "(publication)"; an id
-// whose entry was deleted since surfaces as "(swept)". Counts are
+// back through the shards' key tables, one variable per key. Conflicts
+// on shard infrastructure surface as "(keyspace)" and "(publication)";
+// an id whose entry was deleted since surfaces as "(swept)". Counts are
 // approximate (see obs.HotTable) — the head of a skewed profile is
 // accurate, which is the use case. Nil when metrics are disabled.
 func (s *Store) HotKeys(n int) []HotKey {
@@ -178,19 +177,17 @@ func (s *Store) HotKeys(n int) []HotKey {
 		}
 		// Map variable ids back to key names: one table scan per shard,
 		// only on this read path.
-		names := make(map[uint64]string, 3*len(*sh.vars.Load())+2)
+		names := make(map[uint64]string, len(*sh.vars.Load())+2)
 		for k, e := range *sh.vars.Load() {
-			if e.b != nil {
+			if e.isCounter() {
+				names[e.c.ID()] = k
+			} else {
 				names[e.b.ID()] = k
 			}
-			if e.c != nil {
-				names[e.c.ID()] = k
-			}
-			names[e.dead.ID()] = k
 		}
 		names[sh.kvers.ID()] = hotKeyspace
 		names[sh.pub.ID()] = hotPublication
-		// A key's variables may occupy several table slots; sum them.
+		// Several contention-table slots may resolve to one name; sum them.
 		byName := make(map[string]uint64, len(snap))
 		for _, he := range snap {
 			name, ok := names[he.ID]

@@ -262,8 +262,8 @@ func (r *Replica) drainLocked(shards []int) error {
 				// A run of plain records applies as one local transaction:
 				// the watermark advances in coarser steps but still only at
 				// transaction boundaries, so readers keep seeing a dense
-				// per-shard prefix — and applyTxn's bulk key creation turns
-				// catch-up from one table copy per new key into one per run.
+				// per-shard prefix — and applyTxn's bulk link turns catch-up
+				// from one table copy per new key into one per run.
 				n, ops := r.runLocked(i)
 				if err := r.applyTxn(ops); err != nil {
 					return err
@@ -318,8 +318,8 @@ const maxRunOps = 256
 // cross-shard participant ends the run before itself (it applies with
 // its siblings); a record containing a delete ends the run after
 // itself, because a later record may re-create the key with the other
-// kind, which needs the delete's commit-time sweep between the two
-// writes. Caller holds r.mu.
+// kind, which needs the delete's collection between the two writes
+// (within one transaction a key's kind stays fixed). Caller holds r.mu.
 func (r *Replica) runLocked(i int) (n int, ops []wal.Op) {
 	q := r.queues[i]
 	for n < len(q) && len(ops) < maxRunOps {
@@ -390,12 +390,11 @@ func (r *Replica) applyTxn(ops []wal.Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	// Bulk-create the missing keys first — one shard-table copy per
-	// batch instead of one per key (ensure's copy-on-write is O(table)
-	// per miss, which made fresh-keyspace catch-up quadratic). The
-	// pre-created entries are present-but-unwritten for the instant
-	// before the transaction commits, the same window every primary
-	// write has between its ensure and its commit.
+	// Link the missing keys first — one shard-table copy per batch instead
+	// of one per key (a link is O(table) per miss, which made
+	// fresh-keyspace catch-up quadratic). The entries are linked absent:
+	// like any key, they become visible when the transaction below
+	// commits.
 	keys := make([]string, len(ops))
 	var newBytes, newCtrs []string
 	for i := range ops {
@@ -413,10 +412,10 @@ func (r *Replica) applyTxn(ops []wal.Op) error {
 		}
 	}
 	if len(newBytes) > 0 {
-		r.s.EnsureKeys(newBytes...)
+		r.s.linkAll(newBytes, false, false)
 	}
 	if len(newCtrs) > 0 {
-		r.s.EnsureCounters(newCtrs...)
+		r.s.linkAll(newCtrs, true, false)
 	}
 	return r.s.Update(keys, func(t *Txn) error {
 		for i := range ops {
@@ -455,8 +454,8 @@ func (r *Replica) ResetShard(i int, seq uint64, recs []wal.Record) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
-	// Wipe: collect the shard's current keys (the table only mutates
-	// under r.mu — applies and their sweeps run right here), then
+	// Wipe: gather the shard's current keys (the table only mutates
+	// under r.mu — applies and their collection run right here), then
 	// delete transactionally in batches.
 	sh := r.s.shards[i]
 	var keys []string

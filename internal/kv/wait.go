@@ -1,16 +1,16 @@
 // Blocking reads: WaitGet and Watch, built on the STM runtime's
 // commit-notification subsystem (stm.Tx.Block). A blocked reader parks
-// on the variables it read — the key's value and tombstone, or the
-// shard's keyspace version when the key is absent — and is woken by the
-// commit (or table Touch) that changes them, instead of polling.
+// on what it read and is woken by the commit (or table Touch) that
+// changes it, instead of polling.
 //
-// Tombstones and the key table interact with blocking as follows. A key
-// that does not exist — never created, or condemned by a Delete whose
-// sweep may still be in flight — reads as absent, and the waiting
-// transaction joins the shard's keyspace version (kvers) instead:
-// entry creation and sweep completion Touch it, so re-creation of the
-// key wakes the waiter even though the fresh entry's variables did not
-// exist when it parked. Privatize's quiescence fence broadcasts to all
+// What it read is decided by shard.find. A key with a linked entry is
+// its one word, whatever it holds: a waiter that read absent there is
+// woken by the commit that writes a value — creation and re-creation
+// are ordinary writes of that word. A key with no entry (or a retired
+// one on its way out of the table) is the shard's keyspace version,
+// which every link and unlink Touches; the woken waiter follows the
+// table to the fresh entry and parks on its word until the creating
+// transaction commits. Privatize's quiescence fence broadcasts to all
 // waiters of the fenced shards (a privatized variable's plain writes
 // would otherwise never wake them); after the fence, a still-blocked
 // reader of a privatized key re-parks and relies on the safety-net
@@ -26,31 +26,12 @@ import (
 	"modtx/internal/stm"
 )
 
-// blockOnKeyspace parks the transaction on the shard's keyspace version
-// because key routed to no live entry (have is the entry the caller
-// observed: nil, or a condemned one). The order is load-bearing for the
-// no-lost-wakeup guarantee: the kvers read happens first, and the table
-// is re-checked after it — a creation or sweep whose Touch landed before
-// our kvers read necessarily stored its table first, so the re-lookup
-// observes it and restarts instead of parking past an already-delivered
-// notification (on the glock and tl2 engines the kvers read alone would
-// absorb such a Touch without conflicting). A Touch after the kvers read
-// is caught by the park's register-then-revalidate protocol. Never
-// returns.
-func blockOnKeyspace(tx *stm.Tx, sh *shard, key string, have *entry) {
-	tx.Read(sh.kvers)
-	if sh.lookup(key) != have {
-		tx.Retry() // the keyspace moved under us: re-run against it now
-	}
-	tx.Block()
-}
-
 // WaitGet returns key's value, blocking until the key exists: if the key
-// is present (and not condemned) it behaves like Get, otherwise the call
-// parks until a Set, CounterAdd, MSet, Update or Publish brings the key
-// to life, and then returns the value it observes. Counters are
-// formatted as decimal, exactly as Get. The wait is event-driven — a
-// parked WaitGet consumes no CPU and wakes on the next relevant commit.
+// is present it behaves like Get, otherwise the call parks until a Set,
+// CounterAdd, MSet, Update or Publish brings the key to life, and then
+// returns the value it observes. Counters are formatted as decimal,
+// exactly as Get. The wait is event-driven — a parked WaitGet consumes
+// no CPU and wakes on the next relevant commit.
 // Cancellation or deadline on ctx ends the wait with a *stm.TxError
 // wrapping stm.ErrCanceled.
 func (s *Store) WaitGet(ctx context.Context, key string) ([]byte, error) {
@@ -64,18 +45,9 @@ func (s *Store) WaitGet(ctx context.Context, key string) ([]byte, error) {
 	}
 	var out []byte
 	err := sh.stm.AtomicallyCtx(ctx, func(tx *stm.Tx) error {
-		out = nil
-		e := sh.lookup(key)
-		if e == nil || tx.Read(e.dead) != 0 {
-			// Absent, or condemned (the entry is dead forever — the
-			// wakeup that matters is the sweep and later re-creation,
-			// both of which Touch the keyspace version). Park on kvers.
-			blockOnKeyspace(tx, sh, key, e)
-		}
-		if e.isCounter() {
-			out = formatCounter(tx.Read(e.c))
-		} else {
-			out = stm.ReadT(tx, e.b)
+		var ok bool
+		if out, ok = value(sh.find(tx, key)); !ok {
+			tx.Block()
 		}
 		return nil
 	})
@@ -113,25 +85,9 @@ func (s *Store) WatchFrom(ctx context.Context, key string, val []byte, present b
 	var out []byte
 	var ok bool
 	err := sh.stm.AtomicallyCtx(ctx, func(tx *stm.Tx) error {
-		out, ok = nil, false
-		e := sh.lookup(key)
-		if e != nil && tx.Read(e.dead) == 0 {
-			if e.isCounter() {
-				out = formatCounter(tx.Read(e.c))
-			} else {
-				out = stm.ReadT(tx, e.b)
-			}
-			ok = true
-		}
+		out, ok = value(sh.find(tx, key))
 		if ok == present && (!ok || bytes.Equal(out, val)) {
-			// Unchanged from the baseline: keep waiting. A live entry's
-			// own variables are the footprint; an absent/condemned key
-			// parks on the keyspace version (with the same read-then-
-			// recheck ordering as WaitGet).
-			if !ok {
-				blockOnKeyspace(tx, sh, key, e)
-			}
-			tx.Block()
+			tx.Block() // unchanged from the baseline: wait on what find read
 		}
 		return nil
 	})

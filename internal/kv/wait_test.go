@@ -46,9 +46,9 @@ func TestWaitGetExistingKey(t *testing.T) {
 	}
 }
 
-// TestWaitGetWakesOnCreation: a WaitGet parked on an absent key is woken
-// by the Set that creates it — key creation is announced through the
-// shard's keyspace version.
+// TestWaitGetWakesOnCreation: a WaitGet parked on a key with no entry is
+// woken by the Set that creates it — the link is announced through the
+// shard's keyspace version, the value by the creating commit.
 func TestWaitGetWakesOnCreation(t *testing.T) {
 	for _, e := range stm.Engines() {
 		t.Run(e.String(), func(t *testing.T) {
@@ -79,40 +79,63 @@ func TestWaitGetWakesOnCreation(t *testing.T) {
 	}
 }
 
-// TestWaitGetAcrossDeleteAndRecreate: the waiter must survive the
-// tombstone-then-sweep deletion protocol — a condemned entry's variables
-// never change again, so the waiter re-parks on the keyspace version and
-// wakes when the key is re-created (possibly with a different kind).
+// TestWaitGetAcrossDeleteAndRecreate: the waiter must survive every
+// stage of a deletion and wake on the re-creation, whatever its kind.
+// Parked on a collected key it waits on the keyspace version; parked on
+// an entry the collector has not reached (absent) or has not finished
+// with (retired, still linked) it waits on that entry's word, and the
+// writer that re-creates the key either writes that word or steps over
+// the entry, touching the keyspace version on the way.
 func TestWaitGetAcrossDeleteAndRecreate(t *testing.T) {
+	stages := []struct {
+		name string
+		kill func(*testing.T, *Store, string)
+	}{
+		{"collected", func(t *testing.T, s *Store, k string) {
+			if _, err := s.Delete(k); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"absent", func(t *testing.T, s *Store, k string) { deleteUncollected(t, s, k) }},
+		{"retired", func(t *testing.T, s *Store, k string) { retireUnlinked(t, s, k) }},
+	}
 	for _, e := range stm.Engines() {
-		t.Run(e.String(), func(t *testing.T) {
-			s := New(WithEngine(e), WithShards(4))
-			if err := s.Set("k", []byte("old")); err != nil {
-				t.Fatal(err)
+		for _, st := range stages {
+			for _, counter := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/counter=%v", e, st.name, counter), func(t *testing.T) {
+					s := New(WithEngine(e), WithShards(4))
+					if err := s.Set("k", []byte("old")); err != nil {
+						t.Fatal(err)
+					}
+					st.kill(t, s, "k")
+					ctx := watchdog(t)
+					got := make(chan []byte, 1)
+					errc := make(chan error, 1)
+					go func() {
+						v, err := s.WaitGet(ctx, "k")
+						errc <- err
+						got <- v
+					}()
+					waitForParked(t, s, 1)
+					want := "new"
+					if counter {
+						// Re-create as a counter: deletion freed the key's kind.
+						want = "42"
+						if _, err := s.CounterAdd("k", 42); err != nil {
+							t.Fatal(err)
+						}
+					} else if err := s.Set("k", []byte("new")); err != nil {
+						t.Fatal(err)
+					}
+					if err := <-errc; err != nil {
+						t.Fatal(err)
+					}
+					if v := <-got; string(v) != want {
+						t.Fatalf("WaitGet after recreate = %q, want %q", v, want)
+					}
+				})
 			}
-			if _, err := s.Delete("k"); err != nil {
-				t.Fatal(err)
-			}
-			ctx := watchdog(t)
-			got := make(chan []byte, 1)
-			errc := make(chan error, 1)
-			go func() {
-				v, err := s.WaitGet(ctx, "k")
-				errc <- err
-				got <- v
-			}()
-			waitForParked(t, s, 1)
-			// Re-create as a counter: deletion freed the key's kind.
-			if _, err := s.CounterAdd("k", 42); err != nil {
-				t.Fatal(err)
-			}
-			if err := <-errc; err != nil {
-				t.Fatal(err)
-			}
-			if v := <-got; string(v) != "42" {
-				t.Fatalf("WaitGet after recreate = %q", v)
-			}
-		})
+		}
 	}
 }
 
@@ -281,8 +304,8 @@ func waitForParked(t *testing.T, s *Store, n int) {
 
 // TestWaitGetCreationRaceNoStall races WaitGet against the Set that
 // creates the key with no park synchronization, pinning the ordering
-// fix in blockOnKeyspace: the keyspace version must be read before the
-// table is re-checked, otherwise a creation whose Touch lands between
+// in shard.find: the keyspace version must be read before the table
+// is re-checked, otherwise a creation whose Touch lands between
 // the waiter's lookup and its kvers read strands the waiter on the
 // safety-net timer (≥100ms per stall). With the correct ordering every
 // round resolves in microseconds; the wall-clock bound catches a

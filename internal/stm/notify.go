@@ -319,9 +319,9 @@ func (t *waitTable) broadcast() {
 // clock — without changing its value — and wakes any transactions parked
 // on it. It is the notification hook for state changes that happen
 // outside any transaction: internal/kv touches a per-shard keyspace
-// version after inserting into or sweeping its (non-transactional)
-// copy-on-write key table, so a blocked WaitGet observes key creation
-// and deletion. Concurrent transactional readers of a touched variable
+// version after linking into or unlinking from its (non-transactional)
+// copy-on-write key table, so a transaction that found no entry there
+// conflicts with, or is woken by, the change. Concurrent transactional readers of a touched variable
 // conflict and retry, exactly as if a blind write to it had committed.
 // The variables must belong to this instance.
 func (s *STM) Touch(vs ...*Var) {
@@ -350,8 +350,8 @@ func (s *STM) Touch(vs ...*Var) {
 // processor before the loops start parking used to be a constant 8;
 // it is now the per-instance adaptive spin budget (see adapt.go and
 // STM.SpinBudget). Immediate retry wins while conflicts are transient,
-// and it also keeps the short "retry onto fresh state" idiom (kv's
-// tombstone handling) prompt; persistent contention shrinks the budget
+// and it also keeps the short "retry onto fresh state" idiom (Retry)
+// prompt; persistent contention shrinks the budget
 // so losers park promptly instead of bouncing hot cache lines.
 
 // conflictFallback is the pre-notification backoff schedule, demoted to

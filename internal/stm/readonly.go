@@ -37,6 +37,11 @@ func ReadTVar[T any](r *ReadTx, v *TVar[T]) T {
 	return *r.tx.readBoxed(v).(*T)
 }
 
+// ReadTVarBox is ReadTVar returning the box; see TVar.LoadBox.
+func ReadTVarBox[T any](r *ReadTx, v *TVar[T]) *T {
+	return r.tx.readBoxed(v).(*T)
+}
+
 // AtomicallyRead runs fn as a read-only transaction, retrying on
 // conflicts until it commits or the retry budget is exhausted — the same
 // contract as Atomically, specialized to bodies that never write. It

@@ -32,6 +32,18 @@ func (v *TVar[T]) Load() T { return *v.val.Load() }
 // privatization.
 func (v *TVar[T]) Store(x T) { v.val.Store(&x) }
 
+// LoadBox and StoreBox are Load and Store on the box itself, the *T the
+// variable holds. They — and their transactional twins ReadBox,
+// ReadTVarBox and WriteBox — keep a box's identity, which the copies in
+// Load/Store/ReadT/WriteT do not: a caller can reserve a box of its own
+// as a distinguished non-value and recognise it by pointer, without
+// dereferencing (internal/kv's absent and retired keys). A box is
+// immutable once stored.
+func (v *TVar[T]) LoadBox() *T { return v.val.Load() }
+
+// StoreBox installs b plainly; see LoadBox.
+func (v *TVar[T]) StoreBox(b *T) { v.val.Store(b) }
+
 // boxed is the untyped, engine-facing view of a TVar: the engines log and
 // move opaque boxes (a box is the *T behind the interface — interface
 // conversion of a pointer does not allocate), while the typed wrappers
@@ -56,4 +68,14 @@ func ReadT[T any](tx *Tx, v *TVar[T]) T {
 // WriteT sets the transactional value of v.
 func WriteT[T any](tx *Tx, v *TVar[T], x T) {
 	tx.writeBoxed(v, &x)
+}
+
+// ReadBox is ReadT returning the box; see LoadBox.
+func ReadBox[T any](tx *Tx, v *TVar[T]) *T {
+	return tx.readBoxed(v).(*T)
+}
+
+// WriteBox is WriteT installing b itself; see LoadBox.
+func WriteBox[T any](tx *Tx, v *TVar[T], b *T) {
+	tx.writeBoxed(v, b)
 }

@@ -326,8 +326,8 @@ func (tx *Tx) conflictRetryNow() {
 // beginning (counted as a conflict; prompt for the first few attempts,
 // then under the bounded fallback). Use it when the body observes state
 // that a concurrent actor is about to change outside the transactional
-// world — e.g. a tombstoned entry whose table removal is in flight — and
-// the only correct move is to start over against fresh state. To wait
+// world — e.g. an entry whose removal from a plain table is in flight —
+// and the only correct move is to start over against fresh state. To wait
 // for transactional state to change, use Block instead. It never
 // returns.
 func (tx *Tx) Retry() {

@@ -232,6 +232,11 @@ func (l *Log) AppendFlags(seq uint64, flags uint8, txn uint64, ops []Op) error {
 	}
 	l.lastQueued = seq
 	l.npending++
+	if l.m != nil {
+		// Counted when queued, not when the batcher drains, so the
+		// count never lags a write its caller has been acknowledged.
+		l.m.Appends.Add(1)
+	}
 	if len(l.followers) > 0 {
 		l.pushFollowersLocked(seq, l.pending[start:])
 	}
@@ -340,7 +345,6 @@ func (l *Log) run() {
 	for {
 		l.mu.Lock()
 		buf, l.pending = l.pending, buf[:0]
-		n := l.npending
 		l.npending = 0
 		end := l.lastQueued
 		syncReq := l.syncReq
@@ -349,7 +353,7 @@ func (l *Log) run() {
 		l.mu.Unlock()
 
 		if len(buf) > 0 {
-			l.writeBatch(buf, n, end)
+			l.writeBatch(buf, end)
 		}
 		unsynced := l.unsyncedLocked(end)
 		switch {
@@ -399,12 +403,11 @@ func (l *Log) unsyncedLocked(end uint64) bool {
 
 // writeBatch writes one coalesced batch and advances the written
 // watermark.
-func (l *Log) writeBatch(buf []byte, n int, end uint64) {
+func (l *Log) writeBatch(buf []byte, end uint64) {
 	t0 := time.Now()
 	_, err := l.f.Write(buf)
 	if l.m != nil {
 		l.m.AppendNs.Observe(time.Since(t0).Nanoseconds())
-		l.m.Appends.Add(uint64(n))
 		l.m.Batches.Add(1)
 		l.m.Bytes.Add(uint64(len(buf)))
 	}
