@@ -236,7 +236,8 @@ func renderMetrics(s *kv.Store) []byte {
 // renderServerMetrics appends the overload-protection and degraded-mode
 // series: whether the store has latched a WAL failure, how many commits
 // it acknowledged without durability, how many commands admission shed,
-// and how many handler panics were contained.
+// how many handler panics were contained, and how many commands were
+// answered in how many writes.
 func renderServerMetrics(b []byte, srv *server) []byte {
 	ws := srv.store.WALStats()
 	b = append(b, "# HELP mtxkv_degraded Store has latched a WAL failure (1 = degraded).\n"...)
@@ -257,6 +258,8 @@ func renderServerMetrics(b []byte, srv *server) []byte {
 		{"mtxkv_wal_shed_writes_total", "Commits acknowledged without durability while degraded (shed-durability mode).", ws.ShedWrites},
 		{"mtxkv_shed_total", "Commands refused with ERR overloaded by admission control.", srv.shed.Load()},
 		{"mtxkv_conn_panics_total", "Connection handler panics recovered (each cost one connection).", srv.panics.Load()},
+		{"mtxkv_wire_commands_total", "Line-protocol commands answered.", srv.wireCommands.Load()},
+		{"mtxkv_wire_flushes_total", "Socket writes that carried those answers; commands per flush is the pipelining being served.", srv.wireFlushes.Load()},
 	} {
 		b = append(b, "# HELP "+c.name+" "+c.help+"\n# TYPE "+c.name+" counter\n"+c.name+" "...)
 		b = strconv.AppendUint(b, c.v, 10)

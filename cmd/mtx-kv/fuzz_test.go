@@ -49,6 +49,13 @@ func FuzzServerCommand(f *testing.F) {
 		"PING\nGET a\nQUIT",
 		"SET \x00 \xff\xfe",
 		"get lowercase",
+		// Several commands in one read: replies coalesce, CRLF and
+		// blank lines between them, a blocking verb and QUIT midway.
+		"SET a 1\r\nGET a\r\n\r\nFGET a\r\n",
+		"SET a 1\nBGET nokey 1\nGET a\nQUIT\nGET a",
+		"PING\nSUBSCRIBE\nPING",
+		"SET a v\nGET a\nFGET a\nADD n 1\nADD n x\nMSET x 1 y 2\nMGET a x y z\nTXN ADD p -1 q 1\n" +
+			"TXN DEL x\nDEL y\nGET y\nNOPE\nSET\nping\nSTATS\nGET a",
 	} {
 		f.Add([]byte(seed))
 	}

@@ -61,16 +61,25 @@ func TestOverloadShed(t *testing.T) {
 		store:  kv.New(kv.WithShards(4), kv.WithMetrics(false)),
 		limits: limits{maxInflight: 1},
 	}
+	srv.initLimits() // here, not in serve's goroutine: the test reads the token channel
 	dial := startHardened(t, srv)
 
 	parked, pr := dial()
 	probe, qr := dial()
-	// The parked BGET holds the single token until its 2s timeout.
+	// The parked BGET holds the single token until its 2s timeout. Wait
+	// until it has it: a probe holding the token at the instant the BGET
+	// asks would shed the BGET instead, and nothing would be parked.
 	send(t, parked, "BGET nosuchkey 2000")
-
-	// Poll until the shed path engages: the BGET may not have been
-	// admitted the instant the probe arrives.
 	deadline := time.Now().Add(time.Second)
+	for len(srv.inflight) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the BGET never took the in-flight token")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Poll until the shed path engages.
+	deadline = time.Now().Add(time.Second)
 	for {
 		send(t, probe, "GET x")
 		if resp := recvLine(t, qr); resp == "ERR overloaded" {
@@ -150,9 +159,8 @@ func TestMaxConnsBackpressure(t *testing.T) {
 }
 
 // TestMaxRequestSize pins the request cap: an oversized line answers
-// "ERR request too large" and disconnects (the scanner cannot find the
-// next line boundary once its buffer overflows), while lines under the
-// cap work as usual.
+// "ERR request too large" and disconnects (the next line boundary is an
+// unbounded read away), while lines under the cap work as usual.
 func TestMaxRequestSize(t *testing.T) {
 	srv := &server{
 		store:  kv.New(kv.WithShards(4), kv.WithMetrics(false)),

@@ -7,7 +7,7 @@
 //   - -maxconns caps simultaneous connections with accept backpressure:
 //     when the house is full the server simply stops accepting, so
 //     excess dials queue in the kernel's listen backlog (and time out
-//     there) instead of each costing a goroutine and a scanner buffer.
+//     there) instead of each costing a goroutine and a read buffer.
 //   - -maxinflight caps concurrently executing store commands. The cap
 //     is enforced at dispatch with a token channel: a command that
 //     cannot get a token is refused with "ERR overloaded" immediately —
@@ -17,8 +17,11 @@
 //     load, and admission is the only thing that bounds them.
 //   - -idletimeout drops connections that send nothing for the duration
 //     (and bounds how long a write to a stalled client may block).
-//     SUBSCRIBE streams are exempt by design: a quiet subscriber is
-//     normal.
+//     The deadline is re-armed per wakeup only once it has aged a
+//     quarter of the timeout, and is set a quarter long to make up for
+//     it: a silent connection goes between 1 and 1.25 timeouts after
+//     its last byte, never sooner. SUBSCRIBE streams are exempt by
+//     design: a quiet subscriber is normal.
 //
 // Shed commands are counted (mtxkv_shed_total in /metrics) — refusing
 // work silently would make an overload look like a traffic drop.
@@ -26,7 +29,6 @@ package main
 
 import (
 	"flag"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -90,28 +92,21 @@ func (s *server) blockTimeoutCap() time.Duration {
 // admissionExempt reports verbs that bypass the in-flight cap: they run
 // no store transaction (PING, QUIT) or are the observability surface an
 // operator needs most while the server is overloaded (STATS).
-func admissionExempt(verb string) bool {
-	switch verb {
-	case "PING", "QUIT", "STATS":
-		return true
-	}
-	return false
+func admissionExempt(v verb) bool {
+	return v == verbPing || v == verbQuit || v == verbStats
 }
 
 // execAdmitted is exec behind the admission valve: non-exempt commands
 // must take an in-flight token or are shed with "ERR overloaded".
-func (s *server) execAdmitted(reply []byte, line string) (resp []byte, quit bool) {
-	if s.inflight != nil {
-		verb := strings.ToUpper(strings.Fields(line)[0])
-		if !admissionExempt(verb) {
-			select {
-			case s.inflight <- struct{}{}:
-				defer func() { <-s.inflight }()
-			default:
-				s.shed.Add(1)
-				return append(reply, "ERR overloaded"...), false
-			}
+func (c *session) execAdmitted(reply []byte, v verb, cmd, args []byte) (resp []byte, quit bool) {
+	if s := c.s; s.inflight != nil && !admissionExempt(v) {
+		select {
+		case s.inflight <- struct{}{}:
+			defer func() { <-s.inflight }()
+		default:
+			s.shed.Add(1)
+			return append(reply, "ERR overloaded"...), false
 		}
 	}
-	return s.exec(reply, line)
+	return c.exec(reply, v, cmd, args)
 }

@@ -71,6 +71,17 @@
 // (ADD / TXN ADD), fixed at first use (deleting it frees the kind);
 // reads format counters as decimal.
 //
+// Pipelining: a client may send commands without waiting for replies.
+// It gets one reply per command, in request order. The server reads
+// once, executes every complete line it has, and writes the replies in
+// one write, so commands that arrive together are answered together
+// (mtxkv_wire_commands_total / mtxkv_wire_flushes_total, on /metrics
+// and the STATS line, is how many per write). Replies never wait behind
+// something that can: they are written before the next read, before a
+// BGET or WATCH parks, before SUBSCRIBE starts streaming, before QUIT
+// or "ERR request too large" hangs up, and whenever 64 KB are pending.
+// Commands after QUIT are not executed.
+//
 //	PING                      -> PONG
 //	GET key                   -> VALUE v | NIL      (read-only txn; no write locks)
 //	FGET key                  -> VALUE v | NIL      (lock-free plain read)

@@ -1,7 +1,7 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -14,9 +14,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
-	"unicode"
 
 	"modtx/internal/cluster"
 	"modtx/internal/kv"
@@ -188,6 +188,12 @@ type server struct {
 	repl     *cluster.Client
 	replica  *kv.Replica
 
+	// Commands answered and the writes that carried their replies, over
+	// all connections. A connection counts in plain locals and adds here
+	// once per write; commands ÷ flushes is the pipelining it is seeing.
+	wireCommands atomic.Uint64
+	wireFlushes  atomic.Uint64
+
 	// Connection tracking for the graceful drain.
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -262,8 +268,43 @@ func (s *server) drain(timeout time.Duration) {
 	}
 }
 
+const (
+	// initialReadBuf is a connection's read buffer until a read fills it.
+	initialReadBuf = 4096
+	// flushBound is how much unwritten output a connection may hold: past
+	// it the replies are written mid-batch, so a client that pipelines
+	// without reading meets the write deadline, not an unbounded buffer.
+	flushBound = 64 * 1024
+)
+
+// session is one connection: an asynchronous FIFO session in which the
+// client may send requests without waiting and replies come back in
+// request order. Each wakeup is one read, every complete line in the
+// buffer executed with its reply appended to out, and one write.
+type session struct {
+	s    *server
+	conn net.Conn
+
+	in   []byte   // read buffer
+	r, w int      // in[r:w] is received and not yet executed
+	out  []byte   // replies not yet written
+	f    [][]byte // the current command's operands, sub-slices of in
+	keys []string // those that are keys, as the strings the store takes
+
+	armed     time.Time // when the idle deadlines were last set
+	streaming bool      // SUBSCRIBE mode: reads have no deadline
+	cmds      uint64    // commands answered in out
+}
+
 func (s *server) handleConn(conn net.Conn) {
 	defer conn.Close()
+	maxReq := s.reqCap()
+	c := &session{
+		s:    s,
+		conn: conn,
+		in:   make([]byte, min(initialReadBuf, maxReq)),
+		out:  make([]byte, 0, 256),
+	}
 	// A panic in one handler must cost one connection, not the process:
 	// every other client keeps its session and the store its state.
 	defer func() {
@@ -271,85 +312,151 @@ func (s *server) handleConn(conn net.Conn) {
 			s.panics.Add(1)
 			slog.Error("connection handler panic", "panic", p,
 				"remote", conn.RemoteAddr().String())
+			// The commands before the one that panicked ran; out holds
+			// their replies and nothing of the one that did not finish.
+			c.flush()
 		}
 	}()
-	maxReq := s.reqCap()
-	sc := bufio.NewScanner(conn)
-	initial := 64 * 1024
-	if maxReq < initial {
-		initial = maxReq
-	}
-	sc.Buffer(make([]byte, initial), maxReq)
-	w := bufio.NewWriter(conn)
-	// One reply buffer per connection, reused across commands: exec
-	// appends the (possibly multi-line) response into it, so the
-	// steady-state reply path performs no per-command allocation.
-	reply := make([]byte, 0, 256)
+	last := false // nothing more will be read
 	for {
-		if s.idle > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.idle))
-		}
-		if !sc.Scan() {
-			if errors.Is(sc.Err(), bufio.ErrTooLong) {
-				// The scanner cannot resynchronize to the next line once
-				// its buffer overflows, so answer and hang up.
-				w.WriteString("ERR request too large\n")
-				w.Flush()
+		for {
+			i := bytes.IndexByte(c.in[c.r:c.w], '\n')
+			if i < 0 {
+				break
 			}
-			return
-		}
-		// Trim only the CR of CRLF clients: SET values must keep their
-		// trailing bytes, and Fields-based dispatch tolerates leading
-		// whitespace on its own.
-		line := strings.TrimRight(sc.Text(), "\r")
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		if f := strings.Fields(line); strings.EqualFold(f[0], "SUBSCRIBE") {
-			// SUBSCRIBE flips the connection into streaming mode for the
-			// rest of its life; it never returns to command dispatch. A
-			// quiet subscriber is normal, so the idle deadline comes off.
-			conn.SetReadDeadline(time.Time{})
-			s.handleSubscribe(conn, sc, w, f)
-			return
-		}
-		var start time.Time
-		if s.slow > 0 {
-			start = time.Now()
-		}
-		var quit bool
-		reply, quit = s.execAdmitted(reply[:0], line)
-		if s.slow > 0 {
-			if elapsed := time.Since(start); elapsed >= s.slow {
-				// Log only the verb: values are user data and BGET/WATCH
-				// park by design, which is exactly what this surfaces.
-				verb := strings.Fields(line)[0]
-				slog.Warn("slow command", "cmd", strings.ToUpper(verb),
-					"elapsed", elapsed, "remote", conn.RemoteAddr().String())
+			line := c.in[c.r : c.r+i]
+			c.r += i + 1
+			if !c.command(line) {
+				return
 			}
 		}
-		reply = append(reply, '\n')
-		if s.idle > 0 {
-			// The write deadline bounds how long a stalled client (full
-			// socket buffer, dead peer) can pin this goroutine.
-			conn.SetWriteDeadline(time.Now().Add(s.idle))
+		tail := c.in[c.r:c.w] // a line still arriving
+		if last {
+			// What the peer left unterminated is its final line.
+			if !c.command(tail) {
+				return
+			}
+		} else if len(tail) >= maxReq {
+			// There is no finding the next line boundary without
+			// reading on without bound, so answer and hang up.
+			c.out = append(c.out, "ERR request too large\n"...)
+			last = true
 		}
-		w.Write(reply)
-		if w.Flush() != nil {
+		// Everything executable has been: one write for the wakeup.
+		if !c.flush() || last {
 			return
 		}
-		if cap(reply) > 64*1024 {
-			// Don't let one huge MGET pin its high-water mark for the
-			// rest of a long-lived connection.
-			reply = make([]byte, 0, 256)
+		if c.r > 0 {
+			c.r, c.w = 0, copy(c.in, tail)
 		}
-		if quit {
-			return
+		c.arm()
+		n, err := conn.Read(c.in[c.w:])
+		c.w += n
+		last = err != nil
+		if c.w == len(c.in) && len(c.in) < maxReq {
+			// A read that fills the buffer earns a larger one, up to
+			// -maxreq: a long line comes to fit, and a deep pipeline
+			// comes to arrive in one read.
+			grown := make([]byte, min(2*len(c.in), maxReq))
+			copy(grown, c.in)
+			c.in = grown
 		}
 	}
 }
 
-// handleSubscribe serves SUBSCRIBE [prefix]: acknowledge with
+// arm sets the idle deadline, on reads and writes alike (SUBSCRIBE:
+// writes only), if the one in force has aged a quarter of -idletimeout.
+// It is set that quarter long, so a peer always has the full timeout
+// from the last time arm was called, and at most a quarter more.
+func (c *session) arm() {
+	idle := c.s.idle
+	if idle <= 0 {
+		return
+	}
+	now := time.Now()
+	if now.Sub(c.armed) < idle/4 {
+		return
+	}
+	c.armed = now
+	if deadline := now.Add(idle + idle/4); c.streaming {
+		c.conn.SetWriteDeadline(deadline)
+	} else {
+		c.conn.SetDeadline(deadline)
+	}
+}
+
+// flush writes the pending replies in one Write and reports whether the
+// connection is still good. The write deadline bounds how long a
+// stalled client (full socket buffer, dead peer) can pin this
+// goroutine.
+func (c *session) flush() bool {
+	if len(c.out) == 0 {
+		return true
+	}
+	if c.cmds > 0 {
+		c.s.wireCommands.Add(c.cmds)
+		c.s.wireFlushes.Add(1)
+		c.cmds = 0
+	}
+	c.arm()
+	_, err := c.conn.Write(c.out)
+	if cap(c.out) > 2*flushBound {
+		// Don't let one huge MGET pin its high-water mark for the
+		// rest of a long-lived connection.
+		c.out = make([]byte, 0, 256)
+	}
+	c.out = c.out[:0]
+	return err == nil
+}
+
+// command executes one request line and leaves its reply in out. It
+// returns false when the connection is over: after QUIT, at the end of
+// a SUBSCRIBE stream, or when a write failed.
+func (c *session) command(line []byte) bool {
+	// Trim only the CR of CRLF clients: SET values keep the rest of
+	// their trailing bytes.
+	line = bytes.TrimRight(line, "\r")
+	cmd, args := nextField(line)
+	if len(cmd) == 0 {
+		return true
+	}
+	s := c.s
+	v := parseVerb(cmd)
+	switch v {
+	case verbSubscribe:
+		// SUBSCRIBE flips the connection into streaming mode for the
+		// rest of its life; it never returns to command dispatch.
+		c.subscribe(args)
+		return false
+	case verbBGet, verbWatch:
+		// These park: no reply already earned waits behind them.
+		if !c.flush() {
+			return false
+		}
+	}
+	var start time.Time
+	if s.slow > 0 {
+		start = time.Now()
+	}
+	var quit bool
+	c.out, quit = c.execAdmitted(c.out, v, cmd, args)
+	c.out = append(c.out, '\n')
+	c.cmds++
+	if s.slow > 0 {
+		if elapsed := time.Since(start); elapsed >= s.slow {
+			// Log only the verb: values are user data and BGET/WATCH
+			// park by design, which is exactly what this surfaces.
+			slog.Warn("slow command", "cmd", strings.ToUpper(string(cmd)),
+				"elapsed", elapsed, "remote", c.conn.RemoteAddr().String())
+		}
+	}
+	if quit || len(c.out) >= flushBound {
+		return c.flush() && !quit
+	}
+	return true
+}
+
+// subscribe serves SUBSCRIBE [prefix]: acknowledge with
 // "OK subscribed", then stream one "EVENT seq op key [value]" line per
 // committed write under the prefix, in per-shard commit order, until
 // the client sends any line or disconnects. seq is the per-shard commit
@@ -360,54 +467,70 @@ func (s *server) handleConn(conn net.Conn) {
 // that reads slower than the store commits loses events, and each loss
 // is reported in-stream as a cumulative "DROPPED n" line, so consumers
 // can tell a gap from a quiet store.
-func (s *server) handleSubscribe(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, f []string) {
-	if len(f) > 2 {
-		w.WriteString("ERR usage: SUBSCRIBE [prefix]\n")
-		w.Flush()
+func (c *session) subscribe(args []byte) {
+	c.cmds++
+	f := appendFields(c.f[:0], args)
+	if len(f) > 1 {
+		c.out = append(c.out, "ERR usage: SUBSCRIBE [prefix]\n"...)
+		c.flush()
 		return
 	}
 	prefix := ""
-	if len(f) == 2 {
-		prefix = f[1]
+	if len(f) == 1 {
+		prefix = string(f[0])
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sub := s.store.Subscribe(ctx, prefix)
+	sub := c.s.store.Subscribe(ctx, prefix)
 	defer sub.Close()
+	// A quiet subscriber is normal, so the read deadline comes off.
+	// Subscribers may read slowly but not stall forever: a full socket
+	// buffer past the write deadline ends the stream.
+	c.streaming, c.armed = true, time.Time{}
+	c.conn.SetReadDeadline(time.Time{})
 	// The registration must be visible before the ack: a client that
 	// reads "OK" and then triggers a write on another connection is
 	// guaranteed to see its event.
-	w.WriteString("OK subscribed\n")
-	if w.Flush() != nil {
+	c.out = append(c.out, "OK subscribed\n"...)
+	if !c.flush() {
 		return
 	}
-	// Any further input — or EOF when the client goes away — ends the
-	// stream; parking on the scanner costs nothing while the client is
-	// quietly reading.
+	// Any further line — one received behind the SUBSCRIBE counts — or
+	// EOF when the client goes away ends the stream; parking on the read
+	// costs nothing while the client is quietly reading. The read buffer
+	// is this goroutine's from here on.
 	go func() {
 		defer cancel()
-		sc.Scan()
+		for rest := c.in[c.r:c.w]; bytes.IndexByte(rest, '\n') < 0; {
+			n, err := c.conn.Read(c.in)
+			if err != nil {
+				return
+			}
+			rest = c.in[:n]
+		}
 	}()
-	reply := make([]byte, 0, 256)
+	events := sub.Events()
 	var reported uint64
-	for ev := range sub.Events() {
-		reply = appendEvent(reply[:0], ev)
-		reply = append(reply, '\n')
-		if d := sub.Dropped(); d > reported {
-			reported = d
-			reply = append(reply, "DROPPED "...)
-			reply = strconv.AppendUint(reply, d, 10)
-			reply = append(reply, '\n')
+	for ev := range events {
+		// One write for this event and every one already queued behind it.
+		for more := true; more; {
+			c.out = appendEvent(c.out, ev)
+			c.out = append(c.out, '\n')
+			if d := sub.Dropped(); d > reported {
+				reported = d
+				c.out = append(c.out, "DROPPED "...)
+				c.out = strconv.AppendUint(c.out, d, 10)
+				c.out = append(c.out, '\n')
+			}
+			more = false
+			if len(c.out) < flushBound {
+				select {
+				case ev, more = <-events:
+				default:
+				}
+			}
 		}
-		if s.idle > 0 {
-			// Subscribers may read slowly but not stall forever: a full
-			// socket buffer past the deadline ends the stream.
-			conn.SetWriteDeadline(time.Now().Add(s.idle))
-		}
-		if _, err := w.Write(reply); err != nil {
-			return
-		}
-		if w.Flush() != nil {
+		if !c.flush() {
 			return
 		}
 	}
@@ -462,38 +585,56 @@ func appendErr(reply []byte, context string, err error) []byte {
 	return append(reply, err.Error()...)
 }
 
-// exec runs one protocol command, appending the response (which may span
-// several lines, e.g. MGET) to reply and returning the extended buffer.
-// Values are arbitrary byte strings without newlines: SET takes
-// everything after the key as the value, so spaces round-trip; the
-// token-based multi-key commands (MSET) carry values without spaces.
-func (s *server) exec(reply []byte, line string) (resp []byte, quit bool) {
-	f := strings.Fields(line)
-	verb := strings.ToUpper(f[0])
+// exec runs one protocol command — cmd is its verb as typed, v the verb
+// resolved, args the rest of the line — appending the response (which
+// may span several lines, e.g. MGET) to reply and returning the
+// extended buffer. Values are arbitrary byte strings without newlines:
+// SET takes everything after the key as the value, so spaces round-trip;
+// the token-based multi-key commands (MSET) carry values without spaces.
+// Operands are read where they lie in the read buffer; a key becomes a
+// string, with bytes of its own, only as the store is called.
+func (c *session) exec(reply []byte, v verb, cmd, args []byte) (resp []byte, quit bool) {
+	s := c.s
 	if s.readonly {
 		// A replica serves reads only: writing through its store would
 		// fork it from the primary's history (replication applies the
 		// primary's records by absolute sequence, not by merging).
-		switch verb {
-		case "SET", "DEL", "ADD", "MSET", "TXN":
+		switch v {
+		case verbSet, verbDel, verbAdd, verbMSet, verbTxn:
 			return append(reply, "ERR read-only replica"...), false
 		}
 	}
-	switch verb {
-	case "PING":
+	if v == verbSet {
+		// SET key value — the value is everything after the key (leading
+		// whitespace trimmed, trailing bytes preserved), so it may contain
+		// spaces but not newlines, and it is not split into tokens at all.
+		// The store copies it out of the read buffer.
+		key, val := nextField(args)
+		if val = trimLeftSpace(val); len(val) == 0 {
+			return append(reply, "ERR usage: SET key value"...), false
+		}
+		if err := s.store.Set(string(key), val); err != nil {
+			return appendErr(reply, "", err), false
+		}
+		return append(reply, "OK"...), false
+	}
+	c.f = appendFields(c.f[:0], args)
+	f := c.f
+	switch v {
+	case verbPing:
 		return append(reply, "PONG"...), false
 
-	case "GET", "FGET":
-		if len(f) != 2 {
+	case verbGet, verbFGet:
+		if len(f) != 1 {
 			return append(reply, "ERR usage: GET key"...), false
 		}
-		var v []byte
+		var val []byte
 		var ok bool
-		if strings.ToUpper(f[0]) == "FGET" {
-			v, ok = s.store.FastGet(f[1])
+		if v == verbFGet {
+			val, ok = s.store.FastGet(string(f[0]))
 		} else {
 			var err error
-			v, ok, err = s.store.Get(f[1])
+			val, ok, err = s.store.Get(string(f[0]))
 			if err != nil {
 				return appendErr(reply, "", err), false
 			}
@@ -502,22 +643,22 @@ func (s *server) exec(reply []byte, line string) (resp []byte, quit bool) {
 			return append(reply, "NIL"...), false
 		}
 		reply = append(reply, "VALUE "...)
-		return append(reply, v...), false
+		return append(reply, val...), false
 
-	case "BGET":
+	case verbBGet:
 		// BGET key timeoutMs — blocking GET: parks server-side (on this
 		// connection only) until the key exists, waking on the commit
 		// that creates it; TIMEOUT after the deadline. The wait is
 		// event-driven — a parked BGET burns no server CPU.
-		if len(f) != 3 {
+		if len(f) != 2 {
 			return append(reply, "ERR usage: BGET key timeoutMs"...), false
 		}
-		d, ok := s.parseBlockTimeout(f[2])
+		d, ok := s.parseBlockTimeout(string(f[1]))
 		if !ok {
 			return append(reply, "ERR timeoutMs must be a positive integer"...), false
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), d)
-		v, err := s.store.WaitGet(ctx, f[1])
+		val, err := s.store.WaitGet(ctx, string(f[0]))
 		cancel()
 		switch {
 		case errors.Is(err, stm.ErrCanceled):
@@ -526,30 +667,30 @@ func (s *server) exec(reply []byte, line string) (resp []byte, quit bool) {
 			return appendErr(reply, "", err), false
 		}
 		reply = append(reply, "VALUE "...)
-		return append(reply, v...), false
+		return append(reply, val...), false
 
-	case "WATCH":
+	case verbWatch:
 		// WATCH key [timeoutMs] — block until the key's value (or
 		// existence) changes from its state at command time, then reply
 		// with the new state: VALUE v, NIL (deleted), or TIMEOUT. The
 		// default timeout bounds how long a dead connection can keep its
 		// goroutine parked.
-		if len(f) != 2 && len(f) != 3 {
+		if len(f) != 1 && len(f) != 2 {
 			return append(reply, "ERR usage: WATCH key [timeoutMs]"...), false
 		}
 		d := time.Minute
 		if cap := s.blockTimeoutCap(); d > cap {
 			d = cap
 		}
-		if len(f) == 3 {
+		if len(f) == 2 {
 			var okArg bool
-			d, okArg = s.parseBlockTimeout(f[2])
+			d, okArg = s.parseBlockTimeout(string(f[1]))
 			if !okArg {
 				return append(reply, "ERR timeoutMs must be a positive integer"...), false
 			}
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), d)
-		v, ok, err := s.store.Watch(ctx, f[1])
+		val, ok, err := s.store.Watch(ctx, string(f[0]))
 		cancel()
 		switch {
 		case errors.Is(err, stm.ErrCanceled):
@@ -560,33 +701,15 @@ func (s *server) exec(reply []byte, line string) (resp []byte, quit bool) {
 			return append(reply, "NIL"...), false
 		}
 		reply = append(reply, "VALUE "...)
-		return append(reply, v...), false
+		return append(reply, val...), false
 
-	case "SET":
-		// SET key value — the value is everything after the key (leading
-		// whitespace trimmed, trailing bytes preserved), so it may contain
-		// spaces but not newlines. Parse by peeling the Fields tokens off
-		// the raw line with the same whitespace definition Fields uses,
-		// so no run of separators can shift the key or bleed into the
-		// value.
-		if len(f) < 3 {
-			return append(reply, "ERR usage: SET key value"...), false
-		}
-		rest := strings.TrimLeftFunc(line, unicode.IsSpace)            // at the command
-		rest = strings.TrimLeftFunc(rest[len(f[0]):], unicode.IsSpace) // at the key
-		val := strings.TrimLeftFunc(rest[len(f[1]):], unicode.IsSpace) // the value
-		if err := s.store.Set(f[1], []byte(val)); err != nil {
-			return appendErr(reply, "", err), false
-		}
-		return append(reply, "OK"...), false
-
-	case "DEL":
-		if len(f) < 2 {
+	case verbDel:
+		if len(f) < 1 {
 			return append(reply, "ERR usage: DEL key..."...), false
 		}
 		n := 0
-		for _, k := range f[1:] {
-			ok, err := s.store.Delete(k)
+		for _, k := range f {
+			ok, err := s.store.Delete(string(k))
 			if err != nil {
 				return appendErr(reply, "", err), false
 			}
@@ -597,26 +720,26 @@ func (s *server) exec(reply []byte, line string) (resp []byte, quit bool) {
 		reply = append(reply, "VALUE "...)
 		return strconv.AppendInt(reply, int64(n), 10), false
 
-	case "ADD":
-		if len(f) != 3 {
+	case verbAdd:
+		if len(f) != 2 {
 			return append(reply, "ERR usage: ADD key delta"...), false
 		}
-		d, err := strconv.ParseInt(f[2], 10, 64)
+		d, err := strconv.ParseInt(string(f[1]), 10, 64)
 		if err != nil {
 			return appendErr(reply, "delta: ", err), false
 		}
-		v, err := s.store.CounterAdd(f[1], d)
+		n, err := s.store.CounterAdd(string(f[0]), d)
 		if err != nil {
 			return appendErr(reply, "", err), false
 		}
 		reply = append(reply, "VALUE "...)
-		return strconv.AppendInt(reply, v, 10), false
+		return strconv.AppendInt(reply, n, 10), false
 
-	case "MGET":
-		if len(f) < 2 {
+	case verbMGet:
+		if len(f) < 1 {
 			return append(reply, "ERR usage: MGET key..."...), false
 		}
-		keys := f[1:]
+		keys := c.keyStrings(f, 1)
 		got, err := s.store.MGet(keys...)
 		if err != nil {
 			return appendErr(reply, "", err), false
@@ -626,48 +749,47 @@ func (s *server) exec(reply []byte, line string) (resp []byte, quit bool) {
 		reply = append(reply, "VALUES "...)
 		reply = strconv.AppendInt(reply, int64(len(keys)), 10)
 		for _, k := range keys {
-			if v, ok := got[k]; ok {
+			if val, ok := got[k]; ok {
 				reply = append(reply, "\nVALUE "...)
-				reply = append(reply, v...)
+				reply = append(reply, val...)
 			} else {
 				reply = append(reply, "\nNIL"...)
 			}
 		}
 		return reply, false
 
-	case "MSET":
-		if len(f) < 3 || len(f)%2 != 1 {
+	case verbMSet:
+		if len(f) < 2 || len(f)%2 != 0 {
 			return append(reply, "ERR usage: MSET key value [key value ...] (token values)"...), false
 		}
-		vals := make(map[string][]byte, (len(f)-1)/2)
-		for i := 1; i < len(f); i += 2 {
-			vals[f[i]] = []byte(f[i+1])
+		vals := make(map[string][]byte, len(f)/2)
+		for i := 0; i < len(f); i += 2 {
+			vals[string(f[i])] = f[i+1] // copied by the store, like SET's
 		}
 		if err := s.store.MSet(vals); err != nil {
 			return appendErr(reply, "", err), false
 		}
 		return append(reply, "OK"...), false
 
-	case "TXN":
-		if len(f) < 2 {
+	case verbTxn:
+		if len(f) < 1 {
 			return append(reply, "ERR usage: TXN {ADD key delta [key delta ...] | DEL key...}"...), false
 		}
-		switch strings.ToUpper(f[1]) {
-		case "ADD":
-			rest := f[2:]
+		switch parseVerb(f[0]) {
+		case verbAdd:
+			rest := f[1:]
 			if len(rest) == 0 || len(rest)%2 != 0 {
 				return append(reply, "ERR usage: TXN ADD key delta [key delta ...]"...), false
 			}
-			keys := make([]string, 0, len(rest)/2)
-			deltas := make([]int64, 0, len(rest)/2)
-			for i := 0; i < len(rest); i += 2 {
-				d, err := strconv.ParseInt(rest[i+1], 10, 64)
+			deltas := make([]int64, len(rest)/2)
+			for i := range deltas {
+				d, err := strconv.ParseInt(string(rest[2*i+1]), 10, 64)
 				if err != nil {
-					return appendErr(reply, "delta for "+rest[i]+": ", err), false
+					return appendErr(reply, "delta for "+string(rest[2*i])+": ", err), false
 				}
-				keys = append(keys, rest[i])
-				deltas = append(deltas, d)
+				deltas[i] = d
 			}
+			keys := c.keyStrings(rest, 2)
 			news := make([]int64, len(keys))
 			err := s.store.Update(keys, func(t *kv.Txn) error {
 				for i, k := range keys {
@@ -679,17 +801,17 @@ func (s *server) exec(reply []byte, line string) (resp []byte, quit bool) {
 				return appendErr(reply, "", err), false
 			}
 			reply = append(reply, "VALUES"...)
-			for _, v := range news {
+			for _, n := range news {
 				reply = append(reply, ' ')
-				reply = strconv.AppendInt(reply, v, 10)
+				reply = strconv.AppendInt(reply, n, 10)
 			}
 			return reply, false
 
-		case "DEL":
-			keys := f[2:]
-			if len(keys) == 0 {
+		case verbDel:
+			if len(f) < 2 {
 				return append(reply, "ERR usage: TXN DEL key..."...), false
 			}
+			keys := c.keyStrings(f[1:], 1)
 			removed := make([]bool, len(keys))
 			err := s.store.Update(keys, func(t *kv.Txn) error {
 				for i, k := range keys {
@@ -711,10 +833,12 @@ func (s *server) exec(reply []byte, line string) (resp []byte, quit bool) {
 			return reply, false
 
 		default:
-			return append(reply, "ERR unknown TXN op "+f[1]+" (want ADD or DEL)"...), false
+			reply = append(reply, "ERR unknown TXN op "...)
+			reply = append(reply, f[0]...)
+			return append(reply, " (want ADD or DEL)"...), false
 		}
 
-	case "STATS":
+	case verbStats:
 		// STATS            -> the human-readable aggregate counters
 		// STATS SHARDS     -> per-shard stats, one JSON line
 		// STATS HIST       -> op + STM latency histograms, one JSON line
@@ -722,10 +846,15 @@ func (s *server) exec(reply []byte, line string) (resp []byte, quit bool) {
 		// STATS WAL        -> durability + changefeed stats, one JSON line
 		// STATS REPL       -> replication role + progress, one JSON line
 		// STATS RESET      -> zero histograms and contention tables
-		if len(f) == 1 {
-			return append(reply, "STATS "+s.store.Stats().String()...), false
+		if len(f) == 0 {
+			// The wire totals are folded in at each flush, so the batch
+			// this STATS rides in is not yet in them.
+			reply = append(reply, "STATS "+s.store.Stats().String()+" wire: commands="...)
+			reply = strconv.AppendUint(reply, s.wireCommands.Load(), 10)
+			reply = append(reply, " flushes="...)
+			return strconv.AppendUint(reply, s.wireFlushes.Load(), 10), false
 		}
-		switch strings.ToUpper(f[1]) {
+		switch strings.ToUpper(string(f[0])) {
 		case "SHARDS":
 			return appendStatsJSON(reply, s.store.ShardStats()), false
 		case "HIST":
@@ -740,12 +869,25 @@ func (s *server) exec(reply []byte, line string) (resp []byte, quit bool) {
 			s.store.ResetMetrics()
 			return append(reply, "OK"...), false
 		default:
-			return append(reply, "ERR unknown STATS sub "+f[1]+
-				" (want SHARDS, HIST, HOT, WAL, REPL or RESET)"...), false
+			reply = append(reply, "ERR unknown STATS sub "...)
+			reply = append(reply, f[0]...)
+			return append(reply, " (want SHARDS, HIST, HOT, WAL, REPL or RESET)"...), false
 		}
 
-	case "QUIT":
+	case verbQuit:
 		return append(reply, "BYE"...), true
 	}
-	return append(reply, "ERR unknown command "+f[0]...), false
+	reply = append(reply, "ERR unknown command "...)
+	return append(reply, cmd...), false
+}
+
+// keyStrings returns every step-th token of f as a string that owns its
+// bytes — the store keeps the key of an entry it creates — in a slice
+// the connection reuses.
+func (c *session) keyStrings(f [][]byte, step int) []string {
+	c.keys = c.keys[:0]
+	for i := 0; i < len(f); i += step {
+		c.keys = append(c.keys, string(f[i]))
+	}
+	return c.keys
 }

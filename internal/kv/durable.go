@@ -154,7 +154,9 @@ type durState struct {
 	// ckptMu + ckptWG fence rotation-triggered checkpoints against
 	// Close: the mutex makes "passed the closed check" and "counted in
 	// the WaitGroup" one atomic step, so Close can drain stragglers
-	// before it closes the logs.
+	// before it closes the logs. attachLogs holds the mutex from its
+	// first OpenLog to its last assignment, so a log that rotates while
+	// it is being opened has its checkpoint wait for the whole attach.
 	ckptMu sync.Mutex
 	ckptWG sync.WaitGroup
 }
@@ -445,6 +447,11 @@ func replay(sh *shard, recs []wal.Record) error {
 // plus the cross-shard marker log, and installs the commit taps.
 // Open-time only.
 func (s *Store) attachLogs() error {
+	// A tail already past the segment size rotates inside OpenLog, and
+	// the hook's checkpoint reads feed.log and attached: hold it at
+	// checkpointShardAsync's door until both are assigned.
+	s.dur.ckptMu.Lock()
+	defer s.dur.ckptMu.Unlock()
 	xo := s.dur.opts
 	xo.Metrics = &s.dur.m
 	xlog, err := wal.OpenLog(s.txnDir(), wal.TxnShard, s.dur.xres, xo)
@@ -460,6 +467,7 @@ func (s *Store) attachLogs() error {
 		o.OnRotate = func(uint64) { go s.checkpointShardAsync(i) }
 		log, err := wal.OpenLog(s.shardDir(i), uint32(i), s.dur.results[i], o)
 		if err != nil {
+			s.dur.closed.Store(true) // held checkpoints find the store shut
 			for _, prev := range s.shards[:i] {
 				prev.feed.log.Close()
 			}
