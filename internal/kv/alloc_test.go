@@ -1,6 +1,8 @@
 package kv
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"modtx/internal/stm"
@@ -252,5 +254,69 @@ func TestAllocsSetBounded(t *testing.T) {
 				t.Errorf("Set: %v allocs/op, want <= 2 (copy + box)", avg)
 			}
 		})
+	}
+}
+
+// TestAllocsKeyCreation: creating or deleting a key costs the same
+// whatever the table holds — a clock-free guard on the O(1) link. A
+// table that is copied per key allocates the whole table again for every
+// key (≈ 1.3 GB over these 8,192 creations on one shard); the slot table
+// allocates the key's own few objects plus its share of the doublings
+// (≈ 200 bytes a creation, ≈ 65 a deletion).
+func TestAllocsKeyCreation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const n = 8192
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("fresh:%05d", i)
+	}
+	val := []byte("v")
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	s := New(WithShards(1))
+	if per := allocated(func() {
+		for _, k := range keys {
+			if err := s.Set(k, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / n; per >= 1024 {
+		t.Errorf("a first Set allocates %d bytes a key over %d keys on one shard, want < 1024", per, n)
+	}
+	if per := allocated(func() {
+		for _, k := range keys {
+			if _, err := s.Delete(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / n; per >= 1024 {
+		t.Errorf("a Delete allocates %d bytes a key over %d keys on one shard, want < 1024", per, n)
+	}
+
+	// The same count of allocations at 1,000 and at 100,000 resident keys.
+	firstSet := func(resident int) float64 {
+		s := New(WithShards(1))
+		names := make([]string, resident)
+		for i := range names {
+			names[i] = fmt.Sprintf("resident:%06d", i)
+		}
+		s.EnsureKeys(names...)
+		i := 0
+		return testing.AllocsPerRun(100, func() {
+			if err := s.Set(keys[i], val); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	if small, large := firstSet(1000), firstSet(100_000); small != large {
+		t.Errorf("a first Set allocates %v times beside 1,000 keys and %v beside 100,000", small, large)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -114,20 +115,31 @@ func TestBirthInvisibleUntilCommit(t *testing.T) {
 // stopped; a transaction creating a and b together commits; the View
 // then reads b. Whatever attempt of the View commits must not report
 // (a absent, b present) — a miss is a read, and the creation
-// invalidates it. GlobalLock is left out: its View holds the store's
-// one lock while stopped, so the creator cannot commit beside it.
+// invalidates it. With rebuild, the shards are first filled to the brink,
+// so the creating transaction's first link moves the table to a fresh
+// array while the View still holds what it read in the old one.
+// GlobalLock is left out: its View holds the store's one lock while
+// stopped, so the creator cannot commit beside it.
 func TestViewMissThenSiblingPresent(t *testing.T) {
 	for _, e := range kvEngines {
 		if e == stm.GlobalLock {
 			continue
 		}
-		for _, cross := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/cross=%v", e, cross), func(t *testing.T) {
+		for _, c := range []struct{ cross, rebuild bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+			cross, rebuild := c.cross, c.rebuild
+			t.Run(fmt.Sprintf("%s/cross=%v/rebuild=%v", e, cross, rebuild), func(t *testing.T) {
 				s := New(WithShards(4), WithEngine(e))
 				a, b := "sib-a", sameShardName(s, "sib-a", "sib-b")
 				if cross {
 					a, b = twoShardNames(t, s, "sib")
 				}
+				sha, _ := s.route(a)
+				shb, _ := s.route(b)
+				if rebuild {
+					fillToBrink(t, s, sha)
+					fillToBrink(t, s, shb)
+				}
+				before := [2]*table{sha.tbl.Load(), shb.tbl.Load()}
 				g := newGate()
 				var oka, okb bool
 				done := make(chan error, 1)
@@ -153,6 +165,9 @@ func TestViewMissThenSiblingPresent(t *testing.T) {
 				}
 				if !oka && okb {
 					t.Fatalf("View committed (a absent, b present) across the transaction that created both")
+				}
+				if moved := sha.tbl.Load() != before[0] && shb.tbl.Load() != before[1]; moved != rebuild {
+					t.Fatalf("tables rebuilt by the creation: %v, want %v", moved, rebuild)
 				}
 			})
 		}
@@ -185,6 +200,9 @@ func TestFailedBirthLeavesNothing(t *testing.T) {
 			if got, err := s.MGet("ghost", "ghost-n"); err != nil || len(got) != 0 {
 				t.Errorf("MGet = %v,%v after a failed creation", got, err)
 			}
+			if n := s.Len(); n != 0 {
+				t.Errorf("Len() = %d after a failed creation, want 0", n)
+			}
 			// The name is still free for either kind.
 			if _, err := s.CounterAdd("ghost", 1); err != nil {
 				t.Errorf("CounterAdd on the failed bytes creation's name: %v", err)
@@ -193,6 +211,80 @@ func TestFailedBirthLeavesNothing(t *testing.T) {
 				t.Errorf("Set on the failed counter creation's name: %v", err)
 			}
 		})
+	}
+}
+
+// TestFailedBirthsDoNotGrowTheTable: 10,000 creating operations over
+// distinct keys, every one failing — a counter result out of range, a
+// body that returns an error after its writes, a write that meets the
+// other kind after creating a sibling — leave the table the size it was:
+// each hands the entries it linked to the collector on its way out.
+func TestFailedBirthsDoNotGrowTheTable(t *testing.T) {
+	boom := errors.New("boom")
+	for _, e := range kvEngines {
+		t.Run(e.String(), func(t *testing.T) {
+			s := New(WithShards(4), WithEngine(e))
+			if err := s.Set("bytes", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			start := s.Len()
+			for i := 0; i < 10_000; i++ {
+				k, k2 := fmt.Sprintf("fail:%05d", i), fmt.Sprintf("fail:%05d/b", i)
+				var err, want error
+				switch i % 4 {
+				case 0:
+					_, err = s.CounterAdd(k, math.MinInt64)
+					want = ErrCounterRange
+				case 1:
+					err = s.Update([]string{k, k2}, func(tx *Txn) error {
+						tx.Set(k, []byte("v"))
+						tx.Add(k2, 1)
+						return boom
+					})
+					want = boom
+				case 2:
+					err = s.Update([]string{k, "bytes"}, func(tx *Txn) error {
+						tx.Set(k, []byte("v"))
+						tx.Add("bytes", 1)
+						return nil
+					})
+					want = ErrWrongType
+				default:
+					err = s.Update([]string{k}, func(tx *Txn) error {
+						tx.CounterSet(k, math.MinInt64+1)
+						return nil
+					})
+					want = ErrCounterRange
+				}
+				if !errors.Is(err, want) {
+					t.Fatalf("creation %d: err = %v, want %v", i, err, want)
+				}
+			}
+			if n := s.Len(); n != start {
+				t.Errorf("Len() = %d after 10,000 failed creations, want %d", n, start)
+			}
+			if v, ok, err := s.Get("bytes"); err != nil || !ok || string(v) != "v" {
+				t.Errorf("bystander key = %q,%v,%v", v, ok, err)
+			}
+		})
+	}
+}
+
+// fillToBrink creates keys in sh until the next link there must rebuild
+// its table.
+func fillToBrink(t *testing.T, s *Store, sh *shard) {
+	t.Helper()
+	for i := 0; ; i++ {
+		if tbl := sh.tbl.Load(); 2*(tbl.used+1) > len(tbl.slots) {
+			return
+		}
+		k := fmt.Sprintf("filler-%d", i)
+		if s.ShardOf(k) != sh.index {
+			continue
+		}
+		if err := s.Set(k, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

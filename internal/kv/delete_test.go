@@ -174,8 +174,8 @@ func TestTxnDeleteAddRestartsCounter(t *testing.T) {
 // and its collection.
 func deleteUncollected(t *testing.T, s *Store, key string) *entry {
 	t.Helper()
-	sh := s.shards[s.ShardOf(key)]
-	e := sh.lookup(key)
+	sh, h := s.route(key)
+	e := sh.lookup(key, h)
 	if e == nil {
 		t.Fatalf("key %q has no entry to delete", key)
 	}
@@ -214,7 +214,7 @@ func TestPublishPrivatizeEnsureOnDyingEntry(t *testing.T) {
 	}{{"absent", deleteUncollected}, {"retired", retireUnlinked}} {
 		t.Run(dying.name, func(t *testing.T) {
 			s := New(WithShards(2))
-			late := func(key string, e *entry) { s.collect([]doomed{{key, e}}) } // the racing deleter's collector lands late
+			late := func(_ string, e *entry) { s.collect([]*entry{e}) } // the racing deleter's collector lands late
 
 			if err := s.Set("p", []byte("old")); err != nil {
 				t.Fatal(err)
@@ -321,8 +321,8 @@ func TestDyingEntryIsAbsentAndWritable(t *testing.T) {
 				}); err != nil {
 					t.Fatalf("Txn.Set on a dying counter: %v", err)
 				}
-				for k, e := range old {
-					s.collect([]doomed{{k, e}})
+				for _, e := range old {
+					s.collect([]*entry{e})
 				}
 				if v, ok, _ := s.CounterGet("same"); !ok || v != 1 {
 					t.Fatalf("re-created counter after the late collector: %d,%v", v, ok)

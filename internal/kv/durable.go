@@ -434,7 +434,7 @@ func replay(sh *shard, recs []wal.Record) error {
 	sh.link(bs, false, true)
 	sh.link(cs, true, true)
 	for k, op := range final {
-		if e := sh.lookup(k); op.Kind == wal.KindSet {
+		if e := sh.lookup(k, fnv1a(k)); op.Kind == wal.KindSet {
 			e.b.Store(copyVal(op.Val))
 		} else {
 			e.c.Store(op.N)
@@ -649,15 +649,15 @@ func (s *Store) checkpointShard(i int) error {
 		// instead of slipping past it.
 		_ = tx.Read(sh.kvers)
 		_ = tx.Read(sh.pub)
-		for k, e := range *sh.vars.Load() {
+		for e := range sh.each {
 			_, b, n, st := e.read(tx)
 			if st != live {
 				continue
 			}
 			if e.isCounter() {
-				ops = append(ops, wal.Op{Kind: wal.KindCounterSet, Key: k, N: n})
+				ops = append(ops, wal.Op{Kind: wal.KindCounterSet, Key: e.key, N: n})
 			} else {
-				ops = append(ops, wal.Op{Kind: wal.KindSet, Key: k, Val: b})
+				ops = append(ops, wal.Op{Kind: wal.KindSet, Key: e.key, Val: b})
 			}
 		}
 		tx.SetTapData(&pend) // the marker: its tap seq is the snapshot's position

@@ -12,14 +12,16 @@
 // decimal, so GET works uniformly).
 //
 // Keys hash (FNV-1a) to one of N power-of-two shards. Each shard owns its
-// own stm.STM instance and a copy-on-write key→entry table, so the
-// plain-access path (FastGet) is lock-free: one atomic pointer load, one
-// map lookup, one atomic value load. Multi-key operations run as a single
-// transaction two-phased across the shards touched via stm.AtomicallyMulti
-// with the shards in ascending index order, which makes cross-shard
-// commits deadlock-free and invisible in partial states to consistent
-// transactional readers. Read-only multi-key snapshots (View, MGet) ride
-// stm.AtomicallyReadMulti instead and never take write locks at all.
+// own stm.STM instance and an open-addressed key→entry table of atomic
+// slots (table.go), so the plain-access path (FastGet) is lock-free — one
+// atomic pointer load, a short probe run, one atomic value load — and
+// linking or unlinking a key is one slot store. Multi-key operations run
+// as a single transaction two-phased across the shards touched via
+// stm.AtomicallyMulti with the shards in ascending index order, which
+// makes cross-shard commits deadlock-free and invisible in partial states
+// to consistent transactional readers. Read-only multi-key snapshots
+// (View, MGet) ride stm.AtomicallyReadMulti instead and never take write
+// locks at all.
 //
 // A key's whole lifecycle lives in one transactional word. An entry is
 // linked into its shard's table holding a distinguished absent value,
@@ -51,7 +53,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"math/bits"
 	"sort"
@@ -135,10 +136,13 @@ func WithMetricsSampling(n int) Option {
 // a deleted key hold: readers report no key, and a writer of the entry's
 // kind simply writes a value over it. Retired is terminal, written only
 // by the collector on its way to unlinking the entry: a transaction that
-// reads it has a stale entry and looks the key up again.
+// reads it has a stale entry and looks the key up again. key and hash
+// (fnv1a of key) are what the table finds the entry by.
 type entry struct {
-	b *stm.TVar[[]byte]
-	c *stm.Var
+	key  string
+	hash uint64
+	b    *stm.TVar[[]byte]
+	c    *stm.Var
 }
 
 func (e *entry) isCounter() bool { return e.c != nil }
@@ -281,15 +285,18 @@ type shard struct {
 
 	// kvers is the keyspace version: a transactional variable Touched
 	// (version-stamped and waiter-notified, value untouched) after every
-	// link into or unlink from the copy-on-write key table. The table is
-	// not transactional, so this is what makes a miss a read: a
-	// transaction that routes a key to no entry (or to a retired one)
-	// reads kvers and then looks again (see find), so the link that
-	// follows conflicts it, and a WaitGet/Watch parked there is woken.
+	// link into or unlink from the key table. The table is not
+	// transactional — a reader may be walking an array a link is storing
+	// into, or one a rebuild has already replaced — so this is what makes
+	// a miss a read: a transaction that routes a key to no entry (or to a
+	// retired one) reads kvers and then looks again (see find), so the
+	// link that follows conflicts it, and a WaitGet/Watch parked there is
+	// woken.
 	kvers *stm.Var
 
-	mu   sync.Mutex                        // guards link and unlink
-	vars atomic.Pointer[map[string]*entry] // copy-on-write key table
+	mu   sync.Mutex            // guards link, unlink and the table's rebuild
+	tbl  atomic.Pointer[table] // key table: read with no lock (table.go)
+	keys atomic.Int64          // entries linked in tbl
 }
 
 // New creates a Store. It panics if the options cannot be honored,
@@ -386,8 +393,7 @@ func newStore(c *config) *Store {
 			kvers: inst.NewVar(fmt.Sprintf("shard%d.keys", i), 0),
 			feed:  &shardFeed{},
 		}
-		empty := make(map[string]*entry)
-		sh.vars.Store(&empty)
+		sh.tbl.Store(newTable(0))
 		s.shards[i] = sh
 	}
 	s.singleOps.New = func() any {
@@ -407,16 +413,6 @@ func newStore(c *config) *Store {
 	return s
 }
 
-// fnv1a is the 64-bit FNV-1a hash, inlined to keep FastGet allocation-free.
-func fnv1a(key string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // NumShards returns the shard count.
 func (s *Store) NumShards() int { return len(s.shards) }
 
@@ -433,8 +429,11 @@ func (s *Store) ShardOf(key string) int { return int(fnv1a(key) & s.mask) }
 // tests.
 func (s *Store) ShardSTM(i int) *stm.STM { return s.shards[i].stm }
 
-func (sh *shard) lookup(key string) *entry {
-	return (*sh.vars.Load())[key]
+// route returns the shard owning key and key's hash, which every table
+// lookup in that shard takes.
+func (s *Store) route(key string) (*shard, uint64) {
+	h := fnv1a(key)
+	return s.shards[h&s.mask], h
 }
 
 func wrongType(key string) error {
@@ -445,104 +444,42 @@ func wrongType(key string) error {
 // contract is a key present on return — already holding the kind's zero
 // value (nil bytes, counter 0): nothing can read an entry before it is
 // linked, so initialising it there is the whole write.
-func (sh *shard) newEntry(key string, counter, present bool) *entry {
+func (sh *shard) newEntry(key string, h uint64, counter, present bool) *entry {
 	if counter {
 		n := nonCount + int64(absent)
 		if present {
 			n = 0
 		}
-		return &entry{c: sh.stm.NewVar(key, n)}
+		return &entry{key: key, hash: h, c: sh.stm.NewVar(key, n)}
 	}
-	e := &entry{b: stm.NewTVar(sh.stm, key, []byte(nil))}
+	e := &entry{key: key, hash: h, b: stm.NewTVar(sh.stm, key, []byte(nil))}
 	if !present {
 		e.b.StoreBox(nonBox[absent])
 	}
 	return e
 }
 
-// link is the one way into the key table: it links a fresh entry of the
-// given kind for every key (all routed to sh) that has none, with one
-// table copy for the batch, and returns the keys that already had an
-// entry, whatever its kind or state. The table is copy-on-write, so
-// steady-state reads stay lock-free. It takes only leaf locks and runs
-// no transaction, so transaction bodies may call it.
-func (sh *shard) link(keys []string, counter, present bool) (had []string) {
-	sh.mu.Lock()
-	tbl := *sh.vars.Load()
-	copied := false
-	for _, k := range keys {
-		if tbl[k] != nil {
-			had = append(had, k)
-			continue
-		}
-		if !copied {
-			// Sized for the batch up front: growing a million-key load
-			// step by step would rehash it several times over.
-			next := make(map[string]*entry, len(tbl)+len(keys))
-			maps.Copy(next, tbl)
-			tbl, copied = next, true
-		}
-		tbl[k] = sh.newEntry(k, counter, present)
-	}
-	if copied {
-		sh.vars.Store(&tbl)
-	}
-	sh.mu.Unlock()
-	if copied {
-		sh.stm.Touch(sh.kvers)
-	}
-	return had
-}
-
-// linkAll is link across shards.
+// linkAll is shard.link across shards.
 func (s *Store) linkAll(keys []string, counter, present bool) (had []string) {
-	byShard := make(map[int][]string)
-	for _, k := range keys {
-		i := s.ShardOf(k)
-		byShard[i] = append(byShard[i], k)
+	if len(keys) == 1 {
+		sh, _ := s.route(keys[0])
+		return sh.link(keys, counter, present)
 	}
-	for i, ks := range byShard {
-		had = append(had, s.shards[i].link(ks, counter, present)...)
+	byShard := make(map[*shard][]string)
+	for _, k := range keys {
+		sh, _ := s.route(k)
+		byShard[sh] = append(byShard[sh], k)
+	}
+	for sh, ks := range byShard {
+		had = append(had, sh.link(ks, counter, present)...)
 	}
 	return had
-}
-
-// doomed names an entry for the collector.
-type doomed struct {
-	key string
-	e   *entry
-}
-
-// unlink removes retired entries from the table. The identity check
-// (the table still maps the key to this entry) keeps it from touching a
-// successor linked since. Retired is permanent, so any goroutine that
-// reads it may finish the collector's work; like link, unlink is safe
-// inside a transaction body.
-func (sh *shard) unlink(items []doomed) {
-	sh.mu.Lock()
-	tbl := *sh.vars.Load()
-	copied := false
-	for _, it := range items {
-		if tbl[it.key] != it.e {
-			continue
-		}
-		if !copied {
-			tbl, copied = maps.Clone(tbl), true
-		}
-		delete(tbl, it.key)
-	}
-	if copied {
-		sh.vars.Store(&tbl)
-	}
-	sh.mu.Unlock()
-	if copied {
-		sh.stm.Touch(sh.kvers)
-	}
 }
 
 // collect is the one way out of the key table, run after a committed
-// delete and by a writer that finds the key's name held by an absent
-// entry of the other kind. An entry that an ordinary write can re-create
+// delete, by a writer that finds the key's name held by an absent entry
+// of the other kind, and by a creating operation that failed, on the
+// entries it linked. An entry that an ordinary write can re-create
 // cannot simply be dropped from the table — a writer holding it would
 // commit into an orphan — so collect first moves each entry that is
 // still absent to the retired state, in a transaction that serializes
@@ -550,24 +487,24 @@ func (sh *shard) unlink(items []doomed) {
 // or it reads retired and looks again), and only then unlinks it. It
 // reports how many of the entries held no value; live ones are left
 // alone.
-func (s *Store) collect(items []doomed) int {
-	byShard := make(map[*shard][]doomed)
-	for _, it := range items {
-		sh := s.shards[s.ShardOf(it.key)]
-		byShard[sh] = append(byShard[sh], it)
+func (s *Store) collect(items []*entry) int {
+	byShard := make(map[*shard][]*entry)
+	for _, e := range items {
+		sh := s.shards[e.hash&s.mask]
+		byShard[sh] = append(byShard[sh], e)
 	}
 	total := 0
-	for sh, its := range byShard {
-		var gone []doomed
+	for sh, es := range byShard {
+		var gone []*entry
 		err := sh.stm.Atomically(func(tx *stm.Tx) error {
 			gone = gone[:0]
-			for _, it := range its {
-				switch _, _, _, st := it.e.read(tx); st {
+			for _, e := range es {
+				switch _, _, _, st := e.read(tx); st {
 				case absent:
-					it.e.write(tx, retired)
-					gone = append(gone, it)
+					e.write(tx, retired)
+					gone = append(gone, e)
 				case retired:
-					gone = append(gone, it)
+					gone = append(gone, e)
 				}
 			}
 			return nil
@@ -589,9 +526,9 @@ func (s *Store) EnsureKeys(keys ...string) { s.ensure(keys, false) }
 // are created at 0, existing ones keep their kind and value.
 func (s *Store) EnsureCounters(keys ...string) { s.ensure(keys, true) }
 
-// ensure links the keys that have no entry already present, one table
-// copy per shard and no transaction — which is what keeps bulk loads
-// linear. The keys that had an entry go through one ordinary
+// ensure links the keys that have no entry already present, with no
+// transaction and one table rebuild per shard for the batch. The keys
+// that had an entry go through one ordinary
 // transaction, which brings to life those holding no value (deleted and
 // not yet collected, or left by a failed creation).
 func (s *Store) ensure(keys []string, counter bool) {
@@ -612,12 +549,12 @@ func (s *Store) ensure(keys []string, counter bool) {
 }
 
 // Len returns the number of keys linked in the table. Between a
-// committed delete and its collection, and after a creation that failed,
-// that counts an entry no reader can see.
+// committed delete, or a creation that failed, and its collection, that
+// counts an entry no reader can see.
 func (s *Store) Len() int {
 	n := 0
 	for _, sh := range s.shards {
-		n += len(*sh.vars.Load())
+		n += int(sh.keys.Load())
 	}
 	return n
 }
@@ -641,9 +578,9 @@ func formatCounter(v int64) []byte { return strconv.AppendInt(nil, v, 10) }
 // validated but not yet written back (lazy engine); use Get for a
 // consistent transactional read, or Privatize to fence.
 func (s *Store) FastGet(key string) ([]byte, bool) {
-	i := s.ShardOf(key)
-	s.fastGets[i].n.Add(1)
-	e := s.shards[i].lookup(key)
+	sh, h := s.route(key)
+	s.fastGets[sh.index].n.Add(1)
+	e := sh.lookup(key, h)
 	if e == nil {
 		return nil, false
 	}
@@ -659,9 +596,9 @@ func (s *Store) FastGet(key string) ([]byte, bool) {
 // atomic load with no formatting and no allocation. ok is false when the
 // key is absent or holds bytes.
 func (s *Store) FastCounterGet(key string) (int64, bool) {
-	i := s.ShardOf(key)
-	s.fastGets[i].n.Add(1)
-	e := s.shards[i].lookup(key)
+	sh, h := s.route(key)
+	s.fastGets[sh.index].n.Add(1)
+	e := sh.lookup(key, h)
 	if e == nil || !e.isCounter() {
 		return 0, false
 	}
@@ -676,7 +613,8 @@ func (s *Store) FastCounterGet(key string) (int64, bool) {
 // none is linked). The key is missing when no entry is linked or
 // the linked one is retired, and a miss is a read: kvers is read first
 // and the table looked up again after it. A link or unlink whose Touch
-// landed before the kvers read stored its table first, so the second
+// landed before the kvers read stored its slot first (into the array the
+// second lookup loads, or one since rebuilt from it), so the second
 // lookup sees it and the loop follows the table; one that lands after is
 // a conflict on kvers — at validation, at a tl2 timestamp extension, or
 // as the wake-up of a transaction that went on to Block. That order is
@@ -685,8 +623,8 @@ func (s *Store) FastCounterGet(key string) (int64, bool) {
 // WaitGet from sleeping past the creation it waits for (on the glock and
 // tl2 engines the kvers read alone would absorb an earlier Touch
 // without conflicting).
-func (sh *shard) find(tx *stm.Tx, key string) (e *entry, b []byte, n int64, st state) {
-	e = sh.lookup(key)
+func (sh *shard) find(tx *stm.Tx, key string, h uint64) (e *entry, b []byte, n int64, st state) {
+	e = sh.lookup(key, h)
 	for {
 		if e != nil {
 			if _, b, n, st = e.read(tx); st != retired {
@@ -694,7 +632,7 @@ func (sh *shard) find(tx *stm.Tx, key string) (e *entry, b []byte, n int64, st s
 			}
 		}
 		tx.Read(sh.kvers)
-		next := sh.lookup(key)
+		next := sh.lookup(key, h)
 		if next == e {
 			return e, nil, 0, absent
 		}
@@ -703,8 +641,8 @@ func (sh *shard) find(tx *stm.Tx, key string) (e *entry, b []byte, n int64, st s
 }
 
 // findR is find in a read-only transaction.
-func (sh *shard) findR(r *stm.ReadTx, key string) (e *entry, b []byte, n int64, st state) {
-	e = sh.lookup(key)
+func (sh *shard) findR(r *stm.ReadTx, key string, h uint64) (e *entry, b []byte, n int64, st state) {
+	e = sh.lookup(key, h)
 	for {
 		if e != nil {
 			if _, b, n, st = e.readR(r); st != retired {
@@ -712,7 +650,7 @@ func (sh *shard) findR(r *stm.ReadTx, key string) (e *entry, b []byte, n int64, 
 			}
 		}
 		r.Read(sh.kvers)
-		next := sh.lookup(key)
+		next := sh.lookup(key, h)
 		if next == e {
 			return e, nil, 0, absent
 		}
@@ -722,34 +660,36 @@ func (sh *shard) findR(r *stm.ReadTx, key string) (e *entry, b []byte, n int64, 
 
 // own returns key's entry of the given kind and what tx reads in it
 // (absent or live — for a counter, with its value), for a write to
-// follow: a key with no entry gets a fresh absent one linked, and a
+// follow: a key with no entry gets a fresh absent one linked — noted in
+// *made, for the caller to hand to the collector should it fail — and a
 // retired entry is unlinked and looked up again, so the entry is never
 // a stale one. ok is false when the name is held by an entry of the
 // other kind (returned): the caller fails with ErrWrongType, and its
 // wrapper asks the collector whether that entry was only an absent
 // leftover (see clashed).
-func (sh *shard) own(tx *stm.Tx, key string, counter bool) (e *entry, n int64, st state, ok bool) {
+func (sh *shard) own(tx *stm.Tx, key string, h uint64, counter bool, made *[]*entry) (e *entry, n int64, st state, ok bool) {
 	for {
-		e = sh.lookup(key)
-		switch {
-		case e == nil:
-			sh.link([]string{key}, counter, false)
-		case e.isCounter() != counter:
-			return e, 0, absent, false
-		default:
-			// Not e.read: a write needs no bytes, so the box is told by
-			// its pointer and left where its last writer's cache has it.
-			if counter {
-				n = tx.Read(e.c)
-				st = countState(n)
-			} else {
-				st = bytesState(stm.ReadBox(tx, e.b))
+		if e = sh.lookup(key, h); e == nil {
+			var fresh bool
+			if e, fresh = sh.linkOne(key, h, counter); fresh {
+				*made = append(*made, e)
 			}
-			if st != retired {
-				return e, n, st, true
-			}
-			sh.unlink([]doomed{{key, e}})
 		}
+		if e.isCounter() != counter {
+			return e, 0, absent, false
+		}
+		// Not e.read: a write needs no bytes, so the box is told by
+		// its pointer and left where its last writer's cache has it.
+		if counter {
+			n = tx.Read(e.c)
+			st = countState(n)
+		} else {
+			st = bytesState(stm.ReadBox(tx, e.b))
+		}
+		if st != retired {
+			return e, n, st, true
+		}
+		sh.unlink([]*entry{e})
 	}
 }
 
@@ -759,8 +699,8 @@ func (sh *shard) own(tx *stm.Tx, key string, counter bool) (e *entry, n int64, s
 // it, freeing the name for the other kind. An entry with a value is a
 // real kind mismatch — including one the failed transaction itself had
 // deleted: within one transaction a key's kind stays fixed.
-func (s *Store) clashed(key string, e *entry) bool {
-	return e != nil && s.collect([]doomed{{key, e}}) > 0
+func (s *Store) clashed(e *entry) bool {
+	return e != nil && s.collect([]*entry{e}) > 0
 }
 
 // singleOp is pooled per-call scratch for the single-key hot paths: the
@@ -772,11 +712,13 @@ type singleOp struct {
 	s     *Store
 	sh    *shard
 	key   string
+	h     uint64 // fnv1a(key)
 	val   []byte // Set input (already copied) / Get output
 	delta int64  // CounterAdd input
 	n     int64  // CounterAdd / CounterGet output
 	ok    bool
-	clash *entry // other-kind entry the last write attempt ran into (see clashed)
+	clash *entry   // other-kind entry the last write attempt ran into (see clashed)
+	made  []*entry // entries the write attempts linked, collected should the write fail
 
 	getFn  func(*stm.ReadTx) error
 	cgetFn func(*stm.ReadTx) error
@@ -799,18 +741,20 @@ func (op *singleOp) release() {
 	s := op.s
 	op.sh, op.key, op.val = nil, "", nil
 	op.delta, op.n, op.ok, op.clash = 0, 0, false, nil
+	clear(op.made)
+	op.made = op.made[:0]
 	op.pend.reset()
 	s.singleOps.Put(op)
 }
 
 func (op *singleOp) runGet(r *stm.ReadTx) error {
 	// Re-resolved per attempt: the table may have moved.
-	op.val, op.ok = value(op.sh.findR(r, op.key))
+	op.val, op.ok = value(op.sh.findR(r, op.key, op.h))
 	return nil
 }
 
 func (op *singleOp) runCounterGet(r *stm.ReadTx) error {
-	e, _, n, st := op.sh.findR(r, op.key)
+	e, _, n, st := op.sh.findR(r, op.key, op.h)
 	op.n, op.ok = 0, false
 	if st != live {
 		return nil
@@ -824,7 +768,7 @@ func (op *singleOp) runCounterGet(r *stm.ReadTx) error {
 
 func (op *singleOp) runSet(tx *stm.Tx) error {
 	op.clash = nil
-	e, _, _, ok := op.sh.own(tx, op.key, false)
+	e, _, _, ok := op.sh.own(tx, op.key, op.h, false, &op.made)
 	if !ok {
 		op.clash = e
 		return wrongType(op.key)
@@ -840,7 +784,7 @@ func (op *singleOp) runSet(tx *stm.Tx) error {
 
 func (op *singleOp) runAdd(tx *stm.Tx) error {
 	op.clash = nil
-	e, n, st, ok := op.sh.own(tx, op.key, true)
+	e, n, st, ok := op.sh.own(tx, op.key, op.h, true, &op.made)
 	if !ok {
 		op.clash = e
 		return wrongType(op.key)
@@ -871,12 +815,12 @@ func (op *singleOp) runAdd(tx *stm.Tx) error {
 // meaningless. Steady-state Get of a bytes key performs no heap
 // allocation.
 func (s *Store) Get(key string) (val []byte, ok bool, err error) {
-	sh := s.shards[s.ShardOf(key)]
-	if sh.lookup(key) == nil {
+	sh, h := s.route(key)
+	if sh.lookup(key, h) == nil {
 		return nil, false, nil
 	}
 	op := s.singleOps.Get().(*singleOp)
-	op.sh, op.key = sh, key
+	op.sh, op.key, op.h = sh, key, h
 	var t0 time.Time
 	sampled := s.opHists != nil && op.nextSample()
 	if sampled {
@@ -897,12 +841,12 @@ func (s *Store) Get(key string) (val []byte, ok bool, err error) {
 // CounterGet transactionally reads a counter key on the read-only path.
 // ok is false when the key is absent; a bytes key returns ErrWrongType.
 func (s *Store) CounterGet(key string) (val int64, ok bool, err error) {
-	sh := s.shards[s.ShardOf(key)]
-	if sh.lookup(key) == nil {
+	sh, h := s.route(key)
+	if sh.lookup(key, h) == nil {
 		return 0, false, nil
 	}
 	op := s.singleOps.Get().(*singleOp)
-	op.sh, op.key = sh, key
+	op.sh, op.key, op.h = sh, key, h
 	var t0 time.Time
 	sampled := s.opHists != nil && op.nextSample()
 	if sampled {
@@ -926,20 +870,22 @@ func (s *Store) Set(key string, val []byte) error {
 	if err := s.degradedGate(); err != nil {
 		return err
 	}
-	sh := s.shards[s.ShardOf(key)]
+	sh, h := s.route(key)
 	op := s.singleOps.Get().(*singleOp)
-	op.sh, op.key, op.val = sh, key, copyVal(val)
+	op.sh, op.key, op.h, op.val = sh, key, h, copyVal(val)
 	var t0 time.Time
 	sampled := s.opHists != nil && op.nextSample()
 	if sampled {
 		t0 = time.Now()
 	}
 	err := sh.stm.Atomically(op.setFn)
-	for err != nil && s.clashed(key, op.clash) {
+	for err != nil && s.clashed(op.clash) {
 		err = sh.stm.Atomically(op.setFn)
 	}
 	if err == nil {
 		err = s.waitDurable(sh, &op.pend)
+	} else if len(op.made) > 0 {
+		s.collect(op.made)
 	}
 	op.release()
 	if sampled {
@@ -957,20 +903,22 @@ func (s *Store) CounterAdd(key string, delta int64) (int64, error) {
 	if err := s.degradedGate(); err != nil {
 		return 0, err
 	}
-	sh := s.shards[s.ShardOf(key)]
+	sh, h := s.route(key)
 	op := s.singleOps.Get().(*singleOp)
-	op.sh, op.key, op.delta = sh, key, delta
+	op.sh, op.key, op.h, op.delta = sh, key, h, delta
 	var t0 time.Time
 	sampled := s.opHists != nil && op.nextSample()
 	if sampled {
 		t0 = time.Now()
 	}
 	err := sh.stm.Atomically(op.addFn)
-	for err != nil && s.clashed(key, op.clash) {
+	for err != nil && s.clashed(op.clash) {
 		err = sh.stm.Atomically(op.addFn)
 	}
 	if err == nil {
 		err = s.waitDurable(sh, &op.pend)
+	} else if len(op.made) > 0 {
+		s.collect(op.made)
 	}
 	out := op.n
 	op.release()
@@ -1049,9 +997,12 @@ type Txn struct {
 
 	// deleted lists the entries this attempt's Deletes left (or found)
 	// absent, for the collector once the attempt has committed; clash is
-	// the other-kind entry a failed write ran into (see Store.clashed).
-	deleted []doomed
-	clash   doomed
+	// the other-kind entry a failed write ran into (see Store.clashed);
+	// made lists the entries the attempts so far linked, for the collector
+	// should the transaction fail.
+	deleted []*entry
+	clash   *entry
+	made    []*entry
 }
 
 // emit appends op to footprint position j's effect list, attaching the
@@ -1077,31 +1028,33 @@ func (t *Txn) outside(key string) error {
 	return fmt.Errorf("kv: key %q is outside the transaction footprint", key)
 }
 
-// resolve routes key and returns its shard index, footprint position
-// and shard transaction, or fails the transaction when the shard is
-// outside the declared footprint. The footprint is a short sorted
-// slice, so the membership test is a linear scan, not a map lookup.
-func (t *Txn) resolve(key string) (int, int, *stm.Tx, bool) {
-	i := t.s.ShardOf(key)
+// resolve routes key and returns its shard, its hash, and the shard's
+// footprint position and transaction, or fails the transaction (nil
+// shard) when the shard is outside the declared footprint. The footprint
+// is a short sorted slice, so the membership test is a linear scan, not a
+// map lookup.
+func (t *Txn) resolve(key string) (*shard, uint64, int, *stm.Tx) {
+	sh, h := t.s.route(key)
 	for j, idx := range t.idxs {
-		if idx == i {
-			return i, j, t.txs[j], true
+		if idx == sh.index {
+			return sh, h, j, t.txs[j]
 		}
 	}
 	t.fail(t.outside(key))
-	return i, 0, nil, false
+	return nil, h, 0, nil
 }
 
 // own is resolve and then shard.own, for a write inside the
 // transaction. A nil entry means the transaction has failed on key; a
 // kind clash is noted for the wrapper.
 func (t *Txn) own(key string, counter bool) (j int, tx *stm.Tx, e *entry, n int64, st state) {
-	i, j, tx, ok := t.resolve(key)
-	if !ok {
+	sh, h, j, tx := t.resolve(key)
+	if sh == nil {
 		return
 	}
-	if e, n, st, ok = t.s.shards[i].own(tx, key, counter); !ok {
-		t.clash = doomed{key, e}
+	e, n, st, ok := sh.own(tx, key, h, counter, &t.made)
+	if !ok {
+		t.clash = e
 		t.fail(wrongType(key))
 		e = nil
 	}
@@ -1112,11 +1065,11 @@ func (t *Txn) own(key string, counter bool) (j int, tx *stm.Tx, e *entry, n int6
 // absent (including keys deleted earlier in this transaction). Counter
 // keys are formatted as decimal.
 func (t *Txn) Get(key string) ([]byte, bool) {
-	i, _, tx, ok := t.resolve(key)
-	if !ok {
+	sh, h, _, tx := t.resolve(key)
+	if sh == nil {
 		return nil, false
 	}
-	return value(t.s.shards[i].find(tx, key))
+	return value(sh.find(tx, key, h))
 }
 
 // Set writes a bytes key inside the transaction, creating it if absent.
@@ -1191,13 +1144,13 @@ func (t *Txn) ensure(key string, counter bool) *entry {
 // Set/Add of the same key in this transaction is just the next write of
 // the same word (so the kind stays fixed until the transaction ends).
 func (t *Txn) Delete(key string) bool {
-	i, j, tx, ok := t.resolve(key)
-	if !ok {
+	sh, h, j, tx := t.resolve(key)
+	if sh == nil {
 		return false
 	}
-	e, _, _, st := t.s.shards[i].find(tx, key)
+	e, _, _, st := sh.find(tx, key, h)
 	if e != nil {
-		t.deleted = append(t.deleted, doomed{key, e})
+		t.deleted = append(t.deleted, e)
 	}
 	if st != live {
 		return false
@@ -1261,7 +1214,7 @@ func (op *multiOp) update(txs []*stm.Tx) error {
 	t.idxs = op.idxs
 	t.txs = txs
 	t.err = nil
-	t.deleted, t.clash = nil, doomed{} // only the committed attempt's deletes are collected
+	t.deleted, t.clash = nil, nil // only the committed attempt's deletes are collected
 	t.tap = op.s.tapOn.Load()
 	if t.tap {
 		for len(op.pends) < len(op.idxs) {
@@ -1367,12 +1320,16 @@ func (s *Store) UpdateCtx(ctx context.Context, keys []string, fn func(*Txn) erro
 		t0 = time.Now()
 	}
 	err := stm.AtomicallyMultiCtx(ctx, op.stms, op.runUpdate)
-	for errors.Is(err, ErrWrongType) && s.clashed(op.txn.clash.key, op.txn.clash.e) {
+	for errors.Is(err, ErrWrongType) && s.clashed(op.txn.clash) {
 		err = stm.AtomicallyMultiCtx(ctx, op.stms, op.runUpdate)
 	}
-	committed := err == nil
-	deleted := op.txn.deleted
-	if committed && op.txn.tap && s.fsyncLevel() {
+	// The collector's share: the deletes of a transaction that committed,
+	// or the entries linked by one that failed.
+	leftover := op.txn.deleted
+	if err != nil {
+		leftover = op.txn.made
+	}
+	if err == nil && op.txn.tap && s.fsyncLevel() {
 		var xt *pendingTxn
 		for j, i := range op.idxs {
 			if p := &op.pends[j]; p.seq != 0 {
@@ -1399,8 +1356,8 @@ func (s *Store) UpdateCtx(ctx context.Context, keys []string, fn func(*Txn) erro
 	}
 	// Collection keys off the commit, not the durable wait: a failed wait
 	// reports the log's sticky error, but the deletes are committed.
-	if committed && len(deleted) > 0 {
-		s.collect(deleted)
+	if len(leftover) > 0 {
+		s.collect(leftover)
 	}
 	return err
 }
@@ -1425,10 +1382,10 @@ func (t *ViewTxn) fail(err error) {
 // find reads key within the view's footprint; the view fails when the
 // key's shard is outside it.
 func (t *ViewTxn) find(key string) (*entry, []byte, int64, state) {
-	i := t.s.ShardOf(key)
+	sh, h := t.s.route(key)
 	for j, idx := range t.idxs {
-		if idx == i {
-			return t.s.shards[i].findR(t.rtxs[j], key)
+		if idx == sh.index {
+			return sh.findR(t.rtxs[j], key, h)
 		}
 	}
 	t.fail(fmt.Errorf("kv: key %q is outside the view footprint", key))
@@ -1558,11 +1515,11 @@ func (s *Store) Publish(vals map[string][]byte) error {
 // publish bumps the publication sentinel of key's shard and logs val as
 // the key's SET.
 func (t *Txn) publish(key string, val []byte) {
-	i, j, tx, ok := t.resolve(key)
-	if !ok {
+	sh, _, j, tx := t.resolve(key)
+	if sh == nil {
 		return
 	}
-	pub := t.s.shards[i].pub
+	pub := sh.pub
 	tx.Write(pub, tx.Read(pub)+1)
 	t.emit(j, tx, wal.Op{Kind: wal.KindSet, Key: key, Val: val})
 }
@@ -1593,7 +1550,7 @@ func (s *Store) Stats() Stats {
 	st := Stats{Shards: len(s.shards)}
 	for i, sh := range s.shards {
 		st.FastGets += s.fastGets[i].n.Load()
-		st.Keys += len(*sh.vars.Load())
+		st.Keys += int(sh.keys.Load())
 		snap := sh.stm.Snapshot()
 		st.Commits += snap.Commits
 		st.Conflicts += snap.Conflicts

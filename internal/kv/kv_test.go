@@ -52,8 +52,8 @@ func TestShardRouting(t *testing.T) {
 	if err := s2.Set("alpha", []byte("7")); err != nil {
 		t.Fatal(err)
 	}
-	sh := s2.shards[s2.ShardOf("alpha")]
-	if sh.lookup("alpha") == nil {
+	sh, h := s2.route("alpha")
+	if sh.index != s2.ShardOf("alpha") || sh.lookup("alpha", h) == nil {
 		t.Fatal("Set stored the key on a different shard than ShardOf reports")
 	}
 }

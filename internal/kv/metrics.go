@@ -126,7 +126,7 @@ func (s *Store) ShardStats() []ShardStat {
 	for i, sh := range s.shards {
 		out[i] = ShardStat{
 			Shard:      i,
-			Keys:       len(*sh.vars.Load()),
+			Keys:       int(sh.keys.Load()),
 			FastGets:   s.fastGets[i].n.Load(),
 			Stm:        sh.stm.Snapshot(),
 			Strategy:   sh.stm.Strategy().String(),
@@ -177,12 +177,12 @@ func (s *Store) HotKeys(n int) []HotKey {
 		}
 		// Map variable ids back to key names: one table scan per shard,
 		// only on this read path.
-		names := make(map[uint64]string, len(*sh.vars.Load())+2)
-		for k, e := range *sh.vars.Load() {
+		names := make(map[uint64]string, sh.keys.Load()+2)
+		for e := range sh.each {
 			if e.isCounter() {
-				names[e.c.ID()] = k
+				names[e.c.ID()] = e.key
 			} else {
-				names[e.b.ID()] = k
+				names[e.b.ID()] = e.key
 			}
 		}
 		names[sh.kvers.ID()] = hotKeyspace

@@ -197,8 +197,8 @@ func TestHotKeysSweptEntry(t *testing.T) {
 	}
 	// Attribute synthetic contention directly to the entry's variables,
 	// then delete the key so the id no longer resolves.
-	sh := s.shards[s.ShardOf("doomed")]
-	e := sh.lookup("doomed")
+	sh, h := s.route("doomed")
+	e := sh.lookup("doomed", h)
 	sh.stm.Metrics().Contention.Record(e.c.ID())
 	if _, err := s.Delete("doomed"); err != nil {
 		t.Fatal(err)

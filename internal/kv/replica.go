@@ -262,8 +262,8 @@ func (r *Replica) drainLocked(shards []int) error {
 				// A run of plain records applies as one local transaction:
 				// the watermark advances in coarser steps but still only at
 				// transaction boundaries, so readers keep seeing a dense
-				// per-shard prefix — and applyTxn's bulk link turns catch-up
-				// from one table copy per new key into one per run.
+				// per-shard prefix — and catch-up pays for one transaction a
+				// run, not one a record.
 				n, ops := r.runLocked(i)
 				if err := r.applyTxn(ops); err != nil {
 					return err
@@ -309,8 +309,8 @@ func (r *Replica) drainLocked(shards []int) error {
 }
 
 // maxRunOps caps how many ops one apply transaction merges — large
-// enough to amortize key creation during catch-up, small enough to
-// bound the transaction's footprint (and lock hold) on a live replica.
+// enough to amortize the transaction during catch-up, small enough to
+// bound its footprint (and lock hold) on a live replica.
 const maxRunOps = 256
 
 // runLocked collects the longest run of plain (non-cross) records at
@@ -390,32 +390,9 @@ func (r *Replica) applyTxn(ops []wal.Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	// Link the missing keys first — one shard-table copy per batch instead
-	// of one per key (a link is O(table) per miss, which made
-	// fresh-keyspace catch-up quadratic). The entries are linked absent:
-	// like any key, they become visible when the transaction below
-	// commits.
 	keys := make([]string, len(ops))
-	var newBytes, newCtrs []string
 	for i := range ops {
-		op := &ops[i]
-		keys[i] = op.Key
-		if op.Kind == wal.KindDelete {
-			continue
-		}
-		if r.s.shards[r.s.ShardOf(op.Key)].lookup(op.Key) == nil {
-			if op.Kind == wal.KindSet {
-				newBytes = append(newBytes, op.Key)
-			} else {
-				newCtrs = append(newCtrs, op.Key)
-			}
-		}
-	}
-	if len(newBytes) > 0 {
-		r.s.linkAll(newBytes, false, false)
-	}
-	if len(newCtrs) > 0 {
-		r.s.linkAll(newCtrs, true, false)
+		keys[i] = ops[i].Key
 	}
 	return r.s.Update(keys, func(t *Txn) error {
 		for i := range ops {
@@ -459,8 +436,8 @@ func (r *Replica) ResetShard(i int, seq uint64, recs []wal.Record) error {
 	// delete transactionally in batches.
 	sh := r.s.shards[i]
 	var keys []string
-	for k := range *sh.vars.Load() {
-		keys = append(keys, k)
+	for e := range sh.each {
+		keys = append(keys, e.key)
 	}
 	const batch = 256
 	for len(keys) > 0 {

@@ -35,7 +35,7 @@ import (
 // Cancellation or deadline on ctx ends the wait with a *stm.TxError
 // wrapping stm.ErrCanceled.
 func (s *Store) WaitGet(ctx context.Context, key string) ([]byte, error) {
-	sh := s.shards[s.ShardOf(key)]
+	sh, h := s.route(key)
 	// WaitGet is timed unsampled: a call that parks is milliseconds and a
 	// call that does not is still a full transaction, so the clock pair is
 	// noise — and the wait distribution's tail is the interesting part.
@@ -46,7 +46,7 @@ func (s *Store) WaitGet(ctx context.Context, key string) ([]byte, error) {
 	var out []byte
 	err := sh.stm.AtomicallyCtx(ctx, func(tx *stm.Tx) error {
 		var ok bool
-		if out, ok = value(sh.find(tx, key)); !ok {
+		if out, ok = value(sh.find(tx, key, h)); !ok {
 			tx.Block()
 		}
 		return nil
@@ -81,11 +81,11 @@ func (s *Store) Watch(ctx context.Context, key string) ([]byte, bool, error) {
 // state it observes then. It returns immediately if the current state
 // already differs. The wait is event-driven, like WaitGet.
 func (s *Store) WatchFrom(ctx context.Context, key string, val []byte, present bool) ([]byte, bool, error) {
-	sh := s.shards[s.ShardOf(key)]
+	sh, h := s.route(key)
 	var out []byte
 	var ok bool
 	err := sh.stm.AtomicallyCtx(ctx, func(tx *stm.Tx) error {
-		out, ok = value(sh.find(tx, key))
+		out, ok = value(sh.find(tx, key, h))
 		if ok == present && (!ok || bytes.Equal(out, val)) {
 			tx.Block() // unchanged from the baseline: wait on what find read
 		}

@@ -320,7 +320,7 @@ func (t *waitTable) broadcast() {
 // on it. It is the notification hook for state changes that happen
 // outside any transaction: internal/kv touches a per-shard keyspace
 // version after linking into or unlinking from its (non-transactional)
-// copy-on-write key table, so a transaction that found no entry there
+// key table, so a transaction that found no entry there
 // conflicts with, or is woken by, the change. Concurrent transactional readers of a touched variable
 // conflict and retry, exactly as if a blind write to it had committed.
 // The variables must belong to this instance.
