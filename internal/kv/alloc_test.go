@@ -316,7 +316,58 @@ func TestAllocsKeyCreation(t *testing.T) {
 			i++
 		})
 	}
-	if small, large := firstSet(1000), firstSet(100_000); small != large {
+	small, large := firstSet(1000), firstSet(100_000)
+	if small != large {
 		t.Errorf("a first Set allocates %v times beside 1,000 keys and %v beside 100,000", small, large)
+	}
+	// The entry (its word inside it), the value copy and the box: no
+	// variable of its own, no box made for the entry's birth and dropped.
+	if small != 3 {
+		t.Errorf("a first Set allocates %v objects, want 3", small)
+	}
+}
+
+// TestAllocsHotKeys: resolving the contention table's few ids to key
+// names costs the same beside 1,000 keys and beside 100,000 — the scan
+// keeps a name only for an id the snapshot holds — and names them as a
+// map of every key did: keys of both kinds, and the three sentinels.
+func TestAllocsHotKeys(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	hotKeys := func(resident int) (float64, []HotKey) {
+		s := New(WithShards(1))
+		names := make([]string, resident)
+		for i := range names {
+			names[i] = fmt.Sprintf("resident:%06d", i)
+		}
+		s.EnsureKeys(names...)
+		s.EnsureCounters("hot-counter", "doomed")
+		sh := s.shards[0]
+		rec := sh.stm.Metrics().Contention.Record
+		for _, k := range []string{names[0], names[resident/2], "hot-counter", "doomed"} {
+			rec(sh.lookup(k, fnv1a(k)).varID())
+		}
+		rec(sh.kvers.ID())
+		rec(sh.pub.ID())
+		if _, err := s.Delete("doomed"); err != nil {
+			t.Fatal(err)
+		}
+		var out []HotKey
+		return testing.AllocsPerRun(10, func() { out = s.HotKeys(0) }), out
+	}
+	small, got := hotKeys(1000)
+	large, _ := hotKeys(100_000)
+	if small != large {
+		t.Errorf("HotKeys allocates %v times beside 1,000 keys and %v beside 100,000", small, large)
+	}
+	want := []string{"(keyspace)", "(publication)", "(swept)", "hot-counter", "resident:000000", "resident:000500"}
+	if len(got) != len(want) {
+		t.Fatalf("HotKeys = %+v, want the keys %q", got, want)
+	}
+	for i, hk := range got { // equal counts sort by key
+		if hk.Key != want[i] || hk.Count != 1 {
+			t.Errorf("HotKeys[%d] = %+v, want %q once", i, hk, want[i])
+		}
 	}
 }

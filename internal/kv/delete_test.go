@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -337,6 +339,92 @@ func TestDyingEntryIsAbsentAndWritable(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPrivatizedHandleOutlivesItsEntry: Privatize hands out a pointer
+// into the entry, so the handle is the entry's keeper. Once the key is
+// deleted and collected and the table rebuilt without it, the handle is
+// the only thing left holding that entry: plain Load and Store through
+// it still read what they wrote — across collections of the heap, and
+// while other keys are linked around it — and never reach the successor
+// entry a later Set links under the same name.
+func TestPrivatizedHandleOutlivesItsEntry(t *testing.T) {
+	for _, e := range kvEngines {
+		t.Run(e.String(), func(t *testing.T) {
+			s := New(WithShards(1), WithEngine(e))
+			if err := s.Set("p", []byte("old")); err != nil {
+				t.Fatal(err)
+			}
+			vars, err := s.Privatize("p")
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := vars[0]
+			sh := s.shards[0]
+			if old := sh.lookup("p", fnv1a("p")); h != &old.b {
+				t.Fatal("Privatize did not hand out the entry's own word")
+			}
+			if existed, err := s.Delete("p"); err != nil || !existed {
+				t.Fatalf("Delete = %v,%v", existed, err)
+			}
+			if sh.lookup("p", fnv1a("p")) != nil {
+				t.Fatal("the deleted key's entry was not collected")
+			}
+
+			// Link keys until the table has been rebuilt (twice, so that
+			// no array holding the entry or its tombstone is the current
+			// one), storing and loading through the handle meanwhile.
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				before := sh.tbl.Load()
+				for i, rebuilt := 0, 0; rebuilt < 2; i++ {
+					if err := s.Set(fmt.Sprintf("filler:%d", i), []byte("x")); err != nil {
+						t.Error(err)
+						return
+					}
+					if cur := sh.tbl.Load(); cur != before {
+						before, rebuilt = cur, rebuilt+1
+					}
+				}
+			}()
+			for i, linking := 0, true; linking; i++ {
+				want := strconv.Itoa(i)
+				h.Store([]byte(want))
+				if got := string(h.Load()); got != want {
+					t.Fatalf("handle read %q after storing %q", got, want)
+				}
+				select {
+				case <-done:
+					linking = false
+				default:
+				}
+			}
+			runtime.GC()
+			h.Store([]byte("mine"))
+
+			if err := s.Set("p", []byte("successor")); err != nil {
+				t.Fatal(err)
+			}
+			if next := sh.lookup("p", fnv1a("p")); next == nil || &next.b == h {
+				t.Fatal("the re-created key reuses the privatized entry")
+			}
+			if got := string(h.Load()); got != "mine" {
+				t.Fatalf("handle reads %q after the key was re-created, want its own write", got)
+			}
+			h.Store([]byte("still mine"))
+			runtime.GC()
+			if v, ok := s.FastGet("p"); !ok || string(v) != "successor" {
+				t.Fatalf("successor reads %q,%v after a store through the old handle", v, ok)
+			}
+			if v, ok, err := s.Get("p"); err != nil || !ok || string(v) != "successor" {
+				t.Fatalf("successor Get = %q,%v,%v", v, ok, err)
+			}
+			if got := string(h.Load()); got != "still mine" {
+				t.Fatalf("handle reads %q, want its own write", got)
+			}
+		})
 	}
 }
 

@@ -106,18 +106,18 @@ func (sub *Subscription) Events() <-chan Event { return sub.ch }
 // buffer. A non-zero value means the event stream has gaps.
 func (sub *Subscription) Dropped() uint64 { return sub.dropped.Load() }
 
-// Close unregisters the subscription and closes its Events channel.
-// Safe to call more than once and concurrently with delivery.
+// Close unregisters the subscription and then closes its Events channel,
+// so whoever sees the channel closed also sees the subscription gone from
+// WALStats().Subscribers. Safe to call more than once and concurrently
+// with delivery.
 func (sub *Subscription) Close() {
 	sub.mu.Lock()
 	if sub.closed {
 		sub.mu.Unlock()
 		return
 	}
-	sub.closed = true
-	close(sub.ch)
+	sub.closed = true // deliver sends nothing from here on
 	sub.mu.Unlock()
-	close(sub.done)
 
 	s := sub.store
 	s.subMu.Lock()
@@ -135,6 +135,9 @@ func (sub *Subscription) Close() {
 		}
 	}
 	s.subMu.Unlock()
+
+	close(sub.ch)
+	close(sub.done)
 }
 
 // deliver offers one event to the subscription: non-blocking, dropping

@@ -138,14 +138,31 @@ func WithMetricsSampling(n int) Option {
 // by the collector on its way to unlinking the entry: a transaction that
 // reads it has a stale entry and looks the key up again. key and hash
 // (fnv1a of key) are what the table finds the entry by.
+//
+// The bytes word is part of the entry, not behind a pointer: an entry is
+// 64 bytes, so what a lookup compares (hash, key header) and what it then
+// reads (lock word, box pointer) arrive on one cache line, and a bytes
+// key is one object to allocate and to mark. Counters are few and keep
+// the pointer; a counter entry's b is the zero TVar and is never used.
+// Whoever holds &e.b (Privatize's callers, a transaction's logs) holds
+// the entry, whatever the table does meanwhile.
 type entry struct {
 	key  string
 	hash uint64
-	b    *stm.TVar[[]byte]
 	c    *stm.Var
+	b    stm.TVar[[]byte]
 }
 
 func (e *entry) isCounter() bool { return e.c != nil }
+
+// varID is the id of e's word, which the shard's contention table
+// attributes conflicts by.
+func (e *entry) varID() uint64 {
+	if e.isCounter() {
+		return e.c.ID()
+	}
+	return e.b.ID()
+}
 
 // state is what an entry's word holds. The two non-values are encoded
 // alike on both lanes, by number: non-value s is the box nonBox[s] on
@@ -199,7 +216,7 @@ func (e *entry) read(tx *stm.Tx) (*entry, []byte, int64, state) {
 		n := tx.Read(e.c)
 		return e, nil, n, countState(n)
 	}
-	box := stm.ReadBox(tx, e.b)
+	box := stm.ReadBox(tx, &e.b)
 	return e, *box, 0, bytesState(box)
 }
 
@@ -208,7 +225,7 @@ func (e *entry) readR(r *stm.ReadTx) (*entry, []byte, int64, state) {
 		n := r.Read(e.c)
 		return e, nil, n, countState(n)
 	}
-	box := stm.ReadTVarBox(r, e.b)
+	box := stm.ReadTVarBox(r, &e.b)
 	return e, *box, 0, bytesState(box)
 }
 
@@ -229,7 +246,7 @@ func (e *entry) write(tx *stm.Tx, st state) {
 	if e.isCounter() {
 		tx.Write(e.c, nonCount+int64(st))
 	} else {
-		stm.WriteBox(tx, e.b, nonBox[st])
+		stm.WriteBox(tx, &e.b, nonBox[st])
 	}
 }
 
@@ -389,8 +406,8 @@ func newStore(c *config) *Store {
 		sh := &shard{
 			stm:   inst,
 			index: i,
-			pub:   inst.NewVar(fmt.Sprintf("shard%d.pub", i), 0),
-			kvers: inst.NewVar(fmt.Sprintf("shard%d.keys", i), 0),
+			pub:   inst.NewVar("pub", 0),
+			kvers: inst.NewVar("keys", 0),
 			feed:  &shardFeed{},
 		}
 		sh.tbl.Store(newTable(0))
@@ -452,10 +469,12 @@ func (sh *shard) newEntry(key string, h uint64, counter, present bool) *entry {
 		}
 		return &entry{key: key, hash: h, c: sh.stm.NewVar(key, n)}
 	}
-	e := &entry{key: key, hash: h, b: stm.NewTVar(sh.stm, key, []byte(nil))}
-	if !present {
-		e.b.StoreBox(nonBox[absent])
+	e := &entry{key: key, hash: h}
+	box := nonBox[absent]
+	if present {
+		box = new([]byte)
 	}
+	e.b.Init(sh.stm, box)
 	return e
 }
 
@@ -684,7 +703,7 @@ func (sh *shard) own(tx *stm.Tx, key string, h uint64, counter bool, made *[]*en
 			n = tx.Read(e.c)
 			st = countState(n)
 		} else {
-			st = bytesState(stm.ReadBox(tx, e.b))
+			st = bytesState(stm.ReadBox(tx, &e.b))
 		}
 		if st != retired {
 			return e, n, st, true
@@ -773,7 +792,7 @@ func (op *singleOp) runSet(tx *stm.Tx) error {
 		op.clash = e
 		return wrongType(op.key)
 	}
-	stm.WriteT(tx, e.b, op.val)
+	stm.WriteT(tx, &e.b, op.val)
 	if op.s.tapOn.Load() {
 		op.pend.reset()
 		op.pend.ops = append(op.pend.ops, wal.Op{Kind: wal.KindSet, Key: op.key, Val: op.val})
@@ -1080,7 +1099,7 @@ func (t *Txn) Set(key string, val []byte) {
 		return
 	}
 	b := copyVal(val)
-	stm.WriteT(tx, e.b, b)
+	stm.WriteT(tx, &e.b, b)
 	t.emit(j, tx, wal.Op{Kind: wal.KindSet, Key: key, Val: b})
 }
 
@@ -1133,7 +1152,7 @@ func (t *Txn) ensure(key string, counter bool) *entry {
 	if counter {
 		t.putCount(j, tx, e, key, 0)
 	} else {
-		stm.WriteT(tx, e.b, []byte(nil))
+		stm.WriteT(tx, &e.b, []byte(nil))
 		t.emit(j, tx, wal.Op{Kind: wal.KindSet, Key: key})
 	}
 	return e
@@ -1454,7 +1473,7 @@ func (s *Store) Privatize(keys ...string) ([]*stm.TVar[[]byte], error) {
 	}
 	vars := make([]*stm.TVar[[]byte], len(keys))
 	for i, e := range entries {
-		vars[i] = e.b
+		vars[i] = &e.b
 	}
 	for _, i := range s.appendShardSet(nil, keys) {
 		s.shards[i].stm.Quiesce()

@@ -175,26 +175,35 @@ func (s *Store) HotKeys(n int) []HotKey {
 		if len(snap) == 0 {
 			continue
 		}
-		// Map variable ids back to key names: one table scan per shard,
-		// only on this read path.
-		names := make(map[uint64]string, sh.keys.Load()+2)
-		for e := range sh.each {
-			if e.isCounter() {
-				names[e.c.ID()] = e.key
-			} else {
-				names[e.b.ID()] = e.key
+		// Map the snapshot's few variable ids back to key names: one table
+		// scan per shard that keeps only those, so a scrape allocates the
+		// same beside a thousand keys and beside a million.
+		names := make(map[uint64]string, len(snap))
+		unnamed := 0
+		for _, he := range snap {
+			switch he.ID {
+			case sh.kvers.ID():
+				names[he.ID] = hotKeyspace
+			case sh.pub.ID():
+				names[he.ID] = hotPublication
+			default:
+				names[he.ID] = hotSwept // unless the scan finds its entry
+				unnamed++
 			}
 		}
-		names[sh.kvers.ID()] = hotKeyspace
-		names[sh.pub.ID()] = hotPublication
+		for e := range sh.each {
+			if unnamed == 0 {
+				break
+			}
+			if id := e.varID(); names[id] == hotSwept {
+				names[id] = e.key
+				unnamed--
+			}
+		}
 		// Several contention-table slots may resolve to one name; sum them.
 		byName := make(map[string]uint64, len(snap))
 		for _, he := range snap {
-			name, ok := names[he.ID]
-			if !ok {
-				name = hotSwept
-			}
-			byName[name] += he.Count
+			byName[names[he.ID]] += he.Count
 		}
 		for name, count := range byName {
 			out = append(out, HotKey{Key: name, Shard: i, Count: count})

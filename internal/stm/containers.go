@@ -2,7 +2,6 @@ package stm
 
 import (
 	"context"
-	"fmt"
 	"hash/maphash"
 )
 
@@ -29,13 +28,13 @@ func NewQueue[T any](s *STM, name string, capacity int) *Queue[T] {
 	q := &Queue[T]{
 		s:    s,
 		buf:  make([]*TVar[T], capacity),
-		head: s.NewVar(name+".head", 0),
-		tail: s.NewVar(name+".tail", 0),
-		size: s.NewVar(name+".size", 0),
+		head: s.NewVar(name, 0),
+		tail: s.NewVar(name, 0),
+		size: s.NewVar(name, 0),
 	}
 	var zero T
 	for i := range q.buf {
-		q.buf[i] = NewTVar(s, fmt.Sprintf("%s.buf[%d]", name, i), zero)
+		q.buf[i] = NewTVar(s, name, zero)
 	}
 	return q
 }
@@ -165,7 +164,7 @@ func NewMap[K comparable, V any](s *STM, name string, buckets int) *Map[K, V] {
 		buckets: make([]*TVar[[]mapPair[K, V]], p),
 	}
 	for i := range m.buckets {
-		m.buckets[i] = NewTVar(s, fmt.Sprintf("%s.bucket[%d]", name, i), []mapPair[K, V](nil))
+		m.buckets[i] = NewTVar(s, name, []mapPair[K, V](nil))
 	}
 	return m
 }
@@ -283,9 +282,9 @@ func (s *STM) NewSet(name string, capacity int) *Set {
 	if capacity <= 0 {
 		panic("stm: set capacity must be positive")
 	}
-	set := &Set{s: s, slots: make([]*Var, capacity), count: s.NewVar(name+".count", 0)}
+	set := &Set{s: s, slots: make([]*Var, capacity), count: s.NewVar(name, 0)}
 	for i := range set.slots {
-		set.slots[i] = s.NewVar(fmt.Sprintf("%s.slot[%d]", name, i), 0)
+		set.slots[i] = s.NewVar(name, 0)
 	}
 	return set
 }

@@ -55,19 +55,23 @@ import (
 const lockedBit = 1
 
 // varBase is the engine-facing core every transactional variable embeds:
-// a stable identity for deterministic lock ordering, a diagnostic name,
-// a TL2-style versioned lock packed as version<<1 | lockedBit, and the
-// owning instance (whose waiter table parked transactions register in —
-// see notify.go).
+// a stable identity for deterministic lock ordering, the owning instance
+// (whose waiter table parked transactions register in — see notify.go),
+// and a TL2-style versioned lock packed as version<<1 | lockedBit. It is
+// 24 bytes, so a TVar is 32: a variable embedded by value in a larger
+// struct (internal/kv's entry) costs that struct half a cache line.
 type varBase struct {
 	id    uint64
-	name  string
 	owner *STM
 	meta  atomic.Uint64
 }
 
-// Name returns the variable's diagnostic name.
-func (vb *varBase) Name() string { return vb.name }
+// init gives a zero varBase its identity. Fields are set one by one: a
+// varBase holds an atomic and is never copied.
+func (vb *varBase) init(s *STM) {
+	vb.id = s.nextVarID.Add(1)
+	vb.owner = s
+}
 
 func version(meta uint64) uint64 { return meta >> 1 }
 func isLocked(meta uint64) bool  { return meta&lockedBit != 0 }
@@ -381,10 +385,19 @@ func (s *STM) SetCommitTap(f func(data any)) {
 func (s *STM) MaxRetries() int { return s.maxRetries }
 
 // NewVar creates an int64 transactional variable with an initial value.
+// name says at the call site what the variable is for; it is not kept.
 func (s *STM) NewVar(name string, init int64) *Var {
-	v := &Var{varBase: varBase{id: s.nextVarID.Add(1), name: name, owner: s}}
-	v.val.Store(init)
+	v := new(Var)
+	v.Init(s, init)
 	return v
+}
+
+// Init makes the zero Var at v a variable of s holding init, in place —
+// for a Var embedded by value in a struct of the caller's. It must run
+// once, before anything else can reach v.
+func (v *Var) Init(s *STM, init int64) {
+	v.varBase.init(s)
+	v.val.Store(init)
 }
 
 // Snapshot returns current statistics.

@@ -18,10 +18,21 @@ type TVar[T any] struct {
 
 // NewTVar creates a typed transactional variable with an initial value.
 // (A free function because Go methods cannot introduce type parameters.)
+// name says at the call site what the variable is for; it is not kept.
 func NewTVar[T any](s *STM, name string, init T) *TVar[T] {
-	v := &TVar[T]{varBase: varBase{id: s.nextVarID.Add(1), name: name, owner: s}}
-	v.val.Store(&init)
+	v := new(TVar[T])
+	v.Init(s, &init)
 	return v
+}
+
+// Init makes the zero TVar at v a variable of s holding box, in place —
+// for a TVar embedded by value in a struct of the caller's, which then
+// hands out &thatStruct.field wherever a *TVar is wanted. box is installed
+// as it is (see LoadBox), never nil. Init must run once, before anything
+// else can reach v.
+func (v *TVar[T]) Init(s *STM, box *T) {
+	v.varBase.init(s)
+	v.val.Store(box)
 }
 
 // Load performs a plain (non-transactional) read.

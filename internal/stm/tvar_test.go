@@ -320,20 +320,3 @@ func TestQueueClearsDequeuedSlot(t *testing.T) {
 		t.Fatalf("dequeued slot still pins %q", got)
 	}
 }
-
-// TestQueueSlotNamesIndexed guards the satellite fix: buffer slot vars
-// must carry distinct, indexed diagnostic names.
-func TestQueueSlotNamesIndexed(t *testing.T) {
-	s := New()
-	q := NewQueue[int64](s, "jobs", 3)
-	want := []string{"jobs.buf[0]", "jobs.buf[1]", "jobs.buf[2]"}
-	for i, v := range q.buf {
-		if v.Name() != want[i] {
-			t.Errorf("slot %d named %q, want %q", i, v.Name(), want[i])
-		}
-	}
-	set := s.NewSet("members", 2)
-	if set.slots[0].Name() == set.slots[1].Name() {
-		t.Errorf("set slots share the name %q", set.slots[0].Name())
-	}
-}
