@@ -167,6 +167,72 @@ func TestCheckpointAndCompactReopen(t *testing.T) {
 	}
 }
 
+// TestCheckpointBesideWriter reproduces ROADMAP 0(a) through the public
+// API: a goroutine loops Checkpoint while another Sets every key once,
+// then the store is closed and reopened. Every acknowledged Set must be
+// there, on every engine.
+func TestCheckpointBesideWriter(t *testing.T) {
+	n := 1 << 16
+	if raceEnabled {
+		n = 1 << 13
+	}
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%05d", i)
+	}
+	for _, eng := range stm.Engines() {
+		t.Run(eng.String(), func(t *testing.T) {
+			opts := []Option{WithShards(64), WithEngine(eng), WithMetrics(false), WithDurability(t.TempDir(), wal.None)}
+			s, err := Open(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.EnsureKeys(keys...)
+			stop, ckpts := make(chan struct{}), make(chan int)
+			go func() {
+				n := 0
+				for {
+					select {
+					case <-stop:
+						ckpts <- n
+						return
+					default:
+					}
+					if err := s.Checkpoint(); err != nil {
+						t.Error(err)
+					}
+					n++
+				}
+			}()
+			for _, k := range keys {
+				if err := s.Set(k, []byte("v")); err != nil {
+					t.Error(err)
+					break
+				}
+			}
+			close(stop)
+			t.Logf("%d checkpoints beside %d Sets", <-ckpts, n)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Open(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			lost := 0
+			for _, k := range keys {
+				if v, ok := r.FastGet(k); !ok || string(v) != "v" {
+					lost++
+				}
+			}
+			if lost > 0 {
+				t.Errorf("%d of %d acknowledged Sets lost across the reopen", lost, n)
+			}
+		})
+	}
+}
+
 func TestDurableShardCountMismatch(t *testing.T) {
 	dir := t.TempDir()
 	s := openDurable(t, dir, wal.None)
