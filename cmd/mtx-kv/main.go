@@ -18,18 +18,20 @@
 //	             [-write-pct 5] [-zipf 1.2]
 //	             [-durability off] [-data DIR] [-json]
 //
-// With -data, serve recovers the store from DIR's per-shard write-ahead
-// logs and snapshots on boot, then logs every commit at the chosen
+// With -data, serve recovers the store from DIR's write-ahead log and
+// snapshots on boot, then logs every commit — one record per
+// transaction, however many shards it wrote — at the chosen
 // -durability level: fsync (group commit — every acknowledged write is
 // on disk), batch (interval fsync), or none (OS page cache only; the
 // log survives process crashes but not power loss). A clean shutdown
-// (SIGINT/SIGTERM) flushes and fsyncs the logs; after a kill, the next
-// boot repairs and replays a commit-order prefix. bench accepts the
+// (SIGINT/SIGTERM) flushes and fsyncs the log; after a kill, the next
+// boot repairs and replays a commit-order prefix. Records route by key,
+// so DIR reopens under any -shards. bench accepts the
 // same pair to measure logging cost; its default "off" benches the
 // undisturbed in-memory store.
 //
 // -degraded-mode picks the policy after a WAL write or sync failure
-// latches a shard's log (the store never silently drops durability):
+// latches the log (the store never silently drops durability):
 // fail keeps surfacing the error on every write, readonly rejects
 // writes but serves reads, and shed-durability keeps serving while
 // counting every commit the dead log refused (mtxkv_wal_shed_writes_total).
@@ -45,15 +47,15 @@
 // too large" and disconnect. A panic in one connection handler costs
 // that connection only. See cmd/mtx-kv/limits.go.
 //
-// With -replicate-addr (requires -data), serve additionally ships every
-// shard's WAL — and the cross-shard commit marker log — to connected
-// replicas over TCP: catch-up from segments (or the latest snapshot when
-// the cursor predates compaction), then the live tail. mtx-kv replica
-// dials that address, mirrors the primary's shard count, and serves the
-// read-side commands from its local store while applying the stream;
-// mutating commands answer "ERR read-only replica". See the README's
-// Replication section for what a replica observer may see (per-shard
-// prefix always; cross-shard transactions atomically, never partially).
+// With -replicate-addr (requires -data), serve additionally ships the
+// WAL to connected replicas over TCP: catch-up from segments (or the
+// latest snapshot when the cursor predates compaction), then the live
+// tail. mtx-kv replica dials that address and serves the read-side
+// commands from its local store (64 shards, whatever the primary's)
+// while applying the stream; mutating commands answer "ERR read-only
+// replica". See the README's Replication section for what a replica
+// observer may see (a prefix of the primary's commit order always;
+// cross-shard transactions atomically, never partially).
 //
 // With -json, bench emits a machine-readable report (workload config +
 // per-engine ops/sec and latency percentiles) on stdout.
@@ -102,13 +104,13 @@
 //	SUBSCRIBE [prefix]        -> OK subscribed, then a stream of
 //	                             EVENT seq op key [value] lines, one per
 //	                             committed write under the prefix in
-//	                             per-shard commit order (op = set, cset,
-//	                             del; cset carries the counter's new
-//	                             value). A slow reader loses events, each
-//	                             loss reported as a cumulative DROPPED n
-//	                             line. Any input (or disconnect) ends the
-//	                             stream; the connection leaves command
-//	                             mode for good.
+//	                             commit order; seq is the store's LSN
+//	                             (op = set, cset, del; cset carries the
+//	                             counter's new value). A slow reader
+//	                             loses events, each loss reported as a
+//	                             cumulative DROPPED n line. Any input (or
+//	                             disconnect) ends the stream; the
+//	                             connection leaves command mode for good.
 //	STATS                     -> STATS ...          (aggregate counters)
 //	STATS SHARDS              -> per-shard stats, one JSON line
 //	STATS HIST                -> op + STM latency histograms, one JSON line

@@ -1,10 +1,10 @@
-// The replica role: mtx-kv replica dials a primary's -replicate-addr,
-// sizes a local in-memory store from the handshake, and applies the
-// shipped WAL while serving the read side of the line protocol
-// (GET/FGET/MGET/BGET/WATCH/SUBSCRIBE/STATS). Mutating commands are
-// rejected with "ERR read-only replica": replication applies the
-// primary's records by absolute sequence, so a local write would fork
-// the replica from the primary's history.
+// The replica role: mtx-kv replica dials a primary's -replicate-addr
+// and applies the shipped WAL to a local in-memory store while serving
+// the read side of the line protocol (GET/FGET/MGET/BGET/WATCH/
+// SUBSCRIBE/STATS). Mutating commands are rejected with "ERR read-only
+// replica": replication applies the primary's records by absolute
+// sequence, so a local write would fork the replica from the primary's
+// history.
 package main
 
 import (
@@ -48,15 +48,9 @@ func runReplica(args []string) error {
 		return fmt.Errorf("replica needs a single engine, not %q", *engineName)
 	}
 
-	// Size the store from the primary: the shard count must match, since
-	// records route by the shared key hash.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	hello, err := cluster.Discover(ctx, *primary)
-	if err != nil {
-		return fmt.Errorf("discover %s: %w", *primary, err)
-	}
-	r, err := kv.NewReplica(kv.WithShards(len(hello.Seqs)), kv.WithEngine(engines[0]))
+	r, err := kv.NewReplica(kv.WithShards(defaultShards), kv.WithEngine(engines[0]))
 	if err != nil {
 		return err
 	}
@@ -132,22 +126,16 @@ func renderReplMetrics(b []byte, srv *server) []byte {
 	}
 	if srv.replica != nil {
 		rs := srv.replica.Stats()
-		b = append(b, "# HELP mtxkv_replica_watermark Applied primary commit sequence per shard.\n"...)
-		b = append(b, "# TYPE mtxkv_replica_watermark gauge\n"...)
-		for i, w := range rs.Watermarks {
-			b = append(b, `mtxkv_replica_watermark{shard="`...)
-			b = strconv.AppendInt(b, int64(i), 10)
-			b = append(b, `"} `...)
-			b = strconv.AppendUint(b, w, 10)
-			b = append(b, '\n')
-		}
-		b = append(b, "# HELP mtxkv_replica_applied_total Shard records applied.\n"...)
+		b = append(b, "# HELP mtxkv_replica_watermark Applied primary commit sequence (LSN).\n"...)
+		b = append(b, "# TYPE mtxkv_replica_watermark gauge\nmtxkv_replica_watermark "...)
+		b = strconv.AppendUint(b, rs.Watermark, 10)
+		b = append(b, "\n# HELP mtxkv_replica_applied_total Records applied.\n"...)
 		b = append(b, "# TYPE mtxkv_replica_applied_total counter\nmtxkv_replica_applied_total "...)
 		b = strconv.AppendUint(b, rs.Applied, 10)
-		b = append(b, "\n# HELP mtxkv_replica_xapplied_total Cross-shard transactions applied atomically.\n"...)
+		b = append(b, "\n# HELP mtxkv_replica_xapplied_total Records applied that wrote more than one shard.\n"...)
 		b = append(b, "# TYPE mtxkv_replica_xapplied_total counter\nmtxkv_replica_xapplied_total "...)
 		b = strconv.AppendUint(b, rs.XApplied, 10)
-		b = append(b, "\n# HELP mtxkv_replica_pending Records held back waiting on markers or siblings.\n"...)
+		b = append(b, "\n# HELP mtxkv_replica_pending Records held back (always 0: records apply in order as they arrive).\n"...)
 		b = append(b, "# TYPE mtxkv_replica_pending gauge\nmtxkv_replica_pending "...)
 		b = strconv.AppendInt(b, int64(rs.Pending), 10)
 		b = append(b, "\n# HELP mtxkv_replica_ready Caught up to the handshake-time primary positions (1 = ready).\n"...)

@@ -48,8 +48,8 @@ func (c *protoClient) roundtrip(cmd string) string {
 // TestServeGracefulShutdown drives the whole SIGTERM path in-process:
 // writes (including a cross-shard TXN) through a live connection, then
 // a signal — and asserts the shutdown was clean enough that the next
-// boot performs no recovery-repair work at all: no torn tails, no
-// cross-shard rollbacks, all data present.
+// boot performs no recovery-repair work at all: no torn tail, all data
+// present.
 func TestServeGracefulShutdown(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *kv.Store {
@@ -90,11 +90,11 @@ func TestServeGracefulShutdown(t *testing.T) {
 	c.conn.Close()
 
 	// A clean stop leaves nothing to repair: recovery replays the log
-	// without truncating a byte or rolling back a transaction.
+	// without truncating a byte.
 	s2 := open()
 	defer s2.Close()
 	ri := s2.WALStats().Recover
-	if ri.Truncations != 0 || ri.TruncatedBytes != 0 || ri.TxnRollbacks != 0 {
+	if ri.Truncations != 0 || ri.TruncatedBytes != 0 {
 		t.Fatalf("recovery repaired after a clean stop: %+v", ri)
 	}
 	if v, ok, _ := s2.Get("alpha"); !ok || string(v) != "durable value" {
@@ -173,8 +173,8 @@ func TestReadOnlyReplicaCommands(t *testing.T) {
 	go srv.serve(l)
 
 	// Seed through the replication apply path, not the wire.
-	if err := r.ApplyRecord(wal.Record{Shard: uint32(r.Store().ShardOf("seeded")), Seq: 1,
-		Ops: []wal.Op{{Kind: wal.KindSet, Key: "seeded", Val: []byte("from-primary")}}}); err != nil {
+	if err := r.ApplyRecords([]wal.Record{{Seq: 1,
+		Ops: []wal.Op{{Kind: wal.KindSet, Key: "seeded", Val: []byte("from-primary")}}}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -195,18 +195,18 @@ func TestReadOnlyReplicaCommands(t *testing.T) {
 	}
 
 	var doc struct {
-		Role       string   `json:"role"`
-		Primary    string   `json:"primary"`
-		Shards     int      `json:"shards"`
-		Watermarks []uint64 `json:"watermarks"`
-		Applied    uint64   `json:"applied"`
+		Role      string `json:"role"`
+		Primary   string `json:"primary"`
+		Shards    int    `json:"shards"`
+		Watermark uint64 `json:"watermark"`
+		Applied   uint64 `json:"applied"`
 	}
 	line := c.roundtrip("STATS REPL")
 	if err := json.Unmarshal([]byte(line), &doc); err != nil {
 		t.Fatalf("STATS REPL %q: %v", line, err)
 	}
 	if doc.Role != "replica" || doc.Primary != "primary.invalid:7800" ||
-		doc.Shards != 4 || doc.Applied != 1 {
+		doc.Shards != 4 || doc.Watermark != 1 || doc.Applied != 1 {
 		t.Fatalf("STATS REPL doc: %+v", doc)
 	}
 }

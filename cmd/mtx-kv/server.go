@@ -24,10 +24,15 @@ import (
 	"modtx/internal/wal"
 )
 
+// defaultShards is serve's shard count unless -shards says otherwise,
+// and a replica's always: the log routes records by key, so a replica
+// need not match its primary.
+const defaultShards = 64
+
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":7700", "listen address")
-	shards := fs.Int("shards", 64, "shard count (rounded up to a power of two)")
+	shards := fs.Int("shards", defaultShards, "shard count (rounded up to a power of two)")
 	engineName := fs.String("engine", "lazy", engineFlagHelp(false))
 	dataDir := fs.String("data", "",
 		"durability directory: recover state from it on boot and log every commit; empty = in-memory only")
@@ -72,8 +77,8 @@ func runServe(args []string) error {
 	srv := &server{store: store, slow: *slowTxn, limits: lim()}
 	if *dataDir != "" {
 		ri := store.WALStats().Recover
-		fmt.Printf("mtx-kv: recovered %s: %d snapshot records + %d log records over %d shards, max seq %d\n",
-			*dataDir, ri.SnapshotRecords, ri.Records, ri.Shards, ri.MaxSeq)
+		fmt.Printf("mtx-kv: recovered %s: %d snapshot records + %d log records, lsn %d\n",
+			*dataDir, ri.SnapshotRecords, ri.Records, ri.LSN)
 	}
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -107,7 +112,7 @@ func runServe(args []string) error {
 		engines[0], srv.store.NumShards(), l.Addr(), store.WALStats().Level)
 	// SIGINT/SIGTERM trigger the graceful path in serveUntil: stop
 	// accepting, drain in-flight connections, then Close — which
-	// flushes and fsyncs a durable store's logs, so the next boot
+	// flushes and fsyncs a durable store's log, so the next boot
 	// replays no tail. A SIGKILL skips all of this by design — recovery
 	// repairs whatever the crash left.
 	sig := make(chan os.Signal, 1)
@@ -458,10 +463,11 @@ func (c *session) command(line []byte) bool {
 
 // subscribe serves SUBSCRIBE [prefix]: acknowledge with
 // "OK subscribed", then stream one "EVENT seq op key [value]" line per
-// committed write under the prefix, in per-shard commit order, until
-// the client sends any line or disconnects. seq is the per-shard commit
-// sequence; op is set, cset or del; set carries the value bytes (no
-// newlines, spaces allowed), cset the counter's new absolute value.
+// committed write under the prefix, in commit order, until the client
+// sends any line or disconnects. seq is the store's LSN (shared by the
+// ops of one transaction); op is set, cset or del; set carries the
+// value bytes (no newlines, spaces allowed), cset the counter's new
+// absolute value.
 //
 // Delivery is buffered and non-blocking on the commit path: a client
 // that reads slower than the store commits loses events, and each loss

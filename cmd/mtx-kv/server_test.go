@@ -328,7 +328,7 @@ func TestServerStatsSubcommands(t *testing.T) {
 // TestServerSubscribe drives the changefeed over two loopback
 // connections: one subscribes to a prefix, the other commits writes.
 // The subscriber must see exactly the matching commits, as EVENT lines
-// in commit order (one shard, so the per-shard sequence is total),
+// in commit order (seq is the store's LSN),
 // carrying the right op names and payloads — and any input must end the
 // stream by closing the connection.
 func TestServerSubscribe(t *testing.T) {

@@ -45,12 +45,12 @@ func (l chaosListener) Accept() (net.Conn, error) {
 //	   total is conserved, the replica never exposes a partial
 //	   cross-shard transaction (its total is always 0 or the full sum),
 //	   and once the network heals the replica converges per account.
-//	B: a disk fault latches one shard's WAL. The store is configured to
-//	   shed durability: it must transition to degraded, keep serving
-//	   writes, and count every commit the dead log refused.
-//	C: the disk heals and the primary reopens. Recovery's cross-shard
-//	   rollback must yield a transaction-consistent state: the total is
-//	   conserved exactly.
+//	B: a disk fault latches the WAL. The store is configured to shed
+//	   durability: it must transition to degraded, keep serving writes,
+//	   and count every commit the dead log refused.
+//	C: the disk heals and the primary reopens. Recovery must yield a
+//	   transaction-consistent state — a transfer is one record, kept
+//	   whole or dropped whole: the total is conserved exactly.
 //
 // The schedule is seeded: every run injects the same faults in the same
 // call order.
@@ -231,7 +231,7 @@ func runChaos(t *testing.T, eng stm.Engine) {
 	}
 
 	// Convergence: once dials succeed again the client re-handshakes
-	// from its watermarks and drains the backlog. Reconnect backoff caps
+	// from its position and drains the backlog. Reconnect backoff caps
 	// at 4s, so give it room.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
@@ -291,7 +291,7 @@ func runChaos(t *testing.T, eng stm.Engine) {
 		t.Fatalf("WALStats after fault: %+v", ws)
 	}
 	// Keep committing into the degraded store: sum conservation holds in
-	// memory even though one shard's log is dead.
+	// memory even though the log is dead.
 	for i := 0; i < 20; i++ {
 		from, to := rng.IntN(accounts), rng.IntN(accounts)
 		if from == to {
@@ -317,10 +317,10 @@ func runChaos(t *testing.T, eng stm.Engine) {
 	<-serveDone
 	p.Close() // a close error is expected: one log is latched
 
-	// Phase C: disk repaired, primary reopens. Some shard logs carry
-	// transactions the dead log never saw; recovery's marker-gated
-	// rollback must trim to a transaction-consistent prefix, so the
-	// total is conserved exactly.
+	// Phase C: disk repaired, primary reopens. The log ends where it
+	// latched, on a record boundary or inside a torn record; either way
+	// recovery keeps whole transactions only, so the total is conserved
+	// exactly.
 	dfs.Heal()
 	p2 := open()
 	defer p2.Close()

@@ -20,23 +20,9 @@ import (
 // a silent connection this long is dead.
 const readTimeout = 15 * time.Second
 
-// Discover dials a primary and returns its handshake hello (shard
-// count and positions) without starting a stream — how a fresh
-// replica sizes itself before building its store.
-func Discover(ctx context.Context, addr string) (Hello, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return Hello{}, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	return ReadHello(conn)
-}
-
 // Client feeds a primary's stream into a kv.Replica, reconnecting with
 // backoff: every reconnect re-handshakes from the replica's current
-// watermarks, and the replica's duplicate suppression absorbs overlap,
+// position, and the replica's duplicate suppression absorbs overlap,
 // so the loop needs no resume state of its own.
 type Client struct {
 	Addr    string
@@ -90,8 +76,8 @@ func (c *Client) noteErr(err error) {
 }
 
 // Run streams until ctx is done, reconnecting on transient errors.
-// A protocol-level mismatch (wrong magic, wrong shard count) is a
-// configuration error and returns immediately instead of retrying.
+// A protocol-level mismatch (wrong magic) is a configuration error and
+// returns immediately instead of retrying.
 func (c *Client) Run(ctx context.Context) error {
 	bo := newBackoff(250*time.Millisecond, 4*time.Second, rand.Uint64())
 	for {
@@ -118,12 +104,6 @@ func (c *Client) Run(ctx context.Context) error {
 	}
 }
 
-// snapState accumulates one in-flight snapshot transfer for a shard.
-type snapState struct {
-	seq  uint64
-	recs []wal.Record
-}
-
 func (c *Client) dial(ctx context.Context) (net.Conn, error) {
 	if c.Dial != nil {
 		return c.Dial(ctx, "tcp", c.Addr)
@@ -143,28 +123,25 @@ func (c *Client) session(ctx context.Context) error {
 
 	r := c.Replica
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	hello, err := ReadHello(conn)
+	pos, err := ReadHello(conn)
 	if err != nil {
 		return err
 	}
-	if len(hello.Seqs) != r.Shards() {
-		return fmt.Errorf("%w: primary has %d shards, replica %d", ErrProto, len(hello.Seqs), r.Shards())
-	}
-	r.SetTarget(hello.Seqs)
-	cur := Hello{Seqs: make([]uint64, r.Shards()), Marker: r.Stats().MarkerSeq + 1}
-	for i := range cur.Seqs {
-		cur.Seqs[i] = r.Watermark(i) + 1
-	}
-	if _, err := conn.Write(AppendHello(nil, cur)); err != nil {
+	r.SetTarget(pos)
+	if _, err := conn.Write(AppendHello(nil, r.Position()+1)); err != nil {
 		return err
 	}
 	conn.SetDeadline(time.Time{})
 	c.connects.Add(1)
 	c.connected.Store(true)
 	defer c.connected.Store(false)
-	c.logf("replica: streaming from %s (%d shards)", c.Addr, r.Shards())
+	c.logf("replica: streaming from %s at %d (primary at %d)", c.Addr, r.Position(), pos)
 
-	snaps := make(map[uint32]*snapState)
+	var (
+		snapping bool // between FrameSnapBegin and FrameSnapEnd
+		snapSeq  uint64
+		snapRecs []wal.Record
+	)
 	// Buffered reads: frames are small and the catch-up path sends them
 	// in dense batches, so reading through a buffer collapses thousands
 	// of read syscalls; the per-frame deadline still applies to the
@@ -199,7 +176,7 @@ func (c *Client) session(ctx context.Context) error {
 			}
 		case FrameRecord:
 			rec, n, derr := wal.DecodeRecord(f.Payload)
-			if derr != nil || n != len(f.Payload) || rec.Shard != f.Shard {
+			if derr != nil || n != len(f.Payload) {
 				return fmt.Errorf("%w: bad record frame", ErrProto)
 			}
 			pending = append(pending, rec)
@@ -217,29 +194,28 @@ func (c *Client) session(ctx context.Context) error {
 			if len(f.Payload) != 8 {
 				return fmt.Errorf("%w: bad snapshot begin", ErrProto)
 			}
-			snaps[f.Shard] = &snapState{seq: binary.LittleEndian.Uint64(f.Payload)}
+			snapping, snapSeq, snapRecs = true, binary.LittleEndian.Uint64(f.Payload), nil
 		case FrameSnapRec:
-			st := snaps[f.Shard]
-			if st == nil {
+			if !snapping {
 				return fmt.Errorf("%w: snapshot record outside transfer", ErrProto)
 			}
 			rec, n, derr := wal.DecodeRecord(f.Payload)
 			if derr != nil || n != len(f.Payload) {
 				return fmt.Errorf("%w: bad snapshot record", ErrProto)
 			}
-			st.recs = append(st.recs, rec)
+			snapRecs = append(snapRecs, rec)
 		case FrameSnapEnd:
 			if err := flush(); err != nil {
 				return err
 			}
-			st := snaps[f.Shard]
-			if st == nil {
+			if !snapping {
 				return fmt.Errorf("%w: snapshot end outside transfer", ErrProto)
 			}
-			delete(snaps, f.Shard)
-			if err := r.ResetShard(int(f.Shard), st.seq, st.recs); err != nil {
+			snapping = false
+			if err := r.Reset(snapSeq, snapRecs); err != nil {
 				return err
 			}
+			snapRecs = nil
 		}
 	}
 }

@@ -17,24 +17,26 @@ import (
 // valid record (whose CRC passed) — there is no fourth outcome where
 // garbage silently applies.
 func FuzzReplFrame(f *testing.F) {
-	rec, err := wal.AppendRecordFlags(nil, 1, 7, wal.FlagCross, 0x1122334455667788,
-		[]wal.Op{{Kind: wal.KindSet, Key: "k", Val: []byte("v")}})
+	rec, err := wal.AppendRecord(nil, 0, 7, []wal.Op{
+		{Kind: wal.KindSet, Key: "k", Val: []byte("v")},
+		{Kind: wal.KindCounterSet, Key: "acct", N: -3},
+	})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(AppendFrame(nil, FrameRecord, 1, rec))
+	f.Add(AppendFrame(nil, FrameRecord, 0, rec))
 	f.Add(AppendFrame(nil, FramePing, 0, nil))
 	var p [8]byte
 	binary.LittleEndian.PutUint64(p[:], 42)
-	f.Add(AppendFrame(nil, FrameSnapBegin, 3, p[:]))
-	f.Add(AppendFrame(nil, FrameSnapEnd, 3, nil))
+	f.Add(AppendFrame(nil, FrameSnapBegin, 0, p[:]))
+	f.Add(AppendFrame(nil, FrameSnapEnd, 0, nil))
 	// Torn header, bad type, hostile length.
-	f.Add(AppendFrame(nil, FrameRecord, 1, rec)[:5])
+	f.Add(AppendFrame(nil, FrameRecord, 0, rec)[:5])
 	f.Add([]byte{99, 0, 0, 0, 0, 0, 0, 0, 0})
 	hostile := []byte{FrameRecord, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}
 	f.Add(hostile)
 	// A record frame whose payload is bit-flipped.
-	broken := AppendFrame(nil, FrameRecord, 1, rec)
+	broken := AppendFrame(nil, FrameRecord, 0, rec)
 	broken[len(broken)-2] ^= 0x40
 	f.Add(broken)
 
@@ -59,20 +61,15 @@ func FuzzReplFrame(f *testing.F) {
 					continue // corrupt record: client drops the connection
 				}
 				// The client additionally requires the frame to contain
-				// exactly one record addressed to its declared shard;
-				// emulate that gate.
-				if n != len(f.Payload) || rec.Shard != f.Shard {
+				// exactly one record; emulate that gate.
+				if n != len(f.Payload) {
 					continue
 				}
 				// A record that passes every gate decoded through the
 				// CRC-checked WAL codec: re-encoding it must succeed
 				// (it is structurally valid, so it could legitimately
 				// apply).
-				var flags uint8
-				if rec.Cross {
-					flags = wal.FlagCross
-				}
-				if _, rerr := wal.AppendRecordFlags(nil, rec.Shard, rec.Seq, flags, rec.Txn, rec.Ops); rerr != nil {
+				if _, rerr := wal.AppendRecord(nil, rec.Shard, rec.Seq, rec.Ops); rerr != nil {
 					t.Fatalf("accepted record does not re-encode: %v", rerr)
 				}
 			}
@@ -82,23 +79,19 @@ func FuzzReplFrame(f *testing.F) {
 
 // FuzzReplHello drives the handshake decoder the same way.
 func FuzzReplHello(f *testing.F) {
-	f.Add(AppendHello(nil, Hello{Seqs: []uint64{3, 0, 9}, Marker: 2}))
+	f.Add(AppendHello(nil, 42))
 	f.Add([]byte(Magic))
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"))
-	huge := append([]byte(Magic), 0xff, 0xff, 0xff, 0xff)
-	f.Add(huge)
+	// The per-shard hello of the previous protocol: refused.
+	f.Add(append([]byte("MTXREPL1\n"), 2, 0, 0, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, err := ReadHello(bytes.NewReader(data))
+		seq, err := ReadHello(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if len(h.Seqs) == 0 || len(h.Seqs) > MaxShards {
-			t.Fatalf("hello with %d shards accepted", len(h.Seqs))
-		}
-		re := AppendHello(nil, h)
-		if _, rerr := ReadHello(bytes.NewReader(re)); rerr != nil {
-			t.Fatalf("hello does not round-trip: %v", rerr)
+		if got, rerr := ReadHello(bytes.NewReader(AppendHello(nil, seq))); rerr != nil || got != seq {
+			t.Fatalf("hello does not round-trip: %d, %v", got, rerr)
 		}
 	})
 }

@@ -1,22 +1,21 @@
 // Package cluster is the replication wire layer: a primary-side
-// Streamer that ships each shard's WAL (and the cross-shard commit
-// marker log) over TCP, and a replica-side Client that feeds the
-// stream into a kv.Replica. The protocol is deliberately dumb — raw
-// WAL records in self-checking frames — because all replication
-// semantics (per-shard prefix order, atomic cross-shard surfacing,
-// idempotent replay) live in the record format and the replica's
-// apply rules, not in the transport.
+// Streamer that ships the store's WAL over TCP, and a replica-side
+// Client that feeds the stream into a kv.Replica. The protocol is
+// deliberately dumb — raw WAL records in self-checking frames — because
+// all replication semantics (a prefix in LSN order, a cross-shard
+// transaction surfacing whole because it is one record, idempotent
+// replay) live in the record format and the replica's apply rules, not
+// in the transport.
 //
 // Wire layout, all little-endian:
 //
-//	server hello:  "MTXREPL1\n" | u32 nshards | u64 pos[nshards] | u64 markerPos
-//	client cursor: "MTXREPL1\n" | u32 nshards | u64 from[nshards] | u64 markerFrom
+//	server hello:  "MTXREPL2\n" | u64 position
+//	client cursor: "MTXREPL2\n" | u64 from
 //	frames:        u8 type | u32 shard | u32 len | payload[len]
 //
-// The server speaks first, so a fresh replica discovers the shard
-// count before committing to one. Cursors are "next sequence wanted";
-// positions are "newest sequence committed". The marker log rides the
-// same machinery under the pseudo-shard wal.TxnShard.
+// The server speaks first. The position is the newest LSN committed;
+// the cursor is the next LSN wanted. A frame's shard field is written 0
+// and ignored.
 package cluster
 
 import (
@@ -28,19 +27,19 @@ import (
 
 // Magic opens both hellos. The trailing newline makes an accidental
 // HTTP or text client mis-speak visibly.
-const Magic = "MTXREPL1\n"
+const Magic = "MTXREPL2\n"
 
 // Frame types.
 const (
-	// FrameRecord carries one encoded wal.Record for Shard (which is
-	// wal.TxnShard for commit markers).
+	// FrameRecord carries one encoded wal.Record.
 	FrameRecord = uint8(1)
-	// FrameSnapBegin announces a snapshot transfer replacing Shard's
-	// state: payload is the u64 snapshot sequence. Sent when the
-	// replica's cursor predates the primary's oldest retained segment.
+	// FrameSnapBegin announces a snapshot transfer replacing the
+	// replica's state: payload is the u64 sequence the snapshot is exact
+	// at. Sent when the replica's cursor predates the primary's oldest
+	// retained segment.
 	FrameSnapBegin = uint8(2)
-	// FrameSnapRec carries one snapshot chunk (an encoded wal.Record
-	// holding a batch of KindSet/KindCounterSet ops).
+	// FrameSnapRec carries one snapshot record (an encoded wal.Record:
+	// a chunk of the state read, or one of the log records after it).
 	FrameSnapRec = uint8(3)
 	// FrameSnapEnd closes the snapshot transfer; the stream then
 	// resumes with FrameRecord at snapshot sequence + 1.
@@ -55,8 +54,6 @@ const (
 	// segment-roll threshold, so any legitimately encoded record fits,
 	// while a garbage length field fails fast instead of allocating.
 	MaxFrame = 64 << 20
-	// MaxShards bounds the hello's shard count the same way.
-	MaxShards = 1 << 16
 )
 
 // ErrProto reports a malformed hello or frame; the connection is dead.
@@ -66,11 +63,13 @@ var ErrProto = errors.New("cluster: protocol error")
 // ReadFrame and is valid only until the next call with that buffer.
 type Frame struct {
 	Type    uint8
-	Shard   uint32
+	Shard   uint32 // written 0, ignored
 	Payload []byte
 }
 
 // AppendFrame appends a frame to dst and returns the extended slice.
+// The streamer passes shard 0; the argument stays for the benchmark's
+// frame probe (a shim; goes with ROADMAP item 8).
 func AppendFrame(dst []byte, typ uint8, shard uint32, payload []byte) []byte {
 	dst = append(dst, typ)
 	dst = binary.LittleEndian.AppendUint32(dst, shard)
@@ -107,47 +106,21 @@ func ReadFrame(r io.Reader, buf []byte) (f Frame, _ []byte, err error) {
 	return f, buf, nil
 }
 
-// Hello is either side's handshake: the server's positions (newest
-// committed sequence per shard, plus the marker log's), or the
-// client's cursors (next sequence wanted). Shards len(Seqs) is the
-// shard count; Marker is the marker-log entry.
-type Hello struct {
-	Seqs   []uint64
-	Marker uint64
-}
-
-// AppendHello appends a hello to dst.
-func AppendHello(dst []byte, h Hello) []byte {
+// AppendHello appends a hello carrying seq — the server's position or
+// the client's cursor — to dst.
+func AppendHello(dst []byte, seq uint64) []byte {
 	dst = append(dst, Magic...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(h.Seqs)))
-	for _, s := range h.Seqs {
-		dst = binary.LittleEndian.AppendUint64(dst, s)
-	}
-	return binary.LittleEndian.AppendUint64(dst, h.Marker)
+	return binary.LittleEndian.AppendUint64(dst, seq)
 }
 
-// ReadHello reads and validates a hello.
-func ReadHello(r io.Reader) (Hello, error) {
-	var h Hello
-	hdr := make([]byte, len(Magic)+4)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return h, err
+// ReadHello reads and validates a hello, returning its sequence.
+func ReadHello(r io.Reader) (uint64, error) {
+	var b [len(Magic) + 8]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return 0, err
 	}
-	if string(hdr[:len(Magic)]) != Magic {
-		return h, fmt.Errorf("%w: bad magic", ErrProto)
+	if string(b[:len(Magic)]) != Magic {
+		return 0, fmt.Errorf("%w: bad magic", ErrProto)
 	}
-	n := binary.LittleEndian.Uint32(hdr[len(Magic):])
-	if n == 0 || n > MaxShards {
-		return h, fmt.Errorf("%w: shard count %d", ErrProto, n)
-	}
-	body := make([]byte, (int(n)+1)*8)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return h, err
-	}
-	h.Seqs = make([]uint64, n)
-	for i := range h.Seqs {
-		h.Seqs[i] = binary.LittleEndian.Uint64(body[i*8:])
-	}
-	h.Marker = binary.LittleEndian.Uint64(body[int(n)*8:])
-	return h, nil
+	return binary.LittleEndian.Uint64(b[len(Magic):]), nil
 }

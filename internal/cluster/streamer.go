@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -14,10 +13,10 @@ import (
 	"modtx/internal/wal"
 )
 
-// Streamer is the primary side: it serves each connected replica every
-// shard's WAL plus the marker log, catch-up then live tail.
+// Streamer is the primary side: it serves each connected replica the
+// store's WAL, catch-up then live tail.
 //
-// Per stream (one goroutine per shard per connection) the loop is:
+// Per session (one stream goroutine per connection) the loop is:
 //
 //  1. Catch-up: wal.ScanSegments from the replica's cursor — read-only
 //     against the live appender — sending raw records. If the cursor
@@ -32,7 +31,7 @@ import (
 //     one repair path.
 type Streamer struct {
 	store *kv.Store
-	limit int // follower buffer bytes per stream
+	limit int // follower buffer bytes per session
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -47,7 +46,7 @@ type Streamer struct {
 	snapshots atomic.Uint64 // snapshot transfers sent
 }
 
-// followLimit is each stream's live-tail buffer: a replica falling
+// followLimit is each session's live-tail buffer: a replica falling
 // this far behind the appender is re-fed from segments instead.
 const followLimit = 4 << 20
 
@@ -105,8 +104,8 @@ func (st *Streamer) Serve(ln net.Listener) error {
 	}
 }
 
-// Close stops accepting, tears down every session, and waits for the
-// per-stream goroutines to drain.
+// Close stops accepting, tears down every session, and waits for their
+// goroutines to drain.
 func (st *Streamer) Close() {
 	st.mu.Lock()
 	st.closed = true
@@ -145,9 +144,9 @@ func (st *Streamer) Stats() StreamerStats {
 	}
 }
 
-// session is one replica connection: a shared write lock over the
-// conn, the set of live followers (closed on teardown so blocked
-// Take calls unwind), and a cancel fanning out to every stream.
+// session is one replica connection: a write lock over the conn shared
+// by the stream and the pinger, the live follower (closed on teardown so
+// a blocked Take unwinds), and a cancel.
 type session struct {
 	st     *Streamer
 	conn   net.Conn
@@ -157,17 +156,14 @@ type session struct {
 	wmu     sync.Mutex
 	scratch []byte
 
-	fmu       sync.Mutex
-	followers map[*wal.Follower]struct{}
-	dead      bool
+	fmu      sync.Mutex
+	follower *wal.Follower
+	dead     bool
 }
 
 func newSession(st *Streamer, conn net.Conn) *session {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &session{
-		st: st, conn: conn, ctx: ctx, cancel: cancel,
-		followers: make(map[*wal.Follower]struct{}),
-	}
+	return &session{st: st, conn: conn, ctx: ctx, cancel: cancel}
 }
 
 func (s *session) close() {
@@ -175,42 +171,32 @@ func (s *session) close() {
 	s.conn.Close()
 	s.fmu.Lock()
 	s.dead = true
-	fs := make([]*wal.Follower, 0, len(s.followers))
-	for f := range s.followers {
-		fs = append(fs, f)
-	}
-	s.followers = nil
+	f := s.follower
+	s.follower = nil
 	s.fmu.Unlock()
-	for _, f := range fs {
+	if f != nil {
 		f.Close()
 	}
 }
 
-// track registers a follower for teardown; false means the session is
-// already closing and the caller must not block on the follower.
+// track registers the follower for teardown (nil unregisters it); false
+// means the session is already closing and the caller must not block on
+// the follower.
 func (s *session) track(f *wal.Follower) bool {
 	s.fmu.Lock()
 	defer s.fmu.Unlock()
 	if s.dead {
 		return false
 	}
-	s.followers[f] = struct{}{}
+	s.follower = f
 	return true
 }
 
-func (s *session) untrack(f *wal.Follower) {
-	s.fmu.Lock()
-	if s.followers != nil {
-		delete(s.followers, f)
-	}
-	s.fmu.Unlock()
-}
-
-// writeFrame serializes frame writes from the per-shard goroutines.
-func (s *session) writeFrame(typ uint8, shard uint32, payload []byte) error {
+// writeFrame serializes frame writes from the stream and the pinger.
+func (s *session) writeFrame(typ uint8, payload []byte) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	s.scratch = AppendFrame(s.scratch[:0], typ, shard, payload)
+	s.scratch = AppendFrame(s.scratch[:0], typ, 0, payload)
 	_, err := s.conn.Write(s.scratch)
 	return err
 }
@@ -236,18 +222,17 @@ func (st *Streamer) serveSession(s *session) {
 	st.connected.Add(1)
 	st.served.Add(1)
 
-	// Handshake: our positions first (so a fresh replica can size
-	// itself), then the replica's cursors.
-	shards, marker, err := st.store.ReplPositions()
+	// Handshake: our position first, then the replica's cursor.
+	pos, err := st.store.ReplPosition()
 	if err != nil {
 		return
 	}
 	s.conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := s.conn.Write(AppendHello(nil, Hello{Seqs: shards, Marker: marker})); err != nil {
+	if _, err := s.conn.Write(AppendHello(nil, pos)); err != nil {
 		return
 	}
-	cur, err := ReadHello(s.conn)
-	if err != nil || len(cur.Seqs) != len(shards) {
+	from, err := ReadHello(s.conn)
+	if err != nil {
 		return
 	}
 	s.conn.SetDeadline(time.Time{})
@@ -261,22 +246,12 @@ func (st *Streamer) serveSession(s *session) {
 	}()
 
 	var wg sync.WaitGroup
-	streamErr := func(err error) {
-		if err != nil && s.ctx.Err() == nil {
-			s.close() // one stream failing kills the session
-		}
-	}
-	for i := range cur.Seqs {
-		wg.Add(1)
-		go func(shard uint32, from uint64) {
-			defer wg.Done()
-			streamErr(st.streamShard(s, shard, from))
-		}(uint32(i), cur.Seqs[i])
-	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		streamErr(st.streamShard(s, wal.TxnShard, cur.Marker))
+		if err := st.stream(s, from); err != nil && s.ctx.Err() == nil {
+			s.close()
+		}
 	}()
 	wg.Add(1)
 	go func() {
@@ -288,7 +263,7 @@ func (st *Streamer) serveSession(s *session) {
 			case <-s.ctx.Done():
 				return
 			case <-t.C:
-				if err := s.writeFrame(FramePing, 0, nil); err != nil {
+				if err := s.writeFrame(FramePing, nil); err != nil {
 					s.close()
 					return
 				}
@@ -298,18 +273,15 @@ func (st *Streamer) serveSession(s *session) {
 	wg.Wait()
 }
 
-// streamShard runs one shard's stream (the marker log's for
-// wal.TxnShard) until the session dies: catch-up from segments (or
-// snapshot when compacted), then live tail, looping on follower death.
-func (st *Streamer) streamShard(s *session, shard uint32, from uint64) error {
-	dir, err := st.store.ReplDir(shard)
+// stream runs the session's stream until the session dies: catch-up
+// from segments (or snapshot when compacted), then live tail, looping
+// on follower death.
+func (st *Streamer) stream(s *session, from uint64) error {
+	dir, err := st.store.ReplDir()
 	if err != nil {
 		return err
 	}
-	cursor := from
-	if cursor == 0 {
-		cursor = 1
-	}
+	cursor := max(from, 1)
 	var tail []byte  // follower batch buffer, recycled through Take
 	var batch []byte // catch-up frame batch, flushed every catchupBatch bytes
 	for s.ctx.Err() == nil {
@@ -322,9 +294,9 @@ func (st *Streamer) streamShard(s *session, shard uint32, from uint64) error {
 			}
 			scanFrom := cursor
 			batch = batch[:0]
-			next, err := wal.ScanSegments(dir, shard, cursor, func(rec wal.Record, raw []byte) error {
+			next, err := wal.ScanSegments(dir, cursor, func(rec wal.Record, raw []byte) error {
 				st.records.Add(1)
-				batch = AppendFrame(batch, FrameRecord, shard, raw)
+				batch = AppendFrame(batch, FrameRecord, 0, raw)
 				if len(batch) >= catchupBatch {
 					werr := s.writeRaw(batch)
 					batch = batch[:0]
@@ -343,15 +315,11 @@ func (st *Streamer) streamShard(s *session, shard uint32, from uint64) error {
 				progressed = true
 			}
 			if errors.Is(err, wal.ErrCompacted) {
-				if shard == wal.TxnShard {
-					// The marker log is never compacted; this is corruption.
-					return fmt.Errorf("cluster: marker log: %w", err)
-				}
-				seq, recs, serr := wal.LatestSnapshot(dir, shard)
+				seq, recs, serr := wal.LatestSnapshot(dir)
 				if serr != nil {
 					return serr
 				}
-				if err := st.sendSnapshot(s, shard, seq, recs); err != nil {
+				if err := st.sendSnapshot(s, seq, recs); err != nil {
 					return err
 				}
 				cursor = seq + 1
@@ -361,7 +329,7 @@ func (st *Streamer) streamShard(s *session, shard uint32, from uint64) error {
 			if err != nil {
 				return err
 			}
-			ff, low, ferr := st.store.ReplFollow(shard, st.limit)
+			ff, low, ferr := st.store.ReplFollow(st.limit)
 			if ferr != nil {
 				return ferr
 			}
@@ -396,13 +364,13 @@ func (st *Streamer) streamShard(s *session, shard uint32, from uint64) error {
 			for off < len(b) {
 				rec, n, derr := wal.DecodeRecord(b[off:])
 				if derr != nil {
-					s.untrack(f)
+					s.track(nil)
 					f.Close()
 					return derr // a log batch is always whole records
 				}
 				if rec.Seq >= cursor {
-					if werr := s.writeFrame(FrameRecord, shard, b[off:off+n]); werr != nil {
-						s.untrack(f)
+					if werr := s.writeFrame(FrameRecord, b[off:off+n]); werr != nil {
+						s.track(nil)
 						f.Close()
 						return werr
 					}
@@ -414,7 +382,7 @@ func (st *Streamer) streamShard(s *session, shard uint32, from uint64) error {
 			}
 			tail = b
 		}
-		s.untrack(f)
+		s.track(nil)
 		f.Close()
 		if !progressed {
 			// A dead-on-arrival follower with nothing new on disk (e.g.
@@ -428,25 +396,25 @@ func (st *Streamer) streamShard(s *session, shard uint32, from uint64) error {
 	return nil
 }
 
-// sendSnapshot ships a shard snapshot: begin (with its sequence), the
-// chunk records re-encoded, end.
-func (st *Streamer) sendSnapshot(s *session, shard uint32, seq uint64, recs []wal.Record) error {
+// sendSnapshot ships a snapshot: begin (with the sequence it is exact
+// at), its records re-encoded, end.
+func (st *Streamer) sendSnapshot(s *session, seq uint64, recs []wal.Record) error {
 	st.snapshots.Add(1)
 	var p [8]byte
 	binary.LittleEndian.PutUint64(p[:], seq)
-	if err := s.writeFrame(FrameSnapBegin, shard, p[:]); err != nil {
+	if err := s.writeFrame(FrameSnapBegin, p[:]); err != nil {
 		return err
 	}
 	var enc []byte
 	for _, rec := range recs {
 		var err error
-		enc, err = wal.AppendRecord(enc[:0], rec.Shard, rec.Seq, rec.Ops)
+		enc, err = wal.AppendRecord(enc[:0], 0, rec.Seq, rec.Ops)
 		if err != nil {
 			return err
 		}
-		if err := s.writeFrame(FrameSnapRec, shard, enc); err != nil {
+		if err := s.writeFrame(FrameSnapRec, enc); err != nil {
 			return err
 		}
 	}
-	return s.writeFrame(FrameSnapEnd, shard, nil)
+	return s.writeFrame(FrameSnapEnd, nil)
 }

@@ -154,8 +154,7 @@ func TestDegradedFailDefault(t *testing.T) {
 		t.Fatalf("got %v, want the raw sticky WAL error", err)
 	}
 	waitDegraded(t, s)
-	// Same key: the fault latched that key's shard log, and fail mode
-	// keeps surfacing it there (the other shard's log is healthy).
+	// The fault latched the log, and fail mode keeps surfacing it.
 	if err := s.Set("a", []byte("v")); err == nil || errors.Is(err, ErrDegraded) {
 		t.Fatalf("later write: got %v, want the raw sticky WAL error", err)
 	}

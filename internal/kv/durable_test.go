@@ -233,20 +233,59 @@ func TestCheckpointBesideWriter(t *testing.T) {
 	}
 }
 
+// TestDurableShardCountMismatch: records route by key, so a directory
+// closed at one shard count reopens at any other with every key — here
+// written at 16 shards, reopened at 8 and then at 64.
 func TestDurableShardCountMismatch(t *testing.T) {
 	dir := t.TempDir()
-	s := openDurable(t, dir, wal.None)
-	if err := s.Set("k", []byte("v")); err != nil {
+	open := func(shards int) *Store {
+		t.Helper()
+		s, err := Open(WithShards(shards), WithDurability(dir, wal.None), WithMetrics(false))
+		if err != nil {
+			t.Fatalf("open at %d shards: %v", shards, err)
+		}
+		return s
+	}
+	check := func(s *Store, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if v, ok, _ := s.Get(fmt.Sprintf("k%03d", i)); !ok || string(v) != fmt.Sprint(i) {
+				t.Fatalf("at %d shards: k%03d = %q, %v", s.NumShards(), i, v, ok)
+			}
+			if c, ok, _ := s.CounterGet(fmt.Sprintf("c%03d", i)); !ok || c != int64(i) {
+				t.Fatalf("at %d shards: c%03d = %d, %v", s.NumShards(), i, c, ok)
+			}
+		}
+	}
+	write := func(s *Store, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := s.Set(fmt.Sprintf("k%03d", i), []byte(fmt.Sprint(i))); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.CounterAdd(fmt.Sprintf("c%03d", i), int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s := open(16)
+	write(s, 0, 100)
+	if err := s.Checkpoint(); err != nil { // a snapshot written at 16 shards, too
 		t.Fatal(err)
 	}
+	write(s, 100, 150)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(WithShards(8), WithDurability(dir, wal.None), WithMetrics(false)); err == nil {
-		t.Fatal("reopening with a different shard count must fail")
-	} else if !strings.Contains(err.Error(), "shards") {
-		t.Fatalf("unhelpful mismatch error: %v", err)
+	s = open(8)
+	check(s, 150)
+	write(s, 150, 200)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
+	s = open(64)
+	defer s.Close()
+	check(s, 200)
 }
 
 func TestDurableBatchLevelFlushes(t *testing.T) {
@@ -315,29 +354,49 @@ func TestWALStatsShape(t *testing.T) {
 	}
 }
 
-// TestDurableDirLayout pins the on-disk layout: a meta file at the
-// root and one subdirectory per shard holding segments.
+// TestDurableDirLayout pins the on-disk layout: one log, its segments
+// and snapshots side by side in the directory, no subdirectories — and
+// a directory in the per-shard layout of earlier versions is refused
+// rather than read as empty.
 func TestDurableDirLayout(t *testing.T) {
 	dir := t.TempDir()
 	s := openDurable(t, dir, wal.Fsync)
 	if err := s.Set("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "store.meta")); err != nil {
-		t.Fatalf("store.meta: %v", err)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		sub := filepath.Join(dir, fmt.Sprintf("shard-%04d", i))
-		ents, err := os.ReadDir(sub)
-		if err != nil {
-			t.Fatalf("%s: %v", sub, err)
+	var segs, snaps int
+	for _, ent := range ents {
+		switch {
+		case ent.IsDir():
+			t.Errorf("subdirectory %s", ent.Name())
+		case strings.HasPrefix(ent.Name(), "seg-") && strings.HasSuffix(ent.Name(), ".wal"):
+			segs++
+		case strings.HasPrefix(ent.Name(), "snap-") && strings.HasSuffix(ent.Name(), ".snap"):
+			snaps++
+		default:
+			t.Errorf("unexpected file %s", ent.Name())
 		}
-		if len(ents) == 0 {
-			t.Fatalf("%s is empty", sub)
-		}
+	}
+	if segs != 1 || snaps != 1 {
+		t.Fatalf("%d segments and %d snapshots, want one of each", segs, snaps)
+	}
+
+	old := t.TempDir()
+	if err := os.WriteFile(filepath.Join(old, "store.meta"), []byte("mtxkv shards=2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(WithDurability(old, wal.Fsync)); err == nil {
+		t.Fatal("a per-shard directory opened as an empty store")
 	}
 }
 

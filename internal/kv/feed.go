@@ -9,11 +9,10 @@ import (
 	"modtx/internal/wal"
 )
 
-// The changefeed: Subscribe taps the same per-shard commit streams the
-// durability log rides (durable.go), so subscribers observe every
-// committed write in per-shard commit order — with or without
-// durability configured (the first Subscribe on a non-durable store
-// lazily installs the commit taps).
+// The changefeed: Subscribe taps the same commit stream the durability
+// log rides (durable.go), so subscribers observe every committed write
+// in LSN order — with or without durability configured (the first
+// Subscribe on a non-durable store lazily installs the commit taps).
 //
 // Delivery is strictly non-blocking for the committer: the tap sends
 // into each subscription's buffered channel and drops the event when
@@ -28,8 +27,8 @@ import (
 
 // Event is one committed operation, as observed by a Subscription.
 type Event struct {
-	Shard int      // owning shard
-	Seq   uint64   // per-shard commit sequence (dense per shard)
+	Shard int      // the key's shard
+	Seq   uint64   // the commit's LSN: the store-wide log sequence number, shared by every op of one transaction
 	Kind  wal.Kind // set, cset, del (cadd is never emitted by the store)
 	Key   string
 	Val   []byte // KindSet: the stored box — treat as read-only; else nil
@@ -54,8 +53,8 @@ type Subscription struct {
 
 // Subscribe registers a changefeed over keys with the given prefix
 // ("" = all keys) with the default buffer of 256 events. The feed
-// delivers every committed write on every shard, in per-shard commit
-// order; see SubscribeBuffer for the overflow contract.
+// delivers every committed write on every shard, in LSN order; see
+// SubscribeBuffer for the overflow contract.
 func (s *Store) Subscribe(ctx context.Context, prefix string) *Subscription {
 	return s.SubscribeBuffer(ctx, prefix, 256)
 }
@@ -141,8 +140,8 @@ func (sub *Subscription) Close() {
 }
 
 // deliver offers one event to the subscription: non-blocking, dropping
-// (and counting) on a full buffer. Runs under the shard feed lock, so
-// each subscriber sees one shard's events in commit order.
+// (and counting) on a full buffer. Runs under the feed lock, so each
+// subscriber sees events in LSN order.
 func (sub *Subscription) deliver(ev Event) {
 	if !strings.HasPrefix(ev.Key, sub.prefix) {
 		return
@@ -160,12 +159,12 @@ func (sub *Subscription) deliver(ev Event) {
 }
 
 // notifySubscribers fans one committed transaction's ops out to the
-// registered subscriptions. Called by the shard's commit tap under the
-// feed lock.
-func notifySubscribers(s *Store, subs []*Subscription, shard int, p *pendingOps) {
+// registered subscriptions. Called by the commit tap under the feed
+// lock.
+func notifySubscribers(s *Store, subs []*Subscription, p *pendingOps) {
 	for i := range p.ops {
 		op := &p.ops[i]
-		ev := Event{Shard: shard, Seq: p.seq, Kind: op.Kind, Key: op.Key, Val: op.Val, N: op.N}
+		ev := Event{Shard: s.ShardOf(op.Key), Seq: p.seq, Kind: op.Kind, Key: op.Key, Val: op.Val, N: op.N}
 		for _, sub := range subs {
 			sub.deliver(ev)
 		}

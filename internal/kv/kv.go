@@ -274,9 +274,11 @@ type Store struct {
 	opHists    *[numOps]obs.Histogram
 	sampleMask uint64
 
-	// Durability and changefeed state (durable.go, feed.go). tapOn is
-	// the write paths' single gate: when false (no durability, no
-	// subscriber ever registered) the only cost is its atomic load.
+	// Durability and changefeed state (durable.go, feed.go). feed is the
+	// one commit stream every shard's tap feeds; tapOn is the write
+	// paths' single gate: when false (no durability, no subscriber ever
+	// registered) the only cost is its atomic load.
+	feed        feed
 	dur         *durState
 	tapOn       atomic.Bool
 	tapOnce     sync.Once
@@ -294,11 +296,6 @@ type shard struct {
 	stm   *stm.STM
 	index int
 	pub   *stm.Var // publication sentinel (see Publish)
-
-	// feed is the shard's commit stream: sequence counter, log and the
-	// lock the commit tap runs under (durable.go). Always allocated;
-	// feed.log is nil without durability.
-	feed *shardFeed
 
 	// kvers is the keyspace version: a transactional variable Touched
 	// (version-stamped and waiter-notified, value untouched) after every
@@ -328,10 +325,10 @@ func New(opts ...Option) *Store {
 }
 
 // Open creates a Store and, when WithDurability is set, recovers the
-// durability directory into it and starts logging: per shard, the
-// newest usable snapshot plus the log tail replay, then the log
-// attaches and every subsequent committed write is appended in commit
-// order at the configured level.
+// durability directory into it and starts logging: the newest usable
+// snapshot plus the log tail replay, then the log attaches and every
+// subsequent committed write is appended in commit order at the
+// configured level.
 func Open(opts ...Option) (*Store, error) {
 	var c config
 	for _, o := range opts {
@@ -351,9 +348,8 @@ func Open(opts ...Option) (*Store, error) {
 			FS:            c.walFS,
 			OnFail:        s.noteWALFault,
 		},
-		mode:     c.degradedMode,
-		fs:       c.walFS,
-		ckptBusy: make([]atomic.Bool, len(s.shards)),
+		mode: c.degradedMode,
+		fs:   c.walFS,
 	}
 	if _, err := s.Recover(); err != nil {
 		return nil, err
@@ -408,7 +404,6 @@ func newStore(c *config) *Store {
 			index: i,
 			pub:   inst.NewVar("pub", 0),
 			kvers: inst.NewVar("keys", 0),
-			feed:  &shardFeed{},
 		}
 		sh.tbl.Store(newTable(0))
 		s.shards[i] = sh
@@ -902,7 +897,7 @@ func (s *Store) Set(key string, val []byte) error {
 		err = sh.stm.Atomically(op.setFn)
 	}
 	if err == nil {
-		err = s.waitDurable(sh, &op.pend)
+		err = s.waitDurable(&op.pend)
 	} else if len(op.made) > 0 {
 		s.collect(op.made)
 	}
@@ -935,7 +930,7 @@ func (s *Store) CounterAdd(key string, delta int64) (int64, error) {
 		err = sh.stm.Atomically(op.addFn)
 	}
 	if err == nil {
-		err = s.waitDurable(sh, &op.pend)
+		err = s.waitDurable(&op.pend)
 	} else if len(op.made) > 0 {
 		s.collect(op.made)
 	}
@@ -1005,14 +1000,14 @@ type Txn struct {
 	txs  []*stm.Tx // per-shard transaction handles, aligned with idxs
 	err  error
 
-	// tap and pends are the durability effect lists, aligned with idxs
-	// (durable.go): each shard transaction the body writes through gets
-	// its shard's pendingOps attached on first emission. Cross-shard
-	// transactions log one record per shard, so durability's prefix
-	// guarantee is per shard — a crash can recover one shard's half of a
-	// cross-shard transaction without the other's.
-	tap   bool
-	pends []pendingOps
+	// tap and pend are the durability effect list (durable.go): every
+	// op the body writes, on whichever shard, goes into one pendingOps,
+	// attached on first emission to the transaction of the footprint's
+	// first shard — the one whose commit tap fires first, while every
+	// shard's write locks are still held. A cross-shard transaction is
+	// therefore one record.
+	tap  bool
+	pend *pendingOps
 
 	// deleted lists the entries this attempt's Deletes left (or found)
 	// absent, for the collector once the attempt has committed; clash is
@@ -1024,17 +1019,16 @@ type Txn struct {
 	made    []*entry
 }
 
-// emit appends op to footprint position j's effect list, attaching the
-// list to the shard transaction on first use.
-func (t *Txn) emit(j int, tx *stm.Tx, op wal.Op) {
+// emit appends op to the transaction's effect list, attaching the list
+// on first use.
+func (t *Txn) emit(op wal.Op) {
 	if !t.tap {
 		return
 	}
-	p := &t.pends[j]
-	p.ops = append(p.ops, op)
-	if len(p.ops) == 1 {
-		tx.SetTapData(p)
+	if len(t.pend.ops) == 0 {
+		t.txs[0].SetTapData(t.pend)
 	}
+	t.pend.ops = append(t.pend.ops, op)
 }
 
 func (t *Txn) fail(err error) {
@@ -1048,26 +1042,25 @@ func (t *Txn) outside(key string) error {
 }
 
 // resolve routes key and returns its shard, its hash, and the shard's
-// footprint position and transaction, or fails the transaction (nil
-// shard) when the shard is outside the declared footprint. The footprint
-// is a short sorted slice, so the membership test is a linear scan, not a
-// map lookup.
-func (t *Txn) resolve(key string) (*shard, uint64, int, *stm.Tx) {
+// transaction, or fails the transaction (nil shard) when the shard is
+// outside the declared footprint. The footprint is a short sorted slice,
+// so the membership test is a linear scan, not a map lookup.
+func (t *Txn) resolve(key string) (*shard, uint64, *stm.Tx) {
 	sh, h := t.s.route(key)
 	for j, idx := range t.idxs {
 		if idx == sh.index {
-			return sh, h, j, t.txs[j]
+			return sh, h, t.txs[j]
 		}
 	}
 	t.fail(t.outside(key))
-	return nil, h, 0, nil
+	return nil, h, nil
 }
 
 // own is resolve and then shard.own, for a write inside the
 // transaction. A nil entry means the transaction has failed on key; a
 // kind clash is noted for the wrapper.
-func (t *Txn) own(key string, counter bool) (j int, tx *stm.Tx, e *entry, n int64, st state) {
-	sh, h, j, tx := t.resolve(key)
+func (t *Txn) own(key string, counter bool) (tx *stm.Tx, e *entry, n int64, st state) {
+	sh, h, tx := t.resolve(key)
 	if sh == nil {
 		return
 	}
@@ -1084,7 +1077,7 @@ func (t *Txn) own(key string, counter bool) (j int, tx *stm.Tx, e *entry, n int6
 // absent (including keys deleted earlier in this transaction). Counter
 // keys are formatted as decimal.
 func (t *Txn) Get(key string) ([]byte, bool) {
-	sh, h, _, tx := t.resolve(key)
+	sh, h, tx := t.resolve(key)
 	if sh == nil {
 		return nil, false
 	}
@@ -1094,13 +1087,13 @@ func (t *Txn) Get(key string) ([]byte, bool) {
 // Set writes a bytes key inside the transaction, creating it if absent.
 // The value is copied on the way in.
 func (t *Txn) Set(key string, val []byte) {
-	j, tx, e, _, _ := t.own(key, false)
+	tx, e, _, _ := t.own(key, false)
 	if e == nil {
 		return
 	}
 	b := copyVal(val)
 	stm.WriteT(tx, &e.b, b)
-	t.emit(j, tx, wal.Op{Kind: wal.KindSet, Key: key, Val: b})
+	t.emit(wal.Op{Kind: wal.KindSet, Key: key, Val: b})
 }
 
 // Add adds delta to a counter key inside the transaction and returns the
@@ -1108,14 +1101,14 @@ func (t *Txn) Set(key string, val []byte) {
 // transaction — counts from zero. The key is routed and resolved once
 // (this is the hot path of TXN ADD and the transfer benchmarks).
 func (t *Txn) Add(key string, delta int64) int64 {
-	j, tx, e, n, st := t.own(key, true)
+	tx, e, n, st := t.own(key, true)
 	if e == nil {
 		return 0
 	}
 	if st == live {
 		delta += n
 	}
-	return t.putCount(j, tx, e, key, delta)
+	return t.putCount(tx, e, key, delta)
 }
 
 // CounterSet sets a counter key to an absolute value inside the
@@ -1124,20 +1117,20 @@ func (t *Txn) Add(key string, delta int64) int64 {
 // logged absolute so replay is idempotent), and is useful anywhere an
 // absolute counter write is wanted transactionally.
 func (t *Txn) CounterSet(key string, n int64) {
-	if j, tx, e, _, _ := t.own(key, true); e != nil {
-		t.putCount(j, tx, e, key, n)
+	if tx, e, _, _ := t.own(key, true); e != nil {
+		t.putCount(tx, e, key, n)
 	}
 }
 
 // putCount writes n to a counter entry and logs it absolute; a value the
 // lane reserves fails the transaction instead.
-func (t *Txn) putCount(j int, tx *stm.Tx, e *entry, key string, n int64) int64 {
+func (t *Txn) putCount(tx *stm.Tx, e *entry, key string, n int64) int64 {
 	if err := countErr(key, n); err != nil {
 		t.fail(err)
 		return 0
 	}
 	tx.Write(e.c, n)
-	t.emit(j, tx, wal.Op{Kind: wal.KindCounterSet, Key: key, N: n})
+	t.emit(wal.Op{Kind: wal.KindCounterSet, Key: key, N: n})
 	return n
 }
 
@@ -1145,15 +1138,15 @@ func (t *Txn) putCount(j int, tx *stm.Tx, e *entry, key string, n int64) int64 {
 // the kind's zero value if it holds none — and returns its entry (nil
 // when the transaction failed on it).
 func (t *Txn) ensure(key string, counter bool) *entry {
-	j, tx, e, _, st := t.own(key, counter)
+	tx, e, _, st := t.own(key, counter)
 	if e == nil || st == live {
 		return e
 	}
 	if counter {
-		t.putCount(j, tx, e, key, 0)
+		t.putCount(tx, e, key, 0)
 	} else {
 		stm.WriteT(tx, &e.b, []byte(nil))
-		t.emit(j, tx, wal.Op{Kind: wal.KindSet, Key: key})
+		t.emit(wal.Op{Kind: wal.KindSet, Key: key})
 	}
 	return e
 }
@@ -1163,7 +1156,7 @@ func (t *Txn) ensure(key string, counter bool) *entry {
 // Set/Add of the same key in this transaction is just the next write of
 // the same word (so the kind stays fixed until the transaction ends).
 func (t *Txn) Delete(key string) bool {
-	sh, h, j, tx := t.resolve(key)
+	sh, h, tx := t.resolve(key)
 	if sh == nil {
 		return false
 	}
@@ -1175,7 +1168,7 @@ func (t *Txn) Delete(key string) bool {
 		return false
 	}
 	e.write(tx, absent)
-	t.emit(j, tx, wal.Op{Kind: wal.KindDelete, Key: key})
+	t.emit(wal.Op{Kind: wal.KindDelete, Key: key})
 	return true
 }
 
@@ -1210,12 +1203,12 @@ func (s *Store) appendSTMs(stms []*stm.STM, idxs []int) []*stm.STM {
 // the reusable transaction handle, with the attempt bodies bound once at
 // pool fill so the per-attempt plumbing allocates nothing.
 type multiOp struct {
-	s     *Store
-	idxs  []int
-	stms  []*stm.STM
-	pends []pendingOps // durability effect lists, aligned with idxs
-	txn   Txn
-	view  ViewTxn
+	s    *Store
+	idxs []int
+	stms []*stm.STM
+	pend pendingOps // the durability effect list
+	txn  Txn
+	view ViewTxn
 
 	updateFn  func(*Txn) error     // the user's Update body
 	viewFn    func(*ViewTxn) error // the user's View body
@@ -1234,53 +1227,14 @@ func (op *multiOp) update(txs []*stm.Tx) error {
 	t.txs = txs
 	t.err = nil
 	t.deleted, t.clash = nil, nil // only the committed attempt's deletes are collected
-	t.tap = op.s.tapOn.Load()
-	if t.tap {
-		for len(op.pends) < len(op.idxs) {
-			op.pends = append(op.pends, pendingOps{})
-		}
-		t.pends = op.pends[:len(op.idxs)]
-		for j := range t.pends {
-			t.pends[j].reset() // only the committed attempt's ops are logged
-		}
-	} else {
-		t.pends = nil
+	if t.tap = op.s.tapOn.Load(); t.tap {
+		t.pend = &op.pend
+		op.pend.reset() // only the committed attempt's ops are logged
 	}
 	if err := op.updateFn(t); err != nil {
 		return err
 	}
-	if t.err == nil {
-		t.linkCross()
-	}
 	return t.err
-}
-
-// linkCross links this attempt's effect lists into one pendingTxn when
-// the attempt wrote through more than one shard on a durable store:
-// the commit taps then flag each shard's record as a cross-shard
-// participant and the last tap appends the commit marker (durable.go).
-// Runs at body end, before the two-phase commit; a retried attempt
-// simply links a fresh pendingTxn (reset clears the old link, and taps
-// only ever fire for the committing attempt).
-func (t *Txn) linkCross() {
-	if !t.tap || t.s.dur == nil || !t.s.dur.attached {
-		return
-	}
-	n := 0
-	for j := range t.pends {
-		if len(t.pends[j].ops) > 0 {
-			n++
-		}
-	}
-	if n < 2 {
-		return
-	}
-	pt := newPendingTxn(n)
-	for j := range t.pends {
-		if len(t.pends[j].ops) > 0 {
-			t.pends[j].txn = pt
-		}
-	}
 }
 
 func (op *multiOp) viewBody(rtxs []*stm.ReadTx) error {
@@ -1302,9 +1256,7 @@ func (op *multiOp) release() {
 	op.idxs = op.idxs[:0]
 	clear(op.stms)
 	op.stms = op.stms[:0]
-	for j := range op.pends {
-		op.pends[j].reset() // drop key/value references, keep capacity
-	}
+	op.pend.reset() // drop key/value references, keep capacity
 	op.txn = Txn{}
 	op.view = ViewTxn{}
 	op.updateFn, op.viewFn = nil, nil
@@ -1348,26 +1300,8 @@ func (s *Store) UpdateCtx(ctx context.Context, keys []string, fn func(*Txn) erro
 	if err != nil {
 		leftover = op.txn.made
 	}
-	if err == nil && op.txn.tap && s.fsyncLevel() {
-		var xt *pendingTxn
-		for j, i := range op.idxs {
-			if p := &op.pends[j]; p.seq != 0 {
-				if p.txn != nil {
-					xt = p.txn
-				}
-				if werr := s.shards[i].feed.log.WaitDurable(p.seq); werr != nil {
-					err = werr
-					break
-				}
-			}
-		}
-		// A cross-shard commit is acknowledged only once its marker is
-		// durable too: records without the marker roll back on recovery.
-		if err == nil {
-			if werr := s.waitTxnDurable(xt); werr != nil {
-				err = werr
-			}
-		}
+	if err == nil {
+		err = s.waitDurable(&op.pend)
 	}
 	op.release()
 	if sampled {
@@ -1522,7 +1456,7 @@ func (s *Store) Publish(vals map[string][]byte) error {
 	// The sentinel transaction carries the published values as SET ops,
 	// so publication is logged (and fed to subscribers) even though the
 	// value writes themselves were plain; across shards it is one
-	// cross-shard commit and recovers all-or-nothing like any other.
+	// record, recovered whole or not at all like any other.
 	return s.Update(keys, func(t *Txn) error {
 		for j, k := range keys {
 			t.publish(k, copies[j])
@@ -1534,13 +1468,13 @@ func (s *Store) Publish(vals map[string][]byte) error {
 // publish bumps the publication sentinel of key's shard and logs val as
 // the key's SET.
 func (t *Txn) publish(key string, val []byte) {
-	sh, _, j, tx := t.resolve(key)
+	sh, _, tx := t.resolve(key)
 	if sh == nil {
 		return
 	}
 	pub := sh.pub
 	tx.Write(pub, tx.Read(pub)+1)
-	t.emit(j, tx, wal.Op{Kind: wal.KindSet, Key: key, Val: val})
+	t.emit(wal.Op{Kind: wal.KindSet, Key: key, Val: val})
 }
 
 // Stats is an aggregate snapshot across shards. The JSON field names are

@@ -11,64 +11,41 @@ import (
 	"modtx/internal/wal"
 )
 
-// replicaFeeder builds a primary-shaped record stream by hand: dense
-// per-shard sequences, cross-shard participants flagged and matched by
-// a marker stream — the exact shapes the wire client delivers.
+// replicaFeeder builds a primary-shaped record stream by hand: one
+// record per transaction, dense LSNs — the exact shape the wire client
+// delivers.
 type replicaFeeder struct {
 	r      *Replica
-	seqs   []uint64
-	xseq   uint64
-	xid    uint64
+	lsn    uint64
 	t      *testing.T
-	recs   []wal.Record // accumulated when buffered, for interleaving tests
+	recs   []wal.Record // accumulated when buffered, for batching tests
 	buffer bool
 }
 
 func newFeeder(t *testing.T, r *Replica) *replicaFeeder {
-	return &replicaFeeder{r: r, seqs: make([]uint64, r.Shards()), t: t}
+	return &replicaFeeder{r: r, t: t}
 }
 
-func (f *replicaFeeder) shardFor(key string) int { return f.r.Store().ShardOf(key) }
-
-// set emits a single-shard set record.
+// set emits a single-key set record.
 func (f *replicaFeeder) set(key, val string) {
-	i := f.shardFor(key)
-	f.seqs[i]++
-	f.emit(wal.Record{Shard: uint32(i), Seq: f.seqs[i],
-		Ops: []wal.Op{{Kind: wal.KindSet, Key: key, Val: []byte(val)}}})
+	f.emit(wal.Op{Kind: wal.KindSet, Key: key, Val: []byte(val)})
 }
 
-// xfer emits a cross-shard transfer: CounterSet on two keys that MUST
-// route to different shards, plus the commit marker.
+// xfer emits a transfer: CounterSets on two keys, one record.
 func (f *replicaFeeder) xfer(from, to string, nfrom, nto int64) {
-	i, j := f.shardFor(from), f.shardFor(to)
-	if i == j {
-		f.t.Fatalf("keys %q and %q share shard %d; pick others", from, to, i)
-	}
-	f.seqs[i]++
-	f.seqs[j]++
-	f.xid++
-	id := 0xFEED0000 + f.xid // the txn id binding records to their marker
-	f.emit(wal.Record{Shard: uint32(i), Seq: f.seqs[i], Cross: true, Txn: id,
-		Ops: []wal.Op{{Kind: wal.KindCounterSet, Key: from, N: nfrom}}})
-	f.emit(wal.Record{Shard: uint32(j), Seq: f.seqs[j], Cross: true, Txn: id,
-		Ops: []wal.Op{{Kind: wal.KindCounterSet, Key: to, N: nto}}})
-	f.xseq++
-	parts := wal.AppendTxnParts(nil, []wal.TxnPart{
-		{Shard: uint32(i), Seq: f.seqs[i]},
-		{Shard: uint32(j), Seq: f.seqs[j]},
-	})
-	f.emit(wal.Record{Shard: wal.TxnShard, Seq: f.xseq, Cross: true, Txn: id,
-		Ops: []wal.Op{{Kind: wal.KindTxnMarker, Val: parts}}})
+	f.emit(wal.Op{Kind: wal.KindCounterSet, Key: from, N: nfrom},
+		wal.Op{Kind: wal.KindCounterSet, Key: to, N: nto})
 }
 
-func (f *replicaFeeder) emit(rec wal.Record) {
+func (f *replicaFeeder) emit(ops ...wal.Op) {
+	f.lsn++
+	rec := wal.Record{Seq: f.lsn, Ops: ops}
 	if f.buffer {
 		f.recs = append(f.recs, rec)
 		return
 	}
-	if err := f.r.ApplyRecord(rec); err != nil {
-		f.t.Fatalf("ApplyRecord(shard %d seq %d): %v", rec.Shard, rec.Seq, err)
+	if err := f.r.ApplyRecords([]wal.Record{rec}); err != nil {
+		f.t.Fatalf("ApplyRecords(seq %d): %v", rec.Seq, err)
 	}
 }
 
@@ -121,12 +98,11 @@ func TestReplicaApplyBasic(t *testing.T) {
 		t.Fatalf("beta = %q, %v; want 2", v, ok)
 	}
 	st := r.Stats()
-	if st.Applied != 3 || st.Pending != 0 {
-		t.Fatalf("stats = %+v; want applied 3 pending 0", st)
+	if st.Applied != 3 || st.Pending != 0 || st.Watermark != 3 {
+		t.Fatalf("stats = %+v; want applied 3 pending 0 watermark 3", st)
 	}
-	i := r.Store().ShardOf("alpha")
-	if w := r.Watermark(i); w != f.seqs[i] {
-		t.Fatalf("watermark(%d) = %d, want %d", i, w, f.seqs[i])
+	if w := r.Position(); w != f.lsn {
+		t.Fatalf("position = %d, want %d", w, f.lsn)
 	}
 }
 
@@ -136,28 +112,27 @@ func TestReplicaDuplicateAndGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Store().Close()
-	rec := func(seq uint64, val string) wal.Record {
-		return wal.Record{Shard: 0, Seq: seq,
-			Ops: []wal.Op{{Kind: wal.KindSet, Key: "k", Val: []byte(val)}}}
+	rec := func(seq uint64, val string) []wal.Record {
+		return []wal.Record{{Seq: seq, Ops: []wal.Op{{Kind: wal.KindSet, Key: "k", Val: []byte(val)}}}}
 	}
 	for _, seq := range []uint64{1, 2} {
-		if err := r.ApplyRecord(rec(seq, "v")); err != nil {
+		if err := r.ApplyRecords(rec(seq, "v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Duplicate below the watermark: ignored.
-	if err := r.ApplyRecord(rec(1, "stale")); err != nil {
+	// Duplicate at or below the position: ignored.
+	if err := r.ApplyRecords(rec(1, "stale")); err != nil {
 		t.Fatalf("duplicate: %v", err)
 	}
 	if v, _ := mustGet(t, r.Store(), "k"); v != "v" {
 		t.Fatalf("duplicate overwrote: %q", v)
 	}
 	// Gap: rejected with ErrReplicaGap.
-	if err := r.ApplyRecord(rec(5, "x")); err == nil {
+	if err := r.ApplyRecords(rec(5, "x")); err == nil {
 		t.Fatal("gap accepted")
 	}
-	if r.Watermark(0) != 2 {
-		t.Fatalf("watermark = %d, want 2", r.Watermark(0))
+	if r.Position() != 2 {
+		t.Fatalf("position = %d, want 2", r.Position())
 	}
 }
 
@@ -179,17 +154,13 @@ func TestReplicaReadiness(t *testing.T) {
 	if r.Ready() {
 		t.Fatal("ready with no target")
 	}
-	a, b := twoShardKeys(t, r, "rdy")
 	f := newFeeder(t, r)
-	f.set(a, "1")
-	target := make([]uint64, r.Shards())
-	copy(target, f.seqs)
-	target[r.Store().ShardOf(b)]++ // primary is one ahead on b's shard
-	r.SetTarget(target)
+	f.set("a", "1")
+	r.SetTarget(f.lsn + 1) // the primary is one ahead
 	if r.Ready() {
 		t.Fatal("ready before catching up")
 	}
-	f.set(b, "1")
+	f.set("b", "1")
 	if !r.Ready() {
 		t.Fatal("not ready after catching up")
 	}
@@ -197,10 +168,10 @@ func TestReplicaReadiness(t *testing.T) {
 
 // TestReplicaCrossShardLitmus is the replica-semantics litmus, run
 // against every registered engine × clock-mode pair: a stream of
-// cross-shard transfers between two counters whose sum is invariant.
+// cross-shard transfers between two counters whose sum is invariant,
+// fed in batches of random size so runs merge records differently.
 // Concurrent transactional readers must never see the sum mid-transfer
-// — cross-shard transactions surface atomically — no matter how the
-// record and marker streams interleave.
+// — a cross-shard transaction is one record and surfaces atomically.
 func TestReplicaCrossShardLitmus(t *testing.T) {
 	for _, eng := range stm.Engines() {
 		for _, clock := range stm.ClockModes() {
@@ -228,19 +199,6 @@ func testReplicaCrossShardLitmus(t *testing.T, eng stm.Engine, clock stm.ClockMo
 			f.xfer(a, b, seed-k, seed+k)
 		}
 		recs := f.recs
-
-		// Interleave: per-stream order must hold (per shard and for
-		// markers), but across streams anything goes. Walk three
-		// cursors, picking randomly among streams with pending work.
-		rng := rand.New(rand.NewSource(42))
-		byStream := map[uint32][]wal.Record{}
-		for _, rec := range recs {
-			byStream[rec.Shard] = append(byStream[rec.Shard], rec)
-		}
-		var streams [][]wal.Record
-		for _, s := range byStream {
-			streams = append(streams, s)
-		}
 
 		stop := make(chan struct{})
 		var violations atomic.Int64
@@ -275,16 +233,13 @@ func testReplicaCrossShardLitmus(t *testing.T, eng stm.Engine, clock stm.ClockMo
 			}()
 		}
 
-		for len(streams) > 0 {
-			i := rng.Intn(len(streams))
-			rec := streams[i][0]
-			streams[i] = streams[i][1:]
-			if len(streams[i]) == 0 {
-				streams = append(streams[:i], streams[i+1:]...)
+		rng := rand.New(rand.NewSource(42))
+		for len(recs) > 0 {
+			k := min(len(recs), 1+rng.Intn(8))
+			if err := r.ApplyRecords(recs[:k]); err != nil {
+				t.Fatalf("ApplyRecords: %v", err)
 			}
-			if err := r.ApplyRecord(rec); err != nil {
-				t.Fatalf("ApplyRecord: %v", err)
-			}
+			recs = recs[k:]
 		}
 		close(stop)
 		wg.Wait()
@@ -303,74 +258,16 @@ func testReplicaCrossShardLitmus(t *testing.T, eng stm.Engine, clock stm.ClockMo
 		if spread != 2*n {
 			t.Fatalf("final spread = %d, want %d", spread, 2*n)
 		}
-		st := r.Stats()
-		if st.XApplied != n+1 {
-			t.Fatalf("xapplied = %d, want %d", st.XApplied, n+1)
-		}
-		if st.Pending != 0 || len(r.markers) != 0 {
-			t.Fatalf("leftover pending %d / markers %d", st.Pending, len(r.markers))
+		if st := r.Stats(); st.XApplied != n+1 || st.Pending != 0 {
+			t.Fatalf("xapplied = %d, pending = %d; want %d and 0", st.XApplied, st.Pending, n+1)
 		}
 	})
 }
 
-// TestReplicaStallsWithoutMarker: a cross-shard participant must NOT
-// apply before its marker arrives, and records queued behind it must
-// wait too (per-shard prefix order).
-func TestReplicaStallsWithoutMarker(t *testing.T) {
-	r, err := NewReplica(WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Store().Close()
-	a, b := twoShardKeys(t, r, "stall")
-	i, j := r.Store().ShardOf(a), r.Store().ShardOf(b)
-
-	// Cross-shard parts on both shards, NO marker yet.
-	part := func(shard int, seq uint64, key string, n int64) wal.Record {
-		return wal.Record{Shard: uint32(shard), Seq: seq, Cross: true,
-			Ops: []wal.Op{{Kind: wal.KindCounterSet, Key: key, N: n}}}
-	}
-	if err := r.ApplyRecord(part(i, 1, a, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.ApplyRecord(part(j, 1, b, 20)); err != nil {
-		t.Fatal(err)
-	}
-	// A later single-shard record queues behind the stalled head.
-	if err := r.ApplyRecord(wal.Record{Shard: uint32(i), Seq: 2,
-		Ops: []wal.Op{{Kind: wal.KindSet, Key: a + "-later", Val: []byte("x")}}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := mustCounter(t, r.Store(), a); ok {
-		t.Fatal("participant applied before marker")
-	}
-	if _, ok := mustGet(t, r.Store(), a+"-later"); ok {
-		t.Fatal("later record overtook stalled cross-shard head")
-	}
-	if st := r.Stats(); st.Pending != 3 {
-		t.Fatalf("pending = %d, want 3", st.Pending)
-	}
-
-	parts := wal.AppendTxnParts(nil, []wal.TxnPart{
-		{Shard: uint32(i), Seq: 1}, {Shard: uint32(j), Seq: 1}})
-	if err := r.ApplyRecord(wal.Record{Shard: wal.TxnShard, Seq: 1,
-		Ops: []wal.Op{{Kind: wal.KindTxnMarker, Val: parts}}}); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := mustCounter(t, r.Store(), a); v != 10 {
-		t.Fatalf("a = %d, want 10", v)
-	}
-	if v, _ := mustCounter(t, r.Store(), b); v != 20 {
-		t.Fatalf("b = %d, want 20", v)
-	}
-	if _, ok := mustGet(t, r.Store(), a+"-later"); !ok {
-		t.Fatal("queued record did not drain after marker")
-	}
-	if w := r.Watermark(i); w != 2 {
-		t.Fatalf("watermark = %d, want 2", w)
-	}
-}
-
+// TestReplicaResetShard: a snapshot reset replaces the replica's whole
+// state and moves its position to the snapshot's; the stream resumes
+// after it. (The reset went per shard before the store had one log;
+// the test kept its name.)
 func TestReplicaResetShard(t *testing.T) {
 	r, err := NewReplica(WithShards(2))
 	if err != nil {
@@ -379,29 +276,37 @@ func TestReplicaResetShard(t *testing.T) {
 	defer r.Store().Close()
 	f := newFeeder(t, r)
 	f.set("old-key", "stale")
-	i := r.Store().ShardOf("old-key")
+	f.set("gone-key", "x")
 
-	// Snapshot at seq 40 replaces the shard: stale value gone, snapshot
-	// values in, watermark jumps.
-	snap := []wal.Record{{Shard: uint32(i), Seq: 40, Ops: []wal.Op{
-		{Kind: wal.KindSet, Key: "old-key", Val: []byte("fresh")},
-		{Kind: wal.KindCounterSet, Key: "snap-ctr", N: 7},
-	}}}
-	if err := r.ResetShard(i, 40, snap); err != nil {
+	// A snapshot exact at 40: its read state, then the tail records it
+	// carries (a later write of old-key among them).
+	snap := []wal.Record{
+		{Seq: 37, Ops: []wal.Op{
+			{Kind: wal.KindSet, Key: "old-key", Val: []byte("fresh")},
+			{Kind: wal.KindCounterSet, Key: "snap-ctr", N: 7},
+		}},
+		{Seq: 38, Ops: []wal.Op{{Kind: wal.KindSet, Key: "old-key", Val: []byte("fresher")}}},
+		{Seq: 39, Ops: []wal.Op{{Kind: wal.KindDelete, Key: "snap-ctr"}}},
+		{Seq: 40, Ops: []wal.Op{{Kind: wal.KindSet, Key: "snap-ctr", Val: []byte("bytes now")}}},
+	}
+	if err := r.Reset(40, snap); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := mustGet(t, r.Store(), "old-key"); v != "fresh" {
-		t.Fatalf("old-key = %q, want fresh", v)
+	if v, _ := mustGet(t, r.Store(), "old-key"); v != "fresher" {
+		t.Fatalf("old-key = %q, want fresher", v)
 	}
-	if v, _ := mustCounter(t, r.Store(), "snap-ctr"); v != 7 {
-		t.Fatalf("snap-ctr = %d, want 7", v)
+	if _, ok := mustGet(t, r.Store(), "gone-key"); ok {
+		t.Fatal("gone-key survived the reset")
 	}
-	if w := r.Watermark(i); w != 40 {
-		t.Fatalf("watermark = %d, want 40", w)
+	if v, _ := mustGet(t, r.Store(), "snap-ctr"); v != "bytes now" {
+		t.Fatalf("snap-ctr = %q, want bytes now", v)
+	}
+	if w := r.Position(); w != 40 {
+		t.Fatalf("position = %d, want 40", w)
 	}
 	// The stream resumes at 41.
-	if err := r.ApplyRecord(wal.Record{Shard: uint32(i), Seq: 41,
-		Ops: []wal.Op{{Kind: wal.KindSet, Key: "old-key", Val: []byte("41")}}}); err != nil {
+	if err := r.ApplyRecords([]wal.Record{{Seq: 41,
+		Ops: []wal.Op{{Kind: wal.KindSet, Key: "old-key", Val: []byte("41")}}}}); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := mustGet(t, r.Store(), "old-key"); v != "41" {
@@ -409,15 +314,15 @@ func TestReplicaResetShard(t *testing.T) {
 	}
 }
 
-// TestReplicaFromPrimaryLog is the end-to-end tentpole check at the
-// package level: run a real durable primary (updates, deletes, and
-// cross-shard transfers), then ship its actual on-disk log — segments
-// and marker log, via the same ScanSegments the streamer uses — into a
-// replica, and require identical state.
+// TestReplicaFromPrimaryLog is the end-to-end check at the package
+// level: run a real durable primary (updates, deletes, cross-shard
+// transfers, a checkpoint in the middle), then ship its actual on-disk
+// log into two replicas of other shard counts — one from the start of
+// the segments, one from the snapshot and the segments past it, the
+// way the streamer reads them — and require identical state.
 func TestReplicaFromPrimaryLog(t *testing.T) {
 	dir := t.TempDir()
-	const shards = 4
-	p, err := Open(WithDurability(dir, wal.Batch), WithShards(shards), WithMetrics(false))
+	p, err := Open(WithDurability(dir, wal.Batch), WithShards(4), WithMetrics(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +331,6 @@ func TestReplicaFromPrimaryLog(t *testing.T) {
 		keys[i] = fmt.Sprintf("key-%02d", i)
 	}
 	for i, k := range keys {
-		k := k
 		if err := p.Update([]string{k, k + "/ctr"}, func(t *Txn) error {
 			t.Set(k, []byte(fmt.Sprintf("v%d", i)))
 			t.Add(k+"/ctr", int64(i))
@@ -446,12 +350,21 @@ func TestReplicaFromPrimaryLog(t *testing.T) {
 	if b == "" {
 		t.Fatal("no cross-shard pair")
 	}
+	transfer := func(t *Txn) error {
+		t.Add(a+"/x", -1)
+		t.Add(b+"/x", 1)
+		return nil
+	}
 	for i := 0; i < 10; i++ {
-		if err := p.Update([]string{a + "/x", b + "/x"}, func(t *Txn) error {
-			t.Add(a+"/x", -1)
-			t.Add(b+"/x", 1)
-			return nil
-		}); err != nil {
+		if err := p.Update([]string{a + "/x", b + "/x"}, transfer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := p.Update([]string{a + "/x", b + "/x"}, transfer); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -462,57 +375,67 @@ func TestReplicaFromPrimaryLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := NewReplica(WithShards(shards))
+	apply := func(r *Replica) func(wal.Record, []byte) error {
+		return func(rec wal.Record, _ []byte) error { return r.ApplyRecords([]wal.Record{rec}) }
+	}
+	whole, err := NewReplica(WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Store().Close()
-	// Ship the on-disk log. Order across streams is free; shard-by-
-	// shard then markers works because drain holds cross-shard parts
-	// until their marker lands. Ship twice to exercise duplicate
-	// suppression (reconnect overlap).
-	ship := func() {
-		for i := 0; i < shards; i++ {
-			dir := fmt.Sprintf("%s/shard-%04d", dir, i)
-			if _, err := wal.ScanSegments(dir, uint32(i), 1,
-				func(rec wal.Record, _ []byte) error { return r.ApplyRecord(rec) }); err != nil {
-				t.Fatalf("scan shard %d: %v", i, err)
-			}
-		}
-		if _, err := wal.ScanSegments(dir+"/txn", wal.TxnShard, 1,
-			func(rec wal.Record, _ []byte) error { return r.ApplyRecord(rec) }); err != nil {
-			t.Fatalf("scan markers: %v", err)
+	defer whole.Store().Close()
+	// Ship twice, to exercise duplicate suppression (reconnect overlap).
+	for range 2 {
+		if _, err := wal.ScanSegments(dir, 1, apply(whole)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	ship()
-	ship()
+	fromSnap, err := NewReplica(WithShards(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fromSnap.Store().Close()
+	seq, recs, err := wal.LatestSnapshot(dir)
+	if err != nil || seq == 0 {
+		t.Fatalf("LatestSnapshot: %d, %v", seq, err)
+	}
+	if err := fromSnap.Reset(seq, recs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wal.ScanSegments(dir, seq+1, apply(fromSnap)); err != nil {
+		t.Fatal(err)
+	}
 
 	// Compare states via a reopened primary.
-	p2, err := Open(WithDurability(dir, wal.Batch), WithShards(shards), WithMetrics(false))
+	p2, err := Open(WithDurability(dir, wal.Batch), WithShards(4), WithMetrics(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	for _, k := range keys {
-		pv, pok := mustGet(t, p2, k)
-		rv, rok := mustGet(t, r.Store(), k)
-		if pok != rok || pv != rv {
-			t.Fatalf("%s: primary %q,%v replica %q,%v", k, pv, pok, rv, rok)
+	for _, r := range []*Replica{whole, fromSnap} {
+		for _, k := range keys {
+			pv, pok := mustGet(t, p2, k)
+			rv, rok := mustGet(t, r.Store(), k)
+			if pok != rok || pv != rv {
+				t.Fatalf("%s: primary %q,%v replica %q,%v", k, pv, pok, rv, rok)
+			}
+			pc, pok := mustCounter(t, p2, k+"/ctr")
+			rc, rok := mustCounter(t, r.Store(), k+"/ctr")
+			if pok != rok || pc != rc {
+				t.Fatalf("%s/ctr: primary %d,%v replica %d,%v", k, pc, pok, rc, rok)
+			}
 		}
-		pc, pok := mustCounter(t, p2, k+"/ctr")
-		rc, rok := mustCounter(t, r.Store(), k+"/ctr")
-		if pok != rok || pc != rc {
-			t.Fatalf("%s/ctr: primary %d,%v replica %d,%v", k, pc, pok, rc, rok)
+		for _, k := range []string{a + "/x", b + "/x"} {
+			pc, _ := mustCounter(t, p2, k)
+			rc, _ := mustCounter(t, r.Store(), k)
+			if pc != rc {
+				t.Fatalf("%s: primary %d replica %d", k, pc, rc)
+			}
+		}
+		if r.Position() != p2.WALStats().Recover.LSN {
+			t.Fatalf("replica at %d, primary at %d", r.Position(), p2.WALStats().Recover.LSN)
 		}
 	}
-	for _, k := range []string{a + "/x", b + "/x"} {
-		pc, _ := mustCounter(t, p2, k)
-		rc, _ := mustCounter(t, r.Store(), k)
-		if pc != rc {
-			t.Fatalf("%s: primary %d replica %d", k, pc, rc)
-		}
-	}
-	if st := r.Stats(); st.XApplied == 0 {
+	if st := whole.Stats(); st.XApplied == 0 {
 		t.Fatal("no cross-shard transactions were shipped")
 	}
 }
@@ -524,24 +447,18 @@ func BenchmarkKVReplicaApply(b *testing.B) {
 	}
 	defer r.Store().Close()
 	keys := make([]string, 64)
-	shard := make([]int, 64)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("bench-key-%03d", i)
-		shard[i] = r.Store().ShardOf(keys[i])
 	}
-	seqs := make([]uint64, r.Shards())
 	val := []byte("0123456789abcdef")
-	rec := wal.Record{Ops: []wal.Op{{Kind: wal.KindSet}}}
+	recs := []wal.Record{{Ops: []wal.Op{{Kind: wal.KindSet}}}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := i & 63
-		seqs[shard[k]]++
-		rec.Shard = uint32(shard[k])
-		rec.Seq = seqs[shard[k]]
-		rec.Ops[0].Key = keys[k]
-		rec.Ops[0].Val = val
-		if err := r.ApplyRecord(rec); err != nil {
+		recs[0].Seq = uint64(i + 1)
+		recs[0].Ops[0].Key = keys[i&63]
+		recs[0].Ops[0].Val = val
+		if err := r.ApplyRecords(recs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,70 +1,45 @@
 package kv
 
-import (
-	"errors"
-
-	"modtx/internal/wal"
-)
+import "modtx/internal/wal"
 
 // Replication source: the primary side's handles, consumed by the
-// cluster streamer. A replica's stream per shard is exactly the
-// shard's WAL — catch-up reads the segment files (wal.ScanSegments on
-// ReplDir), the live tail attaches a wal.Follower to the shard's log
-// (ReplFollow) — plus the cross-shard marker log, addressed as the
-// pseudo-shard wal.TxnShard throughout.
+// cluster streamer. A replica's stream is exactly the store's WAL —
+// catch-up reads the segment files (wal.ScanSegments on ReplDir), the
+// live tail attaches a wal.Follower to the log (ReplFollow).
 
-// ReplPositions returns each shard's newest committed WAL sequence and
-// the marker log's: the handshake-time positions a replica must reach
-// before it reports Ready.
-func (s *Store) ReplPositions() (shards []uint64, marker uint64, err error) {
+// ReplPosition returns the store's newest LSN: the handshake-time
+// position a replica must reach before it reports Ready.
+func (s *Store) ReplPosition() (uint64, error) {
 	if s.dur == nil || !s.dur.attached {
-		return nil, 0, ErrNotDurable
+		return 0, ErrNotDurable
 	}
-	shards = make([]uint64, len(s.shards))
-	for i, sh := range s.shards {
-		sh.feed.mu.Lock()
-		shards[i] = sh.feed.seq
-		sh.feed.mu.Unlock()
-	}
-	x := &s.dur.xfeed
-	x.mu.Lock()
-	marker = x.seq
-	x.mu.Unlock()
-	return shards, marker, nil
+	return s.feed.position(), nil
 }
 
-// ReplDir returns the directory holding shard's segment files (the
-// marker log's for wal.TxnShard), for wal.ScanSegments /
-// wal.LatestSnapshot catch-up reads.
-func (s *Store) ReplDir(shard uint32) (string, error) {
+// ReplPositions is ReplPosition in the per-shard shape the benchmark
+// still reads: one position, and 0 for the marker log there is no more.
+// Shim for the benchmark; goes with ROADMAP item 8.
+func (s *Store) ReplPositions() ([]uint64, uint64, error) {
+	lsn, err := s.ReplPosition()
+	return []uint64{lsn}, 0, err
+}
+
+// ReplDir returns the directory holding the log's segment files, for
+// wal.ScanSegments / wal.LatestSnapshot catch-up reads.
+func (s *Store) ReplDir() (string, error) {
 	if s.dur == nil {
 		return "", ErrNotDurable
 	}
-	if shard == wal.TxnShard {
-		return s.txnDir(), nil
-	}
-	if int(shard) >= len(s.shards) {
-		return "", errors.New("kv: no such shard")
-	}
-	return s.shardDir(int(shard)), nil
+	return s.dur.dir, nil
 }
 
-// ReplFollow attaches a live-tail follower to shard's log (the marker
-// log for wal.TxnShard). See wal.Log.Follow for the low-water/overflow
-// contract; the caller must Close the follower.
-func (s *Store) ReplFollow(shard uint32, limitBytes int) (*wal.Follower, uint64, error) {
+// ReplFollow attaches a live-tail follower to the log. See
+// wal.Log.Follow for the low-water/overflow contract; the caller must
+// Close the follower.
+func (s *Store) ReplFollow(limitBytes int) (*wal.Follower, uint64, error) {
 	if s.dur == nil || !s.dur.attached {
 		return nil, 0, ErrNotDurable
 	}
-	var l *wal.Log
-	if shard == wal.TxnShard {
-		l = s.dur.xfeed.log
-	} else {
-		if int(shard) >= len(s.shards) {
-			return nil, 0, errors.New("kv: no such shard")
-		}
-		l = s.shards[shard].feed.log
-	}
-	f, low := l.Follow(limitBytes)
+	f, low := s.feed.log.Follow(limitBytes)
 	return f, low, nil
 }

@@ -26,8 +26,7 @@ import (
 // reordered commits, or resurrected a lost suffix breaks the equality.
 
 // torturePairs finds, for each shard, a counter key and a mark key
-// routed to it, so each invariant pair lives entirely on one shard
-// (durability's prefix guarantee is per shard).
+// routed to it, so every shard carries an invariant pair.
 func torturePairs(s *Store) (ctr, mark []string) {
 	ctr = make([]string, s.NumShards())
 	mark = make([]string, s.NumShards())
@@ -45,9 +44,9 @@ func torturePairs(s *Store) (ctr, mark []string) {
 	return ctr, mark
 }
 
-// mangleTail simulates a crash plus disk damage in one shard
+// mangleTail simulates a crash plus disk damage in a durability
 // directory: with the given rng it either truncates the newest segment
-// at a random offset or flips one random byte in its tail half.
+// at a random offset or flips one random bit in its tail half.
 // Returns a description for the failure message.
 func mangleTail(t *testing.T, dir string, rng *rand.Rand) string {
 	t.Helper()
@@ -173,11 +172,8 @@ func TestCrashRecoveryTorture(t *testing.T) {
 				}
 				// Crash: no Close — the logs are simply abandoned (their
 				// batchers may be mid-write; the files hold whatever made
-				// it to the page cache) — then damage the tails.
-				for sh := 0; sh < s.NumShards(); sh++ {
-					sub := filepath.Join(dir, fmt.Sprintf("shard-%04d", sh))
-					t.Logf("round %d shard %d: %s", round, sh, mangleTail(t, sub, rng))
-				}
+				// it to the page cache) — then damage the tail.
+				t.Logf("round %d: %s", round, mangleTail(t, dir, rng))
 				_ = s.Close() // release the batchers so TempDir can clean up
 			}
 		})
@@ -198,9 +194,7 @@ func TestTortureRecoveredStoreStaysUsable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for sh := 0; sh < 2; sh++ {
-		mangleTail(t, filepath.Join(dir, fmt.Sprintf("shard-%04d", sh)), rng)
-	}
+	mangleTail(t, dir, rng)
 	_ = s.Close()
 
 	r, err := Open(WithShards(2), WithMetrics(false), WithDurability(dir, wal.Fsync))

@@ -3,7 +3,9 @@ package kv
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 
@@ -13,25 +15,19 @@ import (
 
 // The cross-shard crash-recovery torture test: every transaction moves
 // an amount between counters on two distinct shards, so the sum over
-// all counters is zero in every committed state. A crash is simulated
-// by abandoning the store (no Close) and then damaging WAL tails — the
-// participant shards', the commit marker log's, or both, covering the
-// kill points on either side of the marker append. Recovery must be
-// all-or-nothing per transaction: a surviving state where one leg of a
-// transfer applied without the other shows up as a nonzero sum.
+// all counters is zero in every committed state. A cross-shard
+// transaction is one log record, atomic by its framing; each round ends
+// on one last transfer and then kills the log at one of three points:
+// inside that record (torn: the transfer must vanish whole), after it
+// (whole: it must survive whole), or anywhere in the tail, truncated or
+// bit-flipped. A surviving state where one leg of a transfer applied
+// without the other shows up as a nonzero sum.
 //
 // Runs the full grid: every engine × every durability level. (At
 // wal.None nothing is promised across a crash, but whatever does
-// survive must still be a consistent cut — the atomicity rule is about
-// which prefix recovery chooses, not about fsync.)
-//
-// The stores run at the default segment size so no rotation-triggered
-// checkpoint writes snapshots: every record stays in the chain, where
-// the all-or-nothing cut can physically unwind it. That matches the
-// guarantee — state baked into a snapshot is only atomic against
-// crashes (the checkpoint barrier fsyncs every participant first),
-// not against arbitrary damage to other shards' already-synced logs,
-// which this test's bit flips would otherwise inflict.
+// survive must still be a commit-order prefix.) The stores run at the
+// default segment size, so no rotation-triggered checkpoint writes a
+// snapshot and the last record is the newest segment's last bytes.
 
 // xtortureCtrs finds one counter key per shard, so transfers between
 // two of them are genuinely cross-shard transactions.
@@ -47,32 +43,32 @@ func xtortureCtrs(s *Store) []string {
 	return ctr
 }
 
-// xtortureMangle damages a round-dependent set of WAL directories:
-// marker log only (participant records survive their marker's loss),
-// one participant shard only (the marker survives a participant's
-// loss), or a random subset of everything. Returns a description.
-func xtortureMangle(t *testing.T, dir string, s *Store, round int, rng *rand.Rand) string {
+// xtortureKill damages the closed log at the round's kill point, given
+// the size of its last record, and reports whether that record must
+// survive, vanish, or either (nil) — and what it did.
+func xtortureKill(t *testing.T, dir string, last int, round int, rng *rand.Rand) (survives *bool, desc string) {
 	t.Helper()
-	shardSub := func(sh int) string { return filepath.Join(dir, fmt.Sprintf("shard-%04d", sh)) }
+	yes, no := true, false
 	switch round % 3 {
 	case 0:
-		return "txn: " + mangleTail(t, filepath.Join(dir, "txn"), rng)
+		segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("segments: %v, %v", segs, err)
+		}
+		sort.Strings(segs)
+		fi, err := os.Stat(segs[len(segs)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := 1 + rng.Int63n(int64(last)-1)
+		if err := os.Truncate(segs[len(segs)-1], fi.Size()-cut); err != nil {
+			t.Fatal(err)
+		}
+		return &no, fmt.Sprintf("tore the last record: %d of its %d bytes cut", cut, last)
 	case 1:
-		sh := rng.Intn(s.NumShards())
-		return fmt.Sprintf("shard %d: %s", sh, mangleTail(t, shardSub(sh), rng))
+		return &yes, "the last record written whole"
 	default:
-		desc := ""
-		hit := false
-		for sh := 0; sh < s.NumShards(); sh++ {
-			if rng.Intn(2) == 0 {
-				desc += fmt.Sprintf("shard %d: %s; ", sh, mangleTail(t, shardSub(sh), rng))
-				hit = true
-			}
-		}
-		if rng.Intn(2) == 0 || !hit {
-			desc += "txn: " + mangleTail(t, filepath.Join(dir, "txn"), rng)
-		}
-		return desc
+		return nil, mangleTail(t, dir, rng)
 	}
 }
 
@@ -84,7 +80,10 @@ func TestCrossShardCrashRecoveryTorture(t *testing.T) {
 				rng := rand.New(rand.NewSource(0x8A2C + int64(eng)*7 + int64(level)))
 				dir := t.TempDir()
 				const rounds = 3
-				var prevSum int64 // always 0; kept for the failure message
+				var (
+					want    map[string]int64 // what the last transfer's counters must recover to, if known
+					verdict string           // "survive" or "vanish"
+				)
 				for round := 0; round < rounds; round++ {
 					s, err := Open(
 						WithShards(4),
@@ -97,7 +96,7 @@ func TestCrossShardCrashRecoveryTorture(t *testing.T) {
 					}
 					ctr := xtortureCtrs(s)
 
-					// The recovered cut must be transaction-atomic: the sum
+					// The recovered state must be transaction-atomic: the sum
 					// over all counters is zero in every committed state, so
 					// any partially surfaced transfer shows here.
 					var sum int64
@@ -105,19 +104,21 @@ func TestCrossShardCrashRecoveryTorture(t *testing.T) {
 						v, _, _ := s.CounterGet(k)
 						sum += v
 					}
-					if sum != prevSum {
-						info := s.WALStats().Recover
-						t.Fatalf("round %d: recovered counter sum %d, want %d — a cross-shard transfer was torn apart (recover: %+v)",
-							round, sum, prevSum, info)
+					if sum != 0 {
+						t.Fatalf("round %d: recovered counter sum %d, want 0 — a cross-shard transfer was torn apart (recover: %+v)",
+							round, sum, s.WALStats().Recover)
 					}
-					if info := s.WALStats().Recover; info.TxnRollbacks > 0 {
-						t.Logf("round %d: rolled back %d incomplete cross-shard txns (%d records across %d shards)",
-							round, info.TxnRollbacks, info.TxnRolledRecords, info.TxnRolledShards)
+					if want != nil {
+						for k, n := range want {
+							if v, _, _ := s.CounterGet(k); v != n {
+								t.Fatalf("round %d: %s = %d, want %d: the last transfer did not %s whole", round, k, v, n, verdict)
+							}
+						}
 					}
 
 					// Transfer concurrently between random distinct shards,
-					// with single-shard churn mixed in so the logs hold both
-					// plain and cross-flagged records.
+					// with single-shard churn mixed in so the log holds both
+					// single- and cross-shard records.
 					const writers, each = 4, 15
 					var wg sync.WaitGroup
 					for w := 0; w < writers; w++ {
@@ -146,10 +147,39 @@ func TestCrossShardCrashRecoveryTorture(t *testing.T) {
 					}
 					wg.Wait()
 
-					// Crash: no Close — abandon the logs mid-flight, then
-					// damage this round's target directories.
-					t.Logf("round %d: %s", round, xtortureMangle(t, dir, s, round, rng))
-					_ = s.Close() // release the batchers so TempDir can clean up
+					// The last transfer, then the kill point: the log closed
+					// and damaged where the round says.
+					keys := []string{ctr[0], ctr[1]}
+					before := map[string]int64{}
+					for _, k := range keys {
+						before[k], _, _ = s.CounterGet(k)
+					}
+					if err := s.Update(keys, func(tx *Txn) error {
+						tx.Add(keys[0], -3)
+						tx.Add(keys[1], 3)
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+					after := map[string]int64{keys[0]: before[keys[0]] - 3, keys[1]: before[keys[1]] + 3}
+					last, err := wal.AppendRecord(nil, 0, 1, []wal.Op{
+						{Kind: wal.KindCounterSet, Key: keys[0]}, {Kind: wal.KindCounterSet, Key: keys[1]}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := s.Close(); err != nil {
+						t.Fatal(err)
+					}
+					survives, desc := xtortureKill(t, dir, len(last), round, rng)
+					t.Logf("round %d: %s", round, desc)
+					switch {
+					case survives == nil:
+						want, verdict = nil, ""
+					case *survives:
+						want, verdict = after, "survive"
+					default:
+						want, verdict = before, "vanish"
+					}
 				}
 
 				// A final clean generation: the last recovery must leave

@@ -363,11 +363,18 @@ func (s *STM) Engine() Engine { return s.engine }
 // attempt that attached a payload with Tx.SetTapData, at the attempt's
 // serialization point: the commit outcome is already decided (write
 // locks held, read set validated) but the write set is not yet
-// published and the locks not yet released. Two transactions that
-// conflict therefore invoke the tap in their serialization order — the
-// property the durability and changefeed layers rely on to sequence a
-// per-shard log in commit order. Taps of non-conflicting commits may
-// run concurrently; the callee orders them itself if it must.
+// published and the locks not yet released.
+//
+// What that orders is exactly what the locks order. Two writers of one
+// variable tap in their commit order (write→write). A transaction that
+// reads a value taps after the writer of that value (write→read): the
+// writer tapped before it published, and the reader read after. Nothing
+// else is ordered: a reader's snapshot is not ordered against a later
+// writer it did not conflict with — that writer may tap first — and
+// nothing may rely on it being so. Taps of non-conflicting commits may
+// run concurrently; the callee orders them itself if it must. Of an
+// AtomicallyMulti commit, the first instance's tap runs while every
+// instance's write locks are held.
 //
 // f runs on the committing goroutine with commit-time locks held: it
 // must be fast, must not block on I/O, and must not run transactions

@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
+	"io"
 	"os"
+	"slices"
 )
 
 // Segment-cursor reads: the replication catch-up path. A streamer
@@ -21,7 +23,7 @@ import (
 var ErrCompacted = errors.New("wal: requested records compacted away")
 
 // ScanSegments streams every decodable record with seq >= fromSeq
-// from shard's segment files in dir, in sequence order, stopping at
+// from the segment files in dir, in sequence order, stopping at
 // the first defect (torn tail, gap, or checksum failure — on a live
 // log, the write frontier). fn receives the decoded record and its
 // raw encoded bytes (valid only during the call). It returns next,
@@ -30,8 +32,9 @@ var ErrCompacted = errors.New("wal: requested records compacted away")
 //
 // Scanning is read-only and safe concurrently with the appender; a
 // partially visible in-flight write decodes as a short record and
-// ends the scan at that boundary.
-func ScanSegments(dir string, shard uint32, fromSeq uint64, fn func(rec Record, raw []byte) error) (next uint64, err error) {
+// ends the scan at that boundary. Segments are read through a buffer,
+// a record at a time, so a scan holds one record, not one segment.
+func ScanSegments(dir string, fromSeq uint64, fn func(rec Record, raw []byte) error) (next uint64, err error) {
 	if fromSeq == 0 {
 		fromSeq = 1
 	}
@@ -62,42 +65,71 @@ func ScanSegments(dir string, shard uint32, fromSeq uint64, fn func(rec Record, 
 		return next, ErrCompacted
 	}
 	expected := segs[start].seq
-	for i := start; i < len(segs); i++ {
-		sg := segs[i]
-		b, rerr := os.ReadFile(sg.path)
-		if rerr != nil {
-			return next, rerr
-		}
-		headerOK := len(b) >= fileHeaderLen &&
-			string(b[:8]) == segMagic &&
-			binary.LittleEndian.Uint32(b[8:12]) == shard &&
-			binary.LittleEndian.Uint64(b[12:20]) == sg.seq
-		if !headerOK || sg.seq != expected {
+	var buf []byte
+	for _, sg := range segs[start:] {
+		if sg.seq != expected {
 			return next, nil // defect boundary: stop cleanly
 		}
-		off := fileHeaderLen
-		for off < len(b) {
-			rec, n, derr := DecodeRecord(b[off:])
-			if derr != nil || rec.Shard != shard || rec.Seq != expected {
-				return next, nil
+		f, err := os.Open(sg.path)
+		if err != nil {
+			return next, err
+		}
+		r := bufio.NewReaderSize(f, 64<<10)
+		hdr, herr := r.Peek(segHeaderLen)
+		clean := herr == nil && segHeaderOK(hdr, sg.seq)
+		if clean {
+			r.Discard(segHeaderLen)
+		}
+		for clean {
+			var rec Record
+			if buf, rec, err = readRecord(r, buf); err != nil || rec.Seq != expected {
+				clean = err == io.EOF // the segment's end, not a defect
+				break
 			}
 			if rec.Seq >= fromSeq {
-				if err := fn(rec, b[off:off+n]); err != nil {
+				if err := fn(rec, buf); err != nil {
+					f.Close()
 					return next, err
 				}
 				next = rec.Seq + 1
 			}
 			expected++
-			off += n
+		}
+		f.Close()
+		if !clean {
+			return next, nil
 		}
 	}
 	return next, nil
 }
 
-// LatestSnapshot loads the newest loadable snapshot of shard in dir,
-// returning its sequence and records. seq == 0 means no snapshot
-// exists (an empty store prefix — not an error).
-func LatestSnapshot(dir string, shard uint32) (seq uint64, recs []Record, err error) {
+// readRecord reads the next record from r into buf (grown as needed),
+// returning the bytes and the decoded record; io.EOF means r ended on a
+// record boundary.
+func readRecord(r *bufio.Reader, buf []byte) ([]byte, Record, error) {
+	hdr, err := r.Peek(recordHeaderSize)
+	if err == io.EOF && len(hdr) == 0 {
+		return buf, Record{}, io.EOF
+	}
+	if err != nil {
+		return buf, Record{}, ErrShortRecord
+	}
+	plen := int(binary.LittleEndian.Uint32(hdr))
+	if plen < payloadHeaderSize || plen > MaxRecordSize {
+		return buf, Record{}, ErrCorrupt
+	}
+	buf = slices.Grow(buf[:0], recordHeaderSize+plen)[:recordHeaderSize+plen]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf, Record{}, ErrShortRecord
+	}
+	rec, _, err := DecodeRecord(buf)
+	return buf, rec, err
+}
+
+// LatestSnapshot loads the newest loadable snapshot in dir, returning
+// the sequence it is exact at and its records (see snapshot.go). seq
+// == 0 means no snapshot exists (an empty store prefix — not an error).
+func LatestSnapshot(dir string) (seq uint64, recs []Record, err error) {
 	snaps, _, err := listDir(OSFS, dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -106,14 +138,14 @@ func LatestSnapshot(dir string, shard uint32) (seq uint64, recs []Record, err er
 		return 0, nil, err
 	}
 	for i := len(snaps) - 1; i >= 0; i-- {
-		s, r, lerr := loadSnapshot(OSFS, snaps[i].path, shard)
+		s, r, lerr := loadSnapshot(OSFS, snaps[i].path)
 		if lerr != nil {
 			continue
 		}
 		return s, r, nil
 	}
 	if len(snaps) > 0 {
-		return 0, nil, fmt.Errorf("wal: shard %d: no snapshot is loadable", shard)
+		return 0, nil, errors.New("wal: no snapshot is loadable")
 	}
 	return 0, nil, nil
 }

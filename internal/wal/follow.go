@@ -6,8 +6,8 @@ import "sync"
 // every record's encoded bytes as it is appended — before it is
 // written, in append (= commit) order. This is the replication
 // stream's hot path: the primary's streamer attaches a Follower per
-// shard, catches up from segments below the follower's low-water
-// mark, then switches to the follower buffer.
+// replica session, catches up from segments below the follower's
+// low-water mark, then switches to the follower buffer.
 //
 // Delivery never blocks an append: bytes pile up in the follower's
 // buffer, and a reader that falls further behind than the buffer

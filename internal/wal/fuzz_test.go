@@ -30,27 +30,27 @@ func FuzzWALRecord(f *testing.F) {
 	flipped[9] ^= 0x10
 	f.Add(flipped)
 	f.Add([]byte{})
-	// Zero-length *record* (a checkpoint marker: zero ops).
-	marker, err := AppendRecord(nil, 0, 1, nil)
+	// Zero-length *record*: zero ops.
+	empty, err := AppendRecord(nil, 0, 1, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(marker)
-	// A cross-shard participant and a commit marker (v2 features).
-	cross, err := AppendRecordFlags(nil, 3, 9, FlagCross, 0xDEADBEEFCAFE,
-		[]Op{{Kind: KindCounterSet, Key: "acct", N: 7}})
+	f.Add(empty)
+	// A cross-shard transfer: one record, both legs.
+	transfer, err := AppendRecord(nil, 0, 9, []Op{
+		{Kind: KindCounterSet, Key: "acct:a", N: -7},
+		{Kind: KindCounterSet, Key: "acct:b", N: 7},
+	})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(cross)
-	txm, err := AppendRecordFlags(nil, TxnShard, 4, FlagCross, 0xDEADBEEFCAFE, []Op{{
-		Kind: KindTxnMarker,
-		Val:  AppendTxnParts(nil, []TxnPart{{Shard: 0, Seq: 12}, {Shard: 3, Seq: 9}}),
-	}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(txm)
+	f.Add(transfer)
+	// The same record with its reserved flags byte set, re-checksummed:
+	// a foreign encoder's bytes, which must not decode.
+	flagged := append([]byte(nil), transfer...)
+	flagged[recordHeaderSize+1] = 1
+	binary.LittleEndian.PutUint32(flagged[4:8], crc32.Checksum(flagged[recordHeaderSize:], crcTable))
+	f.Add(flagged)
 	// The same record downgraded to version 1 (the PR 7 format: same
 	// layout, reserved-zero flags byte), re-checksummed.
 	v1 := append([]byte(nil), valid...)
@@ -70,11 +70,7 @@ func FuzzWALRecord(f *testing.F) {
 		if n <= 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
-		var flags uint8
-		if rec.Cross {
-			flags = FlagCross
-		}
-		re, rerr := AppendRecordFlags(nil, rec.Shard, rec.Seq, flags, rec.Txn, rec.Ops)
+		re, rerr := AppendRecord(nil, rec.Shard, rec.Seq, rec.Ops)
 		if rerr != nil {
 			t.Fatalf("re-encode of a decoded record failed: %v", rerr)
 		}
@@ -90,8 +86,7 @@ func FuzzWALRecord(f *testing.F) {
 		if err2 != nil || n2 != len(re) {
 			t.Fatalf("re-decode failed: %v (consumed %d of %d)", err2, n2, len(re))
 		}
-		if rec2.Shard != rec.Shard || rec2.Seq != rec.Seq || rec2.Cross != rec.Cross ||
-			rec2.Txn != rec.Txn || len(rec2.Ops) != len(rec.Ops) {
+		if rec2.Shard != rec.Shard || rec2.Seq != rec.Seq || len(rec2.Ops) != len(rec.Ops) {
 			t.Fatalf("v1 upgrade changed the record: %+v vs %+v", rec, rec2)
 		}
 	})

@@ -16,15 +16,15 @@ import (
 	"modtx/internal/wal"
 )
 
-// openFaultLog recovers dir and opens shard 0's log over fsys at the
-// Fsync level with metrics attached.
+// openFaultLog recovers dir and opens its log over fsys at the Fsync
+// level with metrics attached.
 func openFaultLog(t *testing.T, fsys wal.FS, dir string, m *wal.Metrics) *wal.Log {
 	t.Helper()
-	res, err := wal.RecoverFS(fsys, dir, 0, func(wal.Record) error { return nil }, m)
+	res, err := wal.RecoverFS(fsys, dir, func(wal.Record) error { return nil }, m)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	l, err := wal.OpenLog(dir, 0, res, wal.Options{Level: wal.Fsync, Metrics: m, FS: fsys})
+	l, err := wal.OpenLog(dir, res, wal.Options{Level: wal.Fsync, Metrics: m, FS: fsys})
 	if err != nil {
 		t.Fatalf("open log: %v", err)
 	}
@@ -77,14 +77,14 @@ func TestLatchWriteError(t *testing.T) {
 	// Reopen over the healed disk: the durable prefix (1..3) survives.
 	dfs.Heal()
 	var recs []wal.Record
-	res, err := wal.RecoverFS(dfs, dir, 0, func(r wal.Record) error { recs = append(recs, r); return nil }, &m)
+	res, err := wal.RecoverFS(dfs, dir, func(r wal.Record) error { recs = append(recs, r); return nil }, &m)
 	if err != nil {
 		t.Fatalf("recover after heal: %v", err)
 	}
 	if res.LastSeq != 3 || len(recs) != 3 {
 		t.Fatalf("recovered LastSeq=%d records=%d, want 3/3", res.LastSeq, len(recs))
 	}
-	l2, err := wal.OpenLog(dir, 0, res, wal.Options{Level: wal.Fsync, Metrics: &m, FS: dfs})
+	l2, err := wal.OpenLog(dir, res, wal.Options{Level: wal.Fsync, Metrics: &m, FS: dfs})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -141,7 +141,7 @@ func TestLatchTornWrite(t *testing.T) {
 
 	dfs.Heal()
 	var recs []wal.Record
-	res, err := wal.RecoverFS(dfs, dir, 0, func(r wal.Record) error { recs = append(recs, r); return nil }, &m)
+	res, err := wal.RecoverFS(dfs, dir, func(r wal.Record) error { recs = append(recs, r); return nil }, &m)
 	if err != nil {
 		t.Fatalf("recover after torn write: %v", err)
 	}
@@ -160,12 +160,12 @@ func TestLatchENOSPC(t *testing.T) {
 	dfs := fault.NewDiskFS(nil, fault.DiskPlan{WriteBudget: 256})
 	var m wal.Metrics
 
-	res, err := wal.RecoverFS(dfs, dir, 0, func(wal.Record) error { return nil }, &m)
+	res, err := wal.RecoverFS(dfs, dir, func(wal.Record) error { return nil }, &m)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	failed := make(chan error, 1)
-	l, err := wal.OpenLog(dir, 0, res, wal.Options{
+	l, err := wal.OpenLog(dir, res, wal.Options{
 		Level: wal.Fsync, Metrics: &m, FS: dfs,
 		OnFail: func(e error) { failed <- e },
 	})

@@ -6,17 +6,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 )
 
-// Segment files: seg-<firstSeq>.wal, a 20-byte header then records.
+// Segment files: seg-<firstSeq>.wal, a 16-byte header then records.
 // The name and the header agree on the first sequence number the
 // segment may hold; records inside are dense (seq strictly +1).
 const (
-	segMagic      = "MTXWAL1\n"
-	snapMagic     = "MTXSNP1\n"
-	fileHeaderLen = 20 // magic(8) + shard(4) + firstSeq/replayFrom(8)
+	segMagic     = "MTXWAL2\n"
+	segHeaderLen = 16 // magic(8) + firstSeq(8)
 
 	defaultSegmentBytes  = 64 << 20
 	defaultFlushInterval = 20 * time.Millisecond
@@ -53,10 +53,10 @@ type Options struct {
 	FS FS
 }
 
-// Log is one shard's append-only write-ahead log with group commit.
+// Log is a store's append-only write-ahead log with group commit.
 //
 // Appends are sequenced by the caller (the kv layer calls Append under
-// its per-shard feed lock, in commit order) and only buffer the encoded
+// its feed lock, in commit order) and only buffer the encoded
 // record; a single batcher goroutine drains the buffer, so any number
 // of commits that arrive while a write or fsync is in flight are
 // flushed by the next pass as one write and one fsync. Fsync-level
@@ -69,7 +69,6 @@ type Options struct {
 // acknowledge.
 type Log struct {
 	dir        string
-	shard      uint32
 	level      Level
 	segBytes   int64
 	flushEvery time.Duration
@@ -90,9 +89,12 @@ type Log struct {
 	kick chan struct{} // wakes the batcher; capacity 1
 	done chan struct{} // closed when the batcher exits
 
-	// Batcher-owned file state (no lock: single goroutine).
-	f     File
-	fsize int64
+	// Batcher-owned state (no lock: single goroutine): the file, and how
+	// many records the queue should hold before the next capture (see
+	// settle).
+	f      File
+	fsize  int64
+	expect int
 
 	// durMu guards the durability watermarks and the sticky error;
 	// durCond wakes WaitDurable/Sync waiters after each fsync.
@@ -109,11 +111,11 @@ type Log struct {
 	followers []*Follower
 }
 
-// OpenLog opens shard's log in dir for appending, continuing from the
+// OpenLog opens the log in dir for appending, continuing from the
 // state recovery established: the repaired tail segment if one exists,
 // a fresh segment at res.LastSeq+1 otherwise. Run Recover first — it
 // owns truncation and directory repair; OpenLog assumes a clean tail.
-func OpenLog(dir string, shard uint32, res RecoverResult, o Options) (*Log, error) {
+func OpenLog(dir string, res RecoverResult, o Options) (*Log, error) {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = defaultSegmentBytes
 	}
@@ -122,7 +124,6 @@ func OpenLog(dir string, shard uint32, res RecoverResult, o Options) (*Log, erro
 	}
 	l := &Log{
 		dir:        dir,
-		shard:      shard,
 		level:      o.Level,
 		segBytes:   o.SegmentBytes,
 		flushEvery: o.FlushInterval,
@@ -144,11 +145,11 @@ func OpenLog(dir string, shard uint32, res RecoverResult, o Options) (*Log, erro
 		}
 		l.f, l.fsize = f, res.tailSize
 	} else {
-		f, err := createSegment(l.fs, dir, shard, res.LastSeq+1)
+		f, err := createSegment(l.fs, dir, res.LastSeq+1)
 		if err != nil {
 			return nil, err
 		}
-		l.f, l.fsize = f, fileHeaderLen
+		l.f, l.fsize = f, segHeaderLen
 	}
 	go l.run()
 	return l, nil
@@ -161,16 +162,15 @@ func segmentName(firstSeq uint64) string {
 
 // createSegment creates (exclusively) a new segment file, writes its
 // header, fsyncs it and the directory, and returns it open for append.
-func createSegment(fsys FS, dir string, shard uint32, firstSeq uint64) (File, error) {
+func createSegment(fsys FS, dir string, firstSeq uint64) (File, error) {
 	path := filepath.Join(dir, segmentName(firstSeq))
 	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: create segment: %w", err)
 	}
-	var hdr [fileHeaderLen]byte
+	var hdr [segHeaderLen]byte
 	copy(hdr[:8], segMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], shard)
-	binary.LittleEndian.PutUint64(hdr[12:20], firstSeq)
+	binary.LittleEndian.PutUint64(hdr[8:16], firstSeq)
 	if _, err := f.Write(hdr[:]); err == nil {
 		err = f.Sync()
 	} else {
@@ -184,18 +184,12 @@ func createSegment(fsys FS, dir string, shard uint32, firstSeq uint64) (File, er
 	return f, nil
 }
 
-// Append encodes ops as record seq (zero flags) and queues it for the
-// batcher. See AppendFlags.
-func (l *Log) Append(seq uint64, ops []Op) error { return l.AppendFlags(seq, 0, 0, ops) }
-
-// AppendFlags encodes ops as record seq with the given v2 flags byte
-// (and, for FlagCross, the cross-shard transaction id) and queues it
-// for the batcher. Calls must arrive in commit order
-// with dense sequence numbers (the caller holds its own sequencing
-// lock around Append); the record is on its way to disk when Append
-// returns, durable once WaitDurable(seq) returns at the Fsync level.
-// Append itself never does I/O.
-func (l *Log) AppendFlags(seq uint64, flags uint8, txn uint64, ops []Op) error {
+// Append encodes ops as record seq and queues it for the batcher. Calls
+// must arrive in commit order with dense sequence numbers (the caller
+// holds its own sequencing lock around Append); the record is on its
+// way to disk when Append returns, durable once WaitDurable(seq)
+// returns at the Fsync level. Append itself never does I/O.
+func (l *Log) Append(seq uint64, ops []Op) error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -224,7 +218,7 @@ func (l *Log) AppendFlags(seq uint64, flags uint8, txn uint64, ops []Op) error {
 	}
 	start := len(l.pending)
 	var err error
-	l.pending, err = AppendRecordFlags(l.pending, l.shard, seq, flags, txn, ops)
+	l.pending, err = AppendRecord(l.pending, 0, seq, ops)
 	if err != nil {
 		l.mu.Unlock()
 		l.fail(err) // same reasoning: a missing record is a broken chain
@@ -343,6 +337,9 @@ func (l *Log) run() {
 		lastSync = time.Now()
 	)
 	for {
+		if l.level == Fsync {
+			l.settle()
+		}
 		l.mu.Lock()
 		buf, l.pending = l.pending, buf[:0]
 		l.npending = 0
@@ -389,6 +386,40 @@ func (l *Log) run() {
 		if timer != nil {
 			timer.Stop()
 		}
+	}
+}
+
+// settleStill is how many yields in a row without a new record end a
+// settle early: long enough for committers the fsync woke to run their
+// next transaction on a busy machine, short beside any fsync.
+const settleStill = 256
+
+// settle holds the next capture for the committers the last fsync
+// released. At the Fsync level each of them is on its way back with its
+// next append; capturing before they arrive gives the stragglers an
+// fsync of their own and the returning group the next — one-record and
+// full batches in turn — where waiting lets them share one. The batcher
+// yields until the queue holds what it held when the fsync returned
+// plus one record per record that fsync covered, or until it stops
+// growing for settleStill yields — so a committer with no next write is
+// not waited for longer than that. Yields, not a timer: a released
+// committer needs processor time, not wall time, to come back.
+func (l *Log) settle() {
+	want := l.expect
+	l.expect = 0
+	for n, still := -1, 0; still < settleStill; {
+		l.mu.Lock()
+		m := l.npending
+		l.mu.Unlock()
+		if m >= want {
+			return
+		}
+		if m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -439,10 +470,16 @@ func (l *Log) syncFile(end uint64) {
 		return
 	}
 	l.durMu.Lock()
+	covered := 0
 	if end > l.synced {
-		l.synced = end
+		covered, l.synced = int(end-l.synced), end
 	}
 	l.durMu.Unlock()
+	if covered > 0 {
+		l.mu.Lock()
+		l.expect = l.npending + covered
+		l.mu.Unlock()
+	}
 	l.durCond.Broadcast()
 }
 
@@ -457,12 +494,12 @@ func (l *Log) rotate(end uint64) {
 		l.fail(fmt.Errorf("wal: close rotated segment: %w", err))
 		return
 	}
-	f, err := createSegment(l.fs, l.dir, l.shard, end+1)
+	f, err := createSegment(l.fs, l.dir, end+1)
 	if err != nil {
 		l.fail(err)
 		return
 	}
-	l.f, l.fsize = f, fileHeaderLen
+	l.f, l.fsize = f, segHeaderLen
 	if l.m != nil {
 		l.m.Rotations.Add(1)
 	}

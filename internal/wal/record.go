@@ -9,21 +9,20 @@ import (
 )
 
 // The record codec: fixed layout, explicit offsets, little-endian, no
-// reflection. One record is one committed transaction's operations on
-// one shard. On disk:
+// reflection. One record is one committed transaction's operations, on
+// however many shards it wrote. On disk:
 //
 //	offset  size  field
 //	0       4     payload length (bytes after the checksum)
 //	4       4     CRC32C of the payload
 //	8       ...   payload:
-//	  +0    1     format version (recordVersion)
-//	  +1    1     flags (v1: reserved, must be zero)
+//	  +0    1     format version (1 or recordVersion)
+//	  +1    1     flags (reserved, must be zero)
 //	  +2    2     op count
-//	  +4    4     shard
-//	  +8    8     commit sequence
-//	  +16   8     transaction id (FlagCross records only)
+//	  +4    4     shard (the store writes 0; readers ignore it)
+//	  +8    8     commit sequence (the store's LSN)
 //	  then  ...   ops, each:
-//	    +0  1     kind (KindSet, KindCounterAdd, KindCounterSet, KindDelete, KindTxnMarker)
+//	    +0  1     kind (KindSet, KindCounterAdd, KindCounterSet, KindDelete)
 //	    +1  1     reserved (zero)
 //	    +2  2     key length
 //	    +4  4     value length (SET: len(Val); counters: 8; DELETE: 0)
@@ -33,26 +32,14 @@ import (
 // structurally (bounds, exact op consumption). A record that fails any
 // check decodes to ErrCorrupt; a record that runs past the end of the
 // input decodes to ErrShortRecord — the torn-tail signal recovery
-// truncates at.
-//
-// Format v2 assigns the payload byte at +1 (reserved and zero in v1)
-// as a flags byte; FlagCross marks a record that is one participant of
-// a cross-shard transaction, durable only together with its commit
-// marker (see TxnShard). A cross record's payload header carries eight
-// extra bytes: the transaction id that binds the participants and
-// their marker together. The id — not the (shard, seq) pair — is the
-// transaction's identity: recovery rollbacks truncate shard logs and
-// later commits reuse the freed sequence numbers, while the marker log
-// is never rewritten, so a marker that merely named (shard, seq) pairs
-// could be satisfied by records of a different, later transaction.
-// v1 records decode unchanged with zero flags.
+// truncates at. A record is therefore atomic by framing: a transaction
+// that wrote several shards survives a crash whole or not at all.
 
 const (
 	recordVersion = 2
 
 	recordHeaderSize  = 8  // payload length + CRC32C
 	payloadHeaderSize = 16 // version, flags, nops, shard, seq
-	crossHeaderExtra  = 8  // transaction id, present when FlagCross is set
 	opHeaderSize      = 8  // kind, reserved, key length, value length
 
 	// MaxRecordSize bounds one record's payload (and therefore one
@@ -66,25 +53,6 @@ const (
 	// maxOps is the largest encodable op count per record.
 	maxOps = 1<<16 - 1
 )
-
-// Record flags (payload byte +1, format v2).
-const (
-	// FlagCross marks one participant record of a cross-shard
-	// transaction: it must not be replayed unless the transaction's
-	// commit marker and every sibling participant record also survived.
-	FlagCross uint8 = 1 << 0
-
-	// knownFlags is the set of assigned flag bits; anything else is
-	// corruption from a future or foreign encoder.
-	knownFlags = FlagCross
-)
-
-// TxnShard is the sentinel shard number of the cross-shard transaction
-// marker log: a wal.Log like any shard's, but whose records each carry
-// a single KindTxnMarker op naming the participant (shard, seq) vector
-// of one committed cross-shard transaction. Real shard numbers are
-// small indices; the sentinel cannot collide.
-const TxnShard uint32 = 0xFFFFFFFF
 
 // Codec errors. Recovery distinguishes them: a short record is the
 // expected shape of a torn tail (the crash interrupted a write), while
@@ -112,10 +80,9 @@ const (
 	KindCounterAdd Kind = 2 // counter lane: add N to Key
 	KindCounterSet Kind = 3 // counter lane: set Key to N
 	KindDelete     Kind = 4 // remove Key from the table
-	KindTxnMarker  Kind = 5 // cross-shard commit marker: Val = participant vector
 )
 
-var kindNames = [...]string{KindSet: "set", KindCounterAdd: "cadd", KindCounterSet: "cset", KindDelete: "del", KindTxnMarker: "txm"}
+var kindNames = [...]string{KindSet: "set", KindCounterAdd: "cadd", KindCounterSet: "cset", KindDelete: "del"}
 
 // String returns the kind's wire name (stable: EVENT lines emit it).
 func (k Kind) String() string {
@@ -126,67 +93,23 @@ func (k Kind) String() string {
 }
 
 // valid reports whether k is an encodable kind.
-func (k Kind) valid() bool { return k >= KindSet && k <= KindTxnMarker }
+func (k Kind) valid() bool { return k >= KindSet && k <= KindDelete }
 
 // Op is one operation: a key and, depending on Kind, a byte-slice
-// value (KindSet, KindTxnMarker) or an int64 (counters). Delete
-// carries the key only.
+// value (KindSet) or an int64 (counters). Delete carries the key only.
 type Op struct {
 	Kind Kind
 	Key  string
-	Val  []byte // KindSet / KindTxnMarker payload; nil otherwise
+	Val  []byte // KindSet payload; nil otherwise
 	N    int64  // KindCounterAdd delta / KindCounterSet absolute value
 }
 
 // Record is one decoded log record: the operations of one committed
-// transaction on one shard, at one commit sequence number. Cross
-// reports the FlagCross bit: the record is one participant of a
-// cross-shard transaction and replays only with its marker; Txn is
-// then the transaction id shared by every participant and the marker
-// (zero on plain records).
+// transaction at one commit sequence number.
 type Record struct {
-	Shard uint32
+	Shard uint32 // written 0 by the store, ignored by readers; a shim that goes with ROADMAP item 8
 	Seq   uint64
-	Cross bool
-	Txn   uint64
 	Ops   []Op
-}
-
-// TxnPart names one participant of a cross-shard transaction: the
-// record at Seq on Shard. The commit marker's op value is the encoded
-// vector of all participants.
-type TxnPart struct {
-	Shard uint32
-	Seq   uint64
-}
-
-// txnPartWire is the encoded size of one TxnPart (u32 shard + u64 seq).
-const txnPartWire = 12
-
-// AppendTxnParts encodes a participant vector (the marker op's Val).
-func AppendTxnParts(dst []byte, parts []TxnPart) []byte {
-	dst = slices.Grow(dst, len(parts)*txnPartWire)
-	for _, p := range parts {
-		dst = binary.LittleEndian.AppendUint32(dst, p.Shard)
-		dst = binary.LittleEndian.AppendUint64(dst, p.Seq)
-	}
-	return dst
-}
-
-// DecodeTxnParts decodes a marker op's participant vector. A length
-// that is not a whole number of parts is ErrCorrupt.
-func DecodeTxnParts(val []byte) ([]TxnPart, error) {
-	if len(val)%txnPartWire != 0 {
-		return nil, fmt.Errorf("%w: txn marker value of %d bytes", ErrCorrupt, len(val))
-	}
-	parts := make([]TxnPart, 0, len(val)/txnPartWire)
-	for off := 0; off < len(val); off += txnPartWire {
-		parts = append(parts, TxnPart{
-			Shard: binary.LittleEndian.Uint32(val[off : off+4]),
-			Seq:   binary.LittleEndian.Uint64(val[off+4 : off+12]),
-		})
-	}
-	return parts, nil
 }
 
 // opWireSize returns the encoded size of op, or an error if it exceeds
@@ -200,7 +123,7 @@ func opWireSize(op *Op) (int, error) {
 	}
 	n := opHeaderSize + len(op.Key)
 	switch op.Kind {
-	case KindSet, KindTxnMarker:
+	case KindSet:
 		n += len(op.Val)
 	case KindCounterAdd, KindCounterSet:
 		n += 8
@@ -208,28 +131,16 @@ func opWireSize(op *Op) (int, error) {
 	return n, nil
 }
 
-// AppendRecord encodes one record with zero flags and appends it to
-// dst, returning the extended slice. See AppendRecordFlags.
+// AppendRecord encodes one record and appends it to dst, returning the
+// extended slice. It is the only encoder: the Log's group-commit
+// buffer, the snapshot writer and the tests all append through it. The
+// store passes shard 0; the argument stays for the benchmark's codec
+// probe (a shim; goes with ROADMAP item 8).
 func AppendRecord(dst []byte, shard uint32, seq uint64, ops []Op) ([]byte, error) {
-	return AppendRecordFlags(dst, shard, seq, 0, 0, ops)
-}
-
-// AppendRecordFlags encodes one record and appends it to dst,
-// returning the extended slice. It is the only encoder: the Log's
-// group-commit buffer, the snapshot writer and the tests all append
-// through it. flags is the v2 flags byte (FlagCross or zero); txn is
-// the cross-shard transaction id, encoded only when FlagCross is set.
-func AppendRecordFlags(dst []byte, shard uint32, seq uint64, flags uint8, txn uint64, ops []Op) ([]byte, error) {
-	if flags&^knownFlags != 0 {
-		return dst, fmt.Errorf("wal: unassigned record flags %#02x", flags)
-	}
 	if len(ops) > maxOps {
 		return dst, fmt.Errorf("wal: %d ops exceed the %d-op record limit", len(ops), maxOps)
 	}
 	payload := payloadHeaderSize
-	if flags&FlagCross != 0 {
-		payload += crossHeaderExtra
-	}
 	for i := range ops {
 		n, err := opWireSize(&ops[i])
 		if err != nil {
@@ -247,20 +158,16 @@ func AppendRecordFlags(dst []byte, shard uint32, seq uint64, flags uint8, txn ui
 	binary.LittleEndian.PutUint32(b[0:4], uint32(payload))
 	p := b[recordHeaderSize:]
 	p[0] = recordVersion
-	p[1] = flags
+	p[1] = 0
 	binary.LittleEndian.PutUint16(p[2:4], uint16(len(ops)))
 	binary.LittleEndian.PutUint32(p[4:8], shard)
 	binary.LittleEndian.PutUint64(p[8:16], seq)
 	off := payloadHeaderSize
-	if flags&FlagCross != 0 {
-		binary.LittleEndian.PutUint64(p[off:off+8], txn)
-		off += crossHeaderExtra
-	}
 	for i := range ops {
 		op := &ops[i]
 		var vlen int
 		switch op.Kind {
-		case KindSet, KindTxnMarker:
+		case KindSet:
 			vlen = len(op.Val)
 		case KindCounterAdd, KindCounterSet:
 			vlen = 8
@@ -273,7 +180,7 @@ func AppendRecordFlags(dst []byte, shard uint32, seq uint64, flags uint8, txn ui
 		copy(p[off:], op.Key)
 		off += len(op.Key)
 		switch op.Kind {
-		case KindSet, KindTxnMarker:
+		case KindSet:
 			copy(p[off:], op.Val)
 		case KindCounterAdd, KindCounterSet:
 			binary.LittleEndian.PutUint64(p[off:], uint64(op.N))
@@ -306,31 +213,22 @@ func DecodeRecord(b []byte) (Record, int, error) {
 	}
 	// The checksum passed, so from here every failure is structural
 	// corruption written by a buggy or foreign encoder, not bit rot.
-	// Version 1 is the PR 7 format: same layout, byte +1 reserved-zero.
+	// Version 1 is the PR 7 format: the same layout.
 	if p[0] != 1 && p[0] != recordVersion {
 		return Record{}, 0, fmt.Errorf("%w: record version %d", ErrCorrupt, p[0])
 	}
-	flags := p[1]
-	if flags&^knownFlags != 0 || (p[0] == 1 && flags != 0) {
-		return Record{}, 0, fmt.Errorf("%w: record flags %#02x (version %d)", ErrCorrupt, flags, p[0])
+	if p[1] != 0 {
+		return Record{}, 0, fmt.Errorf("%w: record flags %#02x", ErrCorrupt, p[1])
 	}
 	nops := int(binary.LittleEndian.Uint16(p[2:4]))
 	rec := Record{
 		Shard: binary.LittleEndian.Uint32(p[4:8]),
 		Seq:   binary.LittleEndian.Uint64(p[8:16]),
-		Cross: flags&FlagCross != 0,
 		// Cap the pre-allocation by what the payload could possibly
 		// hold, so a hostile op count cannot force a large allocation.
 		Ops: make([]Op, 0, min(nops, (plen-payloadHeaderSize)/opHeaderSize)),
 	}
 	off := payloadHeaderSize
-	if rec.Cross {
-		if plen < payloadHeaderSize+crossHeaderExtra {
-			return Record{}, 0, fmt.Errorf("%w: cross record too short for its transaction id", ErrCorrupt)
-		}
-		rec.Txn = binary.LittleEndian.Uint64(p[off : off+8])
-		off += crossHeaderExtra
-	}
 	for i := 0; i < nops; i++ {
 		if off+opHeaderSize > plen {
 			return Record{}, 0, fmt.Errorf("%w: op %d header past payload end", ErrCorrupt, i)
@@ -348,7 +246,7 @@ func DecodeRecord(b []byte) (Record, int, error) {
 		op := Op{Kind: kind, Key: string(p[off : off+klen])}
 		off += klen
 		switch kind {
-		case KindSet, KindTxnMarker:
+		case KindSet:
 			op.Val = append([]byte(nil), p[off:off+vlen]...)
 		case KindCounterAdd, KindCounterSet:
 			if vlen != 8 {

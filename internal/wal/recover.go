@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -19,14 +20,13 @@ import (
 //     gap — marks the truncation point; everything at and beyond it is
 //     discarded (the file truncated, later files deleted). A torn tail
 //     is therefore repaired, never fatal.
-//  2. Replay: pick the newest loadable snapshot that the surviving
-//     chain can extend (its seq within the chain), apply it, then
-//     apply the chain's records past it.
+//  2. Replay: pick the newest loadable snapshot the surviving chain
+//     leaves no gap after, apply it, then apply the chain's records
+//     past it.
 //
-// The result is always a commit-order prefix: a snapshot is the exact
-// state at its seq (the kv layer snapshots through a sequenced marker
-// transaction), and replaying dense records over it reproduces the
-// exact state at the truncation point.
+// The result is always a commit-order prefix: a snapshot replays to the
+// exact state at its seq (see snapshot.go), and replaying dense records
+// over it reproduces the exact state at the truncation point.
 
 // RecoverResult summarizes a recovery.
 type RecoverResult struct {
@@ -98,39 +98,29 @@ func listDir(fsys FS, dir string) (snaps, segs []fileInfo, err error) {
 	return snaps, segs, nil
 }
 
-// Recover repairs shard's durability directory and replays its state
-// into apply, in commit order: first the chosen snapshot's records,
-// then the log records past it. It creates dir if missing. m, when
-// non-nil, receives truncation metrics.
+// segHeaderOK reports whether b opens with the header of the segment
+// whose first sequence is firstSeq.
+func segHeaderOK(b []byte, firstSeq uint64) bool {
+	return len(b) >= segHeaderLen && string(b[:8]) == segMagic &&
+		binary.LittleEndian.Uint64(b[8:16]) == firstSeq
+}
+
+// Recover repairs the durability directory and replays its state into
+// apply, in commit order: first the chosen snapshot's records, then the
+// log records past it. It creates dir if missing. m, when non-nil,
+// receives truncation metrics.
 //
 // Recovery fails only on I/O errors, an apply error, or an
 // unrecoverable gap (every snapshot lost or corrupt after segments
 // were compacted away — state that no longer exists on disk). Torn and
 // corrupt tails are repaired, not errors.
-func Recover(dir string, shard uint32, apply func(Record) error, m *Metrics) (RecoverResult, error) {
-	return RecoverLimitedFS(nil, dir, shard, ^uint64(0), apply, m)
+func Recover(dir string, apply func(Record) error, m *Metrics) (RecoverResult, error) {
+	return RecoverFS(nil, dir, apply, m)
 }
 
 // RecoverFS is Recover through an explicit filesystem seam (nil = the
 // real one).
-func RecoverFS(fsys FS, dir string, shard uint32, apply func(Record) error, m *Metrics) (RecoverResult, error) {
-	return RecoverLimitedFS(fsys, dir, shard, ^uint64(0), apply, m)
-}
-
-// RecoverLimited is Recover with a sequence ceiling: any record with
-// seq > limit is treated exactly like a torn tail — the chain is
-// physically truncated there and everything beyond dropped. The store
-// uses this to roll back cross-shard transactions whose commit marker
-// or sibling records did not survive; the caller must pick a limit no
-// lower than the newest usable snapshot's seq, since state baked into
-// a snapshot cannot be unwound.
-func RecoverLimited(dir string, shard uint32, limit uint64, apply func(Record) error, m *Metrics) (RecoverResult, error) {
-	return RecoverLimitedFS(nil, dir, shard, limit, apply, m)
-}
-
-// RecoverLimitedFS is RecoverLimited through an explicit filesystem
-// seam (nil = the real one).
-func RecoverLimitedFS(fsys FS, dir string, shard uint32, limit uint64, apply func(Record) error, m *Metrics) (RecoverResult, error) {
+func RecoverFS(fsys FS, dir string, apply func(Record) error, m *Metrics) (RecoverResult, error) {
 	fsys = fsOrOS(fsys)
 	var res RecoverResult
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
@@ -156,10 +146,7 @@ scan:
 		if err != nil {
 			return res, err
 		}
-		headerOK := len(b) >= fileHeaderLen &&
-			string(b[:8]) == segMagic &&
-			binary.LittleEndian.Uint32(b[8:12]) == shard &&
-			binary.LittleEndian.Uint64(b[12:20]) == sg.seq
+		headerOK := segHeaderOK(b, sg.seq)
 		expected := lastValid + 1
 		if !headerOK || (chainStart != 0 && sg.seq != expected) {
 			// Unreadable header or inter-segment gap: drop this file
@@ -171,19 +158,19 @@ scan:
 			chainStart = sg.seq
 			expected = sg.seq
 		}
-		off := int64(fileHeaderLen)
+		off := int64(segHeaderLen)
 		for int(off) < len(b) {
 			rec, n, derr := DecodeRecord(b[off:])
-			if derr != nil || rec.Shard != shard || rec.Seq != expected || rec.Seq > limit {
+			if derr != nil || rec.Seq != expected {
 				truncAt, truncOff = i, off
-				bodies = append(bodies, b[fileHeaderLen:off])
+				bodies = append(bodies, b[segHeaderLen:off])
 				break scan
 			}
 			lastValid = expected
 			expected++
 			off += int64(n)
 		}
-		bodies = append(bodies, b[fileHeaderLen:off])
+		bodies = append(bodies, b[segHeaderLen:off])
 	}
 	if truncAt >= 0 {
 		for i := truncAt; i < len(segs); i++ {
@@ -218,80 +205,51 @@ scan:
 	if len(bodies) > len(segs) {
 		bodies = bodies[:len(segs)]
 	}
+	dropChain := func(why string) error {
+		for _, sg := range segs {
+			if err := fsys.Remove(sg.path); err != nil {
+				return fmt.Errorf("wal: drop %s chain: %w", why, err)
+			}
+		}
+		segs, bodies, chainStart, lastValid = nil, nil, 0, 0
+		return fsys.SyncDir(dir)
+	}
 	// A chain that survived zero records is no chain at all: its
 	// segments are headers with nothing in them, stamped with first
 	// sequences a standalone snapshot cannot line up with. Drop them so
 	// the snapshot stands alone and appending restarts on a fresh
 	// segment at the snapshot's sequence.
 	if chainStart != 0 && lastValid == 0 {
-		for _, sg := range segs {
-			if err := fsys.Remove(sg.path); err != nil {
-				return res, fmt.Errorf("wal: drop empty chain: %w", err)
-			}
-		}
-		segs, bodies, chainStart = nil, nil, 0
-		if err := fsys.SyncDir(dir); err != nil {
+		if err := dropChain("empty"); err != nil {
 			return res, err
 		}
 	}
 
-	// Pass 2 — choose a snapshot the chain can extend: newest loadable
-	// one with chainStart-1 <= seq <= lastValid (with no chain at all,
-	// any loadable snapshot stands alone). A chain-anchoring snapshot is
-	// preferred over a newer standalone one even though the newer one
-	// holds more committed state: records kept in the chain remain
-	// unwindable (RecoverLimited — the cross-shard all-or-nothing cut
-	// depends on that), while state baked into a snapshot is not.
+	// Pass 2 — take the newest loadable snapshot the chain leaves no gap
+	// after (seq+1 >= chainStart; with no chain at all, any). A chain
+	// that ends below it is superseded: every surviving record is
+	// already in the snapshot — mid-log damage, with or without
+	// compaction, leaves this — so the segments go and appending
+	// resumes after the snapshot.
 	var snapRecs []Record
-	for i := len(snaps) - 1; i >= 0; i-- {
-		seq, recs, lerr := loadSnapshot(fsys, snaps[i].path, shard)
-		if lerr != nil {
-			continue // corrupt or unreadable: fall back to an older one
+	found := false
+	for i := len(snaps) - 1; i >= 0 && !found; i-- {
+		seq, recs, lerr := loadSnapshot(fsys, snaps[i].path)
+		if lerr != nil || (chainStart != 0 && seq+1 < chainStart) {
+			continue // corrupt, unreadable, or a gap before the chain: try an older one
 		}
-		if seq > limit {
-			continue // beyond the ceiling: cannot be unwound, so skip it
-		}
-		if chainStart != 0 && (seq > lastValid || seq+1 < chainStart) {
-			continue // outside the chain's window
-		}
-		res.SnapshotSeq = seq
-		snapRecs = recs
-		break
-	}
-	if snapRecs == nil && chainStart > 1 {
-		// Last resort before declaring the state unrecoverable: a
-		// loadable snapshot NEWER than the entire surviving chain is
-		// itself a complete commit prefix (every surviving record is
-		// already baked into it), so it supersedes the chain. Mid-log
-		// damage plus compaction produces this — the chain truncates
-		// below the oldest retained snapshot — and insisting on a
-		// chain-anchoring snapshot would turn recoverable state into an
-		// error.
-		for i := len(snaps) - 1; i >= 0; i-- {
-			seq, recs, lerr := loadSnapshot(fsys, snaps[i].path, shard)
-			if lerr != nil || seq > limit || seq <= lastValid {
-				continue
-			}
-			for _, sg := range segs {
-				if err := fsys.Remove(sg.path); err != nil {
-					return res, fmt.Errorf("wal: drop superseded chain: %w", err)
-				}
-			}
-			segs, bodies = nil, nil
-			chainStart, lastValid = 0, 0
-			if err := fsys.SyncDir(dir); err != nil {
+		if chainStart != 0 && seq > lastValid {
+			if err := dropChain("superseded"); err != nil {
 				return res, err
 			}
-			res.SnapshotSeq = seq
-			snapRecs = recs
-			break
 		}
+		res.SnapshotSeq, snapRecs, found = seq, recs, true
 	}
-	if snapRecs == nil && chainStart > 1 {
-		return res, fmt.Errorf("wal: shard %d: no usable snapshot and the log starts at seq %d — records 1..%d were compacted away", shard, chainStart, chainStart-1)
+	if !found && chainStart > 1 {
+		return res, fmt.Errorf("wal: no usable snapshot and the log starts at seq %d — records 1..%d were compacted away", chainStart, chainStart-1)
 	}
-	if snapRecs == nil && chainStart == 0 && len(snaps) > 0 {
-		return res, fmt.Errorf("wal: shard %d: every snapshot is corrupt and no log segments remain", shard)
+	if !found && chainStart == 0 && len(snaps) > 0 {
+		return res, errors.New("wal: every snapshot is corrupt and no log segments remain")
 	}
 	for _, rec := range snapRecs {
 		if err := apply(rec); err != nil {

@@ -11,23 +11,22 @@ import (
 	"testing"
 )
 
-// Tests for the replication-facing WAL surface: sequence-limited
-// recovery (cross-shard rollback), snapshot-supersedes-chain recovery,
-// segment-cursor catch-up reads, and the live-tail follower.
+// Tests for the replication-facing WAL surface: snapshot-supersedes-
+// chain recovery, segment-cursor catch-up reads, and the live-tail
+// follower.
 
 // writeSegFile writes one complete segment file holding records
 // first..last, bypassing the Log so the segment boundary is exact.
-func writeSegFile(t *testing.T, dir string, shard uint32, first, last uint64) {
+func writeSegFile(t *testing.T, dir string, first, last uint64) {
 	t.Helper()
 	buf := make([]byte, 0, 4096)
-	var hdr [fileHeaderLen]byte
+	var hdr [segHeaderLen]byte
 	copy(hdr[:8], segMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], shard)
-	binary.LittleEndian.PutUint64(hdr[12:20], first)
+	binary.LittleEndian.PutUint64(hdr[8:16], first)
 	buf = append(buf, hdr[:]...)
 	for seq := first; seq <= last; seq++ {
 		var err error
-		buf, err = AppendRecord(buf, shard, seq, testOps(int(seq)))
+		buf, err = AppendRecord(buf, 0, seq, testOps(int(seq)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,11 +40,11 @@ func writeSegFile(t *testing.T, dir string, shard uint32, first, last uint64) {
 // writeChain appends records 1..n at Fsync and closes the log.
 func writeChain(t *testing.T, dir string, n int) {
 	t.Helper()
-	res, err := Recover(dir, 0, func(Record) error { return nil }, nil)
+	res, err := Recover(dir, func(Record) error { return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenLog(dir, 0, res, Options{Level: Fsync})
+	l, err := OpenLog(dir, res, Options{Level: Fsync})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,31 +58,6 @@ func writeChain(t *testing.T, dir string, n int) {
 	}
 }
 
-func TestRecoverLimitedTruncates(t *testing.T) {
-	dir := t.TempDir()
-	writeChain(t, dir, 20)
-	var recs []Record
-	res, err := RecoverLimited(dir, 0, 12, func(r Record) error {
-		recs = append(recs, r)
-		return nil
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LastSeq != 12 || len(recs) != 12 {
-		t.Fatalf("recovered %d records to %d, want 12", len(recs), res.LastSeq)
-	}
-	if !res.Truncated || res.TruncatedBytes == 0 {
-		t.Fatalf("limit cut not reported as truncation: %+v", res)
-	}
-	// The cut is physical: a fresh unlimited recovery sees 12 records.
-	recs2, res2 := replayAll(t, dir, 0)
-	if res2.LastSeq != 12 || len(recs2) != 12 || res2.Truncated {
-		t.Fatalf("re-recovery after cut: %d records to %d (truncated %v)",
-			len(recs2), res2.LastSeq, res2.Truncated)
-	}
-}
-
 // TestSnapshotSupersedesDamagedChain pins the last-resort recovery
 // rule the crash-recovery torture exposed: when compaction has pruned
 // the chain's early segments (so it no longer reaches seq 1) and
@@ -91,21 +65,20 @@ func TestRecoverLimitedTruncates(t *testing.T) {
 // snapshot, the newest snapshot is still a valid commit prefix and
 // must stand alone instead of recovery failing. It also pins the
 // preference order: when the chain survives far enough for a snapshot
-// to anchor it, the chain is kept (it remains unwindable) rather than
-// superseded.
+// to anchor it, the chain is kept rather than superseded.
 func TestSnapshotSupersedesDamagedChain(t *testing.T) {
 	dir := t.TempDir()
 	// Build the chain segment by segment (rotation is batch-granular,
 	// so driving the Log cannot pin segment boundaries): three segments
 	// holding 1..10, 11..20, 21..30, then a snapshot at 30.
-	writeSegFile(t, dir, 0, 1, 10)
-	writeSegFile(t, dir, 0, 11, 20)
-	writeSegFile(t, dir, 0, 21, 30)
+	writeSegFile(t, dir, 1, 10)
+	writeSegFile(t, dir, 11, 20)
+	writeSegFile(t, dir, 21, 30)
 	var ops []Op
 	for i := 1; i <= 30; i++ {
 		ops = append(ops, testOps(i)...)
 	}
-	if err := WriteSnapshot(dir, 0, 30, ops); err != nil {
+	if err := WriteSnapshot(dir, 30, 30, ops); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
@@ -116,7 +89,7 @@ func TestSnapshotSupersedesDamagedChain(t *testing.T) {
 
 	// Preference check first: with the chain intact, the snapshot
 	// anchors it — recovery keeps the segments.
-	_, r := replayAll(t, dir, 0)
+	_, r := replayAll(t, dir)
 	if r.SnapshotSeq != 30 || r.LastSeq != 30 {
 		t.Fatalf("intact recovery: snapshot %d to %d, want 30/30", r.SnapshotSeq, r.LastSeq)
 	}
@@ -135,7 +108,7 @@ func TestSnapshotSupersedesDamagedChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs, res2 := replayAll(t, dir, 0)
+	recs, res2 := replayAll(t, dir)
 	if res2.SnapshotSeq != 30 || res2.LastSeq != 30 {
 		t.Fatalf("recovered to %d via snapshot %d, want 30/30", res2.LastSeq, res2.SnapshotSeq)
 	}
@@ -146,7 +119,7 @@ func TestSnapshotSupersedesDamagedChain(t *testing.T) {
 		t.Fatalf("superseded chain not dropped: %v", left)
 	}
 	// And the log extends cleanly from the snapshot.
-	l, err := OpenLog(dir, 0, res2, Options{Level: Fsync})
+	l, err := OpenLog(dir, res2, Options{Level: Fsync})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +129,7 @@ func TestSnapshotSupersedesDamagedChain(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, res2 = replayAll(t, dir, 0)
+	_, res2 = replayAll(t, dir)
 	if res2.LastSeq != 31 {
 		t.Fatalf("after extend, recovered to %d, want 31", res2.LastSeq)
 	}
@@ -167,7 +140,7 @@ func TestScanSegments(t *testing.T) {
 	writeChain(t, dir, 25)
 
 	var seen []uint64
-	next, err := ScanSegments(dir, 0, 10, func(rec Record, raw []byte) error {
+	next, err := ScanSegments(dir, 10, func(rec Record, raw []byte) error {
 		seen = append(seen, rec.Seq)
 		if len(raw) == 0 {
 			t.Fatal("empty raw bytes")
@@ -181,7 +154,7 @@ func TestScanSegments(t *testing.T) {
 		t.Fatalf("scan from 10: next %d, seen %v", next, seen)
 	}
 	// From beyond the end: nothing, cleanly.
-	next, err = ScanSegments(dir, 0, 26, func(Record, []byte) error {
+	next, err = ScanSegments(dir, 26, func(Record, []byte) error {
 		t.Fatal("unexpected record")
 		return nil
 	})
@@ -189,7 +162,7 @@ func TestScanSegments(t *testing.T) {
 		t.Fatalf("scan from 26: next %d, %v", next, err)
 	}
 	// Empty dir: nothing, cleanly.
-	next, err = ScanSegments(t.TempDir(), 0, 1, func(Record, []byte) error { return nil })
+	next, err = ScanSegments(t.TempDir(), 1, func(Record, []byte) error { return nil })
 	if err != nil || next != 1 {
 		t.Fatalf("scan of empty dir: next %d, %v", next, err)
 	}
@@ -202,7 +175,7 @@ func TestScanSegmentsCompacted(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		ops = append(ops, testOps(i)...)
 	}
-	if err := WriteSnapshot(dir, 0, 10, ops); err != nil {
+	if err := WriteSnapshot(dir, 10, 10, ops); err != nil {
 		t.Fatal(err)
 	}
 	// Remove the segments as compaction would.
@@ -212,10 +185,10 @@ func TestScanSegmentsCompacted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ScanSegments(dir, 0, 1, func(Record, []byte) error { return nil }); !errors.Is(err, ErrCompacted) {
+	if _, err := ScanSegments(dir, 1, func(Record, []byte) error { return nil }); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("scan of compacted range: %v, want ErrCompacted", err)
 	}
-	seq, recs, err := LatestSnapshot(dir, 0)
+	seq, recs, err := LatestSnapshot(dir)
 	if err != nil || seq != 10 || len(recs) == 0 {
 		t.Fatalf("LatestSnapshot: seq %d, %d recs, %v", seq, len(recs), err)
 	}
@@ -223,11 +196,11 @@ func TestScanSegmentsCompacted(t *testing.T) {
 
 func TestFollowerLiveTail(t *testing.T) {
 	dir := t.TempDir()
-	res, err := Recover(dir, 0, func(Record) error { return nil }, nil)
+	res, err := Recover(dir, func(Record) error { return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenLog(dir, 0, res, Options{Level: None})
+	l, err := OpenLog(dir, res, Options{Level: None})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +255,11 @@ func TestFollowerLiveTail(t *testing.T) {
 
 func TestFollowerOverflowDies(t *testing.T) {
 	dir := t.TempDir()
-	res, err := Recover(dir, 0, func(Record) error { return nil }, nil)
+	res, err := Recover(dir, func(Record) error { return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenLog(dir, 0, res, Options{Level: None})
+	l, err := OpenLog(dir, res, Options{Level: None})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,11 +280,11 @@ func TestFollowerOverflowDies(t *testing.T) {
 
 func TestFollowerClosesWithLog(t *testing.T) {
 	dir := t.TempDir()
-	res, err := Recover(dir, 0, func(Record) error { return nil }, nil)
+	res, err := Recover(dir, func(Record) error { return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenLog(dir, 0, res, Options{Level: None})
+	l, err := OpenLog(dir, res, Options{Level: None})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,55 +298,4 @@ func TestFollowerClosesWithLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done
-}
-
-func TestTxnPartsRoundTrip(t *testing.T) {
-	parts := []TxnPart{{Shard: 0, Seq: 7}, {Shard: 3, Seq: 12}, {Shard: TxnShard - 1, Seq: 1 << 40}}
-	enc := AppendTxnParts(nil, parts)
-	got, err := DecodeTxnParts(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(parts) {
-		t.Fatalf("%d parts, want %d", len(got), len(parts))
-	}
-	for i := range parts {
-		if got[i] != parts[i] {
-			t.Fatalf("part %d: %+v vs %+v", i, got[i], parts[i])
-		}
-	}
-	if _, err := DecodeTxnParts(enc[:len(enc)-1]); err == nil {
-		t.Fatal("ragged parts vector accepted")
-	}
-	var empty []TxnPart
-	if got, err := DecodeTxnParts(nil); err != nil || len(got) != len(empty) {
-		t.Fatalf("empty vector: %v, %v", got, err)
-	}
-}
-
-func TestCrossFlagRoundTrip(t *testing.T) {
-	enc, err := AppendRecordFlags(nil, 2, 9, FlagCross, 0xAB54A98CEB1F0AD2, testOps(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, n, err := DecodeRecord(enc)
-	if err != nil || n != len(enc) {
-		t.Fatalf("decode: %v (%d of %d)", err, n, len(enc))
-	}
-	if !rec.Cross || rec.Txn != 0xAB54A98CEB1F0AD2 {
-		t.Fatalf("cross header lost: cross %v, txn %#x", rec.Cross, rec.Txn)
-	}
-	if _, err := AppendRecordFlags(nil, 2, 9, 0x80, 0, testOps(9)); err == nil {
-		t.Fatal("unassigned flag accepted")
-	}
-	// A v1-style record decodes with Cross unset (see fuzz test for the
-	// flags-must-be-zero arm).
-	plain, err := AppendRecord(nil, 2, 9, testOps(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, _, err = DecodeRecord(plain)
-	if err != nil || rec.Cross || rec.Txn != 0 {
-		t.Fatalf("plain record: %v, cross %v, txn %d", err, rec.Cross, rec.Txn)
-	}
 }

@@ -2,56 +2,82 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 )
 
-// Snapshot files: snap-<seq>.snap — the shard's full state as of
-// commit sequence seq, so recovery is "load snapshot, replay records
-// seq+1 onward". The layout is the segment layout with a different
-// magic: a 20-byte header (magic, shard, seq) followed by ordinary
-// records, each stamped with seq and carrying a chunk of absolute ops
-// (KindSet / KindCounterSet). A snapshot is only ever installed by
-// rename, and only after the log is fsynced through seq — so on any
-// crash the records a surviving snapshot makes redundant are already
-// durable, and a snapshot "from the future" of the log can only mean
-// byte corruption, which recovery detects and falls back from.
-const snapChunkOps = 1024
+// Snapshot files: snap-<through>.snap. A checkpoint reads the store
+// while writers keep committing: it takes the log position `from` before
+// it reads anything and `through` when it is done, so each key it read
+// holds its value as of some commit in between. On its own that is no
+// commit-order state at all. The file therefore carries the state it
+// read and then the log's own records from+1..through, and replaying
+// both in order gives the exact state at through — writes are logged
+// absolute, so a record the read already saw applies again harmlessly.
+// Recovery and replication treat the file as the state at through.
+//
+// Layout: a 24-byte header (magic, from, through), then ordinary
+// records: chunks of absolute ops (KindSet / KindCounterSet) stamped
+// from, then the tail records from+1..through, dense. A snapshot is
+// only installed by rename, after the log is fsynced through `through`,
+// so on any crash the records it makes redundant are already durable.
+const (
+	snapMagic     = "MTXSNP2\n"
+	snapHeaderLen = 24 // magic(8) + from(8) + through(8)
+	snapChunkOps  = 1024
+)
 
-// snapshotName returns the file name of the snapshot at seq.
+// snapshotName returns the file name of the snapshot through seq.
 func snapshotName(seq uint64) string {
 	return fmt.Sprintf("snap-%020d.snap", seq)
 }
 
-// WriteSnapshot atomically writes shard's snapshot at seq: temp file,
-// fsync, rename, directory fsync. ops must be the shard's full state
-// at exactly commit sequence seq, in absolute form.
-func WriteSnapshot(dir string, shard uint32, seq uint64, ops []Op) error {
-	return WriteSnapshotFS(nil, dir, shard, seq, ops)
+// errTailDone ends the tail scan at the snapshot's through.
+var errTailDone = errors.New("wal: snapshot tail complete")
+
+// WriteSnapshot atomically writes a snapshot: temp file, fsync,
+// rename, directory fsync. ops is the state read between the log
+// positions from and through, in absolute form; the log in dir must
+// hold (on disk, not only queued) every record through `through`.
+func WriteSnapshot(dir string, from, through uint64, ops []Op) error {
+	return WriteSnapshotFS(nil, dir, from, through, ops)
 }
 
 // WriteSnapshotFS is WriteSnapshot through an explicit filesystem seam
 // (nil = the real one).
-func WriteSnapshotFS(fsys FS, dir string, shard uint32, seq uint64, ops []Op) error {
+func WriteSnapshotFS(fsys FS, dir string, from, through uint64, ops []Op) error {
 	fsys = fsOrOS(fsys)
-	buf := make([]byte, fileHeaderLen, fileHeaderLen+64*len(ops))
+	buf := make([]byte, snapHeaderLen, snapHeaderLen+64*len(ops))
 	copy(buf[:8], snapMagic)
-	binary.LittleEndian.PutUint32(buf[8:12], shard)
-	binary.LittleEndian.PutUint64(buf[12:20], seq)
+	binary.LittleEndian.PutUint64(buf[8:16], from)
+	binary.LittleEndian.PutUint64(buf[16:24], through)
 	for len(ops) > 0 {
-		chunk := ops
-		if len(chunk) > snapChunkOps {
-			chunk = chunk[:snapChunkOps]
-		}
+		chunk := ops[:min(len(ops), snapChunkOps)]
 		var err error
-		if buf, err = AppendRecord(buf, shard, seq, chunk); err != nil {
+		if buf, err = AppendRecord(buf, 0, from, chunk); err != nil {
 			return err
 		}
 		ops = ops[len(chunk):]
 	}
+	if through > from {
+		next, err := ScanSegments(dir, from+1, func(rec Record, raw []byte) error {
+			if rec.Seq > through {
+				return errTailDone
+			}
+			buf = append(buf, raw...)
+			return nil
+		})
+		if err != nil && err != errTailDone {
+			return err
+		}
+		if next <= through {
+			return fmt.Errorf("wal: snapshot through %d: the log holds records only to %d", through, next-1)
+		}
+	}
 
-	path := filepath.Join(dir, snapshotName(seq))
+	path := filepath.Join(dir, snapshotName(through))
 	tmp := path + ".tmp"
 	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -75,38 +101,45 @@ func WriteSnapshotFS(fsys FS, dir string, shard uint32, seq uint64, ops []Op) er
 
 // loadSnapshot parses a snapshot file completely before returning, so
 // a caller never applies half of a corrupt snapshot. Any defect —
-// short file, wrong magic or shard, bad record — is an error; the
-// caller falls back to an older snapshot.
-func loadSnapshot(fsys FS, path string, shard uint32) (seq uint64, recs []Record, err error) {
+// short file, wrong magic, bad record, a tail that does not run dense
+// to through — is an error; the caller falls back to an older snapshot.
+// seq is the snapshot's through; recs are the chunks, then the tail.
+func loadSnapshot(fsys FS, path string) (seq uint64, recs []Record, err error) {
 	b, err := fsys.ReadFile(path)
 	if err != nil {
 		return 0, nil, err
 	}
-	if len(b) < fileHeaderLen || string(b[:8]) != snapMagic {
+	if len(b) < snapHeaderLen || string(b[:8]) != snapMagic {
 		return 0, nil, fmt.Errorf("%w: snapshot header", ErrCorrupt)
 	}
-	if got := binary.LittleEndian.Uint32(b[8:12]); got != shard {
-		return 0, nil, fmt.Errorf("%w: snapshot for shard %d, want %d", ErrCorrupt, got, shard)
-	}
-	seq = binary.LittleEndian.Uint64(b[12:20])
-	for off := fileHeaderLen; off < len(b); {
+	from := binary.LittleEndian.Uint64(b[8:16])
+	through := binary.LittleEndian.Uint64(b[16:24])
+	next := from + 1 // the tail's next record
+	for off := snapHeaderLen; off < len(b); {
 		rec, n, derr := DecodeRecord(b[off:])
 		if derr != nil {
 			return 0, nil, derr
 		}
-		if rec.Shard != shard || rec.Seq != seq {
+		switch {
+		case rec.Seq == from && next == from+1: // a chunk, before any tail record
+		case rec.Seq == next && next <= through:
+			next++
+		default:
 			return 0, nil, fmt.Errorf("%w: snapshot record stamp", ErrCorrupt)
 		}
 		recs = append(recs, rec)
 		off += n
 	}
-	return seq, recs, nil
+	if next != through+1 {
+		return 0, nil, fmt.Errorf("%w: snapshot tail ends at %d, not %d", ErrCorrupt, next-1, through)
+	}
+	return through, recs, nil
 }
 
 // Compact prunes the durability directory: it keeps the newest
 // keepSnaps snapshots (older ones are deleted) and deletes every
 // closed segment whose records are all covered by the oldest retained
-// snapshot. The active (newest) segment is never touched, so Compact
+// snapshot (at or below its through). The active (newest) segment is never touched, so Compact
 // is safe to run while a Log is appending.
 func Compact(dir string, keepSnaps int) error {
 	return CompactFS(nil, dir, keepSnaps)

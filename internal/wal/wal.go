@@ -1,4 +1,4 @@
-// Package wal is the durability subsystem of the store: a per-shard
+// Package wal is the durability subsystem of the store: one
 // append-only write-ahead log with group commit, snapshots, and
 // torn-tail-tolerant recovery. It is dependency-free (stdlib plus
 // internal/obs for metrics) and knows nothing about the STM or the kv
@@ -10,16 +10,17 @@
 //   - Records (record.go): fixed-layout binary encoding of one
 //     committed transaction's operations — length-prefixed,
 //     CRC32C-checksummed, explicit offsets, no reflection. A record
-//     carries {shard, commitSeq, ops[]} where ops cover bytes-lane
-//     SET, counter ADD/SET and DELETE.
-//   - Log (log.go): one append-only log per shard. Appends are
-//     buffered under the caller's sequencing lock; a batcher goroutine
-//     coalesces everything buffered since its last pass into one
-//     write(2) and — depending on the durability level — one fsync, so
-//     concurrent committers share both syscalls (group commit).
-//     Segments rotate at a size threshold.
-//   - Snapshots (snapshot.go): a full-state checkpoint with a replay
-//     watermark, written atomically (temp file + rename), so recovery
+//     carries {commitSeq, ops[]} where ops cover bytes-lane SET,
+//     counter ADD/SET and DELETE, on any number of shards.
+//   - Log (log.go): the append-only log. Appends are buffered under the
+//     caller's sequencing lock; a batcher goroutine coalesces
+//     everything buffered since its last pass into one write(2) and —
+//     depending on the durability level — one fsync, so concurrent
+//     committers share both syscalls (group commit). Segments rotate
+//     at a size threshold.
+//   - Snapshots (snapshot.go): a full-state checkpoint read while
+//     writers commit, plus the log records that make it exact at one
+//     sequence, written atomically (temp file + rename), so recovery
 //     replays only the log tail.
 //   - Recovery (recover.go): newest loadable snapshot + tail replay
 //     with strict sequence continuity; a torn or corrupt tail is
@@ -77,8 +78,8 @@ func ParseLevel(s string) (Level, error) {
 	return 0, fmt.Errorf("wal: unknown durability level %q (want none, batch or fsync)", s)
 }
 
-// Metrics is the write-side observability surface of one or more Logs
-// (the kv store shares one across its shards). All fields are
+// Metrics is the write-side observability surface of one or more Logs.
+// All fields are
 // allocation-free on the write side; the zero value is ready for use.
 type Metrics struct {
 	AppendNs obs.Histogram // latency of one batched write(2)

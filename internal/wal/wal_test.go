@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 func testOps(i int) []Op {
@@ -18,10 +19,10 @@ func testOps(i int) []Op {
 }
 
 // replayAll recovers dir and returns the applied records in order.
-func replayAll(t *testing.T, dir string, shard uint32) ([]Record, RecoverResult) {
+func replayAll(t *testing.T, dir string) ([]Record, RecoverResult) {
 	t.Helper()
 	var recs []Record
-	res, err := Recover(dir, shard, func(r Record) error {
+	res, err := Recover(dir, func(r Record) error {
 		recs = append(recs, r)
 		return nil
 	}, nil)
@@ -65,7 +66,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Empty records (checkpoint markers) round-trip too.
+	// Empty records round-trip too.
 	buf2, err := AppendRecord(nil, 0, 7, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +76,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rec2.Seq != 7 || len(rec2.Ops) != 0 {
-		t.Fatalf("marker decoded to %+v", rec2)
+		t.Fatalf("empty record decoded to %+v", rec2)
 	}
 }
 
@@ -108,11 +109,11 @@ func TestLogAppendRecover(t *testing.T) {
 	for _, level := range []Level{None, Batch, Fsync} {
 		t.Run(level.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			res0, err := Recover(dir, 0, func(Record) error { return nil }, nil)
+			res0, err := Recover(dir, func(Record) error { return nil }, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			l, err := OpenLog(dir, 0, res0, Options{Level: level})
+			l, err := OpenLog(dir, res0, Options{Level: level})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +132,7 @@ func TestLogAppendRecover(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			recs, res := replayAll(t, dir, 0)
+			recs, res := replayAll(t, dir)
 			if res.LastSeq != n || len(recs) != n {
 				t.Fatalf("recovered %d records to seq %d, want %d", len(recs), res.LastSeq, n)
 			}
@@ -153,11 +154,11 @@ func TestLogAppendRecover(t *testing.T) {
 // the empty segments are dropped so appending restarts consistently.
 func TestChainWithNoRecordsFallsBackToSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	res0, err := Recover(dir, 0, func(Record) error { return nil }, nil)
+	res0, err := Recover(dir, func(Record) error { return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenLog(dir, 0, res0, Options{Level: Fsync})
+	l, err := OpenLog(dir, res0, Options{Level: Fsync})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestChainWithNoRecordsFallsBackToSnapshot(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		snapOps = append(snapOps, testOps(i)...)
 	}
-	if err := WriteSnapshot(dir, 0, 10, snapOps); err != nil {
+	if err := WriteSnapshot(dir, 10, 10, snapOps); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the first record: the whole chain survives zero records.
@@ -185,12 +186,12 @@ func TestChainWithNoRecordsFallsBackToSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0xff}, fileHeaderLen); err != nil {
+	if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0xff}, segHeaderLen); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 
-	recs, res := replayAll(t, dir, 0)
+	recs, res := replayAll(t, dir)
 	if res.LastSeq != 10 || res.SnapshotSeq != 10 {
 		t.Fatalf("recovered to seq %d (snapshot %d), want 10", res.LastSeq, res.SnapshotSeq)
 	}
@@ -201,7 +202,7 @@ func TestChainWithNoRecordsFallsBackToSnapshot(t *testing.T) {
 		t.Fatalf("empty chain segments not dropped: %v", left)
 	}
 	// The log must extend cleanly from the snapshot.
-	l2, err := OpenLog(dir, 0, res, Options{Level: Fsync})
+	l2, err := OpenLog(dir, res, Options{Level: Fsync})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestChainWithNoRecordsFallsBackToSnapshot(t *testing.T) {
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, res = replayAll(t, dir, 0)
+	recs, res = replayAll(t, dir)
 	if res.LastSeq != 11 {
 		t.Fatalf("after re-append, recovered to %d, want 11", res.LastSeq)
 	}
@@ -221,11 +222,11 @@ func TestChainWithNoRecordsFallsBackToSnapshot(t *testing.T) {
 func TestLogGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	var m Metrics
-	res0, err := Recover(dir, 0, func(Record) error { return nil }, &m)
+	res0, err := Recover(dir, func(Record) error { return nil }, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenLog(dir, 0, res0, Options{Level: Fsync, Metrics: &m})
+	l, err := OpenLog(dir, res0, Options{Level: Fsync, Metrics: &m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestLogGroupCommit(t *testing.T) {
 	if snap.Batches == 0 || snap.Bytes == 0 || snap.AppendNs.Count == 0 || snap.FsyncNs.Count == 0 {
 		t.Fatalf("write-side metrics not recorded: %+v", snap)
 	}
-	recs, _ := replayAll(t, dir, 0)
+	recs, _ := replayAll(t, dir)
 	if len(recs) != n {
 		t.Fatalf("recovered %d records, want %d", len(recs), n)
 	}
@@ -285,8 +286,8 @@ func TestLogGroupCommit(t *testing.T) {
 
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	res0, _ := Recover(dir, 0, func(Record) error { return nil }, nil)
-	l, err := OpenLog(dir, 0, res0, Options{Level: Fsync})
+	res0, _ := Recover(dir, func(Record) error { return nil }, nil)
+	l, err := OpenLog(dir, res0, Options{Level: Fsync})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestTornTailTruncated(t *testing.T) {
 
 	var m Metrics
 	var recs []Record
-	res, err := Recover(dir, 0, func(r Record) error { recs = append(recs, r); return nil }, &m)
+	res, err := Recover(dir, func(r Record) error { recs = append(recs, r); return nil }, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 
 	// The repaired log accepts appends at the truncated position.
-	l2, err := OpenLog(dir, 0, res, Options{Level: Fsync})
+	l2, err := OpenLog(dir, res, Options{Level: Fsync})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestTornTailTruncated(t *testing.T) {
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs2, res2 := replayAll(t, dir, 0)
+	recs2, res2 := replayAll(t, dir)
 	if res2.LastSeq != 20 || len(recs2) != 20 || res2.Truncated {
 		t.Fatalf("after repair+append: %d records to seq %d (truncated=%v)", len(recs2), res2.LastSeq, res2.Truncated)
 	}
@@ -343,10 +344,10 @@ func TestTornTailTruncated(t *testing.T) {
 
 func TestRotationAndSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	res0, _ := Recover(dir, 0, func(Record) error { return nil }, nil)
+	res0, _ := Recover(dir, func(Record) error { return nil }, nil)
 	var m Metrics
 	rotated := make(chan uint64, 64)
-	l, err := OpenLog(dir, 0, res0, Options{
+	l, err := OpenLog(dir, res0, Options{
 		Level:        Fsync,
 		SegmentBytes: 256, // rotate constantly
 		Metrics:      &m,
@@ -376,7 +377,7 @@ func TestRotationAndSnapshot(t *testing.T) {
 	// Snapshot at seq 30, then compact: recovery must splice snapshot
 	// + tail and the early segments must be gone.
 	state := []Op{{Kind: KindSet, Key: "k30", Val: []byte("v30")}, {Kind: KindCounterSet, Key: "ctr", N: 30}}
-	if err := WriteSnapshot(dir, 0, 30, state); err != nil {
+	if err := WriteSnapshot(dir, 30, 30, state); err != nil {
 		t.Fatal(err)
 	}
 	if err := Compact(dir, 1); err != nil {
@@ -386,7 +387,7 @@ func TestRotationAndSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, res := replayAll(t, dir, 0)
+	recs, res := replayAll(t, dir)
 	if res.SnapshotSeq != 30 {
 		t.Fatalf("SnapshotSeq = %d, want 30", res.SnapshotSeq)
 	}
@@ -435,8 +436,8 @@ func segAfter(segs []fileInfo, firstSeq uint64) uint64 {
 
 func TestCorruptSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	res0, _ := Recover(dir, 0, func(Record) error { return nil }, nil)
-	l, err := OpenLog(dir, 0, res0, Options{Level: Fsync})
+	res0, _ := Recover(dir, func(Record) error { return nil }, nil)
+	l, err := OpenLog(dir, res0, Options{Level: Fsync})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +449,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSnapshot(dir, 0, 5, []Op{{Kind: KindSet, Key: "snap", Val: []byte("state")}}); err != nil {
+	if err := WriteSnapshot(dir, 5, 5, []Op{{Kind: KindSet, Key: "snap", Val: []byte("state")}}); err != nil {
 		t.Fatal(err)
 	}
 	// Flip a byte inside the snapshot body.
@@ -462,7 +463,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, res := replayAll(t, dir, 0)
+	recs, res := replayAll(t, dir)
 	if res.SnapshotSeq != 0 {
 		t.Fatalf("used corrupt snapshot (seq %d)", res.SnapshotSeq)
 	}
@@ -480,5 +481,152 @@ func TestLevelParse(t *testing.T) {
 	}
 	if _, err := ParseLevel("always"); err == nil {
 		t.Fatal("ParseLevel accepted garbage")
+	}
+}
+
+// TestFuzzySnapshotCarriesItsTail: a snapshot read between log
+// positions 25 and 30 carries records 26..30, so it recovers to the
+// exact state at 30 — with the log intact, and with the log cut below
+// 30, where the chain alone could not say what the read state means.
+func TestFuzzySnapshotCarriesItsTail(t *testing.T) {
+	dir := t.TempDir()
+	writeChain(t, dir, 40)
+	state := []Op{{Kind: KindSet, Key: "read", Val: []byte("between 25 and 30")}}
+	if err := WriteSnapshot(dir, 25, 45, state); err == nil {
+		t.Fatal("snapshot through 45 written over a log that ends at 40")
+	}
+	if err := WriteSnapshot(dir, 25, 30, state); err != nil {
+		t.Fatal(err)
+	}
+	recs, res := replayAll(t, dir)
+	if res.SnapshotSeq != 30 || res.LastSeq != 40 {
+		t.Fatalf("recovered to %d via snapshot %d, want 40 via 30", res.LastSeq, res.SnapshotSeq)
+	}
+	var seqs []uint64
+	for _, rec := range recs {
+		seqs = append(seqs, rec.Seq)
+	}
+	if want := []uint64{25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40}; fmt.Sprint(seqs) != fmt.Sprint(want) {
+		t.Fatalf("applied %v, want %v", seqs, want)
+	}
+
+	// Cut the log inside the snapshot's tail: the snapshot supersedes
+	// the chain and still ends exactly at 30.
+	seg := filepath.Join(dir, segmentName(1))
+	b, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := segHeaderLen
+	for seq := 1; seq <= 28; seq++ {
+		_, n, err := DecodeRecord(b[off:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		off += n
+	}
+	if err := os.Truncate(seg, int64(off)); err != nil {
+		t.Fatal(err)
+	}
+	recs, res = replayAll(t, dir)
+	if res.SnapshotSeq != 30 || res.LastSeq != 30 || len(recs) != 6 || recs[5].Seq != 30 {
+		t.Fatalf("after the cut: %d records to %d via snapshot %d, want 6 to 30 via 30", len(recs), res.LastSeq, res.SnapshotSeq)
+	}
+}
+
+// floorFS is the real filesystem with every fsync padded to a floor: the
+// device model of the benchmark's durable-write-fsync2ms workload.
+type floorFS struct {
+	FS
+	floor time.Duration
+}
+
+type floorFile struct {
+	File
+	floor time.Duration
+}
+
+func (f floorFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return floorFile{file, f.floor}, nil
+}
+
+func (f floorFile) Sync() error {
+	t0 := time.Now()
+	err := f.File.Sync()
+	time.Sleep(f.floor - time.Since(t0))
+	return err
+}
+
+// groupCommit runs 16 writers, each appending n records to one log at
+// level and — at Fsync — waiting for each to be durable, over a 2 ms
+// fsync floor. It returns the log's metrics before Close and how long
+// the writers took.
+func groupCommit(t *testing.T, level Level, n int) (MetricsSnapshot, time.Duration) {
+	t.Helper()
+	dir := t.TempDir()
+	fsys := floorFS{OSFS, 2 * time.Millisecond}
+	var m Metrics
+	res, err := RecoverFS(fsys, dir, func(Record) error { return nil }, &m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLog(dir, res, Options{Level: level, Metrics: &m, FS: fsys, FlushInterval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var (
+		mu  sync.Mutex
+		seq uint64
+		wg  sync.WaitGroup
+	)
+	t0 := time.Now()
+	for w := 0; w < 16; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				mu.Lock()
+				seq++
+				s := seq
+				err := l.Append(s, testOps(int(s)))
+				mu.Unlock()
+				if err == nil && level == Fsync {
+					err = l.WaitDurable(s)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return m.Snapshot(), time.Since(t0)
+}
+
+// TestGroupCommitSharesFsyncs pins the batcher rule at the Fsync level:
+// the committers an fsync releases append again before the next batch
+// is captured, so 16 writers share nearly every fsync (15.5–16 records a
+// fsync here, with or without -race). A batcher that captures at once
+// alternates one-record and fifteen-record fsyncs: 8.0. The Batch and
+// None levels do not wait: Batch fsyncs on its interval, None never.
+func TestGroupCommitSharesFsyncs(t *testing.T) {
+	m, _ := groupCommit(t, Fsync, 40)
+	per := float64(m.Appends) / float64(m.Fsyncs)
+	t.Logf("Fsync level: %.1f records a fsync", per)
+	if per < 12 {
+		t.Errorf("Fsync level: %d records over %d fsyncs, %.1f a fsync, want at least 12", m.Appends, m.Fsyncs, per)
+	}
+	m, took := groupCommit(t, Batch, 200)
+	if most := int64(took/(10*time.Millisecond)) + 2; m.Fsyncs > uint64(most) {
+		t.Errorf("Batch level: %d fsyncs in %v, want at most %d at a 10 ms interval", m.Fsyncs, took, most)
+	}
+	if m, _ = groupCommit(t, None, 200); m.Fsyncs != 0 {
+		t.Errorf("None level: %d fsyncs, want none", m.Fsyncs)
 	}
 }

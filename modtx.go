@@ -262,11 +262,12 @@ type (
 	// KVStats is an aggregate statistics snapshot across shards.
 	KVStats = kv.Stats
 	// KVEvent is one committed write delivered on a changefeed: shard,
-	// per-shard commit sequence number, operation kind, key and payload.
+	// the commit's LSN (store-wide log sequence number), operation kind,
+	// key and payload.
 	KVEvent = kv.Event
 	// KVSubscription is a prefix changefeed handle (see KV.Subscribe):
-	// Events() streams commits in per-shard order; slow consumers drop
-	// rather than block committers (Dropped() counts the gap).
+	// Events() streams commits in LSN order; slow consumers drop rather
+	// than block committers (Dropped() counts the gap).
 	KVSubscription = kv.Subscription
 	// KVWALStats is the durability-plane statistics snapshot: append and
 	// fsync counts/latencies, recovery summary, changefeed accounting.
@@ -338,24 +339,24 @@ func NewKV(opts ...KVOption) *KV { return kv.New(opts...) }
 
 // OpenKV creates a sharded transactional key-value store, recovering
 // from the data directory first when KVWithDurability is set. Close a
-// durable store to flush and fsync its logs.
+// durable store to flush and fsync its log.
 func OpenKV(opts ...KVOption) (*KV, error) { return kv.Open(opts...) }
 
 // Replication layer (see internal/cluster and the README's Replication
-// section). A primary ships its per-shard WALs plus the cross-shard
-// commit marker log; a follower applies them through idempotent replay
-// and serves reads under the specified replica semantics: each shard's
-// history surfaces as a dense prefix, and cross-shard transactions
-// surface atomically at the watermark boundary, never partially.
+// section). A primary ships its WAL — one record per transaction, in
+// LSN order; a follower applies it through idempotent replay and serves
+// reads under the specified replica semantics: the primary's history
+// surfaces as a prefix, and cross-shard transactions surface
+// atomically, never partially.
 type (
 	// KVReplica is the follower side: it wraps an in-memory KV and
 	// applies the primary's record stream (see NewKVReplica).
 	KVReplica = kv.Replica
-	// KVReplicaStats is the replica's progress snapshot (watermarks,
+	// KVReplicaStats is the replica's progress snapshot (watermark,
 	// applied counts, readiness).
 	KVReplicaStats = kv.ReplicaStats
 	// ReplStreamer is the primary side: it serves each connected
-	// replica every shard's WAL, catch-up then live tail.
+	// replica the WAL, catch-up then live tail.
 	ReplStreamer = cluster.Streamer
 	// ReplClient feeds a primary's stream into a KVReplica,
 	// reconnecting with backoff.
@@ -368,13 +369,13 @@ var (
 	// KVWithDurability — there is no log to ship.
 	ErrKVNotDurable = kv.ErrNotDurable
 	// ErrKVReplicaGap reports a record that does not extend the
-	// replica's dense per-shard prefix; the feeder must re-catch-up.
+	// replica's prefix; the feeder must re-catch-up.
 	ErrKVReplicaGap = kv.ErrReplicaGap
 )
 
-// NewKVReplica creates a replica over a fresh in-memory store. The
-// shard count must match the primary's; durability options are
-// rejected (a replica's durability is the primary's log).
+// NewKVReplica creates a replica over a fresh in-memory store, at any
+// shard count; durability options are rejected (a replica's durability
+// is the primary's log).
 func NewKVReplica(opts ...KVOption) (*KVReplica, error) { return kv.NewReplica(opts...) }
 
 // NewReplStreamer wraps a durable KV for replication serving; call
