@@ -314,35 +314,27 @@ func BenchmarkSTMBank(b *testing.B) {
 }
 
 // BenchmarkSTMCommitHeavy (S8): write-only commits on disjoint variables
-// per clock mode, on the tl2 engine. Each parallel worker owns its
-// variable, so the only shared state is the version clock itself — the
-// coherence hotspot the clock variants exist to compare. Run with
-// -cpu 1,4,16 for the scaling curve; the deferred clock's shared
-// max-CAS should pull ahead of GV1's per-commit fetch-add as the
-// worker count grows.
+// on the tl2 engine. Each parallel worker owns its variable, so the only
+// shared state is the version clock itself — the coherence hotspot of
+// the commit path. Run with -cpu 1,4,16 for the scaling curve.
 func BenchmarkSTMCommitHeavy(b *testing.B) {
-	for _, cm := range stm.ClockModes() {
-		cm := cm
-		b.Run(cm.String(), func(b *testing.B) {
-			s := stm.New(stm.WithEngine(stm.TL2), stm.WithClock(cm))
-			vars := make([]*stm.Var, 64)
-			for i := range vars {
-				vars[i] = s.NewVar(fmt.Sprintf("w%d", i), 0)
-			}
-			var widx atomic.Int64
-			b.RunParallel(func(pb *testing.PB) {
-				v := vars[int(widx.Add(1)-1)&63]
-				var n int64
-				for pb.Next() {
-					n++
-					_ = s.Atomically(func(tx *stm.Tx) error {
-						tx.Write(v, n)
-						return nil
-					})
-				}
-			})
-		})
+	s := stm.New(stm.WithEngine(stm.TL2))
+	vars := make([]*stm.Var, 64)
+	for i := range vars {
+		vars[i] = s.NewVar(fmt.Sprintf("w%d", i), 0)
 	}
+	var widx atomic.Int64
+	b.RunParallel(func(pb *testing.PB) {
+		v := vars[int(widx.Add(1)-1)&63]
+		var n int64
+		for pb.Next() {
+			n++
+			_ = s.Atomically(func(tx *stm.Tx) error {
+				tx.Write(v, n)
+				return nil
+			})
+		}
+	})
 }
 
 // BenchmarkKVReadHeavy (S8): the 90/10 read/write mix per engine over

@@ -1,6 +1,6 @@
 // Command mtx-kv serves a sharded transactional key-value store
-// (internal/kv) over a minimal RESP-like text protocol, and ships a
-// built-in load generator for per-engine performance comparison.
+// (internal/kv) over a minimal RESP-like text protocol, and runs a
+// read-only replica of a serving primary.
 //
 // Usage:
 //
@@ -12,11 +12,6 @@
 //	mtx-kv replica -primary host:7800 [-addr :7701] [-engine lazy]
 //	             [-admin :6061] [-slowtxn 1ms]
 //	             [-maxconns 0] [-maxinflight 0] [-idletimeout 0] [-maxreq 1048576]
-//	mtx-kv bench [-engine all] [-clock shared] [-procs 0] [-shards 64]
-//	             [-keys 65536] [-goroutines 8]
-//	             [-duration 2s] [-fastread-pct 70] [-read-pct 20]
-//	             [-write-pct 5] [-zipf 1.2]
-//	             [-durability off] [-data DIR] [-json]
 //
 // With -data, serve recovers the store from DIR's write-ahead log and
 // snapshots on boot, then logs every commit — one record per
@@ -26,9 +21,7 @@
 // log survives process crashes but not power loss). A clean shutdown
 // (SIGINT/SIGTERM) flushes and fsyncs the log; after a kill, the next
 // boot repairs and replays a commit-order prefix. Records route by key,
-// so DIR reopens under any -shards. bench accepts the
-// same pair to measure logging cost; its default "off" benches the
-// undisturbed in-memory store.
+// so DIR reopens under any -shards.
 //
 // -degraded-mode picks the policy after a WAL write or sync failure
 // latches the log (the store never silently drops durability):
@@ -57,15 +50,9 @@
 // observer may see (a prefix of the primary's commit order always;
 // cross-shard transactions atomically, never partially).
 //
-// With -json, bench emits a machine-readable report (workload config +
-// per-engine ops/sec and latency percentiles) on stdout.
-//
 // The -engine flag accepts any name from the stm engine registry (lazy,
-// eager, global-lock, tl2, adaptive) or "all" (bench only) to run the
-// whole matrix. bench additionally takes -clock (shared or deferred —
-// the per-shard version-clock mode, see stm.ClockModes) and -procs
-// (set GOMAXPROCS for 1/4/16 scaling sweeps; the JSON report records
-// both).
+// eager, global-lock, tl2). Load generation lives in the repository
+// benchmark: go run ./benchmark.
 //
 // Protocol (one command per line). Values are arbitrary byte strings
 // without newlines: SET takes everything after the key, so values may
@@ -153,38 +140,16 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mtx-kv replica:", err)
 			os.Exit(1)
 		}
-	case "bench":
-		if err := runBench(args); err != nil {
-			fmt.Fprintln(os.Stderr, "mtx-kv bench:", err)
-			os.Exit(1)
-		}
 	case "-h", "--help", "help":
-		fmt.Println("usage: mtx-kv {serve|replica|bench} [flags]  (see -h of each subcommand)")
+		fmt.Println("usage: mtx-kv {serve|replica} [flags]  (see -h of each subcommand)")
 	default:
-		fmt.Fprintf(os.Stderr, "mtx-kv: unknown subcommand %q (want serve, replica or bench)\n", cmd)
+		fmt.Fprintf(os.Stderr, "mtx-kv: unknown subcommand %q (want serve or replica)\n", cmd)
 		os.Exit(2)
 	}
 }
 
-// enginesForFlag resolves an -engine value through the stm registry;
-// "all" expands to every registered engine, so new engines join the
-// bench matrix automatically.
-func enginesForFlag(name string) ([]stm.Engine, error) {
-	if name == "all" {
-		return stm.Engines(), nil
-	}
-	e, err := stm.ParseEngine(name)
-	if err != nil {
-		return nil, err
-	}
-	return []stm.Engine{e}, nil
-}
-
-// engineFlagHelp enumerates the registry for flag usage strings.
-func engineFlagHelp(withAll bool) string {
-	names := stm.EngineNames()
-	if withAll {
-		names = append(names, "all")
-	}
-	return "STM engine: " + strings.Join(names, ", ")
+// engineFlagHelp enumerates the registry for flag usage strings; the
+// -engine value itself resolves through stm.ParseEngine.
+func engineFlagHelp() string {
+	return "STM engine: " + strings.Join(stm.EngineNames(), ", ")
 }

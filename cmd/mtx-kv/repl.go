@@ -21,6 +21,7 @@ import (
 
 	"modtx/internal/cluster"
 	"modtx/internal/kv"
+	"modtx/internal/stm"
 )
 
 func runReplica(args []string) error {
@@ -28,7 +29,7 @@ func runReplica(args []string) error {
 	primary := fs.String("primary", "",
 		"primary's replication address (its serve -replicate-addr); required")
 	addr := fs.String("addr", ":7701", "listen address for read traffic")
-	engineName := fs.String("engine", "lazy", engineFlagHelp(false))
+	engineName := fs.String("engine", "lazy", engineFlagHelp())
 	adminAddr := fs.String("admin", "",
 		"admin plane listen address (/metrics, /debug/pprof, /debug/vars, /healthz); empty disables")
 	slowTxn := fs.Duration("slowtxn", 0,
@@ -40,17 +41,14 @@ func runReplica(args []string) error {
 	if *primary == "" {
 		return errors.New("-primary is required")
 	}
-	engines, err := enginesForFlag(*engineName)
+	engine, err := stm.ParseEngine(*engineName)
 	if err != nil {
 		return err
-	}
-	if len(engines) != 1 {
-		return fmt.Errorf("replica needs a single engine, not %q", *engineName)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r, err := kv.NewReplica(kv.WithShards(defaultShards), kv.WithEngine(engines[0]))
+	r, err := kv.NewReplica(kv.WithShards(defaultShards), kv.WithEngine(engine))
 	if err != nil {
 		return err
 	}
@@ -74,7 +72,7 @@ func runReplica(args []string) error {
 		}
 	}()
 	fmt.Printf("mtx-kv: replica of %s (%d shards, %s engine) serving reads on %s\n",
-		*primary, r.Shards(), engines[0], l.Addr())
+		*primary, r.Shards(), engine, l.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -33,7 +33,7 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":7700", "listen address")
 	shards := fs.Int("shards", defaultShards, "shard count (rounded up to a power of two)")
-	engineName := fs.String("engine", "lazy", engineFlagHelp(false))
+	engineName := fs.String("engine", "lazy", engineFlagHelp())
 	dataDir := fs.String("data", "",
 		"durability directory: recover state from it on boot and log every commit; empty = in-memory only")
 	durLevel := fs.String("durability", "fsync",
@@ -51,18 +51,15 @@ func runServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	engines, err := enginesForFlag(*engineName)
+	engine, err := stm.ParseEngine(*engineName)
 	if err != nil {
 		return err
-	}
-	if len(engines) != 1 {
-		return fmt.Errorf("serve needs a single engine, not %q", *engineName)
 	}
 	mode, err := kv.ParseDegradedMode(*degraded)
 	if err != nil {
 		return err
 	}
-	opts := []kv.Option{kv.WithShards(*shards), kv.WithEngine(engines[0]), kv.WithDegradedMode(mode)}
+	opts := []kv.Option{kv.WithShards(*shards), kv.WithEngine(engine), kv.WithDegradedMode(mode)}
 	if *dataDir != "" {
 		level, err := wal.ParseLevel(*durLevel)
 		if err != nil {
@@ -109,7 +106,7 @@ func runServe(args []string) error {
 		return err
 	}
 	fmt.Printf("mtx-kv: serving %s engine, %d shards on %s, durability %s\n",
-		engines[0], srv.store.NumShards(), l.Addr(), store.WALStats().Level)
+		engine, srv.store.NumShards(), l.Addr(), store.WALStats().Level)
 	// SIGINT/SIGTERM trigger the graceful path in serveUntil: stop
 	// accepting, drain in-flight connections, then Close — which
 	// flushes and fsyncs a durable store's log, so the next boot

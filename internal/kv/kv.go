@@ -81,7 +81,6 @@ type Option func(*config)
 type config struct {
 	shards      int
 	engine      stm.Engine
-	clock       stm.ClockMode
 	maxRetries  int
 	metricsOff  bool
 	sampleEvery int
@@ -101,13 +100,6 @@ func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 
 // WithEngine selects the STM engine backing every shard (default Lazy).
 func WithEngine(e stm.Engine) Option { return func(c *config) { c.engine = e } }
-
-// WithClock selects the version-clock strategy of every shard's STM
-// instance (default stm.ClockShared). Each shard owns its clock either
-// way; the mode decides whether writing commits fetch-add it (shared)
-// or defer the store and let readers advance it (deferred) — see
-// stm.ClockMode.
-func WithClock(m stm.ClockMode) Option { return func(c *config) { c.clock = m } }
 
 // WithMaxRetries bounds commit attempts per operation (default: the stm
 // package default).
@@ -387,7 +379,6 @@ func newStore(c *config) *Store {
 	s.sampleMask = se - 1
 	stmOpts := []stm.Option{
 		stm.WithEngine(c.engine),
-		stm.WithClock(c.clock),
 		stm.WithMetrics(!c.metricsOff),
 		stm.WithMetricsSampling(int(se)),
 	}
@@ -430,9 +421,6 @@ func (s *Store) NumShards() int { return len(s.shards) }
 
 // Engine returns the engine backing the store.
 func (s *Store) Engine() stm.Engine { return s.engine }
-
-// Clock returns the version-clock mode backing the store's shards.
-func (s *Store) Clock() stm.ClockMode { return s.shards[0].stm.Clock() }
 
 // ShardOf returns the index of the shard owning key.
 func (s *Store) ShardOf(key string) int { return int(fnv1a(key) & s.mask) }

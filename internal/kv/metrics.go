@@ -110,14 +110,6 @@ type ShardStat struct {
 	Keys     int               `json:"keys"`
 	FastGets uint64            `json:"fast_gets"`
 	Stm      stm.StatsSnapshot `json:"stm"`
-
-	// Strategy is the protocol the shard's transactions currently begin
-	// under — interesting on the adaptive engine, where each shard flips
-	// between tl2 and eager on its own conflict-rate hysteresis; fixed
-	// engines report themselves. SpinBudget is the shard's current
-	// adaptive spin-before-park budget (stm.STM.SpinBudget).
-	Strategy   string `json:"strategy"`
-	SpinBudget int    `json:"spin_budget"`
 }
 
 // ShardStats returns per-shard statistics, indexed by shard.
@@ -125,12 +117,10 @@ func (s *Store) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(s.shards))
 	for i, sh := range s.shards {
 		out[i] = ShardStat{
-			Shard:      i,
-			Keys:       int(sh.keys.Load()),
-			FastGets:   s.fastGets[i].n.Load(),
-			Stm:        sh.stm.Snapshot(),
-			Strategy:   sh.stm.Strategy().String(),
-			SpinBudget: sh.stm.SpinBudget(),
+			Shard:    i,
+			Keys:     int(sh.keys.Load()),
+			FastGets: s.fastGets[i].n.Load(),
+			Stm:      sh.stm.Snapshot(),
 		}
 	}
 	return out

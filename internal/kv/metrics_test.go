@@ -3,6 +3,7 @@ package kv
 import (
 	"context"
 	"encoding/json"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -304,6 +305,18 @@ func TestShardStatJSONRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(string(b), `"stm":{"commits":`) {
 		t.Fatalf("ShardStat JSON missing nested stm snapshot: %s", b)
+	}
+	var fields []map[string]json.RawMessage
+	if err := json.Unmarshal(b, &fields); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for name := range fields[0] {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if got, want := strings.Join(names, ","), "fast_gets,keys,shard,stm"; got != want {
+		t.Fatalf("ShardStat JSON fields = %s, want %s", got, want)
 	}
 	var back []ShardStat
 	if err := json.Unmarshal(b, &back); err != nil {

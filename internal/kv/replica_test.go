@@ -167,22 +167,20 @@ func TestReplicaReadiness(t *testing.T) {
 }
 
 // TestReplicaCrossShardLitmus is the replica-semantics litmus, run
-// against every registered engine × clock-mode pair: a stream of
+// against every registered engine: a stream of
 // cross-shard transfers between two counters whose sum is invariant,
 // fed in batches of random size so runs merge records differently.
 // Concurrent transactional readers must never see the sum mid-transfer
 // — a cross-shard transaction is one record and surfaces atomically.
 func TestReplicaCrossShardLitmus(t *testing.T) {
 	for _, eng := range stm.Engines() {
-		for _, clock := range stm.ClockModes() {
-			testReplicaCrossShardLitmus(t, eng, clock)
-		}
+		testReplicaCrossShardLitmus(t, eng)
 	}
 }
 
-func testReplicaCrossShardLitmus(t *testing.T, eng stm.Engine, clock stm.ClockMode) {
-	t.Run(eng.String()+"/"+clock.String(), func(t *testing.T) {
-		r, err := NewReplica(WithShards(4), WithEngine(eng), WithClock(clock))
+func testReplicaCrossShardLitmus(t *testing.T, eng stm.Engine) {
+	t.Run(eng.String(), func(t *testing.T) {
+		r, err := NewReplica(WithShards(4), WithEngine(eng))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ func TestBackoffCanceledContextReturnsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	backoff(ctx, 30, spinDefault) // deep-conflict regime: 4ms sleep when not canceled
+	backoff(ctx, 30) // deep-conflict regime: 4ms sleep when not canceled
 	if d := time.Since(start); d >= 2*time.Millisecond {
 		t.Fatalf("backoff with canceled ctx took %v, want immediate return", d)
 	}
@@ -25,7 +25,7 @@ func TestBackoffCanceledContextReturnsPromptly(t *testing.T) {
 // deep-conflict backoff really sleeps its full duration.
 func TestBackoffNilContextSleeps(t *testing.T) {
 	start := time.Now()
-	backoff(nil, 30, spinDefault)
+	backoff(nil, 30)
 	if d := time.Since(start); d < 3*time.Millisecond {
 		t.Fatalf("backoff(nil) slept only %v, want ~4ms", d)
 	}

@@ -1,225 +1,28 @@
 package stm
 
-import (
-	"fmt"
-	"strings"
-)
-
-// ClockMode selects the version-clock strategy of an STM instance — how
-// committing writers obtain write versions and how reader snapshots
-// relate to them. The transactional semantics are identical under every
-// mode; what changes is the coherence traffic on the clock word.
+// The version clock is classic TL2 "GV1": one global word per instance,
+// fetch-added by every writing commit and loaded by every begin. The word
+// sits on a cache line of its own (see the STM layout comment), so the
+// only cost it adds to a commit is the RMW itself.
 //
-//   - ClockShared is classic TL2 "GV1": one global word, fetch-added by
-//     every writing commit. Simple and strictly monotonic, but at high
-//     core counts every commit bounces the clock's cache line between
-//     sockets — the coherence hotspot this mode exists to name. The word
-//     is cache-line padded (see the STM layout comment), so the only
-//     remaining cost is the RMW itself.
-//
-//   - ClockDeferred is the GV5-family variant: a writing commit takes
-//     wv = clock+1 *without* fetch-adding it. The clock advances by
-//     max-CAS (clockObserve) from two places: an attempt that observes
-//     a version above its snapshot raises the clock to that version
-//     before extending or retrying, and a commit publishes its wv after
-//     releasing its locks. The CAS is shared — concurrent commits
-//     computing the same wv pay for one advance between them, and an
-//     already-covered clock costs a load — which is what beats GV1's
-//     unconditional fetch-add per commit under contention. Distinct
-//     commits may share a write version; per-variable monotonicity is
-//     restored at release time (releaseWord), which the notification
-//     subsystem's changed() comparison and ABA-free validation need.
-//     Because commits only publish lazily, a writer's snapshot is
-//     routinely behind the versions it is about to overwrite, so the
-//     commit-lock path treats "too new" as staleness, not a race: it
-//     revalidates the read set at the old rv and relocks at a fresh
-//     snapshot (the TL2 extension rule applied at the lock site) instead
-//     of aborting — without this, every write-only transaction would
-//     abort once per commit against its own predecessor.
-//
-// Why deferred rather than a leased stride of timestamps: handing each
-// committer a pre-allocated stride [base+1, base+K] (fetch-add K) is
-// unsound under TL2 validation. The allocator bump makes base+K visible
-// to reader snapshots immediately, while the stride's earlier
-// timestamps are published later — so a reader with rv = base+K can
-// accept a write at base+1 that happened after its snapshot, and
-// commit-time validation (version ≤ rv, unlocked) cannot tell. The
-// deferred rule — wv is computed from a clock load *after* the commit
-// locks are held — is what makes version-below-snapshot imply
-// happened-before-snapshot:
-//
-//	A reader accepts x@v only when v ≤ rv. rv was loaded from the clock
-//	before any of the attempt's reads (begin), and extension revalidates
-//	every prior read at the old rv before adopting a new one. The writer
-//	of x@v loaded clock = g ≥ v-1 after locking x, so the clock reached
-//	v-1 no earlier than that load; the reader's rv ≥ v means its
-//	rv-load observed clock ≥ v, which is therefore after the writer
-//	locked x. Hence the reader's sample of x — unlocked, after its
-//	rv-load — is after the writer's full release of x: the accepted
-//	value is the committed one, never a torn or stale intermediate.
-//	Any later writer on x loads the clock after the reader's rv-load
-//	and releases with a version > rv, so validation still catches
-//	overwrites.
-//
-// The mode is fixed per instance at New; internal/kv threads it through
-// per shard (kv.WithClock).
-type ClockMode int
-
-const (
-	// ClockShared is the padded global fetch-add clock (TL2 GV1).
-	ClockShared ClockMode = iota
-	// ClockDeferred is the GV5-style reader-advanced clock: commits
-	// never store to the clock word; readers advance it on observation.
-	ClockDeferred
-)
-
-// clockModeInfo is one registry row, mirroring the engine registry.
-type clockModeInfo struct {
-	id      ClockMode
-	name    string
-	aliases []string
-	doc     string
-}
-
-var clockModeTable = []clockModeInfo{
-	{ClockShared, "shared", []string{"gv1"},
-		"one padded global clock word, fetch-added by every writing commit"},
-	{ClockDeferred, "deferred", []string{"gv5", "leased"},
-		"GV5-style: commits take clock+1 and publish it by max-CAS, shared between concurrent commits"},
-}
-
-func lookupClockMode(m ClockMode) (clockModeInfo, bool) {
-	for _, info := range clockModeTable {
-		if info.id == m {
-			return info, true
-		}
-	}
-	return clockModeInfo{}, false
-}
-
-// ClockModes returns every registered clock mode in registry order.
-// Conformance suites and benchmarks iterate this, so a new mode cannot
-// merge without passing the litmus checks on every engine.
-func ClockModes() []ClockMode {
-	out := make([]ClockMode, len(clockModeTable))
-	for i, info := range clockModeTable {
-		out[i] = info.id
-	}
-	return out
-}
-
-// ClockNames returns the canonical clock-mode names in registry order.
-func ClockNames() []string {
-	out := make([]string, len(clockModeTable))
-	for i, info := range clockModeTable {
-		out[i] = info.name
-	}
-	return out
-}
-
-// ClockDoc returns a one-line description of the mode, or "" if it is
-// not registered.
-func ClockDoc(m ClockMode) string {
-	if info, ok := lookupClockMode(m); ok {
-		return info.doc
-	}
-	return ""
-}
-
-// ParseClock resolves a clock-mode name (or registered alias, case
-// insensitively) to its ClockMode value.
-func ParseClock(name string) (ClockMode, error) {
-	n := strings.ToLower(strings.TrimSpace(name))
-	for _, info := range clockModeTable {
-		if n == info.name {
-			return info.id, nil
-		}
-		for _, a := range info.aliases {
-			if n == a {
-				return info.id, nil
-			}
-		}
-	}
-	return 0, fmt.Errorf("stm: unknown clock mode %q (want %s)", name, strings.Join(ClockNames(), ", "))
-}
-
-// String returns the registered name, consistent with ParseClock; an
-// unregistered value formats as "clock(N)".
-func (m ClockMode) String() string {
-	if info, ok := lookupClockMode(m); ok {
-		return info.name
-	}
-	return fmt.Sprintf("clock(%d)", int(m))
-}
-
-// WithClock selects the version-clock strategy (default ClockShared).
-func WithClock(m ClockMode) Option { return func(c *config) { c.clock = m } }
-
-// Clock returns the instance's clock mode.
-func (s *STM) Clock() ClockMode { return s.clockMode }
-
-// --- clock operations, shared by the engines ---
+// Why not a leased stride of timestamps: handing each committer a
+// pre-allocated stride [base+1, base+K] (one fetch-add of K) is unsound
+// under TL2 validation. The bump makes base+K visible to reader snapshots
+// at once, while the stride's earlier timestamps are published later — so
+// a reader with rv = base+K can accept a write at base+1 that happened
+// after its snapshot, and commit-time validation (version ≤ rv, unlocked)
+// cannot tell. A write version must come from the clock after the
+// writer's locks are held, and be above every snapshot taken before.
 
 // clockBegin snapshots the read version. Engines call it from begin
 // (and extension reloads through it).
 func (s *STM) clockBegin() uint64 { return s.clock.Load() }
 
-// clockWV returns the write version of a committing writer. It MUST be
-// called only after every commit-time lock of the write set is held —
-// in deferred mode the load-after-lock ordering is the entire soundness
-// argument (see the ClockMode comment). In shared mode it is the
-// classic fetch-add.
-func (s *STM) clockWV() uint64 {
-	if s.clockMode == ClockDeferred {
-		return s.clock.Load() + 1
-	}
-	return s.clock.Add(1)
-}
+// clockWV returns the write version of a committing writer. It must be
+// called only after every commit-time lock of the write set is held.
+func (s *STM) clockWV() uint64 { return s.clock.Add(1) }
 
-// clockObserve advances the clock to at least v. Deferred-mode readers
-// call it before retrying or extending past a version above their
-// snapshot: without the advance the next snapshot would be no fresher
-// and the attempt would spin forever. In shared mode the clock is
-// always ≥ every published version, so this is a no-op branch.
-func (s *STM) clockObserve(v uint64) {
-	if s.clockMode != ClockDeferred {
-		return
-	}
-	for {
-		cur := s.clock.Load()
-		if cur >= v || s.clock.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// releaseWord returns the meta word a committing writer stores into vb:
-// the write version, raised past vb's current version in deferred mode.
-// Distinct deferred commits may compute the same wv; bumping past the
-// pre-release version keeps each variable's version strictly
-// increasing, which waiter revalidation (notify.go changed()) and
-// validation ABA-freedom rely on. In shared mode wv is globally unique,
-// so the raise can never trigger and the branch costs nothing.
-func (s *STM) releaseWord(wv uint64, vb *varBase) uint64 {
-	if s.clockMode == ClockDeferred {
-		if pv := version(vb.meta.Load()) + 1; pv > wv {
-			return pv << 1
-		}
-	}
-	return wv << 1
-}
-
-// clockTouch returns a fresh version for STM.Touch: strictly above both
-// the clock and the touched variable's current word m, with the clock
-// advanced to cover it so concurrent snapshots observe the touch as a
-// conflict (the point of touching) and later snapshots accept it.
-func (s *STM) clockTouch(m uint64) uint64 {
-	nv := s.clock.Add(1)
-	if s.clockMode == ClockDeferred {
-		if pv := version(m) + 1; pv > nv {
-			s.clockObserve(pv)
-			nv = pv
-		}
-	}
-	return nv
-}
+// clockTouch returns a fresh version for STM.Touch: above the clock, so
+// concurrent snapshots observe the touch as a conflict (the point of
+// touching) and later snapshots accept it.
+func (s *STM) clockTouch() uint64 { return s.clock.Add(1) }

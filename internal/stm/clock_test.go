@@ -2,102 +2,19 @@ package stm
 
 import (
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// clockModes is every registered clock mode: clock-sensitive suites run
-// against each, so a new mode cannot merge without passing them.
-var clockModes = ClockModes()
-
-// forEachEngineClock runs f on every (engine, clock mode) pair — the
-// full transactional matrix.
-func forEachEngineClock(t *testing.T, f func(t *testing.T, s *STM)) {
-	for _, e := range engines {
-		for _, cm := range clockModes {
-			e, cm := e, cm
-			t.Run(e.String()+"/"+cm.String(), func(t *testing.T) {
-				f(t, New(WithEngine(e), WithClock(cm)))
-			})
-		}
-	}
-}
-
-// TestClockRegistry pins the clock-mode registry: enum values, canonical
-// names, the parse round trip and the documented aliases.
-func TestClockRegistry(t *testing.T) {
-	want := []ClockMode{ClockShared, ClockDeferred}
-	got := ClockModes()
-	if len(got) != len(want) {
-		t.Fatalf("ClockModes() = %v, want %v", got, want)
-	}
-	names := ClockNames()
-	for i, m := range got {
-		if m != want[i] {
-			t.Fatalf("ClockModes()[%d] = %v, want %v", i, m, want[i])
-		}
-		if m.String() != names[i] {
-			t.Errorf("String/ClockNames disagree for %v: %q vs %q", m, m.String(), names[i])
-		}
-		parsed, err := ParseClock(m.String())
-		if err != nil || parsed != m {
-			t.Errorf("ParseClock(%q) = %v, %v; want %v", m.String(), parsed, err, m)
-		}
-		if ClockDoc(m) == "" {
-			t.Errorf("clock mode %v has no doc line", m)
-		}
-	}
-	for _, tc := range []struct {
-		in   string
-		want ClockMode
-	}{
-		{"shared", ClockShared},
-		{"GV1", ClockShared},
-		{"deferred", ClockDeferred},
-		{"gv5", ClockDeferred},
-		{"leased", ClockDeferred},
-		{" Deferred ", ClockDeferred},
-	} {
-		got, err := ParseClock(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseClock(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParseClock("nope"); err == nil {
-		t.Fatal("ParseClock accepted an unknown name")
-	} else if !strings.Contains(err.Error(), "shared") || !strings.Contains(err.Error(), "deferred") {
-		t.Errorf("parse error does not enumerate valid names: %v", err)
-	}
-	if s := ClockMode(99).String(); s != "clock(99)" {
-		t.Errorf("unregistered mode String() = %q", s)
-	}
-	if ClockDoc(ClockMode(99)) != "" {
-		t.Error("unregistered mode has a doc line")
-	}
-}
-
-// TestClockModeSelected pins the New wiring: the option reaches the
-// instance and defaults to shared.
-func TestClockModeSelected(t *testing.T) {
-	if got := New().Clock(); got != ClockShared {
-		t.Fatalf("default clock = %v, want shared", got)
-	}
-	if got := New(WithClock(ClockDeferred)).Clock(); got != ClockDeferred {
-		t.Fatalf("WithClock(deferred) ignored: %v", got)
-	}
-}
-
 // TestClockConcurrentCounter is the contended-counter correctness check
-// across the full engine × clock matrix: under the deferred clock,
-// distinct commits may share a write version, and this is the workload
-// that would lose increments if validation mistook one commit for
-// another.
+// on every engine: the workload that would lose increments if two
+// commits ever shared a write version and validation mistook one for
+// the other.
 func TestClockConcurrentCounter(t *testing.T) {
 	const goroutines = 8
 	const perG = 150
-	forEachEngineClock(t, func(t *testing.T, s *STM) {
+	forEachEngine(t, func(t *testing.T, s *STM) {
 		c := s.NewVar("c", 0)
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
@@ -127,13 +44,13 @@ func TestClockConcurrentCounter(t *testing.T) {
 // assert it transactionally. A clock variant that let a reader accept a
 // write from after its snapshot (the failure mode of naive timestamp
 // leasing — see clock.go) tears the pair. Read-only transactions are
-// exercised too: on tl2/adaptive they run invisibly against rv alone,
+// exercised too: on tl2 they run invisibly against rv alone,
 // the path most sensitive to an unsound write version.
 func TestMonotonicSnapshot(t *testing.T) {
 	const writers = 2
 	const readers = 2
 	const perWriter = 200
-	forEachEngineClock(t, func(t *testing.T, s *STM) {
+	forEachEngine(t, func(t *testing.T, s *STM) {
 		x := s.NewVar("x", 0)
 		y := s.NewVar("y", 0)
 		var stop atomic.Bool
@@ -192,90 +109,4 @@ func TestMonotonicSnapshot(t *testing.T) {
 			t.Errorf("x = %d, want %d", got, writers*perWriter)
 		}
 	})
-}
-
-// TestDeferredPerVarVersionMonotonic pins the releaseWord contract:
-// even though deferred-mode commits may share a write version, each
-// variable's published version word is strictly increasing — the
-// property waiter revalidation (changed()) and ABA-free validation
-// need. An observer thread watches the raw meta word while writers
-// hammer the variable.
-func TestDeferredPerVarVersionMonotonic(t *testing.T) {
-	for _, e := range engines {
-		e := e
-		t.Run(e.String(), func(t *testing.T) {
-			s := New(WithEngine(e), WithClock(ClockDeferred))
-			v := s.NewVar("v", 0)
-			var stop atomic.Bool
-			var bad atomic.Bool
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				var last uint64
-				for !stop.Load() {
-					m := v.meta.Load()
-					if isLocked(m) {
-						runtime.Gosched()
-						continue
-					}
-					cur := version(m)
-					if cur < last {
-						bad.Store(true)
-						return
-					}
-					last = cur
-					runtime.Gosched() // observer must not starve writers on one P
-				}
-			}()
-			var wg sync.WaitGroup
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < 400; i++ {
-						_ = s.Atomically(func(tx *Tx) error {
-							tx.Write(v, tx.Read(v)+1)
-							return nil
-						})
-					}
-				}()
-			}
-			wg.Wait()
-			stop.Store(true)
-			<-done
-			if bad.Load() {
-				t.Fatal("published version word regressed")
-			}
-		})
-	}
-}
-
-// TestDeferredClockAdvancesOnObservation pins the progress mechanism of
-// the deferred mode: after a writing commit, a reader's next snapshot
-// must be able to cover the new version (via clockObserve), so a
-// read-modify-write loop terminates instead of spinning on a stale rv.
-// Also checks Touch keeps versions moving in deferred mode.
-func TestDeferredClockAdvancesOnObservation(t *testing.T) {
-	s := New(WithEngine(TL2), WithClock(ClockDeferred))
-	v := s.NewVar("v", 0)
-	for i := 0; i < 100; i++ {
-		if err := s.Atomically(func(tx *Tx) error {
-			tx.Write(v, tx.Read(v)+1)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := v.Load(); got != 100 {
-		t.Fatalf("v = %d, want 100", got)
-	}
-	before := version(v.meta.Load())
-	s.Touch(v)
-	after := version(v.meta.Load())
-	if after <= before {
-		t.Fatalf("Touch did not advance the version: %d -> %d", before, after)
-	}
-	if c := s.clock.Load(); c < after {
-		t.Fatalf("clock %d below touched version %d: snapshots cannot cover it", c, after)
-	}
 }

@@ -26,10 +26,6 @@ const (
 	// transactions (AtomicallyRead) that keep no read set and commit in
 	// O(1) without locks or validation.
 	TL2
-	// Adaptive delegates per instance to tl2 or eager, flipped by the
-	// contention controller when the conflict rate crosses its
-	// hysteresis thresholds (see adapt.go and engine_adaptive.go).
-	Adaptive
 )
 
 // engine is the seam behind the transactional protocol: per-location
@@ -90,9 +86,8 @@ type engine interface {
 	// every read validates against tx.rv at read time, so commit needs
 	// no validation. Multi-instance read-only transactions always keep
 	// read sets regardless (their serialization point is later than any
-	// single rv). It takes the attempt so the adaptive engine can answer
-	// for the delegate the attempt actually began under.
-	invisibleReadOnly(tx *Tx) bool
+	// single rv).
+	invisibleReadOnly() bool
 }
 
 // engineInfo is one registry row.
@@ -115,8 +110,6 @@ var engineTable = []engineInfo{
 		"one mutex per instance; the strongest and slowest baseline"},
 	{TL2, "tl2", []string{"snapshot"}, tl2Engine{},
 		"global-version-clock snapshots: invisible reads, timestamp extension, lock-free read-only transactions"},
-	{Adaptive, "adaptive", nil, adaptiveEngine{},
-		"contention-adaptive: starts on tl2, flips to eager encounter locking while the conflict rate stays above the hysteresis threshold"},
 }
 
 func lookupEngine(e Engine) (engineInfo, bool) {
@@ -206,10 +199,7 @@ func sampleVar(tx *Tx, v *Var, record, extend bool) int64 {
 		}
 		if version(m1) > tx.rv {
 			// Written by a transaction after our snapshot: the world
-			// already changed, so retry immediately — never park. Under
-			// the deferred clock the observation itself must advance the
-			// clock first, or the next snapshot would be no fresher.
-			tx.s.clockObserve(version(m1))
+			// already changed, so retry immediately — never park.
 			if !extend || !tx.extendSnapshot() {
 				noteContention(&v.varBase)
 				tx.conflictRetryNow()
@@ -237,7 +227,6 @@ func sampleBox(tx *Tx, b boxed, record, extend bool) any {
 			continue // torn sample; retry
 		}
 		if version(m1) > tx.rv {
-			tx.s.clockObserve(version(m1))
 			if !extend || !tx.extendSnapshot() {
 				noteContention(vb)
 				tx.conflictRetryNow()
@@ -306,32 +295,18 @@ func lockWriteSetSorted(tx *Tx) bool {
 			return 0
 		}
 	})
-	for i := 0; i < len(lm); {
+	for i := range lm {
 		m, ok := lm[i].vb.tryLock(tx.rv)
 		if ok {
 			lm[i].meta = m
-			i++
 			continue
 		}
-		// Back out the locks taken so far before deciding how to fail —
-		// or, under the deferred clock, whether to fail at all.
+		// Back out the locks taken so far before failing.
 		for j := i - 1; j >= 0; j-- {
 			lm[j].vb.meta.Store(lm[j].meta)
 		}
 		if !isLocked(m) {
-			// Too new (or torn): any future snapshot must be able to see
-			// past m — advance the deferred clock first.
-			tx.s.clockObserve(version(m))
-			if tx.s.clockMode == ClockDeferred && tx.extendSnapshot() {
-				// Deferred-mode commits never publish to the clock, so a
-				// write target newer than rv is the systematic common
-				// case (every writer trips over its own last commit), not
-				// evidence of a race. Extend the snapshot — revalidating
-				// the read set exactly as the read path would — and
-				// relock at the fresh rv instead of paying an abort.
-				i = 0
-				continue
-			}
+			// Too new (or torn): the world already moved; retry at once.
 			tx.conflictChanged = true
 		} else {
 			// A locked write target is worth parking on: its committer

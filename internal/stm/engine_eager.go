@@ -33,17 +33,7 @@ func (tx *Tx) encounterLock(vb *varBase) (firstTouch bool) {
 		if isLocked(m) {
 			tx.conflictOn(vb, m) // park: the holder's commit wakes us
 		}
-		// Too new or torn: the world already moved. Advance the deferred
-		// clock past what we saw so the next snapshot covers it.
-		tx.s.clockObserve(version(m))
-		if tx.s.clockMode == ClockDeferred && tx.extendSnapshot() {
-			// Under the deferred clock a write target newer than rv is
-			// the common case, not a race: commits never publish to the
-			// clock, so every writer finds its own last commit ahead of
-			// its snapshot. Extend (revalidating the read set) and
-			// relock rather than aborting.
-			continue
-		}
+		// Too new or torn: the world already moved; retry at once.
 		noteContention(vb)
 		tx.conflictRetryNow()
 	}
@@ -96,15 +86,11 @@ func (eagerEngine) commit(tx *Tx) {
 	if len(tx.locked) == 0 {
 		return // read-only: don't contend the clock for nothing
 	}
-	// Encounter locks are all held here — the deferred clock's
-	// load-after-lock requirement is met (see clock.go).
+	// Encounter locks are all held here, as clockWV requires.
 	wv := tx.s.clockWV()
 	for i := range tx.locked {
-		tx.locked[i].vb.meta.Store(tx.s.releaseWord(wv, tx.locked[i].vb))
+		tx.locked[i].vb.meta.Store(wv << 1)
 	}
-	// Publish wv under the deferred clock (no-op otherwise) so the next
-	// snapshot covers this commit; see the lazy engine's commit.
-	tx.s.clockObserve(wv)
 	// The lock table and undo logs are dropped by the Tx reset.
 }
 
@@ -135,4 +121,4 @@ func (eagerEngine) wakeSet(tx *Tx, f func(*varBase)) {
 	}
 }
 
-func (eagerEngine) invisibleReadOnly(tx *Tx) bool { return false }
+func (eagerEngine) invisibleReadOnly() bool { return false }

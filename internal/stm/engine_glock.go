@@ -54,20 +54,14 @@ func (glockEngine) commit(tx *Tx) {
 	// Bump written variables' versions so lazy-family readers on other
 	// instances (AtomicallyMulti) and quiescence-free fast paths observe
 	// the update order. The instance mutex is the commit-time lock, so
-	// clockWV's load-after-lock requirement holds trivially.
+	// clockWV's lock-held requirement holds trivially.
 	wv := tx.s.clockWV()
 	for i := range tx.undo {
-		vb := &tx.undo[i].v.varBase
-		vb.meta.Store(tx.s.releaseWord(wv, vb))
+		tx.undo[i].v.meta.Store(wv << 1)
 	}
 	for i := range tx.pundo {
-		vb := tx.pundo[i].b.base()
-		vb.meta.Store(tx.s.releaseWord(wv, vb))
+		tx.pundo[i].b.base().meta.Store(wv << 1)
 	}
-	// Publish wv under the deferred clock (no-op otherwise) so later
-	// snapshots — including other engines' in AtomicallyMulti — cover
-	// this commit; see the lazy engine's commit.
-	tx.s.clockObserve(wv)
 	// The undo logs are dropped by the Tx reset.
 }
 
@@ -94,4 +88,4 @@ func (glockEngine) wakeSet(tx *Tx, f func(*varBase)) {
 	}
 }
 
-func (glockEngine) invisibleReadOnly(tx *Tx) bool { return false }
+func (glockEngine) invisibleReadOnly() bool { return false }

@@ -67,8 +67,7 @@ func (lazyEngine) commit(tx *Tx) {
 		return
 	}
 	// clockWV is legal here and only here: every commit-time lock is
-	// held (prepare/lockWrites succeeded), which is what makes the
-	// deferred clock's load-after-lock soundness argument go through.
+	// held (prepare/lockWrites succeeded).
 	wv := s.clockWV()
 	// The anomaly window of §3.5: the transaction is logically committed
 	// but its buffered writes are not yet applied.
@@ -78,19 +77,13 @@ func (lazyEngine) commit(tx *Tx) {
 	for i := range tx.writes {
 		w := &tx.writes[i]
 		w.v.val.Store(w.val)
-		w.v.meta.Store(s.releaseWord(wv, &w.v.varBase)) // release with the new version
+		w.v.meta.Store(wv << 1) // release with the new version
 	}
 	for i := range tx.pwrites {
 		p := &tx.pwrites[i]
 		p.b.storeBox(p.box)
-		p.b.base().meta.Store(s.releaseWord(wv, p.b.base()))
+		p.b.base().meta.Store(wv << 1)
 	}
-	// Deferred clock only (no-op otherwise): publish wv so the committer's
-	// own next snapshot covers this commit without tripping the too-new
-	// path. Concurrent committers share the CAS — whoever runs first pays
-	// it, the rest observe a covered clock and load only — which is what
-	// keeps this below GV1's unconditional fetch-add per commit.
-	s.clockObserve(wv)
 	clear(tx.lockedMeta)
 	tx.lockedMeta = tx.lockedMeta[:0]
 }
@@ -111,4 +104,4 @@ func (lazyEngine) wakeSet(tx *Tx, f func(*varBase)) {
 	}
 }
 
-func (lazyEngine) invisibleReadOnly(tx *Tx) bool { return false }
+func (lazyEngine) invisibleReadOnly() bool { return false }

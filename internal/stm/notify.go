@@ -336,7 +336,7 @@ func (s *STM) Touch(vs ...*Var) {
 				runtime.Gosched()
 				continue
 			}
-			if vb.meta.CompareAndSwap(m, s.clockTouch(m)<<1) {
+			if vb.meta.CompareAndSwap(m, s.clockTouch()<<1) {
 				break
 			}
 		}
@@ -346,21 +346,20 @@ func (s *STM) Touch(vs ...*Var) {
 
 // --- pause policy of the retry loops ---
 
-// The number of leading conflicted attempts that just yield the
-// processor before the loops start parking used to be a constant 8;
-// it is now the per-instance adaptive spin budget (see adapt.go and
-// STM.SpinBudget). Immediate retry wins while conflicts are transient,
-// and it also keeps the short "retry onto fresh state" idiom (Retry)
-// prompt; persistent contention shrinks the budget
-// so losers park promptly instead of bouncing hot cache lines.
+// spinDefault is the number of leading conflicted attempts that just
+// yield the processor before the retry loops start parking on the
+// footprint. Immediate retry wins while conflicts are transient, and it
+// keeps the short "retry onto fresh state" idiom (Retry) prompt; past it
+// a loser parks and is woken by the commit it lost to.
+const spinDefault = 8
 
 // conflictFallback is the pre-notification backoff schedule, demoted to
 // the fallback timer of a conflict-park: it only fires when the
 // conflicting transaction aborted (publishing nothing), so the parked
-// attempt still makes progress instead of waiting forever. spin is the
-// instance's spin budget, aligning the schedule with backoff's.
-func conflictFallback(attempt, spin int) time.Duration {
-	shift := attempt - spin
+// attempt still makes progress instead of waiting forever. The schedule
+// starts where backoff's yields end.
+func conflictFallback(attempt int) time.Duration {
+	shift := attempt - spinDefault
 	if shift < 0 {
 		shift = 0
 	}
@@ -391,7 +390,6 @@ func blockFallback(parks int) time.Duration {
 // wait on (empty footprint, or still in the spin phase) the old blind
 // backoff remains.
 func (s *STM) afterConflict(ctx context.Context, w *waiter, changed bool, attempt int) {
-	spin := s.SpinBudget()
 	switch {
 	case changed:
 		runtime.Gosched()
@@ -399,23 +397,20 @@ func (s *STM) afterConflict(ctx context.Context, w *waiter, changed bool, attemp
 		if w != nil {
 			w.release()
 		}
-		backoff(ctx, attempt, spin)
+		backoff(ctx, attempt)
 	default:
-		w.park(ctx, conflictFallback(attempt, spin))
+		w.park(ctx, conflictFallback(attempt))
 	}
 }
 
 // captureConflict decides whether a conflicted attempt should park and,
 // if so, snapshots its footprint before the abort wipes it. It returns
-// changed=true when the conflict already proved a state change. Every
-// conflicted attempt also ticks the adaptive controller here — the
-// conflict slow path is the only place contention telemetry accrues.
+// changed=true when the conflict already proved a state change.
 func (s *STM) captureConflict(tx *Tx, attempt int) (w *waiter, changed bool) {
-	s.maybeAdapt()
 	if tx.conflictChanged {
 		return nil, true
 	}
-	if attempt < s.SpinBudget() {
+	if attempt < spinDefault {
 		return nil, false
 	}
 	w = s.newWaiter()
@@ -442,13 +437,12 @@ func (s *STM) conflictedAttempt(ctx context.Context, tx *Tx, attempt int) int {
 // and any instance's proof of change forces immediate retry. The waiter
 // is pooled on (and its park accounted to) lead.
 func captureConflictMulti(lead *STM, txs []*Tx, attempt int) (w *waiter, changed bool) {
-	lead.maybeAdapt()
 	for _, tx := range txs {
 		if tx.conflictChanged {
 			return nil, true
 		}
 	}
-	if attempt < lead.SpinBudget() {
+	if attempt < spinDefault {
 		return nil, false
 	}
 	w = lead.newWaiter()
@@ -465,8 +459,7 @@ func captureConflictMulti(lead *STM, txs []*Tx, attempt int) (w *waiter, changed
 func (s *STM) parkBlocked(ctx context.Context, w *waiter, parks int) {
 	if len(w.entries) == 0 {
 		w.release()
-		bo := s.SpinBudget()
-		backoff(ctx, bo+12+parks, bo) // deep-backoff regime: 4ms sleeps
+		backoff(ctx, spinDefault+12+parks) // deep-backoff regime: 4ms sleeps
 		return
 	}
 	w.park(ctx, blockFallback(parks))

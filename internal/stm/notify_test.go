@@ -363,6 +363,55 @@ func TestConflictParkFallback(t *testing.T) {
 	}
 }
 
+// TestSpinThenPark pins the pause policy of the retry loops on every
+// engine, single- and multi-instance: the first 8 (spinDefault)
+// conflicted attempts retry without parking, and the next one parks on
+// its footprint. A variable whose lock bit is held, as an in-flight
+// commit would hold it, makes every attempt conflict; the global-lock
+// engine reads past lock bits, so the body also retries explicitly once
+// the read returns. The retry budget stops the call after the attempt
+// under test.
+func TestSpinThenPark(t *testing.T) {
+	conflicted := func(tx *Tx, v *Var) {
+		_ = tx.Read(v) // conflicts here on the lock-based engines
+		tx.Retry()
+	}
+	for _, e := range engines {
+		t.Run(e.String(), func(t *testing.T) {
+			for _, tc := range []struct {
+				attempts int
+				parks    uint64
+			}{{8, 0}, {9, 1}} {
+				s := New(WithEngine(e), WithMaxRetries(tc.attempts))
+				v := s.NewVar("held", 0)
+				v.meta.Store(lockedBit)
+				err := s.Atomically(func(tx *Tx) error { conflicted(tx, v); return nil })
+				if !errors.Is(err, ErrMaxRetries) {
+					t.Fatalf("%d attempts: err = %v, want ErrMaxRetries", tc.attempts, err)
+				}
+				if got := s.Snapshot().Waits; got != tc.parks {
+					t.Errorf("Atomically, %d conflicted attempts: %d parks, want %d", tc.attempts, got, tc.parks)
+				}
+
+				lead := New(WithEngine(e), WithMaxRetries(tc.attempts))
+				other := New(WithEngine(e))
+				v = lead.NewVar("held", 0)
+				v.meta.Store(lockedBit)
+				err = AtomicallyMulti([]*STM{lead, other}, func(txs []*Tx) error {
+					conflicted(txs[0], v)
+					return nil
+				})
+				if !errors.Is(err, ErrMaxRetries) {
+					t.Fatalf("multi, %d attempts: err = %v, want ErrMaxRetries", tc.attempts, err)
+				}
+				if got := lead.Snapshot().Waits; got != tc.parks {
+					t.Errorf("AtomicallyMulti, %d conflicted attempts: %d parks, want %d", tc.attempts, got, tc.parks)
+				}
+			}
+		})
+	}
+}
+
 // TestWakePrecision: commits to unrelated variables do not wake a
 // parked waiter — notification is per-variable (hashed buckets with id
 // matching), not broadcast.

@@ -8,7 +8,7 @@
 // unexported engine interface (per-location read/write hooks over both
 // value lanes plus the lock/validate/commit/rollback phases) and is
 // selected through the exported Engine enum, which is backed by a
-// registry (Engines, ParseEngine). Five engines are registered:
+// registry (Engines, ParseEngine). Four engines are registered:
 //
 //   - Lazy: lazy versioning — writes are buffered and applied at
 //     commit under per-variable versioned locks, validated against a
@@ -23,10 +23,6 @@
 //     timestamp extension and invisible reads, making AtomicallyRead
 //     (read-only transactions) lock-free with O(1) commit. Inherits the
 //     lazy engine's mixed-access anomalies.
-//   - Adaptive: contention-adaptive — starts every instance on the TL2
-//     protocol and flips new attempts to eager encounter locking while
-//     the instance's windowed conflict rate stays above a hysteresis
-//     threshold (see adapt.go and engine_adaptive.go).
 //
 // Transactional locations come in two shapes sharing one engine:
 //
@@ -112,12 +108,10 @@ type Option func(*config)
 
 type config struct {
 	engine       Engine
-	clock        ClockMode
 	maxRetries   int
 	quiesceSlots int
 	metricsOff   bool
 	sampleEvery  uint64
-	spin         int // 0 = adaptive (default); >0 pins the spin budget
 }
 
 // WithEngine selects the versioning strategy (default Lazy).
@@ -205,16 +199,13 @@ type StatsSnapshot struct {
 //	        these lines shared; nothing on the hot path stores to them.
 //	band 2  write-hot words, one per 64-byte cache line, each isolated
 //	        by a cacheLinePad *before* it (the pad absorbs the tail of
-//	        the previous line) — clock (every begin loads it and, in
-//	        shared clock mode, every writing commit RMWs it), txSeq
-//	        (every begin RMWs it), nextVarID (every NewVar/NewTVar,
-//	        which kv's key-insert path hits at runtime), and the
-//	        spin/strategy pair (read per conflict, stored only by the
-//	        adaptive controller).
-//	band 3  self-padding aggregates: adapt (slow path, own mutex),
-//	        stats (internally grouped by path — see Stats), waiters
-//	        (gate word and buckets padded in notify.go), and the pools
-//	        (sync.Pool shards itself per P).
+//	        the previous line) — clock (every begin loads it and every
+//	        writing commit RMWs it), txSeq (every begin RMWs it) and
+//	        nextVarID (every NewVar/NewTVar, which kv's key-insert path
+//	        hits at runtime).
+//	band 3  self-padding aggregates: stats (internally grouped by path
+//	        — see Stats), waiters (gate word and buckets padded in
+//	        notify.go), and the pools (sync.Pool shards itself per P).
 //
 // TestSTMHotFieldLayout pins the band-2 isolation with unsafe.Offsetof,
 // so an accidental reorder fails the build's tests rather than a
@@ -224,8 +215,6 @@ type STM struct {
 	engine     Engine
 	eng        engine // the registered implementation behind the enum
 	maxRetries int
-	clockMode  ClockMode     // version-clock strategy (see clock.go)
-	spinPinned bool          // WithSpinAttempts: adaptive controller disabled
 	glock      chan struct{} // global-lock engine's mutex (chan for TryLock-free simplicity)
 	slots      []slot
 
@@ -257,15 +246,8 @@ type STM struct {
 	_         cacheLinePad
 	nextVarID atomic.Uint64
 	_         cacheLinePad
-	spin      atomic.Int32 // adaptive spin-before-park budget (see adapt.go)
-	strategy  atomic.Int32 // Adaptive engine's current delegate (engine_adaptive.go)
-	_         cacheLinePad
 
 	// --- band 3: self-padding aggregates ---
-
-	// adapt is the contention controller's bookkeeping (see adapt.go);
-	// touched only on the conflict slow path.
-	adapt adaptState
 
 	stats Stats
 
@@ -327,20 +309,10 @@ func New(opts ...Option) *STM {
 		engine:     c.engine,
 		eng:        info.impl,
 		maxRetries: c.maxRetries,
-		clockMode:  c.clock,
 		glock:      make(chan struct{}, 1),
 		slots:      make([]slot, n),
 		sampleMask: se - 1,
 	}
-	spin := c.spin
-	if spin > 0 {
-		s.spinPinned = true
-	} else {
-		spin = spinDefault
-	}
-	s.spin.Store(int32(spin))
-	// The Adaptive engine starts every instance on tl2 (strategyTL2 is
-	// the zero value); the controller flips it under contention.
 	if !c.metricsOff {
 		s.metrics = &Metrics{}
 	}

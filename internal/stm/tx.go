@@ -26,7 +26,6 @@ import (
 type Tx struct {
 	s       *STM
 	e       engine // the instance's strategy, cached for dispatch
-	del     engine // adaptive engine's delegate, pinned per attempt at begin
 	rv      uint64 // read version (TL2 snapshot)
 	slotIdx int    // quiescence slot held for the attempt's lifetime
 
@@ -690,18 +689,17 @@ func runReadMultiBody(rtxs []*ReadTx, fn func([]*ReadTx) error) (err error, st t
 // backoff yields (early attempts) or sleeps (persistent conflicts)
 // before the next attempt — the pre-notification pause, surviving only
 // as the fallback for attempts with nothing to park on (empty
-// footprints) and as the duration schedule of conflictFallback. spin is
-// the instance's current spin-before-park budget (see adapt.go): below
-// it the backoff only yields, above it the sleep doubles from 1µs to a
-// 4ms ceiling. A sleeping backoff selects on ctx so cancellation aborts
-// the wait promptly instead of burning the full ceiling; the caller's
-// loop then surfaces ErrCanceled.
-func backoff(ctx context.Context, attempt, spin int) {
-	if attempt < spin {
+// footprints) and as the duration schedule of conflictFallback. For the
+// first spinDefault attempts it only yields; past them the sleep doubles
+// from 1µs to a 4ms ceiling. A sleeping backoff selects on ctx so
+// cancellation aborts the wait promptly instead of burning the full
+// ceiling; the caller's loop then surfaces ErrCanceled.
+func backoff(ctx context.Context, attempt int) {
+	if attempt < spinDefault {
 		runtime.Gosched()
 		return
 	}
-	shift := attempt - spin
+	shift := attempt - spinDefault
 	if shift > 12 {
 		shift = 12 // cap the schedule at ~4ms
 	}
