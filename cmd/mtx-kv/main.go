@@ -51,7 +51,7 @@
 // cross-shard transactions atomically, never partially).
 //
 // The -engine flag accepts any name from the stm engine registry (lazy,
-// eager, global-lock, tl2). Load generation lives in the repository
+// eager, global-lock, tl2, adaptive). Load generation lives in the repository
 // benchmark: go run ./benchmark.
 //
 // Protocol (one command per line). Values are arbitrary byte strings

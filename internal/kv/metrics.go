@@ -110,6 +110,12 @@ type ShardStat struct {
 	Keys     int               `json:"keys"`
 	FastGets uint64            `json:"fast_gets"`
 	Stm      stm.StatsSnapshot `json:"stm"`
+
+	// Strategy is the protocol the shard's transactions currently begin
+	// under — interesting on the adaptive engine, where each shard flips
+	// between tl2 and eager on its own conflict-rate hysteresis; fixed
+	// engines report themselves.
+	Strategy string `json:"strategy"`
 }
 
 // ShardStats returns per-shard statistics, indexed by shard.
@@ -121,6 +127,7 @@ func (s *Store) ShardStats() []ShardStat {
 			Keys:     int(sh.keys.Load()),
 			FastGets: s.fastGets[i].n.Load(),
 			Stm:      sh.stm.Snapshot(),
+			Strategy: sh.stm.Strategy().String(),
 		}
 	}
 	return out

@@ -5,52 +5,34 @@ import (
 	"sync/atomic"
 )
 
-// Adaptive contention management: each STM instance owns a tiny
-// controller that retunes two knobs from its own telemetry instead of
-// hard-coding them.
+// The Adaptive engine's contention controller: each Adaptive instance
+// retunes which registered protocol (tl2 or eager) new attempts begin
+// under from its own telemetry.
 //
-//   - The spin budget — how many conflicted attempts yield the
-//     processor before the retry loops start parking (the constant 8 of
-//     the original notify.go policy). Spinning wins while conflicts are
-//     transient; parking wins when they are persistent, because a
-//     parked attempt burns no CPU and is woken exactly by the commit it
-//     lost to.
-//   - The strategy, on the Adaptive engine only — which registered
-//     protocol (tl2 or eager) new attempts begin under.
-//
-// The controller runs on the conflict slow path only: every conflicted
-// attempt ticks a counter, and once per adaptEvery conflicts one loser
-// (TryLock, so never two) recomputes the knobs from the windowed deltas
-// of the instance's Stats — the conflict rate against commits, whether
-// anything actually parked (Stats.Waits) — and from the obs.HotTable
-// contention sketch, which tells it whether the conflicts concentrate
-// on a single hot variable (spinning on a hotspot is futile: the line
-// just bounces) or spread across the keyspace. Conflict-free workloads
-// never run the controller at all, so the zero-allocation commit path
-// is untouched.
+// The controller runs on the conflict slow path only, and only on
+// Adaptive instances: every conflicted attempt ticks a counter, and once
+// per adaptEvery conflicts one loser (TryLock, so never two) recomputes
+// the strategy from the windowed deltas of the instance's Stats — the
+// conflict rate against commits — and from the obs.HotTable contention
+// sketch, which tells it whether the conflicts concentrate on a single
+// hot variable or spread across the keyspace. Conflict-free workloads
+// and the fixed engines never run it, so the zero-allocation commit
+// path is untouched. (The spin-before-park budget is a constant; see
+// spinDefault in notify.go.)
 const (
-	// spinDefault is the initial spin budget — the historical fixed
-	// policy, now only a starting point.
-	spinDefault = 8
-	// spinMin..spinMax bound the controller so a pathological window
-	// cannot disable spinning entirely or degenerate into busy-wait.
-	spinMin = 2
-	spinMax = 64
 	// adaptEvery is the conflict period between controller runs; a
 	// power of two so the gate is a mask test.
 	adaptEvery = 256
 	// adaptHi/adaptLo are the hysteresis thresholds on the windowed
 	// conflict rate conflicts/(commits+conflicts): above adaptHi the
-	// instance is contended (halve the spin budget, prefer encounter
-	// locking); below adaptLo it is calm (grow the budget back if
-	// attempts still parked, return to tl2). The dead band between them
-	// is what keeps the controller from oscillating.
+	// instance is contended (prefer encounter locking); below adaptLo it
+	// is calm (return to tl2). The dead band between them is what keeps
+	// the controller from oscillating.
 	adaptHi = 0.50
 	adaptLo = 0.10
 	// adaptSkew marks a window as hotspot-skewed when the top slot of
 	// the contention sketch absorbed at least this share of the window's
-	// conflicts — the "everyone lost to the same variable" shape where
-	// spinning cannot help regardless of the aggregate rate.
+	// conflicts — the "everyone lost to the same variable" shape.
 	adaptSkew = 0.75
 )
 
@@ -64,20 +46,8 @@ type adaptState struct {
 	// Window baselines: the Stats readings at the last controller run.
 	lastCommits   uint64
 	lastConflicts uint64
-	lastWaits     uint64
 	lastHot       uint64 // top contention-sketch count at the last run
 }
-
-// SpinBudget returns the instance's current spin-before-park budget:
-// the number of leading conflicted attempts that yield instead of
-// parking. It starts at 8 and adapts per instance unless pinned with
-// WithSpinAttempts.
-func (s *STM) SpinBudget() int { return int(s.spin.Load()) }
-
-// WithSpinAttempts pins the spin-before-park budget to n and disables
-// the adaptive controller for the instance. n <= 0 keeps the adaptive
-// default.
-func WithSpinAttempts(n int) Option { return func(c *config) { c.spin = n } }
 
 // Strategy returns the protocol new attempts of the instance begin
 // under: the engine itself for the fixed engines, and the current
@@ -93,10 +63,11 @@ func (s *STM) Strategy() Engine {
 }
 
 // maybeAdapt is the controller entry point, called by every conflicted
-// attempt (captureConflict / captureConflictMulti). It is three loads
-// and a mask test until the window closes.
+// attempt (captureConflict / captureConflictMulti). It is a compare on
+// the fixed engines, and a tick and a mask test on Adaptive until the
+// window closes.
 func (s *STM) maybeAdapt() {
-	if s.spinPinned {
+	if s.engine != Adaptive {
 		return
 	}
 	if s.adapt.tick.Add(1)&(adaptEvery-1) != 0 {
@@ -110,18 +81,16 @@ func (s *STM) maybeAdapt() {
 	a := &s.adapt
 	commits := s.stats.Commits.Load()
 	conflicts := s.stats.Conflicts.Load()
-	waits := s.stats.Waits.Load()
 	dCommits := commits - a.lastCommits
 	dConflicts := conflicts - a.lastConflicts
-	dWaits := waits - a.lastWaits
-	a.lastCommits, a.lastConflicts, a.lastWaits = commits, conflicts, waits
+	a.lastCommits, a.lastConflicts = commits, conflicts
 
 	total := dCommits + dConflicts
 	if total == 0 {
 		return
 	}
 	rate := float64(dConflicts) / float64(total)
-	s.retune(rate, s.hotSkewed(dConflicts), dWaits)
+	s.retune(rate, s.hotSkewed(dConflicts))
 }
 
 // hotSkewed reports whether the contention sketch attributes at least
@@ -150,34 +119,22 @@ func (s *STM) hotSkewed(dConflicts uint64) bool {
 // retune applies the hysteresis policy to one closed window. Split from
 // maybeAdapt so tests can drive it with synthetic windows.
 //
-//   - Contended (rate above adaptHi, or hotspot-skewed): halve the spin
-//     budget — losers should park and be woken by the winning commit —
-//     and, on the Adaptive engine, flip new attempts to eager
-//     encounter locking, which detects the conflict at the first write
-//     instead of after the whole body ran against doomed state.
-//   - Calm (rate below adaptLo): return the Adaptive engine to tl2,
-//     and grow the spin budget back while attempts still parked in the
-//     window (parks under a calm rate mean conflicts are transient and
-//     a longer spin would have absorbed them).
+//   - Contended (rate above adaptHi, or hotspot-skewed): flip new
+//     attempts to eager encounter locking, which detects the conflict at
+//     the first write instead of after the whole body ran against
+//     doomed state.
+//   - Calm (rate below adaptLo): return to tl2.
 //   - In the dead band: change nothing.
-func (s *STM) retune(rate float64, skewed bool, parked uint64) {
-	cur := s.spin.Load()
+//
+// It is a no-op on the fixed engines.
+func (s *STM) retune(rate float64, skewed bool) {
+	if s.engine != Adaptive {
+		return
+	}
 	switch {
 	case rate > adaptHi || skewed:
-		if next := cur / 2; next >= spinMin {
-			s.spin.Store(next)
-		} else {
-			s.spin.Store(spinMin)
-		}
-		if s.engine == Adaptive {
-			s.strategy.Store(strategyEager)
-		}
+		s.strategy.Store(strategyEager)
 	case rate < adaptLo:
-		if parked > 0 && cur < spinMax {
-			s.spin.Store(cur * 2)
-		}
-		if s.engine == Adaptive {
-			s.strategy.Store(strategyTL2)
-		}
+		s.strategy.Store(strategyTL2)
 	}
 }

@@ -5,75 +5,6 @@ import (
 	"testing"
 )
 
-// TestSpinBudgetDefaultAndPin pins the controller wiring: the budget
-// starts at the historical constant, WithSpinAttempts pins it and
-// disables retuning, and n <= 0 keeps the adaptive default.
-func TestSpinBudgetDefaultAndPin(t *testing.T) {
-	if got := New().SpinBudget(); got != spinDefault {
-		t.Fatalf("default spin budget = %d, want %d", got, spinDefault)
-	}
-	s := New(WithSpinAttempts(3))
-	if got := s.SpinBudget(); got != 3 {
-		t.Fatalf("pinned spin budget = %d, want 3", got)
-	}
-	if !s.spinPinned {
-		t.Fatal("WithSpinAttempts did not disable the controller")
-	}
-	// A pinned instance's controller must be inert even when forced.
-	for i := 0; i < 4*adaptEvery; i++ {
-		s.maybeAdapt()
-	}
-	if got := s.SpinBudget(); got != 3 {
-		t.Fatalf("pinned budget drifted to %d", got)
-	}
-	if got := New(WithSpinAttempts(0)).spinPinned; got {
-		t.Fatal("WithSpinAttempts(0) pinned the budget")
-	}
-	if got := New(WithSpinAttempts(-1)).SpinBudget(); got != spinDefault {
-		t.Fatalf("WithSpinAttempts(-1) budget = %d, want default", got)
-	}
-}
-
-// TestRetunePolicy drives the hysteresis controller with synthetic
-// windows (retune is split from maybeAdapt exactly for this) and pins
-// the policy: contended windows halve the budget down to spinMin, calm
-// windows with parks double it up to spinMax, the dead band changes
-// nothing, and hotspot skew counts as contention regardless of rate.
-func TestRetunePolicy(t *testing.T) {
-	s := New()
-	if got := s.SpinBudget(); got != spinDefault {
-		t.Fatalf("start budget = %d", got)
-	}
-	s.retune(0.9, false, 0) // contended: halve
-	if got := s.SpinBudget(); got != spinDefault/2 {
-		t.Fatalf("after contended window budget = %d, want %d", got, spinDefault/2)
-	}
-	for i := 0; i < 10; i++ {
-		s.retune(0.9, false, 0)
-	}
-	if got := s.SpinBudget(); got != spinMin {
-		t.Fatalf("contended windows floored at %d, want %d", got, spinMin)
-	}
-	s.retune(0.3, false, 7) // dead band: nothing
-	if got := s.SpinBudget(); got != spinMin {
-		t.Fatalf("dead-band window moved the budget to %d", got)
-	}
-	s.retune(0.05, false, 0) // calm but nothing parked: nothing to regrow
-	if got := s.SpinBudget(); got != spinMin {
-		t.Fatalf("calm window with no parks moved the budget to %d", got)
-	}
-	for i := 0; i < 10; i++ {
-		s.retune(0.05, false, 5) // calm with parks: double
-	}
-	if got := s.SpinBudget(); got != spinMax {
-		t.Fatalf("calm windows capped at %d, want %d", got, spinMax)
-	}
-	s.retune(0.2, true, 0) // low rate but hotspot-skewed: still contended
-	if got := s.SpinBudget(); got != spinMax/2 {
-		t.Fatalf("skewed window budget = %d, want %d", got, spinMax/2)
-	}
-}
-
 // TestAdaptiveStrategyFlip pins the Adaptive engine's strategy
 // hysteresis: contended windows flip new attempts to eager, calm
 // windows flip back to tl2, and fixed engines never report a strategy
@@ -83,21 +14,25 @@ func TestAdaptiveStrategyFlip(t *testing.T) {
 	if got := s.Strategy(); got != TL2 {
 		t.Fatalf("initial strategy = %v, want TL2", got)
 	}
-	s.retune(0.9, false, 0)
+	s.retune(0.9, false)
 	if got := s.Strategy(); got != Eager {
 		t.Fatalf("contended strategy = %v, want Eager", got)
 	}
-	s.retune(0.3, false, 0) // dead band holds the current strategy
+	s.retune(0.3, false) // dead band holds the current strategy
 	if got := s.Strategy(); got != Eager {
 		t.Fatalf("dead-band strategy = %v, want Eager", got)
 	}
-	s.retune(0.05, false, 0)
+	s.retune(0.05, false)
 	if got := s.Strategy(); got != TL2 {
 		t.Fatalf("calm strategy = %v, want TL2", got)
 	}
+	s.retune(0.2, true) // low rate but hotspot-skewed: still contended
+	if got := s.Strategy(); got != Eager {
+		t.Fatalf("skewed strategy = %v, want Eager", got)
+	}
 
 	fixed := New(WithEngine(TL2))
-	fixed.retune(0.9, false, 0) // must only touch the spin budget
+	fixed.retune(0.9, false) // a no-op on the fixed engines
 	if got := fixed.Strategy(); got != TL2 {
 		t.Fatalf("fixed engine reports strategy %v", got)
 	}
@@ -114,7 +49,7 @@ func TestAdaptiveStrategyFlip(t *testing.T) {
 func TestAdaptiveEngineMidFlipCorrectness(t *testing.T) {
 	const goroutines = 6
 	const perG = 300
-	s := New(WithEngine(Adaptive), WithSpinAttempts(4)) // pin: the test drives the flips
+	s := New(WithEngine(Adaptive))
 	c := s.NewVar("c", 0)
 	var wg sync.WaitGroup
 	done := make(chan struct{})
@@ -155,30 +90,35 @@ func TestAdaptiveEngineMidFlipCorrectness(t *testing.T) {
 }
 
 // TestMaybeAdaptRunsOnRealConflicts is the integration check of the
-// controller's only call sites: a contended workload must eventually
-// close at least one window (the budget leaves its default or the
-// baselines move), and the budget must stay within [spinMin, spinMax].
+// controller's only call sites: a contended workload on the Adaptive
+// engine must eventually close at least one window, while the same
+// workload on a fixed engine never ticks the controller at all.
 func TestMaybeAdaptRunsOnRealConflicts(t *testing.T) {
-	s := New(WithEngine(TL2))
-	v := s.NewVar("v", 0)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				_ = s.Atomically(func(tx *Tx) error {
-					tx.Write(v, tx.Read(v)+1)
-					return nil
-				})
-			}
-		}()
+	contend := func(s *STM) {
+		v := s.NewVar("v", 0)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 500; i++ {
+					_ = s.Atomically(func(tx *Tx) error {
+						tx.Write(v, tx.Read(v)+1)
+						return nil
+					})
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	if got := s.SpinBudget(); got < spinMin || got > spinMax {
-		t.Fatalf("spin budget %d escaped [%d, %d]", got, spinMin, spinMax)
-	}
+	s := New(WithEngine(Adaptive))
+	contend(s)
 	if s.Snapshot().Conflicts > 4*adaptEvery && s.adapt.lastCommits == 0 && s.adapt.lastConflicts == 0 {
 		t.Error("controller never ran despite ample conflicts")
+	}
+	fixed := New(WithEngine(TL2))
+	contend(fixed)
+	if got := fixed.adapt.tick.Load(); got != 0 {
+		t.Errorf("fixed engine ticked the controller %d times", got)
 	}
 }

@@ -88,4 +88,4 @@ func (glockEngine) wakeSet(tx *Tx, f func(*varBase)) {
 	}
 }
 
-func (glockEngine) invisibleReadOnly() bool { return false }
+func (glockEngine) invisibleReadOnly(tx *Tx) bool { return false }

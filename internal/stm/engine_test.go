@@ -8,7 +8,7 @@ import (
 // TestEngineRegistry pins the registry contents: the enum values, their
 // canonical names, and the parse round trip.
 func TestEngineRegistry(t *testing.T) {
-	want := []Engine{Lazy, Eager, GlobalLock, TL2}
+	want := []Engine{Lazy, Eager, GlobalLock, TL2, Adaptive}
 	got := Engines()
 	if len(got) != len(want) {
 		t.Fatalf("Engines() = %v, want %v", got, want)
@@ -45,6 +45,8 @@ func TestParseEngineAliasesAndCase(t *testing.T) {
 		{"tl2", TL2},
 		{"snapshot", TL2},
 		{" TL2 ", TL2},
+		{"adaptive", Adaptive},
+		{"Adaptive", Adaptive},
 	} {
 		got, err := ParseEngine(tc.in)
 		if err != nil || got != tc.want {

@@ -41,4 +41,4 @@ func (tl2Engine) readBoxed(tx *Tx, b boxed) any {
 	return sampleBox(tx, b, !tx.noReadSet, true)
 }
 
-func (tl2Engine) invisibleReadOnly() bool { return true }
+func (tl2Engine) invisibleReadOnly(tx *Tx) bool { return true }

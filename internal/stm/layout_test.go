@@ -20,7 +20,8 @@ func TestSTMHotFieldLayout(t *testing.T) {
 		{"clock", unsafe.Offsetof(s.clock)},
 		{"txSeq", unsafe.Offsetof(s.txSeq)},
 		{"nextVarID", unsafe.Offsetof(s.nextVarID)},
-		{"stats (band 3 start)", unsafe.Offsetof(s.stats)},
+		{"strategy", unsafe.Offsetof(s.strategy)},
+		{"adapt (band 3 start)", unsafe.Offsetof(s.adapt)},
 	}
 	for i := 1; i < len(hot); i++ {
 		if gap := hot[i].off - hot[i-1].off; gap < line {

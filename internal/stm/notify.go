@@ -405,8 +405,11 @@ func (s *STM) afterConflict(ctx context.Context, w *waiter, changed bool, attemp
 
 // captureConflict decides whether a conflicted attempt should park and,
 // if so, snapshots its footprint before the abort wipes it. It returns
-// changed=true when the conflict already proved a state change.
+// changed=true when the conflict already proved a state change. Every
+// conflicted attempt also ticks the adaptive engine's controller here —
+// the conflict slow path is the only place contention telemetry accrues.
 func (s *STM) captureConflict(tx *Tx, attempt int) (w *waiter, changed bool) {
+	s.maybeAdapt()
 	if tx.conflictChanged {
 		return nil, true
 	}
@@ -437,6 +440,7 @@ func (s *STM) conflictedAttempt(ctx context.Context, tx *Tx, attempt int) int {
 // and any instance's proof of change forces immediate retry. The waiter
 // is pooled on (and its park accounted to) lead.
 func captureConflictMulti(lead *STM, txs []*Tx, attempt int) (w *waiter, changed bool) {
+	lead.maybeAdapt()
 	for _, tx := range txs {
 		if tx.conflictChanged {
 			return nil, true

@@ -77,7 +77,7 @@ func (s *STM) atomicallyRead(ctx context.Context, fn func(*ReadTx) error) error 
 			}
 		}
 		tx.readOnly = true
-		tx.noReadSet = tx.e.invisibleReadOnly() && !blockNeedsReadSet
+		tx.noReadSet = tx.e.invisibleReadOnly(tx) && !blockNeedsReadSet
 		err, st := tx.runReadBody(fn)
 		switch {
 		case st == txBlocked:

@@ -26,6 +26,7 @@ import (
 type Tx struct {
 	s       *STM
 	e       engine // the instance's strategy, cached for dispatch
+	del     engine // adaptive engine's delegate, pinned per attempt at begin
 	rv      uint64 // read version (TL2 snapshot)
 	slotIdx int    // quiescence slot held for the attempt's lifetime
 
