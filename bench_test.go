@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"modtx"
@@ -307,74 +306,6 @@ func BenchmarkSTMBank(b *testing.B) {
 						tx.Write(accts[to], tx.Read(accts[to])+1)
 						return nil
 					})
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkSTMCommitHeavy (S8): write-only commits on disjoint variables
-// on the tl2 engine. Each parallel worker owns its variable, so the only
-// shared state is the version clock itself — the coherence hotspot of
-// the commit path. Run with -cpu 1,4,16 for the scaling curve.
-func BenchmarkSTMCommitHeavy(b *testing.B) {
-	s := stm.New(stm.WithEngine(stm.TL2))
-	vars := make([]*stm.Var, 64)
-	for i := range vars {
-		vars[i] = s.NewVar(fmt.Sprintf("w%d", i), 0)
-	}
-	var widx atomic.Int64
-	b.RunParallel(func(pb *testing.PB) {
-		v := vars[int(widx.Add(1)-1)&63]
-		var n int64
-		for pb.Next() {
-			n++
-			_ = s.Atomically(func(tx *stm.Tx) error {
-				tx.Write(v, n)
-				return nil
-			})
-		}
-	})
-}
-
-// BenchmarkKVReadHeavy (S8): the 90/10 read/write mix per engine over
-// transactional single-key operations — the scaling acceptance workload.
-// Run with -cpu 1,4,16; at 16 procs every engine must at least hold its
-// single-proc throughput (the bench-trajectory gate), and the snapshot
-// engines should scale with reader parallelism.
-func BenchmarkKVReadHeavy(b *testing.B) {
-	for _, e := range stmEngines {
-		e := e
-		b.Run(e.String(), func(b *testing.B) {
-			store := kv.New(kv.WithShards(64), kv.WithEngine(e))
-			keys := make([]string, 1024)
-			for i := range keys {
-				keys[i] = fmt.Sprintf("key-%04d", i)
-			}
-			store.EnsureCounters(keys...)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					i++
-					k := keys[(i*131)&1023]
-					if i%10 == 0 {
-						err := store.Update([]string{k}, func(t *kv.Txn) error {
-							t.Add(k, 1)
-							return nil
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
-					} else {
-						err := store.View([]string{k}, func(t *kv.ViewTxn) error {
-							_, _ = t.Counter(k)
-							return nil
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
 				}
 			})
 		})

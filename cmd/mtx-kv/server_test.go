@@ -621,6 +621,12 @@ func TestEngineFlagRegistry(t *testing.T) {
 	if _, err := stm.ParseEngine("all"); err == nil {
 		t.Fatal(`"all" parsed as an engine`)
 	}
+	// -engine adaptive is refused before serve binds anything, by the
+	// registry's error naming the four engines.
+	err := runServe([]string{"-engine", "adaptive"})
+	if err == nil || !strings.Contains(err.Error(), "want lazy, eager, global-lock, tl2)") {
+		t.Fatalf("serve -engine adaptive: err = %v, want the unknown-engine error listing four engines", err)
+	}
 }
 
 // TestParseBlockTimeout pins the clamp: positive values pass through in

@@ -192,23 +192,8 @@ func runChaos(t *testing.T, eng stm.Engine) {
 	// the middle third of the run.
 	rng := rand.New(rand.NewPCG(chaosSeed, chaosSeed>>1|1))
 	xshard := 1 // the seeding transaction spans every shard
-	for i := 0; i < transfers; i++ {
-		switch i {
-		case transfers / 3:
-			cnet.Partition(true)
-			// Partitioning kills the live conns, so the client's blocked
-			// read fails now; hold the partition until it has refused an
-			// operation (the client's redial, whenever its backoff lands).
-			deadline := time.Now().Add(30 * time.Second)
-			for cnet.Stats().Partitions == 0 {
-				if time.Now().After(deadline) {
-					t.Fatalf("the partition refused nothing in 30s: %+v", cnet.Stats())
-				}
-				time.Sleep(time.Millisecond)
-			}
-		case 2 * transfers / 3:
-			cnet.Partition(false)
-		}
+	committed := 0
+	transfer := func() {
 		from, to := rng.IntN(accounts), rng.IntN(accounts)
 		if from == to {
 			to = (to + 1) % accounts
@@ -221,8 +206,41 @@ func runChaos(t *testing.T, eng stm.Engine) {
 			tx.Add(keys[to], 1)
 			return nil
 		}); err != nil {
-			t.Fatalf("transfer %d: %v", i, err)
+			t.Fatalf("transfer %d: %v", committed, err)
 		}
+		committed++
+	}
+	for i := 0; i < transfers; i++ {
+		switch i {
+		case transfers / 3:
+			// The stream is one batched session, so the seeded schedule
+			// gets few rolls in a fixed number of transfers. Hold the
+			// partition back until the network has cut a conn and delayed
+			// an op, committing transfers meanwhile: each one the streamer
+			// writes is another roll.
+			deadline := time.Now().Add(30 * time.Second)
+			for ns := cnet.Stats(); ns.Cuts == 0 || ns.Delays == 0; ns = cnet.Stats() {
+				if time.Now().After(deadline) {
+					t.Fatalf("network chaos did not both cut and delay in 30s: %+v", ns)
+				}
+				transfer()
+				time.Sleep(time.Millisecond)
+			}
+			cnet.Partition(true)
+			// Partitioning kills the live conns, so the client's blocked
+			// read fails now; hold the partition until it has refused an
+			// operation (the client's redial, whenever its backoff lands).
+			deadline = time.Now().Add(30 * time.Second)
+			for cnet.Stats().Partitions == 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("the partition refused nothing in 30s: %+v", cnet.Stats())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		case 2 * transfers / 3:
+			cnet.Partition(false)
+		}
+		transfer()
 	}
 	cnet.Partition(false) // idempotent: make sure the network is up
 
@@ -332,7 +350,7 @@ func runChaos(t *testing.T, eng stm.Engine) {
 	}
 	ds := dfs.Stats()
 	t.Logf("chaos stats: xshard=%d/%d shed=%d disk=%+v net=%+v",
-		xshard, transfers+1, shed, ds, ns)
+		xshard, committed+1, shed, ds, ns)
 	if ds.WriteErrs == 0 {
 		t.Fatal("disk chaos injected nothing")
 	}

@@ -315,7 +315,7 @@ func TestShardStatJSONRoundTrip(t *testing.T) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	if got, want := strings.Join(names, ","), "fast_gets,keys,shard,stm,strategy"; got != want {
+	if got, want := strings.Join(names, ","), "fast_gets,keys,shard,stm"; got != want {
 		t.Fatalf("ShardStat JSON fields = %s, want %s", got, want)
 	}
 	var back []ShardStat

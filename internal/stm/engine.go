@@ -26,10 +26,6 @@ const (
 	// transactions (AtomicallyRead) that keep no read set and commit in
 	// O(1) without locks or validation.
 	TL2
-	// Adaptive delegates per instance to tl2 or eager, flipped by the
-	// contention controller when the conflict rate crosses its
-	// hysteresis thresholds (see adapt.go and engine_adaptive.go).
-	Adaptive
 )
 
 // engine is the seam behind the transactional protocol: per-location
@@ -90,9 +86,8 @@ type engine interface {
 	// every read validates against tx.rv at read time, so commit needs
 	// no validation. Multi-instance read-only transactions always keep
 	// read sets regardless (their serialization point is later than any
-	// single rv). It takes the attempt so the adaptive engine can answer
-	// for the delegate the attempt actually began under.
-	invisibleReadOnly(tx *Tx) bool
+	// single rv).
+	invisibleReadOnly() bool
 }
 
 // engineInfo is one registry row.
@@ -115,8 +110,6 @@ var engineTable = []engineInfo{
 		"one mutex per instance; the strongest and slowest baseline"},
 	{TL2, "tl2", []string{"snapshot"}, tl2Engine{},
 		"global-version-clock snapshots: invisible reads, timestamp extension, lock-free read-only transactions"},
-	{Adaptive, "adaptive", nil, adaptiveEngine{},
-		"contention-adaptive: starts on tl2, flips to eager encounter locking while the conflict rate stays above the hysteresis threshold"},
 }
 
 func lookupEngine(e Engine) (engineInfo, bool) {

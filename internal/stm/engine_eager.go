@@ -121,4 +121,4 @@ func (eagerEngine) wakeSet(tx *Tx, f func(*varBase)) {
 	}
 }
 
-func (eagerEngine) invisibleReadOnly(tx *Tx) bool { return false }
+func (eagerEngine) invisibleReadOnly() bool { return false }

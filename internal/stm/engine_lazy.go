@@ -104,4 +104,4 @@ func (lazyEngine) wakeSet(tx *Tx, f func(*varBase)) {
 	}
 }
 
-func (lazyEngine) invisibleReadOnly(tx *Tx) bool { return false }
+func (lazyEngine) invisibleReadOnly() bool { return false }

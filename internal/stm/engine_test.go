@@ -8,7 +8,7 @@ import (
 // TestEngineRegistry pins the registry contents: the enum values, their
 // canonical names, and the parse round trip.
 func TestEngineRegistry(t *testing.T) {
-	want := []Engine{Lazy, Eager, GlobalLock, TL2, Adaptive}
+	want := []Engine{Lazy, Eager, GlobalLock, TL2}
 	got := Engines()
 	if len(got) != len(want) {
 		t.Fatalf("Engines() = %v, want %v", got, want)
@@ -45,13 +45,17 @@ func TestParseEngineAliasesAndCase(t *testing.T) {
 		{"tl2", TL2},
 		{"snapshot", TL2},
 		{" TL2 ", TL2},
-		{"adaptive", Adaptive},
-		{"Adaptive", Adaptive},
 	} {
 		got, err := ParseEngine(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseEngine(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
+	}
+	// "adaptive" names no engine; the error lists the four that exist.
+	if _, err := ParseEngine("adaptive"); err == nil {
+		t.Error(`ParseEngine("adaptive") succeeded`)
+	} else if !strings.Contains(err.Error(), "want lazy, eager, global-lock, tl2)") {
+		t.Errorf(`ParseEngine("adaptive") error does not list the four engines: %v`, err)
 	}
 	if _, err := ParseEngine("nope"); err == nil {
 		t.Fatal("ParseEngine accepted an unknown name")

@@ -8,7 +8,8 @@
 // unexported engine interface (per-location read/write hooks over both
 // value lanes plus the lock/validate/commit/rollback phases) and is
 // selected through the exported Engine enum, which is backed by a
-// registry (Engines, ParseEngine). Five engines are registered:
+// registry (Engines, ParseEngine). Four engines are registered, and an
+// instance's engine is fixed when New creates it:
 //
 //   - Lazy: lazy versioning — writes are buffered and applied at
 //     commit under per-variable versioned locks, validated against a
@@ -23,10 +24,6 @@
 //     timestamp extension and invisible reads, making AtomicallyRead
 //     (read-only transactions) lock-free with O(1) commit. Inherits the
 //     lazy engine's mixed-access anomalies.
-//   - Adaptive: contention-adaptive — starts every instance on the TL2
-//     protocol and flips new attempts to eager encounter locking while
-//     the instance's windowed conflict rate stays above a hysteresis
-//     threshold (see adapt.go and engine_adaptive.go).
 //
 // Transactional locations come in two shapes sharing one engine:
 //
@@ -204,14 +201,12 @@ type StatsSnapshot struct {
 //	band 2  write-hot words, one per 64-byte cache line, each isolated
 //	        by a cacheLinePad *before* it (the pad absorbs the tail of
 //	        the previous line) — clock (every begin loads it and every
-//	        writing commit RMWs it), txSeq (every begin RMWs it),
+//	        writing commit RMWs it), txSeq (every begin RMWs it), and
 //	        nextVarID (every NewVar/NewTVar, which kv's key-insert path
-//	        hits at runtime), and strategy (read by every adaptive-engine
-//	        begin, stored only by the adaptive controller).
-//	band 3  self-padding aggregates: adapt (slow path, own mutex),
-//	        stats (internally grouped by path — see Stats), waiters
-//	        (gate word and buckets padded in notify.go), and the pools
-//	        (sync.Pool shards itself per P).
+//	        hits at runtime); a trailing pad closes the band.
+//	band 3  self-padding aggregates: stats (internally grouped by path
+//	        — see Stats), waiters (gate word and buckets padded in
+//	        notify.go), and the pools (sync.Pool shards itself per P).
 //
 // TestSTMHotFieldLayout pins the band-2 isolation with unsafe.Offsetof,
 // so an accidental reorder fails the build's tests rather than a
@@ -252,14 +247,8 @@ type STM struct {
 	_         cacheLinePad
 	nextVarID atomic.Uint64
 	_         cacheLinePad
-	strategy  atomic.Int32 // Adaptive engine's current delegate (engine_adaptive.go)
-	_         cacheLinePad
 
 	// --- band 3: self-padding aggregates ---
-
-	// adapt is the adaptive engine's controller bookkeeping (see
-	// adapt.go); touched only on the conflict slow path.
-	adapt adaptState
 
 	stats Stats
 
@@ -325,8 +314,6 @@ func New(opts ...Option) *STM {
 		slots:      make([]slot, n),
 		sampleMask: se - 1,
 	}
-	// The Adaptive engine starts every instance on tl2 (strategyTL2 is
-	// the zero value); the controller flips it under contention.
 	if !c.metricsOff {
 		s.metrics = &Metrics{}
 	}
