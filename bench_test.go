@@ -1,6 +1,10 @@
 // Benchmarks regenerating every experiment of DESIGN.md §5: one benchmark
 // (or sub-benchmark) per figure/example verdict, per theorem checker, per
-// optimization report, and the STM performance experiments S4/S5.
+// optimization report, and the STM experiments that no workload of
+// `go run ./benchmark` runs yet: fences, plain access, the stress
+// scenarios, the kv plain reads and blocking (S1–S4, S6's fast paths,
+// S7). Transaction throughput (S5) and the kv transactions (the rest of
+// S6) are that benchmark's workloads and probes.
 //
 // Run with: go test -bench=. -benchmem .
 package modtx_test
@@ -9,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
 	"testing"
 
 	"modtx"
@@ -206,111 +209,11 @@ func BenchmarkEnumerator(b *testing.B) {
 	}
 }
 
-// --- STM performance experiments (S4, S5) ---
+// --- STM performance experiments (S1–S4) ---
 
 // stmEngines is every registered engine; the registry drives the whole
 // benchmark matrix, so a new engine is a new row, not a code change.
 var stmEngines = stm.Engines()
-
-// BenchmarkSTMCounter (S5): contended read-modify-write throughput per
-// engine.
-func BenchmarkSTMCounter(b *testing.B) {
-	for _, e := range stmEngines {
-		e := e
-		b.Run(e.String(), func(b *testing.B) {
-			s := stm.New(stm.WithEngine(e))
-			c := s.NewVar("c", 0)
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					_ = s.Atomically(func(tx *stm.Tx) error {
-						tx.Write(c, tx.Read(c)+1)
-						return nil
-					})
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkSTMReadOnly (S5): read-only transaction throughput over a
-// shared array (no conflicts), comparing the default read-write path
-// (Atomically with an empty write set) against the dedicated read-only
-// API (AtomicallyRead) per engine. On the tl2 engine AtomicallyRead runs
-// with invisible reads: no read set, no allocation, O(1) commit.
-func BenchmarkSTMReadOnly(b *testing.B) {
-	for _, e := range stmEngines {
-		e := e
-		s := stm.New(stm.WithEngine(e))
-		vars := make([]*stm.Var, 16)
-		for i := range vars {
-			vars[i] = s.NewVar(fmt.Sprintf("v%d", i), int64(i))
-		}
-		b.Run(e.String()+"/atomically", func(b *testing.B) {
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					_ = s.Atomically(func(tx *stm.Tx) error {
-						var sum int64
-						for _, v := range vars {
-							sum += tx.Read(v)
-						}
-						_ = sum
-						return nil
-					})
-				}
-			})
-		})
-		b.Run(e.String()+"/read", func(b *testing.B) {
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					_ = s.AtomicallyRead(func(r *stm.ReadTx) error {
-						var sum int64
-						for _, v := range vars {
-							sum += r.Read(v)
-						}
-						_ = sum
-						return nil
-					})
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkSTMBank (S5): bank-transfer workload over 64 accounts.
-func BenchmarkSTMBank(b *testing.B) {
-	for _, e := range stmEngines {
-		e := e
-		b.Run(e.String(), func(b *testing.B) {
-			s := stm.New(stm.WithEngine(e))
-			accts := make([]*stm.Var, 64)
-			for i := range accts {
-				accts[i] = s.NewVar(fmt.Sprintf("a%d", i), 1000)
-			}
-			var ctr int
-			var mu sync.Mutex
-			nextPair := func() (int, int) {
-				mu.Lock()
-				defer mu.Unlock()
-				ctr++
-				return ctr % 64, (ctr*7 + 13) % 64
-			}
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					from, to := nextPair()
-					if from == to {
-						continue
-					}
-					_ = s.Atomically(func(tx *stm.Tx) error {
-						bal := tx.Read(accts[from])
-						tx.Write(accts[from], bal-1)
-						tx.Write(accts[to], tx.Read(accts[to])+1)
-						return nil
-					})
-				}
-			})
-		})
-	}
-}
 
 // BenchmarkSTMFence (S4): quiescence-fence overhead — the privatization
 // pattern with and without Quiesce, mirroring the §6 discussion of fence
@@ -429,102 +332,6 @@ func BenchmarkKVFastPathBytes(b *testing.B) {
 						b.Fatal("missing key")
 					}
 					i++
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkKVReadOnly (S6): consistent multi-key reads (8 counters
-// spread across shards), comparing the read-write transaction path
-// (Update) against the lock-free read-only snapshot path (View). The
-// acceptance check of the engine redesign: View on tl2 must beat the
-// Update-based read.
-func BenchmarkKVReadOnly(b *testing.B) {
-	for _, e := range stmEngines {
-		e := e
-		store := kv.New(kv.WithShards(64), kv.WithEngine(e))
-		keys := make([]string, 1024)
-		for i := range keys {
-			keys[i] = fmt.Sprintf("key-%04d", i)
-		}
-		store.EnsureCounters(keys...)
-		pick := func(i int) []string {
-			batch := make([]string, 8)
-			for j := range batch {
-				batch[j] = keys[(i*131+j*17)&1023]
-			}
-			return batch
-		}
-		b.Run(e.String()+"/update", func(b *testing.B) {
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					batch := pick(i)
-					i++
-					err := store.Update(batch, func(t *kv.Txn) error {
-						for _, k := range batch {
-							_, _ = t.Get(k)
-						}
-						return nil
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-		b.Run(e.String()+"/view", func(b *testing.B) {
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					batch := pick(i)
-					i++
-					err := store.View(batch, func(t *kv.ViewTxn) error {
-						for _, k := range batch {
-							_, _ = t.Counter(k)
-						}
-						return nil
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkKVCrossShardTxn (S6): two-key transfers that two-phase across
-// shards via stm.AtomicallyMulti.
-func BenchmarkKVCrossShardTxn(b *testing.B) {
-	for _, e := range stmEngines {
-		e := e
-		b.Run(e.String(), func(b *testing.B) {
-			store := kv.New(kv.WithShards(64), kv.WithEngine(e))
-			keys := make([]string, 1024)
-			for i := range keys {
-				keys[i] = fmt.Sprintf("key-%04d", i)
-			}
-			store.EnsureCounters(keys...)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					from := keys[i&1023]
-					to := keys[(i*7+13)&1023]
-					i++
-					if from == to {
-						continue
-					}
-					err := store.Update([]string{from, to}, func(t *kv.Txn) error {
-						t.Add(from, -1)
-						t.Add(to, 1)
-						return nil
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
 				}
 			})
 		})

@@ -83,8 +83,8 @@ func TestAllocsGet(t *testing.T) {
 }
 
 // TestAllocsCounterOps: the int64 compatibility lane — CounterAdd and
-// CounterGet — runs transactions with no boxing, no formatting and no
-// allocation.
+// CounterGet, and counter Update and View over one shard and over two —
+// runs transactions with no boxing, no formatting and no allocation.
 func TestAllocsCounterOps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -92,24 +92,65 @@ func TestAllocsCounterOps(t *testing.T) {
 	for _, e := range stm.Engines() {
 		t.Run(e.String(), func(t *testing.T) {
 			s := allocStore(t, e)
-			for i := 0; i < 32; i++ {
-				if _, err := s.CounterAdd("ctr-key", 1); err != nil {
-					t.Fatal(err)
+			// A second counter on another shard than ctr-key's.
+			home, _ := s.route("ctr-key")
+			other := ""
+			for i := 0; other == ""; i++ {
+				k := fmt.Sprintf("ctr-%d", i)
+				if sh, _ := s.route(k); sh != home {
+					other = k
 				}
 			}
-			if avg := testing.AllocsPerRun(100, func() {
-				if _, err := s.CounterAdd("ctr-key", 1); err != nil {
-					t.Fatal(err)
+			s.EnsureCounters(other)
+			oneShard, twoShards := []string{"ctr-key"}, []string{"ctr-key", other}
+			update := func(keys []string) func() error {
+				body := func(t *Txn) error {
+					for _, k := range keys {
+						t.Add(k, 1)
+					}
+					return nil
 				}
-			}); avg != 0 {
-				t.Errorf("CounterAdd: %v allocs/op, want 0", avg)
+				return func() error { return s.Update(keys, body) }
 			}
-			if avg := testing.AllocsPerRun(100, func() {
-				if _, ok, err := s.CounterGet("ctr-key"); err != nil || !ok {
-					t.Fatal("missing counter")
+			view := func(keys []string) func() error {
+				body := func(t *ViewTxn) error {
+					for _, k := range keys {
+						if _, ok := t.Counter(k); !ok {
+							return fmt.Errorf("missing counter %q", k)
+						}
+					}
+					return nil
 				}
-			}); avg != 0 {
-				t.Errorf("CounterGet: %v allocs/op, want 0", avg)
+				return func() error { return s.View(keys, body) }
+			}
+			for _, row := range []struct {
+				name string
+				run  func() error
+			}{
+				{"CounterAdd", func() error { _, err := s.CounterAdd("ctr-key", 1); return err }},
+				{"CounterGet", func() error {
+					if _, ok, err := s.CounterGet("ctr-key"); err != nil || !ok {
+						return fmt.Errorf("missing counter (%v)", err)
+					}
+					return nil
+				}},
+				{"Update over 1 shard", update(oneShard)},
+				{"Update over 2 shards", update(twoShards)},
+				{"View over 1 shard", view(oneShard)},
+				{"View over 2 shards", view(twoShards)},
+			} {
+				for i := 0; i < 32; i++ { // warm the op and Tx pools
+					if err := row.run(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if avg := testing.AllocsPerRun(100, func() {
+					if err := row.run(); err != nil {
+						t.Fatal(err)
+					}
+				}); avg != 0 {
+					t.Errorf("%s: %v allocs/op, want 0", row.name, avg)
+				}
 			}
 		})
 	}

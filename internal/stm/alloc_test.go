@@ -8,78 +8,113 @@ import (
 
 // The zero-allocation contract of the hot path: once the pooled Tx has
 // grown its attempt-state slices, steady-state transactions allocate
-// nothing — on every engine, for both the read-write and the read-only
-// entry points. testing.AllocsPerRun truncates toward zero over 100
-// runs, so a rare GC-emptied pool refill does not flake the guard while
-// a real per-op allocation (1/op = 100 over the window) fails it.
+// nothing — on every engine, for every entry point, over one instance or
+// two. testing.AllocsPerRun truncates toward zero over 100 runs, so a
+// rare GC-emptied pool refill does not flake the guard while a real
+// per-op allocation (1/op = 100 over the window) fails it.
+
+// allocInput is one entry point driven by an allocation guard.
+type allocInput struct {
+	name string
+	run  func() error
+}
+
+// checkAllocs warms each input's pooled capacity, then requires it to
+// run without allocating.
+func checkAllocs(t *testing.T, inputs []allocInput) {
+	t.Helper()
+	for _, in := range inputs {
+		for i := 0; i < 32; i++ { // grow the pooled capacity
+			if err := in.run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			if err := in.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", in.name, avg)
+		}
+	}
+}
 
 // TestAllocsAtomicallySingleVar: the steady-state single-var
-// read-modify-write transaction performs no heap allocation.
+// read-modify-write transaction performs no heap allocation, through
+// Atomically and through AtomicallyMulti over one instance and over two
+// (one var on each).
 func TestAllocsAtomicallySingleVar(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	for _, e := range engines {
 		t.Run(e.String(), func(t *testing.T) {
-			s := New(WithEngine(e))
-			v := s.NewVar("v", 0)
+			s, s2 := New(WithEngine(e)), New(WithEngine(e))
+			vars := []*Var{s.NewVar("v", 0), s2.NewVar("v2", 0)}
 			body := func(tx *Tx) error {
-				tx.Write(v, tx.Read(v)+1)
+				tx.Write(vars[0], tx.Read(vars[0])+1)
 				return nil
 			}
-			for i := 0; i < 32; i++ { // grow the pooled capacity
-				if err := s.Atomically(body); err != nil {
-					t.Fatal(err)
+			multi := func(txs []*Tx) error {
+				for i, tx := range txs {
+					tx.Write(vars[i], tx.Read(vars[i])+1)
 				}
+				return nil
 			}
-			avg := testing.AllocsPerRun(100, func() {
-				if err := s.Atomically(body); err != nil {
-					t.Fatal(err)
-				}
+			one, two := []*STM{s}, []*STM{s, s2}
+			checkAllocs(t, []allocInput{
+				{"Atomically single-var", func() error { return s.Atomically(body) }},
+				{"AtomicallyMulti over 1 instance", func() error { return AtomicallyMulti(one, multi) }},
+				{"AtomicallyMulti over 2 instances", func() error { return AtomicallyMulti(two, multi) }},
 			})
-			if avg != 0 {
-				t.Errorf("Atomically single-var: %v allocs/op, want 0", avg)
-			}
 		})
 	}
 }
 
 // TestAllocsAtomicallyRead: the steady-state read-only transaction (a
 // 4-var snapshot sum) performs no heap allocation — with a read set on
-// the validating engines, without one on tl2.
+// the validating engines, without one on tl2 — through AtomicallyRead
+// and through AtomicallyReadMulti over one instance and over two (four
+// vars on each).
 func TestAllocsAtomicallyRead(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	for _, e := range engines {
 		t.Run(e.String(), func(t *testing.T) {
-			s := New(WithEngine(e))
-			vars := make([]*Var, 4)
-			for i := range vars {
-				vars[i] = s.NewVar(fmt.Sprintf("v%d", i), int64(i))
+			s, s2 := New(WithEngine(e)), New(WithEngine(e))
+			vars := [2][]*Var{make([]*Var, 4), make([]*Var, 4)}
+			for i := range vars[0] {
+				vars[0][i] = s.NewVar(fmt.Sprintf("v%d", i), int64(i))
+				vars[1][i] = s2.NewVar(fmt.Sprintf("w%d", i), int64(i))
 			}
 			var sink int64
 			body := func(r *ReadTx) error {
 				var sum int64
-				for _, v := range vars {
+				for _, v := range vars[0] {
 					sum += r.Read(v)
 				}
 				sink = sum
 				return nil
 			}
-			for i := 0; i < 32; i++ {
-				if err := s.AtomicallyRead(body); err != nil {
-					t.Fatal(err)
+			multi := func(rtxs []*ReadTx) error {
+				var sum int64
+				for i, r := range rtxs {
+					for _, v := range vars[i] {
+						sum += r.Read(v)
+					}
 				}
+				sink = sum
+				return nil
 			}
-			avg := testing.AllocsPerRun(100, func() {
-				if err := s.AtomicallyRead(body); err != nil {
-					t.Fatal(err)
-				}
+			one, two := []*STM{s}, []*STM{s, s2}
+			checkAllocs(t, []allocInput{
+				{"AtomicallyRead", func() error { return s.AtomicallyRead(body) }},
+				{"AtomicallyReadMulti over 1 instance", func() error { return AtomicallyReadMulti(one, multi) }},
+				{"AtomicallyReadMulti over 2 instances", func() error { return AtomicallyReadMulti(two, multi) }},
 			})
-			if avg != 0 {
-				t.Errorf("AtomicallyRead: %v allocs/op, want 0 (sink=%d)", avg, sink)
-			}
+			_ = sink
 		})
 	}
 }

@@ -23,7 +23,7 @@ package stm
 //
 // Invisible reads interact with blocking: a read-only tl2 attempt keeps
 // no read set, so when its body calls Block the runtime re-runs it once
-// with the read set forced on (see atomicallyRead) — visible reads for
+// with the read set forced on (see transact) — visible reads for
 // that call only — and parks precisely from then on.
 type tl2Engine struct{ lazyEngine }
 

@@ -31,9 +31,9 @@ var (
 	// context.Canceled / context.DeadlineExceeded.
 	ErrCanceled = errors.New("stm: transaction canceled")
 
-	// ErrDuplicateInstance reports that AtomicallyMulti was given the same
-	// STM instance more than once (which would self-deadlock on the
-	// global-lock engine).
+	// ErrDuplicateInstance reports that AtomicallyMulti or
+	// AtomicallyReadMulti was given the same STM instance more than once
+	// (which would self-deadlock on the global-lock engine).
 	ErrDuplicateInstance = errors.New("stm: duplicate STM instance in AtomicallyMulti")
 )
 
@@ -42,7 +42,7 @@ var (
 // context cancellation. It unwraps to its sentinel (and, for
 // cancellation, to the context's error).
 type TxError struct {
-	Op        string // "atomically" or "atomically-multi"
+	Op        string // the entry point called: "atomically", "atomically-read", "atomically-multi", "atomically-read-multi" or "or-else"
 	Engine    Engine // engine of the (first) instance
 	Attempts  int    // attempts completed when the call gave up
 	Conflicts int    // conflict-aborted attempts within this call

@@ -170,28 +170,33 @@ func TestAtomicallyCtxCommitsNormally(t *testing.T) {
 
 // TestAtomicallyMultiCtxCancel covers the multi-instance ctx path: a
 // permanently conflicted instance forces retries until the deadline.
+// Over one instance the error still names the entry point called.
 func TestAtomicallyMultiCtxCancel(t *testing.T) {
 	s1 := New(WithEngine(Lazy))
 	s2 := New(WithEngine(Eager))
 	a := s1.NewVar("a", 0)
 	b := s2.NewVar("b", 0)
 	b.meta.Store(lockedBit)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	err := AtomicallyMultiCtx(ctx, []*STM{s1, s2}, func(txs []*Tx) error {
-		txs[0].Write(a, 1)
-		txs[1].Write(b, 1)
-		return nil
-	})
-	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
-	}
-	var txe *TxError
-	if !errors.As(err, &txe) || txe.Op != "atomically-multi" {
-		t.Fatalf("diagnostics missing or wrong op: %+v", txe)
-	}
-	if a.Load() != 0 {
-		t.Fatalf("partial effect leaked: a=%d", a.Load())
+	for _, stms := range [][]*STM{{s1, s2}, {s2}} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		err := AtomicallyMultiCtx(ctx, stms, func(txs []*Tx) error {
+			if len(txs) == 2 {
+				txs[0].Write(a, 1)
+			}
+			txs[len(txs)-1].Write(b, 1)
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%d instances: err = %v, want ErrCanceled wrapping DeadlineExceeded", len(stms), err)
+		}
+		var txe *TxError
+		if !errors.As(err, &txe) || txe.Op != "atomically-multi" {
+			t.Fatalf("%d instances: diagnostics missing or wrong op: %+v", len(stms), txe)
+		}
+		if a.Load() != 0 {
+			t.Fatalf("partial effect leaked: a=%d", a.Load())
+		}
 	}
 }
 

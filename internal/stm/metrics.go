@@ -6,7 +6,7 @@ import (
 
 // Metrics is an STM instance's observability surface: fixed-layout
 // atomic histograms and a contention-attribution table, recorded into by
-// the transaction loops behind cheap gates and snapshotted by operators
+// the transaction loop behind cheap gates and snapshotted by operators
 // (internal/kv aggregates them per shard; cmd/mtx-kv renders them on the
 // admin plane). All write sides are allocation-free, preserving the
 // zero-allocation hot-path contract with metrics enabled.

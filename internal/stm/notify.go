@@ -403,53 +403,33 @@ func (s *STM) afterConflict(ctx context.Context, w *waiter, changed bool, attemp
 	}
 }
 
-// captureConflict decides whether a conflicted attempt should park and,
-// if so, snapshots its footprint before the abort wipes it. It returns
-// changed=true when the conflict already proved a state change.
-func (s *STM) captureConflict(tx *Tx, attempt int) (w *waiter, changed bool) {
-	if tx.conflictChanged {
-		return nil, true
-	}
-	if attempt < spinDefault {
-		return nil, false
-	}
-	w = s.newWaiter()
-	w.captureTx(tx)
-	return w, false
-}
-
-// conflictedAttempt is the shared bookkeeping of a conflicted attempt
-// in the single-instance retry loops: capture the footprint (or the
-// proof of change), abort, count the conflict and pause. Returns the
-// incremented attempt number; the caller tracks its own per-call
-// conflict diagnostics.
-func (s *STM) conflictedAttempt(ctx context.Context, tx *Tx, attempt int) int {
-	w, changed := s.captureConflict(tx, attempt)
-	tx.abortAttempt()
-	s.stats.Conflicts.Add(1)
-	attempt++
-	s.afterConflict(ctx, w, changed, attempt)
-	return attempt
-}
-
-// captureConflictMulti is captureConflict across a multi-instance
-// attempt: the waiter parks on the union of every instance's footprint,
-// and any instance's proof of change forces immediate retry. The waiter
-// is pooled on (and its park accounted to) lead.
-func captureConflictMulti(lead *STM, txs []*Tx, attempt int) (w *waiter, changed bool) {
+// conflicted is the step of every conflicted attempt, with its handles
+// txs on the instances stms: past the spin phase it captures the union of
+// the handles' footprints — before the abort wipes them — into a waiter
+// pooled on (and its park accounted to) the lead instance, unless some
+// handle's conflict already proved a state change, which forces
+// immediate retry. Then it aborts the handles, counts a conflict on each
+// instance and pauses. It returns the incremented attempt number; the
+// caller tracks its own per-call conflict diagnostics.
+func conflicted(ctx context.Context, stms []*STM, txs []*Tx, attempt int) int {
+	changed := false
 	for _, tx := range txs {
-		if tx.conflictChanged {
-			return nil, true
+		changed = changed || tx.conflictChanged
+	}
+	var w *waiter
+	if !changed && attempt >= spinDefault {
+		w = stms[0].newWaiter()
+		for _, tx := range txs {
+			w.captureTx(tx)
 		}
 	}
-	if attempt < spinDefault {
-		return nil, false
+	abortAll(txs)
+	for _, s := range stms {
+		s.stats.Conflicts.Add(1)
 	}
-	w = lead.newWaiter()
-	for _, tx := range txs {
-		w.captureTx(tx)
-	}
-	return w, false
+	attempt++
+	stms[0].afterConflict(ctx, w, changed, attempt)
+	return attempt
 }
 
 // parkBlocked parks an explicitly blocked attempt (Tx.Block) on its

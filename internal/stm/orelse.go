@@ -36,6 +36,7 @@ func (s *STM) orElse(ctx context.Context, alts []func(*Tx) error) error {
 	if len(alts) == 0 {
 		panic("stm: OrElse requires at least one alternative")
 	}
+	one := []*STM{s}
 	conflicts, parks := 0, 0
 	for attempt := 0; attempt < s.maxRetries; {
 		if err := ctxErr(ctx); err != nil {
@@ -47,8 +48,9 @@ func (s *STM) orElse(ctx context.Context, alts []func(*Tx) error) error {
 		var w *waiter
 		blockedAll := true
 		for _, fn := range alts {
-			tx := s.begin()
-			err, st := tx.runBody(fn)
+			txs := beginAll(one)
+			tx := txs[0]
+			err, st := runBody(txs, &body{tx: fn})
 			if st == txBlocked {
 				if w == nil {
 					w = s.newWaiter()
@@ -61,7 +63,7 @@ func (s *STM) orElse(ctx context.Context, alts []func(*Tx) error) error {
 				if w != nil {
 					w.release()
 				}
-				attempt = s.conflictedAttempt(ctx, tx, attempt)
+				attempt = conflicted(ctx, one, txs, attempt)
 				conflicts++
 				blockedAll = false
 				break // restart the choice from the first alternative
@@ -86,7 +88,7 @@ func (s *STM) orElse(ctx context.Context, alts []func(*Tx) error) error {
 			if w != nil {
 				w.release()
 			}
-			attempt = s.conflictedAttempt(ctx, tx, attempt)
+			attempt = conflicted(ctx, one, txs, attempt)
 			conflicts++
 			blockedAll = false
 			break

@@ -1,9 +1,6 @@
 package stm
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 // ReadTx is the handle passed to AtomicallyRead bodies: a transaction
 // that can only read, never write. Because the body provably has an
@@ -49,78 +46,13 @@ func ReadTVarBox[T any](r *ReadTx, v *TVar[T]) *T {
 // read set and commits without validation. Errors returned by fn roll
 // back (vacuously) and are returned verbatim.
 func (s *STM) AtomicallyRead(fn func(*ReadTx) error) error {
-	return s.atomicallyRead(nil, fn)
+	return transact(nil, "atomically-read", []*STM{s}, body{read: fn})
 }
 
 // AtomicallyReadCtx is AtomicallyRead honoring ctx between retry
 // attempts, with the same contract as AtomicallyCtx.
 func (s *STM) AtomicallyReadCtx(ctx context.Context, fn func(*ReadTx) error) error {
-	return s.atomicallyRead(ctx, fn)
-}
-
-func (s *STM) atomicallyRead(ctx context.Context, fn func(*ReadTx) error) error {
-	conflicts, parks := 0, 0
-	blockNeedsReadSet := false
-	m := s.metrics
-	var t0 time.Time
-	sampled, first := false, true
-	for attempt := 0; attempt < s.maxRetries; {
-		if err := ctxErr(ctx); err != nil {
-			return s.txError("atomically-read", attempt, conflicts, ErrCanceled, err)
-		}
-		tx := s.begin()
-		if first {
-			first = false
-			if m != nil && tx.nextSample() {
-				sampled = true
-				t0 = time.Now()
-			}
-		}
-		tx.readOnly = true
-		tx.noReadSet = tx.e.invisibleReadOnly() && !blockNeedsReadSet
-		err, st := tx.runReadBody(fn)
-		switch {
-		case st == txBlocked:
-			if tx.noReadSet && tx.nreads > 0 {
-				// Invisible reads left nothing to park on: re-run once
-				// with the read set forced on so the park is precise.
-				blockNeedsReadSet = true
-				tx.abortAttempt()
-				continue
-			}
-			w := s.newWaiter()
-			w.captureTx(tx)
-			tx.abortAttempt()
-			s.parkBlocked(ctx, w, parks)
-			parks++
-			continue
-		case st == txConflicted:
-			attempt = s.conflictedAttempt(ctx, tx, attempt)
-			conflicts++
-			continue
-		case err != nil:
-			tx.abortAttempt()
-			s.stats.UserAborts.Add(1)
-			return err
-		}
-		// The write set is empty by construction, so prepare degenerates
-		// to read validation (or to a constant on engines whose read-only
-		// fast path needs none).
-		if tx.prepare() {
-			tx.commitPrepared()
-			tx.finishTx()
-			s.stats.Commits.Add(1)
-			s.stats.ReadOnlyCommits.Add(1)
-			if sampled {
-				m.ReadOnlyNs.Observe(time.Since(t0).Nanoseconds())
-				m.Attempts.Observe(int64(conflicts) + 1)
-			}
-			return nil
-		}
-		attempt = s.conflictedAttempt(ctx, tx, attempt)
-		conflicts++
-	}
-	return s.txError("atomically-read", s.maxRetries, conflicts, ErrMaxRetries, nil)
+	return transact(ctx, "atomically-read", []*STM{s}, body{read: fn})
 }
 
 // AtomicallyReadMulti runs fn as one read-only transaction spanning
@@ -145,122 +77,24 @@ func (s *STM) atomicallyRead(ctx context.Context, fn func(*ReadTx) error) error 
 // The retry budget is taken from stms[0]. An empty stms runs fn(nil)
 // once, transactionally vacuous.
 func AtomicallyReadMulti(stms []*STM, fn func(rtxs []*ReadTx) error) error {
-	return atomicallyReadMulti(nil, stms, fn)
+	return transact(nil, "atomically-read-multi", stms, body{readMulti: fn})
 }
 
 // AtomicallyReadMultiCtx is AtomicallyReadMulti honoring ctx between
 // retry attempts, with the same contract as AtomicallyCtx.
 func AtomicallyReadMultiCtx(ctx context.Context, stms []*STM, fn func(rtxs []*ReadTx) error) error {
-	return atomicallyReadMulti(ctx, stms, fn)
+	return transact(ctx, "atomically-read-multi", stms, body{readMulti: fn})
 }
 
-func atomicallyReadMulti(ctx context.Context, stms []*STM, fn func(rtxs []*ReadTx) error) error {
-	if len(stms) == 0 {
-		if err := ctxErr(ctx); err != nil {
-			return &TxError{Op: "atomically-read-multi", Err: ErrCanceled, Cause: err}
-		}
-		return fn(nil)
-	}
-	if len(stms) == 1 {
-		// Single instance: the invisible-read fast path applies.
-		return stms[0].atomicallyRead(ctx, func(r *ReadTx) error { return fn([]*ReadTx{r}) })
-	}
-	if err := rejectDuplicates(stms); err != nil {
-		return err
-	}
-	rtxs := make([]*ReadTx, len(stms))
-	abortAll := func() {
-		for i := len(rtxs) - 1; i >= 0; i-- {
-			rtxs[i].tx.abortAttempt()
-		}
-	}
-	captureAll := func(attempt int) (*waiter, bool) {
-		txs := make([]*Tx, len(rtxs))
-		for i, r := range rtxs {
-			txs[i] = r.tx
-		}
-		return captureConflictMulti(stms[0], txs, attempt)
-	}
-	conflicts, parks := 0, 0
-	m := stms[0].metrics // multi commits account to the lead instance
-	var t0 time.Time
-	sampled, first := false, true
-	for attempt := 0; attempt < stms[0].maxRetries; {
-		if err := ctxErr(ctx); err != nil {
-			return stms[0].txError("atomically-read-multi", attempt, conflicts, ErrCanceled, err)
-		}
-		for i, s := range stms {
-			tx := s.begin()
-			tx.readOnly = true // read sets stay on: see the soundness note
-			rtxs[i] = &tx.rtx
-		}
-		if first {
-			first = false
-			if m != nil && rtxs[0].tx.nextSample() {
-				sampled = true
-				t0 = time.Now()
-			}
-		}
-		err, st := runReadMultiBody(rtxs, fn)
-		switch {
-		case st == txBlocked:
-			w := stms[0].newWaiter()
-			for _, r := range rtxs {
-				w.captureTx(r.tx)
-			}
-			abortAll()
-			stms[0].parkBlocked(ctx, w, parks)
-			parks++
-			continue
-		case st == txConflicted:
-			w, changed := captureAll(attempt)
-			abortAll()
-			for _, s := range stms {
-				s.stats.Conflicts.Add(1)
-			}
-			conflicts++
-			attempt++
-			stms[0].afterConflict(ctx, w, changed, attempt)
-			continue
-		case err != nil:
-			abortAll()
-			for _, s := range stms {
-				s.stats.UserAborts.Add(1)
-			}
-			return err
-		}
-		valid := true
-		for _, r := range rtxs {
-			if !r.tx.validateReads() {
-				valid = false
-				break
-			}
-		}
-		if !valid {
-			w, changed := captureAll(attempt)
-			abortAll()
-			for _, s := range stms {
-				s.stats.Conflicts.Add(1)
-			}
-			conflicts++
-			attempt++
-			stms[0].afterConflict(ctx, w, changed, attempt)
-			continue
-		}
-		// Nothing to publish; resolve the attempts.
-		for i := len(rtxs) - 1; i >= 0; i-- {
-			rtxs[i].tx.finishTx()
-		}
-		for _, s := range stms {
-			s.stats.Commits.Add(1)
-			s.stats.MultiCommits.Add(1)
-			s.stats.ReadOnlyCommits.Add(1)
-		}
-		if sampled {
-			m.ReadOnlyNs.Observe(time.Since(t0).Nanoseconds())
-			m.Attempts.Observe(int64(conflicts) + 1)
-		}
+// readViews returns the read-only views of the attempt's handles, aligned
+// with them, in the lead handle's pooled storage (nil for no handles).
+func readViews(txs []*Tx) []*ReadTx {
+	if len(txs) == 0 {
 		return nil
 	}
-	return stms[0].txError("atomically-read-multi", stms[0].maxRetries, conflicts, ErrMaxRetries, nil)
+	lead := txs[0]
+	for _, tx := range txs[1:] {
+		lead.rtxs = append(lead.rtxs, &tx.rtx)
+	}
+	return lead.rtxs
 }

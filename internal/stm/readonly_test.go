@@ -64,6 +64,17 @@ func TestAtomicallyReadCtxPreCanceled(t *testing.T) {
 	if !errors.As(err, &txe) || txe.Op != "atomically-read" {
 		t.Fatalf("diagnostics missing or wrong op: %+v", txe)
 	}
+	// AtomicallyReadMulti over the one instance names itself.
+	err = AtomicallyReadMultiCtx(ctx, []*STM{s}, func(rtxs []*ReadTx) error {
+		ran = true
+		return nil
+	})
+	if !errors.Is(err, ErrCanceled) || ran {
+		t.Fatalf("multi: err=%v ran=%v, want ErrCanceled and no body run", err, ran)
+	}
+	if !errors.As(err, &txe) || txe.Op != "atomically-read-multi" {
+		t.Fatalf("multi: diagnostics missing or wrong op: %+v", txe)
+	}
 }
 
 // TestAtomicallyReadConsistentSnapshot races read-only transactions

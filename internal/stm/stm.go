@@ -153,7 +153,7 @@ func WithMetricsSampling(n int) Option {
 // not false).
 type Stats struct {
 	Commits         atomic.Uint64
-	MultiCommits    atomic.Uint64 // commits that were part of an AtomicallyMulti
+	MultiCommits    atomic.Uint64 // commits spanning ≥ 2 instances, through AtomicallyMulti or AtomicallyReadMulti
 	ReadOnlyCommits atomic.Uint64 // commits through AtomicallyRead / AtomicallyReadMulti
 	_               [40]byte      // commit-path group ends its cache line here
 
@@ -320,6 +320,8 @@ func New(opts ...Option) *STM {
 	s.txPool.New = func() any {
 		tx := &Tx{s: s, e: s.eng}
 		tx.rtx.tx = tx
+		tx.txs = []*Tx{tx}
+		tx.rtxs = []*ReadTx{&tx.rtx}
 		return tx
 	}
 	s.waiterPool.New = func() any {

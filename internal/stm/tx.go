@@ -35,10 +35,8 @@ type Tx struct {
 	reads  []readEntry
 	nreads int
 
-	// readOnly marks attempts driven by AtomicallyRead (the body cannot
-	// write); noReadSet additionally marks single-instance read-only
-	// attempts on engines with invisible reads.
-	readOnly  bool
+	// noReadSet marks single-instance read-only attempts on engines with
+	// invisible reads.
 	noReadSet bool
 
 	// Lazy-family write sets: insertion-ordered entries (the slice is
@@ -76,6 +74,14 @@ type Tx struct {
 	// rtx is the read-only view handed to AtomicallyRead bodies; it
 	// points back at this Tx so no per-attempt wrapper is allocated.
 	rtx ReadTx
+
+	// txs and rtxs are the attempt's handles, one per instance, and their
+	// read-only views, kept in the lead (first) handle by the attempt loop
+	// (see beginAll and readViews) so that no call allocates them. Both
+	// start with this Tx's own entry, which reset keeps: a one-instance
+	// attempt touches neither slice.
+	txs  []*Tx
+	rtxs []*ReadTx
 
 	// mTick is the latency-sampling tick (see Tx.nextSample). It is
 	// deliberately NOT cleared by reset: surviving pool round-trips is
@@ -253,16 +259,18 @@ func (tx *Tx) lockedMetaFor(vb *varBase) (uint64, bool) {
 }
 
 // reset clears the attempt state for reuse, retaining the capacity of
-// every slice (reads, writes, pwrites, lockedMeta, undo, pundo, locked)
-// so steady-state transactions never re-grow them. Elements are zeroed
-// before truncation so the pooled Tx does not pin dead variables. The
-// rare spill indexes are dropped: small transactions must not pay the
-// map path just because one large transaction came through earlier.
+// every slice (reads, writes, pwrites, lockedMeta, undo, pundo, locked,
+// txs, rtxs) so steady-state transactions never re-grow them; txs and
+// rtxs keep their first entry, the Tx itself. Elements are zeroed before
+// truncation so the pooled Tx does not pin dead variables or other
+// handles. The rare spill indexes are dropped: small transactions must
+// not pay the map path just because one large transaction came through
+// earlier.
 func (tx *Tx) reset() {
 	clear(tx.reads)
 	tx.reads = tx.reads[:0]
 	tx.nreads = 0
-	tx.readOnly, tx.noReadSet = false, false
+	tx.noReadSet = false
 	clear(tx.writes)
 	tx.writes = tx.writes[:0]
 	tx.windex = nil
@@ -281,6 +289,12 @@ func (tx *Tx) reset() {
 	tx.rv = 0
 	tx.conflictVB, tx.conflictMeta, tx.conflictChanged = nil, 0, false
 	tx.tapData = nil
+	if len(tx.txs) > 1 { // rtxs is never longer than txs
+		clear(tx.txs[1:])
+		tx.txs = tx.txs[:1]
+		clear(tx.rtxs[1:])
+		tx.rtxs = tx.rtxs[:1]
+	}
 }
 
 // SetTapData attaches an opaque payload to the current attempt, handed
@@ -382,7 +396,7 @@ func ctxErr(ctx context.Context) error {
 // takes no effect). Budget exhaustion returns a *TxError wrapping
 // ErrMaxRetries.
 func (s *STM) Atomically(fn func(*Tx) error) error {
-	return s.atomically(nil, fn)
+	return transact(nil, "atomically", []*STM{s}, body{tx: fn})
 }
 
 // AtomicallyCtx is Atomically honoring ctx between retry attempts and
@@ -392,63 +406,7 @@ func (s *STM) Atomically(fn func(*Tx) error) error {
 // never interrupted mid-body, so a nil return still means exactly one
 // committed execution of fn.
 func (s *STM) AtomicallyCtx(ctx context.Context, fn func(*Tx) error) error {
-	return s.atomically(ctx, fn)
-}
-
-func (s *STM) atomically(ctx context.Context, fn func(*Tx) error) error {
-	conflicts, parks := 0, 0
-	m := s.metrics
-	var t0 time.Time
-	sampled, first := false, true
-	for attempt := 0; attempt < s.maxRetries; {
-		if err := ctxErr(ctx); err != nil {
-			return s.txError("atomically", attempt, conflicts, ErrCanceled, err)
-		}
-		tx := s.begin()
-		if first {
-			// The sampling decision is made once per call, on the first
-			// attempt's pooled handle; retries reuse it.
-			first = false
-			if m != nil && tx.nextSample() {
-				sampled = true
-				t0 = time.Now()
-			}
-		}
-		err, st := tx.runBody(fn)
-		switch st {
-		case txBlocked:
-			// An explicit Block consumes no retry budget: a long-lived
-			// waiter may legitimately park thousands of times.
-			w := s.newWaiter()
-			w.captureTx(tx)
-			tx.abortAttempt()
-			s.parkBlocked(ctx, w, parks)
-			parks++
-			continue
-		case txConflicted:
-			attempt = s.conflictedAttempt(ctx, tx, attempt)
-			conflicts++
-			continue
-		}
-		if err != nil {
-			tx.abortAttempt()
-			s.stats.UserAborts.Add(1)
-			return err
-		}
-		if tx.prepare() {
-			tx.commitPrepared()
-			tx.finishTx()
-			s.stats.Commits.Add(1)
-			if sampled {
-				m.CommitNs.Observe(time.Since(t0).Nanoseconds())
-				m.Attempts.Observe(int64(conflicts) + 1)
-			}
-			return nil
-		}
-		attempt = s.conflictedAttempt(ctx, tx, attempt)
-		conflicts++
-	}
-	return s.txError("atomically", s.maxRetries, conflicts, ErrMaxRetries, nil)
+	return transact(ctx, "atomically", []*STM{s}, body{tx: fn})
 }
 
 // AtomicallyMulti runs fn as one transaction spanning several STM
@@ -464,18 +422,18 @@ func (s *STM) atomically(ctx context.Context, fn func(*Tx) error) error {
 // The instances may use different engines, but the retry budget is taken
 // from stms[0]. An empty stms runs fn(nil) once, transactionally vacuous.
 func AtomicallyMulti(stms []*STM, fn func(txs []*Tx) error) error {
-	return atomicallyMulti(nil, stms, fn)
+	return transact(nil, "atomically-multi", stms, body{multi: fn})
 }
 
 // AtomicallyMultiCtx is AtomicallyMulti honoring ctx between retry
 // attempts, with the same contract as AtomicallyCtx.
 func AtomicallyMultiCtx(ctx context.Context, stms []*STM, fn func(txs []*Tx) error) error {
-	return atomicallyMulti(ctx, stms, fn)
+	return transact(ctx, "atomically-multi", stms, body{multi: fn})
 }
 
-// rejectDuplicates guards the multi-instance entry points: a duplicated
-// GlobalLock instance would self-deadlock on its mutex, so all
-// duplicates are rejected uniformly.
+// rejectDuplicates guards the attempt loop: a duplicated GlobalLock
+// instance would self-deadlock on its mutex, so all duplicates are
+// rejected uniformly.
 func rejectDuplicates(stms []*STM) error {
 	for i := 1; i < len(stms); i++ {
 		for j := 0; j < i; j++ {
@@ -487,132 +445,162 @@ func rejectDuplicates(stms []*STM) error {
 	return nil
 }
 
-// abortAllTx unwinds a multi-instance attempt in reverse so global locks
-// release LIFO.
-func abortAllTx(txs []*Tx) {
-	for i := len(txs) - 1; i >= 0; i-- {
-		txs[i].abortAttempt()
-	}
-}
-
-func atomicallyMulti(ctx context.Context, stms []*STM, fn func(txs []*Tx) error) error {
+// transact is the attempt loop behind every entry point: one transaction
+// over a handle on each instance of stms, Atomically and AtomicallyRead
+// being its one-instance cases. An attempt begins the handles, runs b
+// over them and commits in two phases (prepareAll, then commitPrepared on
+// every handle); a conflicted attempt takes the conflict step and
+// retries, and a blocked one parks on the union of the handles'
+// footprints. A read-only body counts as a read-only commit, samples
+// ReadOnlyNs instead of CommitNs, and on one instance of an engine with
+// invisible reads keeps no read set. op names the entry point in a
+// *TxError. The retry budget, the waiter and the histograms are the lead
+// instance's (stms[0]); an empty stms runs b once with no handles,
+// transactionally vacuous.
+func transact(ctx context.Context, op string, stms []*STM, b body) error {
 	if len(stms) == 0 {
-		// Transactionally vacuous, but the cancellation contract still
-		// holds: a canceled context fails before the body runs.
+		// The cancellation contract still holds: a canceled context fails
+		// before the body runs.
 		if err := ctxErr(ctx); err != nil {
-			return &TxError{Op: "atomically-multi", Err: ErrCanceled, Cause: err}
+			return &TxError{Op: op, Err: ErrCanceled, Cause: err}
 		}
-		return fn(nil)
-	}
-	if len(stms) == 1 {
-		// One handle-slice per call, not per attempt.
-		var one [1]*Tx
-		return stms[0].atomically(ctx, func(tx *Tx) error {
-			one[0] = tx
-			return fn(one[:])
-		})
+		err, _ := runBody(nil, &b)
+		return err
 	}
 	if err := rejectDuplicates(stms); err != nil {
 		return err
 	}
-	txs := make([]*Tx, len(stms))
+	lead, multi := stms[0], len(stms) > 1
+	readOnly := b.read != nil || b.readMulti != nil // ReadTx views cannot write
+	m := lead.metrics
 	conflicts, parks := 0, 0
-	m := stms[0].metrics // multi commits account to the lead instance
+	blockNeedsReadSet := false
 	var t0 time.Time
 	sampled, first := false, true
-	for attempt := 0; attempt < stms[0].maxRetries; {
+	for attempt := 0; attempt < lead.maxRetries; {
 		if err := ctxErr(ctx); err != nil {
-			return stms[0].txError("atomically-multi", attempt, conflicts, ErrCanceled, err)
+			return lead.txError(op, attempt, conflicts, ErrCanceled, err)
 		}
-		for i, s := range stms {
-			txs[i] = s.begin()
-		}
+		txs := beginAll(stms)
+		ltx := txs[0]
 		if first {
+			// The sampling decision is made once per call, on the first
+			// attempt's lead handle; retries reuse it.
 			first = false
-			if m != nil && txs[0].nextSample() {
+			if m != nil && ltx.nextSample() {
 				sampled = true
 				t0 = time.Now()
 			}
 		}
-		err, st := runMultiBody(txs, fn)
+		// Invisible reads need one instance: across several the
+		// serialization point is the cross-instance validation, not any
+		// single rv (see AtomicallyReadMulti).
+		ltx.noReadSet = readOnly && !multi && ltx.e.invisibleReadOnly() && !blockNeedsReadSet
+		err, st := runBody(txs, &b)
 		switch {
 		case st == txBlocked:
-			w := stms[0].newWaiter()
+			if ltx.noReadSet && ltx.nreads > 0 {
+				// Invisible reads left nothing to park on: re-run once
+				// with the read set forced on so the park is precise.
+				blockNeedsReadSet = true
+				abortAll(txs)
+				continue
+			}
+			// An explicit Block consumes no retry budget: a long-lived
+			// waiter may legitimately park thousands of times.
+			w := lead.newWaiter()
 			for _, tx := range txs {
 				w.captureTx(tx)
 			}
-			abortAllTx(txs)
-			stms[0].parkBlocked(ctx, w, parks)
+			abortAll(txs)
+			lead.parkBlocked(ctx, w, parks)
 			parks++
 			continue
 		case st == txConflicted:
-			w, changed := captureConflictMulti(stms[0], txs, attempt)
-			abortAllTx(txs)
-			for _, s := range stms {
-				s.stats.Conflicts.Add(1)
-			}
-			conflicts++
-			attempt++
-			stms[0].afterConflict(ctx, w, changed, attempt)
-			continue
+			// Falls through to the conflict step below.
 		case err != nil:
-			abortAllTx(txs)
+			abortAll(txs)
 			for _, s := range stms {
 				s.stats.UserAborts.Add(1)
 			}
 			return err
-		}
-		// Two-phase, whole-footprint commit: first take every instance's
-		// commit-time locks, and only then validate every instance's read
-		// set. Validating inside the global lock window is what makes the
-		// cross-instance transaction serializable — validating per
-		// instance as it prepares would admit write skew (instance A's
-		// reads could be invalidated while instance B is still locking),
-		// and a read-only instance must be validated here too, since its
-		// begin-time snapshot may predate the commit point.
-		prepared := true
-		for _, tx := range txs {
-			if !tx.lockWrites() {
-				prepared = false
-				break
-			}
-		}
-		if prepared {
+		case prepareAll(txs):
 			for _, tx := range txs {
-				if !tx.validateReads() {
-					prepared = false
-					break
+				tx.commitPrepared()
+			}
+			for i := len(txs) - 1; i >= 0; i-- { // see abortAll
+				txs[i].finishTx()
+			}
+			for _, s := range stms {
+				s.stats.Commits.Add(1)
+				if multi {
+					s.stats.MultiCommits.Add(1)
+				}
+				if readOnly {
+					s.stats.ReadOnlyCommits.Add(1)
 				}
 			}
-		}
-		if !prepared {
-			w, changed := captureConflictMulti(stms[0], txs, attempt)
-			abortAllTx(txs)
-			for _, s := range stms {
-				s.stats.Conflicts.Add(1)
+			if sampled {
+				h := &m.CommitNs
+				if readOnly {
+					h = &m.ReadOnlyNs
+				}
+				h.Observe(time.Since(t0).Nanoseconds())
+				m.Attempts.Observe(int64(conflicts) + 1)
 			}
-			conflicts++
-			attempt++
-			stms[0].afterConflict(ctx, w, changed, attempt)
-			continue
+			return nil
 		}
-		for _, tx := range txs {
-			tx.commitPrepared()
-		}
-		for i := len(txs) - 1; i >= 0; i-- {
-			txs[i].finishTx()
-		}
-		for _, s := range stms {
-			s.stats.Commits.Add(1)
-			s.stats.MultiCommits.Add(1)
-		}
-		if sampled {
-			m.CommitNs.Observe(time.Since(t0).Nanoseconds())
-			m.Attempts.Observe(int64(conflicts) + 1)
-		}
-		return nil
+		attempt = conflicted(ctx, stms, txs, attempt)
+		conflicts++
 	}
-	return stms[0].txError("atomically-multi", stms[0].maxRetries, conflicts, ErrMaxRetries, nil)
+	return lead.txError(op, lead.maxRetries, conflicts, ErrMaxRetries, nil)
+}
+
+// beginAll begins an attempt on every instance, in argument order (the
+// order the global-lock engine takes its mutexes in), and returns the
+// handles aligned with stms. The slice is the lead handle's pooled
+// storage, valid until the lead finishes.
+func beginAll(stms []*STM) []*Tx {
+	lead := stms[0].begin()
+	for _, s := range stms[1:] {
+		lead.txs = append(lead.txs, s.begin())
+	}
+	return lead.txs
+}
+
+// prepareAll is commit phase one over the attempt's handles. One handle
+// takes its engine's prepare, which may fast-path (a lazy or tl2 attempt
+// with an empty write set validated every read as it went). Several
+// first take every instance's commit-time locks and only then validate
+// every instance's read set. Validating inside the global lock window is
+// what makes the cross-instance transaction serializable — validating
+// per instance as it prepares would admit write skew (instance A's reads
+// could be invalidated while instance B is still locking), and a
+// read-only instance must be validated here too, since its begin-time
+// snapshot may predate the commit point.
+func prepareAll(txs []*Tx) bool {
+	if len(txs) == 1 {
+		return txs[0].prepare()
+	}
+	for _, tx := range txs {
+		if !tx.lockWrites() {
+			return false
+		}
+	}
+	for _, tx := range txs {
+		if !tx.validateReads() {
+			return false
+		}
+	}
+	return true
+}
+
+// abortAll aborts the attempt's handles in reverse, so global locks
+// release LIFO and the lead, which holds the txs slice, goes last.
+func abortAll(txs []*Tx) {
+	for i := len(txs) - 1; i >= 0; i-- {
+		txs[i].abortAttempt()
+	}
 }
 
 // finishTx releases the engine-level resources of a resolved attempt and
@@ -643,7 +631,7 @@ const (
 	txBlocked
 )
 
-// recoverSignal is the deferred half of the body runners: it converts a
+// recoverSignal is the deferred half of runBody: it converts a
 // conflict or block signal into a status and re-raises anything else.
 // Keeping it a named function (rather than a closure) lets every attempt
 // run without allocating.
@@ -659,31 +647,31 @@ func recoverSignal(st *txStatus) {
 	}
 }
 
-// runBody executes fn, converting conflict and block signals into a
-// status.
-func (tx *Tx) runBody(fn func(*Tx) error) (err error, st txStatus) {
-	defer recoverSignal(&st)
-	return fn(tx), txRan
+// body is a transaction body in the shape its entry point takes; exactly
+// one field is set. A struct rather than an adapter closure per entry
+// point keeps the entry points small enough to inline into their callers.
+type body struct {
+	tx        func(*Tx) error
+	read      func(*ReadTx) error
+	multi     func([]*Tx) error
+	readMulti func([]*ReadTx) error
 }
 
-// runReadBody executes a read-only body against the Tx's embedded
-// ReadTx view.
-func (tx *Tx) runReadBody(fn func(*ReadTx) error) (err error, st txStatus) {
+// runBody runs b over the attempt's handles, converting conflict and
+// block signals into a status: a signal raised through any handle ends
+// the whole attempt.
+func runBody(txs []*Tx, b *body) (err error, st txStatus) {
 	defer recoverSignal(&st)
-	return fn(&tx.rtx), txRan
-}
-
-// runMultiBody executes fn over the attempt's handles; a conflict raised
-// by any participating instance aborts the whole attempt.
-func runMultiBody(txs []*Tx, fn func([]*Tx) error) (err error, st txStatus) {
-	defer recoverSignal(&st)
-	return fn(txs), txRan
-}
-
-// runReadMultiBody is runMultiBody for read-only views.
-func runReadMultiBody(rtxs []*ReadTx, fn func([]*ReadTx) error) (err error, st txStatus) {
-	defer recoverSignal(&st)
-	return fn(rtxs), txRan
+	switch {
+	case b.tx != nil:
+		return b.tx(txs[0]), txRan
+	case b.read != nil:
+		return b.read(&txs[0].rtx), txRan
+	case b.multi != nil:
+		return b.multi(txs), txRan
+	default:
+		return b.readMulti(readViews(txs)), txRan
+	}
 }
 
 // backoff yields (early attempts) or sleeps (persistent conflicts)
