@@ -622,10 +622,10 @@ func TestEngineFlagRegistry(t *testing.T) {
 		t.Fatal(`"all" parsed as an engine`)
 	}
 	// -engine adaptive is refused before serve binds anything, by the
-	// registry's error naming the four engines.
+	// registry's error naming the three engines.
 	err := runServe([]string{"-engine", "adaptive"})
-	if err == nil || !strings.Contains(err.Error(), "want lazy, eager, global-lock, tl2)") {
-		t.Fatalf("serve -engine adaptive: err = %v, want the unknown-engine error listing four engines", err)
+	if err == nil || !strings.Contains(err.Error(), "want lazy, eager, global-lock)") {
+		t.Fatalf("serve -engine adaptive: err = %v, want the unknown-engine error listing three engines", err)
 	}
 }
 

@@ -8,14 +8,13 @@ import (
 	"fmt"
 
 	"modtx/internal/kv"
-	"modtx/internal/stm"
 )
 
 func main() {
-	// 8 shards, each backed by its own STM instance on the tl2 snapshot
-	// engine — invisible reads make the read-only paths (Get, MGet, View)
-	// lock-free. Any registered engine works: stm.ParseEngine("eager"), …
-	store := kv.New(kv.WithShards(8), kv.WithEngine(stm.TL2))
+	// 8 shards, each backed by its own STM instance on the default lazy
+	// engine, whose read-only paths (Get, MGet, View) take no write locks.
+	// Any registered engine works: kv.WithEngine(stm.Eager), …
+	store := kv.New(kv.WithShards(8))
 
 	// Values are arbitrary byte strings end-to-end.
 	_ = store.Set("user:alice", []byte(`{"name":"Alice","plan":"pro"}`))
@@ -40,8 +39,7 @@ func main() {
 		snap["balance:alice"], snap["balance:bob"], snap["user:alice"])
 
 	// View is the general read-only transaction: a multi-key snapshot
-	// consistent across shards that never takes write locks (and, on tl2,
-	// keeps no read set when the footprint is one shard).
+	// consistent across shards that never takes write locks.
 	var totalBalance int64
 	_ = store.View([]string{"balance:alice", "balance:bob"}, func(v *kv.ViewTxn) error {
 		a, _ := v.Counter("balance:alice")

@@ -10,7 +10,7 @@ import (
 )
 
 func main() {
-	// Create an STM instance with the TL2-style lazy engine.
+	// Create an STM instance with the lazy engine (buffered writes).
 	s := stm.New(stm.WithEngine(stm.Lazy))
 
 	// Transactional variables hold int64 values.
@@ -31,7 +31,7 @@ func main() {
 	fmt.Printf("after deposit: balance=%d audit=%d\n", balance.Load(), audit.Load())
 
 	// Read-only transactions have a dedicated API that never takes write
-	// locks; on the tl2 snapshot engine it also keeps no read set.
+	// locks; on the lazy engine it also commits without validation.
 	var b, a int64
 	_ = s.AtomicallyRead(func(r *stm.ReadTx) error {
 		b, a = r.Read(balance), r.Read(audit)

@@ -618,13 +618,12 @@ func (s *Store) FastCounterGet(key string) (int64, bool) {
 // landed before the kvers read stored its slot first (into the array the
 // second lookup loads, or one since rebuilt from it), so the second
 // lookup sees it and the loop follows the table; one that lands after is
-// a conflict on kvers — at validation, at a tl2 timestamp extension, or
-// as the wake-up of a transaction that went on to Block. That order is
-// what keeps a View from reporting key a missing and its sibling b
-// present from the one transaction that created both, and a parked
-// WaitGet from sleeping past the creation it waits for (on the glock and
-// tl2 engines the kvers read alone would absorb an earlier Touch
-// without conflicting).
+// a conflict on kvers — at validation, or as the wake-up of a
+// transaction that went on to Block. That order is what keeps a View
+// from reporting key a missing and its sibling b present from the one
+// transaction that created both, and a parked WaitGet from sleeping past
+// the creation it waits for (on the glock engine the kvers read alone
+// would absorb an earlier Touch without conflicting).
 func (sh *shard) find(tx *stm.Tx, key string, h uint64) (e *entry, b []byte, n int64, st state) {
 	e = sh.lookup(key, h)
 	for {
@@ -811,8 +810,8 @@ func (op *singleOp) runAdd(tx *stm.Tx) error {
 
 // Get performs a consistent transactional read of one key (counters are
 // formatted as decimal) on the read-only path: no write locks are ever
-// taken, and on the tl2 engine the read is invisible (no read set, O(1)
-// commit). ok reports whether the key exists; a non-nil error
+// taken, and on the lazy engine commit does no validation. ok reports
+// whether the key exists; a non-nil error
 // (retry-budget exhaustion) means the value could not be read and val is
 // meaningless. Steady-state Get of a bytes key performs no heap
 // allocation.
@@ -1305,8 +1304,8 @@ func (s *Store) UpdateCtx(ctx context.Context, keys []string, fn func(*Txn) erro
 
 // ViewTxn is the handle passed to View bodies: a consistent, read-only,
 // possibly cross-shard snapshot. It can only read, so the underlying
-// transactions never take write locks; on the tl2 engine a single-shard
-// View additionally keeps no read set and commits in O(1).
+// transactions never take write locks; on the lazy engine a single-shard
+// View additionally commits without validation.
 type ViewTxn struct {
 	s    *Store
 	idxs []int         // sorted footprint shard indices
@@ -1353,8 +1352,7 @@ func (t *ViewTxn) Counter(key string) (int64, bool) {
 // View runs fn as one read-only transaction over the shards owning keys
 // (the view's footprint): a multi-key snapshot consistent across shards
 // that never takes write locks — commit validates the read sets with no
-// locking at all (see stm.AtomicallyReadMulti), and a single-shard view
-// on the tl2 engine runs with invisible reads. fn may read any key
+// locking at all (see stm.AtomicallyReadMulti). fn may read any key
 // routed to a declared shard; it may be re-executed on conflict and must
 // be pure.
 func (s *Store) View(keys []string, fn func(*ViewTxn) error) error {

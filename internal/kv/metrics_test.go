@@ -295,7 +295,7 @@ func TestStatsJSONStable(t *testing.T) {
 }
 
 func TestShardStatJSONRoundTrip(t *testing.T) {
-	s := sampledStore(t, stm.TL2)
+	s := sampledStore(t, stm.Lazy)
 	if err := s.Set("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}

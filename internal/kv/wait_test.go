@@ -309,8 +309,8 @@ func waitForParked(t *testing.T, s *Store, n int) {
 // the waiter's lookup and its kvers read strands the waiter on the
 // safety-net timer (≥100ms per stall). With the correct ordering every
 // round resolves in microseconds; the wall-clock bound catches a
-// reintroduced window on any engine (the glock and tl2 read paths are
-// the ones that can absorb the Touch without conflicting).
+// reintroduced window on any engine (the glock read path is the one
+// that can absorb the Touch without conflicting).
 func TestWaitGetCreationRaceNoStall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive race stress")

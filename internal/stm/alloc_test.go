@@ -73,8 +73,8 @@ func TestAllocsAtomicallySingleVar(t *testing.T) {
 }
 
 // TestAllocsAtomicallyRead: the steady-state read-only transaction (a
-// 4-var snapshot sum) performs no heap allocation — with a read set on
-// the validating engines, without one on tl2 — through AtomicallyRead
+// 4-var snapshot sum) performs no heap allocation, read set included,
+// on every engine — through AtomicallyRead
 // and through AtomicallyReadMulti over one instance and over two (four
 // vars on each).
 func TestAllocsAtomicallyRead(t *testing.T) {

@@ -68,7 +68,7 @@ func TestAtomicallyCtxDeadlineAbortsBackoff(t *testing.T) {
 // multi-instance path and checks the prompt-abort contract there too.
 func TestAtomicallyMultiCtxCancelDuringBackoff(t *testing.T) {
 	s1 := New(WithEngine(Lazy))
-	s2 := New(WithEngine(TL2))
+	s2 := New(WithEngine(Lazy))
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)

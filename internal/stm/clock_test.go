@@ -14,7 +14,7 @@ import (
 func TestClockConcurrentCounter(t *testing.T) {
 	const goroutines = 8
 	const perG = 150
-	forEachEngine(t, func(t *testing.T, s *STM) {
+	forEachEngineAndTL2(t, func(t *testing.T, s *STM) {
 		c := s.NewVar("c", 0)
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
@@ -44,13 +44,13 @@ func TestClockConcurrentCounter(t *testing.T) {
 // assert it transactionally. A clock variant that let a reader accept a
 // write from after its snapshot (the failure mode of naive timestamp
 // leasing — see clock.go) tears the pair. Read-only transactions are
-// exercised too: on tl2 they run invisibly against rv alone,
-// the path most sensitive to an unsound write version.
+// exercised too: on lazy they commit without validation, against rv
+// alone, the path most sensitive to an unsound write version.
 func TestMonotonicSnapshot(t *testing.T) {
 	const writers = 2
 	const readers = 2
 	const perWriter = 200
-	forEachEngine(t, func(t *testing.T, s *STM) {
+	forEachEngineAndTL2(t, func(t *testing.T, s *STM) {
 		x := s.NewVar("x", 0)
 		y := s.NewVar("y", 0)
 		var stop atomic.Bool

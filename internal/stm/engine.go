@@ -21,11 +21,6 @@ const (
 	Eager
 	// GlobalLock serializes every transaction under one instance mutex.
 	GlobalLock
-	// TL2 is the snapshot engine: global-version-clock snapshots with
-	// invisible reads, TL2-style timestamp extension, and read-only
-	// transactions (AtomicallyRead) that keep no read set and commit in
-	// O(1) without locks or validation.
-	TL2
 )
 
 // engine is the seam behind the transactional protocol: per-location
@@ -80,14 +75,6 @@ type engine interface {
 	// version words are visible before any waiter is signaled, and only
 	// when the instance has registered waiters.
 	wakeSet(tx *Tx, f func(*varBase))
-
-	// invisibleReadOnly reports whether a single-instance read-only
-	// transaction (AtomicallyRead) can run with no read set at all:
-	// every read validates against tx.rv at read time, so commit needs
-	// no validation. Multi-instance read-only transactions always keep
-	// read sets regardless (their serialization point is later than any
-	// single rv).
-	invisibleReadOnly() bool
 }
 
 // engineInfo is one registry row.
@@ -108,8 +95,6 @@ var engineTable = []engineInfo{
 		"encounter-time locking with an undo log; writes in place"},
 	{GlobalLock, "global-lock", []string{"global"}, glockEngine{},
 		"one mutex per instance; the strongest and slowest baseline"},
-	{TL2, "tl2", []string{"snapshot"}, tl2Engine{},
-		"global-version-clock snapshots: invisible reads, timestamp extension, lock-free read-only transactions"},
 }
 
 func lookupEngine(e Engine) (engineInfo, bool) {
@@ -181,11 +166,9 @@ func (e Engine) String() string {
 
 // sampleVar reads v's value consistently against tx.rv: the meta word is
 // sampled around the value load to detect torn reads, locked or
-// too-new variables conflict, and (when record is set) the observation
-// joins the read set for commit-time validation. With extend set, a
-// too-new variable first attempts a TL2 timestamp extension instead of
-// conflicting outright.
-func sampleVar(tx *Tx, v *Var, record, extend bool) int64 {
+// too-new variables conflict, and the observation joins the read set for
+// commit-time validation.
+func sampleVar(tx *Tx, v *Var) int64 {
 	for {
 		m1 := v.meta.Load()
 		if isLocked(m1) {
@@ -200,22 +183,16 @@ func sampleVar(tx *Tx, v *Var, record, extend bool) int64 {
 		if version(m1) > tx.rv {
 			// Written by a transaction after our snapshot: the world
 			// already changed, so retry immediately — never park.
-			if !extend || !tx.extendSnapshot() {
-				noteContention(&v.varBase)
-				tx.conflictRetryNow()
-			}
-			continue
+			noteContention(&v.varBase)
+			tx.conflictRetryNow()
 		}
-		if record {
-			tx.reads = append(tx.reads, readEntry{vb: &v.varBase, meta: m1})
-		}
-		tx.nreads++
+		tx.reads = append(tx.reads, readEntry{vb: &v.varBase, meta: m1})
 		return val
 	}
 }
 
 // sampleBox is the pointer-lane twin of sampleVar.
-func sampleBox(tx *Tx, b boxed, record, extend bool) any {
+func sampleBox(tx *Tx, b boxed) any {
 	vb := b.base()
 	for {
 		m1 := vb.meta.Load()
@@ -227,44 +204,12 @@ func sampleBox(tx *Tx, b boxed, record, extend bool) any {
 			continue // torn sample; retry
 		}
 		if version(m1) > tx.rv {
-			if !extend || !tx.extendSnapshot() {
-				noteContention(vb)
-				tx.conflictRetryNow()
-			}
-			continue
+			noteContention(vb)
+			tx.conflictRetryNow()
 		}
-		if record {
-			tx.reads = append(tx.reads, readEntry{vb: vb, meta: m1})
-		}
-		tx.nreads++
+		tx.reads = append(tx.reads, readEntry{vb: vb, meta: m1})
 		return box
 	}
-}
-
-// extendSnapshot is the TL2 timestamp extension: move tx.rv forward to
-// the current clock, provided every previous read is still valid at its
-// original version (so the whole snapshot remains consistent at the new
-// rv). Invisible reads (no read set) can only extend while no read has
-// happened yet; after that there is nothing to revalidate against.
-func (tx *Tx) extendSnapshot() bool {
-	if tx.nreads != len(tx.reads) {
-		// Some reads were invisible: extension would silently invalidate
-		// them, except when none have happened at all.
-		if tx.nreads == 0 {
-			tx.rv = tx.s.clockBegin()
-			return true
-		}
-		return false
-	}
-	newRV := tx.s.clockBegin()
-	for _, re := range tx.reads {
-		cur := re.vb.meta.Load()
-		if isLocked(cur) || version(cur) > tx.rv {
-			return false
-		}
-	}
-	tx.rv = newRV
-	return true
 }
 
 // lockWriteSetSorted acquires the commit-time locks on the combined
@@ -272,7 +217,7 @@ func (tx *Tx) extendSnapshot() bool {
 // so concurrent commits cannot deadlock). Locks taken are recorded in
 // tx.lockedMeta — a capacity-retained slice sorted by id, so the hot
 // path allocates nothing — and releasePrepared restores them on any
-// later failure. Shared by the lazy-family engines.
+// later failure.
 func lockWriteSetSorted(tx *Tx) bool {
 	n := len(tx.writes) + len(tx.pwrites)
 	if n == 0 {

@@ -13,7 +13,7 @@ func (eagerEngine) read(tx *Tx, v *Var) int64 {
 	if tx.ownsLock(&v.varBase) {
 		return v.val.Load() // we hold the lock; in-place value is ours
 	}
-	return sampleVar(tx, v, true, false)
+	return sampleVar(tx, v)
 }
 
 // encounterLock takes v's lock on first write, logging the pre-lock meta
@@ -50,7 +50,7 @@ func (eagerEngine) readBoxed(tx *Tx, b boxed) any {
 	if tx.ownsLock(b.base()) {
 		return b.loadBox()
 	}
-	return sampleBox(tx, b, true, false)
+	return sampleBox(tx, b)
 }
 
 func (eagerEngine) writeBoxed(tx *Tx, b boxed, box any) {
@@ -120,5 +120,3 @@ func (eagerEngine) wakeSet(tx *Tx, f func(*varBase)) {
 		f(tx.locked[i].vb)
 	}
 }
-
-func (eagerEngine) invisibleReadOnly() bool { return false }

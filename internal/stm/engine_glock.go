@@ -22,7 +22,6 @@ func (glockEngine) read(tx *Tx, v *Var) int64 {
 	// conflicted attempt knows what footprint to park on. validateReads
 	// stays trivially true; the entries are wait registrations only.
 	tx.reads = append(tx.reads, readEntry{vb: &v.varBase, meta: v.meta.Load()})
-	tx.nreads++
 	return v.val.Load()
 }
 
@@ -34,7 +33,6 @@ func (glockEngine) write(tx *Tx, v *Var, x int64) {
 func (glockEngine) readBoxed(tx *Tx, b boxed) any {
 	vb := b.base()
 	tx.reads = append(tx.reads, readEntry{vb: vb, meta: vb.meta.Load()})
-	tx.nreads++
 	return b.loadBox()
 }
 
@@ -51,7 +49,7 @@ func (glockEngine) commit(tx *Tx) {
 	if len(tx.undo)+len(tx.pundo) == 0 {
 		return // read-only: don't contend the clock for nothing
 	}
-	// Bump written variables' versions so lazy-family readers on other
+	// Bump written variables' versions so lazy and eager readers on other
 	// instances (AtomicallyMulti) and quiescence-free fast paths observe
 	// the update order. The instance mutex is the commit-time lock, so
 	// clockWV's lock-held requirement holds trivially.
@@ -87,5 +85,3 @@ func (glockEngine) wakeSet(tx *Tx, f func(*varBase)) {
 		f(tx.pundo[i].b.base())
 	}
 }
-
-func (glockEngine) invisibleReadOnly() bool { return false }

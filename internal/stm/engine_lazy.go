@@ -15,7 +15,7 @@ func (lazyEngine) read(tx *Tx, v *Var) int64 {
 	if val, ok := tx.lookupWrite(v); ok {
 		return val
 	}
-	return sampleVar(tx, v, true, false)
+	return sampleVar(tx, v)
 }
 
 func (lazyEngine) write(tx *Tx, v *Var, x int64) { tx.putWrite(v, x) }
@@ -24,7 +24,7 @@ func (lazyEngine) readBoxed(tx *Tx, b boxed) any {
 	if box, ok := tx.lookupPWrite(b); ok {
 		return box
 	}
-	return sampleBox(tx, b, true, false)
+	return sampleBox(tx, b)
 }
 
 func (lazyEngine) writeBoxed(tx *Tx, b boxed, box any) { tx.putPWrite(b, box) }
@@ -93,8 +93,7 @@ func (lazyEngine) rollback(tx *Tx) {
 }
 
 // wakeSet announces the buffered write set (both lanes) — the variables
-// whose version words commit just advanced. The tl2 engine inherits
-// this along with the commit protocol.
+// whose version words commit just advanced.
 func (lazyEngine) wakeSet(tx *Tx, f func(*varBase)) {
 	for i := range tx.writes {
 		f(&tx.writes[i].v.varBase)
@@ -103,5 +102,3 @@ func (lazyEngine) wakeSet(tx *Tx, f func(*varBase)) {
 		f(tx.pwrites[i].b.base())
 	}
 }
-
-func (lazyEngine) invisibleReadOnly() bool { return false }

@@ -12,7 +12,7 @@ import (
 // permanent conflict and checks both the sentinel and the *TxError
 // diagnostics.
 func TestMaxRetriesDiagnostics(t *testing.T) {
-	for _, e := range []Engine{Lazy, Eager, TL2} {
+	for _, e := range []Engine{Lazy, Eager} {
 		t.Run(e.String(), func(t *testing.T) {
 			s := New(WithEngine(e), WithMaxRetries(3))
 			x := s.NewVar("x", 0)

@@ -55,3 +55,14 @@ func TestWaiterTableLayout(t *testing.T) {
 		t.Errorf("Waits only %d bytes past Conflicts, want >= 64", gap)
 	}
 }
+
+// TestTxSize is a ratchet on the pooled per-attempt handle: every
+// transaction resets and carries a Tx, so a field added to it must pay
+// for itself. Lower the ceiling when the struct shrinks; never raise it
+// without a measured reason.
+func TestTxSize(t *testing.T) {
+	const ceiling = 336
+	if sz := unsafe.Sizeof(Tx{}); sz > ceiling {
+		t.Errorf("unsafe.Sizeof(Tx{}) = %d bytes, want <= %d", sz, ceiling)
+	}
+}

@@ -214,7 +214,7 @@ func TestMetricsReset(t *testing.T) {
 
 func TestMetricsMultiAccountsToLead(t *testing.T) {
 	a := newSampledSTM(Lazy)
-	b := newSampledSTM(TL2)
+	b := newSampledSTM(Lazy)
 	va, vb := a.NewVar("a", 0), b.NewVar("b", 0)
 	const n = 10
 	for i := 0; i < n; i++ {

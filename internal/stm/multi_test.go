@@ -262,7 +262,7 @@ func TestMultiDuplicateInstance(t *testing.T) {
 // either commits. (GlobalLock is exempt: it takes both instance mutexes at
 // begin, so the barrier itself would deadlock — and skew is impossible.)
 func TestMultiNoWriteSkew(t *testing.T) {
-	for _, e := range []Engine{Lazy, Eager, TL2} {
+	for _, e := range []Engine{Lazy, Eager} {
 		t.Run(e.String(), func(t *testing.T) {
 			for round := 0; round < 50; round++ {
 				s1 := New(WithEngine(e))

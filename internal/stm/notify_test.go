@@ -110,9 +110,8 @@ func TestBlockedParkCanceledReturnsErrCanceled(t *testing.T) {
 	}
 }
 
-// TestBlockReadOnly: Block works from AtomicallyRead bodies too — on the
-// tl2 engine the first block re-runs the body with visible reads so the
-// park has a real footprint (no blind 4ms polling).
+// TestBlockReadOnly: Block works from AtomicallyRead bodies too — the
+// read set is the park's footprint (no blind 4ms polling).
 func TestBlockReadOnly(t *testing.T) {
 	for _, e := range engines {
 		t.Run(e.String(), func(t *testing.T) {
@@ -153,7 +152,7 @@ func TestBlockReadOnly(t *testing.T) {
 // of all instances' footprints and wakes when either side changes.
 func TestBlockMulti(t *testing.T) {
 	s1 := New(WithEngine(Lazy))
-	s2 := New(WithEngine(TL2))
+	s2 := New(WithEngine(Eager))
 	a := s1.NewVar("a", 0)
 	b := s2.NewVar("b", 0)
 	for round, poke := range []func() error{

@@ -4,11 +4,7 @@ import "context"
 
 // ReadTx is the handle passed to AtomicallyRead bodies: a transaction
 // that can only read, never write. Because the body provably has an
-// empty write set, the commit never takes write locks on any engine, and
-// on the TL2 snapshot engine the reads are invisible — no read set is
-// kept and commit is O(1) with no validation (each read validates
-// against the begin-time snapshot as it happens, which makes the whole
-// transaction consistent as of that snapshot).
+// empty write set, the commit never takes write locks on any engine.
 //
 // Like Tx it must not escape the body or be used concurrently.
 type ReadTx struct {
@@ -23,9 +19,7 @@ func (r *ReadTx) Read(v *Var) int64 { return r.tx.Read(v) }
 func (r *ReadTx) Retry() { r.tx.Retry() }
 
 // Block parks the read-only transaction until a variable it has read is
-// changed by another commit; see Tx.Block. On engines with invisible
-// read-only reads (tl2) the first Block of a call re-runs the body once
-// with the read set forced on, so the park registers a real footprint.
+// changed by another commit; see Tx.Block.
 func (r *ReadTx) Block() { r.tx.Block() }
 
 // ReadTVar returns the transactional value of a typed variable inside a
@@ -42,9 +36,11 @@ func ReadTVarBox[T any](r *ReadTx, v *TVar[T]) *T {
 // AtomicallyRead runs fn as a read-only transaction, retrying on
 // conflicts until it commits or the retry budget is exhausted — the same
 // contract as Atomically, specialized to bodies that never write. It
-// never takes write locks; on the TL2 engine it additionally keeps no
-// read set and commits without validation. Errors returned by fn roll
-// back (vacuously) and are returned verbatim.
+// never takes write locks, and on the lazy engine it commits without
+// validation: each read validated against the begin-time snapshot as it
+// happened, which makes the whole transaction consistent as of that
+// snapshot. Errors returned by fn roll back (vacuously) and are returned
+// verbatim.
 func (s *STM) AtomicallyRead(fn func(*ReadTx) error) error {
 	return transact(nil, "atomically-read", []*STM{s}, body{read: fn})
 }
@@ -70,9 +66,10 @@ func (s *STM) AtomicallyReadCtx(ctx context.Context, fn func(*ReadTx) error) err
 // begin to the first validation, which is nonempty; every value read was
 // therefore the logical value throughout that common window, and the
 // combined snapshot is consistent at any point inside it. (This is why
-// multi-instance read-only transactions keep read sets even on the TL2
-// engine: the serialization point is the common window, not any single
-// rv, so per-read validation alone is not enough.)
+// they validate at commit, where a one-instance read-only transaction
+// on the lazy engine does not: the serialization point is the common
+// window, not any single rv, so per-read validation alone is not
+// enough.)
 //
 // The retry budget is taken from stms[0]. An empty stms runs fn(nil)
 // once, transactionally vacuous.

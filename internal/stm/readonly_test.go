@@ -9,7 +9,7 @@ import (
 )
 
 func TestAtomicallyReadBasic(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, s *STM) {
+	forEachEngineAndTL2(t, func(t *testing.T, s *STM) {
 		x := s.NewVar("x", 41)
 		v := NewTVar(s, "v", "hello")
 		var gx int64
@@ -33,7 +33,7 @@ func TestAtomicallyReadBasic(t *testing.T) {
 
 func TestAtomicallyReadErrorPassthrough(t *testing.T) {
 	sentinel := errors.New("boom")
-	forEachEngine(t, func(t *testing.T, s *STM) {
+	forEachEngineAndTL2(t, func(t *testing.T, s *STM) {
 		x := s.NewVar("x", 0)
 		err := s.AtomicallyRead(func(r *ReadTx) error {
 			_ = r.Read(x)
@@ -49,7 +49,7 @@ func TestAtomicallyReadErrorPassthrough(t *testing.T) {
 }
 
 func TestAtomicallyReadCtxPreCanceled(t *testing.T) {
-	s := New(WithEngine(TL2))
+	s := New(WithEngine(Lazy))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
@@ -81,7 +81,7 @@ func TestAtomicallyReadCtxPreCanceled(t *testing.T) {
 // against writers that keep x == y; a torn read-only snapshot would
 // observe them unequal.
 func TestAtomicallyReadConsistentSnapshot(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, s *STM) {
+	forEachEngineAndTL2(t, func(t *testing.T, s *STM) {
 		x := s.NewVar("x", 0)
 		y := s.NewVar("y", 0)
 		var wg sync.WaitGroup
@@ -118,30 +118,27 @@ func TestAtomicallyReadConsistentSnapshot(t *testing.T) {
 	})
 }
 
-// TestTL2InvisibleReadOnly pins the snapshot engine's headline behavior:
-// read-only bodies keep no read set (invisible reads), while the same
-// body under the default engines records every read.
+// TestTL2InvisibleReadOnly pins that no engine keeps invisible reads
+// any more: the tl2 engine's read-only bodies kept no read set, and it
+// was folded into lazy without them. A read-only body records every
+// read on every engine, so Block always parks on a real footprint.
 func TestTL2InvisibleReadOnly(t *testing.T) {
-	probe := func(e Engine) (nreads, recorded int) {
+	for _, e := range engines {
 		s := New(WithEngine(e))
 		x := s.NewVar("x", 1)
 		y := s.NewVar("y", 2)
+		var recorded int
 		if err := s.AtomicallyRead(func(r *ReadTx) error {
 			_ = r.Read(x)
 			_ = r.Read(y)
-			nreads = r.tx.nreads
 			recorded = len(r.tx.reads)
 			return nil
 		}); err != nil {
-			panic(err)
+			t.Fatal(err)
 		}
-		return
-	}
-	if n, rec := probe(TL2); n != 2 || rec != 0 {
-		t.Errorf("tl2 read-only: nreads=%d recorded=%d, want 2 invisible reads", n, rec)
-	}
-	if n, rec := probe(Lazy); n != 2 || rec != 2 {
-		t.Errorf("lazy read-only: nreads=%d recorded=%d, want 2 recorded reads", n, rec)
+		if recorded != 2 {
+			t.Errorf("%v read-only: recorded=%d, want 2", e, recorded)
+		}
 	}
 }
 
@@ -230,7 +227,7 @@ func TestAtomicallyReadMultiConsistency(t *testing.T) {
 }
 
 func TestAtomicallyReadMultiDegenerate(t *testing.T) {
-	s := New(WithEngine(TL2))
+	s := New(WithEngine(Lazy))
 	x := s.NewVar("x", 3)
 	var got int64
 	if err := AtomicallyReadMulti([]*STM{s}, func(rtxs []*ReadTx) error {

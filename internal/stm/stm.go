@@ -8,7 +8,7 @@
 // unexported engine interface (per-location read/write hooks over both
 // value lanes plus the lock/validate/commit/rollback phases) and is
 // selected through the exported Engine enum, which is backed by a
-// registry (Engines, ParseEngine). Four engines are registered, and an
+// registry (Engines, ParseEngine). Three engines are registered, and an
 // instance's engine is fixed when New creates it:
 //
 //   - Lazy: lazy versioning — writes are buffered and applied at
@@ -20,10 +20,6 @@
 //     lost-update and dirty-read anomalies of §3.4 under mixed access.
 //   - GlobalLock: a single global mutex around each transaction; the
 //     strongest (and slowest) baseline.
-//   - TL2: the snapshot engine — the lazy commit protocol plus TL2
-//     timestamp extension and invisible reads, making AtomicallyRead
-//     (read-only transactions) lock-free with O(1) commit. Inherits the
-//     lazy engine's mixed-access anomalies.
 //
 // Transactional locations come in two shapes sharing one engine:
 //

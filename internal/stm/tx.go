@@ -15,7 +15,7 @@ import (
 // two write lanes (inline int64 for Var, opaque boxes for TVar[T]), the
 // undo logs and the lock tables; the selected engine is the strategy
 // that moves values through that state. Which fields are live depends on
-// the engine: the lazy family buffers writes, the eager and global-lock
+// the engine: the lazy engine buffers writes, the eager and global-lock
 // engines write in place behind undo logs.
 //
 // All per-attempt collections are insertion-ordered slices sized for the
@@ -26,21 +26,14 @@ import (
 type Tx struct {
 	s       *STM
 	e       engine // the instance's strategy, cached for dispatch
-	rv      uint64 // read version (TL2 snapshot)
+	rv      uint64 // read version: the begin-time snapshot of the clock
 	slotIdx int    // quiescence slot held for the attempt's lifetime
 
-	// Read set, shared by both lanes (validation is meta-only). nreads
-	// counts every sampled read, including invisible ones that skip the
-	// read set (see engine.invisibleReadOnly and Tx.extendSnapshot).
-	reads  []readEntry
-	nreads int
+	// Read set, shared by both lanes (validation is meta-only).
+	reads []readEntry
 
-	// noReadSet marks single-instance read-only attempts on engines with
-	// invisible reads.
-	noReadSet bool
-
-	// Lazy-family write sets: insertion-ordered entries (the slice is
-	// the write order) with a map index spill for large transactions.
+	// Lazy write sets: insertion-ordered entries (the slice is the write
+	// order) with a map index spill for large transactions.
 	writes  []wEntry      // int64 lane
 	windex  map[*Var]int  // spill: var -> index into writes
 	pwrites []pEntry      // pointer lane (pending boxes)
@@ -269,8 +262,6 @@ func (tx *Tx) lockedMetaFor(vb *varBase) (uint64, bool) {
 func (tx *Tx) reset() {
 	clear(tx.reads)
 	tx.reads = tx.reads[:0]
-	tx.nreads = 0
-	tx.noReadSet = false
 	clear(tx.writes)
 	tx.writes = tx.writes[:0]
 	tx.windex = nil
@@ -451,9 +442,8 @@ func rejectDuplicates(stms []*STM) error {
 // over them and commits in two phases (prepareAll, then commitPrepared on
 // every handle); a conflicted attempt takes the conflict step and
 // retries, and a blocked one parks on the union of the handles'
-// footprints. A read-only body counts as a read-only commit, samples
-// ReadOnlyNs instead of CommitNs, and on one instance of an engine with
-// invisible reads keeps no read set. op names the entry point in a
+// footprints. A read-only body counts as a read-only commit and samples
+// ReadOnlyNs instead of CommitNs. op names the entry point in a
 // *TxError. The retry budget, the waiter and the histograms are the lead
 // instance's (stms[0]); an empty stms runs b once with no handles,
 // transactionally vacuous.
@@ -474,7 +464,6 @@ func transact(ctx context.Context, op string, stms []*STM, b body) error {
 	readOnly := b.read != nil || b.readMulti != nil // ReadTx views cannot write
 	m := lead.metrics
 	conflicts, parks := 0, 0
-	blockNeedsReadSet := false
 	var t0 time.Time
 	sampled, first := false, true
 	for attempt := 0; attempt < lead.maxRetries; {
@@ -482,30 +471,18 @@ func transact(ctx context.Context, op string, stms []*STM, b body) error {
 			return lead.txError(op, attempt, conflicts, ErrCanceled, err)
 		}
 		txs := beginAll(stms)
-		ltx := txs[0]
 		if first {
 			// The sampling decision is made once per call, on the first
 			// attempt's lead handle; retries reuse it.
 			first = false
-			if m != nil && ltx.nextSample() {
+			if m != nil && txs[0].nextSample() {
 				sampled = true
 				t0 = time.Now()
 			}
 		}
-		// Invisible reads need one instance: across several the
-		// serialization point is the cross-instance validation, not any
-		// single rv (see AtomicallyReadMulti).
-		ltx.noReadSet = readOnly && !multi && ltx.e.invisibleReadOnly() && !blockNeedsReadSet
 		err, st := runBody(txs, &b)
 		switch {
 		case st == txBlocked:
-			if ltx.noReadSet && ltx.nreads > 0 {
-				// Invisible reads left nothing to park on: re-run once
-				// with the read set forced on so the park is precise.
-				blockNeedsReadSet = true
-				abortAll(txs)
-				continue
-			}
 			// An explicit Block consumes no retry budget: a long-lived
 			// waiter may legitimately park thousands of times.
 			w := lead.newWaiter()
@@ -569,8 +546,8 @@ func beginAll(stms []*STM) []*Tx {
 }
 
 // prepareAll is commit phase one over the attempt's handles. One handle
-// takes its engine's prepare, which may fast-path (a lazy or tl2 attempt
-// with an empty write set validated every read as it went). Several
+// takes its engine's prepare, which may fast-path (a lazy attempt with
+// an empty write set validated every read as it went). Several
 // first take every instance's commit-time locks and only then validate
 // every instance's read set. Validating inside the global lock window is
 // what makes the cross-instance transaction serializable — validating

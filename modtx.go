@@ -14,9 +14,9 @@
 //     correspondence (Lemma 5.1) and the suborder characterizations
 //     (Lemmas C.1/C.2) (internal/ltrf);
 //   - the §5 compiler-optimization soundness suite (internal/opt);
-//   - a production STM runtime with a pluggable engine registry — lazy,
-//     eager (undo-log), global-lock and tl2 (snapshot/invisible-read)
-//     strategies behind one protocol — mixed-mode variables, read-only
+//   - a production STM runtime with a pluggable engine registry — lazy
+//     (buffered writes), eager (undo-log) and global-lock strategies
+//     behind one protocol — mixed-mode variables, read-only
 //     transactions, quiescence fences, and event-driven blocking: an
 //     internal commit-notification subsystem wakes transactions parked
 //     with Tx.Block (or composed with STM.OrElse) on the next relevant
@@ -121,7 +121,7 @@ type (
 	Tx = stm.Tx
 	// ReadTx is the handle of read-only transactions (AtomicallyRead):
 	// it can only read, so commit never takes write locks, and on the
-	// TL2 snapshot engine reads are invisible (no read set, O(1) commit).
+	// lazy engine one instance's read-only commit skips validation.
 	ReadTx = stm.ReadTx
 	// TxError carries diagnostics (attempts, conflicts, engine) for
 	// retry-budget exhaustion and cancellation; unwraps to its sentinel.
@@ -146,9 +146,6 @@ const (
 	EagerSTM = stm.Eager
 	// GlobalLockSTM serializes transactions under one mutex.
 	GlobalLockSTM = stm.GlobalLock
-	// TL2STM is the snapshot engine: lazy commits plus timestamp
-	// extension and invisible reads (lock-free read-only transactions).
-	TL2STM = stm.TL2
 )
 
 // Engine is the STM engine selector (see LazySTM et al.).
@@ -157,8 +154,8 @@ type Engine = stm.Engine
 // Engines returns every registered engine in registry order.
 func Engines() []Engine { return stm.Engines() }
 
-// ParseEngine resolves an engine name ("lazy", "eager", "global-lock",
-// "tl2" or a registered alias) to its Engine value.
+// ParseEngine resolves an engine name ("lazy", "eager", "global-lock" or
+// a registered alias) to its Engine value.
 func ParseEngine(name string) (Engine, error) { return stm.ParseEngine(name) }
 
 // EngineNames returns the canonical engine names in registry order.

@@ -160,15 +160,15 @@ func TestFacadeContainersAndKV(t *testing.T) {
 // TestFacadeEngineRegistryAndReadOnly exercises the registry and the
 // read-only transaction re-exports end to end.
 func TestFacadeEngineRegistryAndReadOnly(t *testing.T) {
-	e, err := modtx.ParseEngine("tl2")
-	if err != nil || e != modtx.TL2STM {
-		t.Fatalf("ParseEngine(tl2) = %v, %v", e, err)
+	e, err := modtx.ParseEngine("lazy")
+	if err != nil || e != modtx.LazySTM {
+		t.Fatalf("ParseEngine(lazy) = %v, %v", e, err)
 	}
 	if len(modtx.Engines()) != len(modtx.EngineNames()) {
 		t.Fatal("Engines/EngineNames length mismatch")
 	}
 
-	s := modtx.NewSTM(modtx.WithEngine(modtx.TL2STM))
+	s := modtx.NewSTM(modtx.WithEngine(modtx.LazySTM))
 	x := s.NewVar("x", 7)
 	label := modtx.NewTVar(s, "label", "snap")
 	var got int64
@@ -181,7 +181,7 @@ func TestFacadeEngineRegistryAndReadOnly(t *testing.T) {
 		t.Fatalf("AtomicallyRead: %v, x=%d label=%q", err, got, lbl)
 	}
 
-	s2 := modtx.NewSTM(modtx.WithEngine(modtx.TL2STM))
+	s2 := modtx.NewSTM(modtx.WithEngine(modtx.LazySTM))
 	y := s2.NewVar("y", 3)
 	var sum int64
 	if err := modtx.AtomicallyReadMulti([]*modtx.STM{s, s2}, func(rtxs []*modtx.ReadTx) error {
@@ -192,7 +192,7 @@ func TestFacadeEngineRegistryAndReadOnly(t *testing.T) {
 	}
 
 	// KV: View and Delete through the facade.
-	store := modtx.NewKV(modtx.KVWithShards(4), modtx.KVWithEngine(modtx.TL2STM))
+	store := modtx.NewKV(modtx.KVWithShards(4), modtx.KVWithEngine(modtx.LazySTM))
 	if err := store.Set("a", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestFacadeBlocking(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	s := modtx.NewSTM(modtx.WithEngine(modtx.TL2STM))
+	s := modtx.NewSTM(modtx.WithEngine(modtx.LazySTM))
 	q := modtx.NewQueue[string](s, "q", 4)
 	got := make(chan string, 1)
 	go func() {
