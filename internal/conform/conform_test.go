@@ -39,16 +39,13 @@ func TestPublicationRunExplained(t *testing.T) {
 	// Every registered engine must produce publication runs explainable
 	// in the implementation model — a new engine cannot merge without
 	// passing the litmus recording.
-	// The tl2 row is the lazy engine under the name of the engine folded
-	// into it (ROADMAP item 12 lists the row for removal).
 	for _, engine := range stm.Engines() {
-		testPublicationRunExplained(t, engine.String(), engine)
+		testPublicationRunExplained(t, engine)
 	}
-	testPublicationRunExplained(t, "tl2", stm.Lazy)
 }
 
-func testPublicationRunExplained(t *testing.T, name string, engine stm.Engine) {
-	t.Run(name, func(t *testing.T) {
+func testPublicationRunExplained(t *testing.T, engine stm.Engine) {
+	t.Run(engine.String(), func(t *testing.T) {
 		s := NewSession(stm.New(stm.WithEngine(engine)))
 		s.Var("x", 0)
 		s.Var("y", 0)
@@ -89,15 +86,11 @@ func testPublicationRunExplained(t *testing.T, name string, engine stm.Engine) {
 // TestPrivatizationAnomalyLemma51Gap records the forced delayed-writeback
 // anomaly and checks the Lemma 5.1 gap: the behaviour is explainable in
 // the implementation model (it has a mixed race) but not in the programmer
-// model. The write-buffering engine, lazy, exhibits it. The tl2 row is
-// lazy under the name of the engine folded into it (ROADMAP item 12
-// lists the row for removal).
+// model. The write-buffering engine, lazy, exhibits it.
 func TestPrivatizationAnomalyLemma51Gap(t *testing.T) {
-	for _, name := range []string{"lazy", "tl2"} {
-		t.Run(name, func(t *testing.T) {
-			testPrivatizationAnomalyLemma51Gap(t, stm.Lazy)
-		})
-	}
+	t.Run("lazy", func(t *testing.T) {
+		testPrivatizationAnomalyLemma51Gap(t, stm.Lazy)
+	})
 }
 
 func testPrivatizationAnomalyLemma51Gap(t *testing.T, engine stm.Engine) {

@@ -38,35 +38,44 @@ type hotSlot struct {
 }
 
 // Record attributes one event to id. id 0 (no attribution) is ignored.
-// It never allocates and never blocks: at most one scan of the fixed
-// slot array and a few atomic ops.
+// It never allocates and never blocks: a few scans of the fixed slot
+// array at most, and a few atomic ops.
 func (t *HotTable) Record(id uint64) {
 	if id == 0 {
 		return
 	}
-	var free *hotSlot
 	var min *hotSlot
 	var minID, minN uint64
-	for i := range t.slots {
-		s := &t.slots[i]
-		got := s.id.Load()
-		if got == id {
-			s.n.Add(1)
+	for {
+		var free *hotSlot
+		min = nil
+		for i := range t.slots {
+			s := &t.slots[i]
+			got := s.id.Load()
+			if got == id {
+				s.n.Add(1)
+				return
+			}
+			if got == 0 {
+				if free == nil {
+					free = s
+				}
+				continue
+			}
+			if n := s.n.Load(); min == nil || n < minN {
+				min, minID, minN = s, got, n
+			}
+		}
+		if free == nil {
+			break
+		}
+		if free.id.CompareAndSwap(0, id) {
+			free.n.Add(1)
 			return
 		}
-		if got == 0 {
-			if free == nil {
-				free = s
-			}
-			continue
-		}
-		if n := s.n.Load(); min == nil || n < minN {
-			min, minID, minN = s, got, n
-		}
-	}
-	if free != nil && free.id.CompareAndSwap(0, id) {
-		free.n.Add(1)
-		return
+		// Another recorder took the free slot, perhaps for id itself:
+		// rescan. Outside decay and Reset a slot only goes from free to
+		// taken, so this repeats at most hotSlots times.
 	}
 	// Table full: decay the smallest resident count; once a slot has
 	// decayed to zero its id is recycled for the newcomer. A lost CAS

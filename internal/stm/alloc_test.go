@@ -252,21 +252,33 @@ func TestAllocsAtomicallyInstrumented(t *testing.T) {
 }
 
 // TestAllocsLargeWriteSetSpills sanity-checks the spill path: a
-// transaction writing far more than writeSetSpill vars still commits
-// correctly (the map index takes over) — allocation-freedom is only
-// promised for the small-footprint steady state.
+// transaction writing far more than writeSetSpill locations, Var and TVar
+// interleaved, still commits correctly (the map index takes over and holds
+// both shapes) — allocation-freedom is only promised for the
+// small-footprint steady state.
 func TestAllocsLargeWriteSetSpills(t *testing.T) {
 	for _, e := range engines {
 		t.Run(e.String(), func(t *testing.T) {
 			s := New(WithEngine(e))
 			vars := make([]*Var, 3*writeSetSpill)
+			tvars := make([]*TVar[int], len(vars))
 			for i := range vars {
 				vars[i] = s.NewVar(fmt.Sprintf("v%d", i), 0)
+				tvars[i] = NewTVar(s, fmt.Sprintf("t%d", i), 0)
 			}
 			err := s.Atomically(func(tx *Tx) error {
 				for pass := 0; pass < 2; pass++ { // second pass overwrites via lookup
 					for i, v := range vars {
+						if pass == 1 { // read-your-own-write through the spill
+							if got := tx.Read(v); got != int64(i) {
+								t.Errorf("var %d reads %d, want %d", i, got, i)
+							}
+							if got := ReadT(tx, tvars[i]); got != -i {
+								t.Errorf("tvar %d reads %d, want %d", i, got, -i)
+							}
+						}
 						tx.Write(v, int64(pass*1000+i))
+						WriteT(tx, tvars[i], -(pass*1000 + i))
 					}
 				}
 				return nil
@@ -277,6 +289,9 @@ func TestAllocsLargeWriteSetSpills(t *testing.T) {
 			for i, v := range vars {
 				if got := v.Load(); got != int64(1000+i) {
 					t.Fatalf("var %d = %d, want %d", i, got, 1000+i)
+				}
+				if got := tvars[i].Load(); got != -(1000 + i) {
+					t.Fatalf("tvar %d = %d, want %d", i, got, -(1000 + i))
 				}
 			}
 		})

@@ -14,8 +14,7 @@ package stm
 // cannot tell. A write version must come from the clock after the
 // writer's locks are held, and be above every snapshot taken before.
 
-// clockBegin snapshots the read version. Engines call it from begin
-// (and extension reloads through it).
+// clockBegin snapshots the read version. Engines call it from begin.
 func (s *STM) clockBegin() uint64 { return s.clock.Load() }
 
 // clockWV returns the write version of a committing writer. It must be

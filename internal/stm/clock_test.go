@@ -14,7 +14,7 @@ import (
 func TestClockConcurrentCounter(t *testing.T) {
 	const goroutines = 8
 	const perG = 150
-	forEachEngineAndTL2(t, func(t *testing.T, s *STM) {
+	forEachEngine(t, func(t *testing.T, s *STM) {
 		c := s.NewVar("c", 0)
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
@@ -50,7 +50,7 @@ func TestMonotonicSnapshot(t *testing.T) {
 	const writers = 2
 	const readers = 2
 	const perWriter = 200
-	forEachEngineAndTL2(t, func(t *testing.T, s *STM) {
+	forEachEngine(t, func(t *testing.T, s *STM) {
 		x := s.NewVar("x", 0)
 		y := s.NewVar("y", 0)
 		var stop atomic.Bool

@@ -23,13 +23,12 @@ const (
 	GlobalLock
 )
 
-// engine is the seam behind the transactional protocol: per-location
-// read/write hooks over both value lanes (the inline int64 lane of Var
-// and the boxed lane of TVar[T]) plus the lock/validate/commit/rollback
-// phases. Tx owns the shared attempt state (read set, write sets, undo
-// logs, lock tables); an engine is a stateless strategy over that state,
-// so implementations are value types and one instance serves every
-// transaction of an STM.
+// engine is the seam behind the transactional protocol: one read and one
+// write hook per location (a loc, Var and TVar[T] alike) plus the
+// lock/validate/commit/rollback phases. Tx owns the shared attempt state
+// (read set, write set, undo log, lock tables); an engine is a stateless
+// strategy over that state, so implementations are value types and one
+// instance serves every transaction of an STM.
 //
 // The commit protocol is split so that AtomicallyMulti can two-phase it
 // across instances: lockWrites (phase 1a) then validateReads (phase 1b)
@@ -43,12 +42,11 @@ type engine interface {
 	// finish releases engine-level resources of a resolved attempt.
 	finish(tx *Tx)
 
-	// read and write are the int64 lane; readBoxed and writeBoxed the
-	// pointer lane. All four may raise a conflict (never returning).
-	read(tx *Tx, v *Var) int64
-	write(tx *Tx, v *Var, x int64)
-	readBoxed(tx *Tx, b boxed) any
-	writeBoxed(tx *Tx, b boxed, box any)
+	// read and write move a location's value as the pair (n, p) of
+	// loc.load and loc.store. Both may raise a conflict (never
+	// returning).
+	read(tx *Tx, l loc) (n int64, p any)
+	write(tx *Tx, l loc, n int64, p any)
 
 	// prepare is commit phase one for a single-instance transaction:
 	// after it returns true the transaction is guaranteed committable and
@@ -59,7 +57,7 @@ type engine interface {
 	// set; locks taken are recorded in tx.lockedMeta for restoration.
 	lockWrites(tx *Tx) bool
 	// validateReads (phase 1b) checks the read set against the begin-time
-	// snapshot; it is lane-agnostic (only lock words are examined).
+	// snapshot; only lock words are examined.
 	validateReads(tx *Tx) bool
 	// commit (phase 2) publishes the write set and releases commit-time
 	// locks with a fresh version. Only legal after a successful prepare
@@ -164,71 +162,46 @@ func (e Engine) String() string {
 
 // --- shared building blocks used by the engine implementations ---
 
-// sampleVar reads v's value consistently against tx.rv: the meta word is
+// sample reads l's value consistently against tx.rv: the meta word is
 // sampled around the value load to detect torn reads, locked or
-// too-new variables conflict, and the observation joins the read set for
+// too-new locations conflict, and the observation joins the read set for
 // commit-time validation.
-func sampleVar(tx *Tx, v *Var) int64 {
+func sample(tx *Tx, l loc) (int64, any) {
+	vb := l.base()
 	for {
-		m1 := v.meta.Load()
+		m1 := vb.meta.Load()
 		if isLocked(m1) {
-			// A commit is in flight on v: park on it — its writeback (or
+			// A commit is in flight on l: park on it — its writeback (or
 			// the fallback timer, if it aborts) re-runs us.
-			tx.conflictOn(&v.varBase, m1)
+			tx.conflictOn(vb, m1)
 		}
-		val := v.val.Load()
-		if m2 := v.meta.Load(); m1 != m2 {
+		n, p := l.load()
+		if m2 := vb.meta.Load(); m1 != m2 {
 			continue // torn sample; retry
 		}
 		if version(m1) > tx.rv {
 			// Written by a transaction after our snapshot: the world
 			// already changed, so retry immediately — never park.
-			noteContention(&v.varBase)
-			tx.conflictRetryNow()
-		}
-		tx.reads = append(tx.reads, readEntry{vb: &v.varBase, meta: m1})
-		return val
-	}
-}
-
-// sampleBox is the pointer-lane twin of sampleVar.
-func sampleBox(tx *Tx, b boxed) any {
-	vb := b.base()
-	for {
-		m1 := vb.meta.Load()
-		if isLocked(m1) {
-			tx.conflictOn(vb, m1)
-		}
-		box := b.loadBox()
-		if m2 := vb.meta.Load(); m1 != m2 {
-			continue // torn sample; retry
-		}
-		if version(m1) > tx.rv {
 			noteContention(vb)
 			tx.conflictRetryNow()
 		}
 		tx.reads = append(tx.reads, readEntry{vb: vb, meta: m1})
-		return box
+		return n, p
 	}
 }
 
-// lockWriteSetSorted acquires the commit-time locks on the combined
-// write set of both lanes in id order (deterministic across committers,
-// so concurrent commits cannot deadlock). Locks taken are recorded in
-// tx.lockedMeta — a capacity-retained slice sorted by id, so the hot
-// path allocates nothing — and releasePrepared restores them on any
-// later failure.
+// lockWriteSetSorted acquires the commit-time locks on the write set in
+// id order (deterministic across committers, so concurrent commits
+// cannot deadlock). Locks taken are recorded in tx.lockedMeta — a
+// capacity-retained slice sorted by id, so the hot path allocates
+// nothing — and releasePrepared restores them on any later failure.
 func lockWriteSetSorted(tx *Tx) bool {
-	n := len(tx.writes) + len(tx.pwrites)
-	if n == 0 {
+	if len(tx.writes) == 0 {
 		return true
 	}
 	lm := tx.lockedMeta[:0]
 	for i := range tx.writes {
-		lm = append(lm, lockedEntry{vb: &tx.writes[i].v.varBase})
-	}
-	for i := range tx.pwrites {
-		lm = append(lm, lockedEntry{vb: tx.pwrites[i].b.base()})
+		lm = append(lm, lockedEntry{vb: tx.writes[i].l.base()})
 	}
 	slices.SortFunc(lm, func(a, b lockedEntry) int {
 		switch {

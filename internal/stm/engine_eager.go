@@ -9,14 +9,14 @@ type eagerEngine struct{}
 func (eagerEngine) begin(tx *Tx)  { tx.rv = tx.s.clockBegin() }
 func (eagerEngine) finish(tx *Tx) {}
 
-func (eagerEngine) read(tx *Tx, v *Var) int64 {
-	if tx.ownsLock(&v.varBase) {
-		return v.val.Load() // we hold the lock; in-place value is ours
+func (eagerEngine) read(tx *Tx, l loc) (int64, any) {
+	if tx.ownsLock(l.base()) {
+		return l.load() // we hold the lock; in-place value is ours
 	}
-	return sampleVar(tx, v)
+	return sample(tx, l)
 }
 
-// encounterLock takes v's lock on first write, logging the pre-lock meta
+// encounterLock takes vb's lock on first write, logging the pre-lock meta
 // for release and conflicting when the variable is locked elsewhere or
 // newer than the snapshot. Reports whether the caller must push an undo
 // entry (first touch).
@@ -39,25 +39,11 @@ func (tx *Tx) encounterLock(vb *varBase) (firstTouch bool) {
 	}
 }
 
-func (eagerEngine) write(tx *Tx, v *Var, x int64) {
-	if tx.encounterLock(&v.varBase) {
-		tx.undo = append(tx.undo, undoEntry{v: v, old: v.val.Load()})
+func (eagerEngine) write(tx *Tx, l loc, n int64, p any) {
+	if tx.encounterLock(l.base()) {
+		tx.logUndo(l)
 	}
-	v.val.Store(x)
-}
-
-func (eagerEngine) readBoxed(tx *Tx, b boxed) any {
-	if tx.ownsLock(b.base()) {
-		return b.loadBox()
-	}
-	return sampleBox(tx, b)
-}
-
-func (eagerEngine) writeBoxed(tx *Tx, b boxed, box any) {
-	if tx.encounterLock(b.base()) {
-		tx.pundo = append(tx.pundo, pundoEntry{b: b, old: b.loadBox()})
-	}
-	b.storeBox(box)
+	l.store(n, p)
 }
 
 func (e eagerEngine) prepare(tx *Tx) bool {
@@ -91,26 +77,21 @@ func (eagerEngine) commit(tx *Tx) {
 	for i := range tx.locked {
 		tx.locked[i].vb.meta.Store(wv << 1)
 	}
-	// The lock table and undo logs are dropped by the Tx reset.
+	// The lock table and undo log are dropped by the Tx reset.
 }
 
 func (eagerEngine) rollback(tx *Tx) {
 	s := tx.s
-	if s.RollbackDelay != nil && len(tx.undo)+len(tx.pundo) > 0 {
+	if s.RollbackDelay != nil && len(tx.undo) > 0 {
 		// The anomaly window of §3.4: speculative values are visible to
 		// plain accesses until the undo log is applied.
 		s.RollbackDelay()
 	}
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		tx.undo[i].v.val.Store(tx.undo[i].old)
-	}
-	for i := len(tx.pundo) - 1; i >= 0; i-- {
-		tx.pundo[i].b.storeBox(tx.pundo[i].old)
-	}
+	tx.applyUndo()
 	for i := range tx.locked {
 		tx.locked[i].vb.meta.Store(tx.locked[i].meta) // release, version unchanged
 	}
-	// The lock table and undo logs are dropped by the Tx reset.
+	// The lock table and undo log are dropped by the Tx reset.
 }
 
 // wakeSet announces the encounter-time lock table: every lock was taken

@@ -11,26 +11,17 @@ type lazyEngine struct{}
 func (lazyEngine) begin(tx *Tx)  { tx.rv = tx.s.clockBegin() }
 func (lazyEngine) finish(tx *Tx) {}
 
-func (lazyEngine) read(tx *Tx, v *Var) int64 {
-	if val, ok := tx.lookupWrite(v); ok {
-		return val
+func (lazyEngine) read(tx *Tx, l loc) (int64, any) {
+	if i := tx.findWrite(l); i >= 0 {
+		return tx.writes[i].n, tx.writes[i].p
 	}
-	return sampleVar(tx, v)
+	return sample(tx, l)
 }
 
-func (lazyEngine) write(tx *Tx, v *Var, x int64) { tx.putWrite(v, x) }
-
-func (lazyEngine) readBoxed(tx *Tx, b boxed) any {
-	if box, ok := tx.lookupPWrite(b); ok {
-		return box
-	}
-	return sampleBox(tx, b)
-}
-
-func (lazyEngine) writeBoxed(tx *Tx, b boxed, box any) { tx.putPWrite(b, box) }
+func (lazyEngine) write(tx *Tx, l loc, n int64, p any) { tx.putWrite(l, n, p) }
 
 func (e lazyEngine) prepare(tx *Tx) bool {
-	if len(tx.writes)+len(tx.pwrites) == 0 {
+	if len(tx.writes) == 0 {
 		// Single-instance read-only fast path: every read was validated
 		// against rv at read time, so the snapshot is consistent as of rv.
 		// (Not sound for multi-instance commits, whose serialization point
@@ -63,7 +54,7 @@ func (lazyEngine) validateReads(tx *Tx) bool {
 
 func (lazyEngine) commit(tx *Tx) {
 	s := tx.s
-	if len(tx.writes)+len(tx.pwrites) == 0 {
+	if len(tx.writes) == 0 {
 		return
 	}
 	// clockWV is legal here and only here: every commit-time lock is
@@ -76,13 +67,8 @@ func (lazyEngine) commit(tx *Tx) {
 	}
 	for i := range tx.writes {
 		w := &tx.writes[i]
-		w.v.val.Store(w.val)
-		w.v.meta.Store(wv << 1) // release with the new version
-	}
-	for i := range tx.pwrites {
-		p := &tx.pwrites[i]
-		p.b.storeBox(p.box)
-		p.b.base().meta.Store(wv << 1)
+		w.l.store(w.n, w.p)
+		w.l.base().meta.Store(wv << 1) // release with the new version
 	}
 	clear(tx.lockedMeta)
 	tx.lockedMeta = tx.lockedMeta[:0]
@@ -92,13 +78,10 @@ func (lazyEngine) rollback(tx *Tx) {
 	// Nothing was published; the buffers are dropped by the Tx reset.
 }
 
-// wakeSet announces the buffered write set (both lanes) — the variables
-// whose version words commit just advanced.
+// wakeSet announces the buffered write set — the locations whose version
+// words commit just advanced.
 func (lazyEngine) wakeSet(tx *Tx, f func(*varBase)) {
 	for i := range tx.writes {
-		f(&tx.writes[i].v.varBase)
-	}
-	for i := range tx.pwrites {
-		f(tx.pwrites[i].b.base())
+		f(tx.writes[i].l.base())
 	}
 }

@@ -123,24 +123,18 @@ func (w *waiter) captureTx(tx *Tx) {
 		w.entries = append(w.entries, readEntry{vb: tx.conflictVB, meta: tx.conflictMeta})
 	}
 	for i := range tx.writes {
-		w.captureWriteTarget(tx, &tx.writes[i].v.varBase)
-	}
-	for i := range tx.pwrites {
-		w.captureWriteTarget(tx, tx.pwrites[i].b.base())
+		w.captureWriteTarget(tx, tx.writes[i].l.base())
 	}
 	// Encounter-time lock table (eager): pre-lock words are recorded in
-	// the entries themselves. The eager undo log's variables are a
+	// the entries themselves. The eager undo log's locations are a
 	// subset of locked, so they are covered; when locked is empty the
-	// undo logs are the global-lock engine's write targets.
+	// undo log holds the global-lock engine's write targets.
 	for i := range tx.locked {
 		w.entries = append(w.entries, readEntry{vb: tx.locked[i].vb, meta: tx.locked[i].meta})
 	}
 	if len(tx.locked) == 0 {
 		for i := range tx.undo {
-			w.captureWriteTarget(tx, &tx.undo[i].v.varBase)
-		}
-		for i := range tx.pundo {
-			w.captureWriteTarget(tx, tx.pundo[i].b.base())
+			w.captureWriteTarget(tx, tx.undo[i].l.base())
 		}
 	}
 }

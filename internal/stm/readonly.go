@@ -11,7 +11,7 @@ type ReadTx struct {
 	tx *Tx
 }
 
-// Read returns the transactional value of v (int64 lane).
+// Read returns the transactional value of v.
 func (r *ReadTx) Read(v *Var) int64 { return r.tx.Read(v) }
 
 // Retry aborts the current attempt and re-runs the transaction from the
@@ -25,12 +25,12 @@ func (r *ReadTx) Block() { r.tx.Block() }
 // ReadTVar returns the transactional value of a typed variable inside a
 // read-only transaction — the ReadTx twin of ReadT.
 func ReadTVar[T any](r *ReadTx, v *TVar[T]) T {
-	return *r.tx.readBoxed(v).(*T)
+	return ReadT(r.tx, v)
 }
 
 // ReadTVarBox is ReadTVar returning the box; see TVar.LoadBox.
 func ReadTVarBox[T any](r *ReadTx, v *TVar[T]) *T {
-	return r.tx.readBoxed(v).(*T)
+	return ReadBox(r.tx, v)
 }
 
 // AtomicallyRead runs fn as a read-only transaction, retrying on

@@ -9,7 +9,7 @@ import (
 )
 
 func TestAtomicallyReadBasic(t *testing.T) {
-	forEachEngineAndTL2(t, func(t *testing.T, s *STM) {
+	forEachEngine(t, func(t *testing.T, s *STM) {
 		x := s.NewVar("x", 41)
 		v := NewTVar(s, "v", "hello")
 		var gx int64
@@ -33,7 +33,7 @@ func TestAtomicallyReadBasic(t *testing.T) {
 
 func TestAtomicallyReadErrorPassthrough(t *testing.T) {
 	sentinel := errors.New("boom")
-	forEachEngineAndTL2(t, func(t *testing.T, s *STM) {
+	forEachEngine(t, func(t *testing.T, s *STM) {
 		x := s.NewVar("x", 0)
 		err := s.AtomicallyRead(func(r *ReadTx) error {
 			_ = r.Read(x)
@@ -81,7 +81,7 @@ func TestAtomicallyReadCtxPreCanceled(t *testing.T) {
 // against writers that keep x == y; a torn read-only snapshot would
 // observe them unequal.
 func TestAtomicallyReadConsistentSnapshot(t *testing.T) {
-	forEachEngineAndTL2(t, func(t *testing.T, s *STM) {
+	forEachEngine(t, func(t *testing.T, s *STM) {
 		x := s.NewVar("x", 0)
 		y := s.NewVar("y", 0)
 		var wg sync.WaitGroup

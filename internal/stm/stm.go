@@ -5,8 +5,8 @@
 // require quiescence fences.
 //
 // The versioning strategy is pluggable: every strategy implements the
-// unexported engine interface (per-location read/write hooks over both
-// value lanes plus the lock/validate/commit/rollback phases) and is
+// unexported engine interface (one read and one write hook per location,
+// whatever its shape, plus the lock/validate/commit/rollback phases) and is
 // selected through the exported Engine enum, which is backed by a
 // registry (Engines, ParseEngine). Three engines are registered, and an
 // instance's engine is fixed when New creates it:
@@ -21,7 +21,8 @@
 //   - GlobalLock: a single global mutex around each transaction; the
 //     strongest (and slowest) baseline.
 //
-// Transactional locations come in two shapes sharing one engine:
+// Transactional locations come in two shapes sharing one engine, one
+// write set and one undo log:
 //
 //   - Var holds an int64 in an atomic.Int64 — the zero-cost word
 //     specialization used for counters and hot numeric state.
@@ -99,6 +100,23 @@ func (v *Var) Load() int64 { return v.val.Load() }
 // the programmer's responsibility, exactly as in the paper's mixed-race
 // model (use Quiesce for privatization).
 func (v *Var) Store(x int64) { v.val.Store(x) }
+
+// loc is the engine-facing view of a transactional location, whatever its
+// shape: what orders the engines is the version word in varBase, never
+// the value's type. A value travels as a pair (n, p) of which each shape
+// uses its own half — n for a Var, p (the *T box) for a TVar[T] — so the
+// int64 never becomes a heap box and a pointer never passes through an
+// int. Converting either pointer type to loc does not allocate.
+type loc interface {
+	base() *varBase
+	load() (n int64, p any)
+	store(n int64, p any)
+}
+
+func (vb *varBase) base() *varBase { return vb }
+
+func (v *Var) load() (int64, any)   { return v.val.Load(), nil }
+func (v *Var) store(n int64, _ any) { v.val.Store(n) }
 
 // Option configures an STM instance (see New).
 type Option func(*config)

@@ -21,19 +21,8 @@ func forEachEngine(t *testing.T, f func(t *testing.T, s *STM)) {
 	}
 }
 
-// forEachEngineAndTL2 is forEachEngine plus a "tl2" row on the lazy
-// engine. tl2 was lazy with timestamp extension and invisible read-only
-// reads; both were deleted and tl2 was folded into lazy, so in the tests
-// of the version clock, conflict detection and the read-only path its
-// row is lazy under its former name. ROADMAP item 12 lists the rows for
-// removal.
-func forEachEngineAndTL2(t *testing.T, f func(t *testing.T, s *STM)) {
-	forEachEngine(t, f)
-	t.Run("tl2", func(t *testing.T) { f(t, New(WithEngine(Lazy))) })
-}
-
 func TestSequentialReadWrite(t *testing.T) {
-	forEachEngineAndTL2(t, func(t *testing.T, s *STM) {
+	forEachEngine(t, func(t *testing.T, s *STM) {
 		x := s.NewVar("x", 10)
 		err := s.Atomically(func(tx *Tx) error {
 			if got := tx.Read(x); got != 10 {
@@ -194,7 +183,7 @@ func wgDoneAfter(wg *sync.WaitGroup, _ int, stop chan struct{}) {
 func TestConflictDetection(t *testing.T) {
 	// A transaction reading a var invalidated mid-flight must retry, never
 	// observe a mixed snapshot.
-	forEachEngineAndTL2(t, func(t *testing.T, s *STM) {
+	forEachEngine(t, func(t *testing.T, s *STM) {
 		x := s.NewVar("x", 0)
 		y := s.NewVar("y", 0)
 		var wg sync.WaitGroup
@@ -317,7 +306,7 @@ func TestReadOnlySnapshot(t *testing.T) {
 }
 
 func TestMixedModeVisibility(t *testing.T) {
-	forEachEngineAndTL2(t, func(t *testing.T, s *STM) {
+	forEachEngine(t, func(t *testing.T, s *STM) {
 		x := s.NewVar("x", 0)
 		x.Store(3)
 		var got int64
@@ -359,7 +348,7 @@ func TestStatsString(t *testing.T) {
 // --- stress scenarios (S1–S3) ---
 
 func TestPublicationSafeAllEngines(t *testing.T) {
-	forEachEngineAndTL2(t, func(t *testing.T, s *STM) {
+	forEachEngine(t, func(t *testing.T, s *STM) {
 		res := Publication(s, 300)
 		if res.Violations != 0 {
 			t.Errorf("publication violated %d/%d times on %s", res.Violations, res.Iterations, s.engine)
@@ -369,23 +358,19 @@ func TestPublicationSafeAllEngines(t *testing.T) {
 
 func TestPrivatizationDeterministicAnomalyLazy(t *testing.T) {
 	// Without a fence the write-buffering engine exhibits the
-	// delayed-writeback violation; with a fence it must not. The tl2 row
-	// is lazy under the name of the engine folded into it (see
-	// forEachEngineAndTL2).
-	for _, name := range []string{"lazy", "tl2"} {
-		t.Run(name, func(t *testing.T) {
-			s := New(WithEngine(Lazy))
-			res := PrivatizationDeterministic(s, false)
-			if res.Violations != 1 {
-				t.Errorf("expected the forced anomaly, got %d violations", res.Violations)
-			}
-			s2 := New(WithEngine(Lazy))
-			res2 := PrivatizationDeterministic(s2, true)
-			if res2.Violations != 0 {
-				t.Errorf("fenced privatization violated %d times", res2.Violations)
-			}
-		})
-	}
+	// delayed-writeback violation; with a fence it must not.
+	t.Run("lazy", func(t *testing.T) {
+		s := New(WithEngine(Lazy))
+		res := PrivatizationDeterministic(s, false)
+		if res.Violations != 1 {
+			t.Errorf("expected the forced anomaly, got %d violations", res.Violations)
+		}
+		s2 := New(WithEngine(Lazy))
+		res2 := PrivatizationDeterministic(s2, true)
+		if res2.Violations != 0 {
+			t.Errorf("fenced privatization violated %d times", res2.Violations)
+		}
+	})
 }
 
 func TestPrivatizationFencedStress(t *testing.T) {

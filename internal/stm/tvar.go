@@ -55,38 +55,28 @@ func (v *TVar[T]) LoadBox() *T { return v.val.Load() }
 // StoreBox installs b plainly; see LoadBox.
 func (v *TVar[T]) StoreBox(b *T) { v.val.Store(b) }
 
-// boxed is the untyped, engine-facing view of a TVar: the engines log and
-// move opaque boxes (a box is the *T behind the interface — interface
-// conversion of a pointer does not allocate), while the typed wrappers
-// ReadT and WriteT do the only casts.
-type boxed interface {
-	base() *varBase
-	loadBox() any // current box; never nil after NewTVar
-	storeBox(any) // install a box produced by the same TVar's lane
-}
-
-func (v *TVar[T]) base() *varBase { return &v.varBase }
-func (v *TVar[T]) loadBox() any   { return v.val.Load() }
-func (v *TVar[T]) storeBox(b any) { v.val.Store(b.(*T)) }
+func (v *TVar[T]) load() (int64, any)   { return 0, v.val.Load() }
+func (v *TVar[T]) store(_ int64, p any) { v.val.Store(p.(*T)) }
 
 // ReadT returns the transactional value of v, exactly as Tx.Read does for
 // int64 vars: consistent against the begin-time snapshot, with
 // read-your-own-writes within the transaction.
 func ReadT[T any](tx *Tx, v *TVar[T]) T {
-	return *tx.readBoxed(v).(*T)
+	return *ReadBox(tx, v)
 }
 
 // WriteT sets the transactional value of v.
 func WriteT[T any](tx *Tx, v *TVar[T], x T) {
-	tx.writeBoxed(v, &x)
+	tx.e.write(tx, v, 0, &x)
 }
 
 // ReadBox is ReadT returning the box; see LoadBox.
 func ReadBox[T any](tx *Tx, v *TVar[T]) *T {
-	return tx.readBoxed(v).(*T)
+	_, p := tx.e.read(tx, v)
+	return p.(*T)
 }
 
 // WriteBox is WriteT installing b itself; see LoadBox.
 func WriteBox[T any](tx *Tx, v *TVar[T], b *T) {
-	tx.writeBoxed(v, b)
+	tx.e.write(tx, v, 0, b)
 }

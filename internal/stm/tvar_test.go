@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -119,8 +120,8 @@ func TestTVarSnapshotConsistency(t *testing.T) {
 	})
 }
 
-// TestTVarIntVarComposition writes both lanes in one transaction and
-// checks atomicity of the combined commit.
+// TestTVarIntVarComposition writes both shapes in one transaction and
+// checks atomicity of the combined commit, then of a combined abort.
 func TestTVarIntVarComposition(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, s *STM) {
 		label := NewTVar(s, "label", "")
@@ -147,12 +148,33 @@ func TestTVarIntVarComposition(t *testing.T) {
 		if gotLabel != "gen-5" || gotCount != 5 {
 			t.Errorf("label=%q count=%d, want gen-5/5", gotLabel, gotCount)
 		}
+
+		// An aborting round writes each shape twice and reads both back:
+		// the undo log, shared by both shapes, must restore newest-first,
+		// so each location ends at its value from before the round.
+		errRound := errors.New("round aborted")
+		err := s.Atomically(func(tx *Tx) error {
+			for _, l := range []string{"x", "y"} {
+				WriteT(tx, label, l)
+				tx.Write(count, tx.Read(count)+10)
+			}
+			if l, c := ReadT(tx, label), tx.Read(count); l != "y" || c != 25 {
+				t.Errorf("inside the round: label=%q count=%d, want y/25", l, c)
+			}
+			return errRound
+		})
+		if !errors.Is(err, errRound) {
+			t.Fatalf("aborting round returned %v, want %v", err, errRound)
+		}
+		if l, c := label.Load(), count.Load(); l != "gen-5" || c != 5 {
+			t.Errorf("after the round: label=%q count=%d, want gen-5/5", l, c)
+		}
 	})
 }
 
 // TestTVarConcurrentAppendLog is a contended typed workload: goroutines
 // append to a shared []int behind a TVar; every committed append must
-// survive (no lost updates on the boxed lane).
+// survive (no lost updates through a TVar).
 func TestTVarConcurrentAppendLog(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, s *STM) {
 		log := NewTVar(s, "log", []int(nil))

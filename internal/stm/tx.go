@@ -12,11 +12,11 @@ import (
 // so a leaked Tx aliases somebody else's attempt state.
 //
 // Tx owns the attempt state shared by every engine — the read set, the
-// two write lanes (inline int64 for Var, opaque boxes for TVar[T]), the
-// undo logs and the lock tables; the selected engine is the strategy
-// that moves values through that state. Which fields are live depends on
-// the engine: the lazy engine buffers writes, the eager and global-lock
-// engines write in place behind undo logs.
+// write set, the undo log and the lock tables, each holding Var and
+// TVar[T] locations alike; the selected engine is the strategy that moves
+// values through that state. Which fields are live depends on the
+// engine: the lazy engine buffers writes, the eager and global-lock
+// engines write in place behind the undo log.
 //
 // All per-attempt collections are insertion-ordered slices sized for the
 // common small footprint: lookups linear-scan up to writeSetSpill
@@ -29,15 +29,13 @@ type Tx struct {
 	rv      uint64 // read version: the begin-time snapshot of the clock
 	slotIdx int    // quiescence slot held for the attempt's lifetime
 
-	// Read set, shared by both lanes (validation is meta-only).
+	// Read set (validation is meta-only).
 	reads []readEntry
 
-	// Lazy write sets: insertion-ordered entries (the slice is the write
+	// Lazy write set: insertion-ordered entries (the slice is the write
 	// order) with a map index spill for large transactions.
-	writes  []wEntry      // int64 lane
-	windex  map[*Var]int  // spill: var -> index into writes
-	pwrites []pEntry      // pointer lane (pending boxes)
-	pindex  map[boxed]int // spill: box -> index into pwrites
+	writes []wEntry
+	windex map[loc]int // spill: location -> index into writes
 
 	// Commit-time lock state while prepared, sorted by variable id (the
 	// deterministic lock order); meta holds the pre-lock word for
@@ -45,8 +43,7 @@ type Tx struct {
 	lockedMeta []lockedEntry
 
 	// Eager and global-lock engines.
-	undo   []undoEntry      // int64 lane
-	pundo  []pundoEntry     // pointer lane
+	undo   []wEntry         // pre-write values, in write order
 	locked []lockedEntry    // encounter-time locks, insertion order
 	lindex map[*varBase]int // spill: var -> index into locked
 
@@ -88,14 +85,12 @@ type readEntry struct {
 	meta uint64
 }
 
+// wEntry is a location with a value (see loc): a pending write in the
+// lazy write set, a pre-write value in the undo log.
 type wEntry struct {
-	v   *Var
-	val int64
-}
-
-type pEntry struct {
-	b   boxed
-	box any
+	l loc
+	n int64
+	p any
 }
 
 type lockedEntry struct {
@@ -103,102 +98,57 @@ type lockedEntry struct {
 	meta uint64 // pre-lock word, restored on abort
 }
 
-type undoEntry struct {
-	v   *Var
-	old int64
-}
-
-type pundoEntry struct {
-	b   boxed
-	old any
-}
-
 // writeSetSpill is the footprint size beyond which the linear-scan
 // write sets and lock tables build a map index. Up to this size a scan
 // over a contiguous slice beats map hashing; past it the map wins.
 const writeSetSpill = 16
 
-// lookupWrite returns the buffered int64-lane value of v, if any.
-func (tx *Tx) lookupWrite(v *Var) (int64, bool) {
+// findWrite returns the index of l's buffered write, or -1.
+func (tx *Tx) findWrite(l loc) int {
 	if tx.windex != nil {
-		if i, ok := tx.windex[v]; ok {
-			return tx.writes[i].val, true
+		if i, ok := tx.windex[l]; ok {
+			return i
 		}
-		return 0, false
+		return -1
 	}
 	for i := range tx.writes {
-		if tx.writes[i].v == v {
-			return tx.writes[i].val, true
+		if tx.writes[i].l == l {
+			return i
 		}
 	}
-	return 0, false
+	return -1
 }
 
-// putWrite buffers an int64-lane write, preserving first-write order.
-func (tx *Tx) putWrite(v *Var, x int64) {
-	if tx.windex != nil {
-		if i, ok := tx.windex[v]; ok {
-			tx.writes[i].val = x
-			return
-		}
-	} else {
-		for i := range tx.writes {
-			if tx.writes[i].v == v {
-				tx.writes[i].val = x
-				return
-			}
-		}
+// putWrite buffers a write, preserving first-write order.
+func (tx *Tx) putWrite(l loc, n int64, p any) {
+	if i := tx.findWrite(l); i >= 0 {
+		tx.writes[i].n, tx.writes[i].p = n, p
+		return
 	}
-	tx.writes = append(tx.writes, wEntry{v: v, val: x})
+	tx.writes = append(tx.writes, wEntry{l: l, n: n, p: p})
 	if tx.windex != nil {
-		tx.windex[v] = len(tx.writes) - 1
+		tx.windex[l] = len(tx.writes) - 1
 	} else if len(tx.writes) > writeSetSpill {
-		tx.windex = make(map[*Var]int, 2*writeSetSpill)
+		tx.windex = make(map[loc]int, 2*writeSetSpill)
 		for i := range tx.writes {
-			tx.windex[tx.writes[i].v] = i
+			tx.windex[tx.writes[i].l] = i
 		}
 	}
 }
 
-// lookupPWrite returns the buffered pointer-lane box of b, if any.
-func (tx *Tx) lookupPWrite(b boxed) (any, bool) {
-	if tx.pindex != nil {
-		if i, ok := tx.pindex[b]; ok {
-			return tx.pwrites[i].box, true
-		}
-		return nil, false
-	}
-	for i := range tx.pwrites {
-		if tx.pwrites[i].b == b {
-			return tx.pwrites[i].box, true
-		}
-	}
-	return nil, false
+// logUndo records l's value before an in-place write (eager and
+// global-lock engines).
+func (tx *Tx) logUndo(l loc) {
+	n, p := l.load()
+	tx.undo = append(tx.undo, wEntry{l: l, n: n, p: p})
 }
 
-// putPWrite buffers a pointer-lane write, preserving first-write order.
-func (tx *Tx) putPWrite(b boxed, box any) {
-	if tx.pindex != nil {
-		if i, ok := tx.pindex[b]; ok {
-			tx.pwrites[i].box = box
-			return
-		}
-	} else {
-		for i := range tx.pwrites {
-			if tx.pwrites[i].b == b {
-				tx.pwrites[i].box = box
-				return
-			}
-		}
-	}
-	tx.pwrites = append(tx.pwrites, pEntry{b: b, box: box})
-	if tx.pindex != nil {
-		tx.pindex[b] = len(tx.pwrites) - 1
-	} else if len(tx.pwrites) > writeSetSpill {
-		tx.pindex = make(map[boxed]int, 2*writeSetSpill)
-		for i := range tx.pwrites {
-			tx.pindex[tx.pwrites[i].b] = i
-		}
+// applyUndo restores the undo log newest-first, so a location written
+// more than once ends at its value from before the first write.
+func (tx *Tx) applyUndo() {
+	for i := len(tx.undo) - 1; i >= 0; i-- {
+		u := &tx.undo[i]
+		u.l.store(u.n, u.p)
 	}
 }
 
@@ -252,28 +202,22 @@ func (tx *Tx) lockedMetaFor(vb *varBase) (uint64, bool) {
 }
 
 // reset clears the attempt state for reuse, retaining the capacity of
-// every slice (reads, writes, pwrites, lockedMeta, undo, pundo, locked,
-// txs, rtxs) so steady-state transactions never re-grow them; txs and
-// rtxs keep their first entry, the Tx itself. Elements are zeroed before
-// truncation so the pooled Tx does not pin dead variables or other
-// handles. The rare spill indexes are dropped: small transactions must
-// not pay the map path just because one large transaction came through
-// earlier.
+// every slice (reads, writes, lockedMeta, undo, locked, txs, rtxs) so
+// steady-state transactions never re-grow them; txs and rtxs keep their
+// first entry, the Tx itself. Elements are zeroed before truncation so
+// the pooled Tx does not pin dead variables or other handles. The rare
+// spill indexes are dropped: small transactions must not pay the map
+// path just because one large transaction came through earlier.
 func (tx *Tx) reset() {
 	clear(tx.reads)
 	tx.reads = tx.reads[:0]
 	clear(tx.writes)
 	tx.writes = tx.writes[:0]
 	tx.windex = nil
-	clear(tx.pwrites)
-	tx.pwrites = tx.pwrites[:0]
-	tx.pindex = nil
 	clear(tx.lockedMeta)
 	tx.lockedMeta = tx.lockedMeta[:0]
 	clear(tx.undo)
 	tx.undo = tx.undo[:0]
-	clear(tx.pundo)
-	tx.pundo = tx.pundo[:0]
 	clear(tx.locked)
 	tx.locked = tx.locked[:0]
 	tx.lindex = nil
@@ -681,19 +625,14 @@ func backoff(ctx context.Context, attempt int) {
 	}
 }
 
-// Read returns the transactional value of v (int64 lane).
-func (tx *Tx) Read(v *Var) int64 { return tx.e.read(tx, v) }
+// Read returns the transactional value of v.
+func (tx *Tx) Read(v *Var) int64 {
+	n, _ := tx.e.read(tx, v)
+	return n
+}
 
-// Write sets the transactional value of v (int64 lane).
-func (tx *Tx) Write(v *Var, x int64) { tx.e.write(tx, v, x) }
-
-// readBoxed is the pointer-lane twin of Read: same sampling, validation
-// and read-set protocol, moving an opaque box instead of an int64. The
-// typed wrappers ReadT and WriteT do the only casts.
-func (tx *Tx) readBoxed(b boxed) any { return tx.e.readBoxed(tx, b) }
-
-// writeBoxed is the pointer-lane twin of Write.
-func (tx *Tx) writeBoxed(b boxed, box any) { tx.e.writeBoxed(tx, b, box) }
+// Write sets the transactional value of v.
+func (tx *Tx) Write(v *Var, x int64) { tx.e.write(tx, v, x, nil) }
 
 // Abort aborts the current attempt and makes Atomically return ErrAborted.
 // Provided for symmetry with the paper's abort statement; equivalent to
