@@ -88,8 +88,15 @@ func (eagerEngine) rollback(tx *Tx) {
 		s.RollbackDelay()
 	}
 	tx.applyUndo()
+	if len(tx.locked) == 0 {
+		return
+	}
+	// Release with a fresh version, not the pre-lock word: a reader that
+	// sampled the word before the lock and the speculative value during
+	// it must see the word move. Every lock is held, as clockWV requires.
+	tx.released = s.clockWV() << 1
 	for i := range tx.locked {
-		tx.locked[i].vb.meta.Store(tx.locked[i].meta) // release, version unchanged
+		tx.locked[i].vb.meta.Store(tx.released)
 	}
 	// The lock table and undo log are dropped by the Tx reset.
 }

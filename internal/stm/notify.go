@@ -33,8 +33,8 @@ import (
 //
 // The old exponential backoff survives only as a bounded fallback: a
 // conflict-park keeps a capped fallback timer for the one window
-// notification cannot cover (a lock-holder that aborts restores the old
-// version word and publishes nothing), and an explicit Block-park keeps
+// notification cannot cover (a lock-holder that aborts releases its
+// locks and publishes nothing), and an explicit Block-park keeps
 // a coarse safety-net timer (seconds, not milliseconds) so even a
 // mis-registered waiter revalidates eventually instead of hanging.
 
@@ -113,10 +113,10 @@ func (w *waiter) release() {
 // set with its read-time version words, the variable whose lock or
 // version raised the conflict (if any), and the write targets — a
 // conflicted commit may have failed on a write-only variable that the
-// read set never saw. Must run before the attempt is aborted (abort
-// resets the Tx); version words recorded for variables this attempt
-// itself locked are the pre-lock words, so the waiter does not wake on
-// its own abort's lock release.
+// read set never saw. Must run before the attempt is rolled back (see
+// abortInto); version words recorded for variables this attempt itself
+// locked are the pre-lock words, so the waiter does not wake on its own
+// abort's lock release.
 func (w *waiter) captureTx(tx *Tx) {
 	w.entries = append(w.entries, tx.reads...)
 	if tx.conflictVB != nil {
@@ -137,6 +137,40 @@ func (w *waiter) captureTx(tx *Tx) {
 			w.captureWriteTarget(tx, tx.undo[i].l.base())
 		}
 	}
+}
+
+// rebase follows tx's rollback. An eager rollback releases the words it
+// locked at a new version (tx.released): an entry that saw one of them
+// just before tx locked it — tx's own read, an earlier OrElse
+// alternative's — takes the new word, so the park does not wake on the
+// abort itself. An entry that saw any other word keeps it.
+func (w *waiter) rebase(tx *Tx) {
+	if tx.released == 0 {
+		return
+	}
+	for i := range w.entries {
+		e := &w.entries[i]
+		for _, l := range tx.locked {
+			if l.vb == e.vb && l.meta == e.meta {
+				e.meta = tx.released
+				break
+			}
+		}
+	}
+}
+
+// abortInto captures the footprint of the attempt's handles into w and
+// aborts them: capture before the rollback, which would restore or move
+// the words, rebase after it, finish last.
+func (w *waiter) abortInto(txs []*Tx) {
+	for _, tx := range txs {
+		w.captureTx(tx)
+	}
+	rollbackAll(txs)
+	for _, tx := range txs {
+		w.rebase(tx)
+	}
+	finishAll(txs)
 }
 
 // captureWriteTarget records vb with its pre-lock word when this attempt
@@ -192,8 +226,8 @@ func (w *waiter) unregister() {
 
 // changed revalidates the captured footprint: true when some variable's
 // version moved past the observed word, or a lock the waiter observed
-// has been released (an abort restores the old version, which is still a
-// state change worth re-running for). A variable that is now locked at
+// has been released (a lazy abort restores the old version, which is
+// still a state change worth re-running for). A variable that is now locked at
 // the same version is a commit in flight — its writeback will signal us,
 // so it does not count as changed.
 func (w *waiter) changed() bool {
@@ -413,11 +447,10 @@ func conflicted(ctx context.Context, stms []*STM, txs []*Tx, attempt int) int {
 	var w *waiter
 	if !changed && attempt >= spinDefault {
 		w = stms[0].newWaiter()
-		for _, tx := range txs {
-			w.captureTx(tx)
-		}
+		w.abortInto(txs)
+	} else {
+		abortAll(txs)
 	}
-	abortAll(txs)
 	for _, s := range stms {
 		s.stats.Conflicts.Add(1)
 	}

@@ -369,9 +369,14 @@ func TestConflictParkFallback(t *testing.T) {
 // commit would hold it, makes every attempt conflict; the global-lock
 // engine reads past lock bits, so the body also retries explicitly once
 // the read returns. The retry budget stops the call after the attempt
-// under test.
+// under test. With a write before the read, an eager attempt holds a
+// lock of its own when it conflicts: its rollback moves that word, and
+// the park must not take the move for a change (waiter.rebase).
 func TestSpinThenPark(t *testing.T) {
-	conflicted := func(tx *Tx, v *Var) {
+	conflicted := func(tx *Tx, v, w *Var) {
+		if w != nil {
+			tx.Write(w, 1)
+		}
 		_ = tx.Read(v) // conflicts here on the lock-based engines
 		tx.Retry()
 	}
@@ -380,11 +385,16 @@ func TestSpinThenPark(t *testing.T) {
 			for _, tc := range []struct {
 				attempts int
 				parks    uint64
-			}{{8, 0}, {9, 1}} {
+				write    bool
+			}{{8, 0, false}, {9, 1, false}, {9, 1, true}} {
 				s := New(WithEngine(e), WithMaxRetries(tc.attempts))
 				v := s.NewVar("held", 0)
 				v.meta.Store(lockedBit)
-				err := s.Atomically(func(tx *Tx) error { conflicted(tx, v); return nil })
+				var w *Var
+				if tc.write {
+					w = s.NewVar("written", 0)
+				}
+				err := s.Atomically(func(tx *Tx) error { conflicted(tx, v, w); return nil })
 				if !errors.Is(err, ErrMaxRetries) {
 					t.Fatalf("%d attempts: err = %v, want ErrMaxRetries", tc.attempts, err)
 				}
@@ -396,8 +406,14 @@ func TestSpinThenPark(t *testing.T) {
 				other := New(WithEngine(e))
 				v = lead.NewVar("held", 0)
 				v.meta.Store(lockedBit)
+				if tc.write {
+					w = other.NewVar("written", 0)
+				}
 				err = AtomicallyMulti([]*STM{lead, other}, func(txs []*Tx) error {
-					conflicted(txs[0], v)
+					if w != nil {
+						txs[1].Write(w, 1)
+					}
+					conflicted(txs[0], v, nil)
 					return nil
 				})
 				if !errors.Is(err, ErrMaxRetries) {

@@ -55,8 +55,7 @@ func (s *STM) orElse(ctx context.Context, alts []func(*Tx) error) error {
 				if w == nil {
 					w = s.newWaiter()
 				}
-				w.captureTx(tx)
-				tx.abortAttempt()
+				w.abortInto(txs)
 				continue // try the next alternative
 			}
 			if st == txConflicted {
@@ -69,7 +68,7 @@ func (s *STM) orElse(ctx context.Context, alts []func(*Tx) error) error {
 				break // restart the choice from the first alternative
 			}
 			if err != nil {
-				tx.abortAttempt()
+				abortAll(txs)
 				if w != nil {
 					w.release()
 				}

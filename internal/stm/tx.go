@@ -27,7 +27,11 @@ type Tx struct {
 	s       *STM
 	e       engine // the instance's strategy, cached for dispatch
 	rv      uint64 // read version: the begin-time snapshot of the clock
-	slotIdx int    // quiescence slot held for the attempt's lifetime
+	slotIdx int32  // quiescence slot held for the attempt's lifetime
+
+	// conflictChanged belongs to the conflict attribution below; it sits
+	// here, beside slotIdx, so that the two share one word.
+	conflictChanged bool
 
 	// Read set (validation is meta-only).
 	reads []readEntry
@@ -47,15 +51,18 @@ type Tx struct {
 	locked []lockedEntry    // encounter-time locks, insertion order
 	lindex map[*varBase]int // spill: var -> index into locked
 
+	// released is the word an eager rollback released every encounter
+	// lock at (0: none); waiter.rebase reads it.
+	released uint64
+
 	// Conflict attribution, consumed by the parking retry loops: the
 	// variable (and the word observed on it) whose lock raised the
 	// conflict, so the waiter can park on it even though it never joined
 	// the read set — or conflictChanged, meaning the conflict itself
 	// proved the world moved (too-new version, torn CAS) and the attempt
 	// should retry immediately instead of parking.
-	conflictVB      *varBase
-	conflictMeta    uint64
-	conflictChanged bool
+	conflictVB   *varBase
+	conflictMeta uint64
 
 	// tapData is the attempt's commit-tap payload (see SetTapData);
 	// attempt-scoped: cleared on reset and consumed by commitPrepared.
@@ -221,6 +228,7 @@ func (tx *Tx) reset() {
 	clear(tx.locked)
 	tx.locked = tx.locked[:0]
 	tx.lindex = nil
+	tx.released = 0
 	tx.rv = 0
 	tx.conflictVB, tx.conflictMeta, tx.conflictChanged = nil, 0, false
 	tx.tapData = nil
@@ -301,11 +309,11 @@ func (tx *Tx) Block() {
 // begin hook (which snapshots the read version and, for the global-lock
 // engine, takes the instance mutex). The caller owns the attempt's
 // lifecycle and must end it with finishTx (after commitPrepared) or
-// abortAttempt; both return the Tx to the pool.
+// abortAll; both return the Tx to the pool.
 func (s *STM) begin() *Tx {
 	slotIdx, _ := s.acquireSlot()
 	tx := s.txPool.Get().(*Tx)
-	tx.slotIdx = slotIdx
+	tx.slotIdx = int32(slotIdx)
 	tx.e.begin(tx)
 	return tx
 }
@@ -430,10 +438,7 @@ func transact(ctx context.Context, op string, stms []*STM, b body) error {
 			// An explicit Block consumes no retry budget: a long-lived
 			// waiter may legitimately park thousands of times.
 			w := lead.newWaiter()
-			for _, tx := range txs {
-				w.captureTx(tx)
-			}
-			abortAll(txs)
+			w.abortInto(txs)
 			lead.parkBlocked(ctx, w, parks)
 			parks++
 			continue
@@ -449,9 +454,7 @@ func transact(ctx context.Context, op string, stms []*STM, b body) error {
 			for _, tx := range txs {
 				tx.commitPrepared()
 			}
-			for i := len(txs) - 1; i >= 0; i-- { // see abortAll
-				txs[i].finishTx()
-			}
+			finishAll(txs)
 			for _, s := range stms {
 				s.stats.Commits.Add(1)
 				if multi {
@@ -516,11 +519,26 @@ func prepareAll(txs []*Tx) bool {
 	return true
 }
 
-// abortAll aborts the attempt's handles in reverse, so global locks
-// release LIFO and the lead, which holds the txs slice, goes last.
+// abortAll aborts the attempt's handles: rollbackAll, then finishAll.
 func abortAll(txs []*Tx) {
+	rollbackAll(txs)
+	finishAll(txs)
+}
+
+// rollbackAll rolls back the attempt's handles, releasing any
+// prepare-phase locks, and leaves their state for a waiter to capture.
+func rollbackAll(txs []*Tx) {
+	for _, tx := range txs {
+		tx.releasePrepared()
+		tx.e.rollback(tx)
+	}
+}
+
+// finishAll finishes the attempt's handles in reverse, so global locks
+// release LIFO and the lead, which holds the txs slice, goes last.
+func finishAll(txs []*Tx) {
 	for i := len(txs) - 1; i >= 0; i-- {
-		txs[i].abortAttempt()
+		txs[i].finishTx()
 	}
 }
 
@@ -529,17 +547,9 @@ func abortAll(txs []*Tx) {
 // this call.
 func (tx *Tx) finishTx() {
 	tx.e.finish(tx)
-	tx.s.releaseSlot(tx.slotIdx)
+	tx.s.releaseSlot(int(tx.slotIdx))
 	tx.reset()
 	tx.s.txPool.Put(tx)
-}
-
-// abortAttempt rolls back an attempt (releasing any prepare-phase locks)
-// and finishes it.
-func (tx *Tx) abortAttempt() {
-	tx.releasePrepared()
-	tx.e.rollback(tx)
-	tx.finishTx()
 }
 
 // txStatus is how a body attempt resolved: ran to completion, aborted
