@@ -82,6 +82,53 @@ func TestAllocsGet(t *testing.T) {
 	}
 }
 
+// mgetSink keeps TestAllocsMGet's reference map on the heap, where
+// MGet's result lives.
+var mgetSink map[string][]byte
+
+// TestAllocsMGet: an MGet that its snapshot serves allocates only its
+// result map: the snapshot scratch is pooled and the values are the
+// stored boxes. The reference builds the same map by hand. Global-lock
+// always takes View's transaction and is not pinned here.
+func TestAllocsMGet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	keys := make([]string, 8)
+	val := []byte("payload")
+	for i := range keys {
+		keys[i] = fmt.Sprintf("mget-%d", i)
+	}
+	want := testing.AllocsPerRun(100, func() {
+		m := make(map[string][]byte, len(keys))
+		for _, k := range keys {
+			m[k] = val
+		}
+		mgetSink = m
+	})
+	for _, e := range []stm.Engine{stm.Lazy, stm.Eager} {
+		t.Run(e.String(), func(t *testing.T) {
+			s := allocStore(t, e)
+			for _, k := range keys {
+				if err := s.Set(k, val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mget := func() {
+				if m, err := s.MGet(keys...); err != nil || len(m) != len(keys) {
+					t.Fatalf("MGet = %d keys, %v", len(m), err)
+				}
+			}
+			for i := 0; i < 32; i++ { // warm the op pool
+				mget()
+			}
+			if avg := testing.AllocsPerRun(100, mget); avg != want {
+				t.Errorf("MGet of %d keys: %v allocs/op, want %v (the result map's)", len(keys), avg, want)
+			}
+		})
+	}
+}
+
 // TestAllocsCounterOps: the int64 compatibility lane — CounterAdd and
 // CounterGet, and counter Update and View over one shard and over two —
 // runs transactions with no boxing, no formatting and no allocation.

@@ -19,9 +19,11 @@
 // as a single transaction two-phased across the shards touched via
 // stm.AtomicallyMulti with the shards in ascending index order, which
 // makes cross-shard commits deadlock-free and invisible in partial states
-// to consistent transactional readers. Read-only multi-key snapshots
-// (View, MGet) ride stm.AtomicallyReadMulti instead and never take write
-// locks at all.
+// to consistent readers. Get, CounterGet and MGet run no transaction:
+// they load each key's lock word, value and word again (stm.Snap), and
+// fall back to a read-only transaction only when a commit holds a word
+// or the engine writes in place (global-lock). View rides
+// stm.AtomicallyReadMulti. No read takes a write lock.
 //
 // A key's whole lifecycle lives in one transactional word. An entry is
 // linked into its shard's table holding a distinguished absent value,
@@ -219,6 +221,20 @@ func (e *entry) readR(r *stm.ReadTx) (*entry, []byte, int64, state) {
 	}
 	box := stm.ReadTVarBox(r, &e.b)
 	return e, *box, 0, bytesState(box)
+}
+
+// snap is read with no transaction: it reads e's word into sn, and
+// reports false when the snapshot gave up (see stm.Snap).
+func (e *entry) snap(sn *stm.Snap) ([]byte, int64, state, bool) {
+	if e.isCounter() {
+		n, ok := sn.Read(e.c)
+		return nil, n, countState(n), ok
+	}
+	box, ok := stm.SnapBox(sn, &e.b)
+	if !ok {
+		return nil, 0, absent, false
+	}
+	return *box, 0, bytesState(box), true
 }
 
 // value surfaces what a read returned: counters as decimal, ok false
@@ -659,6 +675,26 @@ func (sh *shard) findR(r *stm.ReadTx, key string, h uint64) (e *entry, b []byte,
 	}
 }
 
+// findS is find in a snapshot: ok false means the snapshot gave up.
+func (sh *shard) findS(sn *stm.Snap, key string, h uint64) (e *entry, b []byte, n int64, st state, ok bool) {
+	e = sh.lookup(key, h)
+	for {
+		if e != nil {
+			if b, n, st, ok = e.snap(sn); !ok || st != retired {
+				return e, b, n, st, ok
+			}
+		}
+		if _, ok = sn.Read(sh.kvers); !ok {
+			return e, nil, 0, absent, false
+		}
+		next := sh.lookup(key, h)
+		if next == e {
+			return e, nil, 0, absent, true
+		}
+		e = next
+	}
+}
+
 // own returns key's entry of the given kind and what tx reads in it
 // (absent or live — for a counter, with its value), for a write to
 // follow: a key with no entry gets a fresh absent one linked — noted in
@@ -726,6 +762,9 @@ type singleOp struct {
 	setFn  func(*stm.Tx) error
 	addFn  func(*stm.Tx) error
 
+	// snap is the scratch of the transaction-free read (see snapRead).
+	snap stm.Snap
+
 	// pend is the op's durability effect list (durable.go), attached to
 	// the write bodies' transactions when the commit tap is on. Pooled
 	// with the op, so steady-state emission reuses its capacity.
@@ -756,15 +795,30 @@ func (op *singleOp) runGet(r *stm.ReadTx) error {
 
 func (op *singleOp) runCounterGet(r *stm.ReadTx) error {
 	e, _, n, st := op.sh.findR(r, op.key, op.h)
-	op.n, op.ok = 0, false
-	if st != live {
-		return nil
+	var err error
+	op.n, op.ok, err = counter(op.key, e, n, st)
+	return err
+}
+
+// counter is CounterGet's result from what a read found in e.
+func counter(key string, e *entry, n int64, st state) (int64, bool, error) {
+	switch {
+	case st != live:
+		return 0, false, nil
+	case !e.isCounter():
+		return 0, false, wrongType(key)
 	}
-	if !e.isCounter() {
-		return wrongType(op.key)
-	}
-	op.n, op.ok = n, true
-	return nil
+	return n, true, nil
+}
+
+// snapRead reads e's word with no transaction (see stm.Snap). ok false
+// sends the caller to its transaction: the snapshot gave up, or e is
+// retired and the key must be looked up again.
+func (op *singleOp) snapRead(e *entry) (b []byte, n int64, st state, ok bool) {
+	b, n, st, ok = e.snap(&op.snap)
+	ok = ok && st != retired && op.snap.Valid()
+	op.snap.Reset()
+	return b, n, st, ok
 }
 
 func (op *singleOp) runSet(tx *stm.Tx) error {
@@ -808,28 +862,36 @@ func (op *singleOp) runAdd(tx *stm.Tx) error {
 	return nil
 }
 
-// Get performs a consistent transactional read of one key (counters are
-// formatted as decimal) on the read-only path: no write locks are ever
-// taken, and on the lazy engine commit does no validation. ok reports
-// whether the key exists; a non-nil error
-// (retry-budget exhaustion) means the value could not be read and val is
-// meaningless. Steady-state Get of a bytes key performs no heap
+// Get performs a linearizable read of one key (counters are formatted as
+// decimal). It loads the entry's lock word, the value and the word again
+// (see stm.Snap): no transaction, no clock read, no lock. When a commit
+// holds the word, the entry is retired, or the engine writes in place
+// without touching the word (global-lock), it runs a read-only
+// transaction instead. ok reports whether the key exists; a non-nil
+// error (retry-budget exhaustion) means the value could not be read and
+// val is meaningless. Steady-state Get of a bytes key performs no heap
 // allocation.
 func (s *Store) Get(key string) (val []byte, ok bool, err error) {
 	sh, h := s.route(key)
-	if sh.lookup(key, h) == nil {
+	e := sh.lookup(key, h)
+	if e == nil {
 		return nil, false, nil
 	}
 	op := s.singleOps.Get().(*singleOp)
-	op.sh, op.key, op.h = sh, key, h
 	var t0 time.Time
 	sampled := s.opHists != nil && op.nextSample()
 	if sampled {
 		t0 = time.Now()
 	}
-	err = sh.stm.AtomicallyRead(op.getFn)
-	val, ok = op.val, op.ok
-	op.release()
+	if b, n, st, snapped := op.snapRead(e); snapped {
+		val, ok = value(e, b, n, st)
+		s.singleOps.Put(op) // no operand was set: nothing to release
+	} else {
+		op.sh, op.key, op.h = sh, key, h
+		err = sh.stm.AtomicallyRead(op.getFn)
+		val, ok = op.val, op.ok
+		op.release()
+	}
 	if sampled {
 		s.opHists[OpGet].Observe(time.Since(t0).Nanoseconds())
 	}
@@ -839,23 +901,31 @@ func (s *Store) Get(key string) (val []byte, ok bool, err error) {
 	return val, ok, nil
 }
 
-// CounterGet transactionally reads a counter key on the read-only path.
-// ok is false when the key is absent; a bytes key returns ErrWrongType.
+// CounterGet reads a counter key the way Get reads any key: a
+// transaction-free read of the entry's word, or a read-only transaction
+// where that cannot be used. ok is false when the key is absent; a
+// bytes key returns ErrWrongType.
 func (s *Store) CounterGet(key string) (val int64, ok bool, err error) {
 	sh, h := s.route(key)
-	if sh.lookup(key, h) == nil {
+	e := sh.lookup(key, h)
+	if e == nil {
 		return 0, false, nil
 	}
 	op := s.singleOps.Get().(*singleOp)
-	op.sh, op.key, op.h = sh, key, h
 	var t0 time.Time
 	sampled := s.opHists != nil && op.nextSample()
 	if sampled {
 		t0 = time.Now()
 	}
-	err = sh.stm.AtomicallyRead(op.cgetFn)
-	val, ok = op.n, op.ok
-	op.release()
+	if _, n, st, snapped := op.snapRead(e); snapped {
+		val, ok, err = counter(key, e, n, st)
+		s.singleOps.Put(op) // no operand was set: nothing to release
+	} else {
+		op.sh, op.key, op.h = sh, key, h
+		err = sh.stm.AtomicallyRead(op.cgetFn)
+		val, ok = op.n, op.ok
+		op.release()
+	}
 	if sampled {
 		s.opHists[OpCounterGet].Observe(time.Since(t0).Nanoseconds())
 	}
@@ -942,25 +1012,58 @@ func (s *Store) Delete(key string) (existed bool, err error) {
 	return existed, err
 }
 
-// MGet reads the given keys in one read-only transaction spanning every
-// shard touched; the snapshot is consistent across shards and no write
-// locks are taken. Missing keys are omitted from the result; counters
-// are formatted as decimal.
+// MGet reads the given keys at one instant across every shard touched,
+// taking no write locks. It reads every key's lock word, value and word
+// again with no transaction (see stm.Snap); a key with no entry is read
+// through its shard's keyspace version, as a transaction reads it. When
+// that snapshot gives up (a commit holds a word, or the engine cannot be
+// read this way) it runs View's read-only transaction instead. Missing
+// keys are omitted from the result; counters are formatted as decimal.
+// Its sampled latency is recorded as a View's.
 func (s *Store) MGet(keys ...string) (map[string][]byte, error) {
 	out := make(map[string][]byte, len(keys))
-	err := s.View(keys, func(t *ViewTxn) error {
-		clear(out) // only the committed attempt's reads survive a retry
-		for _, k := range keys {
-			if v, ok := t.Get(k); ok {
-				out[k] = v
+	op := s.multiOps.Get().(*multiOp)
+	var t0 time.Time
+	sampled := s.opHists != nil && op.nextSample()
+	if sampled {
+		t0 = time.Now()
+	}
+	var err error
+	if !op.snapMGet(keys, out) {
+		err = op.viewTx(context.Background(), keys, func(t *ViewTxn) error {
+			clear(out) // only the committed attempt's reads survive
+			for _, k := range keys {
+				if v, ok := t.Get(k); ok {
+					out[k] = v
+				}
 			}
-		}
-		return nil
-	})
+			return nil
+		})
+	}
+	op.release()
+	if sampled {
+		s.opHists[OpView].Observe(time.Since(t0).Nanoseconds())
+	}
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// snapMGet is MGet's transaction-free read into out. On false, out may
+// hold some keys and the caller must read them all again.
+func (op *multiOp) snapMGet(keys []string, out map[string][]byte) bool {
+	for _, k := range keys {
+		sh, h := op.s.route(k)
+		e, b, n, st, ok := sh.findS(&op.snap, k, h)
+		if !ok {
+			return false
+		}
+		if v, present := value(e, b, n, st); present {
+			out[k] = v
+		}
+	}
+	return op.snap.Valid()
 }
 
 // MSet writes the given bytes keys in one cross-shard transaction.
@@ -1202,6 +1305,8 @@ type multiOp struct {
 	runUpdate func([]*stm.Tx) error
 	runView   func([]*stm.ReadTx) error
 
+	snap stm.Snap // MGet's transaction-free read
+
 	// tick is the latency-sampling tick; like singleOp's it survives
 	// release on purpose.
 	tick uint64
@@ -1247,6 +1352,7 @@ func (op *multiOp) release() {
 	op.txn = Txn{}
 	op.view = ViewTxn{}
 	op.updateFn, op.viewFn = nil, nil
+	op.snap.Reset()
 	s.multiOps.Put(op)
 }
 
@@ -1362,20 +1468,26 @@ func (s *Store) View(keys []string, fn func(*ViewTxn) error) error {
 // ViewCtx is View honoring ctx between retry attempts.
 func (s *Store) ViewCtx(ctx context.Context, keys []string, fn func(*ViewTxn) error) error {
 	op := s.multiOps.Get().(*multiOp)
-	op.idxs = s.appendShardSet(op.idxs[:0], keys)
-	op.stms = s.appendSTMs(op.stms[:0], op.idxs)
-	op.viewFn = fn
 	var t0 time.Time
 	sampled := s.opHists != nil && op.nextSample()
 	if sampled {
 		t0 = time.Now()
 	}
-	err := stm.AtomicallyReadMultiCtx(ctx, op.stms, op.runView)
+	err := op.viewTx(ctx, keys, fn)
 	op.release()
 	if sampled {
 		s.opHists[OpView].Observe(time.Since(t0).Nanoseconds())
 	}
 	return err
+}
+
+// viewTx runs fn as View's read-only transaction over the shards owning
+// keys.
+func (op *multiOp) viewTx(ctx context.Context, keys []string, fn func(*ViewTxn) error) error {
+	op.idxs = op.s.appendShardSet(op.idxs[:0], keys)
+	op.stms = op.s.appendSTMs(op.stms[:0], op.idxs)
+	op.viewFn = fn
+	return stm.AtomicallyReadMultiCtx(ctx, op.stms, op.runView)
 }
 
 // Privatize fences the shards owning keys and returns the keys' raw

@@ -52,6 +52,10 @@ func (glockEngine) commit(tx *Tx) {
 
 func (glockEngine) rollback(tx *Tx) { tx.applyUndo() }
 
+// snapshots does not hold: writes land in place under the instance
+// mutex while the words stay as they were until commit.
+func (glockEngine) snapshots() bool { return false }
+
 // wakeSet announces the undo log — every in-place write logged its
 // location, so the log covers the published write set (repeat writes
 // re-signal the same location, which the buffered waiter channel
