@@ -594,7 +594,7 @@ func formatCounter(v int64) []byte { return strconv.AppendInt(nil, v, 10) }
 // been written; counter keys are formatted as decimal. Per the §5
 // implementation model it may miss a value whose transaction has
 // validated but not yet written back (lazy engine); use Get for a
-// consistent transactional read, or Privatize to fence.
+// linearizable read, or Privatize to fence.
 func (s *Store) FastGet(key string) ([]byte, bool) {
 	sh, h := s.route(key)
 	s.fastGets[sh.index].n.Add(1)

@@ -22,10 +22,10 @@ import (
 //
 //   - A prefix of the primary's commit order, always: records apply in
 //     LSN order, consecutive ones merged into one local transaction, so
-//     a transactional reader sees the state after some LSN.
+//     a consistent reader sees the state after some LSN.
 //   - Cross-shard transactions surface atomically: a transaction is one
 //     record and a record applies inside one local transaction, so a
-//     transactional reader (Get, View, MGet) never observes half of one.
+//     consistent reader (Get, View, MGet) never observes half of one.
 //   - FGET keeps its plain-read caveat: exactly as on the primary
 //     (the paper's §3.5 delayed-writeback anomaly), a plain read
 //     against the lazy engine may briefly miss a committed-but-

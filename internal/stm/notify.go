@@ -227,9 +227,9 @@ func (w *waiter) unregister() {
 // changed revalidates the captured footprint: true when some variable's
 // version moved past the observed word, or a lock the waiter observed
 // has been released (a lazy abort restores the old version, which is
-// still a state change worth re-running for). A variable that is now locked at
-// the same version is a commit in flight — its writeback will signal us,
-// so it does not count as changed.
+// still a state change worth re-running for). A variable that is now
+// locked at the same version is a commit in flight — its writeback will
+// signal us, so it does not count as changed.
 func (w *waiter) changed() bool {
 	for i := range w.entries {
 		e := &w.entries[i]

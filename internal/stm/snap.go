@@ -3,8 +3,8 @@ package stm
 import "slices"
 
 // Snap reads locations without a transaction: a double collect over
-// their lock words. Read and SnapBox load a location's word, give up if
-// it is locked, then load the value and record the word; Valid loads
+// their lock words. Read and SnapBox load a location's word (giving up
+// if it is locked) and record it, then load the value; Valid loads
 // every recorded word again. When none moved, each value was the
 // committed one from its first load to the re-check, those windows all
 // overlap, and the values held together at one instant inside the
@@ -25,39 +25,34 @@ type Snap struct {
 // Read returns v's value and true, or false if the snapshot must give
 // up (see Snap).
 func (sn *Snap) Read(v *Var) (int64, bool) {
-	m, ok := sn.open(&v.varBase)
-	if !ok {
+	if !sn.open(&v.varBase) {
 		return 0, false
 	}
-	n := v.val.Load()
-	sn.reads = append(sn.reads, readEntry{vb: &v.varBase, meta: m})
-	return n, true
+	return v.val.Load(), true
 }
 
 // SnapBox is Read on a typed variable, returning its box (see
 // TVar.LoadBox).
 func SnapBox[T any](sn *Snap, v *TVar[T]) (*T, bool) {
-	m, ok := sn.open(&v.varBase)
-	if !ok {
+	if !sn.open(&v.varBase) {
 		return nil, false
 	}
-	p := v.val.Load()
-	sn.reads = append(sn.reads, readEntry{vb: &v.varBase, meta: m})
-	return p, true
+	return v.val.Load(), true
 }
 
-// open loads vb's word for a read, or reports that the snapshot must
-// give up.
-func (sn *Snap) open(vb *varBase) (uint64, bool) {
+// open loads vb's word and records it for Valid, or reports that the
+// snapshot must give up. The caller loads the value after it.
+func (sn *Snap) open(vb *varBase) bool {
 	if !vb.owner.eng.snapshots() {
-		return 0, false
+		return false
 	}
 	m := vb.meta.Load()
 	if isLocked(m) {
 		snapConflict(vb)
-		return 0, false
+		return false
 	}
-	return m, true
+	sn.reads = append(sn.reads, readEntry{vb: vb, meta: m})
+	return true
 }
 
 // Valid reports whether every word read is unchanged, and so whether
