@@ -87,9 +87,11 @@ func TestAllocsGet(t *testing.T) {
 var mgetSink map[string][]byte
 
 // TestAllocsMGet: an MGet that its snapshot serves allocates only its
-// result map: the snapshot scratch is pooled and the values are the
-// stored boxes. The reference builds the same map by hand. Global-lock
-// always takes View's transaction and is not pinned here.
+// result map (2 allocs/op for 8 keys; 3 when every MGet ran View, whose
+// body closure was the third): the snapshot scratch is pooled and the
+// values are the stored boxes. The reference builds the same map by
+// hand. Global-lock always takes View's transaction and is not pinned
+// here.
 func TestAllocsMGet(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
