@@ -132,8 +132,9 @@ func TestAllocsMGet(t *testing.T) {
 }
 
 // TestAllocsCounterOps: the int64 compatibility lane — CounterAdd and
-// CounterGet, and counter Update and View over one shard and over two —
-// runs transactions with no boxing, no formatting and no allocation.
+// CounterGet, counter Update and View over one shard and over two, and
+// the benchmark's audit, a View over 256 counters on 16 shards and on 128
+// — runs transactions with no boxing, no formatting and no allocation.
 func TestAllocsCounterOps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -152,6 +153,13 @@ func TestAllocsCounterOps(t *testing.T) {
 			}
 			s.EnsureCounters(other)
 			oneShard, twoShards := []string{"ctr-key"}, []string{"ctr-key", other}
+			accts := make([]string, 256)
+			for i := range accts {
+				accts[i] = fmt.Sprintf("acct-%03d", i)
+			}
+			s16, s128 := New(WithEngine(e)), New(WithShards(128), WithEngine(e))
+			s16.EnsureCounters(accts...)
+			s128.EnsureCounters(accts...)
 			update := func(keys []string) func() error {
 				body := func(t *Txn) error {
 					for _, k := range keys {
@@ -161,7 +169,7 @@ func TestAllocsCounterOps(t *testing.T) {
 				}
 				return func() error { return s.Update(keys, body) }
 			}
-			view := func(keys []string) func() error {
+			view := func(s *Store, keys []string) func() error {
 				body := func(t *ViewTxn) error {
 					for _, k := range keys {
 						if _, ok := t.Counter(k); !ok {
@@ -185,8 +193,10 @@ func TestAllocsCounterOps(t *testing.T) {
 				}},
 				{"Update over 1 shard", update(oneShard)},
 				{"Update over 2 shards", update(twoShards)},
-				{"View over 1 shard", view(oneShard)},
-				{"View over 2 shards", view(twoShards)},
+				{"View over 1 shard", view(s, oneShard)},
+				{"View over 2 shards", view(s, twoShards)},
+				{"View over 256 keys on 16 shards", view(s16, accts)},
+				{"View over 256 keys on 128 shards", view(s128, accts)},
 			} {
 				for i := 0; i < 32; i++ { // warm the op and Tx pools
 					if err := row.run(); err != nil {

@@ -57,7 +57,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -425,6 +424,8 @@ func newStore(c *config) *Store {
 	}
 	s.multiOps.New = func() any {
 		op := &multiOp{s: s}
+		op.fp.pos = make([]int32, len(s.shards))
+		op.fp.set = make([]uint64, (len(s.shards)+63)/64)
 		op.runUpdate = op.update
 		op.runView = op.viewBody
 		return op
@@ -1085,10 +1086,10 @@ func (s *Store) MSet(vals map[string][]byte) error {
 // against a key of the wrong kind — makes the transaction fail with an
 // error (no partial effects).
 type Txn struct {
-	s    *Store
-	idxs []int     // sorted footprint shard indices
-	txs  []*stm.Tx // per-shard transaction handles, aligned with idxs
-	err  error
+	s   *Store
+	fp  *footprint // the call's declared keys and shard set
+	txs []*stm.Tx  // per-shard transaction handles, aligned with the shard set
+	err error
 
 	// tap and pend are the durability effect list (durable.go): every
 	// op the body writes, on whichever shard, goes into one pendingOps,
@@ -1133,17 +1134,14 @@ func (t *Txn) outside(key string) error {
 
 // resolve routes key and returns its shard, its hash, and the shard's
 // transaction, or fails the transaction (nil shard) when the shard is
-// outside the declared footprint. The footprint is a short sorted slice,
-// so the membership test is a linear scan, not a map lookup.
+// outside the declared footprint.
 func (t *Txn) resolve(key string) (*shard, uint64, *stm.Tx) {
-	sh, h := t.s.route(key)
-	for j, idx := range t.idxs {
-		if idx == sh.index {
-			return sh, h, t.txs[j]
-		}
+	sh, h, j := t.fp.route(t.s, key)
+	if j < 0 {
+		t.fail(t.outside(key))
+		return nil, h, nil
 	}
-	t.fail(t.outside(key))
-	return nil, h, nil
+	return sh, h, t.txs[j]
 }
 
 // own is resolve and then shard.own, for a write inside the
@@ -1262,39 +1260,44 @@ func (t *Txn) Delete(key string) bool {
 	return true
 }
 
-// appendShardSet appends the sorted, deduplicated shard indices owning
-// keys to idxs (pass a truncated scratch slice). Footprints are small,
-// so a sorted insert with linear shifts beats a map-and-sort and
-// allocates nothing once the scratch has capacity.
-func (s *Store) appendShardSet(idxs []int, keys []string) []int {
-	for _, k := range keys {
-		i := s.ShardOf(k)
-		pos := sort.SearchInts(idxs, i)
-		if pos < len(idxs) && idxs[pos] == i {
-			continue
-		}
-		idxs = append(idxs, 0)
-		copy(idxs[pos+1:], idxs[pos:])
-		idxs[pos] = i
-	}
-	return idxs
+// footprint is the resolved key list of one Update or View: every
+// declared key hashed once, and where each shard sits in the shard set.
+type footprint struct {
+	keys []string // the declared keys, copied so the caller may reuse its slice
+	hs   []uint64 // fnv1a of each declared key
+	next int      // the declared key the body is expected to read next
+	pos  []int32  // per shard: 1 + its index in the shard set, 0 outside it
+	set  []uint64 // shard bitset, zero between calls
 }
 
-// appendSTMs appends the shards' STM instances in idxs order.
-func (s *Store) appendSTMs(stms []*stm.STM, idxs []int) []*stm.STM {
-	for _, i := range idxs {
-		stms = append(stms, s.shards[i].stm)
+// hash returns fnv1a(key), reusing the stored hash when key is the next
+// declared key, so a body that reads its declared keys in declared order
+// hashes none of them. Any other key is hashed afresh.
+func (fp *footprint) hash(key string) uint64 {
+	if i := fp.next; i < len(fp.keys) && fp.keys[i] == key {
+		fp.next++
+		return fp.hs[i]
 	}
-	return stms
+	return fnv1a(key)
+}
+
+// route returns the shard owning key, key's hash, and the shard's index
+// in the shard set — negative when the shard is outside the footprint.
+func (fp *footprint) route(s *Store, key string) (*shard, uint64, int) {
+	h := fp.hash(key)
+	i := h & s.mask
+	return s.shards[i], h, int(fp.pos[i]) - 1
 }
 
 // multiOp is pooled per-call scratch for the footprint-scoped operations
-// (Update, View): the sorted shard set, the aligned instance list and
-// the reusable transaction handle, with the attempt bodies bound once at
-// pool fill so the per-attempt plumbing allocates nothing.
+// (Update, View): the resolved footprint, the ascending shard set with
+// its aligned instance list, and the reusable transaction handle, with
+// the attempt bodies bound once at pool fill so the per-attempt plumbing
+// allocates nothing.
 type multiOp struct {
 	s    *Store
-	idxs []int
+	fp   footprint
+	idxs []int // the footprint's shard set, ascending
 	stms []*stm.STM
 	pend pendingOps // the durability effect list
 	txn  Txn
@@ -1312,10 +1315,35 @@ type multiOp struct {
 	tick uint64
 }
 
+// resolve hashes each key once, keeping the hashes for the body, and
+// builds the shard set in ascending order — the two-phase lock order —
+// from a bitset of the shards touched.
+func (op *multiOp) resolve(keys []string) {
+	fp := &op.fp
+	fp.keys = append(fp.keys[:0], keys...)
+	fp.hs = fp.hs[:0]
+	for _, k := range keys {
+		h := fnv1a(k)
+		fp.hs = append(fp.hs, h)
+		i := h & op.s.mask
+		fp.set[i>>6] |= 1 << (i & 63)
+	}
+	for w, word := range fp.set {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			op.idxs = append(op.idxs, i)
+			op.stms = append(op.stms, op.s.shards[i].stm)
+			fp.pos[i] = int32(len(op.idxs))
+		}
+		fp.set[w] = 0
+	}
+}
+
 func (op *multiOp) update(txs []*stm.Tx) error {
 	t := &op.txn
 	t.s = op.s
-	t.idxs = op.idxs
+	t.fp = &op.fp
+	op.fp.next = 0
 	t.txs = txs
 	t.err = nil
 	t.deleted, t.clash = nil, nil // only the committed attempt's deletes are collected
@@ -1332,7 +1360,8 @@ func (op *multiOp) update(txs []*stm.Tx) error {
 func (op *multiOp) viewBody(rtxs []*stm.ReadTx) error {
 	t := &op.view
 	t.s = op.s
-	t.idxs = op.idxs
+	t.fp = &op.fp
+	op.fp.next = 0
 	t.rtxs = rtxs
 	t.err = nil
 	if err := op.viewFn(t); err != nil {
@@ -1345,7 +1374,12 @@ func (op *multiOp) viewBody(rtxs []*stm.ReadTx) error {
 // capacity) and returns the op to the pool.
 func (op *multiOp) release() {
 	s := op.s
+	for _, i := range op.idxs {
+		op.fp.pos[i] = 0
+	}
 	op.idxs = op.idxs[:0]
+	clear(op.fp.keys)
+	op.fp.keys = op.fp.keys[:0]
 	clear(op.stms)
 	op.stms = op.stms[:0]
 	op.pend.reset() // drop key/value references, keep capacity
@@ -1362,7 +1396,9 @@ func (op *multiOp) release() {
 // any publishes, so concurrent transactional readers never observe a
 // partial cross-shard commit, and the consistent lock order avoids
 // deadlock. fn may touch any key routed to a declared shard, not just the
-// declared keys; it may be re-executed on conflict and must be pure.
+// declared keys; it may be re-executed on conflict and must be pure. The
+// declared keys are hashed once, up front: a body that reads them in
+// declared order hashes none of them again.
 func (s *Store) Update(keys []string, fn func(*Txn) error) error {
 	return s.UpdateCtx(context.Background(), keys, fn)
 }
@@ -1375,8 +1411,7 @@ func (s *Store) UpdateCtx(ctx context.Context, keys []string, fn func(*Txn) erro
 		return err
 	}
 	op := s.multiOps.Get().(*multiOp)
-	op.idxs = s.appendShardSet(op.idxs[:0], keys)
-	op.stms = s.appendSTMs(op.stms[:0], op.idxs)
+	op.resolve(keys)
 	op.updateFn = fn
 	var t0 time.Time
 	sampled := s.opHists != nil && op.nextSample()
@@ -1414,8 +1449,8 @@ func (s *Store) UpdateCtx(ctx context.Context, keys []string, fn func(*Txn) erro
 // View additionally commits without validation.
 type ViewTxn struct {
 	s    *Store
-	idxs []int         // sorted footprint shard indices
-	rtxs []*stm.ReadTx // read-only handles, aligned with idxs
+	fp   *footprint    // the call's declared keys and shard set
+	rtxs []*stm.ReadTx // read-only handles, aligned with the shard set
 	err  error
 }
 
@@ -1428,14 +1463,12 @@ func (t *ViewTxn) fail(err error) {
 // find reads key within the view's footprint; the view fails when the
 // key's shard is outside it.
 func (t *ViewTxn) find(key string) (*entry, []byte, int64, state) {
-	sh, h := t.s.route(key)
-	for j, idx := range t.idxs {
-		if idx == sh.index {
-			return sh.findR(t.rtxs[j], key, h)
-		}
+	sh, h, j := t.fp.route(t.s, key)
+	if j < 0 {
+		t.fail(fmt.Errorf("kv: key %q is outside the view footprint", key))
+		return nil, nil, 0, absent
 	}
-	t.fail(fmt.Errorf("kv: key %q is outside the view footprint", key))
-	return nil, nil, 0, absent
+	return sh.findR(t.rtxs[j], key, h)
 }
 
 // Get reads key inside the view; ok is false when the key is absent.
@@ -1460,7 +1493,8 @@ func (t *ViewTxn) Counter(key string) (int64, bool) {
 // that never takes write locks — commit validates the read sets with no
 // locking at all (see stm.AtomicallyReadMulti). fn may read any key
 // routed to a declared shard; it may be re-executed on conflict and must
-// be pure.
+// be pure. As in Update, a body that reads the declared keys in declared
+// order hashes none of them again.
 func (s *Store) View(keys []string, fn func(*ViewTxn) error) error {
 	return s.ViewCtx(context.Background(), keys, fn)
 }
@@ -1484,8 +1518,7 @@ func (s *Store) ViewCtx(ctx context.Context, keys []string, fn func(*ViewTxn) er
 // viewTx runs fn as View's read-only transaction over the shards owning
 // keys.
 func (op *multiOp) viewTx(ctx context.Context, keys []string, fn func(*ViewTxn) error) error {
-	op.idxs = op.s.appendShardSet(op.idxs[:0], keys)
-	op.stms = op.s.appendSTMs(op.stms[:0], op.idxs)
+	op.resolve(keys)
 	op.viewFn = fn
 	return stm.AtomicallyReadMultiCtx(ctx, op.stms, op.runView)
 }
@@ -1507,9 +1540,12 @@ func (s *Store) Privatize(keys ...string) ([]*stm.TVar[[]byte], error) {
 	for i, e := range entries {
 		vars[i] = &e.b
 	}
-	for _, i := range s.appendShardSet(nil, keys) {
-		s.shards[i].stm.Quiesce()
+	op := s.multiOps.Get().(*multiOp)
+	op.resolve(keys)
+	for _, inst := range op.stms {
+		inst.Quiesce()
 	}
+	op.release()
 	return vars, nil
 }
 
