@@ -134,7 +134,9 @@ func TestAllocsMGet(t *testing.T) {
 // TestAllocsCounterOps: the int64 compatibility lane — CounterAdd and
 // CounterGet, counter Update and View over one shard and over two, and
 // the benchmark's audit, a View over 256 counters on 16 shards and on 128
-// — runs transactions with no boxing, no formatting and no allocation.
+// — runs with no boxing, no formatting and no allocation. The Views run
+// their bounded snapshot on lazy and eager, and their read-only
+// transaction on global-lock.
 func TestAllocsCounterOps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -22,7 +22,9 @@
 // to consistent readers. Get, CounterGet and MGet run no transaction:
 // they load each key's lock word, value and word again (stm.Snap), and
 // fall back to a read-only transaction only when a commit holds a word
-// or the engine writes in place (global-lock). View rides
+// or the engine writes in place (global-lock). View runs its body over
+// the same kind of read, bounded by each shard's clock so that the body
+// itself never sees half a commit, and falls back to
 // stm.AtomicallyReadMulti. No read takes a write lock.
 //
 // A key's whole lifecycle lives in one transactional word. An entry is
@@ -57,6 +59,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -222,14 +225,18 @@ func (e *entry) readR(r *stm.ReadTx) (*entry, []byte, int64, state) {
 	return e, *box, 0, bytesState(box)
 }
 
-// snap is read with no transaction: it reads e's word into sn, and
-// reports false when the snapshot gave up (see stm.Snap).
-func (e *entry) snap(sn *stm.Snap) ([]byte, int64, state, bool) {
+// unbounded is the bound of a snapshot read that Valid alone makes
+// sound: it refuses no version (see stm.Snap).
+const unbounded = math.MaxUint64
+
+// snap is read with no transaction: it reads e's word into sn under
+// bound, and reports false when the snapshot gave up (see stm.Snap).
+func (e *entry) snap(sn *stm.Snap, bound uint64) ([]byte, int64, state, bool) {
 	if e.isCounter() {
-		n, ok := sn.Read(e.c)
+		n, ok := sn.Read(e.c, bound)
 		return nil, n, countState(n), ok
 	}
-	box, ok := stm.SnapBox(sn, &e.b)
+	box, ok := stm.SnapBox(sn, &e.b, bound)
 	if !ok {
 		return nil, 0, absent, false
 	}
@@ -676,16 +683,17 @@ func (sh *shard) findR(r *stm.ReadTx, key string, h uint64) (e *entry, b []byte,
 	}
 }
 
-// findS is find in a snapshot: ok false means the snapshot gave up.
-func (sh *shard) findS(sn *stm.Snap, key string, h uint64) (e *entry, b []byte, n int64, st state, ok bool) {
+// findS is find in a snapshot whose reads of this shard are under bound:
+// ok false means the snapshot gave up.
+func (sh *shard) findS(sn *stm.Snap, key string, h, bound uint64) (e *entry, b []byte, n int64, st state, ok bool) {
 	e = sh.lookup(key, h)
 	for {
 		if e != nil {
-			if b, n, st, ok = e.snap(sn); !ok || st != retired {
+			if b, n, st, ok = e.snap(sn, bound); !ok || st != retired {
 				return e, b, n, st, ok
 			}
 		}
-		if _, ok = sn.Read(sh.kvers); !ok {
+		if _, ok = sn.Read(sh.kvers, bound); !ok {
 			return e, nil, 0, absent, false
 		}
 		next := sh.lookup(key, h)
@@ -816,7 +824,7 @@ func counter(key string, e *entry, n int64, st state) (int64, bool, error) {
 // sends the caller to its transaction: the snapshot gave up, or e is
 // retired and the key must be looked up again.
 func (op *singleOp) snapRead(e *entry) (b []byte, n int64, st state, ok bool) {
-	b, n, st, ok = e.snap(&op.snap)
+	b, n, st, ok = e.snap(&op.snap, unbounded)
 	ok = ok && st != retired && op.snap.Valid()
 	op.snap.Reset()
 	return b, n, st, ok
@@ -1031,7 +1039,8 @@ func (s *Store) MGet(keys ...string) (map[string][]byte, error) {
 	}
 	var err error
 	if !op.snapMGet(keys, out) {
-		err = op.viewTx(context.Background(), keys, func(t *ViewTxn) error {
+		// Its own snapshot gave up: no more snapshot tries.
+		_, err = op.read(context.Background(), keys, func(t *ViewTxn) error {
 			clear(out) // only the committed attempt's reads survive
 			for _, k := range keys {
 				if v, ok := t.Get(k); ok {
@@ -1039,7 +1048,7 @@ func (s *Store) MGet(keys ...string) (map[string][]byte, error) {
 				}
 			}
 			return nil
-		})
+		}, 0)
 	}
 	op.release()
 	if sampled {
@@ -1056,7 +1065,7 @@ func (s *Store) MGet(keys ...string) (map[string][]byte, error) {
 func (op *multiOp) snapMGet(keys []string, out map[string][]byte) bool {
 	for _, k := range keys {
 		sh, h := op.s.route(k)
-		e, b, n, st, ok := sh.findS(&op.snap, k, h)
+		e, b, n, st, ok := sh.findS(&op.snap, k, h, unbounded)
 		if !ok {
 			return false
 		}
@@ -1308,7 +1317,8 @@ type multiOp struct {
 	runUpdate func([]*stm.Tx) error
 	runView   func([]*stm.ReadTx) error
 
-	snap stm.Snap // MGet's transaction-free read
+	snap   stm.Snap // MGet's and View's transaction-free read
+	bounds []uint64 // View's snapshot bounds, aligned with the shard set
 
 	// tick is the latency-sampling tick; like singleOp's it survives
 	// release on purpose.
@@ -1357,13 +1367,80 @@ func (op *multiOp) update(txs []*stm.Tx) error {
 	return t.err
 }
 
+// viewBody runs the View body over the read-only transaction's handles.
 func (op *multiOp) viewBody(rtxs []*stm.ReadTx) error {
-	t := &op.view
-	t.s = op.s
-	t.fp = &op.fp
+	op.view = ViewTxn{s: op.s, fp: &op.fp, rtxs: rtxs}
+	return op.runViewFn()
+}
+
+// snapTries is how many times View runs its body over a bounded
+// snapshot before it takes the read-only transaction, which waits out a
+// held word instead of giving up: stm's count of yields before a park.
+const snapTries = 8
+
+// refused is the panic that ends a View body at a read its snapshot
+// refused (see ViewTxn.find); snapTry recovers it.
+type refused struct{}
+
+// read runs fn over the shards owning keys: over a bounded snapshot up
+// to tries times, checking ctx before each, then as a read-only
+// transaction. It returns the snapshot tries used, 0 when the
+// transaction ran. The engine decides too: global-lock cannot be read
+// by a snapshot, and goes straight to the transaction.
+func (op *multiOp) read(ctx context.Context, keys []string, fn func(*ViewTxn) error, tries int) (int, error) {
+	op.resolve(keys)
+	op.viewFn = fn
+	for try := 1; try <= tries && ctx.Err() == nil && op.bound(); try++ {
+		if stood, err := op.snapTry(); stood {
+			return try, err
+		}
+		runtime.Gosched() // as a conflicted transaction yields
+	}
+	return 0, stm.AtomicallyReadMultiCtx(ctx, op.stms, op.runView)
+}
+
+// bound loads every shard's snapshot bound, aligned with the shard set,
+// before the body's first read: that order is what keeps the body from
+// seeing half of a cross-shard commit (see stm.Snap). It reports false
+// when the engine cannot be read by a snapshot.
+func (op *multiOp) bound() bool {
+	op.bounds = op.bounds[:0]
+	for _, st := range op.stms {
+		b, ok := op.snap.Bound(st)
+		if !ok {
+			return false
+		}
+		op.bounds = append(op.bounds, b)
+	}
+	return true
+}
+
+// snapTry runs the View body once over a bounded snapshot and reports
+// whether the try stood: the body ran clean and the snapshot validated,
+// or the body returned an error, which is returned verbatim and
+// unvalidated, as a transaction returns it. A refused read ends the
+// body early and the try does not stand; any other panic passes
+// through.
+func (op *multiOp) snapTry() (stood bool, err error) {
+	defer op.snap.Reset()
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(refused); !ok {
+				panic(r)
+			}
+		}
+	}()
+	op.view = ViewTxn{s: op.s, fp: &op.fp, sn: &op.snap, bounds: op.bounds}
+	if err = op.runViewFn(); err != nil {
+		return true, err
+	}
+	return op.snap.Valid(), nil
+}
+
+// runViewFn runs the View body over op.view.
+func (op *multiOp) runViewFn() error {
 	op.fp.next = 0
-	t.rtxs = rtxs
-	t.err = nil
+	t := &op.view
 	if err := op.viewFn(t); err != nil {
 		return err
 	}
@@ -1444,14 +1521,20 @@ func (s *Store) UpdateCtx(ctx context.Context, keys []string, fn func(*Txn) erro
 }
 
 // ViewTxn is the handle passed to View bodies: a consistent, read-only,
-// possibly cross-shard snapshot. It can only read, so the underlying
-// transactions never take write locks; on the lazy engine a single-shard
-// View additionally commits without validation.
+// possibly cross-shard snapshot. It reads through a bounded stm.Snap
+// (every read refuses a word committed after the body began), or,
+// after the snapshot gave up, through a read-only transaction. Either
+// way the body is opaque: what it reads, at any point of any attempt,
+// is the committed state of one instant, so it never sees half of a
+// cross-shard commit. (A plain store into a privatized key is not a
+// commit; see View.)
 type ViewTxn struct {
-	s    *Store
-	fp   *footprint    // the call's declared keys and shard set
-	rtxs []*stm.ReadTx // read-only handles, aligned with the shard set
-	err  error
+	s      *Store
+	fp     *footprint    // the call's declared keys and shard set
+	rtxs   []*stm.ReadTx // read-only handles, aligned with the shard set
+	sn     *stm.Snap     // the snapshot, when reading through one
+	bounds []uint64      // the snapshot's bounds, aligned with the shard set
+	err    error
 }
 
 func (t *ViewTxn) fail(err error) {
@@ -1468,7 +1551,14 @@ func (t *ViewTxn) find(key string) (*entry, []byte, int64, state) {
 		t.fail(fmt.Errorf("kv: key %q is outside the view footprint", key))
 		return nil, nil, 0, absent
 	}
-	return sh.findR(t.rtxs[j], key, h)
+	if t.sn == nil {
+		return sh.findR(t.rtxs[j], key, h)
+	}
+	e, b, n, st, ok := sh.findS(t.sn, key, h, t.bounds[j])
+	if !ok {
+		panic(refused{})
+	}
+	return e, b, n, st
 }
 
 // Get reads key inside the view; ok is false when the key is absent.
@@ -1488,18 +1578,31 @@ func (t *ViewTxn) Counter(key string) (int64, bool) {
 	return n, true
 }
 
-// View runs fn as one read-only transaction over the shards owning keys
-// (the view's footprint): a multi-key snapshot consistent across shards
-// that never takes write locks — commit validates the read sets with no
-// locking at all (see stm.AtomicallyReadMulti). fn may read any key
-// routed to a declared shard; it may be re-executed on conflict and must
-// be pure. As in Update, a body that reads the declared keys in declared
-// order hashes none of them again.
+// View runs fn over a multi-key snapshot of the shards owning keys (the
+// view's footprint), consistent across shards and opaque: what fn
+// reads is the committed state of one instant, on every attempt,
+// including ones that are thrown away. fn reads through a stm.Snap,
+// with no transaction: each shard's bound is loaded before the first
+// read, a read gives up on a held word or one committed after its
+// shard's bound, and the snapshot validates once, after fn. A View
+// takes no lock and no quiescence slot, so Privatize's fence does not
+// wait for one: an attempt may read a privatized key's plain store
+// beside the flag from before the fence, but the commit that moved the
+// flag fails that attempt's validation, so View never returns it. After
+// snapTries snapshots gave up — or at once on global-lock, which writes
+// in place — fn runs as one read-only transaction that waits out held
+// words (see stm.AtomicallyReadMulti). fn may read any key routed to a
+// declared shard; it may be re-executed and must be pure. An error it
+// returns is returned as is. As in Update, a body that reads the
+// declared keys in declared order hashes none of them again.
 func (s *Store) View(keys []string, fn func(*ViewTxn) error) error {
 	return s.ViewCtx(context.Background(), keys, fn)
 }
 
-// ViewCtx is View honoring ctx between retry attempts.
+// ViewCtx is View honoring ctx before each snapshot and between the
+// transaction's retry attempts. A sampled View whose snapshot stood
+// records its latency and its tries in the lead shard's stm.Metrics, as
+// the read-only transaction records its own.
 func (s *Store) ViewCtx(ctx context.Context, keys []string, fn func(*ViewTxn) error) error {
 	op := s.multiOps.Get().(*multiOp)
 	var t0 time.Time
@@ -1507,20 +1610,18 @@ func (s *Store) ViewCtx(ctx context.Context, keys []string, fn func(*ViewTxn) er
 	if sampled {
 		t0 = time.Now()
 	}
-	err := op.viewTx(ctx, keys, fn)
+	tries, err := op.read(ctx, keys, fn, snapTries)
+	if tries > 0 && sampled && len(op.stms) > 0 {
+		if m := op.stms[0].Metrics(); m != nil {
+			m.ReadOnlyNs.Observe(time.Since(t0).Nanoseconds())
+			m.Attempts.Observe(int64(tries))
+		}
+	}
 	op.release()
 	if sampled {
 		s.opHists[OpView].Observe(time.Since(t0).Nanoseconds())
 	}
 	return err
-}
-
-// viewTx runs fn as View's read-only transaction over the shards owning
-// keys.
-func (op *multiOp) viewTx(ctx context.Context, keys []string, fn func(*ViewTxn) error) error {
-	op.resolve(keys)
-	op.viewFn = fn
-	return stm.AtomicallyReadMultiCtx(ctx, op.stms, op.runView)
 }
 
 // Privatize fences the shards owning keys and returns the keys' raw

@@ -25,7 +25,9 @@ type Metrics struct {
 	CommitNs obs.Histogram
 
 	// ReadOnlyNs is the same distribution for the read-only entry points
-	// (AtomicallyRead and friends).
+	// (AtomicallyRead and friends). A caller that reads through a Snap in
+	// their place may record its own calls here and in Attempts (kv's
+	// View does).
 	ReadOnlyNs obs.Histogram
 
 	// Attempts is the distribution of attempts consumed per sampled

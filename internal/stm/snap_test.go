@@ -2,6 +2,7 @@ package stm
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -46,8 +47,11 @@ func TestEagerRollbackMovesWord(t *testing.T) {
 
 // TestSnapNoTornAcrossInstances: AtomicallyMulti transfers between a
 // Var on one instance and a TVar on another, beside Snap readers that
-// check the conserved sum on every valid snapshot. On global-lock every
-// read gives up, as the engine writes in place without touching words.
+// check the conserved sum on every valid snapshot, and bounded Snap
+// readers that check it as soon as both values are read, before Valid:
+// bounds taken before the first read make the snapshot opaque. On
+// global-lock every read gives up, as the engine writes in place
+// without touching words.
 func TestSnapNoTornAcrossInstances(t *testing.T) {
 	for _, e := range engines {
 		t.Run(e.String(), func(t *testing.T) {
@@ -57,16 +61,38 @@ func TestSnapNoTornAcrossInstances(t *testing.T) {
 			stms := []*STM{s1, s2}
 			read := func(sn *Snap) (int64, bool) {
 				defer sn.Reset()
-				av, ok := sn.Read(a)
+				av, ok := sn.Read(a, math.MaxUint64)
 				if !ok {
 					return 0, false
 				}
 				runtime.Gosched() // let a transfer land between the reads
-				bv, ok := SnapBox(sn, b)
+				bv, ok := SnapBox(sn, b, math.MaxUint64)
 				if !ok || !sn.Valid() {
 					return 0, false
 				}
 				return av + *bv, true
+			}
+			// readBounded fails the test on a torn pair before Valid.
+			readBounded := func(sn *Snap) bool {
+				defer sn.Reset()
+				ra, ok1 := sn.Bound(s1)
+				rb, ok2 := sn.Bound(s2)
+				if !ok1 || !ok2 {
+					return false
+				}
+				av, ok := sn.Read(a, ra)
+				if !ok {
+					return false
+				}
+				runtime.Gosched()
+				bv, ok := SnapBox(sn, b, rb)
+				if !ok {
+					return false
+				}
+				if sum := av + *bv; sum != 1000 {
+					t.Errorf("bounded snapshot saw a torn pair before Valid: sum = %d, want 1000", sum)
+				}
+				return sn.Valid()
 			}
 
 			iters := 300
@@ -112,6 +138,9 @@ func TestSnapNoTornAcrossInstances(t *testing.T) {
 								return
 							}
 						}
+						if readBounded(&sn) {
+							valid.Add(1)
+						}
 					}
 				}()
 			}
@@ -124,6 +153,9 @@ func TestSnapNoTornAcrossInstances(t *testing.T) {
 			sum, ok := read(&sn)
 			if ok != (e != GlobalLock) {
 				t.Fatalf("quiet snapshot valid = %v, want %v", ok, e != GlobalLock)
+			}
+			if ok := readBounded(&sn); ok != (e != GlobalLock) {
+				t.Fatalf("quiet bounded snapshot valid = %v, want %v", ok, e != GlobalLock)
 			}
 			if ok && sum != 1000 {
 				t.Fatalf("quiet snapshot sum = %d, want 1000", sum)
@@ -138,9 +170,10 @@ func TestSnapNoTornAcrossInstances(t *testing.T) {
 
 // TestSnapAccounting: a valid snapshot counts as a read-only commit on
 // each instance it read, and as a multi-instance commit when it read
-// several; a locked or moved word counts one conflict on its instance
-// and names the variable in the contention table; an engine that
-// cannot be read this way gives up without counting anything.
+// several — once per instance however many reads it made there; a
+// locked, moved or too-new word counts one conflict on its instance and
+// names the variable in the contention table; an engine that cannot be
+// read this way gives up without counting anything.
 func TestSnapAccounting(t *testing.T) {
 	type counts struct{ commits, ro, multi, conflicts uint64 }
 	of := func(s *STM) counts {
@@ -153,7 +186,7 @@ func TestSnapAccounting(t *testing.T) {
 
 	var sn Snap
 	for _, v := range []*Var{a, a2} {
-		if _, ok := sn.Read(v); !ok {
+		if _, ok := sn.Read(v, math.MaxUint64); !ok {
 			t.Fatal("Read gave up on a quiet lazy variable")
 		}
 	}
@@ -166,7 +199,7 @@ func TestSnapAccounting(t *testing.T) {
 	}
 
 	for _, v := range []*Var{a, b, a2} {
-		if _, ok := sn.Read(v); !ok {
+		if _, ok := sn.Read(v, math.MaxUint64); !ok {
 			t.Fatal("Read gave up on a quiet lazy variable")
 		}
 	}
@@ -184,7 +217,7 @@ func TestSnapAccounting(t *testing.T) {
 	// Locked: Read gives up and charges b.
 	m := b.meta.Load()
 	b.meta.Store(m | lockedBit)
-	if _, ok := sn.Read(b); ok {
+	if _, ok := sn.Read(b, math.MaxUint64); ok {
 		t.Fatal("Read accepted a locked word")
 	}
 	sn.Reset()
@@ -194,7 +227,7 @@ func TestSnapAccounting(t *testing.T) {
 	}
 
 	// Moved between the read and Valid: a commit in between.
-	if _, ok := sn.Read(b); !ok {
+	if _, ok := sn.Read(b, math.MaxUint64); !ok {
 		t.Fatal("Read gave up on a quiet variable")
 	}
 	if err := s2.Atomically(func(tx *Tx) error { tx.Write(b, 4); return nil }); err != nil {
@@ -212,10 +245,84 @@ func TestSnapAccounting(t *testing.T) {
 		t.Fatalf("contention = %+v, want b (id %d) twice", hot, b.ID())
 	}
 
+	// Too new: committed after the bound was taken.
+	bound, ok := sn.Bound(s2)
+	if !ok {
+		t.Fatal("Bound refused a lazy instance")
+	}
+	if _, ok := sn.Read(b, bound); !ok {
+		t.Fatal("Read under a fresh bound gave up on a quiet variable")
+	}
+	if err := s2.Atomically(func(tx *Tx) error { tx.Write(b, 5); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := sn.Read(b, bound); ok {
+		t.Fatal("Read accepted a word committed after its bound")
+	}
+	sn.Reset()
+	if got := of(s2); got.conflicts != 3 {
+		t.Fatalf("after a too-new read: %+v, want 3 conflicts", got)
+	}
+
+	// 256 reads over 16 instances: one commit of each kind on each,
+	// whether Valid finds the instances among the reads or the snapshot
+	// bounded them up front.
+	var many []*STM
+	var vars []*Var
+	for i := range 16 {
+		many = append(many, New())
+		for j := range 16 {
+			vars = append(vars, many[i].NewVar("v", int64(j)))
+		}
+	}
+	for round, bounded := range []bool{false, true} {
+		bounds := make([]uint64, len(many))
+		for i := range bounds {
+			bounds[i] = math.MaxUint64
+			if bounded {
+				bounds[i], _ = sn.Bound(many[i])
+			}
+		}
+		for j := range 16 {
+			for i := range 16 { // interleaved: no two reads in a row share an instance
+				if _, ok := sn.Read(vars[i*16+j], bounds[i]); !ok {
+					t.Fatal("Read gave up on a quiet variable")
+				}
+			}
+		}
+		if !sn.Valid() {
+			t.Fatal("quiet 256-read snapshot invalid")
+		}
+		sn.Reset()
+		n := uint64(round + 1)
+		for i, s := range many {
+			if got, want := of(s), (counts{n, n, n, 0}); got != want {
+				t.Fatalf("256 reads over 16 instances (bounded %v), instance %d: %+v, want %+v", bounded, i, got, want)
+			}
+		}
+	}
+
+	// A bounded snapshot counts on every instance it bounded, as a
+	// read-only transaction counts on every instance it spans.
+	p, q := New(), New()
+	pv := p.NewVar("p", 1)
+	pb, _ := sn.Bound(p)
+	sn.Bound(q)
+	if _, ok := sn.Read(pv, pb); !ok || !sn.Valid() {
+		t.Fatal("quiet bounded snapshot gave up")
+	}
+	sn.Reset()
+	if got, want := of(q), (counts{1, 1, 1, 0}); got != want {
+		t.Fatalf("bounded, not read: %+v, want %+v", got, want)
+	}
+
 	// Global-lock: silent give-up.
 	g := New(WithEngine(GlobalLock))
 	c := g.NewVar("c", 5)
-	if _, ok := sn.Read(c); ok {
+	if _, ok := sn.Bound(g); ok {
+		t.Fatal("Bound accepted a global-lock instance")
+	}
+	if _, ok := sn.Read(c, math.MaxUint64); ok {
 		t.Fatal("Read accepted a global-lock variable")
 	}
 	sn.Reset()
