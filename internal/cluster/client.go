@@ -16,9 +16,24 @@ import (
 	"modtx/internal/wal"
 )
 
-// readTimeout bounds frame reads; the primary pings every second, so
-// a silent connection this long is dead.
-const readTimeout = 15 * time.Second
+// readTimeout bounds each read from the primary's socket; the primary
+// pings every second, so a silent connection this long is dead. A
+// variable only so that a test can shorten it.
+var readTimeout = 15 * time.Second
+
+// deadlineReader arms conn's read deadline just before each read from
+// it. Under the client's bufio.Reader that is once per socket read, not
+// once per frame: a frame served from the buffer costs no syscall, and
+// a primary that goes silent — between frames or inside one — still
+// times out after readTimeout.
+type deadlineReader struct{ conn net.Conn }
+
+func (d deadlineReader) Read(p []byte) (int, error) {
+	if err := d.conn.SetReadDeadline(time.Now().Add(readTimeout)); err != nil {
+		return 0, err
+	}
+	return d.conn.Read(p)
+}
 
 // Client feeds a primary's stream into a kv.Replica, reconnecting with
 // backoff: every reconnect re-handshakes from the replica's current
@@ -144,26 +159,43 @@ func (c *Client) session(ctx context.Context) error {
 	)
 	// Buffered reads: frames are small and the catch-up path sends them
 	// in dense batches, so reading through a buffer collapses thousands
-	// of read syscalls; the per-frame deadline still applies to the
-	// underlying conn.
-	br := bufio.NewReaderSize(conn, 64<<10)
+	// of read syscalls, and the read deadline is armed once per socket
+	// read (deadlineReader), not once per frame.
+	br := bufio.NewReaderSize(deadlineReader{conn}, 64<<10)
 	// Records accumulate while more frames are already buffered and
 	// apply in one batch when the read would block (or at the cap):
 	// batch apply is what lets the replica merge catch-up runs into few
-	// local transactions instead of one per record.
+	// local transactions instead of one per record. The pending records'
+	// ops and values live in ops and vals, reused from batch to batch:
+	// ApplyRecords keeps neither (a Txn.Set copies its value).
 	const maxPending = 1024
-	var pending []wal.Record
+	var (
+		pending []wal.Record
+		ops     []wal.Op
+		vals    []byte
+	)
 	flush := func() error {
 		if len(pending) == 0 {
 			return nil
 		}
 		err := r.ApplyRecords(pending)
+		clear(pending)
 		pending = pending[:0]
+		clear(ops)
+		ops, vals = ops[:0], vals[:0]
 		return err
+	}
+	addOp := func(kind wal.Kind, key, val []byte, v int64) {
+		op := wal.Op{Kind: kind, Key: string(key), N: v}
+		if kind == wal.KindSet {
+			start := len(vals)
+			vals = append(vals, val...)
+			op.Val = vals[start:len(vals):len(vals)]
+		}
+		ops = append(ops, op)
 	}
 	var buf []byte
 	for {
-		conn.SetReadDeadline(time.Now().Add(readTimeout))
 		var f Frame
 		f, buf, err = ReadFrame(br, buf)
 		if err != nil {
@@ -175,11 +207,12 @@ func (c *Client) session(ctx context.Context) error {
 				return err
 			}
 		case FrameRecord:
-			rec, n, derr := wal.DecodeRecord(f.Payload)
+			start := len(ops)
+			seq, n, derr := wal.WalkRecord(f.Payload, addOp)
 			if derr != nil || n != len(f.Payload) {
 				return fmt.Errorf("%w: bad record frame", ErrProto)
 			}
-			pending = append(pending, rec)
+			pending = append(pending, wal.Record{Seq: seq, Ops: ops[start:len(ops):len(ops)]})
 			if len(pending) >= maxPending || br.Buffered() == 0 {
 				if aerr := flush(); aerr != nil {
 					// A gap means our cursor raced compaction; reconnecting

@@ -294,7 +294,7 @@ func (st *Streamer) stream(s *session, from uint64) error {
 			}
 			scanFrom := cursor
 			batch = batch[:0]
-			next, err := wal.ScanSegments(dir, cursor, func(rec wal.Record, raw []byte) error {
+			next, err := wal.ScanSegments(dir, cursor, func(_ uint64, raw []byte) error {
 				st.records.Add(1)
 				batch = AppendFrame(batch, FrameRecord, 0, raw)
 				if len(batch) >= catchupBatch {
@@ -360,25 +360,15 @@ func (st *Streamer) stream(s *session, from uint64) error {
 			if !ok {
 				break // dead: overflow, gap, or log/session close → re-catch-up
 			}
-			off := 0
-			for off < len(b) {
-				rec, n, derr := wal.DecodeRecord(b[off:])
-				if derr != nil {
-					s.track(nil)
-					f.Close()
-					return derr // a log batch is always whole records
-				}
-				if rec.Seq >= cursor {
-					if werr := s.writeFrame(FrameRecord, b[off:off+n]); werr != nil {
-						s.track(nil)
-						f.Close()
-						return werr
-					}
-					st.records.Add(1)
-					cursor = rec.Seq + 1
-					progressed = true
-				}
-				off += n
+			next, err := st.forward(s, b, cursor)
+			if next > cursor {
+				cursor = next
+				progressed = true
+			}
+			if err != nil {
+				s.track(nil)
+				f.Close()
+				return err
 			}
 			tail = b
 		}
@@ -396,15 +386,37 @@ func (st *Streamer) stream(s *session, from uint64) error {
 	return nil
 }
 
+// forward sends the records of one follower batch from cursor on, one
+// frame each, and returns the sequence after the last one sent. A log
+// batch is always whole records, so a record that fails wal.WalkRecord
+// ends the session. The walk builds nothing: forwarding a record
+// allocates nothing.
+func (st *Streamer) forward(s *session, b []byte, cursor uint64) (uint64, error) {
+	for off := 0; off < len(b); {
+		seq, n, err := wal.WalkRecord(b[off:], nil)
+		if err != nil {
+			return cursor, err
+		}
+		if seq >= cursor {
+			if err := s.writeFrame(FrameRecord, b[off:off+n]); err != nil {
+				return cursor, err
+			}
+			st.records.Add(1)
+			cursor = seq + 1
+		}
+		off += n
+	}
+	return cursor, nil
+}
+
 // sendSnapshot ships a snapshot: begin (with the sequence it is exact
-// at), its records re-encoded, end.
+// at), its records re-encoded, end — batched into catchupBatch writes,
+// as the segment catch-up is.
 func (st *Streamer) sendSnapshot(s *session, seq uint64, recs []wal.Record) error {
 	st.snapshots.Add(1)
 	var p [8]byte
 	binary.LittleEndian.PutUint64(p[:], seq)
-	if err := s.writeFrame(FrameSnapBegin, p[:]); err != nil {
-		return err
-	}
+	batch := AppendFrame(nil, FrameSnapBegin, 0, p[:])
 	var enc []byte
 	for _, rec := range recs {
 		var err error
@@ -412,9 +424,13 @@ func (st *Streamer) sendSnapshot(s *session, seq uint64, recs []wal.Record) erro
 		if err != nil {
 			return err
 		}
-		if err := s.writeFrame(FrameSnapRec, enc); err != nil {
-			return err
+		batch = AppendFrame(batch, FrameSnapRec, 0, enc)
+		if len(batch) >= catchupBatch {
+			if err := s.writeRaw(batch); err != nil {
+				return err
+			}
+			batch = batch[:0]
 		}
 	}
-	return s.writeFrame(FrameSnapEnd, nil)
+	return s.writeRaw(AppendFrame(batch, FrameSnapEnd, 0, nil))
 }

@@ -46,8 +46,9 @@ var ErrReplicaGap = errors.New("kv: record does not extend the replica's prefix 
 type Replica struct {
 	s *Store
 
-	mu  sync.Mutex // serializes the feeders
-	ops []wal.Op   // run scratch, guarded by mu
+	mu   sync.Mutex // serializes the feeders
+	ops  []wal.Op   // run scratch, guarded by mu
+	keys []string   // applyTxn's footprint scratch, guarded by mu
 
 	pos      atomic.Uint64 // applied primary LSN
 	applied  atomic.Uint64 // records applied
@@ -175,16 +176,15 @@ func hasDelete(ops []wal.Op) bool {
 
 // applyTxn replays one or more records' ops as ONE local transaction —
 // the idempotent replay: sets and counter-sets are absolute, deletes of
-// absent keys are no-ops.
+// absent keys are no-ops. Caller holds r.mu.
 func (r *Replica) applyTxn(ops []wal.Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	keys := make([]string, len(ops))
 	for i := range ops {
-		keys[i] = ops[i].Key
+		r.keys = append(r.keys, ops[i].Key)
 	}
-	return r.s.Update(keys, func(t *Txn) error {
+	err := r.s.Update(r.keys, func(t *Txn) error {
 		for i := range ops {
 			op := &ops[i]
 			switch op.Kind {
@@ -202,6 +202,9 @@ func (r *Replica) applyTxn(ops []wal.Op) error {
 		}
 		return nil
 	})
+	clear(r.keys)
+	r.keys = r.keys[:0]
+	return err
 }
 
 // Reset replaces the replica's state with a primary snapshot exact at

@@ -373,8 +373,14 @@ func TestReplicaFromPrimaryLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	apply := func(r *Replica) func(wal.Record, []byte) error {
-		return func(rec wal.Record, _ []byte) error { return r.ApplyRecords([]wal.Record{rec}) }
+	apply := func(r *Replica) func(uint64, []byte) error {
+		return func(seq uint64, raw []byte) error {
+			rec, n, err := wal.DecodeRecord(raw)
+			if err != nil || n != len(raw) || rec.Seq != seq {
+				return fmt.Errorf("raw bytes of %d: decoded seq %d, %d of %d bytes, %v", seq, rec.Seq, n, len(raw), err)
+			}
+			return r.ApplyRecords([]wal.Record{rec})
+		}
 	}
 	whole, err := NewReplica(WithShards(2))
 	if err != nil {

@@ -22,19 +22,21 @@ import (
 // back to a snapshot (LatestSnapshot) and resume from its sequence.
 var ErrCompacted = errors.New("wal: requested records compacted away")
 
-// ScanSegments streams every decodable record with seq >= fromSeq
-// from the segment files in dir, in sequence order, stopping at
-// the first defect (torn tail, gap, or checksum failure — on a live
-// log, the write frontier). fn receives the decoded record and its
-// raw encoded bytes (valid only during the call). It returns next,
-// the first sequence NOT streamed: fn was called for exactly
-// [fromSeq, next). next == fromSeq means nothing was available yet.
+// ScanSegments streams every valid record with seq >= fromSeq from
+// the segment files in dir, in sequence order, stopping at the first
+// defect (torn tail, gap, or any check WalkRecord makes — on a live
+// log, the write frontier). fn receives the record's sequence number
+// and its raw encoded bytes (valid only during the call); a scan
+// builds no record. It returns next, the first sequence NOT streamed:
+// fn was called for exactly [fromSeq, next). next == fromSeq means
+// nothing was available yet.
 //
 // Scanning is read-only and safe concurrently with the appender; a
-// partially visible in-flight write decodes as a short record and
-// ends the scan at that boundary. Segments are read through a buffer,
-// a record at a time, so a scan holds one record, not one segment.
-func ScanSegments(dir string, fromSeq uint64, fn func(rec Record, raw []byte) error) (next uint64, err error) {
+// partially visible in-flight write reads as a short record and ends
+// the scan at that boundary. Segments are read through one buffer, a
+// record at a time, so a scan holds one record, not one segment, and
+// allocates per segment, not per record.
+func ScanSegments(dir string, fromSeq uint64, fn func(seq uint64, raw []byte) error) (next uint64, err error) {
 	if fromSeq == 0 {
 		fromSeq = 1
 	}
@@ -65,7 +67,10 @@ func ScanSegments(dir string, fromSeq uint64, fn func(rec Record, raw []byte) er
 		return next, ErrCompacted
 	}
 	expected := segs[start].seq
-	var buf []byte
+	var (
+		r   *bufio.Reader
+		buf []byte
+	)
 	for _, sg := range segs[start:] {
 		if sg.seq != expected {
 			return next, nil // defect boundary: stop cleanly
@@ -74,24 +79,31 @@ func ScanSegments(dir string, fromSeq uint64, fn func(rec Record, raw []byte) er
 		if err != nil {
 			return next, err
 		}
-		r := bufio.NewReaderSize(f, 64<<10)
+		if r == nil {
+			r = bufio.NewReaderSize(f, 64<<10)
+		} else {
+			r.Reset(f)
+		}
 		hdr, herr := r.Peek(segHeaderLen)
 		clean := herr == nil && segHeaderOK(hdr, sg.seq)
 		if clean {
 			r.Discard(segHeaderLen)
 		}
 		for clean {
-			var rec Record
-			if buf, rec, err = readRecord(r, buf); err != nil || rec.Seq != expected {
+			var (
+				raw []byte
+				seq uint64
+			)
+			if raw, seq, err = readRecord(r, &buf); err != nil || seq != expected {
 				clean = err == io.EOF // the segment's end, not a defect
 				break
 			}
-			if rec.Seq >= fromSeq {
-				if err := fn(rec, buf); err != nil {
+			if seq >= fromSeq {
+				if err := fn(seq, raw); err != nil {
 					f.Close()
 					return next, err
 				}
-				next = rec.Seq + 1
+				next = seq + 1
 			}
 			expected++
 		}
@@ -103,27 +115,38 @@ func ScanSegments(dir string, fromSeq uint64, fn func(rec Record, raw []byte) er
 	return next, nil
 }
 
-// readRecord reads the next record from r into buf (grown as needed),
-// returning the bytes and the decoded record; io.EOF means r ended on a
-// record boundary.
-func readRecord(r *bufio.Reader, buf []byte) ([]byte, Record, error) {
+// readRecord reads the next record from r and checks it with
+// WalkRecord, returning its bytes and sequence number; io.EOF means r
+// ended on a record boundary. A record that fits r's buffer is checked
+// where it lies, without a copy; a larger one is read into *buf (grown
+// as needed). raw is valid until the next read from r or into *buf.
+func readRecord(r *bufio.Reader, buf *[]byte) (raw []byte, seq uint64, err error) {
 	hdr, err := r.Peek(recordHeaderSize)
 	if err == io.EOF && len(hdr) == 0 {
-		return buf, Record{}, io.EOF
+		return nil, 0, io.EOF
 	}
 	if err != nil {
-		return buf, Record{}, ErrShortRecord
+		return nil, 0, ErrShortRecord
 	}
 	plen := int(binary.LittleEndian.Uint32(hdr))
 	if plen < payloadHeaderSize || plen > MaxRecordSize {
-		return buf, Record{}, ErrCorrupt
+		return nil, 0, ErrCorrupt
 	}
-	buf = slices.Grow(buf[:0], recordHeaderSize+plen)[:recordHeaderSize+plen]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return buf, Record{}, ErrShortRecord
+	size := recordHeaderSize + plen
+	if size <= r.Size() {
+		if raw, err = r.Peek(size); err != nil {
+			return nil, 0, ErrShortRecord
+		}
+		r.Discard(size) // within what Peek buffered: moves the cursor, keeps raw
+	} else {
+		*buf = slices.Grow((*buf)[:0], size)[:size]
+		if _, err := io.ReadFull(r, *buf); err != nil {
+			return nil, 0, ErrShortRecord
+		}
+		raw = *buf
 	}
-	rec, _, err := DecodeRecord(buf)
-	return buf, rec, err
+	seq, _, err = WalkRecord(raw, nil)
+	return raw, seq, err
 }
 
 // LatestSnapshot loads the newest loadable snapshot in dir, returning

@@ -11,7 +11,9 @@ import (
 // never panic, never over-consume, and on success the record must
 // survive a re-encode/decode round trip. For canonical (current-
 // version) inputs the re-encode is byte-identical; a version-1 input
-// re-encodes as version 2 with the same meaning.
+// re-encodes as version 2 with the same meaning. WalkRecord, which
+// checks without building, must agree with DecodeRecord on every
+// input: the same error, or the same sequence and bytes consumed.
 func FuzzWALRecord(f *testing.F) {
 	// A valid record, for the round-trip arm of the property.
 	valid, err := AppendRecord(nil, 2, 77, []Op{
@@ -62,10 +64,20 @@ func FuzzWALRecord(f *testing.F) {
 	binary.LittleEndian.PutUint32(huge, 1<<30)
 	f.Add(huge)
 
+	// A CRC-valid record whose counter value is 7 bytes long.
+	f.Add(counterLen7(f, 5))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, n, err := DecodeRecord(data)
+		seq, wn, werr := WalkRecord(data, nil)
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("decode: %v, walk: %v", err, werr)
+		}
 		if err != nil {
 			return
+		}
+		if seq != rec.Seq || wn != n {
+			t.Fatalf("walk: seq %d, %d bytes; decode: seq %d, %d bytes", seq, wn, rec.Seq, n)
 		}
 		if n <= 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))

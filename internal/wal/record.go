@@ -195,74 +195,105 @@ func AppendRecord(dst []byte, shard uint32, seq uint64, ops []Op) ([]byte, error
 // the number of bytes consumed. The returned record does not alias b.
 // It returns ErrShortRecord when b ends inside the record (a torn
 // tail) and ErrCorrupt when the bytes are structurally or
-// checksum-invalid; it never panics, whatever the input.
+// checksum-invalid; it never panics, whatever the input. It is
+// WalkRecord plus building the ops, so the two accept and reject the
+// same bytes.
 func DecodeRecord(b []byte) (Record, int, error) {
+	var ops []Op
+	seq, n, err := WalkRecord(b, func(kind Kind, key, val []byte, v int64) {
+		if ops == nil {
+			// The first visit comes after the header's checks: size the
+			// ops once, capped by what the payload could possibly hold,
+			// so a hostile op count cannot force a large allocation.
+			plen := int(binary.LittleEndian.Uint32(b[0:4]))
+			nops := int(binary.LittleEndian.Uint16(b[recordHeaderSize+2:]))
+			ops = make([]Op, 0, min(nops, (plen-payloadHeaderSize)/opHeaderSize))
+		}
+		op := Op{Kind: kind, Key: string(key), N: v}
+		if kind == KindSet {
+			op.Val = append([]byte(nil), val...)
+		}
+		ops = append(ops, op)
+	})
+	if err != nil {
+		return Record{}, 0, err
+	}
+	shard := binary.LittleEndian.Uint32(b[recordHeaderSize+4:])
+	return Record{Shard: shard, Seq: seq, Ops: ops}, n, nil
+}
+
+// WalkRecord checks the record at the front of b without building it,
+// returning its commit sequence and the number of bytes it spans. It
+// makes every check DecodeRecord makes — length, checksum, version,
+// flags, op headers, counter and delete value lengths, trailing bytes —
+// with the same errors, and allocates nothing. visit, when not nil,
+// sees each op as the walk passes it: key and val alias b, val is nil
+// but for KindSet, and v is a counter's value. visit may have seen some
+// ops of a record that then fails; the caller drops them.
+func WalkRecord(b []byte, visit func(kind Kind, key, val []byte, v int64)) (seq uint64, size int, err error) {
 	if len(b) < recordHeaderSize {
-		return Record{}, 0, ErrShortRecord
+		return 0, 0, ErrShortRecord
 	}
 	plen := int(binary.LittleEndian.Uint32(b[0:4]))
 	if plen < payloadHeaderSize || plen > MaxRecordSize {
-		return Record{}, 0, fmt.Errorf("%w: payload length %d", ErrCorrupt, plen)
+		return 0, 0, fmt.Errorf("%w: payload length %d", ErrCorrupt, plen)
 	}
 	if len(b) < recordHeaderSize+plen {
-		return Record{}, 0, ErrShortRecord
+		return 0, 0, ErrShortRecord
 	}
 	p := b[recordHeaderSize : recordHeaderSize+plen]
 	if got, want := crc32.Checksum(p, crcTable), binary.LittleEndian.Uint32(b[4:8]); got != want {
-		return Record{}, 0, fmt.Errorf("%w: checksum %08x, want %08x", ErrCorrupt, got, want)
+		return 0, 0, fmt.Errorf("%w: checksum %08x, want %08x", ErrCorrupt, got, want)
 	}
 	// The checksum passed, so from here every failure is structural
 	// corruption written by a buggy or foreign encoder, not bit rot.
 	// Version 1 is the PR 7 format: the same layout.
 	if p[0] != 1 && p[0] != recordVersion {
-		return Record{}, 0, fmt.Errorf("%w: record version %d", ErrCorrupt, p[0])
+		return 0, 0, fmt.Errorf("%w: record version %d", ErrCorrupt, p[0])
 	}
 	if p[1] != 0 {
-		return Record{}, 0, fmt.Errorf("%w: record flags %#02x", ErrCorrupt, p[1])
+		return 0, 0, fmt.Errorf("%w: record flags %#02x", ErrCorrupt, p[1])
 	}
 	nops := int(binary.LittleEndian.Uint16(p[2:4]))
-	rec := Record{
-		Shard: binary.LittleEndian.Uint32(p[4:8]),
-		Seq:   binary.LittleEndian.Uint64(p[8:16]),
-		// Cap the pre-allocation by what the payload could possibly
-		// hold, so a hostile op count cannot force a large allocation.
-		Ops: make([]Op, 0, min(nops, (plen-payloadHeaderSize)/opHeaderSize)),
-	}
 	off := payloadHeaderSize
 	for i := 0; i < nops; i++ {
 		if off+opHeaderSize > plen {
-			return Record{}, 0, fmt.Errorf("%w: op %d header past payload end", ErrCorrupt, i)
+			return 0, 0, fmt.Errorf("%w: op %d header past payload end", ErrCorrupt, i)
 		}
 		kind := Kind(p[off])
 		klen := int(binary.LittleEndian.Uint16(p[off+2 : off+4]))
 		vlen := int(binary.LittleEndian.Uint32(p[off+4 : off+8]))
 		if !kind.valid() || p[off+1] != 0 {
-			return Record{}, 0, fmt.Errorf("%w: op %d header", ErrCorrupt, i)
+			return 0, 0, fmt.Errorf("%w: op %d header", ErrCorrupt, i)
 		}
 		off += opHeaderSize
 		if off+klen+vlen > plen || klen+vlen < 0 {
-			return Record{}, 0, fmt.Errorf("%w: op %d body past payload end", ErrCorrupt, i)
+			return 0, 0, fmt.Errorf("%w: op %d body past payload end", ErrCorrupt, i)
 		}
-		op := Op{Kind: kind, Key: string(p[off : off+klen])}
+		key := p[off : off+klen]
 		off += klen
+		var val []byte
+		var v int64
 		switch kind {
 		case KindSet:
-			op.Val = append([]byte(nil), p[off:off+vlen]...)
+			val = p[off : off+vlen]
 		case KindCounterAdd, KindCounterSet:
 			if vlen != 8 {
-				return Record{}, 0, fmt.Errorf("%w: op %d counter value length %d", ErrCorrupt, i, vlen)
+				return 0, 0, fmt.Errorf("%w: op %d counter value length %d", ErrCorrupt, i, vlen)
 			}
-			op.N = int64(binary.LittleEndian.Uint64(p[off : off+8]))
+			v = int64(binary.LittleEndian.Uint64(p[off : off+8]))
 		case KindDelete:
 			if vlen != 0 {
-				return Record{}, 0, fmt.Errorf("%w: op %d delete value length %d", ErrCorrupt, i, vlen)
+				return 0, 0, fmt.Errorf("%w: op %d delete value length %d", ErrCorrupt, i, vlen)
 			}
 		}
 		off += vlen
-		rec.Ops = append(rec.Ops, op)
+		if visit != nil {
+			visit(kind, key, val, v)
+		}
 	}
 	if off != plen {
-		return Record{}, 0, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, plen-off)
+		return 0, 0, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, plen-off)
 	}
-	return rec, recordHeaderSize + plen, nil
+	return binary.LittleEndian.Uint64(p[8:16]), recordHeaderSize + plen, nil
 }

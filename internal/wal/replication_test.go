@@ -140,10 +140,11 @@ func TestScanSegments(t *testing.T) {
 	writeChain(t, dir, 25)
 
 	var seen []uint64
-	next, err := ScanSegments(dir, 10, func(rec Record, raw []byte) error {
-		seen = append(seen, rec.Seq)
-		if len(raw) == 0 {
-			t.Fatal("empty raw bytes")
+	next, err := ScanSegments(dir, 10, func(seq uint64, raw []byte) error {
+		seen = append(seen, seq)
+		rec, n, err := DecodeRecord(raw)
+		if err != nil || n != len(raw) || rec.Seq != seq {
+			t.Fatalf("raw bytes of %d: decoded seq %d, %d of %d bytes, %v", seq, rec.Seq, n, len(raw), err)
 		}
 		return nil
 	})
@@ -154,7 +155,7 @@ func TestScanSegments(t *testing.T) {
 		t.Fatalf("scan from 10: next %d, seen %v", next, seen)
 	}
 	// From beyond the end: nothing, cleanly.
-	next, err = ScanSegments(dir, 26, func(Record, []byte) error {
+	next, err = ScanSegments(dir, 26, func(uint64, []byte) error {
 		t.Fatal("unexpected record")
 		return nil
 	})
@@ -162,7 +163,7 @@ func TestScanSegments(t *testing.T) {
 		t.Fatalf("scan from 26: next %d, %v", next, err)
 	}
 	// Empty dir: nothing, cleanly.
-	next, err = ScanSegments(t.TempDir(), 1, func(Record, []byte) error { return nil })
+	next, err = ScanSegments(t.TempDir(), 1, func(uint64, []byte) error { return nil })
 	if err != nil || next != 1 {
 		t.Fatalf("scan of empty dir: next %d, %v", next, err)
 	}
@@ -185,7 +186,7 @@ func TestScanSegmentsCompacted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ScanSegments(dir, 1, func(Record, []byte) error { return nil }); !errors.Is(err, ErrCompacted) {
+	if _, err := ScanSegments(dir, 1, func(uint64, []byte) error { return nil }); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("scan of compacted range: %v, want ErrCompacted", err)
 	}
 	seq, recs, err := LatestSnapshot(dir)

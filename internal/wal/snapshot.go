@@ -62,8 +62,8 @@ func WriteSnapshotFS(fsys FS, dir string, from, through uint64, ops []Op) error 
 		ops = ops[len(chunk):]
 	}
 	if through > from {
-		next, err := ScanSegments(dir, from+1, func(rec Record, raw []byte) error {
-			if rec.Seq > through {
+		next, err := ScanSegments(dir, from+1, func(seq uint64, raw []byte) error {
+			if seq > through {
 				return errTailDone
 			}
 			buf = append(buf, raw...)
