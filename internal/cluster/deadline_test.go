@@ -128,7 +128,9 @@ func TestClientTimesOutMidFrame(t *testing.T) {
 // A client that re-armed its deadline only when its buffer was empty
 // would never re-arm here, and would time out after one readTimeout.
 func TestClientSteadyStreamNoTimeout(t *testing.T) {
-	shortReadTimeout(t, 250*time.Millisecond)
+	// A full second, so that only a client that fails to re-arm times
+	// out, not one that a loaded host stalls for a moment.
+	shortReadTimeout(t, time.Second)
 	const stream = 3
 	frames := recordFrames(t, 200)
 	sentc := make(chan int, 1)

@@ -33,9 +33,9 @@ var ErrCompacted = errors.New("wal: requested records compacted away")
 //
 // Scanning is read-only and safe concurrently with the appender; a
 // partially visible in-flight write reads as a short record and ends
-// the scan at that boundary. Segments are read through one buffer, a
-// record at a time, so a scan holds one record, not one segment, and
-// allocates per segment, not per record.
+// the scan at that boundary. Segments are read through one reader, a
+// record at a time into one reused buffer, so a scan holds one record,
+// not one segment, and allocates per segment, not per record.
 func ScanSegments(dir string, fromSeq uint64, fn func(seq uint64, raw []byte) error) (next uint64, err error) {
 	if fromSeq == 0 {
 		fromSeq = 1
@@ -90,16 +90,13 @@ func ScanSegments(dir string, fromSeq uint64, fn func(seq uint64, raw []byte) er
 			r.Discard(segHeaderLen)
 		}
 		for clean {
-			var (
-				raw []byte
-				seq uint64
-			)
-			if raw, seq, err = readRecord(r, &buf); err != nil || seq != expected {
+			var seq uint64
+			if buf, seq, err = readRecord(r, buf); err != nil || seq != expected {
 				clean = err == io.EOF // the segment's end, not a defect
 				break
 			}
 			if seq >= fromSeq {
-				if err := fn(seq, raw); err != nil {
+				if err := fn(seq, buf); err != nil {
 					f.Close()
 					return next, err
 				}
@@ -115,38 +112,27 @@ func ScanSegments(dir string, fromSeq uint64, fn func(seq uint64, raw []byte) er
 	return next, nil
 }
 
-// readRecord reads the next record from r and checks it with
-// WalkRecord, returning its bytes and sequence number; io.EOF means r
-// ended on a record boundary. A record that fits r's buffer is checked
-// where it lies, without a copy; a larger one is read into *buf (grown
-// as needed). raw is valid until the next read from r or into *buf.
-func readRecord(r *bufio.Reader, buf *[]byte) (raw []byte, seq uint64, err error) {
+// readRecord reads the next record from r into buf (grown as needed)
+// and checks it with WalkRecord, returning the bytes and the record's
+// sequence number; io.EOF means r ended on a record boundary.
+func readRecord(r *bufio.Reader, buf []byte) ([]byte, uint64, error) {
 	hdr, err := r.Peek(recordHeaderSize)
 	if err == io.EOF && len(hdr) == 0 {
-		return nil, 0, io.EOF
+		return buf, 0, io.EOF
 	}
 	if err != nil {
-		return nil, 0, ErrShortRecord
+		return buf, 0, ErrShortRecord
 	}
 	plen := int(binary.LittleEndian.Uint32(hdr))
 	if plen < payloadHeaderSize || plen > MaxRecordSize {
-		return nil, 0, ErrCorrupt
+		return buf, 0, ErrCorrupt
 	}
-	size := recordHeaderSize + plen
-	if size <= r.Size() {
-		if raw, err = r.Peek(size); err != nil {
-			return nil, 0, ErrShortRecord
-		}
-		r.Discard(size) // within what Peek buffered: moves the cursor, keeps raw
-	} else {
-		*buf = slices.Grow((*buf)[:0], size)[:size]
-		if _, err := io.ReadFull(r, *buf); err != nil {
-			return nil, 0, ErrShortRecord
-		}
-		raw = *buf
+	buf = slices.Grow(buf[:0], recordHeaderSize+plen)[:recordHeaderSize+plen]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf, 0, ErrShortRecord
 	}
-	seq, _, err = WalkRecord(raw, nil)
-	return raw, seq, err
+	seq, _, err := WalkRecord(buf, nil)
+	return buf, seq, err
 }
 
 // LatestSnapshot loads the newest loadable snapshot in dir, returning
