@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestAtomicallyReadBasic(t *testing.T) {
@@ -245,5 +246,44 @@ func TestAtomicallyReadMultiDegenerate(t *testing.T) {
 	}
 	if err := AtomicallyReadMulti([]*STM{s, s}, func([]*ReadTx) error { return nil }); err != ErrDuplicateInstance {
 		t.Fatalf("duplicate instances: err=%v, want ErrDuplicateInstance", err)
+	}
+}
+
+// TestAtomicallyReadPanicReleasesInstance: a read-only body that panics
+// on a global-lock instance must leave the instance usable. A read-only
+// attempt that held the instance mutex, and let the panic escape
+// without releasing it, would hang every later transaction.
+func TestAtomicallyReadPanicReleasesInstance(t *testing.T) {
+	s := New(WithEngine(GlobalLock))
+	x := s.NewVar("x", 1)
+	type boom struct{}
+	func() {
+		defer func() {
+			if r := recover(); r != (boom{}) {
+				t.Fatalf("recovered %v, want the body's panic", r)
+			}
+		}()
+		s.AtomicallyRead(func(r *ReadTx) error {
+			r.Read(x)
+			panic(boom{})
+		})
+	}()
+	done := make(chan error, 1)
+	go func() {
+		done <- s.Atomically(func(tx *Tx) error {
+			tx.Write(x, 2)
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Atomically did not finish within 5 s after a read-only body panicked")
+	}
+	if got := x.Load(); got != 2 {
+		t.Fatalf("x = %d, want 2", got)
 	}
 }
