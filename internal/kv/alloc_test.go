@@ -90,8 +90,7 @@ var mgetSink map[string][]byte
 // result map (2 allocs/op for 8 keys; 3 when every MGet ran View, whose
 // body closure was the third): the snapshot scratch is pooled and the
 // values are the stored boxes. The reference builds the same map by
-// hand. Global-lock always takes View's transaction and is not pinned
-// here.
+// hand.
 func TestAllocsMGet(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -108,7 +107,7 @@ func TestAllocsMGet(t *testing.T) {
 		}
 		mgetSink = m
 	})
-	for _, e := range []stm.Engine{stm.Lazy, stm.Eager} {
+	for _, e := range stm.Engines() {
 		t.Run(e.String(), func(t *testing.T) {
 			s := allocStore(t, e)
 			for _, k := range keys {
@@ -135,8 +134,7 @@ func TestAllocsMGet(t *testing.T) {
 // CounterGet, counter Update and View over one shard and over two, and
 // the benchmark's audit, a View over 256 counters on 16 shards and on 128
 // — runs with no boxing, no formatting and no allocation. The Views run
-// their bounded snapshot on lazy and eager, and their read-only
-// transaction on global-lock.
+// their bounded snapshot on every engine.
 func TestAllocsCounterOps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -322,8 +323,8 @@ const checkpointBatch = 256
 
 // Checkpoint snapshots the store and compacts the log. It reads while
 // writers commit: it takes the LSN L under the feed lock before it reads
-// anything, reads every live key in short read-only transactions over
-// bounded batches, takes the LSN E reached when it is done, fsyncs the
+// anything, reads every live key in short snapshots (stm.Snap.Run), one
+// per bounded batch, takes the LSN E reached when it is done, fsyncs the
 // log through E, and installs one snapshot recording L and E and
 // carrying the records L+1..E (wal.WriteSnapshot) — each key was read as
 // of some commit between L and E, and replaying those records over what
@@ -388,26 +389,27 @@ func (s *Store) checkpoint() error {
 }
 
 // appendLive appends sh's live keys to ops in absolute form, reading
-// checkpointBatch entries per read-only transaction.
+// checkpointBatch entries per snapshot (see stm.Snap.Run).
 func (sh *shard) appendLive(ops []wal.Op) ([]wal.Op, error) {
 	batch := make([]*entry, 0, checkpointBatch)
-	read := func(r *stm.ReadTx) error {
-		for _, e := range batch {
-			switch _, b, n, st := e.readR(r); {
-			case st != live:
-			case e.isCounter():
-				ops = append(ops, wal.Op{Kind: wal.KindCounterSet, Key: e.key, N: n})
-			default:
-				ops = append(ops, wal.Op{Kind: wal.KindSet, Key: e.key, Val: b})
-			}
-		}
-		return nil
-	}
+	var sn stm.Snap
+	stms := []*stm.STM{sh.stm}
 	flush := func() error {
 		base := len(ops)
-		err := sh.stm.AtomicallyRead(func(r *stm.ReadTx) error {
-			ops = ops[:base] // only the committed attempt's reads count
-			return read(r)
+		err := sn.Run(context.Background(), stms, func(bounds []uint64) error {
+			ops = ops[:base] // only the reads of the attempt that stands count
+			for _, e := range batch {
+				switch b, n, st, ok := e.snap(&sn, bounds[0]); {
+				case !ok:
+					sn.GiveUp()
+				case st != live:
+				case e.isCounter():
+					ops = append(ops, wal.Op{Kind: wal.KindCounterSet, Key: e.key, N: n})
+				default:
+					ops = append(ops, wal.Op{Kind: wal.KindSet, Key: e.key, Val: b})
+				}
+			}
+			return nil
 		})
 		batch = batch[:0]
 		return err

@@ -19,13 +19,13 @@
 // as a single transaction two-phased across the shards touched via
 // stm.AtomicallyMulti with the shards in ascending index order, which
 // makes cross-shard commits deadlock-free and invisible in partial states
-// to consistent readers. Get, CounterGet and MGet run no transaction:
-// they load each key's lock word, value and word again (stm.Snap), and
-// fall back to a read-only transaction only when a commit holds a word
-// or the engine writes in place (global-lock). View runs its body over
-// the same kind of read, bounded by each shard's clock so that the body
-// itself never sees half a commit, and falls back to
-// stm.AtomicallyReadMulti. No read takes a write lock.
+// to consistent readers. Reads run no transaction. Get, CounterGet and
+// MGet first load each key's lock word, value and word again (stm.Snap)
+// with no bound; when that gives up, because a commit holds a word or
+// the entry is retired, they read again under stm.Snap.Run, which bounds
+// the read by each shard's clock and waits out a held word. View runs
+// its body under stm.Snap.Run from the start, so the body itself never
+// sees half a commit. No read takes a lock, on any engine.
 //
 // A key's whole lifecycle lives in one transactional word. An entry is
 // linked into its shard's table holding a distinguished absent value,
@@ -59,7 +59,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -203,9 +202,8 @@ func countState(n int64) state {
 	return state(n - nonCount)
 }
 
-// read and readR read e's word in a transaction and in a read-only one,
-// and return e, the word's content on its lane, and what that content
-// is. (Scalars, not a struct: these sit under every operation, and the
+// read reads e's word in a transaction, and returns e, the word's
+// content on its lane, and what that content is. (Scalars, not a struct: these sit under every operation, and the
 // copies a struct costs showed.)
 func (e *entry) read(tx *stm.Tx) (*entry, []byte, int64, state) {
 	if e.isCounter() {
@@ -213,15 +211,6 @@ func (e *entry) read(tx *stm.Tx) (*entry, []byte, int64, state) {
 		return e, nil, n, countState(n)
 	}
 	box := stm.ReadBox(tx, &e.b)
-	return e, *box, 0, bytesState(box)
-}
-
-func (e *entry) readR(r *stm.ReadTx) (*entry, []byte, int64, state) {
-	if e.isCounter() {
-		n := r.Read(e.c)
-		return e, nil, n, countState(n)
-	}
-	box := stm.ReadTVarBox(r, &e.b)
 	return e, *box, 0, bytesState(box)
 }
 
@@ -423,8 +412,7 @@ func newStore(c *config) *Store {
 	}
 	s.singleOps.New = func() any {
 		op := &singleOp{s: s}
-		op.getFn = op.runGet
-		op.cgetFn = op.runCounterGet
+		op.rereadFn = op.reread
 		op.setFn = op.runSet
 		op.addFn = op.runAdd
 		return op
@@ -434,7 +422,7 @@ func newStore(c *config) *Store {
 		op.fp.pos = make([]int32, len(s.shards))
 		op.fp.set = make([]uint64, (len(s.shards)+63)/64)
 		op.runUpdate = op.update
-		op.runView = op.viewBody
+		op.runView = op.viewAttempt
 		return op
 	}
 	return s
@@ -665,24 +653,6 @@ func (sh *shard) find(tx *stm.Tx, key string, h uint64) (e *entry, b []byte, n i
 	}
 }
 
-// findR is find in a read-only transaction.
-func (sh *shard) findR(r *stm.ReadTx, key string, h uint64) (e *entry, b []byte, n int64, st state) {
-	e = sh.lookup(key, h)
-	for {
-		if e != nil {
-			if _, b, n, st = e.readR(r); st != retired {
-				return e, b, n, st
-			}
-		}
-		r.Read(sh.kvers)
-		next := sh.lookup(key, h)
-		if next == e {
-			return e, nil, 0, absent
-		}
-		e = next
-	}
-}
-
 // findS is find in a snapshot whose reads of this shard are under bound:
 // ok false means the snapshot gave up.
 func (sh *shard) findS(sn *stm.Snap, key string, h, bound uint64) (e *entry, b []byte, n int64, st state, ok bool) {
@@ -762,16 +732,17 @@ type singleOp struct {
 	val   []byte // Set input (already copied) / Get output
 	delta int64  // CounterAdd input
 	n     int64  // CounterAdd / CounterGet output
-	ok    bool
+	e     *entry // the entry reread found, with st what its word held
+	st    state
 	clash *entry   // other-kind entry the last write attempt ran into (see clashed)
 	made  []*entry // entries the write attempts linked, collected should the write fail
 
-	getFn  func(*stm.ReadTx) error
-	cgetFn func(*stm.ReadTx) error
-	setFn  func(*stm.Tx) error
-	addFn  func(*stm.Tx) error
+	rereadFn func([]uint64) error
+	setFn    func(*stm.Tx) error
+	addFn    func(*stm.Tx) error
 
-	// snap is the scratch of the transaction-free read (see snapRead).
+	// snap is the scratch of the transaction-free reads (see snapRead
+	// and reread).
 	snap stm.Snap
 
 	// pend is the op's durability effect list (durable.go), attached to
@@ -789,24 +760,24 @@ type singleOp struct {
 func (op *singleOp) release() {
 	s := op.s
 	op.sh, op.key, op.val = nil, "", nil
-	op.delta, op.n, op.ok, op.clash = 0, 0, false, nil
+	op.delta, op.n, op.clash, op.e = 0, 0, nil, nil
 	clear(op.made)
 	op.made = op.made[:0]
 	op.pend.reset()
 	s.singleOps.Put(op)
 }
 
-func (op *singleOp) runGet(r *stm.ReadTx) error {
-	// Re-resolved per attempt: the table may have moved.
-	op.val, op.ok = value(op.sh.findR(r, op.key, op.h))
+// reread is the body Get and CounterGet run under stm.Snap.Run when
+// their first read gave up: it finds the key again under the shard's
+// bound (re-resolved per attempt: the table may have moved) and keeps
+// what it read in the op.
+func (op *singleOp) reread(bounds []uint64) error {
+	var ok bool
+	op.e, op.val, op.n, op.st, ok = op.sh.findS(&op.snap, op.key, op.h, bounds[0])
+	if !ok {
+		op.snap.GiveUp()
+	}
 	return nil
-}
-
-func (op *singleOp) runCounterGet(r *stm.ReadTx) error {
-	e, _, n, st := op.sh.findR(r, op.key, op.h)
-	var err error
-	op.n, op.ok, err = counter(op.key, e, n, st)
-	return err
 }
 
 // counter is CounterGet's result from what a read found in e.
@@ -820,9 +791,9 @@ func counter(key string, e *entry, n int64, st state) (int64, bool, error) {
 	return n, true, nil
 }
 
-// snapRead reads e's word with no transaction (see stm.Snap). ok false
-// sends the caller to its transaction: the snapshot gave up, or e is
-// retired and the key must be looked up again.
+// snapRead reads e's word with no transaction and no bound (see
+// stm.Snap). ok false sends the caller to reread: the snapshot gave up,
+// or e is retired and the key must be looked up again.
 func (op *singleOp) snapRead(e *entry) (b []byte, n int64, st state, ok bool) {
 	b, n, st, ok = e.snap(&op.snap, unbounded)
 	ok = ok && st != retired && op.snap.Valid()
@@ -874,9 +845,9 @@ func (op *singleOp) runAdd(tx *stm.Tx) error {
 // Get performs a linearizable read of one key (counters are formatted as
 // decimal). It loads the entry's lock word, the value and the word again
 // (see stm.Snap): no transaction, no clock read, no lock. When a commit
-// holds the word, the entry is retired, or the engine writes in place
-// without touching the word (global-lock), it runs a read-only
-// transaction instead. ok reports whether the key exists; a non-nil
+// holds the word or the entry is retired, it finds the key again under
+// stm.Snap.Run, which waits the holder out. ok reports whether the key
+// exists; a non-nil
 // error (retry-budget exhaustion) means the value could not be read and
 // val is meaningless. Steady-state Get of a bytes key performs no heap
 // allocation.
@@ -897,8 +868,8 @@ func (s *Store) Get(key string) (val []byte, ok bool, err error) {
 		s.singleOps.Put(op) // no operand was set: nothing to release
 	} else {
 		op.sh, op.key, op.h = sh, key, h
-		err = sh.stm.AtomicallyRead(op.getFn)
-		val, ok = op.val, op.ok
+		err = op.snap.Run(context.Background(), []*stm.STM{sh.stm}, op.rereadFn)
+		val, ok = value(op.e, op.val, op.n, op.st)
 		op.release()
 	}
 	if sampled {
@@ -910,10 +881,8 @@ func (s *Store) Get(key string) (val []byte, ok bool, err error) {
 	return val, ok, nil
 }
 
-// CounterGet reads a counter key the way Get reads any key: a
-// transaction-free read of the entry's word, or a read-only transaction
-// where that cannot be used. ok is false when the key is absent; a
-// bytes key returns ErrWrongType.
+// CounterGet reads a counter key the way Get reads any key. ok is false
+// when the key is absent; a bytes key returns ErrWrongType.
 func (s *Store) CounterGet(key string) (val int64, ok bool, err error) {
 	sh, h := s.route(key)
 	e := sh.lookup(key, h)
@@ -931,8 +900,9 @@ func (s *Store) CounterGet(key string) (val int64, ok bool, err error) {
 		s.singleOps.Put(op) // no operand was set: nothing to release
 	} else {
 		op.sh, op.key, op.h = sh, key, h
-		err = sh.stm.AtomicallyRead(op.cgetFn)
-		val, ok = op.n, op.ok
+		if err = op.snap.Run(context.Background(), []*stm.STM{sh.stm}, op.rereadFn); err == nil {
+			val, ok, err = counter(key, op.e, op.n, op.st)
+		}
 		op.release()
 	}
 	if sampled {
@@ -1023,10 +993,10 @@ func (s *Store) Delete(key string) (existed bool, err error) {
 
 // MGet reads the given keys at one instant across every shard touched,
 // taking no write locks. It reads every key's lock word, value and word
-// again with no transaction (see stm.Snap); a key with no entry is read
-// through its shard's keyspace version, as a transaction reads it. When
-// that snapshot gives up (a commit holds a word, or the engine cannot be
-// read this way) it runs View's read-only transaction instead. Missing
+// again with no transaction and no bound (see stm.Snap); a key with no
+// entry is read through its shard's keyspace version, as a transaction
+// reads it. When that snapshot gives up (a commit holds a word) it reads
+// the keys again as a View does, which waits the holder out. Missing
 // keys are omitted from the result; counters are formatted as decimal.
 // Its sampled latency is recorded as a View's.
 func (s *Store) MGet(keys ...string) (map[string][]byte, error) {
@@ -1039,16 +1009,17 @@ func (s *Store) MGet(keys ...string) (map[string][]byte, error) {
 	}
 	var err error
 	if !op.snapMGet(keys, out) {
-		// Its own snapshot gave up: no more snapshot tries.
-		_, err = op.read(context.Background(), keys, func(t *ViewTxn) error {
-			clear(out) // only the committed attempt's reads survive
+		op.resolve(keys)
+		op.viewFn = func(t *ViewTxn) error {
+			clear(out) // only the reads of the attempt that stands survive
 			for _, k := range keys {
 				if v, ok := t.Get(k); ok {
 					out[k] = v
 				}
 			}
 			return nil
-		}, 0)
+		}
+		err = op.snap.Run(context.Background(), op.stms, op.runView)
 	}
 	op.release()
 	if sampled {
@@ -1315,10 +1286,9 @@ type multiOp struct {
 	updateFn  func(*Txn) error     // the user's Update body
 	viewFn    func(*ViewTxn) error // the user's View body
 	runUpdate func([]*stm.Tx) error
-	runView   func([]*stm.ReadTx) error
+	runView   func([]uint64) error
 
-	snap   stm.Snap // MGet's and View's transaction-free read
-	bounds []uint64 // View's snapshot bounds, aligned with the shard set
+	snap stm.Snap // MGet's and View's transaction-free read
 
 	// tick is the latency-sampling tick; like singleOp's it survives
 	// release on purpose.
@@ -1367,79 +1337,11 @@ func (op *multiOp) update(txs []*stm.Tx) error {
 	return t.err
 }
 
-// viewBody runs the View body over the read-only transaction's handles.
-func (op *multiOp) viewBody(rtxs []*stm.ReadTx) error {
-	op.view = ViewTxn{s: op.s, fp: &op.fp, rtxs: rtxs}
-	return op.runViewFn()
-}
-
-// snapTries is how many times View runs its body over a bounded
-// snapshot before it takes the read-only transaction, which waits out a
-// held word instead of giving up: stm's count of yields before a park.
-const snapTries = 8
-
-// refused is the panic that ends a View body at a read its snapshot
-// refused (see ViewTxn.find); snapTry recovers it.
-type refused struct{}
-
-// read runs fn over the shards owning keys: over a bounded snapshot up
-// to tries times, checking ctx before each, then as a read-only
-// transaction. It returns the snapshot tries used, 0 when the
-// transaction ran. The engine decides too: global-lock cannot be read
-// by a snapshot, and goes straight to the transaction.
-func (op *multiOp) read(ctx context.Context, keys []string, fn func(*ViewTxn) error, tries int) (int, error) {
-	op.resolve(keys)
-	op.viewFn = fn
-	for try := 1; try <= tries && ctx.Err() == nil && op.bound(); try++ {
-		if stood, err := op.snapTry(); stood {
-			return try, err
-		}
-		runtime.Gosched() // as a conflicted transaction yields
-	}
-	return 0, stm.AtomicallyReadMultiCtx(ctx, op.stms, op.runView)
-}
-
-// bound loads every shard's snapshot bound, aligned with the shard set,
-// before the body's first read: that order is what keeps the body from
-// seeing half of a cross-shard commit (see stm.Snap). It reports false
-// when the engine cannot be read by a snapshot.
-func (op *multiOp) bound() bool {
-	op.bounds = op.bounds[:0]
-	for _, st := range op.stms {
-		b, ok := op.snap.Bound(st)
-		if !ok {
-			return false
-		}
-		op.bounds = append(op.bounds, b)
-	}
-	return true
-}
-
-// snapTry runs the View body once over a bounded snapshot and reports
-// whether the try stood: the body ran clean and the snapshot validated,
-// or the body returned an error, which is returned verbatim and
-// unvalidated, as a transaction returns it. A refused read ends the
-// body early and the try does not stand; any other panic passes
-// through.
-func (op *multiOp) snapTry() (stood bool, err error) {
-	defer op.snap.Reset()
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(refused); !ok {
-				panic(r)
-			}
-		}
-	}()
-	op.view = ViewTxn{s: op.s, fp: &op.fp, sn: &op.snap, bounds: op.bounds}
-	if err = op.runViewFn(); err != nil {
-		return true, err
-	}
-	return op.snap.Valid(), nil
-}
-
-// runViewFn runs the View body over op.view.
-func (op *multiOp) runViewFn() error {
+// viewAttempt runs the View body once over op.snap, under bounds
+// aligned with the shard set (see stm.Snap.Run).
+func (op *multiOp) viewAttempt(bounds []uint64) error {
 	op.fp.next = 0
+	op.view = ViewTxn{s: op.s, fp: &op.fp, sn: &op.snap, bounds: bounds}
 	t := &op.view
 	if err := op.viewFn(t); err != nil {
 		return err
@@ -1521,19 +1423,17 @@ func (s *Store) UpdateCtx(ctx context.Context, keys []string, fn func(*Txn) erro
 }
 
 // ViewTxn is the handle passed to View bodies: a consistent, read-only,
-// possibly cross-shard snapshot. It reads through a bounded stm.Snap
-// (every read refuses a word committed after the body began), or,
-// after the snapshot gave up, through a read-only transaction. Either
-// way the body is opaque: what it reads, at any point of any attempt,
-// is the committed state of one instant, so it never sees half of a
+// possibly cross-shard snapshot. It reads through a bounded stm.Snap:
+// every read refuses a word committed after the attempt began, so the
+// body is opaque. What it reads, at any point of any attempt, is the
+// committed state of one instant, so it never sees half of a
 // cross-shard commit. (A plain store into a privatized key is not a
 // commit; see View.)
 type ViewTxn struct {
 	s      *Store
-	fp     *footprint    // the call's declared keys and shard set
-	rtxs   []*stm.ReadTx // read-only handles, aligned with the shard set
-	sn     *stm.Snap     // the snapshot, when reading through one
-	bounds []uint64      // the snapshot's bounds, aligned with the shard set
+	fp     *footprint // the call's declared keys and shard set
+	sn     *stm.Snap
+	bounds []uint64 // the snapshot's bounds, aligned with the shard set
 	err    error
 }
 
@@ -1551,12 +1451,9 @@ func (t *ViewTxn) find(key string) (*entry, []byte, int64, state) {
 		t.fail(fmt.Errorf("kv: key %q is outside the view footprint", key))
 		return nil, nil, 0, absent
 	}
-	if t.sn == nil {
-		return sh.findR(t.rtxs[j], key, h)
-	}
 	e, b, n, st, ok := sh.findS(t.sn, key, h, t.bounds[j])
 	if !ok {
-		panic(refused{})
+		t.sn.GiveUp()
 	}
 	return e, b, n, st
 }
@@ -1582,27 +1479,24 @@ func (t *ViewTxn) Counter(key string) (int64, bool) {
 // view's footprint), consistent across shards and opaque: what fn
 // reads is the committed state of one instant, on every attempt,
 // including ones that are thrown away. fn reads through a stm.Snap,
-// with no transaction: each shard's bound is loaded before the first
-// read, a read gives up on a held word or one committed after its
-// shard's bound, and the snapshot validates once, after fn. A View
-// takes no lock and no quiescence slot, so Privatize's fence does not
-// wait for one: an attempt may read a privatized key's plain store
-// beside the flag from before the fence, but the commit that moved the
-// flag fails that attempt's validation, so View never returns it. After
-// snapTries snapshots gave up — or at once on global-lock, which writes
-// in place — fn runs as one read-only transaction that waits out held
-// words (see stm.AtomicallyReadMulti). fn may read any key routed to a
-// declared shard; it may be re-executed and must be pure. An error it
-// returns is returned as is. As in Update, a body that reads the
-// declared keys in declared order hashes none of them again.
+// with no transaction, under stm.Snap.Run: each shard's bound is loaded
+// before the attempt's first read, a read gives up on a held word or
+// one committed after its shard's bound, and the snapshot validates
+// once, after fn. A word committed after the bound retries fn at once;
+// a held word retries it a few times and then parks on the word until
+// the holder releases it. A View takes no lock and no quiescence slot,
+// so Privatize's fence does not wait for one: an attempt may read a
+// privatized key's plain store beside the flag from before the fence,
+// but the commit that moved the flag fails that attempt's validation,
+// so View never returns it. fn may read any key routed to a declared
+// shard; it may be re-executed and must be pure. An error it returns is
+// returned as is. As in Update, a body that reads the declared keys in
+// declared order hashes none of them again.
 func (s *Store) View(keys []string, fn func(*ViewTxn) error) error {
 	return s.ViewCtx(context.Background(), keys, fn)
 }
 
-// ViewCtx is View honoring ctx before each snapshot and between the
-// transaction's retry attempts. A sampled View whose snapshot stood
-// records its latency and its tries in the lead shard's stm.Metrics, as
-// the read-only transaction records its own.
+// ViewCtx is View honoring ctx between attempts and while parked.
 func (s *Store) ViewCtx(ctx context.Context, keys []string, fn func(*ViewTxn) error) error {
 	op := s.multiOps.Get().(*multiOp)
 	var t0 time.Time
@@ -1610,13 +1504,9 @@ func (s *Store) ViewCtx(ctx context.Context, keys []string, fn func(*ViewTxn) er
 	if sampled {
 		t0 = time.Now()
 	}
-	tries, err := op.read(ctx, keys, fn, snapTries)
-	if tries > 0 && sampled && len(op.stms) > 0 {
-		if m := op.stms[0].Metrics(); m != nil {
-			m.ReadOnlyNs.Observe(time.Since(t0).Nanoseconds())
-			m.Attempts.Observe(int64(tries))
-		}
-	}
+	op.resolve(keys)
+	op.viewFn = fn
+	err := op.snap.Run(ctx, op.stms, op.runView)
 	op.release()
 	if sampled {
 		s.opHists[OpView].Observe(time.Since(t0).Nanoseconds())

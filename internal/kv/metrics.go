@@ -77,8 +77,9 @@ func (s *Store) OpLatency(op Op) obs.Snapshot {
 func (s *Store) MetricsEnabled() bool { return s.opHists != nil }
 
 // StmLatencies is the union of every shard's STM-level distributions:
-// commit and read-only transaction latency, attempts per committed
-// transaction, and park duration (see stm.Metrics).
+// commit latency, read-only latency (stm.Snap.Run: every View, and each
+// Get, CounterGet, MGet or checkpoint batch that it ran), attempts per
+// committed call, and park duration (see stm.Metrics).
 type StmLatencies struct {
 	CommitNs   obs.Snapshot `json:"commit_ns"`
 	ReadOnlyNs obs.Snapshot `json:"read_only_ns"`

@@ -338,8 +338,8 @@ func TestFootprintConcurrent(t *testing.T) {
 	}
 }
 
-// audit sums every account by one View, or by one MGet (whose fallback,
-// when a commit holds a word, is View's transaction).
+// audit sums every account by one View, or by one MGet (which, when a
+// commit holds a word, reads again as View does).
 func audit(s *Store, accts []string, view bool) (int64, error) {
 	var sum int64
 	if view {

@@ -180,9 +180,9 @@ func TestMGetBesideTwoShardTransfer(t *testing.T) {
 }
 
 // TestReadsOnGlobalLockMatchTransactions: global-lock writes in place
-// and leaves the words alone until commit, so Get, CounterGet and MGet
-// always take the transaction there. They return what View returns,
-// wait out a writer held mid-body, and count no conflict for giving up.
+// under a locked word, so Get, CounterGet and MGet read it as they read
+// the other engines. They return what View returns, count no conflict
+// on a quiet store, and wait out a writer held mid-body.
 func TestReadsOnGlobalLockMatchTransactions(t *testing.T) {
 	s := New(WithShards(4), WithEngine(stm.GlobalLock))
 	if err := s.Set("bytes", []byte("v")); err != nil {

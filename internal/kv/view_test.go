@@ -189,12 +189,12 @@ func TestViewConsistentAcrossShards(t *testing.T) {
 	}
 }
 
-// The snapshot View: its body reads through a bounded stm.Snap, takes
-// no quiescence slot, and falls back to a read-only transaction. These
-// tests pin what that must keep from the transaction: the body itself
-// never sees half a commit, a fence that no longer waits for the View
-// still cannot hand it a privatized value beside the flag that
-// published it, and a held word sends it to the transaction.
+// The snapshot View: its body reads through a bounded stm.Snap under
+// stm.Snap.Run and takes no quiescence slot. These tests pin what that
+// must keep from a transaction: the body itself never sees half a
+// commit, a fence that does not wait for the View still cannot hand it
+// a privatized value beside the flag that published it, and a held
+// word is waited out.
 
 // nameOnShard returns a key with prefix that routes to shard i.
 func nameOnShard(s *Store, prefix string, i int) string {
@@ -250,9 +250,9 @@ func TestViewOpaqueAcrossShards(t *testing.T) {
 					}
 				}()
 			}
-			// Views run while the transfers do (a View that falls back may
-			// wait for them to stop: its transaction retries a too-new
-			// read at once), and once more after.
+			// Views run while the transfers do (a View may wait for them
+			// to stop: it retries a too-new read at once), and once more
+			// after.
 			stop := make(chan struct{})
 			var viewers sync.WaitGroup
 			for range 2 {
@@ -295,11 +295,10 @@ func TestViewOpaqueAcrossShards(t *testing.T) {
 // goroutine commits flag = private, privatizes x and stores into it
 // plainly. The View must return (public, old x) or (private, new x),
 // never the flag from before the fence beside the value from after it.
-// On the snapshot engines the privatizer finishes while the body waits
-// — Quiesce does not wait for a View, which holds no slot — so it is
+// On every engine the privatizer finishes while the body waits —
+// Quiesce does not wait for a View, which holds no slot — so it is
 // Valid, finding the flag's word moved, that throws the first attempt
-// away. On global-lock the View's transaction holds the shards, the
-// privatizer waits for it, and the View returns (public, old x).
+// away.
 func TestViewPrivatizeSnapshot(t *testing.T) {
 	for _, e := range kvEngines {
 		t.Run(e.String(), func(t *testing.T) {
@@ -349,105 +348,130 @@ func TestViewPrivatizeSnapshot(t *testing.T) {
 			if got != "public,old" && got != "private,new" {
 				t.Fatalf("View returned (%s) after %d attempts: the flag and x from opposite sides of the fence", got, attempts)
 			}
-			if snapshots := e != stm.GlobalLock; finished != snapshots {
-				t.Fatalf("privatizer finished inside the View's first attempt = %v, want %v", finished, snapshots)
-			}
 			if !finished {
-				if err := <-done; err != nil {
-					t.Fatal(err)
-				}
+				t.Fatal("privatizer did not finish inside the View's first attempt")
 			}
 			t.Logf("(%s) after %d attempts", got, attempts)
 		})
 	}
 }
 
-// TestViewSnapshotFallback: a word held across the body — by a lazy
-// commit in its write-back, an eager rollback, or (global-lock) a writer
-// stopped mid-body — sends the View to its read-only transaction, which
-// waits the holder out and returns committed values; the snapshot
-// engines first give up snapTries times, one conflict each. A panic in
-// the body passes through View unchanged, and an error the body returns
-// comes back as is, without validating the snapshot it read.
+// TestViewSnapshotFallback: a word held across a read — by a lazy
+// commit in its write-back, an eager rollback, or a global-lock writer
+// stopped mid-body — makes every read of the store (Get, CounterGet,
+// MGet and View) wait the holder out, parked on the word, and return
+// committed values. A panic in a View body passes through View
+// unchanged, and an error the body returns comes back as is, without
+// validating the snapshot it read.
 func TestViewSnapshotFallback(t *testing.T) {
-	for _, e := range kvEngines {
-		t.Run(e.String(), func(t *testing.T) {
-			s := New(WithShards(4), WithEngine(e))
-			key, far := twoShardNames(t, s, "fb")
-			if err := s.MSet(map[string][]byte{key: []byte("old"), far: []byte("far")}); err != nil {
-				t.Fatal(err)
-			}
-			inst := s.ShardSTM(s.ShardOf(key))
-			h, g := newHold(), newGate()
-			errAbort := errors.New("abort")
-			want := "old"
-			upd := make(chan error, 1)
-			switch e {
-			case stm.Lazy: // a committing Set, held in its write-back
-				inst.WritebackDelay = h.hook
-				want = "new"
-				go func() { upd <- s.Set(key, []byte("new")) }()
-				<-h.held
-			case stm.Eager: // a failing Update, held in its rollback
-				inst.RollbackDelay = h.hook
-				go func() {
-					upd <- s.Update([]string{key}, func(t *Txn) error {
-						t.Set(key, []byte("spec"))
-						return errAbort
-					})
-				}()
-				<-h.held
-			default: // a failing Update, stopped mid-body
-				go func() {
-					upd <- s.Update([]string{key}, func(t *Txn) error {
-						t.Set(key, []byte("spec"))
-						g.pass()
-						return errAbort
-					})
-				}()
-				<-g.entered
-			}
-			base := inst.Snapshot().Conflicts
-			got := make(chan string, 1)
-			go func() {
-				var k, f []byte
-				err := s.View([]string{key, far}, func(v *ViewTxn) error {
-					k, _ = v.Get(key)
-					f, _ = v.Get(far)
-					return nil
-				})
-				got <- fmt.Sprintf("%s %s %v", k, f, err)
-			}()
-			yields := 0
-			waitHeld(t, got, func() bool {
-				if e == stm.GlobalLock {
-					yields++
-					return yields > 100
-				}
-				// Every snapshot refused, then the transaction's park.
-				return inst.Snapshot().Conflicts >= base+snapTries+1
+	reads := []struct {
+		name string
+		run  func(s *Store, key, ctr, far string) string
+		want func(val string, n int64) string
+	}{
+		{"Get", func(s *Store, key, _, _ string) string {
+			v, ok, err := s.Get(key)
+			return fmt.Sprintf("%s %v %v", v, ok, err)
+		}, func(val string, _ int64) string { return val + " true <nil>" }},
+		{"CounterGet", func(s *Store, _, ctr, _ string) string {
+			n, ok, err := s.CounterGet(ctr)
+			return fmt.Sprintf("%d %v %v", n, ok, err)
+		}, func(_ string, n int64) string { return fmt.Sprintf("%d true <nil>", n) }},
+		{"MGet", func(s *Store, key, ctr, far string) string {
+			m, err := s.MGet(key, ctr, far)
+			return fmt.Sprintf("%s %s %s %v", m[key], m[ctr], m[far], err)
+		}, func(val string, n int64) string { return fmt.Sprintf("%s %d far <nil>", val, n) }},
+		{"View", func(s *Store, key, ctr, far string) string {
+			var k, c, f []byte
+			err := s.View([]string{key, ctr, far}, func(v *ViewTxn) error {
+				k, _ = v.Get(key)
+				c, _ = v.Get(ctr)
+				f, _ = v.Get(far)
+				return nil
 			})
-			close(h.release)
-			close(g.open)
-			if err := <-upd; err != nil && !errors.Is(err, errAbort) {
+			return fmt.Sprintf("%s %s %s %v", k, c, f, err)
+		}, func(val string, n int64) string { return fmt.Sprintf("%s %d far <nil>", val, n) }},
+	}
+	for _, e := range kvEngines {
+		for _, rd := range reads {
+			t.Run(e.String()+"/"+rd.name, func(t *testing.T) {
+				s := New(WithShards(4), WithEngine(e))
+				key, far := twoShardNames(t, s, "fb")
+				ctr := sameShardName(s, key, "fbc")
+				if err := s.MSet(map[string][]byte{key: []byte("old"), far: []byte("far")}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.CounterAdd(ctr, 1); err != nil {
+					t.Fatal(err)
+				}
+				inst := s.ShardSTM(s.ShardOf(key))
+				h, g := newHold(), newGate()
+				errAbort := errors.New("abort")
+				val, n := "old", int64(1)
+				upd := make(chan error, 1)
+				write := func(t *Txn) {
+					t.Set(key, []byte("spec"))
+					t.Add(ctr, 1)
+				}
+				switch e {
+				case stm.Lazy: // a committing Update, held in its write-back
+					inst.WritebackDelay = h.hook
+					val, n = "spec", 2
+					go func() {
+						upd <- s.Update([]string{key, ctr}, func(t *Txn) error {
+							write(t)
+							return nil
+						})
+					}()
+					<-h.held
+				case stm.Eager: // a failing Update, held in its rollback
+					inst.RollbackDelay = h.hook
+					go func() {
+						upd <- s.Update([]string{key, ctr}, func(t *Txn) error {
+							write(t)
+							return errAbort
+						})
+					}()
+					<-h.held
+				default: // a failing Update, stopped mid-body
+					go func() {
+						upd <- s.Update([]string{key, ctr}, func(t *Txn) error {
+							write(t)
+							g.pass()
+							return errAbort
+						})
+					}()
+					<-g.entered
+				}
+				base := inst.Snapshot().Waits
+				got := make(chan string, 1)
+				go func() { got <- rd.run(s, key, ctr, far) }()
+				waitHeld(t, got, func() bool { return inst.Snapshot().Waits > base })
+				close(h.release)
+				close(g.open)
+				if err := <-upd; err != nil && !errors.Is(err, errAbort) {
+					t.Fatal(err)
+				}
+				if r, w := <-got, rd.want(val, n); r != w {
+					t.Fatalf("%s = %s, want %s", rd.name, r, w)
+				}
+			})
+		}
+		t.Run(e.String()+"/body", func(t *testing.T) {
+			s := New(WithShards(4), WithEngine(e))
+			key := "fb"
+			if err := s.Set(key, []byte("old")); err != nil {
 				t.Fatal(err)
 			}
-			if r, w := <-got, want+" far <nil>"; r != w {
-				t.Fatalf("View = %s, want %s", r, w)
-			}
-
 			// A body error comes back as is, from the first run, though
-			// the word it read moved before it returned. (Not on
-			// global-lock, whose View holds the shard the Set needs.)
+			// the word it read moved before it returned.
 			runs := 0
 			errBody := errors.New("body")
 			err := s.View([]string{key}, func(v *ViewTxn) error {
 				runs++
 				v.Get(key)
-				if e != stm.GlobalLock {
-					if err := s.Set(key, []byte(fmt.Sprint(runs))); err != nil {
-						return err
-					}
+				if err := s.Set(key, []byte(fmt.Sprint(runs))); err != nil {
+					return err
 				}
 				return errBody
 			})
@@ -455,8 +479,8 @@ func TestViewSnapshotFallback(t *testing.T) {
 				t.Fatalf("View = %v after %d runs, want the body's error after 1", err, runs)
 			}
 
-			// A panic in the body passes through unchanged. (Last: on
-			// global-lock, the transaction it escapes keeps its shard.)
+			// A panic in the body passes through unchanged, and leaves
+			// the shard to its writers.
 			type boom struct{}
 			func() {
 				defer func() {
@@ -470,6 +494,9 @@ func TestViewSnapshotFallback(t *testing.T) {
 				})
 				t.Fatal("View returned after its body panicked")
 			}()
+			if err := s.Set(key, []byte("after")); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }

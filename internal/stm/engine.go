@@ -26,7 +26,9 @@ const (
 // engine is the seam behind the transactional protocol: one read and one
 // write hook per location (a loc, Var and TVar[T] alike) plus the
 // lock/validate/commit/rollback phases. A Snap reads outside any
-// transaction and needs no hook, only the snapshots property. Tx owns the shared attempt state
+// transaction and needs no hook: on every engine a location's value
+// changes only while its word is locked, and every lock episode that
+// changed the value ends on a different word. Tx owns the shared attempt state
 // (read set, write set, undo log, lock tables); an engine is a stateless
 // strategy over that state, so implementations are value types and one
 // instance serves every transaction of an STM.
@@ -74,12 +76,6 @@ type engine interface {
 	// version words are visible before any waiter is signaled, and only
 	// when the instance has registered waiters.
 	wakeSet(tx *Tx, f func(*varBase))
-
-	// snapshots reports whether a Snap may read the engine's locations
-	// with no transaction: a location's value changes only while its
-	// word is locked, and every lock episode that changed the value ends
-	// on a different word.
-	snapshots() bool
 }
 
 // engineInfo is one registry row.

@@ -80,10 +80,6 @@ func (eagerEngine) commit(tx *Tx) {
 	// The lock table and undo log are dropped by the Tx reset.
 }
 
-// snapshots holds: values change in place only under encounter locks,
-// and both commit and rollback release them with a fresh version.
-func (eagerEngine) snapshots() bool { return true }
-
 func (eagerEngine) rollback(tx *Tx) {
 	s := tx.s
 	if s.RollbackDelay != nil && len(tx.undo) > 0 {

@@ -74,11 +74,6 @@ func (lazyEngine) commit(tx *Tx) {
 	tx.lockedMeta = tx.lockedMeta[:0]
 }
 
-// snapshots holds: values change only in commit, under the commit-time
-// locks, which release with a fresh version; a lock backed out before
-// commit restores its word but changed nothing.
-func (lazyEngine) snapshots() bool { return true }
-
 func (lazyEngine) rollback(tx *Tx) {
 	// Nothing was published; the buffers are dropped by the Tx reset.
 }

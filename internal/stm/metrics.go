@@ -24,14 +24,14 @@ type Metrics struct {
 	// commits account to the lead (first) instance.
 	CommitNs obs.Histogram
 
-	// ReadOnlyNs is the same distribution for the read-only entry points
-	// (AtomicallyRead and friends). A caller that reads through a Snap in
-	// their place may record its own calls here and in Attempts (kv's
-	// View does).
+	// ReadOnlyNs is the same distribution for the read-only loop,
+	// Snap.Run: AtomicallyRead and friends, and every caller of Run
+	// (kv's View, and its reads whose first snapshot gave up). A Snap
+	// read outside Run records nothing here.
 	ReadOnlyNs obs.Histogram
 
 	// Attempts is the distribution of attempts consumed per sampled
-	// committed transaction (1 = first try committed).
+	// committed transaction or standing Run (1 = first try stood).
 	Attempts obs.Histogram
 
 	// ParkNs is the distribution of park durations (ns) in the

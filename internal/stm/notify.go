@@ -123,19 +123,21 @@ func (w *waiter) captureTx(tx *Tx) {
 		w.entries = append(w.entries, readEntry{vb: tx.conflictVB, meta: tx.conflictMeta})
 	}
 	for i := range tx.writes {
-		w.captureWriteTarget(tx, tx.writes[i].l.base())
+		// A write target this attempt locked is recorded with its
+		// pre-lock word (a validation-failure abort), any other with
+		// the visible word.
+		vb := tx.writes[i].l.base()
+		m, ok := tx.lockedMetaFor(vb)
+		if !ok {
+			m = vb.meta.Load()
+		}
+		w.entries = append(w.entries, readEntry{vb: vb, meta: m})
 	}
-	// Encounter-time lock table (eager): pre-lock words are recorded in
-	// the entries themselves. The eager undo log's locations are a
-	// subset of locked, so they are covered; when locked is empty the
-	// undo log holds the global-lock engine's write targets.
+	// Encounter-time lock table (eager, global-lock): pre-lock words are
+	// recorded in the entries themselves. The undo log's locations are a
+	// subset of locked, so they are covered.
 	for i := range tx.locked {
 		w.entries = append(w.entries, readEntry{vb: tx.locked[i].vb, meta: tx.locked[i].meta})
-	}
-	if len(tx.locked) == 0 {
-		for i := range tx.undo {
-			w.captureWriteTarget(tx, tx.undo[i].l.base())
-		}
 	}
 }
 
@@ -171,17 +173,6 @@ func (w *waiter) abortInto(txs []*Tx) {
 		w.rebase(tx)
 	}
 	finishAll(txs)
-}
-
-// captureWriteTarget records vb with its pre-lock word when this attempt
-// holds vb's commit-time lock (validation-failure abort path), else with
-// the currently visible word.
-func (w *waiter) captureWriteTarget(tx *Tx, vb *varBase) {
-	m, ok := tx.lockedMetaFor(vb)
-	if !ok {
-		m = vb.meta.Load()
-	}
-	w.entries = append(w.entries, readEntry{vb: vb, meta: m})
 }
 
 // register inserts the waiter into every captured variable's bucket.

@@ -132,7 +132,7 @@ func TestTL2InvisibleReadOnly(t *testing.T) {
 		if err := s.AtomicallyRead(func(r *ReadTx) error {
 			_ = r.Read(x)
 			_ = r.Read(y)
-			recorded = len(r.tx.reads)
+			recorded = len(r.sn.reads)
 			return nil
 		}); err != nil {
 			t.Fatal(err)

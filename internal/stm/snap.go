@@ -1,6 +1,10 @@
 package stm
 
-import "slices"
+import (
+	"context"
+	"slices"
+	"time"
+)
 
 // Snap reads locations without a transaction: a double collect over
 // their lock words. Read and SnapBox load a location's word (giving up
@@ -12,6 +16,14 @@ import "slices"
 // linearizable read of them all. No quiescence slot, Tx or read set is
 // used, so a snapshot takes no part in Quiesce: it writes nothing a
 // fence would have to wait out.
+//
+// This holds on every engine, because each one changes a location's
+// value only while the location's word is locked, and ends every lock
+// episode that changed the value on a different word: lazy writes back
+// under its commit-time locks, eager writes in place under its
+// encounter-time locks, global-lock takes the same encounter-time locks
+// under its instance mutex, and commit and rollback both release at a
+// fresh version from the clock.
 //
 // Each read also takes a bound: a read gives up on a word whose version
 // is above it, as a transaction's read gives up on a word newer than
@@ -34,28 +46,28 @@ import "slices"
 // (see Valid). One that takes none passes math.MaxUint64.
 //
 // A read that reports false ends the snapshot: the word was locked (a
-// commit is in flight, counted as a conflict on the location's
-// instance), newer than the bound (counted the same way), or the
-// instance's engine cannot be read this way, and the caller takes a
-// transaction instead. A Snap may span instances; Reset readies it for
-// reuse, keeping its capacity. A Snap is not safe for concurrent use.
+// commit is in flight) or newer than the bound, counted either way as a
+// conflict on the location's instance. Run is the loop that retries
+// such a snapshot, waiting out a held word. A Snap may span instances;
+// Reset readies it for reuse, keeping its capacity. A Snap is not safe
+// for concurrent use.
 type Snap struct {
-	reads   []readEntry
-	owners  []*STM // the distinct instances: the bounded ones, or those read
-	bounded bool   // owners was built by Bound
+	reads  []readEntry
+	owners []*STM    // the distinct instances: the bounded ones, or those read
+	bounds []uint64  // the bounds Bound returned, aligned with owners
+	held   readEntry // the locked word that refused a read, for Run to park on
+	moved  bool      // a read was refused as too new, or Valid found a word moved
+	tick   uint64    // Run's latency-sampling tick; Reset keeps it
 }
 
 // Bound returns the bound of the snapshot's reads of s's locations,
 // taken now: a read under it gives up on any word committed after this
-// call. Call it once per instance, before the first read. ok is false
-// when s's engine cannot be read by a Snap at all.
-func (sn *Snap) Bound(s *STM) (bound uint64, ok bool) {
-	if !s.eng.snapshots() {
-		return 0, false
-	}
+// call. Call it once per instance, before the first read.
+func (sn *Snap) Bound(s *STM) uint64 {
+	b := s.clockBegin()
 	sn.owners = append(sn.owners, s)
-	sn.bounded = true
-	return s.clockBegin(), true
+	sn.bounds = append(sn.bounds, b)
+	return b
 }
 
 // Read returns v's value and true, or false if the snapshot must give
@@ -89,17 +101,19 @@ func SnapBox[T any](sn *Snap, v *TVar[T], bound uint64) (*T, bool) {
 }
 
 // open loads vb's word before the value, or reports that the snapshot
-// must give up.
+// must give up, noting what refused it.
 func (sn *Snap) open(vb *varBase, bound uint64) (uint64, bool) {
-	if !vb.owner.eng.snapshots() {
-		return 0, false
-	}
 	m := vb.meta.Load()
-	if isLocked(m) || version(m) > bound {
-		snapConflict(vb)
-		return 0, false
+	switch {
+	case isLocked(m):
+		sn.held = readEntry{vb: vb, meta: m}
+	case version(m) > bound:
+		sn.moved = true
+	default:
+		return m, true
 	}
-	return m, true
+	snapConflict(vb)
+	return 0, false
 }
 
 // close loads vb's word after the value. Unchanged from m, it records m
@@ -116,18 +130,19 @@ func (sn *Snap) close(vb *varBase, m uint64) bool {
 // Valid reports whether every word read is unchanged, and so whether
 // the values read hold together. A valid snapshot counts as a read-only
 // commit on each instance it bounded, or if it bounded none on each
-// instance it read — a multi-instance commit when there are several —
-// as AtomicallyRead and AtomicallyReadMulti count on each instance they
-// span; a moved word counts a conflict. A bounded snapshot's
-// accounting is one pass over its bounds; an unbounded one finds the
-// instances it read by a search per read among those found so far.
+// instance it read — a multi-instance commit when there are several; a
+// moved word counts a conflict. A bounded snapshot's accounting is one
+// pass over its bounds; an unbounded one finds the instances it read by
+// a search per read among those found so far.
 func (sn *Snap) Valid() bool {
+	bounded := len(sn.bounds) > 0
 	for _, r := range sn.reads {
 		if r.vb.meta.Load() != r.meta {
+			sn.moved = true
 			snapConflict(r.vb)
 			return false
 		}
-		if s := r.vb.owner; !sn.bounded && !slices.Contains(sn.owners, s) {
+		if s := r.vb.owner; !bounded && !slices.Contains(sn.owners, s) {
 			sn.owners = append(sn.owners, s)
 		}
 	}
@@ -148,7 +163,120 @@ func (sn *Snap) Valid() bool {
 func (sn *Snap) Reset() {
 	sn.reads = sn.reads[:0]
 	sn.owners = sn.owners[:0]
-	sn.bounded = false
+	sn.bounds = sn.bounds[:0]
+	sn.held, sn.moved = readEntry{}, false
+}
+
+// GiveUp ends the running attempt of Run. A body calls it when one of
+// its reads reports false, so that it never acts on a refused read; Run
+// then retries or parks as the refusal directs. It never returns.
+func (sn *Snap) GiveUp() { panic(conflictSignal{}) }
+
+// Run runs fn over the snapshot until an attempt stands, and returns
+// nil, or the error fn returned. Each attempt first bounds the snapshot
+// on every instance of stms and passes fn the bounds, aligned with
+// stms; fn reads each instance's locations under its bound, and calls
+// GiveUp when a read reports false. An attempt stands when fn returns
+// an error, which Run returns as is without validating, or when fn
+// returns nil and Valid holds. After a read refused as too new, or a
+// word Valid found moved, Run retries at once; after a held word it
+// yields for a few attempts and then parks on that word and the
+// snapshot's reads until a commit moves one of them. Run honours ctx
+// between attempts and the retry budget of stms[0], failing with a
+// *TxError as Atomically does. It takes no quiescence slot (see
+// Quiesce), so fn may run a fence itself. Run starts the snapshot
+// afresh and leaves it empty.
+func (sn *Snap) Run(ctx context.Context, stms []*STM, fn func(bounds []uint64) error) error {
+	return sn.run(ctx, "snapshot", stms, fn)
+}
+
+// run is the read-only attempt loop behind Run and every AtomicallyRead
+// entry point: Run's contract, with op naming the entry point in a
+// *TxError. A ReadTx's Block parks the call on the snapshot's reads;
+// its Retry is a refusal with no word to park on. The latency
+// of a sampled call that stands is recorded in the lead instance's
+// ReadOnlyNs and its attempts in Attempts. An empty stms runs fn(nil)
+// once.
+func (sn *Snap) run(ctx context.Context, op string, stms []*STM, fn func([]uint64) error) error {
+	defer sn.Reset()
+	sn.Reset()
+	if len(stms) == 0 {
+		// The cancellation contract still holds: a canceled context fails
+		// before the body runs.
+		if err := ctxErr(ctx); err != nil {
+			return &TxError{Op: op, Err: ErrCanceled, Cause: err}
+		}
+		err, _ := sn.attempt(nil, fn)
+		return err
+	}
+	if err := rejectDuplicates(stms); err != nil {
+		return err
+	}
+	lead := stms[0]
+	m := lead.metrics
+	var t0 time.Time
+	sn.tick++
+	sampled := m != nil && sn.tick&lead.sampleMask == 0
+	if sampled {
+		t0 = time.Now()
+	}
+	conflicts, parks := 0, 0
+	for attempt := 0; attempt < lead.maxRetries; {
+		if err := ctxErr(ctx); err != nil {
+			return lead.txError(op, attempt, conflicts, ErrCanceled, err)
+		}
+		err, st := sn.attempt(stms, fn)
+		if st == txRan {
+			if err != nil {
+				for _, s := range stms {
+					s.stats.UserAborts.Add(1)
+				}
+				return err
+			}
+			if sn.Valid() {
+				if sampled {
+					m.ReadOnlyNs.Observe(time.Since(t0).Nanoseconds())
+					m.Attempts.Observe(int64(conflicts) + 1)
+				}
+				return nil
+			}
+		}
+		// A Block parks on the reads; a too-new or moved word proved the
+		// world moved, so it retries at once; a held word or a Retry parks
+		// on the reads and the held word past the spin phase, as a
+		// transaction does.
+		changed := sn.moved
+		var w *waiter
+		if st == txBlocked || !changed && attempt >= spinDefault {
+			w = lead.newWaiter()
+			w.entries = append(w.entries, sn.reads...)
+			if sn.held.vb != nil {
+				w.entries = append(w.entries, sn.held)
+			}
+		}
+		sn.Reset()
+		if st == txBlocked {
+			// As in a transaction, a Block consumes no retry budget.
+			lead.parkBlocked(ctx, w, parks)
+			parks++
+			continue
+		}
+		attempt++
+		conflicts++
+		lead.afterConflict(ctx, w, changed, attempt)
+	}
+	return lead.txError(op, lead.maxRetries, conflicts, ErrMaxRetries, nil)
+}
+
+// attempt bounds the snapshot on every instance of stms, before any
+// read, and runs fn once over the bounds, converting conflict and block
+// signals into a status.
+func (sn *Snap) attempt(stms []*STM, fn func([]uint64) error) (err error, st txStatus) {
+	defer recoverSignal(&st)
+	for _, s := range stms {
+		sn.Bound(s)
+	}
+	return fn(sn.bounds), txRan
 }
 
 // snapConflict charges a snapshot that found vb locked, too new or

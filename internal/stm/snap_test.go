@@ -9,39 +9,48 @@ import (
 	"testing"
 )
 
-// TestEagerRollbackMovesWord does a read's three loads by hand around an
-// eager rollback: the word before the writer locks, the value while the
-// rollback is held open (the writer's speculative 99 is in place), the
-// word after the rollback. A reader that finds the two words equal
-// accepts what it loaded in between, so a rollback that released the
-// word to its pre-lock value would hand it a value no transaction
-// committed.
+// TestEagerRollbackMovesWord does a read's three loads by hand around a
+// rollback of an in-place write, on each engine that writes in place:
+// the word before the writer locks, the value while the rollback is
+// held open (the writer's speculative 99 is in place), the word after
+// the rollback. A reader that finds the two words equal accepts what it
+// loaded in between, so a rollback that released the word to its
+// pre-lock value — or, on global-lock, never locked it — would hand it
+// a value no transaction committed.
 func TestEagerRollbackMovesWord(t *testing.T) {
-	s := New(WithEngine(Eager))
-	v := s.NewVar("v", 1)
-	var mid int64
-	s.RollbackDelay = func() { mid = v.Load() }
-	m1 := v.meta.Load()
-	errBody := errors.New("abort")
-	err := s.Atomically(func(tx *Tx) error {
-		tx.Write(v, 99)
-		return errBody
-	})
-	if !errors.Is(err, errBody) {
-		t.Fatalf("Atomically = %v, want the body's error", err)
-	}
-	m2 := v.meta.Load()
-	if mid != 99 {
-		t.Fatalf("value inside the rollback = %d, want the speculative 99", mid)
-	}
-	if m1 == m2 {
-		t.Fatalf("rollback released the word to its pre-lock value %#x: a read that loaded 99 in between validates", m1)
-	}
-	if got := v.Load(); got != 1 {
-		t.Fatalf("value after rollback = %d, want 1", got)
-	}
-	if isLocked(m2) {
-		t.Fatalf("word %#x still locked after rollback", m2)
+	for _, e := range []Engine{Eager, GlobalLock} {
+		t.Run(e.String(), func(t *testing.T) {
+			s := New(WithEngine(e))
+			v := s.NewVar("v", 1)
+			var mid int64
+			var held uint64
+			s.RollbackDelay = func() { mid, held = v.Load(), v.meta.Load() }
+			m1 := v.meta.Load()
+			errBody := errors.New("abort")
+			err := s.Atomically(func(tx *Tx) error {
+				tx.Write(v, 99)
+				return errBody
+			})
+			if !errors.Is(err, errBody) {
+				t.Fatalf("Atomically = %v, want the body's error", err)
+			}
+			m2 := v.meta.Load()
+			if mid != 99 {
+				t.Fatalf("value inside the rollback = %d, want the speculative 99", mid)
+			}
+			if !isLocked(held) {
+				t.Fatalf("word %#x unlocked under the speculative value: a Snap would read it", held)
+			}
+			if m1 == m2 {
+				t.Fatalf("rollback released the word to its pre-lock value %#x: a read that loaded 99 in between validates", m1)
+			}
+			if got := v.Load(); got != 1 {
+				t.Fatalf("value after rollback = %d, want 1", got)
+			}
+			if isLocked(m2) {
+				t.Fatalf("word %#x still locked after rollback", m2)
+			}
+		})
 	}
 }
 
@@ -49,9 +58,7 @@ func TestEagerRollbackMovesWord(t *testing.T) {
 // Var on one instance and a TVar on another, beside Snap readers that
 // check the conserved sum on every valid snapshot, and bounded Snap
 // readers that check it as soon as both values are read, before Valid:
-// bounds taken before the first read make the snapshot opaque. On
-// global-lock every read gives up, as the engine writes in place
-// without touching words.
+// bounds taken before the first read make the snapshot opaque.
 func TestSnapNoTornAcrossInstances(t *testing.T) {
 	for _, e := range engines {
 		t.Run(e.String(), func(t *testing.T) {
@@ -75,11 +82,7 @@ func TestSnapNoTornAcrossInstances(t *testing.T) {
 			// readBounded fails the test on a torn pair before Valid.
 			readBounded := func(sn *Snap) bool {
 				defer sn.Reset()
-				ra, ok1 := sn.Bound(s1)
-				rb, ok2 := sn.Bound(s2)
-				if !ok1 || !ok2 {
-					return false
-				}
+				ra, rb := sn.Bound(s1), sn.Bound(s2)
 				av, ok := sn.Read(a, ra)
 				if !ok {
 					return false
@@ -148,20 +151,17 @@ func TestSnapNoTornAcrossInstances(t *testing.T) {
 			close(stop)
 			readers.Wait()
 
-			// Quiet now: a snapshot holds wherever the engine allows one.
+			// Quiet now: a snapshot holds.
 			var sn Snap
 			sum, ok := read(&sn)
-			if ok != (e != GlobalLock) {
-				t.Fatalf("quiet snapshot valid = %v, want %v", ok, e != GlobalLock)
+			if !ok {
+				t.Fatal("quiet snapshot invalid")
 			}
-			if ok := readBounded(&sn); ok != (e != GlobalLock) {
-				t.Fatalf("quiet bounded snapshot valid = %v, want %v", ok, e != GlobalLock)
+			if !readBounded(&sn) {
+				t.Fatal("quiet bounded snapshot invalid")
 			}
-			if ok && sum != 1000 {
+			if sum != 1000 {
 				t.Fatalf("quiet snapshot sum = %d, want 1000", sum)
-			}
-			if e == GlobalLock && valid.Load() != 0 {
-				t.Fatalf("%d valid snapshots on global-lock, want 0", valid.Load())
 			}
 			t.Logf("%d valid snapshots beside the transfers", valid.Load())
 		})
@@ -172,8 +172,8 @@ func TestSnapNoTornAcrossInstances(t *testing.T) {
 // each instance it read, and as a multi-instance commit when it read
 // several — once per instance however many reads it made there; a
 // locked, moved or too-new word counts one conflict on its instance and
-// names the variable in the contention table; an engine that cannot be
-// read this way gives up without counting anything.
+// names the variable in the contention table. A global-lock instance is
+// read and counted as any other.
 func TestSnapAccounting(t *testing.T) {
 	type counts struct{ commits, ro, multi, conflicts uint64 }
 	of := func(s *STM) counts {
@@ -246,10 +246,7 @@ func TestSnapAccounting(t *testing.T) {
 	}
 
 	// Too new: committed after the bound was taken.
-	bound, ok := sn.Bound(s2)
-	if !ok {
-		t.Fatal("Bound refused a lazy instance")
-	}
+	bound := sn.Bound(s2)
 	if _, ok := sn.Read(b, bound); !ok {
 		t.Fatal("Read under a fresh bound gave up on a quiet variable")
 	}
@@ -280,7 +277,7 @@ func TestSnapAccounting(t *testing.T) {
 		for i := range bounds {
 			bounds[i] = math.MaxUint64
 			if bounded {
-				bounds[i], _ = sn.Bound(many[i])
+				bounds[i] = sn.Bound(many[i])
 			}
 		}
 		for j := range 16 {
@@ -306,7 +303,7 @@ func TestSnapAccounting(t *testing.T) {
 	// read-only transaction counts on every instance it spans.
 	p, q := New(), New()
 	pv := p.NewVar("p", 1)
-	pb, _ := sn.Bound(p)
+	pb := sn.Bound(p)
 	sn.Bound(q)
 	if _, ok := sn.Read(pv, pb); !ok || !sn.Valid() {
 		t.Fatal("quiet bounded snapshot gave up")
@@ -316,17 +313,41 @@ func TestSnapAccounting(t *testing.T) {
 		t.Fatalf("bounded, not read: %+v, want %+v", got, want)
 	}
 
-	// Global-lock: silent give-up.
+	// Global-lock: a committed value reads and counts as on lazy, and a
+	// word its writer holds mid-body refuses, counted as a conflict.
 	g := New(WithEngine(GlobalLock))
 	c := g.NewVar("c", 5)
-	if _, ok := sn.Bound(g); ok {
-		t.Fatal("Bound accepted a global-lock instance")
-	}
-	if _, ok := sn.Read(c, math.MaxUint64); ok {
-		t.Fatal("Read accepted a global-lock variable")
+	if n, ok := sn.Read(c, sn.Bound(g)); !ok || n != 5 || !sn.Valid() {
+		t.Fatalf("quiet global-lock read = %d, %v; want 5 and a valid snapshot", n, ok)
 	}
 	sn.Reset()
-	if got := of(g); got != (counts{}) {
-		t.Fatalf("global-lock give-up counted %+v, want nothing", got)
+	if got, want := of(g), (counts{1, 1, 0, 0}); got != want {
+		t.Fatalf("global-lock snapshot: %+v, want %+v", got, want)
 	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- g.Atomically(func(tx *Tx) error {
+			tx.Write(c, 6)
+			close(entered)
+			<-release
+			return nil
+		})
+	}()
+	<-entered
+	if _, ok := sn.Read(c, math.MaxUint64); ok {
+		t.Fatal("Read accepted a word a global-lock writer holds")
+	}
+	sn.Reset()
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := of(g); got.conflicts != 1 {
+		t.Fatalf("after a held global-lock word: %+v, want 1 conflict", got)
+	}
+	if n, ok := sn.Read(c, math.MaxUint64); !ok || n != 6 || !sn.Valid() {
+		t.Fatalf("global-lock read after the commit = %d, %v; want 6", n, ok)
+	}
+	sn.Reset()
 }

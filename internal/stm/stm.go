@@ -18,8 +18,9 @@
 //   - Eager: encounter-time locking with an undo log — writes are applied
 //     in place and rolled back on abort. Exhibits the speculative-
 //     lost-update and dirty-read anomalies of §3.4 under mixed access.
-//   - GlobalLock: a single global mutex around each transaction; the
-//     strongest (and slowest) baseline.
+//   - GlobalLock: a single instance mutex around each transaction,
+//     which inside it writes as Eager does; the strongest (and slowest)
+//     baseline.
 //
 // Transactional locations come in two shapes sharing one engine, one
 // write set and one undo log:
@@ -168,7 +169,7 @@ func WithMetricsSampling(n int) Option {
 type Stats struct {
 	Commits         atomic.Uint64
 	MultiCommits    atomic.Uint64 // commits spanning ≥ 2 instances, through AtomicallyMulti or AtomicallyReadMulti
-	ReadOnlyCommits atomic.Uint64 // commits through AtomicallyRead / AtomicallyReadMulti
+	ReadOnlyCommits atomic.Uint64 // valid snapshots (Snap.Valid), AtomicallyRead's and Snap.Run's among them
 	_               [40]byte      // commit-path group ends its cache line here
 
 	Conflicts  atomic.Uint64
@@ -248,8 +249,8 @@ type STM struct {
 
 	// Test hooks, called at anomaly windows when non-nil. WritebackDelay
 	// runs after validation and before lazy writeback; RollbackDelay runs
-	// before eager undo is applied. They let tests and the stress harness
-	// make the §3.4/§3.5 anomaly windows deterministic.
+	// before an eager or global-lock undo is applied. They let tests and
+	// the stress harness make the §3.4/§3.5 anomaly windows deterministic.
 	WritebackDelay func()
 	RollbackDelay  func()
 
@@ -333,9 +334,7 @@ func New(opts ...Option) *STM {
 	}
 	s.txPool.New = func() any {
 		tx := &Tx{s: s, e: s.eng}
-		tx.rtx.tx = tx
 		tx.txs = []*Tx{tx}
-		tx.rtxs = []*ReadTx{&tx.rtx}
 		return tx
 	}
 	s.waiterPool.New = func() any {

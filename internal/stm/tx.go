@@ -68,17 +68,11 @@ type Tx struct {
 	// attempt-scoped: cleared on reset and consumed by commitPrepared.
 	tapData any
 
-	// rtx is the read-only view handed to AtomicallyRead bodies; it
-	// points back at this Tx so no per-attempt wrapper is allocated.
-	rtx ReadTx
-
-	// txs and rtxs are the attempt's handles, one per instance, and their
-	// read-only views, kept in the lead (first) handle by the attempt loop
-	// (see beginAll and readViews) so that no call allocates them. Both
-	// start with this Tx's own entry, which reset keeps: a one-instance
-	// attempt touches neither slice.
-	txs  []*Tx
-	rtxs []*ReadTx
+	// txs is the attempt's handles, one per instance, kept in the lead
+	// (first) handle by the attempt loop (see beginAll) so that no call
+	// allocates it. It starts with this Tx itself, which reset keeps: a
+	// one-instance attempt does not touch it.
+	txs []*Tx
 
 	// mTick is the latency-sampling tick (see Tx.nextSample). It is
 	// deliberately NOT cleared by reset: surviving pool round-trips is
@@ -209,9 +203,9 @@ func (tx *Tx) lockedMetaFor(vb *varBase) (uint64, bool) {
 }
 
 // reset clears the attempt state for reuse, retaining the capacity of
-// every slice (reads, writes, lockedMeta, undo, locked, txs, rtxs) so
-// steady-state transactions never re-grow them; txs and rtxs keep their
-// first entry, the Tx itself. Elements are zeroed before truncation so
+// every slice (reads, writes, lockedMeta, undo, locked, txs) so
+// steady-state transactions never re-grow them; txs keeps its first
+// entry, the Tx itself. Elements are zeroed before truncation so
 // the pooled Tx does not pin dead variables or other handles. The rare
 // spill indexes are dropped: small transactions must not pay the map
 // path just because one large transaction came through earlier.
@@ -232,11 +226,9 @@ func (tx *Tx) reset() {
 	tx.rv = 0
 	tx.conflictVB, tx.conflictMeta, tx.conflictChanged = nil, 0, false
 	tx.tapData = nil
-	if len(tx.txs) > 1 { // rtxs is never longer than txs
+	if len(tx.txs) > 1 {
 		clear(tx.txs[1:])
 		tx.txs = tx.txs[:1]
-		clear(tx.rtxs[1:])
-		tx.rtxs = tx.rtxs[:1]
 	}
 }
 
@@ -388,14 +380,14 @@ func rejectDuplicates(stms []*STM) error {
 	return nil
 }
 
-// transact is the attempt loop behind every entry point: one transaction
-// over a handle on each instance of stms, Atomically and AtomicallyRead
-// being its one-instance cases. An attempt begins the handles, runs b
+// transact is the attempt loop behind every writing entry point: one
+// transaction over a handle on each instance of stms, Atomically being
+// its one-instance case (read-only bodies run over a Snap; see
+// Snap.run). An attempt begins the handles, runs b
 // over them and commits in two phases (prepareAll, then commitPrepared on
 // every handle); a conflicted attempt takes the conflict step and
 // retries, and a blocked one parks on the union of the handles'
-// footprints. A read-only body counts as a read-only commit and samples
-// ReadOnlyNs instead of CommitNs. op names the entry point in a
+// footprints. A commit samples CommitNs. op names the entry point in a
 // *TxError. The retry budget, the waiter and the histograms are the lead
 // instance's (stms[0]); an empty stms runs b once with no handles,
 // transactionally vacuous.
@@ -413,7 +405,6 @@ func transact(ctx context.Context, op string, stms []*STM, b body) error {
 		return err
 	}
 	lead, multi := stms[0], len(stms) > 1
-	readOnly := b.read != nil || b.readMulti != nil // ReadTx views cannot write
 	m := lead.metrics
 	conflicts, parks := 0, 0
 	var t0 time.Time
@@ -460,16 +451,9 @@ func transact(ctx context.Context, op string, stms []*STM, b body) error {
 				if multi {
 					s.stats.MultiCommits.Add(1)
 				}
-				if readOnly {
-					s.stats.ReadOnlyCommits.Add(1)
-				}
 			}
 			if sampled {
-				h := &m.CommitNs
-				if readOnly {
-					h = &m.ReadOnlyNs
-				}
-				h.Observe(time.Since(t0).Nanoseconds())
+				m.CommitNs.Observe(time.Since(t0).Nanoseconds())
 				m.Attempts.Observe(int64(conflicts) + 1)
 			}
 			return nil
@@ -582,10 +566,8 @@ func recoverSignal(st *txStatus) {
 // one field is set. A struct rather than an adapter closure per entry
 // point keeps the entry points small enough to inline into their callers.
 type body struct {
-	tx        func(*Tx) error
-	read      func(*ReadTx) error
-	multi     func([]*Tx) error
-	readMulti func([]*ReadTx) error
+	tx    func(*Tx) error
+	multi func([]*Tx) error
 }
 
 // runBody runs b over the attempt's handles, converting conflict and
@@ -596,12 +578,8 @@ func runBody(txs []*Tx, b *body) (err error, st txStatus) {
 	switch {
 	case b.tx != nil:
 		return b.tx(txs[0]), txRan
-	case b.read != nil:
-		return b.read(&txs[0].rtx), txRan
-	case b.multi != nil:
-		return b.multi(txs), txRan
 	default:
-		return b.readMulti(readViews(txs)), txRan
+		return b.multi(txs), txRan
 	}
 }
 

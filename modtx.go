@@ -119,9 +119,9 @@ type (
 	// a variable it has read changes (event-driven, no polling); see
 	// also STM.OrElse for composable blocking alternatives.
 	Tx = stm.Tx
-	// ReadTx is the handle of read-only transactions (AtomicallyRead):
-	// it can only read, so commit never takes write locks, and on the
-	// lazy engine one instance's read-only commit skips validation.
+	// ReadTx is the handle of read-only bodies (AtomicallyRead): it
+	// reads through a validated snapshot (stm.Snap), so no engine takes
+	// a lock for it.
 	ReadTx = stm.ReadTx
 	// TxError carries diagnostics (attempts, conflicts, engine) for
 	// retry-budget exhaustion and cancellation; unwraps to its sentinel.
@@ -198,8 +198,8 @@ func NewTVar[T any](s *STM, name string, init T) *TVar[T] {
 // ReadT returns the transactional value of a typed variable.
 func ReadT[T any](tx *Tx, v *TVar[T]) T { return stm.ReadT(tx, v) }
 
-// ReadTVar returns the transactional value of a typed variable inside a
-// read-only transaction.
+// ReadTVar returns the value of a typed variable inside a read-only
+// body.
 func ReadTVar[T any](r *ReadTx, v *TVar[T]) T { return stm.ReadTVar(r, v) }
 
 // WriteT sets the transactional value of a typed variable.
@@ -227,9 +227,9 @@ func AtomicallyMultiCtx(ctx context.Context, stms []*STM, fn func(txs []*Tx) err
 	return stm.AtomicallyMultiCtx(ctx, stms, fn)
 }
 
-// AtomicallyReadMulti runs fn as one read-only transaction spanning
-// several STM instances: a consistent cross-instance snapshot that takes
-// no locks at all at commit (see stm.AtomicallyReadMulti).
+// AtomicallyReadMulti runs fn over one snapshot spanning several STM
+// instances: consistent across them, and taking no locks at all (see
+// stm.AtomicallyReadMulti).
 func AtomicallyReadMulti(stms []*STM, fn func(rtxs []*ReadTx) error) error {
 	return stm.AtomicallyReadMulti(stms, fn)
 }
