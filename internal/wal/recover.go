@@ -160,8 +160,8 @@ scan:
 		}
 		off := int64(segHeaderLen)
 		for int(off) < len(b) {
-			rec, n, derr := DecodeRecord(b[off:])
-			if derr != nil || rec.Seq != expected {
+			seq, n, werr := WalkRecord(b[off:], nil)
+			if werr != nil || seq != expected {
 				truncAt, truncOff = i, off
 				bodies = append(bodies, b[segHeaderLen:off])
 				break scan

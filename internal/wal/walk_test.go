@@ -29,7 +29,8 @@ func counterLen7(t testing.TB, seq uint64) []byte {
 
 // TestScanSegmentsStopsAtStructuralCorruption: a scan ends at a record
 // whose checksum holds but whose counter value is 7 bytes long, as at a
-// torn tail — the records before it stream, nothing after it does.
+// torn tail — the records before it stream, nothing after it does — and
+// recovery truncates the segment at that record.
 func TestScanSegmentsStopsAtStructuralCorruption(t *testing.T) {
 	dir := t.TempDir()
 	var hdr [segHeaderLen]byte
@@ -42,6 +43,7 @@ func TestScanSegmentsStopsAtStructuralCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	corruptAt := int64(len(buf))
 	buf = append(buf, counterLen7(t, 6)...)
 	for seq := uint64(7); seq <= 8; seq++ {
 		var err error
@@ -59,6 +61,22 @@ func TestScanSegmentsStopsAtStructuralCorruption(t *testing.T) {
 	})
 	if err != nil || next != 6 || len(seen) != 5 || seen[4] != 5 {
 		t.Fatalf("scan: next %d, seen %v, %v; want 1..5 and next 6", next, seen, err)
+	}
+
+	var replayed []uint64
+	res, err := Recover(dir, func(r Record) error {
+		replayed = append(replayed, r.Seq)
+		return nil
+	}, nil)
+	if err != nil || !res.Truncated || res.LastSeq != 5 || len(replayed) != 5 {
+		t.Fatalf("recover: %+v, replayed %v, %v; want 1..5 and a truncation", res, replayed, err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, segmentName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != corruptAt {
+		t.Fatalf("recovered segment is %d bytes, want %d: truncated at the corrupt record", fi.Size(), corruptAt)
 	}
 }
 
