@@ -393,110 +393,112 @@ func TestViewSnapshotFallback(t *testing.T) {
 		}, func(val string, n int64) string { return fmt.Sprintf("%s %d far <nil>", val, n) }},
 	}
 	for _, e := range kvEngines {
-		for _, rd := range reads {
-			t.Run(e.String()+"/"+rd.name, func(t *testing.T) {
-				s := New(WithShards(4), WithEngine(e))
-				key, far := twoShardNames(t, s, "fb")
-				ctr := sameShardName(s, key, "fbc")
-				if err := s.MSet(map[string][]byte{key: []byte("old"), far: []byte("far")}); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := s.CounterAdd(ctr, 1); err != nil {
-					t.Fatal(err)
-				}
-				inst := s.ShardSTM(s.ShardOf(key))
-				h, g := newHold(), newGate()
-				errAbort := errors.New("abort")
-				val, n := "old", int64(1)
-				upd := make(chan error, 1)
-				write := func(t *Txn) {
-					t.Set(key, []byte("spec"))
-					t.Add(ctr, 1)
-				}
-				switch e {
-				case stm.Lazy: // a committing Update, held in its write-back
-					inst.WritebackDelay = h.hook
-					val, n = "spec", 2
-					go func() {
-						upd <- s.Update([]string{key, ctr}, func(t *Txn) error {
-							write(t)
-							return nil
-						})
-					}()
-					<-h.held
-				case stm.Eager: // a failing Update, held in its rollback
-					inst.RollbackDelay = h.hook
-					go func() {
-						upd <- s.Update([]string{key, ctr}, func(t *Txn) error {
-							write(t)
-							return errAbort
-						})
-					}()
-					<-h.held
-				default: // a failing Update, stopped mid-body
-					go func() {
-						upd <- s.Update([]string{key, ctr}, func(t *Txn) error {
-							write(t)
-							g.pass()
-							return errAbort
-						})
-					}()
-					<-g.entered
-				}
-				base := inst.Snapshot().Waits
-				got := make(chan string, 1)
-				go func() { got <- rd.run(s, key, ctr, far) }()
-				waitHeld(t, got, func() bool { return inst.Snapshot().Waits > base })
-				close(h.release)
-				close(g.open)
-				if err := <-upd; err != nil && !errors.Is(err, errAbort) {
-					t.Fatal(err)
-				}
-				if r, w := <-got, rd.want(val, n); r != w {
-					t.Fatalf("%s = %s, want %s", rd.name, r, w)
-				}
-			})
-		}
-		t.Run(e.String()+"/body", func(t *testing.T) {
-			s := New(WithShards(4), WithEngine(e))
-			key := "fb"
-			if err := s.Set(key, []byte("old")); err != nil {
-				t.Fatal(err)
-			}
-			// A body error comes back as is, from the first run, though
-			// the word it read moved before it returned.
-			runs := 0
-			errBody := errors.New("body")
-			err := s.View([]string{key}, func(v *ViewTxn) error {
-				runs++
-				v.Get(key)
-				if err := s.Set(key, []byte(fmt.Sprint(runs))); err != nil {
-					return err
-				}
-				return errBody
-			})
-			if err != errBody || runs != 1 {
-				t.Fatalf("View = %v after %d runs, want the body's error after 1", err, runs)
-			}
-
-			// A panic in the body passes through unchanged, and leaves
-			// the shard to its writers.
-			type boom struct{}
-			func() {
-				defer func() {
-					if r := recover(); r != (boom{}) {
-						t.Fatalf("recovered %v, want the body's panic", r)
+		t.Run(e.String(), func(t *testing.T) {
+			for _, rd := range reads {
+				t.Run(rd.name, func(t *testing.T) {
+					s := New(WithShards(4), WithEngine(e))
+					key, far := twoShardNames(t, s, "fb")
+					ctr := sameShardName(s, key, "fbc")
+					if err := s.MSet(map[string][]byte{key: []byte("old"), far: []byte("far")}); err != nil {
+						t.Fatal(err)
 					}
-				}()
-				s.View([]string{key}, func(v *ViewTxn) error {
-					v.Get(key)
-					panic(boom{})
+					if _, err := s.CounterAdd(ctr, 1); err != nil {
+						t.Fatal(err)
+					}
+					inst := s.ShardSTM(s.ShardOf(key))
+					h, g := newHold(), newGate()
+					errAbort := errors.New("abort")
+					val, n := "old", int64(1)
+					upd := make(chan error, 1)
+					write := func(t *Txn) {
+						t.Set(key, []byte("spec"))
+						t.Add(ctr, 1)
+					}
+					switch e {
+					case stm.Lazy: // a committing Update, held in its write-back
+						inst.WritebackDelay = h.hook
+						val, n = "spec", 2
+						go func() {
+							upd <- s.Update([]string{key, ctr}, func(t *Txn) error {
+								write(t)
+								return nil
+							})
+						}()
+						<-h.held
+					case stm.Eager: // a failing Update, held in its rollback
+						inst.RollbackDelay = h.hook
+						go func() {
+							upd <- s.Update([]string{key, ctr}, func(t *Txn) error {
+								write(t)
+								return errAbort
+							})
+						}()
+						<-h.held
+					default: // a failing Update, stopped mid-body
+						go func() {
+							upd <- s.Update([]string{key, ctr}, func(t *Txn) error {
+								write(t)
+								g.pass()
+								return errAbort
+							})
+						}()
+						<-g.entered
+					}
+					base := inst.Snapshot().Waits
+					got := make(chan string, 1)
+					go func() { got <- rd.run(s, key, ctr, far) }()
+					waitHeld(t, got, func() bool { return inst.Snapshot().Waits > base })
+					close(h.release)
+					close(g.open)
+					if err := <-upd; err != nil && !errors.Is(err, errAbort) {
+						t.Fatal(err)
+					}
+					if r, w := <-got, rd.want(val, n); r != w {
+						t.Fatalf("%s = %s, want %s", rd.name, r, w)
+					}
 				})
-				t.Fatal("View returned after its body panicked")
-			}()
-			if err := s.Set(key, []byte("after")); err != nil {
-				t.Fatal(err)
 			}
+			t.Run("body", func(t *testing.T) {
+				s := New(WithShards(4), WithEngine(e))
+				key := "fb"
+				if err := s.Set(key, []byte("old")); err != nil {
+					t.Fatal(err)
+				}
+				// A body error comes back as is, from the first run, though
+				// the word it read moved before it returned.
+				runs := 0
+				errBody := errors.New("body")
+				err := s.View([]string{key}, func(v *ViewTxn) error {
+					runs++
+					v.Get(key)
+					if err := s.Set(key, []byte(fmt.Sprint(runs))); err != nil {
+						return err
+					}
+					return errBody
+				})
+				if err != errBody || runs != 1 {
+					t.Fatalf("View = %v after %d runs, want the body's error after 1", err, runs)
+				}
+
+				// A panic in the body passes through unchanged, and leaves
+				// the shard to its writers.
+				type boom struct{}
+				func() {
+					defer func() {
+						if r := recover(); r != (boom{}) {
+							t.Fatalf("recovered %v, want the body's panic", r)
+						}
+					}()
+					s.View([]string{key}, func(v *ViewTxn) error {
+						v.Get(key)
+						panic(boom{})
+					})
+					t.Fatal("View returned after its body panicked")
+				}()
+				if err := s.Set(key, []byte("after")); err != nil {
+					t.Fatal(err)
+				}
+			})
 		})
 	}
 }

@@ -72,9 +72,9 @@ func TestAllocsAtomicallySingleVar(t *testing.T) {
 	}
 }
 
-// TestAllocsAtomicallyRead: the steady-state read-only transaction (a
-// 4-var snapshot sum) performs no heap allocation, read set included,
-// on every engine — through AtomicallyRead
+// TestAllocsAtomicallyRead: the steady-state read-only body (a 4-var
+// snapshot sum) performs no heap allocation, snapshot included, on
+// every engine — through AtomicallyRead
 // and through AtomicallyReadMulti over one instance and over two (four
 // vars on each).
 func TestAllocsAtomicallyRead(t *testing.T) {

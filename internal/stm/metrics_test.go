@@ -124,11 +124,6 @@ func TestMetricsDefaultSamplingPeriod(t *testing.T) {
 func TestMetricsContentionAttribution(t *testing.T) {
 	for _, e := range Engines() {
 		t.Run(e.String(), func(t *testing.T) {
-			if e == GlobalLock {
-				// The global mutex serializes attempts before they touch
-				// variables; conflicts cannot be attributed per var.
-				t.Skip("global-lock conflicts are instance-level")
-			}
 			const retries = 3
 			s := New(WithEngine(e), WithMetricsSampling(1), WithMaxRetries(retries))
 			hot := s.NewVar("hot", 0)

@@ -366,9 +366,8 @@ func TestConflictParkFallback(t *testing.T) {
 // engine, single- and multi-instance: the first 8 (spinDefault)
 // conflicted attempts retry without parking, and the next one parks on
 // its footprint. A variable whose lock bit is held, as an in-flight
-// commit would hold it, makes every attempt conflict; the global-lock
-// engine reads past lock bits, so the body also retries explicitly once
-// the read returns. The retry budget stops the call after the attempt
+// commit would hold it, makes every attempt conflict at its read, on
+// every engine. The retry budget stops the call after the attempt
 // under test. With a write before the read, an eager attempt holds a
 // lock of its own when it conflicts: its rollback moves that word, and
 // the park must not take the move for a change (waiter.rebase).
@@ -377,8 +376,7 @@ func TestSpinThenPark(t *testing.T) {
 		if w != nil {
 			tx.Write(w, 1)
 		}
-		_ = tx.Read(v) // conflicts here on the lock-based engines
-		tx.Retry()
+		_ = tx.Read(v) // conflicts here
 	}
 	for _, e := range engines {
 		t.Run(e.String(), func(t *testing.T) {

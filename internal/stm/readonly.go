@@ -110,6 +110,9 @@ var readers = sync.Pool{New: func() any { return new(reader) }}
 // each attempt's body runs. The slots are not held across a park,
 // which would keep a Quiesce waiting on a parked reader.
 func readOnly(ctx context.Context, op string, stms []*STM, fn func([]*ReadTx) error) error {
+	if err := rejectDuplicates(stms); err != nil {
+		return err
+	}
 	r := readers.Get().(*reader)
 	r.rtx, r.rtxs = r.rtx[:0], r.rtxs[:0]
 	for range stms {

@@ -180,11 +180,11 @@ func (sn *Snap) GiveUp() { panic(conflictSignal{}) }
 // an error, which Run returns as is without validating, or when fn
 // returns nil and Valid holds. After a read refused as too new, or a
 // word Valid found moved, Run retries at once; after a held word it
-// yields for a few attempts and then parks on that word and the
-// snapshot's reads until a commit moves one of them. Run honours ctx
-// between attempts and the retry budget of stms[0], failing with a
-// *TxError as Atomically does. It takes no quiescence slot (see
-// Quiesce), so fn may run a fence itself. Run starts the snapshot
+// yields for a few attempts and then parks on that word until its
+// holder releases it. Run honours ctx between attempts and the retry
+// budget of stms[0], failing with a *TxError as Atomically does. No
+// instance may appear in stms twice. Run takes no quiescence slot (see
+// Quiesce), so fn may run a fence itself. It starts the snapshot
 // afresh and leaves it empty.
 func (sn *Snap) Run(ctx context.Context, stms []*STM, fn func(bounds []uint64) error) error {
 	return sn.run(ctx, "snapshot", stms, fn)
@@ -207,9 +207,6 @@ func (sn *Snap) run(ctx context.Context, op string, stms []*STM, fn func([]uint6
 			return &TxError{Op: op, Err: ErrCanceled, Cause: err}
 		}
 		err, _ := sn.attempt(nil, fn)
-		return err
-	}
-	if err := rejectDuplicates(stms); err != nil {
 		return err
 	}
 	lead := stms[0]
@@ -241,17 +238,18 @@ func (sn *Snap) run(ctx context.Context, op string, stms []*STM, fn func([]uint6
 				return nil
 			}
 		}
-		// A Block parks on the reads; a too-new or moved word proved the
-		// world moved, so it retries at once; a held word or a Retry parks
-		// on the reads and the held word past the spin phase, as a
-		// transaction does.
+		// A too-new or moved word proved the world moved, so it retries
+		// at once. Past the spin phase a held word parks on that word
+		// alone, what the attempt waits for; a Block, or a Retry past the
+		// spin phase, parks on what the attempt read.
 		changed := sn.moved
 		var w *waiter
 		if st == txBlocked || !changed && attempt >= spinDefault {
 			w = lead.newWaiter()
-			w.entries = append(w.entries, sn.reads...)
 			if sn.held.vb != nil {
 				w.entries = append(w.entries, sn.held)
+			} else {
+				w.entries = append(w.entries, sn.reads...)
 			}
 		}
 		sn.Reset()
