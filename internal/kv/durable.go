@@ -330,9 +330,10 @@ const checkpointBatch = 256
 // of some commit between L and E, and replaying those records over what
 // was read gives the exact state at E. A write at or below L has tapped,
 // so it still holds its locks or has published: the read of its key
-// sees it or a later write. The reads are transactions, not plain
+// sees it or a later write. The reads are validated snapshots, not plain
 // loads, because the eager and global-lock engines write speculative
-// values in place; a transaction sees only committed ones.
+// values in place under a locked word; a snapshot reads only committed
+// ones.
 func (s *Store) Checkpoint() error {
 	if s.dur == nil {
 		return ErrNotDurable

@@ -634,8 +634,8 @@ func (s *Store) FastCounterGet(key string) (int64, bool) {
 // transaction that went on to Block. That order is what keeps a View
 // from reporting key a missing and its sibling b present from the one
 // transaction that created both, and a parked WaitGet from sleeping past
-// the creation it waits for (on the glock engine the kvers read alone
-// would absorb an earlier Touch without conflicting).
+// the creation it waits for (the kvers read alone absorbs a Touch that
+// landed before the transaction began).
 func (sh *shard) find(tx *stm.Tx, key string, h uint64) (e *entry, b []byte, n int64, st state) {
 	e = sh.lookup(key, h)
 	for {

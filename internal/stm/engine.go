@@ -28,10 +28,10 @@ const (
 // lock/validate/commit/rollback phases. A Snap reads outside any
 // transaction and needs no hook: on every engine a location's value
 // changes only while its word is locked, and every lock episode that
-// changed the value ends on a different word. Tx owns the shared attempt state
-// (read set, write set, undo log, lock tables); an engine is a stateless
-// strategy over that state, so implementations are value types and one
-// instance serves every transaction of an STM.
+// changed the value ends on a different word. Tx owns the shared
+// attempt state (read set, write set, undo log, lock tables); an engine
+// is a stateless strategy over that state, so implementations are value
+// types and one instance serves every transaction of an STM.
 //
 // The commit protocol is split so that AtomicallyMulti can two-phase it
 // across instances: lockWrites (phase 1a) then validateReads (phase 1b)

@@ -193,8 +193,8 @@ func (sn *Snap) Run(ctx context.Context, stms []*STM, fn func(bounds []uint64) e
 // run is the read-only attempt loop behind Run and every AtomicallyRead
 // entry point: Run's contract, with op naming the entry point in a
 // *TxError. A ReadTx's Block parks the call on the snapshot's reads;
-// its Retry is a refusal with no word to park on. The latency
-// of a sampled call that stands is recorded in the lead instance's
+// its Retry is a refusal with no word to park on. The latency of a
+// sampled call that stands is recorded in the lead instance's
 // ReadOnlyNs and its attempts in Attempts. An empty stms runs fn(nil)
 // once.
 func (sn *Snap) run(ctx context.Context, op string, stms []*STM, fn func([]uint64) error) error {

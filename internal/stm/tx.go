@@ -383,14 +383,14 @@ func rejectDuplicates(stms []*STM) error {
 // transact is the attempt loop behind every writing entry point: one
 // transaction over a handle on each instance of stms, Atomically being
 // its one-instance case (read-only bodies run over a Snap; see
-// Snap.run). An attempt begins the handles, runs b
-// over them and commits in two phases (prepareAll, then commitPrepared on
-// every handle); a conflicted attempt takes the conflict step and
-// retries, and a blocked one parks on the union of the handles'
-// footprints. A commit samples CommitNs. op names the entry point in a
-// *TxError. The retry budget, the waiter and the histograms are the lead
-// instance's (stms[0]); an empty stms runs b once with no handles,
-// transactionally vacuous.
+// Snap.run). An attempt begins the handles, runs b over them and
+// commits in two phases (prepareAll, then commitPrepared on every
+// handle); a conflicted attempt takes the conflict step and retries,
+// and a blocked one parks on the union of the handles' footprints. A
+// commit samples CommitNs. op names the entry point in a *TxError. The
+// retry budget, the waiter and the histograms are the lead instance's
+// (stms[0]); an empty stms runs b once with no handles, transactionally
+// vacuous.
 func transact(ctx context.Context, op string, stms []*STM, b body) error {
 	if len(stms) == 0 {
 		// The cancellation contract still holds: a canceled context fails
