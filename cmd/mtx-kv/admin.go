@@ -165,7 +165,7 @@ func renderMetrics(s *kv.Store) []byte {
 		{"mtxkv_conflicts_total", "Conflicted transaction attempts.", st.Conflicts},
 		{"mtxkv_user_aborts_total", "Transactions aborted by user error.", st.UserAborts},
 		{"mtxkv_multi_commits_total", "Committed cross-shard transactions.", st.MultiCommits},
-		{"mtxkv_read_only_commits_total", "Committed read-only transactions.", st.ReadOnlyCommits},
+		{"mtxkv_read_only_commits_total", "Read-only snapshots that validated.", st.ReadOnlyCommits},
 		{"mtxkv_quiesces_total", "Privatization quiescence fences.", st.Quiesces},
 		{"mtxkv_waits_total", "Transactions parked on commit notification.", st.Waits},
 		{"mtxkv_wakeups_total", "Parked transactions woken by commits.", st.Wakeups},

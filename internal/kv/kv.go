@@ -203,8 +203,9 @@ func countState(n int64) state {
 }
 
 // read reads e's word in a transaction, and returns e, the word's
-// content on its lane, and what that content is. (Scalars, not a struct: these sit under every operation, and the
-// copies a struct costs showed.)
+// content on its lane, and what that content is. (Scalars, not a
+// struct: these sit under every operation, and the copies a struct
+// costs showed.)
 func (e *entry) read(tx *stm.Tx) (*entry, []byte, int64, state) {
 	if e.isCounter() {
 		n := tx.Read(e.c)
