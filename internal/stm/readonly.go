@@ -66,13 +66,13 @@ func ReadTVarBox[T any](r *ReadTx, v *TVar[T]) *T {
 // slot while fn runs, so Quiesce waits for it as for a transaction.
 // Errors returned by fn are returned verbatim.
 func (s *STM) AtomicallyRead(fn func(*ReadTx) error) error {
-	return readOnly(nil, "atomically-read", []*STM{s}, func(rtxs []*ReadTx) error { return fn(rtxs[0]) })
+	return atomicallyRead(nil, "atomically-read", []*STM{s}, func(rtxs []*ReadTx) error { return fn(rtxs[0]) })
 }
 
 // AtomicallyReadCtx is AtomicallyRead honoring ctx between retry
 // attempts, with the same contract as AtomicallyCtx.
 func (s *STM) AtomicallyReadCtx(ctx context.Context, fn func(*ReadTx) error) error {
-	return readOnly(ctx, "atomically-read", []*STM{s}, func(rtxs []*ReadTx) error { return fn(rtxs[0]) })
+	return atomicallyRead(ctx, "atomically-read", []*STM{s}, func(rtxs []*ReadTx) error { return fn(rtxs[0]) })
 }
 
 // AtomicallyReadMulti runs fn over one snapshot spanning several STM
@@ -84,13 +84,13 @@ func (s *STM) AtomicallyReadCtx(ctx context.Context, fn func(*ReadTx) error) err
 // The retry budget is taken from stms[0]. An empty stms runs fn(nil)
 // once, transactionally vacuous.
 func AtomicallyReadMulti(stms []*STM, fn func(rtxs []*ReadTx) error) error {
-	return readOnly(nil, "atomically-read-multi", stms, fn)
+	return atomicallyRead(nil, "atomically-read-multi", stms, fn)
 }
 
 // AtomicallyReadMultiCtx is AtomicallyReadMulti honoring ctx between
 // retry attempts, with the same contract as AtomicallyCtx.
 func AtomicallyReadMultiCtx(ctx context.Context, stms []*STM, fn func(rtxs []*ReadTx) error) error {
-	return readOnly(ctx, "atomically-read-multi", stms, fn)
+	return atomicallyRead(ctx, "atomically-read-multi", stms, fn)
 }
 
 // reader is the pooled scratch of one read-only call: its snapshot,
@@ -105,11 +105,11 @@ type reader struct {
 
 var readers = sync.Pool{New: func() any { return new(reader) }}
 
-// readOnly runs fn over a snapshot of stms (see Snap.Run) with one
+// atomicallyRead runs fn over a snapshot of stms (see Snap.Run) with one
 // ReadTx per instance, taking each instance's quiescence slot while
 // each attempt's body runs. The slots are not held across a park,
 // which would keep a Quiesce waiting on a parked reader.
-func readOnly(ctx context.Context, op string, stms []*STM, fn func([]*ReadTx) error) error {
+func atomicallyRead(ctx context.Context, op string, stms []*STM, fn func([]*ReadTx) error) error {
 	if err := rejectDuplicates(stms); err != nil {
 		return err
 	}
