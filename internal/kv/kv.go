@@ -655,7 +655,13 @@ func (sh *shard) find(tx *stm.Tx, key string, h uint64) (e *entry, b []byte, n i
 }
 
 // findS is find in a snapshot whose reads of this shard are under bound:
-// ok false means the snapshot gave up.
+// ok false means the snapshot gave up. A bounded snapshot stands without
+// loading its words again (see stm.Snap), so what it reports must hold
+// at its bound, and the table is not transactional. A linked entry no
+// commit has written is read at version 0, which makes the snapshot
+// load its words again. A miss after an unlink reads kvers, which the
+// unlink touched before it stored the tombstone (see shard.unlink): a
+// key deleted after the bound is refused as too new, never missed.
 func (sh *shard) findS(sn *stm.Snap, key string, h, bound uint64) (e *entry, b []byte, n int64, st state, ok bool) {
 	e = sh.lookup(key, h)
 	for {
@@ -1425,11 +1431,11 @@ func (s *Store) UpdateCtx(ctx context.Context, keys []string, fn func(*Txn) erro
 
 // ViewTxn is the handle passed to View bodies: a consistent, read-only,
 // possibly cross-shard snapshot. It reads through a bounded stm.Snap:
-// every read refuses a word committed after the attempt began, so the
-// body is opaque. What it reads, at any point of any attempt, is the
-// committed state of one instant, so it never sees half of a
-// cross-shard commit. (A plain store into a privatized key is not a
-// commit; see View.)
+// every read refuses a word committed after the attempt's bounds were
+// loaded, so the body is opaque. What it reads, at any point of any
+// attempt, is the committed state of the instant the last bound was
+// loaded, so it never sees half of a cross-shard commit. (A plain store
+// into a privatized key is not a commit; see View.)
 type ViewTxn struct {
 	s      *Store
 	fp     *footprint // the call's declared keys and shard set
@@ -1481,18 +1487,21 @@ func (t *ViewTxn) Counter(key string) (int64, bool) {
 // reads is the committed state of one instant, on every attempt,
 // including ones that are thrown away. fn reads through a stm.Snap,
 // with no transaction, under stm.Snap.Run: each shard's bound is loaded
-// before the attempt's first read, a read gives up on a held word or
-// one committed after its shard's bound, and the snapshot validates
-// once, after fn. A word committed after the bound retries fn at once;
-// a held word retries it a few times and then parks on the word until
-// the holder releases it. A View takes no lock and no quiescence slot,
-// so Privatize's fence does not wait for one: an attempt may read a
-// privatized key's plain store beside the flag from before the fence,
-// but the commit that moved the flag fails that attempt's validation,
-// so View never returns it. fn may read any key routed to a declared
-// shard; it may be re-executed and must be pure. An error it returns is
-// returned as is. As in Update, a body that reads the declared keys in
-// declared order hashes none of them again.
+// before the attempt's first read, and a read gives up on a held word
+// or one committed after its shard's bound. An attempt whose reads all
+// stood is the state at its last bound load and stands as it is: a
+// word that moves after fn read it does not retry fn. A word committed
+// after the bound retries fn at once; a held word retries it a few
+// times and then parks on the word until the holder releases it. A
+// View takes no lock and no quiescence slot, so Privatize's fence does
+// not wait for one: an attempt may read a privatized key's plain store
+// beside the flag from before the fence. The fence moves the shard's
+// fence epoch, so that attempt loads its words again after fn, finds
+// the flag's word moved and runs again; View never returns it. fn may
+// read any key routed to a declared shard; it may be re-executed and
+// must be pure. An error it returns is returned as is. As in Update, a
+// body that reads the declared keys in declared order hashes none of
+// them again.
 func (s *Store) View(keys []string, fn func(*ViewTxn) error) error {
 	return s.ViewCtx(context.Background(), keys, fn)
 }

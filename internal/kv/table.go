@@ -165,19 +165,24 @@ func (sh *shard) linkOne(key string, h uint64, counter bool) (e *entry, made boo
 // its key) keeps it from touching a successor linked since. Retired is
 // permanent, so any goroutine that reads it may finish the collector's
 // work; like link, unlink is safe inside a transaction body.
+//
+// kvers is touched before the first tombstone is stored, the reverse of
+// link's order: a bounded snapshot that misses an unlinked key must find
+// kvers above its bound (see shard.findS), or it could report the key
+// missing beside values read before its delete committed.
 func (sh *shard) unlink(items []*entry) {
 	sh.mu.Lock()
 	t := sh.tbl.Load()
 	n := 0
 	for _, e := range items {
 		if slot, cur := t.probe(e.key, e.hash); cur == e {
+			if n == 0 {
+				sh.stm.Touch(sh.kvers)
+			}
 			slot.Store(tomb)
 			n++
 		}
 	}
 	sh.keys.Add(int64(-n))
 	sh.mu.Unlock()
-	if n > 0 {
-		sh.stm.Touch(sh.kvers)
-	}
 }

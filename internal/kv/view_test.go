@@ -296,9 +296,11 @@ func TestViewOpaqueAcrossShards(t *testing.T) {
 // plainly. The View must return (public, old x) or (private, new x),
 // never the flag from before the fence beside the value from after it.
 // On every engine the privatizer finishes while the body waits —
-// Quiesce does not wait for a View, which holds no slot — so it is
-// Valid, finding the flag's word moved, that throws the first attempt
-// away.
+// Quiesce does not wait for a View, which holds no slot. The plain
+// store moves no word, and a bounded snapshot whose words moved after
+// it read them stands as it is; but the fence moved x's shard's fence
+// epoch, so Valid loads the words again, finds the flag's word moved,
+// and throws the first attempt away.
 func TestViewPrivatizeSnapshot(t *testing.T) {
 	for _, e := range kvEngines {
 		t.Run(e.String(), func(t *testing.T) {
@@ -353,6 +355,86 @@ func TestViewPrivatizeSnapshot(t *testing.T) {
 			}
 			t.Logf("(%s) after %d attempts", got, attempts)
 		})
+	}
+}
+
+// TestViewRelinkedKey: a View reads j, and then an Update moves j and
+// deletes k, whose entry the collector unlinks, and a fresh entry for k
+// is linked — present by EnsureKeys, or absent by a creating Update
+// stopped mid-body. The fresh entry's word is at version 0, from no
+// commit, so the snapshot cannot stand at its bound on it: it must load
+// its words again, find j moved and read j anew. The View never returns
+// the old j beside k as it was after the delete. The stopped creator
+// holds its word on the in-place engines, which a View waits out, so
+// that case runs on lazy only.
+func TestViewRelinkedKey(t *testing.T) {
+	relinks := []struct {
+		name   string
+		lazy   bool // the relink holds no word only on lazy
+		relink func(s *Store, k string) (release func() error)
+	}{
+		{"EnsureKeys", false, func(s *Store, k string) func() error {
+			s.EnsureKeys(k)
+			return func() error { return nil }
+		}},
+		{"creating", true, func(s *Store, k string) func() error {
+			g, done := newGate(), make(chan error, 1)
+			go func() {
+				done <- s.Update([]string{k}, func(t *Txn) error {
+					t.Set(k, []byte("new"))
+					g.pass()
+					return nil
+				})
+			}()
+			<-g.entered
+			return func() error { close(g.open); return <-done }
+		}},
+	}
+	for _, e := range kvEngines {
+		for _, rl := range relinks {
+			if rl.lazy && e != stm.Lazy {
+				continue
+			}
+			t.Run(e.String()+"/"+rl.name, func(t *testing.T) {
+				s := New(WithShards(4), WithEngine(e))
+				j, k := twoShardNames(t, s, "relink")
+				if err := s.MSet(map[string][]byte{j: []byte("old"), k: []byte("live")}); err != nil {
+					t.Fatal(err)
+				}
+				release := func() error { return nil }
+				attempts := 0
+				var jv, kv []byte
+				var kok bool
+				err := s.View([]string{j, k}, func(v *ViewTxn) error {
+					attempts++
+					jv, _ = v.Get(j)
+					if attempts == 1 {
+						if err := s.Update([]string{j, k}, func(t *Txn) error {
+							t.Set(j, []byte("new"))
+							t.Delete(k)
+							return nil
+						}); err != nil {
+							return err
+						}
+						release = rl.relink(s, k)
+					}
+					kv, kok = v.Get(k)
+					return nil
+				})
+				if rerr := release(); err == nil {
+					err = rerr
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(jv) == "old" && (!kok || string(kv) != "live") {
+					t.Fatalf("View returned j=old beside k=(%q, %v) after %d attempts: k as it was after the delete", kv, kok, attempts)
+				}
+				if attempts != 2 {
+					t.Fatalf("View ran %d attempts, want 2", attempts)
+				}
+			})
+		}
 	}
 }
 

@@ -6,15 +6,11 @@ import (
 	"time"
 )
 
-// Snap reads locations without a transaction: a double collect over
-// their lock words. Read and SnapBox load a location's word (giving up
-// if it is locked), the value, and the word again (loading both again
-// if the word moved in between), and record the word; Valid loads every
-// recorded word again. When none moved, each value was the committed
-// one from its first load to the re-check, those windows all overlap,
-// and the values held together at one instant inside the calls — a
-// linearizable read of them all. No quiescence slot, Tx or read set is
-// used, so a snapshot takes no part in Quiesce: it writes nothing a
+// Snap reads locations without a transaction, over their lock words.
+// Read and SnapBox load a location's word (giving up if it is locked),
+// the value, and the word again (loading both again if the word moved
+// in between), and record the word. No quiescence slot, Tx or read set
+// is used, so a snapshot takes no part in Quiesce: it writes nothing a
 // fence would have to wait out.
 //
 // This holds on every engine, because each one changes a location's
@@ -25,12 +21,15 @@ import (
 // under its instance mutex, and commit and rollback both release at a
 // fresh version from the clock.
 //
+// A snapshot without bounds (every read passes math.MaxUint64) is a
+// double collect: Valid loads every recorded word again. When none
+// moved, each value was the committed one from its first load to the
+// re-check, those windows all overlap, and the values held together at
+// one instant inside the calls — a linearizable read of them all.
+//
 // Each read also takes a bound: a read gives up on a word whose version
 // is above it, as a transaction's read gives up on a word newer than
-// its begin. Valid alone needs no bound (math.MaxUint64 refuses
-// nothing); a bound makes the snapshot opaque, so that a caller acting
-// on each value as it reads never sees two values no single instant
-// held. Bound returns an instance's bound, and every bound must be
+// its begin. Bound returns an instance's bound, and every bound must be
 // taken before the snapshot's first read: a commit locks every word
 // it writes, on every instance, before it takes a version on any, so
 // once every bound is loaded each of its words reads either from before
@@ -38,8 +37,40 @@ import (
 // at an instance's first read is too late: a snapshot could read a's
 // old value on one instance, a commit could then move a and b, and a
 // later bound on b's instance would let the new b through beside the
-// old a. Valid would catch that pair, but only after the caller had
-// acted on it.
+// old a.
+//
+// A bounded snapshot stands at its last bound, as a TL2 read-only
+// transaction stands at its begin version, with no second collect.
+// Call the last bound load t_last; every read comes after it. A read
+// that accepts a word unlocked, at a version v no greater than its
+// instance's bound, and unchanged across its value load, holds the
+// value released at v, by a commit that took v before that bound was
+// loaded. No later commit on that word had taken a version by the read:
+// a committer locks its words before it takes a version, so the read
+// would have found the word locked, or above the bound once released.
+// So every value read was the committed one at t_last, and the
+// snapshot linearizes there. This holds across instances too: a commit
+// that landed between two bound loads moved its words before the read,
+// which refuses them as too new. A caller acting on each value as it
+// reads never sees two values no single instant held, and a word that
+// moves after it was read does not undo the snapshot.
+//
+// The argument rests on versions, so a bounded snapshot still loads its
+// words again in two cases, where a value came in with none:
+//   - A plain store let through by a fence. A privatizer commits a
+//     flag, runs Quiesce — which does not wait for a snapshot — and
+//     then plainly stores into a location the snapshot has not read
+//     yet. The store moves no word, so the snapshot could read the flag
+//     from before the fence beside the value from after it; only the
+//     flag's word moved. So Bound records the instance's fence epoch
+//     (Stats.Quiesces, which Quiesce bumps before it waits) before it
+//     loads the clock, and Valid loads every word again when an epoch
+//     moved during the snapshot.
+//   - A word at version 0, which no commit has released: its value was
+//     stored plainly, by Init or Store, at a time no bound orders. A
+//     location reached other than through a transactional read can be
+//     one — internal/kv links each new key's entry into its table
+//     plainly — so the snapshot that reads one loads its words again.
 //
 // A snapshot that takes bounds must read only the instances it bounded,
 // each under its own bound; it counts its commit on those instances
@@ -55,15 +86,19 @@ type Snap struct {
 	reads  []readEntry
 	owners []*STM    // the distinct instances: the bounded ones, or those read
 	bounds []uint64  // the bounds Bound returned, aligned with owners
+	epochs []uint64  // each bounded instance's Quiesces before its bound
 	held   readEntry // the locked word that refused a read, for Run to park on
 	moved  bool      // a read was refused as too new, or Valid found a word moved
+	plain  bool      // a read found a word at version 0, which no commit released
 	tick   uint64    // Run's latency-sampling tick; Reset keeps it
 }
 
 // Bound returns the bound of the snapshot's reads of s's locations,
 // taken now: a read under it gives up on any word committed after this
-// call. Call it once per instance, before the first read.
+// call. Call it once per instance, before the first read. It records
+// s's fence epoch first, for Valid.
 func (sn *Snap) Bound(s *STM) uint64 {
+	sn.epochs = append(sn.epochs, s.stats.Quiesces.Load())
 	b := s.clockBegin()
 	sn.owners = append(sn.owners, s)
 	sn.bounds = append(sn.bounds, b)
@@ -110,6 +145,9 @@ func (sn *Snap) open(vb *varBase, bound uint64) (uint64, bool) {
 	case version(m) > bound:
 		sn.moved = true
 	default:
+		if m == 0 {
+			sn.plain = true
+		}
 		return m, true
 	}
 	snapConflict(vb)
@@ -127,23 +165,28 @@ func (sn *Snap) close(vb *varBase, m uint64) bool {
 	return true
 }
 
-// Valid reports whether every word read is unchanged, and so whether
-// the values read hold together. A valid snapshot counts as a read-only
-// commit on each instance it bounded, or if it bounded none on each
+// Valid reports whether the values read hold together. An unbounded
+// snapshot holds when every word read is unchanged. A bounded one holds
+// at its last bound (see Snap), unless a fence began on one of its
+// instances since Bound or it read a word at version 0; only then does
+// it load its words again, holding when none moved. A valid snapshot
+// counts as a read-only commit on each instance it bounded, or if it bounded none on each
 // instance it read — a multi-instance commit when there are several; a
 // moved word counts a conflict. A bounded snapshot's accounting is one
 // pass over its bounds; an unbounded one finds the instances it read by
 // a search per read among those found so far.
 func (sn *Snap) Valid() bool {
 	bounded := len(sn.bounds) > 0
-	for _, r := range sn.reads {
-		if r.vb.meta.Load() != r.meta {
-			sn.moved = true
-			snapConflict(r.vb)
-			return false
-		}
-		if s := r.vb.owner; !bounded && !slices.Contains(sn.owners, s) {
-			sn.owners = append(sn.owners, s)
+	if !bounded || sn.plain || sn.fenced() {
+		for _, r := range sn.reads {
+			if r.vb.meta.Load() != r.meta {
+				sn.moved = true
+				snapConflict(r.vb)
+				return false
+			}
+			if s := r.vb.owner; !bounded && !slices.Contains(sn.owners, s) {
+				sn.owners = append(sn.owners, s)
+			}
 		}
 	}
 	multi := len(sn.owners) > 1
@@ -157,6 +200,17 @@ func (sn *Snap) Valid() bool {
 	return true
 }
 
+// fenced reports whether a fence began on a bounded instance since
+// Bound recorded its epoch.
+func (sn *Snap) fenced() bool {
+	for i, s := range sn.owners {
+		if s.stats.Quiesces.Load() != sn.epochs[i] {
+			return true
+		}
+	}
+	return false
+}
+
 // Reset empties the snapshot for reuse. It does not zero what it
 // recorded, which stays reachable until overwritten: the hot paths keep
 // their Snap in a sync.Pool, which lets it go at a later collection.
@@ -164,7 +218,8 @@ func (sn *Snap) Reset() {
 	sn.reads = sn.reads[:0]
 	sn.owners = sn.owners[:0]
 	sn.bounds = sn.bounds[:0]
-	sn.held, sn.moved = readEntry{}, false
+	sn.epochs = sn.epochs[:0]
+	sn.held, sn.moved, sn.plain = readEntry{}, false, false
 }
 
 // GiveUp ends the running attempt of Run. A body calls it when one of
@@ -178,11 +233,14 @@ func (sn *Snap) GiveUp() { panic(conflictSignal{}) }
 // stms; fn reads each instance's locations under its bound, and calls
 // GiveUp when a read reports false. An attempt stands when fn returns
 // an error, which Run returns as is without validating, or when fn
-// returns nil and Valid holds. After a read refused as too new, or a
-// word Valid found moved, Run retries at once; after a held word it
-// yields for a few attempts and then parks on that word until its
-// holder releases it. Run honours ctx between attempts and the retry
-// budget of stms[0], failing with a *TxError as Atomically does. No
+// returns nil and Valid holds. Every attempt is bounded, so it stands
+// at its last bound, however the words it read moved since, unless a
+// fence began on one of stms during it or it read a word no commit
+// released: then Valid loads its words again. After a read refused as
+// too new, or a word Valid found moved, Run retries at once; after a
+// held word it yields for a few attempts and then parks on that word
+// until its holder releases it. Run honours ctx between attempts and
+// the retry budget of stms[0], failing with a *TxError as Atomically does. No
 // instance may appear in stms twice. Run takes no quiescence slot (see
 // Quiesce), so fn may run a fence itself. It starts the snapshot
 // afresh and leaves it empty.

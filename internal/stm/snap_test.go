@@ -1,7 +1,9 @@
 package stm
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -350,4 +352,175 @@ func TestSnapAccounting(t *testing.T) {
 		t.Fatalf("global-lock read after the commit = %d, %v; want 6", n, ok)
 	}
 	sn.Reset()
+}
+
+// snapPair returns two instances of engine e with a Var on each, a on
+// the first and b on the second, both committed as 1: a word still at
+// version 0 would make every bounded snapshot load its words again.
+func snapPair(t *testing.T, e Engine) (stms []*STM, a, b *Var) {
+	t.Helper()
+	s1, s2 := New(WithEngine(e)), New(WithEngine(e))
+	stms, a, b = []*STM{s1, s2}, s1.NewVar("a", 0), s2.NewVar("b", 0)
+	err := AtomicallyMulti(stms, func(txs []*Tx) error {
+		txs[0].Write(a, 1)
+		txs[1].Write(b, 1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stms, a, b
+}
+
+// TestSnapMovedWordStands: a bounded two-instance Run reads a, a commit
+// then moves a, and the body reads b. The attempt stands the first
+// time, with the old a: it linearizes at its last bound, before the
+// commit, so the word that moved after it was read does not undo it.
+// With b never committed (its word still at version 0), the snapshot
+// loads its words again instead, finds a moved and runs once more.
+func TestSnapMovedWordStands(t *testing.T) {
+	for _, e := range engines {
+		for _, plainB := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/plainB=%v", e, plainB), func(t *testing.T) {
+				stms, a, b := snapPair(t, e)
+				if plainB {
+					b = stms[1].NewVar("b", 1)
+				}
+				attempts := 0
+				var av, bv int64
+				var sn Snap
+				err := sn.Run(context.Background(), stms, func(bounds []uint64) error {
+					attempts++
+					var ok bool
+					if av, ok = sn.Read(a, bounds[0]); !ok {
+						sn.GiveUp()
+					}
+					if attempts == 1 {
+						if err := stms[0].Atomically(func(tx *Tx) error { tx.Write(a, 2); return nil }); err != nil {
+							return err
+						}
+					}
+					if bv, ok = sn.Read(b, bounds[1]); !ok {
+						sn.GiveUp()
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantA, conflicts := 1, int64(1), []uint64{0, 0}
+				if plainB {
+					want, wantA = 2, 2
+					conflicts[0] = 1 // a's word, found moved
+				}
+				if attempts != want || av != wantA || bv != 1 {
+					t.Fatalf("Run read (a=%d, b=%d) in %d attempts, want (%d, 1) in %d", av, bv, attempts, wantA, want)
+				}
+				for i, s := range stms {
+					if st := s.Snapshot(); st.Conflicts != conflicts[i] || st.ReadOnlyCommits != 1 || st.MultiCommits != 2 {
+						t.Errorf("instance %d: %+v, want %d conflicts, one read-only commit and two multi-instance commits (set-up and snapshot)", i, st, conflicts[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSnapTooNewRestarts: a bounded two-instance Run reads a, a
+// transfer then moves a and b together, and the body reads b. The b it
+// finds is newer than its bound, so the attempt restarts, and the one
+// that stands reads both after the transfer: a pair no instant held
+// never reaches the body.
+func TestSnapTooNewRestarts(t *testing.T) {
+	for _, e := range engines {
+		t.Run(e.String(), func(t *testing.T) {
+			stms, a, b := snapPair(t, e)
+			attempts := 0
+			var av, bv int64
+			var sn Snap
+			err := sn.Run(context.Background(), stms, func(bounds []uint64) error {
+				attempts++
+				var ok bool
+				if av, ok = sn.Read(a, bounds[0]); !ok {
+					sn.GiveUp()
+				}
+				if attempts == 1 {
+					err := AtomicallyMulti(stms, func(txs []*Tx) error {
+						txs[0].Write(a, txs[0].Read(a)-1)
+						txs[1].Write(b, txs[1].Read(b)+1)
+						return nil
+					})
+					if err != nil {
+						return err
+					}
+				}
+				if bv, ok = sn.Read(b, bounds[1]); !ok {
+					sn.GiveUp()
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if attempts != 2 || av != 0 || bv != 2 {
+				t.Fatalf("Run read (a=%d, b=%d) in %d attempts, want (0, 2) in 2", av, bv, attempts)
+			}
+			if got := stms[1].Snapshot().Conflicts; got != 1 {
+				t.Errorf("b's instance counted %d conflicts, want 1 (the too-new read)", got)
+			}
+		})
+	}
+}
+
+// TestSnapFenceForcesSecondLook: a bounded Run reads a flag on one
+// instance. Another goroutine then commits the flag, runs Quiesce on
+// the second instance — which does not wait for a snapshot — and
+// plainly stores into x there, and the body reads x. The store moves
+// no word, so only the fence tells Valid to load the words again; it
+// finds the flag's word moved and the attempt restarts. The snapshot
+// never stands as the flag from before the fence beside x from after
+// it.
+func TestSnapFenceForcesSecondLook(t *testing.T) {
+	for _, e := range engines {
+		t.Run(e.String(), func(t *testing.T) {
+			stms, flag, x := snapPair(t, e)
+			attempts := 0
+			var fv, xv int64
+			var sn Snap
+			err := sn.Run(context.Background(), stms, func(bounds []uint64) error {
+				attempts++
+				var ok bool
+				if fv, ok = sn.Read(flag, bounds[0]); !ok {
+					sn.GiveUp()
+				}
+				if attempts == 1 {
+					done := make(chan error)
+					go func() {
+						err := stms[0].Atomically(func(tx *Tx) error { tx.Write(flag, 2); return nil })
+						if err == nil {
+							stms[1].Quiesce()
+							x.Store(2)
+						}
+						done <- err
+					}()
+					if err := <-done; err != nil {
+						return err
+					}
+				}
+				if xv, ok = sn.Read(x, bounds[1]); !ok {
+					sn.GiveUp()
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fv != xv {
+				t.Fatalf("Run stood as (flag=%d, x=%d) after %d attempts: the two sides of the fence", fv, xv, attempts)
+			}
+			if attempts != 2 || fv != 2 {
+				t.Fatalf("Run read (flag=%d, x=%d) in %d attempts, want (2, 2) in 2", fv, xv, attempts)
+			}
+		})
+	}
 }

@@ -174,7 +174,7 @@ type Stats struct {
 
 	Conflicts  atomic.Uint64
 	UserAborts atomic.Uint64
-	Quiesces   atomic.Uint64 // quiescence fences executed
+	Quiesces   atomic.Uint64 // quiescence fences begun, bumped before each waits: the fence epoch a bounded Snap checks
 	_          [40]byte      // conflict-path group ends its cache line here
 
 	// Blocking subsystem (see notify.go). Waits counts parks — attempts
