@@ -48,10 +48,12 @@ import (
 // in the log exactly when a committed SET or CSET made it exist. Two
 // mixed-mode paths are, by design, outside the log: the entries
 // EnsureKeys/EnsureCounters link already present (bulk loading's
-// shortcut: a nil or 0 key no transaction wrote reappears on its first
-// write) and plain writes through Privatize'd handles. Publish IS
+// shortcut, a plain write into an entry no transaction can reach yet,
+// shard by shard: a nil or 0 key no transaction wrote reappears on its
+// first write) and plain writes through Privatize'd handles. Publish IS
 // logged: its sentinel transaction carries the published values as SET
-// ops.
+// ops. Recovery writes plainly too, each shard on its own (see
+// Store.Recover).
 
 // ErrNotDurable reports a durability operation on a store opened
 // without WithDurability.
@@ -144,7 +146,10 @@ type RecoverInfo struct {
 // (see wal.Recover). Open calls it before attaching the log and the
 // commit taps, so nothing replayed is re-logged; calling it again
 // afterwards just returns the boot-time summary. Records route by key,
-// so a directory reopens at any shard count.
+// so a directory reopens at any shard count. The log is read in one
+// pass; the shards then replay their shares side by side (eachShard),
+// since each touches only its own table and STM instance. Of several
+// failing shards, the lowest-numbered one's error is returned.
 func (s *Store) Recover() (RecoverInfo, error) {
 	if s.dur == nil {
 		return RecoverInfo{}, ErrNotDurable
@@ -156,23 +161,33 @@ func (s *Store) Recover() (RecoverInfo, error) {
 		return RecoverInfo{}, fmt.Errorf("kv: %s holds the per-shard logs of an earlier version, which this one does not read", s.dur.dir)
 	}
 	// The ops by shard, in log order: each shard then replays on its
-	// own, into a map sized for it and a table that stay in cache.
-	ops := make([][]wal.Op, len(s.shards))
+	// own, into a map sized for it and a table that stay in cache, and
+	// the shards replay side by side (eachShard). An op is routed by
+	// reference with its key's hash: each record's ops are this call's,
+	// handed over once, and the hash is the one replay links by.
+	ops := make([][]routedOp, len(s.shards))
+	n := 0
 	res, err := wal.RecoverFS(s.dur.fs, s.dur.dir, func(rec wal.Record) error {
-		for _, op := range rec.Ops {
-			i := s.ShardOf(op.Key)
-			ops[i] = append(ops[i], op)
+		for j := range rec.Ops {
+			h := fnv1a(rec.Ops[j].Key)
+			ops[h&s.mask] = append(ops[h&s.mask], routedOp{&rec.Ops[j], h})
 		}
+		n += len(rec.Ops)
 		return nil
 	}, &s.dur.m)
 	if err != nil {
 		return RecoverInfo{}, fmt.Errorf("kv: recover: %w", err)
 	}
-	for i, sh := range s.shards {
-		if err := sh.replay(ops[i]); err != nil {
+	errs := make([]error, len(s.shards))
+	s.eachShard(n, func(i int) {
+		errs[i] = s.shards[i].replay(ops[i])
+		ops[i] = nil
+	})
+	// The lowest-numbered shard's error, whatever order the shards ran in.
+	for _, err := range errs {
+		if err != nil {
 			return RecoverInfo{}, err
 		}
-		ops[i] = nil
 	}
 	s.feed.lsn = res.LastSeq
 	s.dur.res = res
@@ -189,45 +204,53 @@ func (s *Store) Recover() (RecoverInfo, error) {
 
 // replay installs in sh the state ops — sh's share of the snapshot and
 // the log tail, in order — leave behind: the ops fold into each key's
-// last write, and the survivors are linked present in one batch per
-// kind. Recovery is single-threaded and runs before the store serves,
-// so a plain store into a linked entry is the whole write.
-func (sh *shard) replay(ops []wal.Op) error {
-	final := make(map[string]wal.Op, len(ops)) // key → its last write, absolute
-	for _, op := range ops {
-		switch op.Kind {
+// last write, and each survivor is linked and given its value in one
+// hold of sh.mu, with one Touch of kvers after it. Recovery runs before
+// the store serves and each shard replays on one goroutine, so sh has
+// one writer and no reader: a plain store into an entry just linked is
+// the whole write.
+func (sh *shard) replay(ops []routedOp) error {
+	final := make(map[string]routedOp, len(ops)) // key → its last write, made absolute in place
+	for _, r := range ops {
+		switch op := r.op; op.Kind {
 		case wal.KindSet, wal.KindCounterSet:
-			final[op.Key] = op
+			final[op.Key] = r
 		case wal.KindCounterAdd:
-			if prev := final[op.Key]; prev.Kind == wal.KindCounterSet {
-				op.N += prev.N
+			if prev, ok := final[op.Key]; ok && prev.op.Kind == wal.KindCounterSet {
+				op.N += prev.op.N
 			}
 			op.Kind = wal.KindCounterSet
-			final[op.Key] = op
+			final[op.Key] = r
 		case wal.KindDelete:
 			delete(final, op.Key)
 		default:
 			return fmt.Errorf("kv: replay: unknown op kind %d", op.Kind)
 		}
 	}
-	var bs, cs []string
-	for k, op := range final {
-		if op.Kind == wal.KindSet {
-			bs = append(bs, k)
-		} else {
-			cs = append(cs, k)
-		}
+	if len(final) == 0 {
+		return nil
 	}
-	sh.link(bs, false, true)
-	sh.link(cs, true, true)
-	for k, op := range final {
-		if e := sh.lookup(k, fnv1a(k)); op.Kind == wal.KindSet {
-			e.b.Store(op.Val)
+	sh.mu.Lock()
+	left := len(final)
+	for k, r := range final {
+		e, _ := sh.put(k, r.hash, r.op.Kind == wal.KindCounterSet, true, left)
+		if r.op.Kind == wal.KindSet {
+			e.b.Store(r.op.Val)
 		} else {
-			e.c.Store(op.N)
+			e.c.Store(r.op.N)
 		}
+		left--
 	}
+	sh.mu.Unlock()
+	sh.stm.Touch(sh.kvers)
 	return nil
+}
+
+// routedOp is a recovered op routed to its key's shard, with the key's
+// hash.
+type routedOp struct {
+	op   *wal.Op
+	hash uint64
 }
 
 // attachLogs opens the log (continuing the repaired tail) and installs

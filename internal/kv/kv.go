@@ -59,6 +59,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -174,6 +175,12 @@ const (
 )
 
 var nonBox = [2]*[]byte{new([]byte), new([]byte)}
+
+// emptyBox is the nil value every present bytes key starts on (see
+// newEntry). One box serves them all because no box is ever written in
+// place: every write stores a fresh box, and a state is told only by
+// identity against nonBox, so a shared box is as good as a private one.
+var emptyBox = new([]byte)
 
 const nonCount int64 = math.MinInt64
 
@@ -455,8 +462,9 @@ func wrongType(key string) error {
 
 // newEntry makes an unlinked entry, absent or — for the callers whose
 // contract is a key present on return — already holding the kind's zero
-// value (nil bytes, counter 0): nothing can read an entry before it is
-// linked, so initialising it there is the whole write.
+// value (nil bytes on the shared emptyBox, counter 0): nothing can read
+// an entry before it is linked, so initialising it there is the whole
+// write. A present bytes key is one allocation, its entry.
 func (sh *shard) newEntry(key string, h uint64, counter, present bool) *entry {
 	if counter {
 		n := nonCount + int64(absent)
@@ -468,27 +476,94 @@ func (sh *shard) newEntry(key string, h uint64, counter, present bool) *entry {
 	e := &entry{key: key, hash: h}
 	box := nonBox[absent]
 	if present {
-		box = new([]byte)
+		box = emptyBox
 	}
 	e.b.Init(sh.stm, box)
 	return e
 }
 
-// linkAll is shard.link across shards.
+// hashedKey is a key routed to its shard, with the hash that routed it.
+type hashedKey struct {
+	key  string
+	hash uint64
+}
+
+// linkAll is shard.link across shards: the keys are routed by a counting
+// sort into one slice, each keeping its hash, and the shards link their
+// runs of it through eachShard. The keys that had an entry come back in
+// no particular order.
 func (s *Store) linkAll(keys []string, counter, present bool) (had []string) {
 	if len(keys) == 1 {
-		sh, _ := s.route(keys[0])
-		return sh.link(keys, counter, present)
+		sh, h := s.route(keys[0])
+		return sh.link([]hashedKey{{keys[0], h}}, counter, present)
 	}
-	byShard := make(map[*shard][]string)
-	for _, k := range keys {
-		sh, _ := s.route(k)
-		byShard[sh] = append(byShard[sh], k)
+	at := make([]int, len(s.shards)+1) // shard i's run is routed[at[i]:at[i+1]]
+	hs := make([]uint64, len(keys))
+	for i, k := range keys {
+		hs[i] = fnv1a(k)
+		at[hs[i]&s.mask+1]++
 	}
-	for sh, ks := range byShard {
-		had = append(had, sh.link(ks, counter, present)...)
+	for i := range s.shards {
+		at[i+1] += at[i]
+	}
+	routed := make([]hashedKey, len(keys))
+	next := append([]int(nil), at[:len(s.shards)]...)
+	for i, k := range keys {
+		j := hs[i] & s.mask
+		routed[next[j]] = hashedKey{k, hs[i]}
+		next[j]++
+	}
+	hads := make([][]string, len(s.shards))
+	s.eachShard(len(keys), func(i int) {
+		hads[i] = s.shards[i].link(routed[at[i]:at[i+1]], counter, present)
+	})
+	for _, h := range hads {
+		had = append(had, h...)
 	}
 	return had
+}
+
+// parallelMin is the batch below which eachShard stays on the caller's
+// processor: under it, starting workers costs more than the work they
+// would share.
+const parallelMin = 4096
+
+// eachShard calls fn(i) once for every shard index i, and returns when
+// every call has. For a batch of n ≥ parallelMin keys it runs them on
+// min(GOMAXPROCS, shards) workers, the caller one of them, which take
+// the next index from a shared counter, so one heavy shard holds up only
+// its own worker. It is for the bulk paths that write keys plainly where
+// no transaction can reach them — recovery's replay and EnsureKeys's
+// link — each call touching only shard i: a shard's own STM instance,
+// table, mu and kvers, so two shards' calls share nothing to race on.
+func (s *Store) eachShard(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), len(s.shards))
+	if n < parallelMin || workers < 2 {
+		for i := range s.shards {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= len(s.shards) {
+				return
+			}
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range workers - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // collect is the one way out of the key table, run after a committed
@@ -534,18 +609,24 @@ func (s *Store) collect(items []*entry) int {
 }
 
 // EnsureKeys makes all the keys present as bytes keys: missing ones are
-// created with a nil value, existing ones keep their kind and value.
+// created with a nil value, existing ones keep their kind and value. A
+// batch of 4,096 keys or more links its shards side by side, one worker
+// a processor. Safe beside every other operation.
 func (s *Store) EnsureKeys(keys ...string) { s.ensure(keys, false) }
 
 // EnsureCounters makes all the keys present as counters: missing ones
-// are created at 0, existing ones keep their kind and value.
+// are created at 0, existing ones keep their kind and value. It links as
+// EnsureKeys does.
 func (s *Store) EnsureCounters(keys ...string) { s.ensure(keys, true) }
 
 // ensure links the keys that have no entry already present, with no
-// transaction and one table rebuild per shard for the batch. The keys
-// that had an entry go through one ordinary
-// transaction, which brings to life those holding no value (deleted and
-// not yet collected, or left by a failed creation).
+// transaction: each shard links its share in one hold of its mu, with
+// one table rebuild for the batch, and the shards link through
+// eachShard. Such a key is written plainly where no transaction can
+// reach it: nothing finds its entry before the link. The keys that had
+// an entry go through one ordinary transaction, which brings to life
+// those holding no value (deleted and not yet collected, or left by a
+// failed creation).
 func (s *Store) ensure(keys []string, counter bool) {
 	had := s.linkAll(keys, counter, true)
 	if len(had) == 0 {

@@ -128,19 +128,19 @@ func (sh *shard) put(key string, h uint64, counter, present bool, batch int) (*e
 }
 
 // link and linkOne are the one way into the key table: they link a fresh
-// entry of the given kind for each key (routed to sh) that has none, in
-// place, in O(1) a key. link's entries are absent, or present holding the
-// kind's zero value, and it returns the keys that already had an entry,
-// whatever its kind or state; linkOne's is absent, and it returns the
-// entry the table holds and whether this call made it. Both take only
-// leaf locks and run no transaction, so transaction bodies may call them.
-// The slot is stored before kvers is touched: see shard.find for what
-// rests on that order.
-func (sh *shard) link(keys []string, counter, present bool) (had []string) {
+// entry of the given kind for each key (routed to sh, with its hash) that
+// has none, in place, in O(1) a key. link's entries are absent, or present
+// holding the kind's zero value, and it returns the keys that already had
+// an entry, whatever its kind or state; linkOne's is absent, and it
+// returns the entry the table holds and whether this call made it. Both
+// take only leaf locks and run no transaction, so transaction bodies may
+// call them. The slot is stored before kvers is touched: see shard.find
+// for what rests on that order.
+func (sh *shard) link(keys []hashedKey, counter, present bool) (had []string) {
 	sh.mu.Lock()
 	for i, k := range keys {
-		if _, made := sh.put(k, fnv1a(k), counter, present, len(keys)-i); !made {
-			had = append(had, k)
+		if _, made := sh.put(k.key, k.hash, counter, present, len(keys)-i); !made {
+			had = append(had, k.key)
 		}
 	}
 	sh.mu.Unlock()

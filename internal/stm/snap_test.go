@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestEagerRollbackMovesWord does a read's three loads by hand around a
@@ -60,8 +61,12 @@ func TestEagerRollbackMovesWord(t *testing.T) {
 // Var on one instance and a TVar on another, beside Snap readers that
 // check the conserved sum on every valid snapshot, and bounded Snap
 // readers that check it as soon as both values are read, before Valid:
-// bounds taken before the first read make the snapshot opaque.
+// bounds taken before the first read make the snapshot opaque. The
+// writers go on past their iterations, paced, until each kind of reader
+// has validated minValid snapshots beside them, so the checks run while
+// transfers land, not only on the quiet snapshot after them.
 func TestSnapNoTornAcrossInstances(t *testing.T) {
+	const minValid = 20
 	for _, e := range engines {
 		t.Run(e.String(), func(t *testing.T) {
 			s1, s2 := New(WithEngine(e)), New(WithEngine(e))
@@ -104,12 +109,21 @@ func TestSnapNoTornAcrossInstances(t *testing.T) {
 			if testing.Short() {
 				iters = 100
 			}
+			var valid, validBounded atomic.Int64
+			enough := func() bool { return valid.Load() >= minValid && validBounded.Load() >= minValid }
+			deadline := time.Now().Add(5 * time.Second)
 			var writers sync.WaitGroup
 			for w := 0; w < 4; w++ {
 				writers.Add(1)
 				go func(amt int64) {
 					defer writers.Done()
-					for i := 0; i < iters; i++ {
+					for i := 0; i < iters || !enough() && time.Now().Before(deadline); i++ {
+						if i >= iters {
+							// Paced from here on, so that a reader on the
+							// same processor can finish a snapshot between
+							// two transfers.
+							time.Sleep(200 * time.Microsecond)
+						}
 						err := AtomicallyMulti(stms, func(txs []*Tx) error {
 							txs[0].Write(a, txs[0].Read(a)-amt)
 							WriteT(txs[1], b, ReadT(txs[1], b)+amt)
@@ -124,7 +138,6 @@ func TestSnapNoTornAcrossInstances(t *testing.T) {
 			}
 			stop := make(chan struct{})
 			var readers sync.WaitGroup
-			var valid atomic.Int64
 			for r := 0; r < 2; r++ {
 				readers.Add(1)
 				go func() {
@@ -144,7 +157,7 @@ func TestSnapNoTornAcrossInstances(t *testing.T) {
 							}
 						}
 						if readBounded(&sn) {
-							valid.Add(1)
+							validBounded.Add(1)
 						}
 					}
 				}()
@@ -152,6 +165,11 @@ func TestSnapNoTornAcrossInstances(t *testing.T) {
 			writers.Wait()
 			close(stop)
 			readers.Wait()
+			t.Logf("%d valid and %d valid bounded snapshots beside the transfers", valid.Load(), validBounded.Load())
+			if !enough() {
+				t.Errorf("only %d valid and %d valid bounded snapshots beside the transfers, want %d of each",
+					valid.Load(), validBounded.Load(), minValid)
+			}
 
 			// Quiet now: a snapshot holds.
 			var sn Snap
@@ -165,7 +183,6 @@ func TestSnapNoTornAcrossInstances(t *testing.T) {
 			if sum != 1000 {
 				t.Fatalf("quiet snapshot sum = %d, want 1000", sum)
 			}
-			t.Logf("%d valid snapshots beside the transfers", valid.Load())
 		})
 	}
 }
