@@ -78,7 +78,10 @@ const (
 
 // ensureDeletedOthers caps the keys of a batch deleted from the other
 // kind. ensure's Update takes one more attempt over the whole batch for
-// each of them, so a batch with hundreds takes seconds.
+// each of them, so a batch with hundreds takes seconds. That is a known
+// fault of Store.ensure (the FOUND entry on it in CHANGES.md), which
+// this test, checking values, does not pin; ROADMAP item 11 holds the
+// test that should pin ensure's attempt count once it is mended.
 const ensureDeletedOthers = 16
 
 // TestEnsureBesideReadersAndWriters: an EnsureKeys and an EnsureCounters

@@ -523,26 +523,26 @@ func (s *Store) linkAll(keys []string, counter, present bool) (had []string) {
 	return had
 }
 
-// parallelMin is the batch below which eachShard stays on the caller's
-// processor: under it, starting workers costs more than the work they
-// would share.
+// parallelMin is the batch below which eachShard runs on the caller
+// alone and starts no goroutine. Such batches, like kv-write-contended's
+// 256-key ensures, are too short to share: with the threshold at 0 that
+// workload's set-up measured no different (EXPERIMENTS.md, "Bulk paths:
+// one loop, measured again").
 const parallelMin = 4096
 
 // eachShard calls fn(i) once for every shard index i, and returns when
-// every call has. For a batch of n ≥ parallelMin keys it runs them on
-// min(GOMAXPROCS, shards) workers, the caller one of them, which take
-// the next index from a shared counter, so one heavy shard holds up only
-// its own worker. It is for the bulk paths that write keys plainly where
-// no transaction can reach them — recovery's replay and EnsureKeys's
-// link — each call touching only shard i: a shard's own STM instance,
-// table, mu and kvers, so two shards' calls share nothing to race on.
+// every call has. The calls run on min(GOMAXPROCS, shards) workers, the
+// caller one of them — the caller alone for a batch of n < parallelMin
+// keys — which take the next index from a shared counter, so one heavy
+// shard holds up only its own worker. It is for the bulk paths that
+// write keys plainly where no transaction can reach them — recovery's
+// replay and EnsureKeys's link — each call touching only shard i: a
+// shard's own STM instance, table, mu and kvers, so two shards' calls
+// share nothing to race on.
 func (s *Store) eachShard(n int, fn func(i int)) {
 	workers := min(runtime.GOMAXPROCS(0), len(s.shards))
-	if n < parallelMin || workers < 2 {
-		for i := range s.shards {
-			fn(i)
-		}
-		return
+	if n < parallelMin {
+		workers = 1
 	}
 	var next atomic.Int64
 	work := func() {

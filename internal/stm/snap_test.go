@@ -111,7 +111,8 @@ func TestSnapNoTornAcrossInstances(t *testing.T) {
 			}
 			var valid, validBounded atomic.Int64
 			enough := func() bool { return valid.Load() >= minValid && validBounded.Load() >= minValid }
-			deadline := time.Now().Add(5 * time.Second)
+			start := time.Now()
+			deadline := start.Add(5 * time.Second)
 			var writers sync.WaitGroup
 			for w := 0; w < 4; w++ {
 				writers.Add(1)
@@ -163,9 +164,11 @@ func TestSnapNoTornAcrossInstances(t *testing.T) {
 				}()
 			}
 			writers.Wait()
+			took := time.Since(start)
 			close(stop)
 			readers.Wait()
-			t.Logf("%d valid and %d valid bounded snapshots beside the transfers", valid.Load(), validBounded.Load())
+			t.Logf("%d valid and %d valid bounded snapshots beside the transfers, which took %v of the %v allowed",
+				valid.Load(), validBounded.Load(), took.Round(time.Millisecond), deadline.Sub(start))
 			if !enough() {
 				t.Errorf("only %d valid and %d valid bounded snapshots beside the transfers, want %d of each",
 					valid.Load(), validBounded.Load(), minValid)
