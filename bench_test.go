@@ -342,40 +342,59 @@ func BenchmarkKVFastPathBytes(b *testing.B) {
 
 // BenchmarkSTMBlocked (S7): wakeup latency of the commit-notification
 // subsystem — a round-trip handoff between two goroutines through two
-// one-slot queues, where every PopWait parks until the peer's enqueue
-// commits. Each op is one full park→notify→wake→dequeue round trip on
-// each side; before the event-driven rework the same pattern cost up to
-// two 4ms backoff sleeps per hop.
+// one-slot Var mailboxes, where every receive parks (Tx.Block) until the
+// peer's send commits. Each op is one full park→notify→wake→take round
+// trip on each side; before the event-driven rework the same pattern
+// cost up to two 4ms backoff sleeps per hop.
 func BenchmarkSTMBlocked(b *testing.B) {
+	// A mailbox holds 0 when empty; send parks while it is full, recv
+	// while it is empty.
+	send := func(s *stm.STM, box *stm.Var, v int64) error {
+		return s.Atomically(func(tx *stm.Tx) error {
+			if tx.Read(box) != 0 {
+				tx.Block()
+			}
+			tx.Write(box, v)
+			return nil
+		})
+	}
+	recv := func(s *stm.STM, box *stm.Var) (v int64, err error) {
+		err = s.Atomically(func(tx *stm.Tx) error {
+			if v = tx.Read(box); v == 0 {
+				tx.Block()
+			}
+			tx.Write(box, 0)
+			return nil
+		})
+		return v, err
+	}
 	for _, e := range stmEngines {
 		e := e
 		b.Run(e.String(), func(b *testing.B) {
 			s := stm.New(stm.WithEngine(e))
-			ping := stm.NewQueue[int](s, "ping", 1)
-			pong := stm.NewQueue[int](s, "pong", 1)
-			ctx := context.Background()
+			ping, pong := s.NewVar("ping", 0), s.NewVar("pong", 0)
 			go func() {
 				for {
-					v, err := ping.PopWait(ctx)
+					v, err := recv(s, ping)
 					if err != nil || v < 0 {
 						return
 					}
-					if err := pong.PushWait(ctx, v); err != nil {
+					if err := send(s, pong, v); err != nil {
 						return
 					}
 				}
 			}()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := ping.PushWait(ctx, i); err != nil {
+				if err := send(s, ping, int64(i)+1); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := pong.PopWait(ctx); err != nil {
+				if _, err := recv(s, pong); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
-			_ = ping.PushWait(ctx, -1) // stop the echo goroutine
+			_ = send(s, ping, -1) // stop the echo goroutine
 		})
 	}
 }

@@ -245,16 +245,22 @@ func TestClusterReconnect(t *testing.T) {
 func TestClusterSnapshotCatchup(t *testing.T) {
 	// Tiny segments so rotations close segments and Checkpoint's
 	// compaction can delete them — forcing ErrCompacted for a replica
-	// starting from sequence 1.
+	// starting from sequence 1. The log rotates a full segment only
+	// after the sync a Checkpoint waits on, so the first Checkpoint may
+	// still find segment 1 open, and the rotation's own checkpoint is
+	// skipped while it runs. The second, after more records, finds
+	// segment 1 closed and covered, and deletes it.
 	p, st, addr, cleanup := testPrimary(t, kv.WithWALSegmentBytes(256))
 	defer cleanup()
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 80; i++ {
 		if err := p.Set(fmt.Sprintf("snap-%02d", i), []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := p.Checkpoint(); err != nil {
-		t.Fatal(err)
+		if i == 39 || i == 79 {
+			if err := p.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 
 	r, err := kv.NewReplica(kv.WithShards(4), kv.WithMetrics(false))
@@ -265,7 +271,7 @@ func TestClusterSnapshotCatchup(t *testing.T) {
 	stop := startClient(t, addr, r)
 	defer stop()
 	waitFor(t, "snapshot catch-up", r.Ready)
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 80; i++ {
 		k := fmt.Sprintf("snap-%02d", i)
 		if v, ok, err := r.Store().Get(k); err != nil || !ok || string(v) != "x" {
 			t.Fatalf("%s = %q, %v, %v", k, v, ok, err)

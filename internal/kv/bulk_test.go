@@ -76,14 +76,6 @@ const (
 	ensureCases
 )
 
-// ensureDeletedOthers caps the keys of a batch deleted from the other
-// kind. ensure's Update takes one more attempt over the whole batch for
-// each of them, so a batch with hundreds takes seconds. That is a known
-// fault of Store.ensure (the FOUND entry on it in CHANGES.md), which
-// this test, checking values, does not pin; ROADMAP item 11 holds the
-// test that should pin ensure's attempt count once it is mended.
-const ensureDeletedOthers = 16
-
 // TestEnsureBesideReadersAndWriters: an EnsureKeys and an EnsureCounters
 // of n keys each run at once, beside a writer on every fourth key of
 // both batches (Set on a key that ends as bytes, CounterAdd on one that
@@ -116,9 +108,6 @@ func testEnsureBeside(t *testing.T, eng stm.Engine, n int) {
 		for i := 0; i < n; i++ {
 			k := key{name: fmt.Sprintf("%c:%05d", "bc"[g], i), counter: ensured, written: i%4 == 0}
 			c := i % ensureCases
-			if c == ensureDeletedOther && i/ensureCases >= ensureDeletedOthers {
-				c = ensureDeletedSame
-			}
 			held := ensured // the kind the key holds or held before the ensure
 			if c == ensureHeldOther || c == ensureDeletedOther {
 				held = !ensured
@@ -268,6 +257,66 @@ func testEnsureBeside(t *testing.T, eng stm.Engine, n int) {
 			}
 			if err != nil || !ok || string(v) != want {
 				t.Fatalf("%s = %q, %v, %v after the ensure, want %q", k.name, v, ok, err, want)
+			}
+		}
+	}
+}
+
+// TestEnsureFreesDeletedOtherKind: keys whose names are held by deleted,
+// not yet collected entries of the other kind become present as the
+// ensured kind without an attempt apiece. Each such key once failed the
+// ensure's whole transaction with ErrWrongType and ran it again, so the
+// shards' user aborts rose by one a key (times the shards it spans).
+// Live keys of the other kind keep their kind and value.
+func TestEnsureFreesDeletedOtherKind(t *testing.T) {
+	const n = 500
+	for _, counter := range []bool{false, true} {
+		s := New(WithShards(16), WithMetrics(false))
+		var keys []string
+		for i := 0; i < n; i++ {
+			k := fmt.Sprintf("k:%04d", i)
+			var err error
+			if counter {
+				err = s.Set(k, []byte("pre"))
+			} else {
+				_, err = s.CounterAdd(k, 7)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%10 != 0 {
+				deleteUncollected(t, s, k) // every tenth stays live
+			}
+			keys = append(keys, k)
+		}
+		before := s.Stats()
+		if counter {
+			s.EnsureCounters(keys...)
+		} else {
+			s.EnsureKeys(keys...)
+		}
+		after := s.Stats()
+		if d := after.UserAborts + after.Conflicts - before.UserAborts - before.Conflicts; d > 4 {
+			t.Errorf("counter=%v: ensuring %d keys deleted from the other kind cost %d aborted attempts", counter, n-n/10, d)
+		}
+		for i, k := range keys {
+			sh, h := s.route(k)
+			e := sh.lookup(k, h)
+			live := i%10 == 0
+			if e == nil || e.isCounter() != (counter != live) {
+				t.Fatalf("counter=%v: %s has entry %v after the ensure", counter, k, e)
+			}
+			var want string
+			switch {
+			case live && counter: // a bytes key, kept
+				want = "pre"
+			case live:
+				want = "7"
+			case counter:
+				want = "0"
+			}
+			if v, ok, err := s.Get(k); err != nil || !ok || string(v) != want {
+				t.Fatalf("counter=%v: %s = %q, %v, %v after the ensure, want %q", counter, k, v, ok, err, want)
 			}
 		}
 	}

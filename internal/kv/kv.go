@@ -490,12 +490,12 @@ type hashedKey struct {
 
 // linkAll is shard.link across shards: the keys are routed by a counting
 // sort into one slice, each keeping its hash, and the shards link their
-// runs of it through eachShard. The keys that had an entry come back in
-// no particular order.
-func (s *Store) linkAll(keys []string, counter, present bool) (had []string) {
+// runs of it through eachShard. What the shards return comes back in no
+// particular order.
+func (s *Store) linkAll(keys []string, counter bool) (had []string, other []*entry) {
 	if len(keys) == 1 {
 		sh, h := s.route(keys[0])
-		return sh.link([]hashedKey{{keys[0], h}}, counter, present)
+		return sh.link([]hashedKey{{keys[0], h}}, counter)
 	}
 	at := make([]int, len(s.shards)+1) // shard i's run is routed[at[i]:at[i+1]]
 	hs := make([]uint64, len(keys))
@@ -514,13 +514,15 @@ func (s *Store) linkAll(keys []string, counter, present bool) (had []string) {
 		next[j]++
 	}
 	hads := make([][]string, len(s.shards))
+	others := make([][]*entry, len(s.shards))
 	s.eachShard(len(keys), func(i int) {
-		hads[i] = s.shards[i].link(routed[at[i]:at[i+1]], counter, present)
+		hads[i], others[i] = s.shards[i].link(routed[at[i]:at[i+1]], counter)
 	})
-	for _, h := range hads {
-		had = append(had, h...)
+	for i := range s.shards {
+		had = append(had, hads[i]...)
+		other = append(other, others[i]...)
 	}
-	return had
+	return had, other
 }
 
 // parallelMin is the batch below which eachShard runs on the caller
@@ -575,26 +577,25 @@ func (s *Store) eachShard(n int, fn func(i int)) {
 // still absent to the retired state, in a transaction that serializes
 // with every such writer (the writer commits first and the entry stays,
 // or it reads retired and looks again), and only then unlinks it. It
-// reports how many of the entries held no value; live ones are left
-// alone.
-func (s *Store) collect(items []*entry) int {
+// returns the entries that held no value, whose names are now free;
+// live ones are left alone.
+func (s *Store) collect(items []*entry) (gone []*entry) {
 	byShard := make(map[*shard][]*entry)
 	for _, e := range items {
 		sh := s.shards[e.hash&s.mask]
 		byShard[sh] = append(byShard[sh], e)
 	}
-	total := 0
 	for sh, es := range byShard {
-		var gone []*entry
+		var dead []*entry
 		err := sh.stm.Atomically(func(tx *stm.Tx) error {
-			gone = gone[:0]
+			dead = dead[:0]
 			for _, e := range es {
 				switch _, _, _, st := e.read(tx); st {
 				case absent:
 					e.write(tx, retired)
-					gone = append(gone, e)
+					dead = append(dead, e)
 				case retired:
-					gone = append(gone, e)
+					dead = append(dead, e)
 				}
 			}
 			return nil
@@ -602,10 +603,10 @@ func (s *Store) collect(items []*entry) int {
 		if err != nil {
 			continue // retry budget spent: the entries stay linked, absent and invisible
 		}
-		sh.unlink(gone)
-		total += len(gone)
+		sh.unlink(dead)
+		gone = append(gone, dead...)
 	}
-	return total
+	return gone
 }
 
 // EnsureKeys makes all the keys present as bytes keys: missing ones are
@@ -623,12 +624,28 @@ func (s *Store) EnsureCounters(keys ...string) { s.ensure(keys, true) }
 // transaction: each shard links its share in one hold of its mu, with
 // one table rebuild for the batch, and the shards link through
 // eachShard. Such a key is written plainly where no transaction can
-// reach it: nothing finds its entry before the link. The keys that had
-// an entry go through one ordinary transaction, which brings to life
-// those holding no value (deleted and not yet collected, or left by a
-// failed creation).
+// reach it: nothing finds its entry before the link. A key held by an
+// entry of the other kind keeps it if it holds a value; if it holds none
+// (deleted and not yet collected, or left by a failed creation), the
+// collector frees its name and a second link makes it present. The rest
+// of the keys that had an entry go through one ordinary transaction,
+// which brings to life those holding no value.
 func (s *Store) ensure(keys []string, counter bool) {
-	had := s.linkAll(keys, counter, true)
+	had, other := s.linkAll(keys, counter)
+	var freed []string
+	for _, e := range s.collect(other) {
+		freed = append(freed, e.key)
+	}
+	if len(freed) > 0 {
+		// A name that another writer took again after the collector
+		// freed it goes to the transaction, which handles it as any
+		// Update does (see clashed).
+		again, taken := s.linkAll(freed, counter)
+		had = append(had, again...)
+		for _, e := range taken {
+			had = append(had, e.key)
+		}
+	}
 	if len(had) == 0 {
 		return
 	}
@@ -804,7 +821,7 @@ func (sh *shard) own(tx *stm.Tx, key string, h uint64, counter bool, made *[]*en
 // real kind mismatch — including one the failed transaction itself had
 // deleted: within one transaction a key's kind stays fixed.
 func (s *Store) clashed(e *entry) bool {
-	return e != nil && s.collect([]*entry{e}) > 0
+	return e != nil && len(s.collect([]*entry{e})) > 0
 }
 
 // singleOp is pooled per-call scratch for the single-key hot paths: the

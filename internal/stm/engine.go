@@ -84,18 +84,14 @@ type engineInfo struct {
 	name    string
 	aliases []string
 	impl    engine
-	doc     string
 }
 
 // engineTable is the registry backing the Engine enum. Order is the
 // order Engines() reports and benchmarks iterate.
 var engineTable = []engineInfo{
-	{Lazy, "lazy", nil, lazyEngine{},
-		"lazy versioning: buffered writes, commit-time locks, global version clock"},
-	{Eager, "eager", nil, eagerEngine{},
-		"encounter-time locking with an undo log; writes in place"},
-	{GlobalLock, "global-lock", []string{"global"}, glockEngine{},
-		"one mutex per instance; the strongest and slowest baseline"},
+	{Lazy, "lazy", nil, lazyEngine{}},
+	{Eager, "eager", nil, eagerEngine{}},
+	{GlobalLock, "global-lock", []string{"global"}, glockEngine{}},
 }
 
 func lookupEngine(e Engine) (engineInfo, bool) {
@@ -125,15 +121,6 @@ func EngineNames() []string {
 		out[i] = info.name
 	}
 	return out
-}
-
-// EngineDoc returns a one-line description of the engine, or "" if it is
-// not registered.
-func EngineDoc(e Engine) string {
-	if info, ok := lookupEngine(e); ok {
-		return info.doc
-	}
-	return ""
 }
 
 // ParseEngine resolves an engine name (or registered alias, case

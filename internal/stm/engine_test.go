@@ -27,9 +27,6 @@ func TestEngineRegistry(t *testing.T) {
 		if err != nil || parsed != e {
 			t.Errorf("ParseEngine(%q) = %v, %v; want %v", e.String(), parsed, err, e)
 		}
-		if EngineDoc(e) == "" {
-			t.Errorf("engine %v has no doc line", e)
-		}
 	}
 }
 
@@ -68,9 +65,6 @@ func TestParseEngineAliasesAndCase(t *testing.T) {
 func TestUnknownEngineString(t *testing.T) {
 	if got := Engine(99).String(); got != "engine(99)" {
 		t.Errorf("Engine(99).String() = %q", got)
-	}
-	if EngineDoc(Engine(99)) != "" {
-		t.Error("EngineDoc of an unregistered engine is non-empty")
 	}
 }
 

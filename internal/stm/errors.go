@@ -42,7 +42,7 @@ var (
 // context cancellation. It unwraps to its sentinel (and, for
 // cancellation, to the context's error).
 type TxError struct {
-	Op        string // the entry point called: "atomically", "atomically-read", "atomically-multi", "atomically-read-multi" or "or-else"
+	Op        string // the entry point called: "atomically", "atomically-read", "atomically-multi" or "atomically-read-multi"
 	Engine    Engine // engine of the (first) instance
 	Attempts  int    // attempts completed when the call gave up
 	Conflicts int    // conflict-aborted attempts within this call

@@ -143,9 +143,9 @@ func (w *waiter) captureTx(tx *Tx) {
 
 // rebase follows tx's rollback. An eager rollback releases the words it
 // locked at a new version (tx.released): an entry that saw one of them
-// just before tx locked it — tx's own read, an earlier OrElse
-// alternative's — takes the new word, so the park does not wake on the
-// abort itself. An entry that saw any other word keeps it.
+// just before tx locked it (tx's own read) takes the new word, so the
+// park does not wake on the abort itself. An entry that saw any other
+// word keeps it.
 func (w *waiter) rebase(tx *Tx) {
 	if tx.released == 0 {
 		return

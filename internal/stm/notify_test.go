@@ -186,11 +186,58 @@ func TestBlockMulti(t *testing.T) {
 	}
 }
 
+// ring is a two-slot FIFO of int64 over Vars, for the blocking tests:
+// pop parks on an empty ring and push on a full one, both through
+// Tx.Block.
+type ring struct {
+	s          *STM
+	slots      [2]*Var
+	head, size *Var
+}
+
+func newRing(s *STM) *ring {
+	return &ring{
+		s:     s,
+		slots: [2]*Var{s.NewVar("slot0", 0), s.NewVar("slot1", 0)},
+		head:  s.NewVar("head", 0),
+		size:  s.NewVar("size", 0),
+	}
+}
+
+func (r *ring) push(ctx context.Context, v int64) error {
+	return r.s.AtomicallyCtx(ctx, func(tx *Tx) error {
+		n := tx.Read(r.size)
+		if n == int64(len(r.slots)) {
+			tx.Block()
+		}
+		h := tx.Read(r.head)
+		tx.Write(r.slots[(h+n)%int64(len(r.slots))], v)
+		tx.Write(r.size, n+1)
+		return nil
+	})
+}
+
+func (r *ring) pop(ctx context.Context) (v int64, err error) {
+	err = r.s.AtomicallyCtx(ctx, func(tx *Tx) error {
+		n := tx.Read(r.size)
+		if n == 0 {
+			tx.Block()
+		}
+		h := tx.Read(r.head)
+		v = tx.Read(r.slots[h])
+		tx.Write(r.head, (h+1)%int64(len(r.slots)))
+		tx.Write(r.size, n-1)
+		return nil
+	})
+	return v, err
+}
+
 // TestNoLostWakeupStress is the litmus-style producer/consumer stress of
 // the no-lost-wakeup protocol, run on every engine (and under -race in
-// CI): consumers park on an almost-always-empty queue, producers commit
-// items one at a time, and every item must be consumed with no deadline
-// overrun. A lost wakeup deadlocks a consumer and trips the watchdog.
+// CI): consumers park on an almost-always-empty two-slot ring, producers
+// park on it full and commit items one at a time, and every item must be
+// consumed with no deadline overrun. A lost wakeup deadlocks a consumer
+// or a producer and trips the watchdog.
 func TestNoLostWakeupStress(t *testing.T) {
 	const (
 		producers = 2
@@ -200,7 +247,7 @@ func TestNoLostWakeupStress(t *testing.T) {
 	for _, e := range engines {
 		t.Run(e.String(), func(t *testing.T) {
 			s := New(WithEngine(e))
-			q := NewQueue[int](s, "q", 2) // tiny: producers block on full, consumers on empty
+			r := newRing(s)
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
 
@@ -211,7 +258,7 @@ func TestNoLostWakeupStress(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for {
-						v, err := q.PopWait(ctx)
+						v, err := r.pop(ctx)
 						if err != nil {
 							t.Errorf("consumer: %v (watchdog hit = lost wakeup?)", err)
 							return
@@ -219,7 +266,7 @@ func TestNoLostWakeupStress(t *testing.T) {
 						if v < 0 {
 							return // poison pill
 						}
-						sum.Add(int64(v))
+						sum.Add(v)
 						count.Add(1)
 					}
 				}()
@@ -228,8 +275,8 @@ func TestNoLostWakeupStress(t *testing.T) {
 				wg.Add(1)
 				go func(p int) {
 					defer wg.Done()
-					for i := 1; i <= perProd; i++ {
-						if err := q.PushWait(ctx, i); err != nil {
+					for i := int64(1); i <= perProd; i++ {
+						if err := r.push(ctx, i); err != nil {
 							t.Errorf("producer %d: %v", p, err)
 							return
 						}
@@ -244,7 +291,7 @@ func TestNoLostWakeupStress(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 			for c := 0; c < consumers; c++ {
-				if err := q.PushWait(ctx, -1); err != nil {
+				if err := r.push(ctx, -1); err != nil {
 					t.Fatal(err)
 				}
 			}

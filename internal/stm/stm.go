@@ -123,11 +123,10 @@ func (v *Var) store(n int64, _ any) { v.val.Store(n) }
 type Option func(*config)
 
 type config struct {
-	engine       Engine
-	maxRetries   int
-	quiesceSlots int
-	metricsOff   bool
-	sampleEvery  uint64
+	engine      Engine
+	maxRetries  int
+	metricsOff  bool
+	sampleEvery uint64
 }
 
 // WithEngine selects the versioning strategy (default Lazy).
@@ -136,10 +135,6 @@ func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 // WithMaxRetries bounds the commit attempts per Atomically call
 // (default 1,000,000).
 func WithMaxRetries(n int) Option { return func(c *config) { c.maxRetries = n } }
-
-// WithQuiesceSlots sizes the active-transaction table used by Quiesce
-// (default 8×GOMAXPROCS, minimum 64).
-func WithQuiesceSlots(n int) Option { return func(c *config) { c.quiesceSlots = n } }
 
 // WithMetrics enables or disables the instance's Metrics (default
 // enabled). Disabled means Metrics() returns nil and every
@@ -232,7 +227,7 @@ type STM struct {
 	eng        engine // the registered implementation behind the enum
 	maxRetries int
 	glock      chan struct{} // global-lock engine's mutex (chan for TryLock-free simplicity)
-	slots      []slot
+	slots      []slot        // Quiesce's active-transaction table: 8×GOMAXPROCS, at least 64
 
 	// metrics is the observability surface (nil when disabled with
 	// WithMetrics(false)); sampleMask gates which transactions carry a
@@ -303,13 +298,6 @@ func New(opts ...Option) *STM {
 	if c.maxRetries == 0 {
 		c.maxRetries = 1_000_000
 	}
-	n := c.quiesceSlots
-	if n == 0 {
-		n = 8 * runtime.GOMAXPROCS(0)
-		if n < 64 {
-			n = 64
-		}
-	}
 	info, ok := lookupEngine(c.engine)
 	if !ok {
 		panic(fmt.Sprintf("stm: engine %v is not registered", c.engine))
@@ -326,7 +314,7 @@ func New(opts ...Option) *STM {
 		eng:        info.impl,
 		maxRetries: c.maxRetries,
 		glock:      make(chan struct{}, 1),
-		slots:      make([]slot, n),
+		slots:      make([]slot, max(8*runtime.GOMAXPROCS(0), 64)),
 		sampleMask: se - 1,
 	}
 	if !c.metricsOff {

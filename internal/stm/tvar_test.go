@@ -217,128 +217,3 @@ func TestTVarConcurrentAppendLog(t *testing.T) {
 		}
 	})
 }
-
-func TestMapBasics(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, s *STM) {
-		m := NewMap[string, int](s, "m", 8)
-		if err := m.Put("a", 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Put("b", 2); err != nil {
-			t.Fatal(err)
-		}
-		if v, ok, err := m.Get("a"); err != nil || !ok || v != 1 {
-			t.Fatalf("Get(a)=%d,%v,%v", v, ok, err)
-		}
-		if _, ok, _ := m.Get("missing"); ok {
-			t.Fatal("phantom key")
-		}
-		if err := m.Put("a", 10); err != nil { // replace
-			t.Fatal(err)
-		}
-		if v, _, _ := m.Get("a"); v != 10 {
-			t.Fatalf("replace lost: %d", v)
-		}
-		if n, _ := m.Len(); n != 2 {
-			t.Fatalf("Len=%d, want 2", n)
-		}
-		if ok, _ := m.Delete("a"); !ok {
-			t.Fatal("delete of present key reported absent")
-		}
-		if ok, _ := m.Delete("a"); ok {
-			t.Fatal("double delete reported present")
-		}
-		if n, _ := m.Len(); n != 1 {
-			t.Fatalf("Len after delete=%d, want 1", n)
-		}
-	})
-}
-
-func TestMapConcurrentDisjointKeys(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, s *STM) {
-		m := NewMap[int, string](s, "m", 64)
-		const goroutines = 4
-		const perG = 50
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			g := g
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < perG; i++ {
-					k := g*perG + i
-					if err := m.Put(k, fmt.Sprint(k)); err != nil {
-						t.Errorf("put %d: %v", k, err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if n, _ := m.Len(); n != goroutines*perG {
-			t.Fatalf("Len=%d, want %d", n, goroutines*perG)
-		}
-		for k := 0; k < goroutines*perG; k++ {
-			if v, ok, _ := m.Get(k); !ok || v != fmt.Sprint(k) {
-				t.Fatalf("key %d: got %q,%v", k, v, ok)
-			}
-		}
-	})
-}
-
-// TestMapComposesWithQueue moves entries from a map into a typed queue
-// atomically; an observer sees the total conserved.
-func TestMapComposesWithQueue(t *testing.T) {
-	s := New(WithEngine(Lazy))
-	m := NewMap[string, string](s, "m", 8)
-	q := NewQueue[string](s, "q", 8)
-	for i := 0; i < 8; i++ {
-		if err := m.Put(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 8; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if err := s.Atomically(func(tx *Tx) error {
-			v, ok := m.GetTx(tx, k)
-			if !ok {
-				return ErrAborted
-			}
-			if !m.DeleteTx(tx, k) || !q.EnqueueTx(tx, v) {
-				return ErrAborted
-			}
-			return nil
-		}); err != nil {
-			t.Fatalf("move %s: %v", k, err)
-		}
-		var mapN, qN int64
-		_ = s.Atomically(func(tx *Tx) error {
-			mapN = int64(m.LenTx(tx))
-			qN = tx.Read(q.size)
-			return nil
-		})
-		if mapN+qN != 8 {
-			t.Fatalf("conservation broken: map=%d queue=%d", mapN, qN)
-		}
-	}
-	if n, _ := q.Len(); n != 8 {
-		t.Fatalf("queue has %d, want 8", n)
-	}
-}
-
-// TestQueueClearsDequeuedSlot: dequeued boxes must not stay pinned in the
-// ring buffer (reference-typed payloads would otherwise leak until the
-// ring wraps).
-func TestQueueClearsDequeuedSlot(t *testing.T) {
-	s := New()
-	q := NewQueue[[]byte](s, "q", 4)
-	if ok, _ := q.Enqueue([]byte("big payload")); !ok {
-		t.Fatal("enqueue failed")
-	}
-	if v, ok, _ := q.Dequeue(); !ok || string(v) != "big payload" {
-		t.Fatalf("dequeue: %q %v", v, ok)
-	}
-	if got := q.buf[0].Load(); got != nil {
-		t.Fatalf("dequeued slot still pins %q", got)
-	}
-}

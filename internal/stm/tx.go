@@ -285,9 +285,9 @@ func (tx *Tx) Retry() {
 // Block aborts the current attempt and parks the transaction until a
 // variable it has read (its footprint: the read set, plus any write
 // targets) is changed by another commit, at which point the body re-runs
-// from the beginning against fresh state. This is the composable
-// blocking primitive of the transactional API — the body expresses only
-// the condition ("queue empty, so block"), and the commit-notification
+// from the beginning against fresh state. This is the blocking
+// primitive of the transactional API — the body expresses only
+// the condition ("mailbox empty, so block"), and the commit-notification
 // subsystem supplies the wakeup, with no polling and no lost wakeups
 // (the footprint is registered and revalidated before parking). A
 // blocked attempt consumes no retry budget and no measurable CPU while

@@ -19,9 +19,9 @@
 //     behind one protocol — mixed-mode variables, read-only
 //     transactions, quiescence fences, and event-driven blocking: an
 //     internal commit-notification subsystem wakes transactions parked
-//     with Tx.Block (or composed with STM.OrElse) on the next relevant
-//     commit instead of polling (internal/stm), plus conformance
-//     checking of recorded runs against the model (internal/conform).
+//     with Tx.Block on the next relevant commit instead of polling
+//     (internal/stm), plus conformance checking of recorded runs
+//     against the model (internal/conform).
 //
 // This file re-exports the most useful entry points so that module-local
 // tools and benchmarks can use one import. See README.md for a tour and
@@ -116,8 +116,7 @@ type (
 	// word-sized pointer box.
 	TVar[T any] = stm.TVar[T]
 	// Tx is a transaction handle. Tx.Block parks the transaction until
-	// a variable it has read changes (event-driven, no polling); see
-	// also STM.OrElse for composable blocking alternatives.
+	// a variable it has read changes (event-driven, no polling).
 	Tx = stm.Tx
 	// ReadTx is the handle of read-only bodies (AtomicallyRead): it
 	// reads through a validated snapshot (stm.Snap), so no engine takes
@@ -128,11 +127,6 @@ type (
 	TxError = stm.TxError
 	// STMOption configures an STM instance (see WithEngine et al.).
 	STMOption = stm.Option
-	// Queue is a bounded transactional FIFO of T, with blocking
-	// PopWait/PushWait built on the commit-notification subsystem.
-	Queue[T any] = stm.Queue[T]
-	// TMap is a transactional hash map.
-	TMap[K comparable, V any] = stm.Map[K, V]
 )
 
 // STM engines. The enum is backed by a registry: ParseEngine resolves
@@ -167,8 +161,6 @@ var (
 	WithEngine = stm.WithEngine
 	// WithMaxRetries bounds commit attempts per Atomically call.
 	WithMaxRetries = stm.WithMaxRetries
-	// WithQuiesceSlots sizes the active-transaction table for Quiesce.
-	WithQuiesceSlots = stm.WithQuiesceSlots
 )
 
 // Transactional error taxonomy: every runtime failure is errors.Is-able
@@ -204,16 +196,6 @@ func ReadTVar[T any](r *ReadTx, v *TVar[T]) T { return stm.ReadTVar(r, v) }
 
 // WriteT sets the transactional value of a typed variable.
 func WriteT[T any](tx *Tx, v *TVar[T], x T) { stm.WriteT(tx, v, x) }
-
-// NewQueue creates a bounded transactional queue on s.
-func NewQueue[T any](s *STM, name string, capacity int) *Queue[T] {
-	return stm.NewQueue[T](s, name, capacity)
-}
-
-// NewTMap creates a transactional hash map on s.
-func NewTMap[K comparable, V any](s *STM, name string, buckets int) *TMap[K, V] {
-	return stm.NewMap[K, V](s, name, buckets)
-}
 
 // AtomicallyMulti runs fn as one transaction spanning several STM
 // instances with a two-phase cross-instance commit (see stm.AtomicallyMulti).

@@ -123,25 +123,9 @@ func TestFacadeRuntimeLayer(t *testing.T) {
 	}
 }
 
-// TestFacadeContainersAndKV exercises the generic containers and the
-// byte-valued KV re-exports.
+// TestFacadeContainersAndKV exercises the byte-valued KV store, the
+// facade's one keyed container, through its re-exports.
 func TestFacadeContainersAndKV(t *testing.T) {
-	s := modtx.NewSTM()
-	q := modtx.NewQueue[string](s, "q", 4)
-	if ok, err := q.Enqueue("job-1"); err != nil || !ok {
-		t.Fatalf("enqueue: %v %v", ok, err)
-	}
-	if v, ok, err := q.Dequeue(); err != nil || !ok || v != "job-1" {
-		t.Fatalf("dequeue: %q %v %v", v, ok, err)
-	}
-	m := modtx.NewTMap[string, int](s, "m", 8)
-	if err := m.Put("k", 7); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, _ := m.Get("k"); !ok || v != 7 {
-		t.Fatalf("map get: %d %v", v, ok)
-	}
-
 	store := modtx.NewKV(modtx.KVWithShards(4), modtx.KVWithEngine(modtx.LazySTM))
 	if err := store.Set("doc", []byte("payload with spaces")); err != nil {
 		t.Fatal(err)
@@ -217,52 +201,43 @@ func TestFacadeEngineRegistryAndReadOnly(t *testing.T) {
 }
 
 // TestFacadeBlocking exercises the blocking surface through the facade:
-// Tx.Block + OrElse on the STM, PopWait on the queue, WaitGet/Watch on
-// the KV store.
+// Tx.Block on the STM, WaitGet/Watch on the KV store.
 func TestFacadeBlocking(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	s := modtx.NewSTM(modtx.WithEngine(modtx.LazySTM))
-	q := modtx.NewQueue[string](s, "q", 4)
-	got := make(chan string, 1)
+	mail := s.NewVar("mail", 0)
+	got := make(chan int64, 1)
 	go func() {
-		v, err := q.PopWait(ctx)
+		var v int64
+		err := s.AtomicallyCtx(ctx, func(tx *modtx.Tx) error {
+			if v = tx.Read(mail); v == 0 {
+				tx.Block()
+			}
+			return nil
+		})
 		if err != nil {
 			t.Error(err)
 		}
 		got <- v
 	}()
-	if err := q.PushWait(ctx, "hello"); err != nil {
+	for s.Snapshot().Waits == 0 && ctx.Err() == nil {
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.Atomically(func(tx *modtx.Tx) error {
+		tx.Write(mail, 42)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case v := <-got:
-		if v != "hello" {
-			t.Fatalf("PopWait = %q", v)
+		if v != 42 {
+			t.Fatalf("Block woke to %d", v)
 		}
 	case <-ctx.Done():
-		t.Fatal("PopWait lost the wakeup")
-	}
-
-	// OrElse: the first non-blocking alternative commits.
-	var src string
-	if _, err := q.Enqueue("from-q"); err != nil {
-		t.Fatal(err)
-	}
-	err := s.OrElse(
-		func(tx *modtx.Tx) error {
-			v, ok := q.DequeueTx(tx)
-			if !ok {
-				tx.Block()
-			}
-			src = v
-			return nil
-		},
-		func(tx *modtx.Tx) error { src = "fallback"; return nil },
-	)
-	if err != nil || src != "from-q" {
-		t.Fatalf("OrElse: %v, src=%q", err, src)
+		t.Fatal("Tx.Block lost the wakeup")
 	}
 
 	store := modtx.NewKV(modtx.KVWithShards(4))
