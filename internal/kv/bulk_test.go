@@ -264,10 +264,10 @@ func testEnsureBeside(t *testing.T, eng stm.Engine, n int) {
 
 // TestEnsureFreesDeletedOtherKind: keys whose names are held by deleted,
 // not yet collected entries of the other kind become present as the
-// ensured kind without an attempt apiece. Each such key once failed the
-// ensure's whole transaction with ErrWrongType and ran it again, so the
-// shards' user aborts rose by one a key (times the shards it spans).
-// Live keys of the other kind keep their kind and value.
+// ensured kind, and the ensure's transaction fails on none of them: a
+// failure with ErrWrongType reruns it over the whole batch, so the
+// shards' aborted attempts must stay a handful, not one a key. Live
+// keys of the other kind keep their kind and value.
 func TestEnsureFreesDeletedOtherKind(t *testing.T) {
 	const n = 500
 	for _, counter := range []bool{false, true} {
