@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"maps"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"modtx/internal/stm"
 	"modtx/internal/wal"
@@ -38,10 +40,11 @@ func TestEachShardRunsEveryShardOnce(t *testing.T) {
 	}
 }
 
-// TestAllocsEnsureKeys: a key EnsureKeys creates costs one heap object,
-// its entry. Its nil value is the shared emptyBox, and the batch's
-// routing and each shard's one table rebuild are spread over the keys.
-// A box of its own per key makes it 2.
+// TestAllocsEnsureKeys: the keys EnsureKeys creates cost one heap object
+// a shard, the array their entries share. A key's nil value is the
+// shared emptyBox, and the batch's routing and each shard's one table
+// rebuild are spread over the keys. An entry of its own per key makes
+// it 1, and a box of its own per key 2.
 func TestAllocsEnsureKeys(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -58,11 +61,216 @@ func TestAllocsEnsureKeys(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	per := float64(after.Mallocs-before.Mallocs) / n
 	t.Logf("EnsureKeys made %.3f heap objects a key over %d fresh keys", per, n)
-	if per > 1.1 {
-		t.Errorf("EnsureKeys made %.3f heap objects a key over %d fresh keys, want at most 1.1", per, n)
+	if per > 0.01 {
+		t.Errorf("EnsureKeys made %.3f heap objects a key over %d fresh keys, want at most 0.01", per, n)
 	}
 	if got := s.Len(); got != n {
 		t.Fatalf("Len = %d after EnsureKeys of %d fresh keys", got, n)
+	}
+}
+
+// TestBulkEntriesShareOneArray pins the bulk paths' layout: the entries
+// one EnsureKeys, one EnsureCounters or one recovery makes on a shard
+// are the consecutive 64-byte elements of one array, which the
+// collector scans in address order, and an entry made by a first Set is
+// an object of its own.
+func TestBulkEntriesShareOneArray(t *testing.T) {
+	// Free every other slot of some 64-byte spans first, so that entries
+	// allocated one a key would land in those holes, a slot apart, and
+	// not side by side by chance.
+	holes := make([]*entry, 1<<14)
+	for i := range holes {
+		holes[i] = new(entry)
+	}
+	for i := 0; i < len(holes); i += 2 {
+		holes[i] = nil
+	}
+	runtime.GC()
+	defer runtime.KeepAlive(holes)
+
+	for _, size := range bulkSizes {
+		t.Run(size.name, func(t *testing.T) {
+			opts := []Option{WithShards(4), WithMetrics(false), WithDurability(t.TempDir(), wal.None)}
+			s, err := Open(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := make([]string, 2*size.n) // bytes keys, then counters
+			for i := range keys {
+				keys[i] = fmt.Sprintf("arr:%05d", i)
+			}
+			bytesKeys, counters := keys[:size.n], keys[size.n:]
+			s.EnsureKeys(bytesKeys...)
+			spans := oneArrayEach(t, "EnsureKeys", s, bytesKeys)
+			s.EnsureCounters(counters...)
+			spans = append(spans, oneArrayEach(t, "EnsureCounters", s, counters)...)
+
+			// A key made by its first Set is an object of its own, so it lies
+			// outside every array.
+			for i := range 8 {
+				k := fmt.Sprintf("solo:%d", i)
+				if err := s.Set(k, []byte(k)); err != nil {
+					t.Fatal(err)
+				}
+				sh, h := s.route(k)
+				a := uintptr(unsafe.Pointer(sh.lookup(k, h)))
+				for _, sp := range spans {
+					if sp.sh == sh && sp.first <= a && a <= sp.last {
+						t.Fatalf("%s, created by Set, is an element of shard %d's bulk array", k, sh.index)
+					}
+				}
+				keys = append(keys, k)
+			}
+
+			// Recovery replays every key of a shard into one array.
+			for _, k := range bytesKeys {
+				if err := s.Set(k, []byte(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, k := range counters {
+				if _, err := s.CounterAdd(k, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Open(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if got := r.Len(); got != len(keys) {
+				t.Fatalf("recovered %d keys, want %d", got, len(keys))
+			}
+			oneArrayEach(t, "Recover", r, keys)
+		})
+	}
+}
+
+// bulkSpan is where one shard's entries of one bulk call lie: the first
+// and the last element of their array.
+type bulkSpan struct {
+	sh          *shard
+	first, last uintptr
+}
+
+// oneArrayEach checks that, on every shard, the entries of keys are the
+// consecutive 64-byte elements of one array, in some order, and returns
+// where each shard's lie.
+func oneArrayEach(t *testing.T, what string, s *Store, keys []string) []bulkSpan {
+	t.Helper()
+	at := make(map[*shard][]uintptr)
+	for _, k := range keys {
+		sh, h := s.route(k)
+		e := sh.lookup(k, h)
+		if e == nil {
+			t.Fatalf("%s: %s has no entry", what, k)
+		}
+		at[sh] = append(at[sh], uintptr(unsafe.Pointer(e)))
+	}
+	var spans []bulkSpan
+	for sh, as := range at {
+		slices.Sort(as)
+		for i, a := range as {
+			if want := uintptr(i) * unsafe.Sizeof(entry{}); a-as[0] != want {
+				t.Fatalf("%s: shard %d's entry %d of %d lies %d bytes past the first, want %d: not one array",
+					what, sh.index, i, len(as), a-as[0], want)
+			}
+		}
+		spans = append(spans, bulkSpan{sh, as[0], as[len(as)-1]})
+	}
+	return spans
+}
+
+// TestBulkArrayFootprint pins the retention a shared array costs. Every
+// key of a deleted and collected batch takes its array with it, so the
+// heap returns to its level before the batch. And a present key that a
+// call meets after its first new key on a shard costs at most its
+// array's unused 64-byte element.
+func TestBulkArrayFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under the race detector")
+	}
+	const n, shards = 1 << 16, 4
+	batch := func(prefix string) []string {
+		keys := make([]string, n)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("%s:%06d", prefix, i)
+		}
+		return keys
+	}
+	// Two collections: the first leaves sync.Pool's victims, which hold
+	// the ensure's pooled transaction state, for the second.
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	deleteAll := func(s *Store, keys []string) {
+		t.Helper()
+		for _, k := range keys {
+			if _, err := s.Delete(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := s.Len(); got != 0 {
+			t.Fatalf("Len = %d after deleting every key", got)
+		}
+	}
+
+	s := New(WithShards(shards), WithMetrics(false))
+	// The shards' tables, which the batch grows and its deletes leave
+	// full of tombstones, are not what is measured.
+	tables := func() int64 {
+		var b int64
+		for _, sh := range s.shards {
+			slots := sh.tbl.Load().slots
+			b += int64(len(slots)) * int64(unsafe.Sizeof(slots[0]))
+		}
+		return b
+	}
+	keys := batch("bulk")
+	before, tablesBefore := heap(), tables()
+	s.EnsureKeys(keys...)
+	loaded := heap()
+	deleteAll(s, keys)
+	after := heap() - (tables() - tablesBefore)
+	runtime.KeepAlive(keys)
+	t.Logf("%d keys: heap %d B before the batch, %+d B loaded (tables included), %+d B once deleted and collected (tables not)",
+		n, before, loaded-before, after-before)
+	if after-before > before/50 {
+		t.Errorf("the heap is %+d B above its level before the batch once every key is deleted and collected, want at most %d (2%%)",
+			after-before, before/50)
+	}
+
+	// A store holding base, ensured afresh (fresh) or with every other key
+	// present (mixed). Both calls create the same keys in tables with
+	// room for them, so what mixed costs beyond fresh is its present keys.
+	base, extra := batch("base"), batch("extra")[:n/4]
+	var mixed []string
+	for i, k := range extra {
+		mixed = append(mixed, k, base[i])
+	}
+	cost := func(ensure []string) int64 {
+		s := New(WithShards(shards), WithMetrics(false))
+		s.EnsureKeys(base...)
+		h := heap()
+		s.EnsureKeys(ensure...)
+		grew := heap() - h
+		runtime.KeepAlive(s)
+		runtime.KeepAlive(ensure)
+		return grew
+	}
+	per := float64(cost(mixed)-cost(extra)) / float64(len(extra))
+	// Each shard's array is a large object, rounded up to whole 8 KiB pages.
+	want := 64 + float64(shards*8<<10)/float64(len(extra))
+	t.Logf("a present key in a bulk call costs %.1f heap bytes", per)
+	if per > want {
+		t.Errorf("a present key in a bulk call costs %.1f heap bytes, want at most %.1f (its unused element, and the array's rounding)", per, want)
 	}
 }
 

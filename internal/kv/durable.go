@@ -208,7 +208,8 @@ func (s *Store) Recover() (RecoverInfo, error) {
 // hold of sh.mu, with one Touch of kvers after it. Recovery runs before
 // the store serves and each shard replays on one goroutine, so sh has
 // one writer and no reader: a plain store into an entry just linked is
-// the whole write.
+// the whole write. The survivors' entries are one array (see
+// shard.bulk), so a recovered store is laid out as a bulk-loaded one.
 func (sh *shard) replay(ops []routedOp) error {
 	final := make(map[string]routedOp, len(ops)) // key → its last write, made absolute in place
 	for _, r := range ops {
@@ -241,6 +242,7 @@ func (sh *shard) replay(ops []routedOp) error {
 		}
 		left--
 	}
+	sh.bulk = nil
 	sh.mu.Unlock()
 	sh.stm.Touch(sh.kvers)
 	return nil

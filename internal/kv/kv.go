@@ -180,6 +180,8 @@ var nonBox = [2]*[]byte{new([]byte), new([]byte)}
 // newEntry). One box serves them all because no box is ever written in
 // place: every write stores a fresh box, and a state is told only by
 // identity against nonBox, so a shared box is as good as a private one.
+// So a bulk-created bytes key allocates nothing of its own: its entry is
+// an element of its call's array (see shard.bulk), and its box is this.
 var emptyBox = new([]byte)
 
 const nonCount int64 = math.MinInt64
@@ -319,9 +321,23 @@ type shard struct {
 	// woken.
 	kvers *stm.Var
 
-	mu   sync.Mutex            // guards link, unlink and the table's rebuild
+	mu   sync.Mutex            // guards link, unlink, the table's rebuild and bulk
 	tbl  atomic.Pointer[table] // key table: read with no lock (table.go)
 	keys atomic.Int64          // entries linked in tbl
+
+	// bulk is what a bulk call (link or replay) has not yet handed out of
+	// the entry array it allocated at its first new key; nil between
+	// calls (see put). An array, not an entry a key, because the
+	// collector marks an array once and scans it front to back: it
+	// reaches the batch's entries, and through them the boxes and values
+	// a loader wrote in key order, in address order instead of the hash
+	// order of the table's slots. Entries are never recycled: the array
+	// is ordinary GC memory, kept whole while any pointer into it lives
+	// (a linked entry, an old table, a reader, a Privatize caller). So a
+	// deleted bulk key's 64 B, and its key string, stay allocated while
+	// any key of the same call is live, and so does the tail of an array
+	// whose call found its keys already present after its first miss.
+	bulk []entry
 }
 
 // New creates a Store. It panics if the options cannot be honored,
@@ -460,26 +476,32 @@ func wrongType(key string) error {
 	return fmt.Errorf("kv: key %q: %w", key, ErrWrongType)
 }
 
-// newEntry makes an unlinked entry, absent or — for the callers whose
-// contract is a key present on return — already holding the kind's zero
-// value (nil bytes on the shared emptyBox, counter 0): nothing can read
-// an entry before it is linked, so initialising it there is the whole
-// write. A present bytes key is one allocation, its entry.
-func (sh *shard) newEntry(key string, h uint64, counter, present bool) *entry {
+// newEntry makes an unlinked entry in at — an element of a bulk call's
+// array (see shard.bulk) — or, when at is nil, in an entry of its own.
+// It is absent or, for the callers whose contract is a key present on
+// return, already holds the kind's zero value (nil bytes on the shared
+// emptyBox, counter 0): nothing can read an entry before it is linked,
+// so initialising it there is the whole write. A present bytes key
+// allocates nothing but its entry, and in a bulk call not even that.
+func (sh *shard) newEntry(at *entry, key string, h uint64, counter, present bool) *entry {
+	if at == nil {
+		at = new(entry)
+	}
+	at.key, at.hash = key, h
 	if counter {
 		n := nonCount + int64(absent)
 		if present {
 			n = 0
 		}
-		return &entry{key: key, hash: h, c: sh.stm.NewVar(key, n)}
+		at.c = sh.stm.NewVar(key, n)
+		return at
 	}
-	e := &entry{key: key, hash: h}
 	box := nonBox[absent]
 	if present {
 		box = emptyBox
 	}
-	e.b.Init(sh.stm, box)
-	return e
+	at.b.Init(sh.stm, box)
+	return at
 }
 
 // hashedKey is a key routed to its shard, with the hash that routed it.

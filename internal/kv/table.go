@@ -108,8 +108,12 @@ func (sh *shard) rebuild(n int) *table {
 // would take the slots in use past half the array goes into a rebuilt
 // one, sized for the batch of keys the caller has yet to put, this one
 // included — so a bulk load pays for one rebuild and not for every
-// doubling on the way. The caller holds sh.mu, and touches kvers once it
-// has let go of it.
+// doubling on the way. The callers of a present entry are the bulk
+// paths, link and replay: the first new entry of such a call allocates
+// an array of batch entries, enough for every key the call has left,
+// and each new entry after it is that array's next element (see
+// sh.bulk for why and what it keeps alive). The caller holds sh.mu, sets
+// sh.bulk to nil before it lets go of it, and touches kvers once it has.
 func (sh *shard) put(key string, h uint64, counter, present bool, batch int) (*entry, bool) {
 	t := sh.tbl.Load()
 	slot, e := t.probe(key, h)
@@ -120,7 +124,14 @@ func (sh *shard) put(key string, h uint64, counter, present bool, batch int) (*e
 		t = sh.rebuild(batch)
 		slot, _ = t.probe(key, h)
 	}
-	e = sh.newEntry(key, h, counter, present)
+	var at *entry
+	if present {
+		if len(sh.bulk) == 0 {
+			sh.bulk = make([]entry, batch)
+		}
+		at, sh.bulk = &sh.bulk[0], sh.bulk[1:]
+	}
+	e = sh.newEntry(at, key, h, counter, present)
 	slot.Store(e)
 	t.used++
 	sh.keys.Add(1)
@@ -137,6 +148,12 @@ func (sh *shard) put(key string, h uint64, counter, present bool, batch int) (*e
 // only leaf locks and run no transaction, so transaction bodies may call
 // them. The slot is stored before kvers is touched: see shard.find for
 // what rests on that order.
+//
+// link's new entries share one array a call (see shard.bulk); linkOne's
+// entry is an object of its own. A key made by its first Set, Add or
+// Update may be a one-off, deleted soon after: a running array per shard
+// would let each live entry pin every entry handed out beside it, so
+// under churn the dead entries kept would have no bound.
 func (sh *shard) link(keys []hashedKey, counter bool) (had []string, other []*entry) {
 	sh.mu.Lock()
 	for i, k := range keys {
@@ -149,6 +166,7 @@ func (sh *shard) link(keys []hashedKey, counter bool) (had []string, other []*en
 			other = append(other, e)
 		}
 	}
+	sh.bulk = nil
 	sh.mu.Unlock()
 	if len(had)+len(other) < len(keys) {
 		sh.stm.Touch(sh.kvers)
