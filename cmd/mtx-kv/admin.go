@@ -42,8 +42,8 @@ func adminMuxFor(srv *server) *http.ServeMux {
 	publishExpvars(store)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		// Degraded is a health failure even when the store still serves
-		// (shed-durability): orchestrators should rotate traffic away and
+		// Degraded is a health failure even though the store still
+		// serves reads: orchestrators should rotate traffic away and
 		// operators should page. The body names the cause.
 		if deg, err := store.Degraded(); deg {
 			w.WriteHeader(http.StatusServiceUnavailable)
@@ -113,7 +113,8 @@ func histReportFor(s *kv.Store) histReport {
 }
 
 // hotKeysFor bounds the wire/scrape hot-key profile and never returns
-// nil, so disabled-metrics stores marshal as [] rather than null.
+// nil, so a store with no recorded conflict marshals as [] rather than
+// null.
 func hotKeysFor(s *kv.Store) []kv.HotKey {
 	hot := s.HotKeys(16)
 	if hot == nil {
@@ -235,7 +236,7 @@ func renderMetrics(s *kv.Store) []byte {
 
 // renderServerMetrics appends the overload-protection and degraded-mode
 // series: whether the store has latched a WAL failure, how many commits
-// it acknowledged without durability, how many commands admission shed,
+// the failed log refused, how many commands admission shed,
 // how many handler panics were contained, and how many commands were
 // answered in how many writes.
 func renderServerMetrics(b []byte, srv *server) []byte {
@@ -243,19 +244,15 @@ func renderServerMetrics(b []byte, srv *server) []byte {
 	b = append(b, "# HELP mtxkv_degraded Store has latched a WAL failure (1 = degraded).\n"...)
 	b = append(b, "# TYPE mtxkv_degraded gauge\nmtxkv_degraded "...)
 	if ws.Degraded {
-		b = append(b, '1')
+		b = append(b, "1\n"...)
 	} else {
-		b = append(b, '0')
+		b = append(b, "0\n"...)
 	}
-	b = append(b, "\n# HELP mtxkv_degraded_mode Configured WAL-failure policy (1 = active mode).\n"...)
-	b = append(b, "# TYPE mtxkv_degraded_mode gauge\nmtxkv_degraded_mode{mode=\""...)
-	b = append(b, srv.store.DegradedMode().String()...)
-	b = append(b, "\"} 1\n"...)
 	for _, c := range []struct {
 		name, help string
 		v          uint64
 	}{
-		{"mtxkv_wal_shed_writes_total", "Commits acknowledged without durability while degraded (shed-durability mode).", ws.ShedWrites},
+		{"mtxkv_wal_shed_writes_total", "Commits the failed WAL refused, each one racing the switch to read-only.", ws.ShedWrites},
 		{"mtxkv_shed_total", "Commands refused with ERR overloaded by admission control.", srv.shed.Load()},
 		{"mtxkv_conn_panics_total", "Connection handler panics recovered (each cost one connection).", srv.panics.Load()},
 		{"mtxkv_wire_commands_total", "Line-protocol commands answered.", srv.wireCommands.Load()},

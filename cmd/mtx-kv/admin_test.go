@@ -294,25 +294,3 @@ func TestExpvarRepublish(t *testing.T) {
 		t.Fatalf("expvar tree still points at the old store: %+v", vars.Mtxkv.Stats)
 	}
 }
-
-// TestRenderMetricsDisabledStore pins the degenerate rendering: a store
-// with metrics off still exposes the cumulative counters and gauges and
-// stays syntactically valid (empty histograms, no hot keys).
-func TestRenderMetricsDisabledStore(t *testing.T) {
-	s := kv.New(kv.WithShards(2), kv.WithMetrics(false))
-	if err := s.Set("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	body := string(renderMetrics(s))
-	if !strings.Contains(body, "mtxkv_commits_total ") {
-		t.Fatal("counters must render even with metrics off")
-	}
-	if strings.Contains(body, "mtxkv_hot_key_conflicts{") {
-		t.Fatal("disabled store must render no hot keys")
-	}
-	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
-		if !strings.HasPrefix(line, "#") && !promLine.MatchString(line) {
-			t.Errorf("malformed line %q", line)
-		}
-	}
-}

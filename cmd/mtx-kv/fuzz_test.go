@@ -61,7 +61,7 @@ func FuzzServerCommand(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		srv := &server{
-			store: kv.New(kv.WithShards(2), kv.WithMetrics(false)),
+			store: kv.New(kv.WithShards(2)),
 			// Cap blocking verbs so a fuzzed BGET/WATCH cannot park the
 			// iteration; cap request size so giant inputs exercise the
 			// too-large path instead of allocating without bound.

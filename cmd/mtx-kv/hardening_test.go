@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -58,7 +59,7 @@ func recvLine(t *testing.T, r *bufio.Reader) string {
 // normal service resumes once the tokens free up.
 func TestOverloadShed(t *testing.T) {
 	srv := &server{
-		store:  kv.New(kv.WithShards(4), kv.WithMetrics(false)),
+		store:  kv.New(kv.WithShards(4)),
 		limits: limits{maxInflight: 1},
 	}
 	srv.initLimits() // here, not in serve's goroutine: the test reads the token channel
@@ -127,7 +128,7 @@ func TestOverloadShed(t *testing.T) {
 // in the listen backlog rather than costing a handler.
 func TestMaxConnsBackpressure(t *testing.T) {
 	srv := &server{
-		store:  kv.New(kv.WithShards(4), kv.WithMetrics(false)),
+		store:  kv.New(kv.WithShards(4)),
 		limits: limits{maxConns: 1},
 	}
 	dial := startHardened(t, srv)
@@ -163,7 +164,7 @@ func TestMaxConnsBackpressure(t *testing.T) {
 // unbounded read away), while lines under the cap work as usual.
 func TestMaxRequestSize(t *testing.T) {
 	srv := &server{
-		store:  kv.New(kv.WithShards(4), kv.WithMetrics(false)),
+		store:  kv.New(kv.WithShards(4)),
 		limits: limits{maxReq: 128},
 	}
 	dial := startHardened(t, srv)
@@ -188,7 +189,7 @@ func TestMaxRequestSize(t *testing.T) {
 // for the timeout is dropped; one that keeps talking is not.
 func TestIdleTimeout(t *testing.T) {
 	srv := &server{
-		store:  kv.New(kv.WithShards(4), kv.WithMetrics(false)),
+		store:  kv.New(kv.WithShards(4)),
 		limits: limits{idle: 100 * time.Millisecond},
 	}
 	dial := startHardened(t, srv)
@@ -231,17 +232,15 @@ func TestPanicRecovery(t *testing.T) {
 }
 
 // TestAdminDegraded pins the operator surface of degraded mode: once a
-// WAL fault latches, /healthz flips to 503 naming the cause and
-// /metrics exposes the degraded gauge, the shed-write counter, and the
-// admission-shed counter.
+// WAL fault latches, writes are refused, /healthz flips to 503 naming
+// the cause and /metrics exposes the degraded gauge, the shed-write
+// counter, and the admission-shed counter.
 func TestAdminDegraded(t *testing.T) {
 	dfs := fault.NewDiskFS(nil, fault.DiskPlan{})
 	store, err := kv.Open(
 		kv.WithDurability(t.TempDir(), wal.Fsync),
 		kv.WithShards(4),
-		kv.WithMetrics(false),
 		kv.WithWALFS(dfs),
-		kv.WithDegradedMode(kv.DegradeShed),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -271,11 +270,13 @@ func TestAdminDegraded(t *testing.T) {
 	}
 
 	dfs.FailNextWrite(fault.ErrIO)
+	// At the fsync level the write whose batch hit the fault is refused
+	// too.
+	if err := store.Set("probe", []byte("x")); !errors.Is(err, kv.ErrDegraded) {
+		t.Fatalf("write during fault: got %v, want ErrDegraded", err)
+	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if err := store.Set("probe", []byte("x")); err != nil {
-			t.Fatalf("shed-mode write failed: %v", err)
-		}
 		if deg, _ := store.Degraded(); deg {
 			break
 		}
@@ -285,6 +286,9 @@ func TestAdminDegraded(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
+	if err := store.Set("probe", []byte("y")); !errors.Is(err, kv.ErrDegraded) {
+		t.Fatalf("write after fault: got %v, want ErrDegraded", err)
+	}
 	code, body := get("/healthz")
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, "degraded") {
 		t.Fatalf("degraded /healthz: %d %q", code, body)
@@ -292,7 +296,6 @@ func TestAdminDegraded(t *testing.T) {
 	_, metrics := get("/metrics")
 	for _, want := range []string{
 		"mtxkv_degraded 1",
-		`mtxkv_degraded_mode{mode="shed-durability"} 1`,
 		"mtxkv_shed_total 3",
 		"mtxkv_wal_shed_writes_total ",
 		"mtxkv_conn_panics_total 0",

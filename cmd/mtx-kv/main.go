@@ -5,7 +5,7 @@
 // Usage:
 //
 //	mtx-kv serve [-addr :7700] [-shards 64] [-engine lazy]
-//	             [-data DIR] [-durability fsync] [-degraded-mode fail]
+//	             [-data DIR] [-durability fsync]
 //	             [-replicate-addr :7800]
 //	             [-admin :6060] [-slowtxn 1ms]
 //	             [-maxconns 0] [-maxinflight 0] [-idletimeout 0] [-maxreq 1048576]
@@ -23,12 +23,12 @@
 // boot repairs and replays a commit-order prefix. Records route by key,
 // so DIR reopens under any -shards.
 //
-// -degraded-mode picks the policy after a WAL write or sync failure
-// latches the log (the store never silently drops durability):
-// fail keeps surfacing the error on every write, readonly rejects
-// writes but serves reads, and shed-durability keeps serving while
-// counting every commit the dead log refused (mtxkv_wal_shed_writes_total).
-// A degraded store answers /healthz with 503 naming the cause.
+// A WAL write or sync failure latches the log and turns the store
+// read-only: writes answer an error naming the cause, reads keep
+// serving, and a restart over the repaired disk loses nothing
+// acknowledged. A commit that raced the switch is counted
+// (mtxkv_wal_shed_writes_total). A degraded store answers /healthz
+// with 503 naming the cause.
 //
 // The overload valves (all opt-in): -maxconns caps simultaneous
 // connections with accept backpressure (excess dials wait in the listen

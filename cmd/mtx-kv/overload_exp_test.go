@@ -20,7 +20,7 @@ func TestOverloadExperiment(t *testing.T) {
 		t.Skip("measurement run")
 	}
 	srv := &server{
-		store:  kv.New(kv.WithShards(16), kv.WithMetrics(false)),
+		store:  kv.New(kv.WithShards(16)),
 		limits: limits{maxInflight: 8},
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")

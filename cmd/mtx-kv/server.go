@@ -40,9 +40,6 @@ func runServe(args []string) error {
 		"durability level with -data: fsync (group commit), batch (interval fsync), none (OS page cache)")
 	replAddr := fs.String("replicate-addr", "",
 		"listen address for WAL shipping to replicas (requires -data); empty disables")
-	degraded := fs.String("degraded-mode", "fail",
-		"policy after a latched WAL failure with -data: fail (writes keep surfacing the error), "+
-			"readonly (writes rejected, reads served), shed-durability (keep serving, count unlogged commits)")
 	adminAddr := fs.String("admin", "",
 		"admin plane listen address (/metrics, /debug/pprof, /debug/vars, /healthz); empty disables")
 	slowTxn := fs.Duration("slowtxn", 0,
@@ -55,11 +52,7 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	mode, err := kv.ParseDegradedMode(*degraded)
-	if err != nil {
-		return err
-	}
-	opts := []kv.Option{kv.WithShards(*shards), kv.WithEngine(engine), kv.WithDegradedMode(mode)}
+	opts := []kv.Option{kv.WithShards(*shards), kv.WithEngine(engine)}
 	if *dataDir != "" {
 		level, err := wal.ParseLevel(*durLevel)
 		if err != nil {

@@ -62,7 +62,7 @@ func readLines(t *testing.T, r *bufio.Reader, n int) []string {
 // what arrives in one read leaves in one write, at depth 16 and at
 // depth 1 alike.
 func TestPipelinedRepliesCoalesce(t *testing.T) {
-	srv := &server{store: kv.New(kv.WithShards(4), kv.WithMetrics(false))}
+	srv := &server{store: kv.New(kv.WithShards(4))}
 	client, served := pipeSession(t, srv)
 	r := bufio.NewReader(client)
 
@@ -202,7 +202,7 @@ const protocolReplies = "PONG\n" +
 // they have always been.
 func TestPipeliningChangesNoBytes(t *testing.T) {
 	run := func(t *testing.T, writes []string) string {
-		srv := &server{store: kv.New(kv.WithShards(4), kv.WithMetrics(false))}
+		srv := &server{store: kv.New(kv.WithShards(4))}
 		client, _ := pipeSession(t, srv)
 		var out bytes.Buffer
 		var wg sync.WaitGroup
@@ -234,7 +234,7 @@ func TestPipeliningChangesNoBytes(t *testing.T) {
 // TestReplyNotHeldBehindBlockingVerb: a reply already earned goes out
 // before a BGET in the same batch parks, not after it wakes.
 func TestReplyNotHeldBehindBlockingVerb(t *testing.T) {
-	srv := &server{store: kv.New(kv.WithShards(4), kv.WithMetrics(false))}
+	srv := &server{store: kv.New(kv.WithShards(4))}
 	waiter, _ := pipeSession(t, srv)
 	wr := bufio.NewReader(waiter)
 	if _, err := waiter.Write([]byte("SET a 1\nBGET missing 10000\n")); err != nil {
@@ -268,7 +268,7 @@ func TestBatchEndsMidway(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := &server{
-				store:  kv.New(kv.WithShards(4), kv.WithMetrics(false)),
+				store:  kv.New(kv.WithShards(4)),
 				limits: limits{maxReq: 64},
 			}
 			client, _ := pipeSession(t, srv)
@@ -287,7 +287,7 @@ func TestBatchEndsMidway(t *testing.T) {
 // TestSubscribeCoalescesQueuedEvents: events that queue while a write is
 // outstanding leave together in the next one, in stream order.
 func TestSubscribeCoalescesQueuedEvents(t *testing.T) {
-	srv := &server{store: kv.New(kv.WithShards(1), kv.WithMetrics(false))}
+	srv := &server{store: kv.New(kv.WithShards(1))}
 	client, served := pipeSession(t, srv)
 	r := bufio.NewReader(client)
 	send(t, client, "SUBSCRIBE ev:")
@@ -316,7 +316,7 @@ func TestSubscribeCoalescesQueuedEvents(t *testing.T) {
 
 // TestWireCountersExported: the two totals are on /metrics and in STATS.
 func TestWireCountersExported(t *testing.T) {
-	srv := &server{store: kv.New(kv.WithShards(4), kv.WithMetrics(false))}
+	srv := &server{store: kv.New(kv.WithShards(4))}
 	client, _ := pipeSession(t, srv)
 	r := bufio.NewReader(client)
 	if _, err := client.Write([]byte("PING\nPING\nPING\n")); err != nil {
@@ -353,7 +353,7 @@ func TestAllocsServerCommand(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's bookkeeping shows up in AllocsPerRun")
 	}
-	store := kv.New(kv.WithShards(4), kv.WithMetrics(false))
+	store := kv.New(kv.WithShards(4))
 	// No connection: nothing below parks, quits or fills the output.
 	c := &session{s: &server{store: store}, out: make([]byte, 0, 1024)}
 	val := bytes.Repeat([]byte("v"), 128)

@@ -40,11 +40,11 @@ func main() {
 				amount := int64(rng.Intn(50) + 1)
 				_ = s.Atomically(func(tx *stm.Tx) error {
 					if tx.Read(closed) == 1 {
-						return stm.ErrAbort // books are closed
+						return stm.ErrAborted // books are closed
 					}
 					bal := tx.Read(book[from])
 					if bal < amount {
-						return stm.ErrAbort
+						return stm.ErrAborted
 					}
 					tx.Write(book[from], bal-amount)
 					tx.Write(book[to], tx.Read(book[to])+amount)

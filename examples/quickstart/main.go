@@ -39,10 +39,10 @@ func main() {
 	})
 	fmt.Printf("read-only snapshot: balance=%d audit=%d\n", b, a)
 
-	// Returning stm.ErrAbort rolls the transaction back.
+	// Returning stm.ErrAborted rolls the transaction back.
 	err = s.Atomically(func(tx *stm.Tx) error {
 		tx.Write(balance, 0)
-		return stm.ErrAbort
+		return stm.ErrAborted
 	})
 	fmt.Printf("abort returned %v; balance still %d\n", err, balance.Load())
 

@@ -40,7 +40,7 @@ func main() {
 
 	// The primary: a durable store (WALNone keeps the example fast; the
 	// stream ships identical bytes at every level) plus a streamer.
-	primary, err := kv.Open(kv.WithShards(shards), kv.WithMetrics(false),
+	primary, err := kv.Open(kv.WithShards(shards),
 		kv.WithDurability(dir, wal.None))
 	if err != nil {
 		panic(err)
@@ -65,7 +65,7 @@ func main() {
 
 	// The replica: an in-memory store (any shard count; records route by
 	// key), fed by the reconnecting client.
-	replica, err := kv.NewReplica(kv.WithShards(shards), kv.WithMetrics(false))
+	replica, err := kv.NewReplica(kv.WithShards(shards))
 	if err != nil {
 		panic(err)
 	}

@@ -21,7 +21,7 @@ func BenchmarkCatchup50k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		dir := b.TempDir()
-		primary, err := kv.Open(kv.WithShards(8), kv.WithMetrics(false), kv.WithDurability(dir, wal.None))
+		primary, err := kv.Open(kv.WithShards(8), kv.WithDurability(dir, wal.None))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func BenchmarkCatchup50k(b *testing.B) {
 			b.Fatal(err)
 		}
 		go st.Serve(ln)
-		replica, err := kv.NewReplica(kv.WithShards(8), kv.WithMetrics(false))
+		replica, err := kv.NewReplica(kv.WithShards(8))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -45,9 +45,9 @@ func (l chaosListener) Accept() (net.Conn, error) {
 //	   total is conserved, the replica never exposes a partial
 //	   cross-shard transaction (its total is always 0 or the full sum),
 //	   and once the network heals the replica converges per account.
-//	B: a disk fault latches the WAL. The store is configured to shed
-//	   durability: it must transition to degraded, keep serving writes,
-//	   and count every commit the dead log refused.
+//	B: a disk fault latches the WAL. The store must transition to
+//	   degraded and refuse every later write, leaving its in-memory
+//	   total where it was.
 //	C: the disk heals and the primary reopens. Recovery must yield a
 //	   transaction-consistent state — a transfer is one record, kept
 //	   whole or dropped whole: the total is conserved exactly.
@@ -78,10 +78,8 @@ func runChaos(t *testing.T, eng stm.Engine) {
 		s, err := kv.Open(
 			kv.WithDurability(dir, wal.Batch),
 			kv.WithShards(4),
-			kv.WithMetrics(false),
 			kv.WithEngine(eng),
 			kv.WithWALFS(dfs),
-			kv.WithDegradedMode(kv.DegradeShed),
 		)
 		if err != nil {
 			t.Fatalf("open primary: %v", err)
@@ -149,7 +147,7 @@ func runChaos(t *testing.T, eng stm.Engine) {
 	}()
 	addr := ln.Addr().String()
 
-	r, err := kv.NewReplica(kv.WithShards(4), kv.WithMetrics(false), kv.WithEngine(eng))
+	r, err := kv.NewReplica(kv.WithShards(4), kv.WithEngine(eng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,12 +283,13 @@ func runChaos(t *testing.T, eng stm.Engine) {
 		t.Fatal("the partition was never exercised: no operation was refused by it")
 	}
 
-	// Phase B: the disk fails under the WAL. Shed mode keeps the store
-	// serving while counting what the dead log refused.
+	// Phase B: the disk fails under the WAL. At the batch level a write
+	// is acknowledged before its fsync, so the probes before the flip
+	// may succeed; none may fail any other way.
 	dfs.FailNextWrite(fault.ErrIO)
 	for i := 0; i < 50; i++ {
-		if err := p.Set("chaos-probe", []byte{byte(i)}); err != nil {
-			t.Fatalf("shed-mode write failed: %v", err)
+		if err := p.Set("chaos-probe", []byte{byte(i)}); err != nil && !errors.Is(err, kv.ErrDegraded) {
+			t.Fatalf("write during fault: %v", err)
 		}
 		if deg, _ := p.Degraded(); deg {
 			break
@@ -304,12 +303,14 @@ func runChaos(t *testing.T, eng stm.Engine) {
 	if !errors.Is(derr, fault.ErrInjected) {
 		t.Fatalf("degraded cause: %v", derr)
 	}
-	ws := p.WALStats()
-	if !ws.Degraded || ws.DegradedMode != "shed-durability" {
+	if ws := p.WALStats(); !ws.Degraded {
 		t.Fatalf("WALStats after fault: %+v", ws)
 	}
-	// Keep committing into the degraded store: sum conservation holds in
-	// memory even though the log is dead.
+	// The degraded store refuses every write, so nothing diverges from
+	// the log: the in-memory total stays where it was.
+	if err := p.Set("chaos-probe", nil); !errors.Is(err, kv.ErrDegraded) {
+		t.Fatalf("degraded Set: got %v, want ErrDegraded", err)
+	}
 	for i := 0; i < 20; i++ {
 		from, to := rng.IntN(accounts), rng.IntN(accounts)
 		if from == to {
@@ -319,8 +320,8 @@ func runChaos(t *testing.T, eng stm.Engine) {
 			tx.Add(keys[from], -1)
 			tx.Add(keys[to], 1)
 			return nil
-		}); err != nil {
-			t.Fatalf("degraded transfer %d: %v", i, err)
+		}); !errors.Is(err, kv.ErrDegraded) {
+			t.Fatalf("degraded transfer %d: got %v, want ErrDegraded", i, err)
 		}
 	}
 	if sum, all := sumOf(p); !all || sum != total {

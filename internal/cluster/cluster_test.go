@@ -42,7 +42,6 @@ func testPrimary(t *testing.T, opts ...kv.Option) (*kv.Store, *Streamer, string,
 	opts = append([]kv.Option{
 		kv.WithDurability(dir, wal.Batch),
 		kv.WithShards(4),
-		kv.WithMetrics(false),
 	}, opts...)
 	s, err := kv.Open(opts...)
 	if err != nil {
@@ -132,7 +131,7 @@ func TestClusterLiveReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := kv.NewReplica(kv.WithShards(4), kv.WithMetrics(false))
+	r, err := kv.NewReplica(kv.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +218,7 @@ func TestClusterReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := kv.NewReplica(kv.WithShards(4), kv.WithMetrics(false))
+	r, err := kv.NewReplica(kv.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +262,7 @@ func TestClusterSnapshotCatchup(t *testing.T) {
 		}
 	}
 
-	r, err := kv.NewReplica(kv.WithShards(4), kv.WithMetrics(false))
+	r, err := kv.NewReplica(kv.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +287,7 @@ func TestClusterSnapshotCatchup(t *testing.T) {
 func TestClusterShardMismatch(t *testing.T) {
 	p, _, addr, cleanup := testPrimary(t, kv.WithShards(64))
 	defer cleanup()
-	r, err := kv.NewReplica(kv.WithShards(16), kv.WithMetrics(false))
+	r, err := kv.NewReplica(kv.WithShards(16))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func recordFrames(t *testing.T, n int) [][]byte {
 // runSession runs one client session against addr into a fresh replica.
 func runSession(t *testing.T, addr string) (*kv.Replica, time.Duration, error) {
 	t.Helper()
-	r, err := kv.NewReplica(kv.WithShards(4), kv.WithMetrics(false))
+	r, err := kv.NewReplica(kv.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}

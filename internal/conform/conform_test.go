@@ -210,7 +210,7 @@ func TestDirtyReadUnexplainable(t *testing.T) {
 		defer close(done)
 		_ = t1.Atomically(func(h *TxRec) error {
 			h.Write("x", 1)
-			return stm.ErrAbort
+			return stm.ErrAborted
 		})
 	}()
 	<-inWindow

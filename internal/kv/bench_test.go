@@ -112,7 +112,7 @@ func BenchmarkKVSet(b *testing.B) {
 // the same harness.
 func BenchmarkKVDurableSet(b *testing.B) {
 	run := func(b *testing.B, opts ...Option) {
-		s := New(append([]Option{WithShards(64), WithMetrics(false)}, opts...)...)
+		s := New(append([]Option{WithShards(64)}, opts...)...)
 		defer s.Close()
 		keys := make([]string, 4096)
 		for i := range keys {
@@ -143,7 +143,7 @@ func BenchmarkKVDurableSet(b *testing.B) {
 func BenchmarkKVDurableCounterAdd(b *testing.B) {
 	for _, level := range []wal.Level{wal.None, wal.Fsync} {
 		b.Run(level.String(), func(b *testing.B) {
-			s := New(WithShards(64), WithMetrics(false), WithDurability(b.TempDir(), level))
+			s := New(WithShards(64), WithDurability(b.TempDir(), level))
 			defer s.Close()
 			ctrs := make([]string, 4096)
 			for i := range ctrs {
@@ -210,27 +210,10 @@ func BenchmarkKVTxnTransfer(b *testing.B) {
 // every call sampled (WithMetricsSampling(1)) — the worst-case
 // observability cost: two clock reads and a histogram record per op.
 // The default configuration (BenchmarkKVGet) samples 1-in-256 and pays
-// ~1/256th of the delta between this and BenchmarkInstrumentedKVGetOff.
+// about 1/256th of the delta between this and an untimed read.
 func BenchmarkInstrumentedKVGet(b *testing.B) {
 	forEachEngineB(b, func(b *testing.B, e stm.Engine) {
 		s, keys, _ := benchStore(b, e, 4096, WithMetricsSampling(1))
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			rng := rand.New(rand.NewSource(2))
-			for pb.Next() {
-				if _, ok, err := s.Get(keys[rng.Intn(len(keys))]); err != nil || !ok {
-					b.Fatal("missing key")
-				}
-			}
-		})
-	})
-}
-
-// BenchmarkInstrumentedKVGetOff is the floor for the pair: the same read
-// with metrics compiled out of the path (nil histograms, no ticks).
-func BenchmarkInstrumentedKVGetOff(b *testing.B) {
-	forEachEngineB(b, func(b *testing.B, e stm.Engine) {
-		s, keys, _ := benchStore(b, e, 4096, WithMetrics(false))
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			rng := rand.New(rand.NewSource(2))

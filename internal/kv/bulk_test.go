@@ -28,7 +28,7 @@ var bulkSizes = []struct {
 // shard index is handed out exactly once, and eachShard returns only
 // after every call has.
 func TestEachShardRunsEveryShardOnce(t *testing.T) {
-	s := New(WithShards(64), WithMetrics(false))
+	s := New(WithShards(64))
 	for _, n := range []int{1, parallelMin} {
 		calls := make([]atomic.Int32, s.NumShards())
 		s.eachShard(n, func(i int) { calls[i].Add(1) })
@@ -90,7 +90,7 @@ func TestBulkEntriesShareOneArray(t *testing.T) {
 
 	for _, size := range bulkSizes {
 		t.Run(size.name, func(t *testing.T) {
-			opts := []Option{WithShards(4), WithMetrics(false), WithDurability(t.TempDir(), wal.None)}
+			opts := []Option{WithShards(4), WithDurability(t.TempDir(), wal.None)}
 			s, err := Open(opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -185,8 +185,9 @@ func oneArrayEach(t *testing.T, what string, s *Store, keys []string) []bulkSpan
 }
 
 // TestBulkArrayFootprint pins the retention a shared array costs. Every
-// key of a deleted and collected batch takes its array with it, so the
-// heap returns to its level before the batch. And a present key that a
+// key of a deleted and collected batch takes its array with it, and the
+// shards' tables shrink back once the batch's keys are gone, so the heap
+// returns to its level before the batch. And a present key that a
 // call meets after its first new key on a shard costs at most its
 // array's unused 64-byte element.
 func TestBulkArrayFootprint(t *testing.T) {
@@ -222,25 +223,16 @@ func TestBulkArrayFootprint(t *testing.T) {
 		}
 	}
 
-	s := New(WithShards(shards), WithMetrics(false))
-	// The shards' tables, which the batch grows and its deletes leave
-	// full of tombstones, are not what is measured.
-	tables := func() int64 {
-		var b int64
-		for _, sh := range s.shards {
-			slots := sh.tbl.Load().slots
-			b += int64(len(slots)) * int64(unsafe.Sizeof(slots[0]))
-		}
-		return b
-	}
+	s := New(WithShards(shards))
 	keys := batch("bulk")
-	before, tablesBefore := heap(), tables()
+	before := heap()
 	s.EnsureKeys(keys...)
 	loaded := heap()
 	deleteAll(s, keys)
-	after := heap() - (tables() - tablesBefore)
+	after := heap()
+	runtime.KeepAlive(s)
 	runtime.KeepAlive(keys)
-	t.Logf("%d keys: heap %d B before the batch, %+d B loaded (tables included), %+d B once deleted and collected (tables not)",
+	t.Logf("%d keys: heap %d B before the batch, %+d B loaded, %+d B once deleted and collected",
 		n, before, loaded-before, after-before)
 	if after-before > before/50 {
 		t.Errorf("the heap is %+d B above its level before the batch once every key is deleted and collected, want at most %d (2%%)",
@@ -256,7 +248,7 @@ func TestBulkArrayFootprint(t *testing.T) {
 		mixed = append(mixed, k, base[i])
 	}
 	cost := func(ensure []string) int64 {
-		s := New(WithShards(shards), WithMetrics(false))
+		s := New(WithShards(shards))
 		s.EnsureKeys(base...)
 		h := heap()
 		s.EnsureKeys(ensure...)
@@ -303,7 +295,7 @@ func TestEnsureBesideReadersAndWriters(t *testing.T) {
 }
 
 func testEnsureBeside(t *testing.T, eng stm.Engine, n int) {
-	s := New(WithShards(16), WithEngine(eng), WithMetrics(false))
+	s := New(WithShards(16), WithEngine(eng))
 	type key struct {
 		name    string
 		counter bool  // the kind it ends as
@@ -479,7 +471,7 @@ func testEnsureBeside(t *testing.T, eng stm.Engine, n int) {
 func TestEnsureFreesDeletedOtherKind(t *testing.T) {
 	const n = 500
 	for _, counter := range []bool{false, true} {
-		s := New(WithShards(16), WithMetrics(false))
+		s := New(WithShards(16))
 		var keys []string
 		for i := 0; i < n; i++ {
 			k := fmt.Sprintf("k:%04d", i)
@@ -537,7 +529,7 @@ func TestEnsureFreesDeletedOtherKind(t *testing.T) {
 func TestRecoverEqualsLiveStore(t *testing.T) {
 	for _, size := range bulkSizes {
 		t.Run(size.name, func(t *testing.T) {
-			opts := []Option{WithShards(16), WithMetrics(false), WithDurability(t.TempDir(), wal.None)}
+			opts := []Option{WithShards(16), WithDurability(t.TempDir(), wal.None)}
 			s, err := Open(opts...)
 			if err != nil {
 				t.Fatal(err)

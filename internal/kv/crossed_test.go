@@ -30,7 +30,7 @@ func TestReplicaCrossed(t *testing.T) {
 }
 
 func testReplicaCrossed(t *testing.T, eng stm.Engine) {
-	p, err := kv.Open(kv.WithShards(2), kv.WithEngine(eng), kv.WithMetrics(false), kv.WithDurability(t.TempDir(), wal.None))
+	p, err := kv.Open(kv.WithShards(2), kv.WithEngine(eng), kv.WithDurability(t.TempDir(), wal.None))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func testReplicaCrossed(t *testing.T, eng stm.Engine) {
 		st.Serve(ln)
 	}()
 	defer func() { st.Close(); <-served }()
-	r, err := kv.NewReplica(kv.WithShards(2), kv.WithEngine(eng), kv.WithMetrics(false))
+	r, err := kv.NewReplica(kv.WithShards(2), kv.WithEngine(eng))
 	if err != nil {
 		t.Fatal(err)
 	}

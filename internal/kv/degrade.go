@@ -7,21 +7,15 @@ import (
 
 // Degraded mode: what a durable store does after its WAL latches a
 // sticky I/O failure (internal/wal errors are sticky by design — a log
-// that cannot write must not silently acknowledge). Before this
-// policy, a latched fault meant every subsequent fsync-level write
-// returned the same error forever: correct, but operationally useless.
-// The policy makes the failure a *transition* instead:
-//
-//   - DegradeFail: the historical behavior, and the default — writes
-//     keep flowing into the dead log and fsync-level callers keep
-//     getting the sticky error. For embedders that handle the error
-//     themselves.
-//   - DegradeReadOnly: the store refuses new writes with ErrDegraded
-//     (reads keep serving). The dataset stops diverging from disk, so
-//     a restart after the disk recovers loses nothing acknowledged.
-//   - DegradeShed: the store keeps serving writes from memory with
-//     durability shed, each one counted in WALStats.ShedWrites —
-//     availability over durability, loudly.
+// that cannot write must not silently acknowledge). The failure is a
+// transition to read-only: the store refuses new writes with
+// ErrDegraded while reads keep serving, so the dataset stops diverging
+// from disk and a restart after the disk recovers loses nothing
+// acknowledged. At the Fsync level the write whose batch failed gets
+// ErrDegraded too. A write that passed the gate just before the flip
+// commits in memory but the failed log refuses its record;
+// WALStats.ShedWrites counts it, and only below the Fsync level is it
+// acknowledged.
 //
 // The transition fires the moment the WAL fails (the log's OnFail
 // hook), not on the next write, and is one-way: recovering the disk
@@ -32,47 +26,6 @@ import (
 // read-only degraded mode after a WAL failure. The underlying WAL
 // error is attached: errors.Is(err, ErrDegraded) routes, %v explains.
 var ErrDegraded = errors.New("kv: store degraded after WAL failure, writes rejected")
-
-// DegradedMode selects the store's response to a latched WAL failure.
-type DegradedMode int
-
-const (
-	// DegradeFail keeps the pre-policy behavior: fsync-level writes
-	// surface the sticky WAL error forever.
-	DegradeFail DegradedMode = iota
-	// DegradeReadOnly rejects writes with ErrDegraded; reads serve.
-	DegradeReadOnly
-	// DegradeShed serves writes from memory with durability off,
-	// counting each in WALStats.ShedWrites.
-	DegradeShed
-)
-
-var degradedModeNames = [...]string{"fail", "readonly", "shed-durability"}
-
-// String returns the mode's wire name ("fail", "readonly",
-// "shed-durability").
-func (m DegradedMode) String() string {
-	if m >= 0 && int(m) < len(degradedModeNames) {
-		return degradedModeNames[m]
-	}
-	return fmt.Sprintf("degradedmode(%d)", int(m))
-}
-
-// ParseDegradedMode parses a wire name back into a DegradedMode.
-func ParseDegradedMode(s string) (DegradedMode, error) {
-	for i, n := range degradedModeNames {
-		if s == n {
-			return DegradedMode(i), nil
-		}
-	}
-	return 0, fmt.Errorf("kv: unknown degraded mode %q (want fail, readonly or shed-durability)", s)
-}
-
-// WithDegradedMode sets the store's response to a latched WAL failure
-// (default DegradeFail). Only meaningful with WithDurability.
-func WithDegradedMode(m DegradedMode) Option {
-	return func(c *config) { c.degradedMode = m }
-}
 
 // noteWALFault is the WAL's OnFail hook: it records the first failure
 // and flips the store degraded. Runs on whichever goroutine hit the
@@ -99,39 +52,22 @@ func (s *Store) Degraded() (bool, error) {
 	return true, nil
 }
 
-// DegradedMode returns the configured policy (DegradeFail without
-// durability).
-func (s *Store) DegradedMode() DegradedMode {
-	if s.dur == nil {
-		return DegradeFail
-	}
-	return s.dur.mode
-}
-
 // degradedGate is the write-path admission check: every mutating
 // operation consults it before starting its transaction. One atomic
 // load on the healthy path.
 func (s *Store) degradedGate() error {
 	d := s.dur
-	if d == nil || !d.degraded.Load() || d.mode != DegradeReadOnly {
+	if d == nil || !d.degraded.Load() {
 		return nil
 	}
 	if ep := d.degErr.Load(); ep != nil {
-		return fmt.Errorf("%w: %w", ErrDegraded, *ep)
+		return degradeWriteErr(*ep)
 	}
 	return ErrDegraded
 }
 
-// degradeWriteErr maps a WAL failure surfacing on an acknowledged
-// write (WaitDurable at the Fsync level) through the policy: readonly
-// dresses it as ErrDegraded, shed swallows it (the commit stands in
-// memory; the tap counted it), fail returns it untouched.
-func (s *Store) degradeWriteErr(err error) error {
-	switch s.dur.mode {
-	case DegradeReadOnly:
-		return fmt.Errorf("%w: %w", ErrDegraded, err)
-	case DegradeShed:
-		return nil
-	}
-	return err
+// degradeWriteErr dresses a WAL failure as ErrDegraded, keeping the
+// failure attached.
+func degradeWriteErr(err error) error {
+	return fmt.Errorf("%w: %w", ErrDegraded, err)
 }

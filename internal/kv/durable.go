@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"modtx/internal/obs"
 	"modtx/internal/stm"
@@ -104,10 +103,8 @@ type durState struct {
 	attached  bool
 	closed    atomic.Bool
 
-	// Degraded-mode policy (degrade.go): mode is fixed at Open; the
-	// flag and first error latch on the WAL's OnFail hook; shed counts
-	// commits served while the log was down in DegradeShed.
-	mode     DegradedMode
+	// Degraded mode (degrade.go): the flag and first error latch on the
+	// WAL's OnFail hook; shed counts the commits the failed log refused.
 	degraded atomic.Bool
 	degErr   atomic.Pointer[error]
 	shed     atomic.Uint64
@@ -143,7 +140,7 @@ type RecoverInfo struct {
 
 // Recover replays the durability directory into the store: the newest
 // usable snapshot plus the log tail past it, with a torn tail truncated
-// (see wal.Recover). Open calls it before attaching the log and the
+// (see wal.RecoverFS). Open calls it before attaching the log and the
 // commit taps, so nothing replayed is re-logged; calling it again
 // afterwards just returns the boot-time summary. Records route by key,
 // so a directory reopens at any shard count. The log is read in one
@@ -298,10 +295,10 @@ func (s *Store) installTaps() {
 		if f.log != nil {
 			// Errors are sticky inside the Log and surface on
 			// WaitDurable/Sync; the commit itself must not fail here — it
-			// is already past its serialization point. In shed-durability
-			// mode each commit the dead log refused is counted: served,
-			// not durable, loudly.
-			if err := f.log.Append(p.seq, p.ops); err != nil && s.dur.mode == DegradeShed {
+			// is already past its serialization point. A commit the failed
+			// log refused passed the degraded gate before the flip; it is
+			// counted: in memory, not durable, loudly.
+			if err := f.log.Append(p.seq, p.ops); err != nil {
 				s.dur.shed.Add(1)
 			}
 		}
@@ -337,7 +334,7 @@ func (s *Store) waitDurable(p *pendingOps) error {
 		return nil
 	}
 	if err := s.feed.log.WaitDurable(p.seq); err != nil {
-		return s.degradeWriteErr(err)
+		return degradeWriteErr(err)
 	}
 	return nil
 }
@@ -351,8 +348,8 @@ const checkpointBatch = 256
 // anything, reads every live key in short snapshots (stm.Snap.Run), one
 // per bounded batch, takes the LSN E reached when it is done, fsyncs the
 // log through E, and installs one snapshot recording L and E and
-// carrying the records L+1..E (wal.WriteSnapshot) — each key was read as
-// of some commit between L and E, and replaying those records over what
+// carrying the records L+1..E (wal.WriteSnapshotFS) — each key was read
+// as of some commit between L and E, and replaying those records over what
 // was read gives the exact state at E. A write at or below L has tapped,
 // so it still holds its locks or has published: the read of its key
 // sees it or a later write. The reads are validated snapshots, not plain
@@ -499,10 +496,9 @@ type WALStats struct {
 	Recover           RecoverInfo  `json:"recover"`
 	Err               string       `json:"err,omitempty"` // first sticky log error
 
-	// Degraded-mode policy state (degrade.go).
-	Degraded     bool   `json:"degraded"`
-	DegradedMode string `json:"degraded_mode,omitempty"`
-	ShedWrites   uint64 `json:"shed_writes"` // commits served without durability (DegradeShed)
+	// Degraded-mode state (degrade.go).
+	Degraded   bool   `json:"degraded"`
+	ShedWrites uint64 `json:"shed_writes"` // commits the failed log refused
 }
 
 // WALStats snapshots the durability metrics; with durability off only
@@ -525,7 +521,6 @@ func (s *Store) WALStats() WALStats {
 	s.feed.mu.Unlock()
 	st.AppendNs, st.FsyncNs = m.AppendNs, m.FsyncNs
 	st.Recover = s.dur.info
-	st.DegradedMode = s.dur.mode.String()
 	st.ShedWrites = s.dur.shed.Load()
 	if deg, derr := s.Degraded(); deg {
 		st.Degraded = true
@@ -556,12 +551,6 @@ func WithDurability(dir string, level wal.Level) Option {
 // (default 64 MiB; each rotation triggers a background checkpoint).
 func WithWALSegmentBytes(n int64) Option {
 	return func(c *config) { c.segmentBytes = n }
-}
-
-// WithWALFlushInterval sets the Batch level's fsync cadence
-// (default 20ms).
-func WithWALFlushInterval(d time.Duration) Option {
-	return func(c *config) { c.flushEvery = d }
 }
 
 // WithWALFS threads a filesystem seam under the store's WAL — every

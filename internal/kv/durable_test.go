@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"modtx/internal/stm"
 	"modtx/internal/wal"
@@ -21,7 +20,6 @@ func openDurable(t *testing.T, dir string, level wal.Level, extra ...Option) *St
 	opts := append([]Option{
 		WithShards(2),
 		WithDurability(dir, level),
-		WithMetrics(false),
 	}, extra...)
 	s, err := Open(opts...)
 	if err != nil {
@@ -182,7 +180,7 @@ func TestCheckpointBesideWriter(t *testing.T) {
 	}
 	for _, eng := range stm.Engines() {
 		t.Run(eng.String(), func(t *testing.T) {
-			opts := []Option{WithShards(64), WithEngine(eng), WithMetrics(false), WithDurability(t.TempDir(), wal.None)}
+			opts := []Option{WithShards(64), WithEngine(eng), WithDurability(t.TempDir(), wal.None)}
 			s, err := Open(opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -240,7 +238,7 @@ func TestDurableShardCountMismatch(t *testing.T) {
 	dir := t.TempDir()
 	open := func(shards int) *Store {
 		t.Helper()
-		s, err := Open(WithShards(shards), WithDurability(dir, wal.None), WithMetrics(false))
+		s, err := Open(WithShards(shards), WithDurability(dir, wal.None))
 		if err != nil {
 			t.Fatalf("open at %d shards: %v", shards, err)
 		}
@@ -290,7 +288,7 @@ func TestDurableShardCountMismatch(t *testing.T) {
 
 func TestDurableBatchLevelFlushes(t *testing.T) {
 	dir := t.TempDir()
-	s := openDurable(t, dir, wal.Batch, WithWALFlushInterval(time.Millisecond))
+	s := openDurable(t, dir, wal.Batch)
 	if err := s.Set("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +320,7 @@ func TestDurableNoneLevelSurvivesClose(t *testing.T) {
 }
 
 func TestWALStatsShape(t *testing.T) {
-	s := New(WithShards(2), WithMetrics(false))
+	s := New(WithShards(2))
 	if st := s.WALStats(); st.Level != "off" {
 		t.Fatalf("non-durable level = %q", st.Level)
 	}

@@ -31,7 +31,7 @@ func collect(t *testing.T, sub *Subscription, want int) []Event {
 }
 
 func TestSubscribeDeliversCommits(t *testing.T) {
-	s := New(WithShards(2), WithMetrics(false))
+	s := New(WithShards(2))
 	sub := s.Subscribe(context.Background(), "")
 	defer sub.Close()
 
@@ -64,7 +64,7 @@ func TestSubscribeDeliversCommits(t *testing.T) {
 }
 
 func TestSubscribePrefixFilter(t *testing.T) {
-	s := New(WithShards(2), WithMetrics(false))
+	s := New(WithShards(2))
 	sub := s.Subscribe(context.Background(), "user:")
 	defer sub.Close()
 
@@ -94,7 +94,7 @@ func TestSubscribePrefixFilter(t *testing.T) {
 // TestSubscribePerShardOrder pins the ordering contract: each
 // subscriber sees one shard's events in dense commit-sequence order.
 func TestSubscribePerShardOrder(t *testing.T) {
-	s := New(WithShards(4), WithMetrics(false))
+	s := New(WithShards(4))
 	// A generous buffer so nothing drops and order is fully checkable.
 	sub := s.SubscribeBuffer(context.Background(), "", 1<<14)
 	defer sub.Close()
@@ -129,7 +129,7 @@ func TestSubscribePerShardOrder(t *testing.T) {
 }
 
 func TestSubscribeOverflowDropsAndCounts(t *testing.T) {
-	s := New(WithShards(1), WithMetrics(false))
+	s := New(WithShards(1))
 	sub := s.SubscribeBuffer(context.Background(), "", 1)
 	defer sub.Close()
 
@@ -155,7 +155,7 @@ func TestSubscribeOverflowDropsAndCounts(t *testing.T) {
 }
 
 func TestSubscribeContextCancel(t *testing.T) {
-	s := New(WithShards(1), WithMetrics(false))
+	s := New(WithShards(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	sub := s.Subscribe(ctx, "")
 	cancel()
@@ -178,7 +178,7 @@ func TestSubscribeContextCancel(t *testing.T) {
 }
 
 func TestSubscribeCloseConcurrentWithCommits(t *testing.T) {
-	s := New(WithShards(2), WithMetrics(false))
+	s := New(WithShards(2))
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)

@@ -85,16 +85,12 @@ type Option func(*config)
 type config struct {
 	shards      int
 	engine      stm.Engine
-	maxRetries  int
-	metricsOff  bool
 	sampleEvery int
 
 	// Durability (see durable.go / WithDurability).
 	durDir       string
 	durLevel     wal.Level
 	segmentBytes int64
-	flushEvery   time.Duration
-	degradedMode DegradedMode
 	walFS        wal.FS
 }
 
@@ -104,14 +100,6 @@ func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 
 // WithEngine selects the STM engine backing every shard (default Lazy).
 func WithEngine(e stm.Engine) Option { return func(c *config) { c.engine = e } }
-
-// WithMaxRetries bounds commit attempts per operation (default: the stm
-// package default).
-func WithMaxRetries(n int) Option { return func(c *config) { c.maxRetries = n } }
-
-// WithMetrics enables or disables metrics — the store's per-op latency
-// histograms and every shard's stm.Metrics together (default enabled).
-func WithMetrics(on bool) Option { return func(c *config) { c.metricsOff = !on } }
 
 // WithMetricsSampling sets the latency-sampling period for both the
 // store's per-op histograms and the shards' STM distributions: one call
@@ -281,9 +269,9 @@ type Store struct {
 	singleOps sync.Pool
 	multiOps  sync.Pool
 
-	// opHists holds the sampled per-operation latency histograms, nil
-	// when metrics are disabled; sampleMask is the sampling period minus
-	// one (period a power of two), shared by every pooled op's tick.
+	// opHists holds the sampled per-operation latency histograms;
+	// sampleMask is the sampling period minus one (period a power of
+	// two), shared by every pooled op's tick.
 	opHists    *[numOps]obs.Histogram
 	sampleMask uint64
 
@@ -369,14 +357,12 @@ func Open(opts ...Option) (*Store, error) {
 		dir:   c.durDir,
 		level: c.durLevel,
 		opts: wal.Options{
-			Level:         c.durLevel,
-			SegmentBytes:  c.segmentBytes,
-			FlushInterval: c.flushEvery,
-			FS:            c.walFS,
-			OnFail:        s.noteWALFault,
+			Level:        c.durLevel,
+			SegmentBytes: c.segmentBytes,
+			FS:           c.walFS,
+			OnFail:       s.noteWALFault,
 		},
-		mode: c.degradedMode,
-		fs:   c.walFS,
+		fs: c.walFS,
 	}
 	if _, err := s.Recover(); err != nil {
 		return nil, err
@@ -402,6 +388,7 @@ func newStore(c *config) *Store {
 		shards:   make([]*shard, n),
 		mask:     uint64(n - 1),
 		engine:   c.engine,
+		opHists:  new([numOps]obs.Histogram),
 		fastGets: make([]paddedCount, n),
 	}
 	se := uint64(c.sampleEvery)
@@ -412,19 +399,8 @@ func newStore(c *config) *Store {
 		se = 1 << bits.Len64(se) // round up to a power of two
 	}
 	s.sampleMask = se - 1
-	stmOpts := []stm.Option{
-		stm.WithEngine(c.engine),
-		stm.WithMetrics(!c.metricsOff),
-		stm.WithMetricsSampling(int(se)),
-	}
-	if c.maxRetries > 0 {
-		stmOpts = append(stmOpts, stm.WithMaxRetries(c.maxRetries))
-	}
-	if !c.metricsOff {
-		s.opHists = new([numOps]obs.Histogram)
-	}
 	for i := range s.shards {
-		inst := stm.New(stmOpts...)
+		inst := stm.New(stm.WithEngine(c.engine), stm.WithMetricsSampling(int(se)))
 		sh := &shard{
 			stm:   inst,
 			index: i,
@@ -986,7 +962,7 @@ func (s *Store) Get(key string) (val []byte, ok bool, err error) {
 	}
 	op := s.singleOps.Get().(*singleOp)
 	var t0 time.Time
-	sampled := s.opHists != nil && op.nextSample()
+	sampled := op.nextSample()
 	if sampled {
 		t0 = time.Now()
 	}
@@ -1018,7 +994,7 @@ func (s *Store) CounterGet(key string) (val int64, ok bool, err error) {
 	}
 	op := s.singleOps.Get().(*singleOp)
 	var t0 time.Time
-	sampled := s.opHists != nil && op.nextSample()
+	sampled := op.nextSample()
 	if sampled {
 		t0 = time.Now()
 	}
@@ -1051,7 +1027,7 @@ func (s *Store) Set(key string, val []byte) error {
 	op := s.singleOps.Get().(*singleOp)
 	op.sh, op.key, op.h, op.val = sh, key, h, copyVal(val)
 	var t0 time.Time
-	sampled := s.opHists != nil && op.nextSample()
+	sampled := op.nextSample()
 	if sampled {
 		t0 = time.Now()
 	}
@@ -1084,7 +1060,7 @@ func (s *Store) CounterAdd(key string, delta int64) (int64, error) {
 	op := s.singleOps.Get().(*singleOp)
 	op.sh, op.key, op.h, op.delta = sh, key, h, delta
 	var t0 time.Time
-	sampled := s.opHists != nil && op.nextSample()
+	sampled := op.nextSample()
 	if sampled {
 		t0 = time.Now()
 	}
@@ -1130,7 +1106,7 @@ func (s *Store) MGet(keys ...string) (map[string][]byte, error) {
 	out := make(map[string][]byte, len(keys))
 	op := s.multiOps.Get().(*multiOp)
 	var t0 time.Time
-	sampled := s.opHists != nil && op.nextSample()
+	sampled := op.nextSample()
 	if sampled {
 		t0 = time.Now()
 	}
@@ -1520,7 +1496,7 @@ func (s *Store) UpdateCtx(ctx context.Context, keys []string, fn func(*Txn) erro
 	op.resolve(keys)
 	op.updateFn = fn
 	var t0 time.Time
-	sampled := s.opHists != nil && op.nextSample()
+	sampled := op.nextSample()
 	if sampled {
 		t0 = time.Now()
 	}
@@ -1630,7 +1606,7 @@ func (s *Store) View(keys []string, fn func(*ViewTxn) error) error {
 func (s *Store) ViewCtx(ctx context.Context, keys []string, fn func(*ViewTxn) error) error {
 	op := s.multiOps.Get().(*multiOp)
 	var t0 time.Time
-	sampled := s.opHists != nil && op.nextSample()
+	sampled := op.nextSample()
 	if sampled {
 		t0 = time.Now()
 	}

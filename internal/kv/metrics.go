@@ -65,16 +65,13 @@ func (op *multiOp) nextSample() bool {
 }
 
 // OpLatency returns the sampled latency distribution of one operation
-// (zero-valued when metrics are disabled).
+// (zero-valued for an unknown op).
 func (s *Store) OpLatency(op Op) obs.Snapshot {
-	if s.opHists == nil || op < 0 || op >= numOps {
+	if op < 0 || op >= numOps {
 		return obs.Snapshot{}
 	}
 	return s.opHists[op].Snapshot()
 }
-
-// MetricsEnabled reports whether the store records metrics.
-func (s *Store) MetricsEnabled() bool { return s.opHists != nil }
 
 // StmLatencies is the union of every shard's STM-level distributions:
 // commit latency, read-only latency (stm.Snap.Run: every View, and each
@@ -88,14 +85,11 @@ type StmLatencies struct {
 }
 
 // StmLatencies merges the per-shard STM distributions into one
-// store-wide view. Zero-valued when metrics are disabled.
+// store-wide view.
 func (s *Store) StmLatencies() StmLatencies {
 	var out StmLatencies
 	for _, sh := range s.shards {
 		m := sh.stm.Metrics()
-		if m == nil {
-			continue
-		}
 		out.CommitNs.Merge(m.CommitNs.Snapshot())
 		out.ReadOnlyNs.Merge(m.ReadOnlyNs.Snapshot())
 		out.Attempts.Merge(m.Attempts.Snapshot())
@@ -151,18 +145,11 @@ const (
 // on shard infrastructure surface as "(keyspace)" and "(publication)";
 // an id whose entry was deleted since surfaces as "(swept)". Counts are
 // approximate (see obs.HotTable) — the head of a skewed profile is
-// accurate, which is the use case. Nil when metrics are disabled.
+// accurate, which is the use case. Nil when no conflict was recorded.
 func (s *Store) HotKeys(n int) []HotKey {
-	if s.opHists == nil {
-		return nil
-	}
 	var out []HotKey
 	for i, sh := range s.shards {
-		m := sh.stm.Metrics()
-		if m == nil {
-			continue
-		}
-		snap := m.Contention.Snapshot()
+		snap := sh.stm.Metrics().Contention.Snapshot()
 		if len(snap) == 0 {
 			continue
 		}
@@ -219,14 +206,10 @@ func (s *Store) HotKeys(n int) []HotKey {
 // distributions and contention table. Cumulative counters (Stats,
 // ShardStats) are not touched.
 func (s *Store) ResetMetrics() {
-	if s.opHists != nil {
-		for i := range s.opHists {
-			s.opHists[i].Reset()
-		}
+	for i := range s.opHists {
+		s.opHists[i].Reset()
 	}
 	for _, sh := range s.shards {
-		if m := sh.stm.Metrics(); m != nil {
-			m.Reset()
-		}
+		sh.stm.Metrics().Reset()
 	}
 }

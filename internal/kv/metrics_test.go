@@ -33,26 +33,6 @@ func TestOpNames(t *testing.T) {
 	}
 }
 
-func TestMetricsDisabled(t *testing.T) {
-	s := New(WithShards(2), WithMetrics(false))
-	if s.MetricsEnabled() {
-		t.Fatal("WithMetrics(false) should disable metrics")
-	}
-	if err := s.Set("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.OpLatency(OpSet); got.Count != 0 {
-		t.Fatal("disabled store must not record latencies")
-	}
-	if s.HotKeys(10) != nil {
-		t.Fatal("disabled store must report no hot keys")
-	}
-	if lat := s.StmLatencies(); lat.CommitNs.Count != 0 {
-		t.Fatal("disabled store must have no STM latencies")
-	}
-	s.ResetMetrics() // must not panic
-}
-
 func TestOpLatenciesRecorded(t *testing.T) {
 	for _, e := range stm.Engines() {
 		t.Run(e.String(), func(t *testing.T) {

@@ -320,7 +320,7 @@ func TestReplicaResetShard(t *testing.T) {
 // way the streamer reads them — and require identical state.
 func TestReplicaFromPrimaryLog(t *testing.T) {
 	dir := t.TempDir()
-	p, err := Open(WithDurability(dir, wal.Batch), WithShards(4), WithMetrics(false))
+	p, err := Open(WithDurability(dir, wal.Batch), WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestReplicaFromPrimaryLog(t *testing.T) {
 	}
 
 	// Compare states via a reopened primary.
-	p2, err := Open(WithDurability(dir, wal.Batch), WithShards(4), WithMetrics(false))
+	p2, err := Open(WithDurability(dir, wal.Batch), WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestReplicaFromPrimaryLog(t *testing.T) {
 }
 
 func BenchmarkKVReplicaApply(b *testing.B) {
-	r, err := NewReplica(WithShards(8), WithMetrics(false))
+	r, err := NewReplica(WithShards(8))
 	if err != nil {
 		b.Fatal(err)
 	}

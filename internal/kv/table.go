@@ -28,11 +28,15 @@ type table struct {
 // is empty and its hash is not the empty key's.
 var tomb = new(entry)
 
+// minSlots is the size of the smallest table, which has nothing to shrink
+// to.
+const minSlots = 8
+
 // newTable returns an empty table that n keys fill to at most a third, so
 // it takes half as many again before it is next rebuilt — and a table
 // rebuilt because single links filled it to half comes out twice the size.
 func newTable(n int) *table {
-	size := 8
+	size := minSlots
 	for size < 3*n {
 		size <<= 1
 	}
@@ -193,7 +197,11 @@ func (sh *shard) linkOne(key string, h uint64, counter bool) (e *entry, made boo
 // kvers is touched before the first tombstone is stored, the reverse of
 // link's order: a bounded snapshot that misses an unlinked key must find
 // kvers above its bound (see shard.findS), or it could report the key
-// missing beside values read before its delete committed.
+// missing beside values read before its delete committed. Once the live
+// keys fall below an eighth of the slots, the table is rebuilt for them,
+// so a table that mass deletes emptied shrinks back; a rebuilt table has
+// at least three slots a key, so it shrinks again only after its keys
+// fall by more than a quarter.
 func (sh *shard) unlink(items []*entry) {
 	sh.mu.Lock()
 	t := sh.tbl.Load()
@@ -207,6 +215,8 @@ func (sh *shard) unlink(items []*entry) {
 			n++
 		}
 	}
-	sh.keys.Add(int64(-n))
+	if live := sh.keys.Add(int64(-n)); n > 0 && len(t.slots) > minSlots && 8*live < int64(len(t.slots)) {
+		sh.rebuild(0)
+	}
 	sh.mu.Unlock()
 }

@@ -108,7 +108,6 @@ func TestCrashRecoveryTorture(t *testing.T) {
 				s, err := Open(
 					WithShards(2),
 					WithEngine(eng),
-					WithMetrics(false),
 					WithDurability(dir, wal.None), // crash consistency comes from the chain, not fsync
 					WithWALSegmentBytes(2048),     // small segments: corruption hits rotated files too
 				)
@@ -185,7 +184,7 @@ func TestCrashRecoveryTorture(t *testing.T) {
 func TestTortureRecoveredStoreStaysUsable(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(42))
-	s, err := Open(WithShards(2), WithMetrics(false), WithDurability(dir, wal.Fsync))
+	s, err := Open(WithShards(2), WithDurability(dir, wal.Fsync))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +196,7 @@ func TestTortureRecoveredStoreStaysUsable(t *testing.T) {
 	mangleTail(t, dir, rng)
 	_ = s.Close()
 
-	r, err := Open(WithShards(2), WithMetrics(false), WithDurability(dir, wal.Fsync))
+	r, err := Open(WithShards(2), WithDurability(dir, wal.Fsync))
 	if err != nil {
 		t.Fatalf("reopen after damage: %v", err)
 	}
@@ -211,7 +210,7 @@ func TestTortureRecoveredStoreStaysUsable(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := Open(WithShards(2), WithMetrics(false), WithDurability(dir, wal.Fsync))
+	f, err := Open(WithShards(2), WithDurability(dir, wal.Fsync))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,10 +39,7 @@ func (s *Store) WaitGet(ctx context.Context, key string) ([]byte, error) {
 	// WaitGet is timed unsampled: a call that parks is milliseconds and a
 	// call that does not is still a full transaction, so the clock pair is
 	// noise — and the wait distribution's tail is the interesting part.
-	var t0 time.Time
-	if s.opHists != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	var out []byte
 	err := sh.stm.AtomicallyCtx(ctx, func(tx *stm.Tx) error {
 		var ok bool
@@ -51,9 +48,7 @@ func (s *Store) WaitGet(ctx context.Context, key string) ([]byte, error) {
 		}
 		return nil
 	})
-	if s.opHists != nil {
-		s.opHists[OpWaitGet].Observe(time.Since(t0).Nanoseconds())
-	}
+	s.opHists[OpWaitGet].Observe(time.Since(t0).Nanoseconds())
 	if err != nil {
 		return nil, err
 	}

@@ -88,7 +88,6 @@ func TestCrossShardCrashRecoveryTorture(t *testing.T) {
 					s, err := Open(
 						WithShards(4),
 						WithEngine(eng),
-						WithMetrics(false),
 						WithDurability(dir, level),
 					)
 					if err != nil {
@@ -184,7 +183,7 @@ func TestCrossShardCrashRecoveryTorture(t *testing.T) {
 
 				// A final clean generation: the last recovery must leave
 				// logs that extend and survive a clean close intact.
-				s, err := Open(WithShards(4), WithEngine(eng), WithMetrics(false), WithDurability(dir, level))
+				s, err := Open(WithShards(4), WithEngine(eng), WithDurability(dir, level))
 				if err != nil {
 					t.Fatalf("final open: %v", err)
 				}
@@ -209,7 +208,7 @@ func TestCrossShardCrashRecoveryTorture(t *testing.T) {
 				if err := s.Close(); err != nil {
 					t.Fatal(err)
 				}
-				f, err := Open(WithShards(4), WithEngine(eng), WithMetrics(false), WithDurability(dir, level))
+				f, err := Open(WithShards(4), WithEngine(eng), WithDurability(dir, level))
 				if err != nil {
 					t.Fatalf("reopen after clean close: %v", err)
 				}

@@ -15,11 +15,6 @@ var (
 	// retrying. Atomically rolls the transaction back and returns it.
 	ErrAborted = errors.New("stm: transaction aborted by user")
 
-	// ErrAbort is the v1 name of ErrAborted.
-	//
-	// Deprecated: use ErrAborted.
-	ErrAbort = ErrAborted
-
 	// ErrMaxRetries reports that a transaction exceeded its retry budget.
 	// The returned error is a *TxError wrapping this sentinel.
 	ErrMaxRetries = errors.New("stm: transaction exceeded retry budget")

@@ -58,8 +58,8 @@ func (m *Metrics) Reset() {
 	m.Contention.Reset()
 }
 
-// Metrics returns the instance's metrics, or nil when disabled with
-// WithMetrics(false). The pointer is stable for the instance's lifetime.
+// Metrics returns the instance's metrics. The pointer is stable for the
+// instance's lifetime.
 func (s *STM) Metrics() *Metrics { return s.metrics }
 
 // ID returns the variable's stable id within its instance — the key of
@@ -70,11 +70,9 @@ func (vb *varBase) ID() uint64 { return vb.id }
 // noteContention attributes one conflict observation to vb in its
 // owner's contention table. Called on the conflict paths only (read
 // sampling, lock acquisition, validation), never on conflict-free
-// commits; a nil-metrics instance pays one load and a branch.
+// commits.
 func noteContention(vb *varBase) {
-	if m := vb.owner.metrics; m != nil {
-		m.Contention.Record(vb.id)
-	}
+	vb.owner.metrics.Contention.Record(vb.id)
 }
 
 // nextSample advances the pooled handle's sampling tick and reports

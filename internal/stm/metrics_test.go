@@ -11,20 +11,14 @@ func newSampledSTM(e Engine) *STM {
 	return New(WithEngine(e), WithMetricsSampling(1))
 }
 
-func TestMetricsDisabled(t *testing.T) {
-	s := New(WithMetrics(false))
-	if s.Metrics() != nil {
-		t.Fatal("WithMetrics(false) should yield a nil Metrics")
-	}
-	v := s.NewVar("x", 0)
-	if err := s.Atomically(func(tx *Tx) error {
-		tx.Write(v, tx.Read(v)+1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if v.Load() != 1 {
-		t.Fatal("transaction did not commit")
+// TestMetricsAlwaysOn pins that every instance records metrics: on any
+// engine, Metrics is one non-nil pointer for the instance's lifetime.
+func TestMetricsAlwaysOn(t *testing.T) {
+	for _, e := range Engines() {
+		s := New(WithEngine(e))
+		if m := s.Metrics(); m == nil || s.Metrics() != m {
+			t.Fatalf("%v: Metrics() = %p, then %p; want one non-nil pointer", e, m, s.Metrics())
+		}
 	}
 }
 

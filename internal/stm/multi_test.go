@@ -45,10 +45,10 @@ func TestMultiUserAbort(t *testing.T) {
 			err := AtomicallyMulti([]*STM{s1, s2}, func(txs []*Tx) error {
 				txs[0].Write(a, 100)
 				txs[1].Write(b, 200)
-				return ErrAbort
+				return ErrAborted
 			})
-			if err != ErrAbort {
-				t.Fatalf("err=%v, want ErrAbort", err)
+			if err != ErrAborted {
+				t.Fatalf("err=%v, want ErrAborted", err)
 			}
 			if a.Load() != 1 || b.Load() != 2 {
 				t.Fatalf("rollback failed: a=%d b=%d", a.Load(), b.Load())

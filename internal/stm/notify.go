@@ -250,10 +250,7 @@ func (w *waiter) park(ctx context.Context, fallback time.Duration) {
 	s.stats.Waits.Add(1)
 	// Park duration is recorded unsampled: a park is microseconds at
 	// minimum, so the clock reads are free relative to the sleep.
-	var t0 time.Time
-	if s.metrics != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	var timeC <-chan time.Time
 	var timer *time.Timer
 	if fallback > 0 {
@@ -276,9 +273,7 @@ func (w *waiter) park(ctx context.Context, fallback time.Duration) {
 	if timer != nil {
 		timer.Stop()
 	}
-	if s.metrics != nil {
-		s.metrics.ParkNs.Observe(time.Since(t0).Nanoseconds())
-	}
+	s.metrics.ParkNs.Observe(time.Since(t0).Nanoseconds())
 	w.unregister()
 	w.release()
 }

@@ -271,7 +271,7 @@ func (sn *Snap) run(ctx context.Context, op string, stms []*STM, fn func([]uint6
 	m := lead.metrics
 	var t0 time.Time
 	sn.tick++
-	sampled := m != nil && sn.tick&lead.sampleMask == 0
+	sampled := sn.tick&lead.sampleMask == 0
 	if sampled {
 		t0 = time.Now()
 	}

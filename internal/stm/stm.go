@@ -125,7 +125,6 @@ type Option func(*config)
 type config struct {
 	engine      Engine
 	maxRetries  int
-	metricsOff  bool
 	sampleEvery uint64
 }
 
@@ -135,11 +134,6 @@ func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 // WithMaxRetries bounds the commit attempts per Atomically call
 // (default 1,000,000).
 func WithMaxRetries(n int) Option { return func(c *config) { c.maxRetries = n } }
-
-// WithMetrics enables or disables the instance's Metrics (default
-// enabled). Disabled means Metrics() returns nil and every
-// instrumentation site reduces to a nil check.
-func WithMetrics(on bool) Option { return func(c *config) { c.metricsOff = !on } }
 
 // WithMetricsSampling sets the latency-sampling period: one transaction
 // in every n carries a timestamp (default 256; n is rounded up to a power
@@ -229,9 +223,9 @@ type STM struct {
 	glock      chan struct{} // global-lock engine's mutex (chan for TryLock-free simplicity)
 	slots      []slot        // Quiesce's active-transaction table: 8×GOMAXPROCS, at least 64
 
-	// metrics is the observability surface (nil when disabled with
-	// WithMetrics(false)); sampleMask gates which transactions carry a
-	// latency timestamp (period-1, period a power of two).
+	// metrics is the observability surface; sampleMask gates which
+	// transactions carry a latency timestamp (period-1, period a power
+	// of two).
 	metrics    *Metrics
 	sampleMask uint64
 
@@ -316,9 +310,7 @@ func New(opts ...Option) *STM {
 		glock:      make(chan struct{}, 1),
 		slots:      make([]slot, max(8*runtime.GOMAXPROCS(0), 64)),
 		sampleMask: se - 1,
-	}
-	if !c.metricsOff {
-		s.metrics = &Metrics{}
+		metrics:    &Metrics{},
 	}
 	s.txPool.New = func() any {
 		tx := &Tx{s: s, e: s.eng}

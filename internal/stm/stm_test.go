@@ -48,10 +48,10 @@ func TestUserAbortRollsBack(t *testing.T) {
 		x := s.NewVar("x", 7)
 		err := s.Atomically(func(tx *Tx) error {
 			tx.Write(x, 99)
-			return ErrAbort
+			return ErrAborted
 		})
-		if !errors.Is(err, ErrAbort) {
-			t.Fatalf("err = %v, want ErrAbort", err)
+		if !errors.Is(err, ErrAborted) {
+			t.Fatalf("err = %v, want ErrAborted", err)
 		}
 		if got := x.Load(); got != 7 {
 			t.Errorf("aborted write leaked: x = %d, want 7", got)

@@ -184,7 +184,7 @@ func LostUpdateDeterministic(s *STM) StressResult {
 		defer close(done)
 		_ = s.Atomically(func(tx *Tx) error {
 			tx.Write(x, 1)
-			return ErrAbort
+			return ErrAborted
 		})
 	}()
 	<-inWindow // a wrote x=1 in place and is about to roll back
@@ -222,7 +222,7 @@ func DirtyReadDeterministic(s *STM) StressResult {
 		defer close(done)
 		_ = s.Atomically(func(tx *Tx) error {
 			tx.Write(x, 1)
-			return ErrAbort
+			return ErrAborted
 		})
 	}()
 	<-inWindow
@@ -246,7 +246,7 @@ func LostUpdate(s *STM, iters int) StressResult {
 			defer wg.Done()
 			_ = s.Atomically(func(tx *Tx) error {
 				tx.Write(x, 1)
-				return ErrAbort
+				return ErrAborted
 			})
 		}()
 		go func() {

@@ -418,7 +418,7 @@ func transact(ctx context.Context, op string, stms []*STM, b body) error {
 			// The sampling decision is made once per call, on the first
 			// attempt's lead handle; retries reuse it.
 			first = false
-			if m != nil && txs[0].nextSample() {
+			if txs[0].nextSample() {
 				sampled = true
 				t0 = time.Now()
 			}

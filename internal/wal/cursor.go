@@ -14,7 +14,7 @@ import (
 // the segment files — read-only, concurrent with the live appender —
 // and stops cleanly at the first defect, which on a healthy log is
 // simply the not-yet-written tail (the live boundary where the
-// Follower takes over). Unlike Recover, a scan never repairs: the
+// Follower takes over). Unlike RecoverFS, a scan never repairs: the
 // appender owns the files.
 
 // ErrCompacted reports that the requested sequence predates the

@@ -18,8 +18,8 @@ const (
 	segMagic     = "MTXWAL2\n"
 	segHeaderLen = 16 // magic(8) + firstSeq(8)
 
-	defaultSegmentBytes  = 64 << 20
-	defaultFlushInterval = 20 * time.Millisecond
+	defaultSegmentBytes = 64 << 20
+	flushInterval       = 20 * time.Millisecond // the Batch level's fsync cadence
 )
 
 // ErrClosed is returned by operations on a closed Log.
@@ -32,8 +32,6 @@ type Options struct {
 	Level Level
 	// SegmentBytes is the rotation threshold (default 64 MiB).
 	SegmentBytes int64
-	// FlushInterval is the Batch level's fsync cadence (default 20ms).
-	FlushInterval time.Duration
 	// Metrics receives write-side observations when non-nil; several
 	// Logs may share one.
 	Metrics *Metrics
@@ -68,14 +66,13 @@ type Options struct {
 // error. A WAL that cannot write must fail loudly, not silently
 // acknowledge.
 type Log struct {
-	dir        string
-	level      Level
-	segBytes   int64
-	flushEvery time.Duration
-	m          *Metrics
-	onRotate   func(uint64)
-	onFail     func(error)
-	fs         FS
+	dir      string
+	level    Level
+	segBytes int64
+	m        *Metrics
+	onRotate func(uint64)
+	onFail   func(error)
+	fs       FS
 
 	// mu guards the append side: the pending buffer and the queue
 	// cursor. Held only for an in-memory encode — never across I/O.
@@ -113,20 +110,16 @@ type Log struct {
 
 // OpenLog opens the log in dir for appending, continuing from the
 // state recovery established: the repaired tail segment if one exists,
-// a fresh segment at res.LastSeq+1 otherwise. Run Recover first — it
+// a fresh segment at res.LastSeq+1 otherwise. Run RecoverFS first — it
 // owns truncation and directory repair; OpenLog assumes a clean tail.
 func OpenLog(dir string, res RecoverResult, o Options) (*Log, error) {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = defaultSegmentBytes
 	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = defaultFlushInterval
-	}
 	l := &Log{
 		dir:        dir,
 		level:      o.Level,
 		segBytes:   o.SegmentBytes,
-		flushEvery: o.FlushInterval,
 		m:          o.Metrics,
 		onRotate:   o.OnRotate,
 		onFail:     o.OnFail,
@@ -202,8 +195,8 @@ func (l *Log) Append(seq uint64, ops []Op) error {
 		// The chain is broken: buffering more records could only tear a
 		// hole in the log if the disk came back. Refuse, with the original
 		// failure (this is what the doc's "subsequent appends are dropped
-		// with the same error" means — and what the kv layer's
-		// shed-durability accounting counts).
+		// with the same error" means — and what the kv layer counts as a
+		// shed write).
 		l.mu.Unlock()
 		return sticky
 	}
@@ -356,7 +349,7 @@ func (l *Log) run() {
 		switch {
 		case syncReq && unsynced,
 			l.level == Fsync && unsynced,
-			l.level == Batch && unsynced && time.Since(lastSync) >= l.flushEvery:
+			l.level == Batch && unsynced && time.Since(lastSync) >= flushInterval:
 			l.syncFile(end)
 			lastSync = time.Now()
 		}
@@ -372,7 +365,7 @@ func (l *Log) run() {
 		var timerC <-chan time.Time
 		var timer *time.Timer
 		if l.level == Batch && l.unsyncedLocked(end) {
-			d := l.flushEvery - time.Since(lastSync)
+			d := flushInterval - time.Since(lastSync)
 			if d < time.Millisecond {
 				d = time.Millisecond
 			}

@@ -105,21 +105,16 @@ func segHeaderOK(b []byte, firstSeq uint64) bool {
 		binary.LittleEndian.Uint64(b[8:16]) == firstSeq
 }
 
-// Recover repairs the durability directory and replays its state into
-// apply, in commit order: first the chosen snapshot's records, then the
-// log records past it. It creates dir if missing. m, when non-nil,
-// receives truncation metrics.
+// RecoverFS repairs the durability directory and replays its state
+// into apply, in commit order: first the chosen snapshot's records, then
+// the log records past it. It creates dir if missing. fsys is the
+// filesystem seam (nil = the real one); m, when non-nil, receives
+// truncation metrics.
 //
 // Recovery fails only on I/O errors, an apply error, or an
 // unrecoverable gap (every snapshot lost or corrupt after segments
 // were compacted away — state that no longer exists on disk). Torn and
 // corrupt tails are repaired, not errors.
-func Recover(dir string, apply func(Record) error, m *Metrics) (RecoverResult, error) {
-	return RecoverFS(nil, dir, apply, m)
-}
-
-// RecoverFS is Recover through an explicit filesystem seam (nil = the
-// real one).
 func RecoverFS(fsys FS, dir string, apply func(Record) error, m *Metrics) (RecoverResult, error) {
 	fsys = fsOrOS(fsys)
 	var res RecoverResult

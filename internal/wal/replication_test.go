@@ -40,7 +40,7 @@ func writeSegFile(t *testing.T, dir string, first, last uint64) {
 // writeChain appends records 1..n at Fsync and closes the log.
 func writeChain(t *testing.T, dir string, n int) {
 	t.Helper()
-	res, err := Recover(dir, func(Record) error { return nil }, nil)
+	res, err := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSnapshotSupersedesDamagedChain(t *testing.T) {
 	for i := 1; i <= 30; i++ {
 		ops = append(ops, testOps(i)...)
 	}
-	if err := WriteSnapshot(dir, 30, 30, ops); err != nil {
+	if err := WriteSnapshotFS(nil, dir, 30, 30, ops); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
@@ -176,7 +176,7 @@ func TestScanSegmentsCompacted(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		ops = append(ops, testOps(i)...)
 	}
-	if err := WriteSnapshot(dir, 10, 10, ops); err != nil {
+	if err := WriteSnapshotFS(nil, dir, 10, 10, ops); err != nil {
 		t.Fatal(err)
 	}
 	// Remove the segments as compaction would.
@@ -197,7 +197,7 @@ func TestScanSegmentsCompacted(t *testing.T) {
 
 func TestFollowerLiveTail(t *testing.T) {
 	dir := t.TempDir()
-	res, err := Recover(dir, func(Record) error { return nil }, nil)
+	res, err := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestFollowerLiveTail(t *testing.T) {
 
 func TestFollowerOverflowDies(t *testing.T) {
 	dir := t.TempDir()
-	res, err := Recover(dir, func(Record) error { return nil }, nil)
+	res, err := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestFollowerOverflowDies(t *testing.T) {
 
 func TestFollowerClosesWithLog(t *testing.T) {
 	dir := t.TempDir()
-	res, err := Recover(dir, func(Record) error { return nil }, nil)
+	res, err := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

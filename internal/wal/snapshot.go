@@ -37,16 +37,11 @@ func snapshotName(seq uint64) string {
 // errTailDone ends the tail scan at the snapshot's through.
 var errTailDone = errors.New("wal: snapshot tail complete")
 
-// WriteSnapshot atomically writes a snapshot: temp file, fsync,
-// rename, directory fsync. ops is the state read between the log
-// positions from and through, in absolute form; the log in dir must
-// hold (on disk, not only queued) every record through `through`.
-func WriteSnapshot(dir string, from, through uint64, ops []Op) error {
-	return WriteSnapshotFS(nil, dir, from, through, ops)
-}
-
-// WriteSnapshotFS is WriteSnapshot through an explicit filesystem seam
-// (nil = the real one).
+// WriteSnapshotFS atomically writes a snapshot through the filesystem
+// seam fsys (nil = the real one): temp file, fsync, rename, directory
+// fsync. ops is the state read between the log positions from and
+// through, in absolute form; the log in dir must hold (on disk, not
+// only queued) every record through `through`.
 func WriteSnapshotFS(fsys FS, dir string, from, through uint64, ops []Op) error {
 	fsys = fsOrOS(fsys)
 	buf := make([]byte, snapHeaderLen, snapHeaderLen+64*len(ops))
@@ -136,17 +131,12 @@ func loadSnapshot(fsys FS, path string) (seq uint64, recs []Record, err error) {
 	return through, recs, nil
 }
 
-// Compact prunes the durability directory: it keeps the newest
-// keepSnaps snapshots (older ones are deleted) and deletes every
-// closed segment whose records are all covered by the oldest retained
-// snapshot (at or below its through). The active (newest) segment is never touched, so Compact
-// is safe to run while a Log is appending.
-func Compact(dir string, keepSnaps int) error {
-	return CompactFS(nil, dir, keepSnaps)
-}
-
-// CompactFS is Compact through an explicit filesystem seam (nil = the
-// real one).
+// CompactFS prunes the durability directory through the filesystem
+// seam fsys (nil = the real one): it keeps the newest keepSnaps
+// snapshots (older ones are deleted) and deletes every closed segment
+// whose records are all covered by the oldest retained snapshot (at or
+// below its through). The active (newest) segment is never touched, so
+// CompactFS is safe to run while a Log is appending.
 func CompactFS(fsys FS, dir string, keepSnaps int) error {
 	fsys = fsOrOS(fsys)
 	if keepSnaps < 1 {

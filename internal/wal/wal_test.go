@@ -22,7 +22,7 @@ func testOps(i int) []Op {
 func replayAll(t *testing.T, dir string) ([]Record, RecoverResult) {
 	t.Helper()
 	var recs []Record
-	res, err := Recover(dir, func(r Record) error {
+	res, err := RecoverFS(nil, dir, func(r Record) error {
 		recs = append(recs, r)
 		return nil
 	}, nil)
@@ -109,7 +109,7 @@ func TestLogAppendRecover(t *testing.T) {
 	for _, level := range []Level{None, Batch, Fsync} {
 		t.Run(level.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			res0, err := Recover(dir, func(Record) error { return nil }, nil)
+			res0, err := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func TestLogAppendRecover(t *testing.T) {
 // the empty segments are dropped so appending restarts consistently.
 func TestChainWithNoRecordsFallsBackToSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	res0, err := Recover(dir, func(Record) error { return nil }, nil)
+	res0, err := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestChainWithNoRecordsFallsBackToSnapshot(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		snapOps = append(snapOps, testOps(i)...)
 	}
-	if err := WriteSnapshot(dir, 10, 10, snapOps); err != nil {
+	if err := WriteSnapshotFS(nil, dir, 10, 10, snapOps); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the first record: the whole chain survives zero records.
@@ -222,7 +222,7 @@ func TestChainWithNoRecordsFallsBackToSnapshot(t *testing.T) {
 func TestLogGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	var m Metrics
-	res0, err := Recover(dir, func(Record) error { return nil }, &m)
+	res0, err := RecoverFS(nil, dir, func(Record) error { return nil }, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestLogGroupCommit(t *testing.T) {
 
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	res0, _ := Recover(dir, func(Record) error { return nil }, nil)
+	res0, _ := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
 	l, err := OpenLog(dir, res0, Options{Level: Fsync})
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +311,7 @@ func TestTornTailTruncated(t *testing.T) {
 
 	var m Metrics
 	var recs []Record
-	res, err := Recover(dir, func(r Record) error { recs = append(recs, r); return nil }, &m)
+	res, err := RecoverFS(nil, dir, func(r Record) error { recs = append(recs, r); return nil }, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestTornTailTruncated(t *testing.T) {
 
 func TestRotationAndSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	res0, _ := Recover(dir, func(Record) error { return nil }, nil)
+	res0, _ := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
 	var m Metrics
 	rotated := make(chan uint64, 64)
 	l, err := OpenLog(dir, res0, Options{
@@ -377,10 +377,10 @@ func TestRotationAndSnapshot(t *testing.T) {
 	// Snapshot at seq 30, then compact: recovery must splice snapshot
 	// + tail and the early segments must be gone.
 	state := []Op{{Kind: KindSet, Key: "k30", Val: []byte("v30")}, {Kind: KindCounterSet, Key: "ctr", N: 30}}
-	if err := WriteSnapshot(dir, 30, 30, state); err != nil {
+	if err := WriteSnapshotFS(nil, dir, 30, 30, state); err != nil {
 		t.Fatal(err)
 	}
-	if err := Compact(dir, 1); err != nil {
+	if err := CompactFS(nil, dir, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -436,7 +436,7 @@ func segAfter(segs []fileInfo, firstSeq uint64) uint64 {
 
 func TestCorruptSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	res0, _ := Recover(dir, func(Record) error { return nil }, nil)
+	res0, _ := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
 	l, err := OpenLog(dir, res0, Options{Level: Fsync})
 	if err != nil {
 		t.Fatal(err)
@@ -449,7 +449,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSnapshot(dir, 5, 5, []Op{{Kind: KindSet, Key: "snap", Val: []byte("state")}}); err != nil {
+	if err := WriteSnapshotFS(nil, dir, 5, 5, []Op{{Kind: KindSet, Key: "snap", Val: []byte("state")}}); err != nil {
 		t.Fatal(err)
 	}
 	// Flip a byte inside the snapshot body.
@@ -492,10 +492,10 @@ func TestFuzzySnapshotCarriesItsTail(t *testing.T) {
 	dir := t.TempDir()
 	writeChain(t, dir, 40)
 	state := []Op{{Kind: KindSet, Key: "read", Val: []byte("between 25 and 30")}}
-	if err := WriteSnapshot(dir, 25, 45, state); err == nil {
+	if err := WriteSnapshotFS(nil, dir, 25, 45, state); err == nil {
 		t.Fatal("snapshot through 45 written over a log that ends at 40")
 	}
-	if err := WriteSnapshot(dir, 25, 30, state); err != nil {
+	if err := WriteSnapshotFS(nil, dir, 25, 30, state); err != nil {
 		t.Fatal(err)
 	}
 	recs, res := replayAll(t, dir)
@@ -574,7 +574,7 @@ func groupCommit(t *testing.T, level Level, n int) (MetricsSnapshot, time.Durati
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenLog(dir, res, Options{Level: level, Metrics: &m, FS: fsys, FlushInterval: 10 * time.Millisecond})
+	l, err := OpenLog(dir, res, Options{Level: level, Metrics: &m, FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,8 +623,8 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 		t.Errorf("Fsync level: %d records over %d fsyncs, %.1f a fsync, want at least 12", m.Appends, m.Fsyncs, per)
 	}
 	m, took := groupCommit(t, Batch, 200)
-	if most := int64(took/(10*time.Millisecond)) + 2; m.Fsyncs > uint64(most) {
-		t.Errorf("Batch level: %d fsyncs in %v, want at most %d at a 10 ms interval", m.Fsyncs, took, most)
+	if most := int64(took/flushInterval) + 2; m.Fsyncs > uint64(most) {
+		t.Errorf("Batch level: %d fsyncs in %v, want at most %d at a %v interval", m.Fsyncs, took, most, flushInterval)
 	}
 	if m, _ = groupCommit(t, None, 200); m.Fsyncs != 0 {
 		t.Errorf("None level: %d fsyncs, want none", m.Fsyncs)

@@ -64,7 +64,7 @@ func TestScanSegmentsStopsAtStructuralCorruption(t *testing.T) {
 	}
 
 	var replayed []uint64
-	res, err := Recover(dir, func(r Record) error {
+	res, err := RecoverFS(nil, dir, func(r Record) error {
 		replayed = append(replayed, r.Seq)
 		return nil
 	}, nil)

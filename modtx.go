@@ -169,10 +169,6 @@ var (
 	// ErrAborted aborts a transaction without retry when returned from
 	// its body.
 	ErrAborted = stm.ErrAborted
-	// ErrAbort is the v1 name of ErrAborted.
-	//
-	// Deprecated: use ErrAborted.
-	ErrAbort = stm.ErrAborted
 	// ErrMaxRetries reports retry-budget exhaustion.
 	ErrMaxRetries = stm.ErrMaxRetries
 	// ErrCanceled reports context cancellation between retry attempts.
@@ -275,34 +271,13 @@ var (
 	KVWithShards = kv.WithShards
 	// KVWithEngine selects the STM engine backing every shard.
 	KVWithEngine = kv.WithEngine
-	// KVWithMaxRetries bounds commit attempts per store operation.
-	KVWithMaxRetries = kv.WithMaxRetries
-	// KVWithDurability attaches a per-shard write-ahead log under dir;
-	// use OpenKV (not NewKV) so recovery errors are reported.
+	// KVWithDurability attaches the store's write-ahead log under dir
+	// (one log per store); use OpenKV (not NewKV) so recovery errors are
+	// reported. After a latched WAL failure the store goes read-only.
 	KVWithDurability = kv.WithDurability
-	// KVWithDegradedMode sets the store's response to a latched WAL
-	// failure: keep failing writes (default), go read-only, or shed
-	// durability and keep serving. See the degraded-mode constants.
-	KVWithDegradedMode = kv.WithDegradedMode
 	// KVWithWALFS substitutes the filesystem under the write-ahead log —
 	// the seam the fault-injection harness (internal/fault) plugs into.
 	KVWithWALFS = kv.WithWALFS
-)
-
-// KVDegradedMode selects a durable store's response to a latched WAL
-// failure (KVWithDegradedMode). The store never silently drops
-// durability: every mode either surfaces errors or counts what it shed.
-type KVDegradedMode = kv.DegradedMode
-
-// Degraded-mode policies.
-const (
-	// KVDegradeFail keeps surfacing the WAL error on every write.
-	KVDegradeFail = kv.DegradeFail
-	// KVDegradeReadOnly rejects writes with ErrKVDegraded; reads serve.
-	KVDegradeReadOnly = kv.DegradeReadOnly
-	// KVDegradeShed keeps serving writes from memory with durability
-	// off, counting each unlogged commit (KVWALStats.ShedWrites).
-	KVDegradeShed = kv.DegradeShed
 )
 
 // ErrKVWrongType reports a kv operation against a key holding the other
@@ -310,7 +285,7 @@ const (
 var ErrKVWrongType = kv.ErrWrongType
 
 // ErrKVDegraded reports a write rejected because the store latched a
-// WAL failure under KVDegradeReadOnly; the cause is attached.
+// WAL failure and went read-only; the cause is attached.
 var ErrKVDegraded = kv.ErrDegraded
 
 // NewKV creates a sharded transactional key-value store.
