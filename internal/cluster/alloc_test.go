@@ -7,14 +7,20 @@ import (
 	"modtx/internal/wal"
 )
 
-// discardConn is a net.Conn whose writes go nowhere.
-type discardConn struct{ net.Conn }
+// discardConn is a net.Conn whose writes go nowhere; it counts them.
+type discardConn struct {
+	net.Conn
+	writes int
+}
 
-func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c *discardConn) Write(p []byte) (int, error) {
+	c.writes++
+	return len(p), nil
+}
 
 // TestAllocsForward: the live tail checks each record of a follower
-// batch with wal.WalkRecord and sends it as one frame; a batch of 64
-// records allocates nothing.
+// batch with wal.WalkRecord and queues a frame for it; a batch of 64
+// records goes out in one write and allocates nothing.
 func TestAllocsForward(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -31,7 +37,14 @@ func TestAllocsForward(t *testing.T) {
 		}
 	}
 	st := &Streamer{}
-	s := &session{st: st, conn: discardConn{}}
+	conn := &discardConn{}
+	s := &session{st: st, conn: conn}
+	if next, err := st.forward(s, batch, 1); err != nil || next != 65 {
+		t.Fatalf("forward: next %d, %v", next, err)
+	}
+	if conn.writes != 1 {
+		t.Fatalf("forwarding 64 records: %d writes, want 1", conn.writes)
+	}
 	if avg := testing.AllocsPerRun(100, func() {
 		if next, err := st.forward(s, batch, 1); err != nil || next != 65 {
 			t.Fatalf("forward: next %d, %v", next, err)

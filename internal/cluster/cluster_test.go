@@ -3,12 +3,15 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"modtx/internal/fault"
 	"modtx/internal/kv"
 	"modtx/internal/wal"
 )
@@ -326,5 +329,50 @@ func TestClusterShardMismatch(t *testing.T) {
 	}
 	if nb, _ := r.Store().FastCounterGet(b); nb != 50 {
 		t.Fatalf("%s = %d on the replica, want 50", b, nb)
+	}
+}
+
+// TestStreamEndsOnFailedLog: a replica that connects to a primary
+// whose log has failed gets a session that ends with the log's error,
+// at once, rather than one that waits for the log to reach the files.
+func TestStreamEndsOnFailedLog(t *testing.T) {
+	dfs := fault.NewDiskFS(nil, fault.DiskPlan{})
+	p, err := kv.Open(kv.WithDurability(t.TempDir(), wal.Fsync), kv.WithWALFS(dfs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for i := 0; i < 10; i++ {
+		if err := p.Set(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dfs.FailNextWrite(fault.ErrIO)
+	if err := p.Set("lost", []byte("v")); err == nil {
+		t.Fatal("a write on a failing log was acknowledged")
+	}
+	if deg, _ := p.Degraded(); !deg {
+		t.Fatal("the failed write did not degrade the store")
+	}
+	st, err := NewStreamer(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, cli := net.Pipe()
+	defer cli.Close()
+	go io.Copy(io.Discard, cli)
+	s := newSession(st, srv)
+	defer s.close()
+	done := make(chan error, 1)
+	go func() { done <- st.stream(s, 1) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("session ended with %v, want the log's error", err)
+		}
+	case <-time.After(time.Second):
+		s.close()
+		<-done
+		t.Fatal("the session on a failed log did not end within 1s")
 	}
 }

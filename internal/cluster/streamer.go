@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -16,22 +17,24 @@ import (
 // Streamer is the primary side: it serves each connected replica the
 // store's WAL, catch-up then live tail.
 //
-// Per session (one stream goroutine per connection) the loop is:
+// Per session (one stream goroutine per connection) a pass is:
 //
 //  1. Catch-up: wal.ScanSegments from the replica's cursor — read-only
 //     against the live appender — sending raw records. If the cursor
 //     predates the oldest retained segment (ErrCompacted), ship the
 //     latest snapshot instead and resume from its sequence.
-//  2. Attach a wal.Follower. If its low-water mark is above the scan
-//     frontier (records were queued between scan and attach), drop it
-//     and rescan; otherwise switch to the live tail.
+//  2. Attach a wal.Follower, once. Every record below its low-water
+//     mark is in the segment files, so if the mark is above the scan's
+//     end (records were written between scan and attach), one more
+//     scan reaches it.
 //  3. Tail: forward the follower's batches, skipping the overlap below
-//     the cursor. A follower killed by overflow or log rotation-gap
-//     just falls back to step 1 — slow replicas and reconnects share
-//     one repair path.
+//     the cursor. A follower killed by overflow starts the next pass —
+//     slow replicas and reconnects share one repair path. A follower
+//     killed because the log closed or failed starts one too, whose
+//     attach returns the log's error and ends the session; the
+//     replica's reconnect backoff is the only wait.
 type Streamer struct {
 	store *kv.Store
-	limit int // follower buffer bytes per session
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -52,8 +55,8 @@ const followLimit = 4 << 20
 
 const pingEvery = 1 * time.Second
 
-// catchupBatch is the flush threshold for batched catch-up frames.
-const catchupBatch = 32 << 10
+// frameBatch is the flush threshold for batched frames.
+const frameBatch = 32 << 10
 
 // NewStreamer wraps a durable store. Opening fails on a store with no
 // WAL — there is nothing to ship.
@@ -61,7 +64,7 @@ func NewStreamer(s *kv.Store) (*Streamer, error) {
 	if !s.Durable() {
 		return nil, kv.ErrNotDurable
 	}
-	return &Streamer{store: s, limit: followLimit, sessions: make(map[*session]struct{})}, nil
+	return &Streamer{store: s, sessions: make(map[*session]struct{})}, nil
 }
 
 // Serve accepts replica connections on ln until Close (or a listener
@@ -154,7 +157,8 @@ type session struct {
 	cancel context.CancelFunc
 
 	wmu     sync.Mutex
-	scratch []byte
+	scratch []byte // the pinger's frame
+	out     []byte // the stream's queued frames (stream goroutine only)
 
 	fmu      sync.Mutex
 	follower *wal.Follower
@@ -192,7 +196,8 @@ func (s *session) track(f *wal.Follower) bool {
 	return true
 }
 
-// writeFrame serializes frame writes from the stream and the pinger.
+// writeFrame sends the pinger's frame; wmu serializes it with the
+// stream's writes.
 func (s *session) writeFrame(typ uint8, payload []byte) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -201,13 +206,28 @@ func (s *session) writeFrame(typ uint8, payload []byte) error {
 	return err
 }
 
-// writeRaw sends pre-framed bytes — the catch-up path batches many
-// record frames into one write, which is worth an order of magnitude
-// in catch-up throughput over a syscall per record.
-func (s *session) writeRaw(b []byte) error {
+// queue appends one frame to the stream's output and writes the output
+// once it reaches frameBatch bytes. Catch-up, snapshot transfer and the
+// live tail all send this way, one write per batch of frames rather
+// than a syscall per record, which is worth an order of magnitude in
+// catch-up throughput.
+func (s *session) queue(typ uint8, payload []byte) error {
+	s.out = AppendFrame(s.out, typ, 0, payload)
+	if len(s.out) < frameBatch {
+		return nil
+	}
+	return s.flush()
+}
+
+// flush writes the queued frames, if any.
+func (s *session) flush() error {
+	if len(s.out) == 0 {
+		return nil
+	}
 	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	_, err := s.conn.Write(b)
+	_, err := s.conn.Write(s.out)
+	s.wmu.Unlock()
+	s.out = s.out[:0]
 	return err
 }
 
@@ -273,124 +293,87 @@ func (st *Streamer) serveSession(s *session) {
 	wg.Wait()
 }
 
-// stream runs the session's stream until the session dies: catch-up
-// from segments (or snapshot when compacted), then live tail, looping
-// on follower death.
+// stream runs the session's passes (see Streamer) until the session
+// dies or the log's error ends it.
 func (st *Streamer) stream(s *session, from uint64) error {
 	dir, err := st.store.ReplDir()
 	if err != nil {
 		return err
 	}
 	cursor := max(from, 1)
-	var tail []byte  // follower batch buffer, recycled through Take
-	var batch []byte // catch-up frame batch, flushed every catchupBatch bytes
+	var tail []byte // follower batch buffer, recycled through Take
 	for s.ctx.Err() == nil {
-		progressed := false
-		// Catch-up until the follower attach races no queued records.
-		var f *wal.Follower
-		for {
-			if s.ctx.Err() != nil {
-				return nil
-			}
-			scanFrom := cursor
-			batch = batch[:0]
-			next, err := wal.ScanSegments(dir, cursor, func(_ uint64, raw []byte) error {
-				st.records.Add(1)
-				batch = AppendFrame(batch, FrameRecord, 0, raw)
-				if len(batch) >= catchupBatch {
-					werr := s.writeRaw(batch)
-					batch = batch[:0]
-					return werr
-				}
-				return nil
-			})
-			if len(batch) > 0 {
-				if werr := s.writeRaw(batch); werr != nil && err == nil {
-					err = werr
-				}
-				batch = batch[:0]
-			}
-			if next > cursor {
-				cursor = next
-				progressed = true
-			}
-			if errors.Is(err, wal.ErrCompacted) {
-				seq, recs, serr := wal.LatestSnapshot(dir)
-				if serr != nil {
-					return serr
-				}
-				if err := st.sendSnapshot(s, seq, recs); err != nil {
-					return err
-				}
-				cursor = seq + 1
-				progressed = true
-				continue
+		if cursor, err = st.catchUp(s, dir, cursor); err != nil {
+			return err
+		}
+		f, low, err := st.store.ReplFollow(followLimit)
+		if err != nil {
+			return err
+		}
+		if low > cursor {
+			if cursor, err = st.catchUp(s, dir, cursor); err == nil && cursor < low {
+				err = fmt.Errorf("cluster: segment files end at %d, below the live tail's mark %d", cursor, low)
 			}
 			if err != nil {
+				f.Close()
 				return err
 			}
-			ff, low, ferr := st.store.ReplFollow(st.limit)
-			if ferr != nil {
-				return ferr
-			}
-			if low > cursor {
-				ff.Close() // records queued between scan and attach: rescan
-				if cursor == scanFrom {
-					// The log is ahead of the segments but the rescan found
-					// nothing: a failed log's frontier never reaches disk, so
-					// poll instead of spinning (and notice session close).
-					select {
-					case <-s.ctx.Done():
-						return nil
-					case <-time.After(20 * time.Millisecond):
-					}
-				}
-				continue
-			}
-			if !s.track(ff) {
-				ff.Close()
-				return nil
-			}
-			f = ff
-			break
 		}
-		// Live tail.
+		if !s.track(f) {
+			f.Close()
+			return nil
+		}
 		for {
 			b, _, ok := f.Take(tail)
 			if !ok {
-				break // dead: overflow, gap, or log/session close → re-catch-up
+				break // overflow, or the log or the session closed
 			}
-			next, err := st.forward(s, b, cursor)
-			if next > cursor {
-				cursor = next
-				progressed = true
-			}
-			if err != nil {
-				s.track(nil)
-				f.Close()
-				return err
+			if cursor, err = st.forward(s, b, cursor); err != nil {
+				break
 			}
 			tail = b
 		}
 		s.track(nil)
 		f.Close()
-		if !progressed {
-			// A dead-on-arrival follower with nothing new on disk (e.g.
-			// the log is closing): don't spin.
-			select {
-			case <-s.ctx.Done():
-			case <-time.After(20 * time.Millisecond):
-			}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// forward sends the records of one follower batch from cursor on, one
-// frame each, and returns the sequence after the last one sent. A log
-// batch is always whole records, so a record that fails wal.WalkRecord
-// ends the session. The walk builds nothing: forwarding a record
-// allocates nothing.
+// catchUp sends the records from cursor on that the segment files
+// hold and returns the sequence after the last one sent. When the
+// files no longer reach back to cursor it sends the latest snapshot
+// first and scans from the sequence after it.
+func (st *Streamer) catchUp(s *session, dir string, cursor uint64) (uint64, error) {
+	send := func(_ uint64, raw []byte) error {
+		st.records.Add(1)
+		return s.queue(FrameRecord, raw)
+	}
+	next, err := wal.ScanSegments(dir, cursor, send)
+	if errors.Is(err, wal.ErrCompacted) {
+		seq, recs, serr := wal.LatestSnapshot(dir)
+		if serr != nil {
+			return cursor, serr
+		}
+		if err := st.sendSnapshot(s, seq, recs); err != nil {
+			return cursor, err
+		}
+		next, err = wal.ScanSegments(dir, seq+1, send)
+	}
+	if ferr := s.flush(); err == nil {
+		err = ferr
+	}
+	return next, err
+}
+
+// forward sends the records of one follower batch from cursor on and
+// returns the sequence after the last one sent. The frames are queued
+// as catch-up's are, so a batch under frameBatch bytes is one write. A
+// log batch is always whole records, so a record that fails
+// wal.WalkRecord ends the session. The walk builds nothing and the
+// frames reuse the session's buffer: forwarding allocates nothing.
 func (st *Streamer) forward(s *session, b []byte, cursor uint64) (uint64, error) {
 	for off := 0; off < len(b); {
 		seq, n, err := wal.WalkRecord(b[off:], nil)
@@ -398,7 +381,7 @@ func (st *Streamer) forward(s *session, b []byte, cursor uint64) (uint64, error)
 			return cursor, err
 		}
 		if seq >= cursor {
-			if err := s.writeFrame(FrameRecord, b[off:off+n]); err != nil {
+			if err := s.queue(FrameRecord, b[off:off+n]); err != nil {
 				return cursor, err
 			}
 			st.records.Add(1)
@@ -406,17 +389,19 @@ func (st *Streamer) forward(s *session, b []byte, cursor uint64) (uint64, error)
 		}
 		off += n
 	}
-	return cursor, nil
+	return cursor, s.flush()
 }
 
 // sendSnapshot ships a snapshot: begin (with the sequence it is exact
-// at), its records re-encoded, end — batched into catchupBatch writes,
-// as the segment catch-up is.
+// at), its records re-encoded, end — queued as the segment catch-up
+// is.
 func (st *Streamer) sendSnapshot(s *session, seq uint64, recs []wal.Record) error {
 	st.snapshots.Add(1)
 	var p [8]byte
 	binary.LittleEndian.PutUint64(p[:], seq)
-	batch := AppendFrame(nil, FrameSnapBegin, 0, p[:])
+	if err := s.queue(FrameSnapBegin, p[:]); err != nil {
+		return err
+	}
 	var enc []byte
 	for _, rec := range recs {
 		var err error
@@ -424,13 +409,9 @@ func (st *Streamer) sendSnapshot(s *session, seq uint64, recs []wal.Record) erro
 		if err != nil {
 			return err
 		}
-		batch = AppendFrame(batch, FrameSnapRec, 0, enc)
-		if len(batch) >= catchupBatch {
-			if err := s.writeRaw(batch); err != nil {
-				return err
-			}
-			batch = batch[:0]
+		if err := s.queue(FrameSnapRec, enc); err != nil {
+			return err
 		}
 	}
-	return s.writeRaw(AppendFrame(batch, FrameSnapEnd, 0, nil))
+	return s.queue(FrameSnapEnd, nil)
 }

@@ -129,13 +129,6 @@ func (d *DiskFS) Heal() {
 	d.mu.Unlock()
 }
 
-// Unheal re-arms the plan after a Heal.
-func (d *DiskFS) Unheal() {
-	d.mu.Lock()
-	d.healed = false
-	d.mu.Unlock()
-}
-
 // Stats snapshots the injected-fault counters.
 func (d *DiskFS) Stats() DiskStats {
 	d.mu.Lock()

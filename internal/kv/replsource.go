@@ -34,12 +34,11 @@ func (s *Store) ReplDir() (string, error) {
 }
 
 // ReplFollow attaches a live-tail follower to the log. See
-// wal.Log.Follow for the low-water/overflow contract; the caller must
-// Close the follower.
+// wal.Log.Follow for the low-water/overflow contract and the error a
+// closed or failed log returns; the caller must Close the follower.
 func (s *Store) ReplFollow(limitBytes int) (*wal.Follower, uint64, error) {
 	if s.dur == nil || !s.dur.attached {
 		return nil, 0, ErrNotDurable
 	}
-	f, low := s.feed.log.Follow(limitBytes)
-	return f, low, nil
+	return s.feed.log.Follow(limitBytes)
 }

@@ -69,12 +69,6 @@ func (s *STM) AtomicallyRead(fn func(*ReadTx) error) error {
 	return atomicallyRead(nil, "atomically-read", []*STM{s}, func(rtxs []*ReadTx) error { return fn(rtxs[0]) })
 }
 
-// AtomicallyReadCtx is AtomicallyRead honoring ctx between retry
-// attempts, with the same contract as AtomicallyCtx.
-func (s *STM) AtomicallyReadCtx(ctx context.Context, fn func(*ReadTx) error) error {
-	return atomicallyRead(ctx, "atomically-read", []*STM{s}, func(rtxs []*ReadTx) error { return fn(rtxs[0]) })
-}
-
 // AtomicallyReadMulti runs fn over one snapshot spanning several STM
 // instances, passing it per-instance read handles aligned with stms.
 // Every instance's bound is taken before fn's first read, and the

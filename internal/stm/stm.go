@@ -356,9 +356,6 @@ func (s *STM) SetCommitTap(f func(data any)) {
 	s.commitTap.Store(&f)
 }
 
-// MaxRetries returns the per-call retry budget.
-func (s *STM) MaxRetries() int { return s.maxRetries }
-
 // NewVar creates an int64 transactional variable with an initial value.
 // name says at the call site what the variable is for; it is not kept.
 func (s *STM) NewVar(name string, init int64) *Var {

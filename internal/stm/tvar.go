@@ -43,17 +43,13 @@ func (v *TVar[T]) Load() T { return *v.val.Load() }
 // privatization.
 func (v *TVar[T]) Store(x T) { v.val.Store(&x) }
 
-// LoadBox and StoreBox are Load and Store on the box itself, the *T the
-// variable holds. They — and their transactional twins ReadBox,
-// ReadTVarBox and WriteBox — keep a box's identity, which the copies in
-// Load/Store/ReadT/WriteT do not: a caller can reserve a box of its own
-// as a distinguished non-value and recognise it by pointer, without
-// dereferencing (internal/kv's absent and retired keys). A box is
-// immutable once stored.
+// LoadBox is Load on the box itself, the *T the variable holds. It —
+// and its transactional twins ReadBox, ReadTVarBox and WriteBox — keeps
+// a box's identity, which the copies in Load/Store/ReadT/WriteT do not:
+// a caller can reserve a box of its own as a distinguished non-value
+// and recognise it by pointer, without dereferencing (internal/kv's
+// absent and retired keys). A box is immutable once stored.
 func (v *TVar[T]) LoadBox() *T { return v.val.Load() }
-
-// StoreBox installs b plainly; see LoadBox.
-func (v *TVar[T]) StoreBox(b *T) { v.val.Store(b) }
 
 func (v *TVar[T]) load() (int64, any)   { return 0, v.val.Load() }
 func (v *TVar[T]) store(_ int64, p any) { v.val.Store(p.(*T)) }

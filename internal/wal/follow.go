@@ -5,9 +5,10 @@ import "sync"
 // The live tail: a Follower registered on a Log receives a copy of
 // every record's encoded bytes as it is appended — before it is
 // written, in append (= commit) order. This is the replication
-// stream's hot path: the primary's streamer attaches a Follower per
-// replica session, catches up from segments below the follower's
-// low-water mark, then switches to the follower buffer.
+// stream's hot path: the primary's streamer catches up from the
+// segment files, attaches a Follower per replica session, reads the
+// files once more up to the follower's low-water mark if they grew
+// meanwhile, then switches to the follower buffer.
 //
 // Delivery never blocks an append: bytes pile up in the follower's
 // buffer, and a reader that falls further behind than the buffer
@@ -31,34 +32,38 @@ type Follower struct {
 }
 
 // Follow attaches a live-tail follower. The returned low-water mark
-// is the first sequence the follower will deliver: everything below
-// it must be read from segments (and is on disk, or on its way there,
-// at return). limitBytes bounds the follower's buffer; at or beyond
-// it the follower is killed rather than blocking appends (min 64 KiB).
+// is the first sequence the follower will deliver; every record below
+// it is in the segment files when Follow returns. limitBytes bounds
+// the follower's buffer; at or beyond it the follower is killed rather
+// than blocking appends (min 64 KiB). On a closed or failed log Follow
+// returns ErrClosed or the log's error, and no follower.
 //
-// The not-yet-written queue is seeded into the follower at attach
-// time, so the (segments, follower) pair covers every sequence with
-// no gap: segments eventually hold everything below the low-water
-// mark, the follower holds everything at and above it.
-func (l *Log) Follow(limitBytes int) (*Follower, uint64) {
+// The batch the batcher captured last and the queue behind it are
+// seeded into the follower at attach time, so the (segments, follower)
+// pair covers every sequence with no gap and no wait: the files hold
+// everything below the low-water mark, the follower everything at and
+// above it (its first records may be in the files too, if that batch's
+// write has landed).
+func (l *Log) Follow(limitBytes int) (*Follower, uint64, error) {
 	if limitBytes < 64<<10 {
 		limitBytes = 64 << 10
 	}
-	f := &Follower{l: l, limit: limitBytes, ready: make(chan struct{}, 1)}
 	l.mu.Lock()
-	low := l.lastQueued + 1 - uint64(l.npending)
-	f.first, f.next = low, l.lastQueued+1
-	f.buf = append(f.buf, l.pending...)
+	defer l.mu.Unlock()
 	if l.closed {
-		f.dead = true
-	} else {
-		l.followers = append(l.followers, f)
+		return nil, 0, ErrClosed
 	}
-	l.mu.Unlock()
-	if f.dead || len(f.buf) > 0 {
+	if err := l.Err(); err != nil {
+		return nil, 0, err
+	}
+	f := &Follower{l: l, limit: limitBytes, ready: make(chan struct{}, 1)}
+	f.first, f.next = l.capturedFirst, l.lastQueued+1
+	f.buf = append(append(f.buf, l.captured...), l.pending...)
+	l.followers = append(l.followers, f)
+	if len(f.buf) > 0 {
 		f.signal()
 	}
-	return f, low
+	return f, f.first, nil
 }
 
 // pushFollowersLocked hands one appended record's bytes to every live

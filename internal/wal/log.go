@@ -41,9 +41,10 @@ type Options struct {
 	OnRotate func(lastSeq uint64)
 	// OnFail, when non-nil, is called exactly once with the Log's first
 	// sticky I/O error, from whichever goroutine hit it (often the
-	// batcher). It must not block or call back into the Log; the kv
-	// layer uses it to flip the store into its degraded mode the moment
-	// the WAL fails rather than on the next append.
+	// batcher), before any caller can see that error. It runs under the
+	// Log's failure lock, so it must not block or call back into the
+	// Log; the kv layer uses it to flip the store into its degraded mode
+	// the moment the WAL fails rather than on the next append.
 	OnFail func(err error)
 	// FS is the filesystem seam (default OSFS). Fault-injection tests
 	// swap in an implementation that fails writes, syncs or opens on a
@@ -74,14 +75,21 @@ type Log struct {
 	onFail   func(error)
 	fs       FS
 
-	// mu guards the append side: the pending buffer and the queue
-	// cursor. Held only for an in-memory encode — never across I/O.
+	// mu guards the append side: the pending buffer, the queue cursor
+	// and the batch the batcher last captured. Held only for an
+	// in-memory encode — never across I/O.
 	mu         sync.Mutex
 	pending    []byte
 	npending   int
 	lastQueued uint64 // seq of the newest queued (or written) record
 	syncReq    bool   // an explicit Sync wants an fsync regardless of level
 	closed     bool
+	// captured is the batcher's last batch, from seq capturedFirst on:
+	// being written, or written already. The batcher only reads it
+	// until the next capture hands its capacity back to pending, so
+	// Follow may copy it under mu.
+	captured      []byte
+	capturedFirst uint64
 
 	kick chan struct{} // wakes the batcher; capacity 1
 	done chan struct{} // closed when the batcher exits
@@ -129,6 +137,8 @@ func OpenLog(dir string, res RecoverResult, o Options) (*Log, error) {
 		lastQueued: res.LastSeq,
 		written:    res.LastSeq,
 		synced:     res.LastSeq,
+
+		capturedFirst: res.LastSeq + 1,
 	}
 	l.durCond = sync.NewCond(&l.durMu)
 	if res.tailPath != "" {
@@ -286,13 +296,6 @@ func (l *Log) Err() error {
 	return l.err
 }
 
-// LastQueued returns the newest sequence number handed to Append.
-func (l *Log) LastQueued() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastQueued
-}
-
 // Close drains the batcher, fsyncs at levels above None, and closes
 // the segment. Appends after Close fail with ErrClosed.
 func (l *Log) Close() error {
@@ -335,6 +338,7 @@ func (l *Log) run() {
 		}
 		l.mu.Lock()
 		buf, l.pending = l.pending, buf[:0]
+		l.captured, l.capturedFirst = buf, l.lastQueued+1-uint64(l.npending)
 		l.npending = 0
 		end := l.lastQueued
 		syncReq := l.syncReq
@@ -504,17 +508,13 @@ func (l *Log) rotate(end uint64) {
 // fail records the first I/O error and releases every waiter with it.
 // Followers are killed too: a broken chain must not keep shipping.
 // Only the first failure counts in Metrics and fires OnFail; repeats
-// of a sticky error are not new faults.
+// of a sticky error are not new faults. Both happen under durMu, in
+// the section that latches the error, so no caller can see the error
+// before it is counted and reported.
 func (l *Log) fail(err error) {
 	l.durMu.Lock()
-	first := l.err == nil
-	if first {
+	if l.err == nil {
 		l.err = err
-	}
-	l.durMu.Unlock()
-	l.durCond.Broadcast()
-	l.dropFollowers()
-	if first {
 		if l.m != nil {
 			l.m.Failures.Add(1)
 		}
@@ -522,4 +522,7 @@ func (l *Log) fail(err error) {
 			l.onFail(err)
 		}
 	}
+	l.durMu.Unlock()
+	l.durCond.Broadcast()
+	l.dropFollowers()
 }

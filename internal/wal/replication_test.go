@@ -207,7 +207,10 @@ func TestFollowerLiveTail(t *testing.T) {
 	}
 	defer l.Close()
 
-	f, low := l.Follow(1 << 20)
+	f, low, err := l.Follow(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer f.Close()
 	if low != 1 {
 		t.Fatalf("low water %d on an empty log, want 1", low)
@@ -265,7 +268,10 @@ func TestFollowerOverflowDies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	f, _ := l.Follow(1) // floor-clamped, but tiny intent: overflow fast
+	f, _, err := l.Follow(1) // floor-clamped, but tiny intent: overflow fast
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer f.Close()
 	big := make([]byte, 96<<10)
 	for i := 1; i <= 1024; i++ {
@@ -289,7 +295,10 @@ func TestFollowerClosesWithLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _ := l.Follow(1 << 20)
+	f, _, err := l.Follow(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -299,4 +308,128 @@ func TestFollowerClosesWithLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done
+}
+
+// heldFS is the real filesystem, except that the first Write after
+// armed is closed blocks until release is closed: one batch stays in
+// flight.
+type heldFS struct {
+	osFS
+	armed   chan struct{}
+	entered chan []byte // receives the held write's bytes
+	release chan struct{}
+	hold    sync.Once
+}
+
+type heldFile struct {
+	File
+	fs *heldFS
+}
+
+func (h *heldFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := h.osFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return heldFile{f, h}, nil
+}
+
+func (f heldFile) Write(p []byte) (int, error) {
+	select {
+	case <-f.fs.armed:
+		f.fs.hold.Do(func() {
+			f.fs.entered <- append([]byte(nil), p...)
+			<-f.fs.release
+		})
+	default:
+	}
+	return f.File.Write(p)
+}
+
+// TestFollowAttachDuringWrite: a follower attached while the batcher's
+// write is in flight starts at that batch. Its mark is the batch's
+// first sequence, its first Take holds the batch, and the segment
+// files end exactly at the mark — nothing between the files and the
+// follower is missing, so a streamer needs no rescan and no wait.
+func TestFollowAttachDuringWrite(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &heldFS{armed: make(chan struct{}), entered: make(chan []byte, 1), release: make(chan struct{})}
+	res, err := RecoverFS(fsys, dir, func(Record) error { return nil }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLog(dir, res, Options{Level: None, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 1; i <= 3; i++ {
+		if err := l.Append(uint64(i), testOps(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	close(fsys.armed)
+	if err := l.Append(4, testOps(4)); err != nil {
+		t.Fatal(err)
+	}
+	held := <-fsys.entered // the batch holding 4 is in write(2)
+	released := false
+	defer func() {
+		if !released {
+			close(fsys.release)
+		}
+	}()
+	for i := 5; i <= 6; i++ { // queued behind the held batch
+		if err := l.Append(uint64(i), testOps(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	f, low, err := l.Follow(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if low != 4 {
+		t.Fatalf("mark %d with the batch from 4 in flight, want 4", low)
+	}
+	b, first, ok := f.Take(nil)
+	if !ok || first != 4 || len(b) < len(held) || string(b[:len(held)]) != string(held) {
+		t.Fatalf("first Take: ok %v, first %d, %d bytes; want the held batch (%d bytes) from 4", ok, first, len(b), len(held))
+	}
+	var seqs []uint64
+	for off := 0; off < len(b); {
+		seq, n, err := WalkRecord(b[off:], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, seq)
+		off += n
+	}
+	if fmt.Sprint(seqs) != "[4 5 6]" {
+		t.Fatalf("first Take holds %v, want [4 5 6]", seqs)
+	}
+
+	scan := func() uint64 {
+		next, err := ScanSegments(dir, 1, func(uint64, []byte) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return next
+	}
+	if next := scan(); next != low {
+		t.Fatalf("segment files end at %d while the batch is held, want the mark %d", next, low)
+	}
+	close(fsys.release)
+	released = true
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if next := scan(); next != 7 {
+		t.Fatalf("segment files end at %d once the write lands, want 7", next)
+	}
 }
