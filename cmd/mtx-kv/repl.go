@@ -4,7 +4,10 @@
 // SUBSCRIBE/STATS). Mutating commands are rejected with "ERR read-only
 // replica": replication applies the primary's records by absolute
 // sequence, so a local write would fork the replica from the primary's
-// history.
+// history. While the replica syncs (kv.Replica.Syncing: it started empty
+// behind its primary, or took a snapshot, and has not yet installed what
+// it received) every read and SUBSCRIBE answers "ERR syncing"; STATS,
+// PING and QUIT still answer.
 package main
 
 import (

@@ -211,6 +211,67 @@ func TestReadOnlyReplicaCommands(t *testing.T) {
 	}
 }
 
+// TestReplicaSyncingRefusesReads: a replica that is syncing — given a
+// target of 3 and fed 2 records — answers every read and SUBSCRIBE with
+// ERR syncing, still refuses writes as read-only and reports itself in
+// STATS REPL; the record that reaches the target makes it serve.
+func TestReplicaSyncingRefusesReads(t *testing.T) {
+	r, err := kv.NewReplica(kv.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Store().Close()
+	client := &cluster.Client{Addr: "primary.invalid:7800", Replica: r}
+	srv := &server{store: r.Store(), readonly: true, repl: client, replica: r}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go srv.serve(l)
+
+	set := func(seq uint64, key, val string) {
+		t.Helper()
+		if err := r.ApplyRecords([]wal.Record{{Seq: seq,
+			Ops: []wal.Op{{Kind: wal.KindSet, Key: key, Val: []byte(val)}}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.SetTarget(3)
+	set(1, "k", "one")
+	set(2, "k", "two")
+
+	c := dialProto(t, l.Addr().String())
+	defer c.conn.Close()
+	for _, cmd := range []string{"GET k", "FGET k", "MGET k j", "BGET k 100", "WATCH k 100"} {
+		if got := c.roundtrip(cmd); got != "ERR syncing" {
+			t.Fatalf("%s on a syncing replica: %q", cmd, got)
+		}
+	}
+	if got := c.roundtrip("SET k v"); got != "ERR read-only replica" {
+		t.Fatalf("SET on a syncing replica: %q", got)
+	}
+	if got := c.roundtrip("STATS REPL"); !strings.Contains(got, `"syncing":true`) {
+		t.Fatalf("STATS REPL on a syncing replica: %q", got)
+	}
+	if got := c.roundtrip("PING"); got != "PONG" {
+		t.Fatalf("PING on a syncing replica: %q", got)
+	}
+	sub := dialProto(t, l.Addr().String())
+	defer sub.conn.Close()
+	if got := sub.roundtrip("SUBSCRIBE"); got != "ERR syncing" {
+		t.Fatalf("SUBSCRIBE on a syncing replica: %q", got)
+	}
+
+	set(3, "k", "three")
+	if got := c.roundtrip("GET k"); got != "VALUE three" {
+		t.Fatalf("GET once installed: %q", got)
+	}
+	if got := c.roundtrip("STATS REPL"); !strings.Contains(got, `"syncing":false`) || !strings.Contains(got, `"ready":true`) {
+		t.Fatalf("STATS REPL once installed: %q", got)
+	}
+}
+
 // TestStatsReplPrimary checks the primary-side STATS REPL document and
 // that a serve-shaped server without any replication role still answers.
 func TestStatsReplPrimary(t *testing.T) {

@@ -462,12 +462,18 @@ func (c *session) command(line []byte) bool {
 // Delivery is buffered and non-blocking on the commit path: a client
 // that reads slower than the store commits loses events, and each loss
 // is reported in-stream as a cumulative "DROPPED n" line, so consumers
-// can tell a gap from a quiet store.
+// can tell a gap from a quiet store. A syncing replica answers "ERR
+// syncing" instead: its install commits nothing a feed could carry.
 func (c *session) subscribe(args []byte) {
 	c.cmds++
 	f := appendFields(c.f[:0], args)
 	if len(f) > 1 {
 		c.out = append(c.out, "ERR usage: SUBSCRIBE [prefix]\n"...)
+		c.flush()
+		return
+	}
+	if c.s.readonly && c.s.replica.Syncing() {
+		c.out = append(c.out, "ERR syncing\n"...)
 		c.flush()
 		return
 	}
@@ -594,10 +600,16 @@ func (c *session) exec(reply []byte, v verb, cmd, args []byte) (resp []byte, qui
 	if s.readonly {
 		// A replica serves reads only: writing through its store would
 		// fork it from the primary's history (replication applies the
-		// primary's records by absolute sequence, not by merging).
+		// primary's records by absolute sequence, not by merging). And
+		// it serves them only once it is not syncing: until then its
+		// store is the feeder's alone.
 		switch v {
 		case verbSet, verbDel, verbAdd, verbMSet, verbTxn:
 			return append(reply, "ERR read-only replica"...), false
+		case verbGet, verbFGet, verbMGet, verbBGet, verbWatch:
+			if s.replica.Syncing() {
+				return append(reply, "ERR syncing"...), false
+			}
 		}
 	}
 	if v == verbSet {

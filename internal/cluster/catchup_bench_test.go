@@ -13,8 +13,9 @@ import (
 
 // BenchmarkCatchup50k times a cold replica attaching to a primary
 // holding 50k committed records, dial to Ready — the full pipeline:
-// segment scan, frame batching, wire, client batch apply, bulk key
-// creation. The guarded regression is quadratic catch-up: per-key
+// segment scan, frame batching, wire, the replica's sync (each record
+// folded as its frame arrives) and its install, one bulk key creation
+// a shard. The guarded regression is quadratic catch-up: per-key
 // copy-on-write table growth once made this path ~75x slower. Each
 // iteration pays an untimed ~20s preload, so run with -benchtime=1x.
 func BenchmarkCatchup50k(b *testing.B) {

@@ -162,37 +162,18 @@ func (c *Client) session(ctx context.Context) error {
 	// of read syscalls, and the read deadline is armed once per socket
 	// read (deadlineReader), not once per frame.
 	br := bufio.NewReaderSize(deadlineReader{conn}, 64<<10)
-	// Records accumulate while more frames are already buffered and
-	// apply in one batch when the read would block (or at the cap):
-	// batch apply is what lets the replica merge catch-up runs into few
-	// local transactions instead of one per record. The pending records'
-	// ops and values live in ops and vals, reused from batch to batch:
-	// ApplyRecords keeps neither (a Txn.Set copies its value).
-	const maxPending = 1024
+	// Each record applies as its frame arrives. Its ops reuse one slice
+	// from frame to frame and their values alias the frame: the replica
+	// keeps neither (its fold and a Txn.Set copy the value).
 	var (
-		pending []wal.Record
-		ops     []wal.Op
-		vals    []byte
+		ops []wal.Op
+		one [1]wal.Record // the record ApplyRecords takes
 	)
-	flush := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		err := r.ApplyRecords(pending)
-		clear(pending)
-		pending = pending[:0]
-		clear(ops)
-		ops, vals = ops[:0], vals[:0]
-		return err
-	}
 	addOp := func(kind wal.Kind, key, val []byte, v int64) {
-		op := wal.Op{Kind: kind, Key: string(key), N: v}
-		if kind == wal.KindSet {
-			start := len(vals)
-			vals = append(vals, val...)
-			op.Val = vals[start:len(vals):len(vals)]
+		if kind != wal.KindSet {
+			val = nil
 		}
-		ops = append(ops, op)
+		ops = append(ops, wal.Op{Kind: kind, Key: string(key), Val: val, N: v})
 	}
 	var buf []byte
 	for {
@@ -202,28 +183,19 @@ func (c *Client) session(ctx context.Context) error {
 			return err
 		}
 		switch f.Type {
-		case FramePing:
-			if err := flush(); err != nil {
-				return err
-			}
 		case FrameRecord:
-			start := len(ops)
+			ops = ops[:0]
 			seq, n, derr := wal.WalkRecord(f.Payload, addOp)
 			if derr != nil || n != len(f.Payload) {
 				return fmt.Errorf("%w: bad record frame", ErrProto)
 			}
-			pending = append(pending, wal.Record{Seq: seq, Ops: ops[start:len(ops):len(ops)]})
-			if len(pending) >= maxPending || br.Buffered() == 0 {
-				if aerr := flush(); aerr != nil {
-					// A gap means our cursor raced compaction; reconnecting
-					// re-handshakes and takes the snapshot path.
-					return aerr
-				}
-			}
-		case FrameSnapBegin:
-			if err := flush(); err != nil {
+			one[0] = wal.Record{Seq: seq, Ops: ops}
+			if err := r.ApplyRecords(one[:]); err != nil {
+				// A gap means our cursor raced compaction; reconnecting
+				// re-handshakes and takes the snapshot path.
 				return err
 			}
+		case FrameSnapBegin:
 			if len(f.Payload) != 8 {
 				return fmt.Errorf("%w: bad snapshot begin", ErrProto)
 			}
@@ -238,9 +210,6 @@ func (c *Client) session(ctx context.Context) error {
 			}
 			snapRecs = append(snapRecs, rec)
 		case FrameSnapEnd:
-			if err := flush(); err != nil {
-				return err
-			}
 			if !snapping {
 				return fmt.Errorf("%w: snapshot end outside transfer", ErrProto)
 			}

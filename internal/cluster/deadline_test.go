@@ -150,7 +150,7 @@ func TestClientSteadyStreamNoTimeout(t *testing.T) {
 			sent = i + 1
 			time.Sleep(readTimeout / 10)
 		}
-		// End on a frame boundary: the ping applies what is pending.
+		// End on a frame boundary, with a ping.
 		conn.Write(append(rest[:len(rest):len(rest)], AppendFrame(nil, FramePing, 0, nil)...))
 	})
 	r, took, err := runSession(t, addr)

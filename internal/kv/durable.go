@@ -177,8 +177,15 @@ func (s *Store) Recover() (RecoverInfo, error) {
 	}
 	errs := make([]error, len(s.shards))
 	s.eachShard(n, func(i int) {
-		errs[i] = s.shards[i].replay(ops[i])
+		final := make(map[string]routedOp, len(ops[i]))
+		for _, r := range ops[i] {
+			if err := fold(final, r); err != nil {
+				errs[i] = err
+				return
+			}
+		}
 		ops[i] = nil
+		s.shards[i].install(final)
 	})
 	// The lowest-numbered shard's error, whatever order the shards ran in.
 	for _, err := range errs {
@@ -199,34 +206,38 @@ func (s *Store) Recover() (RecoverInfo, error) {
 	return info, nil
 }
 
-// replay installs in sh the state ops — sh's share of the snapshot and
-// the log tail, in order — leave behind: the ops fold into each key's
-// last write, and each survivor is linked and given its value in one
-// hold of sh.mu, with one Touch of kvers after it. Recovery runs before
-// the store serves and each shard replays on one goroutine, so sh has
-// one writer and no reader: a plain store into an entry just linked is
-// the whole write. The survivors' entries are one array (see
-// shard.bulk), so a recovered store is laid out as a bulk-loaded one.
-func (sh *shard) replay(ops []routedOp) error {
-	final := make(map[string]routedOp, len(ops)) // key → its last write, made absolute in place
-	for _, r := range ops {
-		switch op := r.op; op.Kind {
-		case wal.KindSet, wal.KindCounterSet:
-			final[op.Key] = r
-		case wal.KindCounterAdd:
-			if prev, ok := final[op.Key]; ok && prev.op.Kind == wal.KindCounterSet {
-				op.N += prev.op.N
-			}
-			op.Kind = wal.KindCounterSet
-			final[op.Key] = r
-		case wal.KindDelete:
-			delete(final, op.Key)
-		default:
-			return fmt.Errorf("kv: replay: unknown op kind %d", op.Kind)
+// fold folds r, the next of a shard's ops in log order, into final:
+// each key's last write, made absolute in place (a counter add becomes
+// the counter set it amounts to), with a deleted key dropped. Recovery
+// and a syncing replica fold their records this way, and install what
+// is left.
+func fold(final map[string]routedOp, r routedOp) error {
+	switch op := r.op; op.Kind {
+	case wal.KindSet, wal.KindCounterSet:
+		final[op.Key] = r
+	case wal.KindCounterAdd:
+		if prev, ok := final[op.Key]; ok && prev.op.Kind == wal.KindCounterSet {
+			op.N += prev.op.N
 		}
+		op.Kind = wal.KindCounterSet
+		final[op.Key] = r
+	case wal.KindDelete:
+		delete(final, op.Key)
+	default:
+		return fmt.Errorf("kv: replay: unknown op kind %d", op.Kind)
 	}
+	return nil
+}
+
+// install links every key of final, sh's folded ops, into sh and gives
+// it its value in one hold of sh.mu, with one Touch of kvers after it.
+// Its callers run it where sh has one writer and no reader — recovery
+// before the store serves, a replica while it syncs — so a plain store
+// into an entry just linked is the whole write. The entries are one
+// array (see shard.bulk), so the store is laid out as a bulk-loaded one.
+func (sh *shard) install(final map[string]routedOp) {
 	if len(final) == 0 {
-		return nil
+		return
 	}
 	sh.mu.Lock()
 	left := len(final)
@@ -242,10 +253,9 @@ func (sh *shard) replay(ops []routedOp) error {
 	sh.bulk = nil
 	sh.mu.Unlock()
 	sh.stm.Touch(sh.kvers)
-	return nil
 }
 
-// routedOp is a recovered op routed to its key's shard, with the key's
+// routedOp is a logged op routed to its key's shard, with the key's
 // hash.
 type routedOp struct {
 	op   *wal.Op

@@ -11,30 +11,46 @@ import (
 
 // Replica: the follower side of WAL shipping. A Replica wraps an
 // in-memory Store and applies the primary's log — one record per
-// committed transaction, in LSN order — through real transactions on
-// the local store, so the replica's own engines (any of them) provide
-// the same isolation to its readers that the primary's do. Records
-// route by key, so the replica's shard count need not match the
-// primary's.
+// committed transaction, in LSN order. Records route by key, so the
+// replica's shard count need not match the primary's. A replica has two
+// phases, and each runs code the store already has:
+//
+//   - Syncing: every key belongs to the feeder. Each record's ops fold
+//     into per-shard maps through recovery's fold, and the record that
+//     reaches the target installs them through eachShard with recovery's
+//     install, then publishes the position. A replica syncs when
+//     SetTarget finds it empty and behind its primary, and from every
+//     Reset.
+//   - Live: each record applies as one local transaction, so the
+//     replica's own engines (any of them) give its readers the same
+//     isolation the primary's do. A replica never given a target is
+//     live from the start.
 //
 // What a replica observer may see (the replication contract, litmus-
 // tested in replica_test.go and documented in the README):
 //
-//   - A prefix of the primary's commit order, always: records apply in
-//     LSN order, consecutive ones merged into one local transaction, so
-//     a consistent reader sees the state after some LSN.
+//   - A prefix of the primary's commit order, always: a live replica
+//     applies records in LSN order, one record one local transaction,
+//     so a consistent reader sees the state after some LSN.
 //   - Cross-shard transactions surface atomically: a transaction is one
 //     record and a record applies inside one local transaction, so a
 //     consistent reader (Get, View, MGet) never observes half of one.
+//   - Nothing while syncing: a syncing store is private to the feeder
+//     and must not be read in process (Syncing reports it; the server
+//     answers its reads with an error). The shards install one after
+//     another, and a Reset empties them first. While syncing, Position
+//     counts the records received, not the records visible; a position
+//     at or past the target means the store holds those records.
 //   - FGET keeps its plain-read caveat: exactly as on the primary
 //     (the paper's §3.5 delayed-writeback anomaly), a plain read
 //     against the lazy engine may briefly miss a committed-but-
 //     unwritten value. Replication restates the paper's mixed-mode
 //     bound in space; it does not tighten the plain-read path.
 //
-// Feeding the replica is single-writer: ApplyRecords and Reset
-// serialize on an internal mutex (the wire client is one goroutine),
-// while the store's readers run concurrently, lock-free as ever.
+// Feeding the replica is single-writer: SetTarget, ApplyRecords and
+// Reset serialize on an internal mutex (the wire client is one
+// goroutine), while the store's readers run concurrently, lock-free as
+// ever.
 
 // ErrReplicaGap reports a record that does not extend the replica's
 // prefix: the stream skipped sequences (e.g. the primary compacted past
@@ -46,14 +62,14 @@ var ErrReplicaGap = errors.New("kv: record does not extend the replica's prefix 
 type Replica struct {
 	s *Store
 
-	mu   sync.Mutex // serializes the feeders
-	ops  []wal.Op   // run scratch, guarded by mu
-	keys []string   // applyTxn's footprint scratch, guarded by mu
+	mu    sync.Mutex            // serializes the feeders
+	keys  []string              // applyTxn's footprint scratch, guarded by mu
+	final []map[string]routedOp // while syncing, each shard's folded ops; guarded by mu
 
 	pos      atomic.Uint64 // applied primary LSN
 	applied  atomic.Uint64 // records applied
 	xapplied atomic.Uint64 // of which wrote more than one shard
-	syncing  atomic.Bool   // a snapshot reset is in progress
+	syncing  atomic.Bool   // final is in use: the store is the feeder's alone
 
 	// target is the primary's LSN at handshake time; Ready reports the
 	// replica caught up to it at least once.
@@ -77,105 +93,83 @@ func NewReplica(opts ...Option) (*Replica, error) {
 }
 
 // Store is the replica's read surface: FastGet / View / Get /
-// Subscribe serve from it. Writing through it corrupts replication
-// (the server layer enforces read-only); changefeed events carry the
-// replica's own LSNs, not the primary's.
+// Subscribe serve from it once it is not Syncing. Writing through it
+// corrupts replication (the server layer enforces read-only);
+// changefeed events carry the replica's own LSNs, not the primary's,
+// and a sync's install emits none.
 func (r *Replica) Store() *Store { return r.s }
 
 // Shards returns the replica's shard count.
 func (r *Replica) Shards() int { return len(r.s.shards) }
 
 // Position returns the applied primary LSN: the replica's state is the
-// primary's after that commit.
+// primary's after that commit (while syncing, the records received).
 func (r *Replica) Position() uint64 { return r.pos.Load() }
 
 // Watermark returns the applied primary LSN, whatever i is. Shim for
 // the benchmark, which still asks per shard; goes with ROADMAP item 8.
 func (r *Replica) Watermark(i int) uint64 { return r.Position() }
 
+// Syncing reports whether the store is the feeder's alone: its records
+// are folding and not yet installed, so it must not be read.
+func (r *Replica) Syncing() bool { return r.syncing.Load() }
+
 // SetTarget records the primary's LSN at handshake time; Ready flips
-// true once the replica's position reaches it.
+// true once the replica's position reaches it. An empty replica behind
+// its target starts syncing; a syncing one the target has come down to
+// installs at once.
 func (r *Replica) SetTarget(lsn uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch pos := r.pos.Load(); {
+	case r.syncing.Load() && pos >= lsn:
+		r.installLocked()
+	case pos == 0 && lsn > 0 && !r.syncing.Load():
+		r.syncLocked()
+	}
 	r.target.Store(lsn)
 	r.hasTarget.Store(true)
 }
 
 // Ready reports whether the replica has caught up to the handshake-
-// time primary position and is not mid-reset.
+// time primary position and is not syncing.
 func (r *Replica) Ready() bool {
 	return !r.syncing.Load() && r.hasTarget.Load() && r.pos.Load() >= r.target.Load()
 }
 
-// ApplyRecords feeds a batch of stream records, in LSN order:
-// duplicates at or below the position are ignored (reconnect overlap),
-// a sequence past the next one returns ErrReplicaGap. The wire client
-// hands over every frame it has already buffered, so catch-up applies
-// long runs of records per local transaction instead of one at a time.
+// ApplyRecords feeds stream records, in LSN order: duplicates at or
+// below the position are ignored (reconnect overlap), a sequence past
+// the next one returns ErrReplicaGap. A live replica applies each
+// record as one local transaction; a syncing one folds it.
 func (r *Replica) ApplyRecords(recs []wal.Record) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for len(recs) > 0 {
-		if pos := r.pos.Load(); recs[0].Seq <= pos {
-			recs = recs[1:]
+	for _, rec := range recs {
+		if pos := r.pos.Load(); rec.Seq <= pos {
 			continue
-		} else if recs[0].Seq != pos+1 {
-			return fmt.Errorf("%w: seq %d, want %d", ErrReplicaGap, recs[0].Seq, pos+1)
+		} else if rec.Seq != pos+1 {
+			return fmt.Errorf("%w: seq %d, want %d", ErrReplicaGap, rec.Seq, pos+1)
 		}
-		n := r.runLocked(recs)
-		err := r.applyTxn(r.ops)
-		clear(r.ops)
+		var err error
+		if r.syncing.Load() {
+			err = r.foldLocked(rec.Ops)
+		} else {
+			err = r.applyTxn(rec.Ops)
+		}
 		if err != nil {
 			return err
 		}
-		for _, rec := range recs[:n] {
-			if r.s.crossShard(rec.Ops) {
-				r.xapplied.Add(1)
-			}
+		if r.s.crossShard(rec.Ops) {
+			r.xapplied.Add(1)
 		}
-		r.applied.Add(uint64(n))
-		r.pos.Store(recs[n-1].Seq)
-		recs = recs[n:]
+		r.applied.Add(1)
+		r.advanceLocked(rec.Seq)
 	}
 	return nil
 }
 
-// maxRunOps caps how many ops one apply transaction merges — large
-// enough to amortize the transaction during catch-up, small enough to
-// bound its footprint (and lock hold) on a live replica.
-const maxRunOps = 256
-
-// runLocked collects into r.ops the longest run of records at the head
-// of recs that may merge into one transaction and returns its length.
-// The run is dense in LSN; a record containing a delete ends it after
-// itself, because a later record may re-create the key with the other
-// kind, which needs the delete's collection between the two writes
-// (within one transaction a key's kind stays fixed). Caller holds r.mu.
-func (r *Replica) runLocked(recs []wal.Record) (n int) {
-	r.ops = r.ops[:0]
-	for n < len(recs) && len(r.ops) < maxRunOps {
-		if n > 0 && recs[n].Seq != recs[n-1].Seq+1 {
-			break
-		}
-		r.ops = append(r.ops, recs[n].Ops...)
-		n++
-		if hasDelete(recs[n-1].Ops) {
-			break
-		}
-	}
-	return n
-}
-
-func hasDelete(ops []wal.Op) bool {
-	for i := range ops {
-		if ops[i].Kind == wal.KindDelete {
-			return true
-		}
-	}
-	return false
-}
-
-// applyTxn replays one or more records' ops as ONE local transaction —
-// the idempotent replay: sets and counter-sets are absolute, deletes of
+// applyTxn replays one record's ops as ONE local transaction — the
+// idempotent replay: sets and counter-sets are absolute, deletes of
 // absent keys are no-ops. Caller holds r.mu.
 func (r *Replica) applyTxn(ops []wal.Op) error {
 	if len(ops) == 0 {
@@ -207,47 +201,78 @@ func (r *Replica) applyTxn(ops []wal.Op) error {
 	return err
 }
 
-// Reset replaces the replica's state with a primary snapshot exact at
-// seq (wal.LatestSnapshot): the catch-up fallback when the replica's
-// position predates the primary's oldest retained segment. Every key is
-// deleted, in batched transactions, and the snapshot's records applied,
-// each as one transaction — readers may observe the intermediate
-// states, which is why Ready reports false (syncing) for the duration;
-// a replica serving live traffic should be drained first.
-func (r *Replica) Reset(seq uint64, recs []wal.Record) error {
+// syncLocked starts a sync with nothing folded. Caller holds r.mu.
+func (r *Replica) syncLocked() {
+	r.final = make([]map[string]routedOp, len(r.s.shards))
+	for i := range r.final {
+		r.final[i] = make(map[string]routedOp)
+	}
 	r.syncing.Store(true)
-	defer r.syncing.Store(false)
-	r.mu.Lock()
-	defer r.mu.Unlock()
+}
 
-	// Wipe: gather the current keys (the table only mutates under r.mu
-	// — applies and their collection run right here), then delete
-	// transactionally in batches.
-	var keys []string
-	for _, sh := range r.s.shards {
-		for e := range sh.each {
-			keys = append(keys, e.key)
+// foldLocked folds ops into the shards' maps. Each op is copied, its
+// value too: the feeder reuses its records' memory. Caller holds r.mu.
+func (r *Replica) foldLocked(ops []wal.Op) error {
+	for i := range ops {
+		op := ops[i]
+		op.Val = copyVal(op.Val)
+		h := fnv1a(op.Key)
+		if err := fold(r.final[h&r.s.mask], routedOp{&op, h}); err != nil {
+			return err
 		}
 	}
-	const batch = 256
-	for len(keys) > 0 {
-		part := keys[:min(batch, len(keys))]
-		keys = keys[len(part):]
-		if err := r.s.Update(part, func(t *Txn) error {
-			for _, k := range part {
-				t.Delete(k)
-			}
-			return nil
-		}); err != nil {
-			return fmt.Errorf("kv: replica: reset: %w", err)
-		}
-	}
-	for _, rec := range recs {
-		if err := r.applyTxn(rec.Ops); err != nil {
-			return fmt.Errorf("kv: replica: reset: %w", err)
-		}
+	return nil
+}
+
+// advanceLocked publishes seq as the position. The record that brings
+// a syncing replica to its target installs every shard first, so a
+// position at or past the target means the store holds its records.
+// Caller holds r.mu.
+func (r *Replica) advanceLocked(seq uint64) {
+	if r.syncing.Load() && seq >= r.target.Load() {
+		r.installLocked()
 	}
 	r.pos.Store(seq)
+}
+
+// installLocked installs the folded shards, side by side, and ends the
+// sync. Caller holds r.mu.
+func (r *Replica) installLocked() {
+	n := 0
+	for _, m := range r.final {
+		n += len(m)
+	}
+	r.s.eachShard(n, func(i int) { r.s.shards[i].install(r.final[i]) })
+	r.final = nil
+	r.syncing.Store(false)
+}
+
+// Reset replaces the replica's state with a primary snapshot exact at
+// seq (wal.LatestSnapshot): the catch-up fallback when the replica's
+// position predates the primary's oldest retained segment. It starts a
+// sync: every shard gets an empty table, kvers touched first (as
+// unlink does), what was folded before is dropped, and the snapshot's
+// records fold. The replica installs here if seq reaches its target,
+// and otherwise at the record that does. A WaitGet or Watch parked on a
+// key's word across the Reset is not woken by it: it finds the new
+// table at its safety-net recheck or its deadline.
+func (r *Replica) Reset(seq uint64, recs []wal.Record) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.syncLocked()
+	for _, sh := range r.s.shards {
+		sh.mu.Lock()
+		sh.stm.Touch(sh.kvers)
+		sh.tbl.Store(newTable(0))
+		sh.keys.Store(0)
+		sh.mu.Unlock()
+	}
+	for _, rec := range recs {
+		if err := r.foldLocked(rec.Ops); err != nil {
+			return fmt.Errorf("kv: replica: reset: %w", err)
+		}
+	}
+	r.advanceLocked(seq)
 	return nil
 }
 
@@ -274,6 +299,6 @@ func (r *Replica) Stats() ReplicaStats {
 		Applied:   r.applied.Load(),
 		XApplied:  r.xapplied.Load(),
 		Ready:     r.Ready(),
-		Syncing:   r.syncing.Load(),
+		Syncing:   r.Syncing(),
 	}
 }

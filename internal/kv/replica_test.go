@@ -3,6 +3,7 @@ package kv
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -167,11 +168,11 @@ func TestReplicaReadiness(t *testing.T) {
 }
 
 // TestReplicaCrossShardLitmus is the replica-semantics litmus, run
-// against every registered engine: a stream of
-// cross-shard transfers between two counters whose sum is invariant,
-// fed in batches of random size so runs merge records differently.
-// Concurrent transactional readers must never see the sum mid-transfer
-// — a cross-shard transaction is one record and surfaces atomically.
+// against every registered engine: a stream of cross-shard transfers
+// between two counters whose sum is invariant, fed in batches of random
+// size. Concurrent transactional readers must never see the sum
+// mid-transfer — a cross-shard transaction is one record and surfaces
+// atomically.
 func TestReplicaCrossShardLitmus(t *testing.T) {
 	for _, eng := range stm.Engines() {
 		testReplicaCrossShardLitmus(t, eng)
@@ -312,14 +313,12 @@ func TestReplicaResetShard(t *testing.T) {
 	}
 }
 
-// TestReplicaFromPrimaryLog is the end-to-end check at the package
-// level: run a real durable primary (updates, deletes, cross-shard
-// transfers, a checkpoint in the middle), then ship its actual on-disk
-// log into two replicas of other shard counts — one from the start of
-// the segments, one from the snapshot and the segments past it, the
-// way the streamer reads them — and require identical state.
-func TestReplicaFromPrimaryLog(t *testing.T) {
-	dir := t.TempDir()
+// writePrimaryLog runs a real durable primary in dir (updates, deletes,
+// cross-shard transfers, a key set, deleted and re-created as a
+// counter, a checkpoint in the middle) and closes it, leaving its
+// on-disk log.
+func writePrimaryLog(t *testing.T, dir string) {
+	t.Helper()
 	p, err := Open(WithDurability(dir, wal.Batch), WithShards(4))
 	if err != nil {
 		t.Fatal(err)
@@ -369,19 +368,85 @@ func TestReplicaFromPrimaryLog(t *testing.T) {
 	if _, err := p.Delete(keys[3]); err != nil {
 		t.Fatal(err)
 	}
+	// A bytes key deleted and re-created as a counter.
+	if err := p.Set("reborn", []byte("bytes")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Delete("reborn"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.CounterAdd("reborn", 42); err != nil {
+		t.Fatal(err)
+	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	apply := func(r *Replica) func(uint64, []byte) error {
-		return func(seq uint64, raw []byte) error {
-			rec, n, err := wal.DecodeRecord(raw)
-			if err != nil || n != len(raw) || rec.Seq != seq {
-				return fmt.Errorf("raw bytes of %d: decoded seq %d, %d of %d bytes, %v", seq, rec.Seq, n, len(raw), err)
+// storeState is every present key of s with its kind and value; a
+// read that fails shows as its error.
+func storeState(s *Store) map[string]string {
+	out := make(map[string]string)
+	for _, sh := range s.shards {
+		for e := range sh.each {
+			var v string
+			var ok bool
+			var err error
+			if e.isCounter() {
+				var n int64
+				n, ok, err = s.CounterGet(e.key)
+				v = fmt.Sprintf("counter %d", n)
+			} else {
+				var b []byte
+				b, ok, err = s.Get(e.key)
+				v = "bytes " + string(b)
 			}
-			return r.ApplyRecords([]wal.Record{rec})
+			if err != nil {
+				v, ok = err.Error(), true
+			}
+			if ok {
+				out[e.key] = v
+			}
 		}
 	}
+	return out
+}
+
+// sameState fails t unless got holds exactly want's keys and values.
+func sameState(t *testing.T, name string, got, want map[string]string) {
+	t.Helper()
+	for k, w := range want {
+		if g, ok := got[k]; !ok || g != w {
+			t.Fatalf("%s: %s = %q, %v; want %q", name, k, g, ok, w)
+		}
+	}
+	for k, g := range got {
+		if _, ok := want[k]; !ok {
+			t.Fatalf("%s: %s = %q, want no such key", name, k, g)
+		}
+	}
+}
+
+// applyRaw feeds one scanned record to r.
+func applyRaw(r *Replica) func(uint64, []byte) error {
+	return func(seq uint64, raw []byte) error {
+		rec, n, err := wal.DecodeRecord(raw)
+		if err != nil || n != len(raw) || rec.Seq != seq {
+			return fmt.Errorf("raw bytes of %d: decoded seq %d, %d of %d bytes, %v", seq, rec.Seq, n, len(raw), err)
+		}
+		return r.ApplyRecords([]wal.Record{rec})
+	}
+}
+
+// TestReplicaFromPrimaryLog is the end-to-end check at the package
+// level: ship a real primary's on-disk log into two replicas of other
+// shard counts — one from the start of the segments, one from the
+// snapshot and the segments past it, the way the streamer reads them
+// — and require each to hold, key for key, what the primary recovers.
+func TestReplicaFromPrimaryLog(t *testing.T) {
+	dir := t.TempDir()
+	writePrimaryLog(t, dir)
+
 	whole, err := NewReplica(WithShards(2))
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +454,7 @@ func TestReplicaFromPrimaryLog(t *testing.T) {
 	defer whole.Store().Close()
 	// Ship twice, to exercise duplicate suppression (reconnect overlap).
 	for range 2 {
-		if _, err := wal.ScanSegments(dir, 1, apply(whole)); err != nil {
+		if _, err := wal.ScanSegments(dir, 1, applyRaw(whole)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -405,42 +470,132 @@ func TestReplicaFromPrimaryLog(t *testing.T) {
 	if err := fromSnap.Reset(seq, recs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wal.ScanSegments(dir, seq+1, apply(fromSnap)); err != nil {
+	if _, err := wal.ScanSegments(dir, seq+1, applyRaw(fromSnap)); err != nil {
 		t.Fatal(err)
 	}
 
-	// Compare states via a reopened primary.
 	p2, err := Open(WithDurability(dir, wal.Batch), WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	for _, r := range []*Replica{whole, fromSnap} {
-		for _, k := range keys {
-			pv, pok := mustGet(t, p2, k)
-			rv, rok := mustGet(t, r.Store(), k)
-			if pok != rok || pv != rv {
-				t.Fatalf("%s: primary %q,%v replica %q,%v", k, pv, pok, rv, rok)
-			}
-			pc, pok := mustCounter(t, p2, k+"/ctr")
-			rc, rok := mustCounter(t, r.Store(), k+"/ctr")
-			if pok != rok || pc != rc {
-				t.Fatalf("%s/ctr: primary %d,%v replica %d,%v", k, pc, pok, rc, rok)
-			}
-		}
-		for _, k := range []string{a + "/x", b + "/x"} {
-			pc, _ := mustCounter(t, p2, k)
-			rc, _ := mustCounter(t, r.Store(), k)
-			if pc != rc {
-				t.Fatalf("%s: primary %d replica %d", k, pc, rc)
-			}
-		}
+	want := storeState(p2)
+	if want["reborn"] != "counter 42" || len(want) != 34 {
+		t.Fatalf("recovered %d keys, reborn %q", len(want), want["reborn"])
+	}
+	for name, r := range map[string]*Replica{"whole": whole, "fromSnap": fromSnap} {
+		sameState(t, name, storeState(r.Store()), want)
 		if r.Position() != p2.WALStats().Recover.LSN {
-			t.Fatalf("replica at %d, primary at %d", r.Position(), p2.WALStats().Recover.LSN)
+			t.Fatalf("%s at %d, primary at %d", name, r.Position(), p2.WALStats().Recover.LSN)
 		}
 	}
 	if st := whole.Stats(); st.XApplied == 0 {
 		t.Fatal("no cross-shard transactions were shipped")
+	}
+}
+
+// TestReplicaSyncMatchesRecovery feeds TestReplicaFromPrimaryLog's
+// primary log record by record into a replica given its target first. It must sync throughout — not
+// serving, Position below the target — and the record that reaches the
+// target must install exactly what recovery installs from the same
+// directory. A reader that waits for Position to reach the target then
+// finds every record there: the install comes before the position.
+func TestReplicaSyncMatchesRecovery(t *testing.T) {
+	dir := t.TempDir()
+	writePrimaryLog(t, dir)
+	p2, err := Open(WithDurability(dir, wal.Batch), WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := storeState(p2)
+	target := p2.WALStats().Recover.LSN
+	if err := p2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := NewReplica(WithShards(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Store().Close()
+	r.SetTarget(target)
+	if !r.Syncing() || r.Ready() {
+		t.Fatalf("empty replica behind its target: syncing %v, ready %v", r.Syncing(), r.Ready())
+	}
+	seen := make(chan map[string]string)
+	go func() {
+		for r.Position() < target {
+			runtime.Gosched()
+		}
+		seen <- storeState(r.Store())
+	}()
+	apply := applyRaw(r)
+	if _, err := wal.ScanSegments(dir, 1, func(seq uint64, raw []byte) error {
+		if !r.Syncing() || r.Position() >= target || r.Ready() {
+			return fmt.Errorf("before record %d of %d: syncing %v, position %d, ready %v",
+				seq, target, r.Syncing(), r.Position(), r.Ready())
+		}
+		if n := r.Store().Len(); n != 0 {
+			return fmt.Errorf("before record %d of %d: %d keys visible", seq, target, n)
+		}
+		return apply(seq, raw)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if r.Syncing() || !r.Ready() || r.Position() != target {
+		t.Fatalf("after the last record: syncing %v, ready %v, position %d of %d",
+			r.Syncing(), r.Ready(), r.Position(), target)
+	}
+	sameState(t, "the watcher's", <-seen, want)
+	sameState(t, "synced", storeState(r.Store()), want)
+	if st := r.Stats(); st.Applied != target || st.XApplied == 0 {
+		t.Fatalf("stats %+v: want %d applied, some cross-shard", st, target)
+	}
+}
+
+// TestReplicaResetDuringSync: a snapshot that arrives while a replica
+// syncs replaces what it had folded. Keys folded before the Reset that
+// the snapshot lacks are absent once the replica installs; the records
+// after the snapshot apply on top of it.
+func TestReplicaResetDuringSync(t *testing.T) {
+	r, err := NewReplica(WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Store().Close()
+	r.SetTarget(10)
+	f := newFeeder(t, r)
+	f.set("folded-only", "lost")
+	f.set("both", "old")
+	f.xfer("acct-a", "acct-b", 1, 2)
+	if !r.Syncing() || r.Position() != 3 {
+		t.Fatalf("syncing %v at %d, want syncing at 3", r.Syncing(), r.Position())
+	}
+	snap := []wal.Record{
+		{Seq: 7, Ops: []wal.Op{{Kind: wal.KindSet, Key: "both", Val: []byte("snap")}}},
+		{Seq: 8, Ops: []wal.Op{{Kind: wal.KindCounterSet, Key: "acct-a", N: 5}}},
+	}
+	if err := r.Reset(8, snap); err != nil {
+		t.Fatal(err)
+	}
+	if !r.Syncing() || r.Position() != 8 {
+		t.Fatalf("after a Reset short of the target: syncing %v at %d", r.Syncing(), r.Position())
+	}
+	f.lsn = 8
+	f.set("tail", "9")
+	f.emit(wal.Op{Kind: wal.KindCounterAdd, Key: "acct-a", N: 2})
+	if r.Syncing() || !r.Ready() {
+		t.Fatalf("at the target: syncing %v, ready %v", r.Syncing(), r.Ready())
+	}
+	sameState(t, "reset during sync", storeState(r.Store()), map[string]string{
+		"both":   "bytes snap",
+		"acct-a": "counter 7",
+		"tail":   "bytes 9",
+	})
+	// Live from here: the next record is one transaction.
+	f.set("tail", "11")
+	if v, _ := mustGet(t, r.Store(), "tail"); v != "11" || r.Syncing() {
+		t.Fatalf("live apply: tail %q, syncing %v", v, r.Syncing())
 	}
 }
 
