@@ -74,6 +74,7 @@ type DiskFS struct {
 	nextWr   []error // scripted one-shot write errors, FIFO
 	nextSync []error
 	nextOpen []error
+	nextRead []error
 	nextTear int // scripted torn writes pending
 	stats    DiskStats
 }
@@ -118,12 +119,19 @@ func (d *DiskFS) FailNextOpen(err error) {
 	d.mu.Unlock()
 }
 
+// FailNextRead scripts err for the next ReadFile.
+func (d *DiskFS) FailNextRead(err error) {
+	d.mu.Lock()
+	d.nextRead = append(d.nextRead, err)
+	d.mu.Unlock()
+}
+
 // Heal stops all injection — scheduled and scripted — and resets the
 // write budget. Recovery tests call this before reopening the store.
 func (d *DiskFS) Heal() {
 	d.mu.Lock()
 	d.healed = true
-	d.nextWr, d.nextSync, d.nextOpen = nil, nil, nil
+	d.nextWr, d.nextSync, d.nextOpen, d.nextRead = nil, nil, nil, nil
 	d.nextTear = 0
 	d.written = 0
 	d.mu.Unlock()
@@ -219,6 +227,12 @@ func (d *DiskFS) openFault() error {
 func (d *DiskFS) readFault() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if len(d.nextRead) > 0 {
+		var err error
+		err, d.nextRead = d.nextRead[0], d.nextRead[1:]
+		d.stats.ReadErrs++
+		return err
+	}
 	if !d.healed && d.plan.ReadErrProb > 0 && d.rng.Float64() < d.plan.ReadErrProb {
 		d.stats.ReadErrs++
 		return ErrIO

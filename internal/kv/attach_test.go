@@ -24,11 +24,10 @@ func (g *attachGateFS) Rename(oldpath, newpath string) error {
 }
 
 // TestAttachHoldsRotationCheckpoints: a log whose tail is already past
-// the segment size rotates as soon as it opens, and the rotation hook's
-// checkpoint reads feed.log — which attachLogs assigns after the open —
-// so it must wait for the attach (under -race, a checkpoint that does
-// not is a data race on feed.log). It is held, not dropped: the
-// snapshot is still written once the store is up, and a reopen
+// the segment size rotates as soon as it opens, and the log checkpoints
+// that rotation itself, from its files, while the store is still
+// attaching. The checkpoint reads nothing of the store, so there is no
+// attach for it to wait for; the snapshot is written, and a reopen
 // recovers every key.
 func TestAttachHoldsRotationCheckpoints(t *testing.T) {
 	dir := t.TempDir()

@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -10,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"modtx/internal/obs"
-	"modtx/internal/stm"
 	"modtx/internal/wal"
 )
 
@@ -34,18 +32,23 @@ import (
 //
 // The LSN order is the order the commit locks impose and no more: two
 // writes of one key, and a write before every transaction that reads
-// what it wrote (see stm.STM.SetCommitTap). The log, the changefeed, the
-// replica and the checkpoint rely on nothing else. One record per
-// transaction makes a cross-shard commit atomic by framing: recovery
-// and a replica get all of it or none of it.
+// what it wrote (see stm.STM.SetCommitTap). The log, the changefeed and
+// the replica rely on nothing else. One record per transaction makes a
+// cross-shard commit atomic by framing: recovery and a replica get all
+// of it or none of it.
 //
 // Ops are logged in absolute form — counter writes as KindCounterSet
-// with the post-transaction value — so replay is idempotent, which is
-// what lets a checkpoint read the store while writers commit.
+// with the post-transaction value — so replay is idempotent.
+//
+// The log checkpoints itself (wal.Log.Checkpoint): after each rotation,
+// and when Checkpoint asks, it folds its own snapshot and segment files
+// into a new snapshot, with the fold recovery runs. A checkpoint never
+// reads the store, so it holds exactly what the log holds.
 //
 // Key creation and deletion are ordinary logged writes — a key exists
 // in the log exactly when a committed SET or CSET made it exist. Two
-// mixed-mode paths are, by design, outside the log: the entries
+// mixed-mode paths are, by design, outside the log, and so outside
+// every checkpoint, replica and recovered store: the entries
 // EnsureKeys/EnsureCounters link already present (bulk loading's
 // shortcut, a plain write into an entry no transaction can reach yet,
 // shard by shard: a nil or 0 key no transaction wrote reappears on its
@@ -101,7 +104,6 @@ type durState struct {
 
 	recovered bool
 	attached  bool
-	closed    atomic.Bool
 
 	// Degraded mode (degrade.go): the flag and first error latch on the
 	// WAL's OnFail hook; shed counts the commits the failed log refused.
@@ -112,19 +114,6 @@ type durState struct {
 	// fs is the filesystem seam threaded into every wal call (nil =
 	// the real filesystem); fault-injection tests swap it.
 	fs wal.FS
-
-	ckptRun   sync.Mutex // one checkpoint at a time
-	ckpts     atomic.Uint64
-	ckptFails atomic.Uint64
-
-	// ckptMu + ckptWG fence rotation-triggered checkpoints against
-	// Close: the mutex makes "passed the closed check" and "counted in
-	// the WaitGroup" one atomic step, so Close can drain stragglers
-	// before it closes the log. attachLogs holds the mutex while it
-	// opens the log, so a log that rotates as it opens has its
-	// checkpoint wait for the whole attach.
-	ckptMu sync.Mutex
-	ckptWG sync.WaitGroup
 }
 
 // RecoverInfo summarizes a store's boot-time recovery. The JSON names
@@ -162,12 +151,12 @@ func (s *Store) Recover() (RecoverInfo, error) {
 	// the shards replay side by side (eachShard). An op is routed by
 	// reference with its key's hash: each record's ops are this call's,
 	// handed over once, and the hash is the one replay links by.
-	ops := make([][]routedOp, len(s.shards))
+	ops := make([][]wal.Folded, len(s.shards))
 	n := 0
 	res, err := wal.RecoverFS(s.dur.fs, s.dur.dir, func(rec wal.Record) error {
 		for j := range rec.Ops {
 			h := fnv1a(rec.Ops[j].Key)
-			ops[h&s.mask] = append(ops[h&s.mask], routedOp{&rec.Ops[j], h})
+			ops[h&s.mask] = append(ops[h&s.mask], wal.Folded{Op: &rec.Ops[j], Hash: h})
 		}
 		n += len(rec.Ops)
 		return nil
@@ -177,9 +166,9 @@ func (s *Store) Recover() (RecoverInfo, error) {
 	}
 	errs := make([]error, len(s.shards))
 	s.eachShard(n, func(i int) {
-		final := make(map[string]routedOp, len(ops[i]))
-		for _, r := range ops[i] {
-			if err := fold(final, r); err != nil {
+		final := make(map[string]wal.Folded, len(ops[i]))
+		for _, f := range ops[i] {
+			if err := wal.Fold(final, f); err != nil {
 				errs[i] = err
 				return
 			}
@@ -206,47 +195,24 @@ func (s *Store) Recover() (RecoverInfo, error) {
 	return info, nil
 }
 
-// fold folds r, the next of a shard's ops in log order, into final:
-// each key's last write, made absolute in place (a counter add becomes
-// the counter set it amounts to), with a deleted key dropped. Recovery
-// and a syncing replica fold their records this way, and install what
-// is left.
-func fold(final map[string]routedOp, r routedOp) error {
-	switch op := r.op; op.Kind {
-	case wal.KindSet, wal.KindCounterSet:
-		final[op.Key] = r
-	case wal.KindCounterAdd:
-		if prev, ok := final[op.Key]; ok && prev.op.Kind == wal.KindCounterSet {
-			op.N += prev.op.N
-		}
-		op.Kind = wal.KindCounterSet
-		final[op.Key] = r
-	case wal.KindDelete:
-		delete(final, op.Key)
-	default:
-		return fmt.Errorf("kv: replay: unknown op kind %d", op.Kind)
-	}
-	return nil
-}
-
 // install links every key of final, sh's folded ops, into sh and gives
 // it its value in one hold of sh.mu, with one Touch of kvers after it.
 // Its callers run it where sh has one writer and no reader — recovery
 // before the store serves, a replica while it syncs — so a plain store
 // into an entry just linked is the whole write. The entries are one
 // array (see shard.bulk), so the store is laid out as a bulk-loaded one.
-func (sh *shard) install(final map[string]routedOp) {
+func (sh *shard) install(final map[string]wal.Folded) {
 	if len(final) == 0 {
 		return
 	}
 	sh.mu.Lock()
 	left := len(final)
-	for k, r := range final {
-		e, _ := sh.put(k, r.hash, r.op.Kind == wal.KindCounterSet, true, left)
-		if r.op.Kind == wal.KindSet {
-			e.b.Store(r.op.Val)
+	for k, f := range final {
+		e, _ := sh.put(k, f.Hash, f.Op.Kind == wal.KindCounterSet, true, left)
+		if f.Op.Kind == wal.KindSet {
+			e.b.Store(f.Op.Val)
 		} else {
-			e.c.Store(r.op.N)
+			e.c.Store(f.Op.N)
 		}
 		left--
 	}
@@ -255,27 +221,13 @@ func (sh *shard) install(final map[string]routedOp) {
 	sh.stm.Touch(sh.kvers)
 }
 
-// routedOp is a logged op routed to its key's shard, with the key's
-// hash.
-type routedOp struct {
-	op   *wal.Op
-	hash uint64
-}
-
 // attachLogs opens the log (continuing the repaired tail) and installs
 // the commit taps. Open-time only.
 func (s *Store) attachLogs() error {
-	// A tail already past the segment size rotates as soon as the log
-	// opens, and the hook's checkpoint reads feed.log: hold it at
-	// checkpointAsync's door until the attach is complete.
-	s.dur.ckptMu.Lock()
-	defer s.dur.ckptMu.Unlock()
 	o := s.dur.opts
 	o.Metrics = &s.dur.m
-	o.OnRotate = func(uint64) { s.checkpointAsync() }
 	log, err := wal.OpenLog(s.dur.dir, s.dur.res, o)
 	if err != nil {
-		s.dur.closed.Store(true) // a held checkpoint finds the store shut
 		return err
 	}
 	s.feed.mu.Lock()
@@ -349,134 +301,23 @@ func (s *Store) waitDurable(p *pendingOps) error {
 	return nil
 }
 
-// checkpointBatch bounds the keys one checkpoint transaction reads:
-// short enough to commit beside writers, long enough to amortise it.
-const checkpointBatch = 256
-
-// Checkpoint snapshots the store and compacts the log. It reads while
-// writers commit: it takes the LSN L under the feed lock before it reads
-// anything, reads every live key in short snapshots (stm.Snap.Run), one
-// per bounded batch, takes the LSN E reached when it is done, fsyncs the
-// log through E, and installs one snapshot recording L and E and
-// carrying the records L+1..E (wal.WriteSnapshotFS) — each key was read
-// as of some commit between L and E, and replaying those records over what
-// was read gives the exact state at E. A write at or below L has tapped,
-// so it still holds its locks or has published: the read of its key
-// sees it or a later write. The reads are validated snapshots, not plain
-// loads, because the eager and global-lock engines write speculative
-// values in place under a locked word; a snapshot reads only committed
-// ones.
+// Checkpoint has the log write a snapshot exact at its position and
+// compact (wal.Log.Checkpoint). The snapshot is folded from the log's
+// files, so it holds the logged writes and nothing else.
 func (s *Store) Checkpoint() error {
 	if s.dur == nil {
 		return ErrNotDurable
 	}
-	s.dur.ckptRun.Lock()
-	defer s.dur.ckptRun.Unlock()
-	return s.checkpoint()
-}
-
-// checkpointAsync is the rotation hook: best-effort, skipped while a
-// checkpoint runs, failures counted rather than returned.
-func (s *Store) checkpointAsync() {
-	d := s.dur
-	d.ckptMu.Lock()
-	if d.closed.Load() {
-		d.ckptMu.Unlock()
-		return
-	}
-	d.ckptWG.Add(1)
-	d.ckptMu.Unlock()
-	defer d.ckptWG.Done()
-	if !d.ckptRun.TryLock() {
-		return
-	}
-	defer d.ckptRun.Unlock()
-	if err := s.checkpoint(); err != nil {
-		d.ckptFails.Add(1)
-	}
-}
-
-func (s *Store) checkpoint() error {
-	from := s.feed.position()
-	var ops []wal.Op
-	for _, sh := range s.shards {
-		var err error
-		if ops, err = sh.appendLive(ops); err != nil {
-			return fmt.Errorf("kv: checkpoint: %w", err)
-		}
-	}
-	through := s.feed.position()
-	if err := s.feed.log.Sync(); err != nil {
-		return fmt.Errorf("kv: checkpoint: %w", err)
-	}
-	if err := wal.WriteSnapshotFS(s.dur.fs, s.dur.dir, from, through, ops); err != nil {
-		return fmt.Errorf("kv: checkpoint: %w", err)
-	}
-	s.dur.ckpts.Add(1)
-	// Keep the previous snapshot as a fallback against bit rot in the
-	// new one; prune segments both already cover.
-	if err := wal.CompactFS(s.dur.fs, s.dur.dir, 2); err != nil {
-		return fmt.Errorf("kv: compact: %w", err)
-	}
-	return nil
-}
-
-// appendLive appends sh's live keys to ops in absolute form, reading
-// checkpointBatch entries per snapshot (see stm.Snap.Run).
-func (sh *shard) appendLive(ops []wal.Op) ([]wal.Op, error) {
-	batch := make([]*entry, 0, checkpointBatch)
-	var sn stm.Snap
-	stms := []*stm.STM{sh.stm}
-	flush := func() error {
-		base := len(ops)
-		err := sn.Run(context.Background(), stms, func(bounds []uint64) error {
-			ops = ops[:base] // only the reads of the attempt that stands count
-			for _, e := range batch {
-				switch b, n, st, ok := e.snap(&sn, bounds[0]); {
-				case !ok:
-					sn.GiveUp()
-				case st != live:
-				case e.isCounter():
-					ops = append(ops, wal.Op{Kind: wal.KindCounterSet, Key: e.key, N: n})
-				default:
-					ops = append(ops, wal.Op{Kind: wal.KindSet, Key: e.key, Val: b})
-				}
-			}
-			return nil
-		})
-		batch = batch[:0]
-		return err
-	}
-	for e := range sh.each {
-		if batch = append(batch, e); len(batch) == checkpointBatch {
-			if err := flush(); err != nil {
-				return ops, err
-			}
-		}
-	}
-	if len(batch) == 0 {
-		return ops, nil
-	}
-	return ops, flush()
+	return s.feed.log.Checkpoint()
 }
 
 // Close flushes and closes the log (a Fsync/Batch-level close fsyncs
-// the tail). The store itself remains usable for non-durable operation
-// but further writes are no longer logged; Close is for orderly
-// shutdown. Safe to call more than once.
+// the tail) once its rotation checkpoints are done. The store itself
+// remains usable for non-durable operation but further writes are no
+// longer logged; Close is for orderly shutdown. Safe to call more than
+// once.
 func (s *Store) Close() error {
-	if s.dur == nil {
-		return nil
-	}
-	if !s.dur.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	// Drain in-flight rotation checkpoints before closing the log, so no
-	// background goroutine touches the directory after Close returns.
-	s.dur.ckptMu.Lock()
-	s.dur.ckptMu.Unlock() //nolint:staticcheck // barrier, not a critical section
-	s.dur.ckptWG.Wait()
-	if s.feed.log == nil {
+	if s.dur == nil || s.feed.log == nil {
 		return nil
 	}
 	return s.feed.log.Close()
@@ -525,7 +366,7 @@ func (s *Store) WALStats() WALStats {
 	st.Level = s.dur.level.String()
 	st.Appends, st.Batches, st.Fsyncs, st.Bytes = m.Appends, m.Batches, m.Fsyncs, m.Bytes
 	st.Rotations, st.Truncations, st.TruncatedBytes = m.Rotations, m.Truncations, m.TruncatedBytes
-	st.Checkpoints, st.CheckpointFails = s.dur.ckpts.Load(), s.dur.ckptFails.Load()
+	st.Checkpoints, st.CheckpointFails = m.Checkpoints, m.CheckpointFails
 	s.feed.mu.Lock()
 	st.TxnMarkers = s.feed.cross
 	s.feed.mu.Unlock()

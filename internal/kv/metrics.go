@@ -75,8 +75,8 @@ func (s *Store) OpLatency(op Op) obs.Snapshot {
 
 // StmLatencies is the union of every shard's STM-level distributions:
 // commit latency, read-only latency (stm.Snap.Run: every View, and each
-// Get, CounterGet, MGet or checkpoint batch that it ran), attempts per
-// committed call, and park duration (see stm.Metrics).
+// Get, CounterGet or MGet that it ran), attempts per committed call,
+// and park duration (see stm.Metrics).
 type StmLatencies struct {
 	CommitNs   obs.Snapshot `json:"commit_ns"`
 	ReadOnlyNs obs.Snapshot `json:"read_only_ns"`

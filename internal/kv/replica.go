@@ -62,9 +62,9 @@ var ErrReplicaGap = errors.New("kv: record does not extend the replica's prefix 
 type Replica struct {
 	s *Store
 
-	mu    sync.Mutex            // serializes the feeders
-	keys  []string              // applyTxn's footprint scratch, guarded by mu
-	final []map[string]routedOp // while syncing, each shard's folded ops; guarded by mu
+	mu    sync.Mutex              // serializes the feeders
+	keys  []string                // applyTxn's footprint scratch, guarded by mu
+	final []map[string]wal.Folded // while syncing, each shard's folded ops; guarded by mu
 
 	pos      atomic.Uint64 // applied primary LSN
 	applied  atomic.Uint64 // records applied
@@ -203,9 +203,9 @@ func (r *Replica) applyTxn(ops []wal.Op) error {
 
 // syncLocked starts a sync with nothing folded. Caller holds r.mu.
 func (r *Replica) syncLocked() {
-	r.final = make([]map[string]routedOp, len(r.s.shards))
+	r.final = make([]map[string]wal.Folded, len(r.s.shards))
 	for i := range r.final {
-		r.final[i] = make(map[string]routedOp)
+		r.final[i] = make(map[string]wal.Folded)
 	}
 	r.syncing.Store(true)
 }
@@ -217,7 +217,7 @@ func (r *Replica) foldLocked(ops []wal.Op) error {
 		op := ops[i]
 		op.Val = copyVal(op.Val)
 		h := fnv1a(op.Key)
-		if err := fold(r.final[h&r.s.mask], routedOp{&op, h}); err != nil {
+		if err := wal.Fold(r.final[h&r.s.mask], wal.Folded{Op: &op, Hash: h}); err != nil {
 			return err
 		}
 	}

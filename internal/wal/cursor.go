@@ -135,26 +135,18 @@ func readRecord(r *bufio.Reader, buf []byte) ([]byte, uint64, error) {
 	return buf, seq, err
 }
 
-// LatestSnapshot loads the newest loadable snapshot in dir, returning
-// the sequence it is exact at and its records (see snapshot.go). seq
-// == 0 means no snapshot exists (an empty store prefix — not an error).
+// LatestSnapshot loads the newest snapshot in dir that a catch-up can
+// go on from — the one recovery would start from (usableSnapshot) —
+// returning the sequence it is exact at and its records (see
+// snapshot.go). seq == 0 means no snapshot exists (an empty store
+// prefix — not an error).
 func LatestSnapshot(dir string) (seq uint64, recs []Record, err error) {
-	snaps, _, err := listDir(OSFS, dir)
+	snaps, segs, err := listDir(OSFS, dir)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return 0, nil, nil
 		}
 		return 0, nil, err
 	}
-	for i := len(snaps) - 1; i >= 0; i-- {
-		s, r, lerr := loadSnapshot(OSFS, snaps[i].path)
-		if lerr != nil {
-			continue
-		}
-		return s, r, nil
-	}
-	if len(snaps) > 0 {
-		return 0, nil, errors.New("wal: no snapshot is loadable")
-	}
-	return 0, nil, nil
+	return usableSnapshot(OSFS, snaps, segs)
 }

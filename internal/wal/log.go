@@ -30,15 +30,12 @@ type Options struct {
 	// Level is the durability level (default None — callers that want
 	// durability say so explicitly).
 	Level Level
-	// SegmentBytes is the rotation threshold (default 64 MiB).
+	// SegmentBytes is the rotation threshold (default 64 MiB). The Log
+	// checkpoints itself after every rotation (see Checkpoint).
 	SegmentBytes int64
 	// Metrics receives write-side observations when non-nil; several
 	// Logs may share one.
 	Metrics *Metrics
-	// OnRotate, when non-nil, is called on its own goroutine after a
-	// rotation with the last sequence number of the finished segment —
-	// the checkpoint hook.
-	OnRotate func(lastSeq uint64)
 	// OnFail, when non-nil, is called exactly once with the Log's first
 	// sticky I/O error, from whichever goroutine hit it (often the
 	// batcher), before any caller can see that error. It runs under the
@@ -71,9 +68,13 @@ type Log struct {
 	level    Level
 	segBytes int64
 	m        *Metrics
-	onRotate func(uint64)
 	onFail   func(error)
 	fs       FS
+
+	// ckptMu runs one checkpoint at a time; ckpts counts the rotation
+	// checkpoints in flight, which Close waits for.
+	ckptMu sync.Mutex
+	ckpts  sync.WaitGroup
 
 	// mu guards the append side: the pending buffer, the queue cursor
 	// and the batch the batcher last captured. Held only for an
@@ -129,7 +130,6 @@ func OpenLog(dir string, res RecoverResult, o Options) (*Log, error) {
 		level:      o.Level,
 		segBytes:   o.SegmentBytes,
 		m:          o.Metrics,
-		onRotate:   o.OnRotate,
 		onFail:     o.OnFail,
 		fs:         fsOrOS(o.FS),
 		kick:       make(chan struct{}, 1),
@@ -265,12 +265,18 @@ func (l *Log) WaitDurable(seq uint64) error {
 }
 
 // Sync flushes everything queued so far and fsyncs it, at every level
-// (including None — Sync is the explicit durability barrier snapshots
-// use before installing a watermark).
+// (including None — Sync is the explicit durability barrier a
+// checkpoint takes before it reads the files).
 func (l *Log) Sync() error {
+	_, err := l.sync()
+	return err
+}
+
+// sync is Sync, returning the last sequence it covered.
+func (l *Log) sync() (uint64, error) {
 	l.mu.Lock()
+	target := l.lastQueued
 	if l.closed {
-		target := l.lastQueued
 		l.mu.Unlock()
 		// The batcher has drained; settle for the watermark check.
 		l.durMu.Lock()
@@ -280,13 +286,42 @@ func (l *Log) Sync() error {
 		if err == nil && synced < target {
 			err = ErrClosed
 		}
-		return err
+		return target, err
 	}
-	target := l.lastQueued
 	l.syncReq = true
 	l.mu.Unlock()
 	l.kickBatcher()
-	return l.WaitDurable(target)
+	return target, l.WaitDurable(target)
+}
+
+// Checkpoint syncs the log and writes a snapshot exact at the last
+// sequence the sync covered, folded from the files alone (see
+// snapshot.go), then compacts. It waits for a checkpoint in progress.
+func (l *Log) Checkpoint() error {
+	through, err := l.sync()
+	if err != nil {
+		return err
+	}
+	l.ckptMu.Lock()
+	defer l.ckptMu.Unlock()
+	return l.checkpoint(through)
+}
+
+// checkpoint runs one checkpoint through the log's FS, counting it.
+// Caller holds ckptMu.
+func (l *Log) checkpoint(through uint64) error {
+	wrote, err := checkpoint(l.fs, l.dir, through)
+	if l.m != nil {
+		if err != nil {
+			l.m.CheckpointFails.Add(1)
+		} else if wrote {
+			l.m.Checkpoints.Add(1)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("wal: checkpoint: %w", err)
+	}
+	return nil
 }
 
 // Err returns the sticky I/O error, if any.
@@ -296,13 +331,16 @@ func (l *Log) Err() error {
 	return l.err
 }
 
-// Close drains the batcher, fsyncs at levels above None, and closes
-// the segment. Appends after Close fail with ErrClosed.
+// Close drains the batcher, fsyncs at levels above None, closes the
+// segment and waits for the rotation checkpoints in flight, so nothing
+// of the log touches the directory once it returns. Appends after Close
+// fail with ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		<-l.done
+		l.ckpts.Wait()
 		return l.Err()
 	}
 	l.closed = true
@@ -318,6 +356,7 @@ func (l *Log) Close() error {
 	}
 	// Release anyone parked in WaitDurable past what was ever queued.
 	l.durCond.Broadcast()
+	l.ckpts.Wait()
 	return l.Err()
 }
 
@@ -481,7 +520,10 @@ func (l *Log) syncFile(end uint64) {
 }
 
 // rotate finishes the current segment (fsyncing it so the prefix the
-// next segment builds on is durable) and opens the next one at end+1.
+// next segment builds on is durable), opens the next one at end+1 and
+// checkpoints through end on its own goroutine — skipped while another
+// checkpoint runs, since the next one folds everything this one would;
+// a failure is counted, and the next rotation tries again.
 func (l *Log) rotate(end uint64) {
 	if l.Err() != nil {
 		return
@@ -500,9 +542,14 @@ func (l *Log) rotate(end uint64) {
 	if l.m != nil {
 		l.m.Rotations.Add(1)
 	}
-	if l.onRotate != nil {
-		go l.onRotate(end)
-	}
+	l.ckpts.Add(1)
+	go func() {
+		defer l.ckpts.Done()
+		if l.ckptMu.TryLock() {
+			defer l.ckptMu.Unlock()
+			l.checkpoint(end)
+		}
+	}()
 }
 
 // fail records the first I/O error and releases every waiter with it.

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -58,8 +57,8 @@ type fileInfo struct {
 }
 
 // listDir parses the durability directory into snapshots and segments,
-// each sorted by sequence. Unrecognized names are ignored, except that
-// leftover temp files from an interrupted snapshot write are removed.
+// each sorted by sequence. Unrecognized names, temp files among them,
+// are ignored.
 func listDir(fsys FS, dir string) (snaps, segs []fileInfo, err error) {
 	ents, err := fsys.ReadDir(dir)
 	if err != nil {
@@ -67,10 +66,6 @@ func listDir(fsys FS, dir string) (snaps, segs []fileInfo, err error) {
 	}
 	for _, ent := range ents {
 		name := ent.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			fsys.Remove(filepath.Join(dir, name))
-			continue
-		}
 		var seq uint64
 		var list *[]fileInfo
 		switch {
@@ -98,6 +93,23 @@ func listDir(fsys FS, dir string) (snaps, segs []fileInfo, err error) {
 	return snaps, segs, nil
 }
 
+// removeTemps removes the temp files an interrupted snapshot write left
+// in dir. Only recovery does, before the log opens: anything else that
+// lists the directory — a catch-up scan, a checkpoint — may run beside
+// a checkpoint writing its temp file.
+func removeTemps(fsys FS, dir string) error {
+	ents, err := fsys.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, ent := range ents {
+		if strings.HasSuffix(ent.Name(), ".tmp") {
+			fsys.Remove(filepath.Join(dir, ent.Name()))
+		}
+	}
+	return nil
+}
+
 // segHeaderOK reports whether b opens with the header of the segment
 // whose first sequence is firstSeq.
 func segHeaderOK(b []byte, firstSeq uint64) bool {
@@ -120,6 +132,9 @@ func RecoverFS(fsys FS, dir string, apply func(Record) error, m *Metrics) (Recov
 	var res RecoverResult
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return res, fmt.Errorf("wal: create dir: %w", err)
+	}
+	if err := removeTemps(fsys, dir); err != nil {
+		return res, err
 	}
 	snaps, segs, err := listDir(fsys, dir)
 	if err != nil {
@@ -221,31 +236,20 @@ scan:
 	}
 
 	// Pass 2 — take the newest loadable snapshot the chain leaves no gap
-	// after (seq+1 >= chainStart; with no chain at all, any). A chain
-	// that ends below it is superseded: every surviving record is
-	// already in the snapshot — mid-log damage, with or without
-	// compaction, leaves this — so the segments go and appending
-	// resumes after the snapshot.
-	var snapRecs []Record
-	found := false
-	for i := len(snaps) - 1; i >= 0 && !found; i-- {
-		seq, recs, lerr := loadSnapshot(fsys, snaps[i].path)
-		if lerr != nil || (chainStart != 0 && seq+1 < chainStart) {
-			continue // corrupt, unreadable, or a gap before the chain: try an older one
+	// after (usableSnapshot). A chain that ends below it is superseded:
+	// every surviving record is already in the snapshot — mid-log
+	// damage, with or without compaction, leaves this — so the segments
+	// go and appending resumes after the snapshot.
+	snapSeq, snapRecs, err := usableSnapshot(fsys, snaps, segs)
+	if err != nil {
+		return res, err
+	}
+	if chainStart != 0 && snapSeq > lastValid {
+		if err := dropChain("superseded"); err != nil {
+			return res, err
 		}
-		if chainStart != 0 && seq > lastValid {
-			if err := dropChain("superseded"); err != nil {
-				return res, err
-			}
-		}
-		res.SnapshotSeq, snapRecs, found = seq, recs, true
 	}
-	if !found && chainStart > 1 {
-		return res, fmt.Errorf("wal: no usable snapshot and the log starts at seq %d — records 1..%d were compacted away", chainStart, chainStart-1)
-	}
-	if !found && chainStart == 0 && len(snaps) > 0 {
-		return res, errors.New("wal: every snapshot is corrupt and no log segments remain")
-	}
+	res.SnapshotSeq = snapSeq
 	for _, rec := range snapRecs {
 		if err := apply(rec); err != nil {
 			return res, err

@@ -37,6 +37,47 @@ func writeSegFile(t *testing.T, dir string, first, last uint64) {
 	}
 }
 
+// writeSnapshotOps writes the snapshot exact at seq holding ops, folded.
+func writeSnapshotOps(t *testing.T, dir string, seq uint64, ops []Op) {
+	t.Helper()
+	final := make(map[string]Folded)
+	for i := range ops {
+		if err := Fold(final, Folded{Op: &ops[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := writeSnapshot(OSFS, dir, seq, final); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeCarriedSnapshot hand-builds a snapshot the way earlier versions
+// wrote one, from a read of the store between log positions from and
+// through: state's chunk stamped from, then the log's own records
+// from+1..through copied after it.
+func writeCarriedSnapshot(t *testing.T, dir string, from, through uint64, state []Op) {
+	t.Helper()
+	buf := make([]byte, snapHeaderLen)
+	copy(buf[:8], snapMagic)
+	binary.LittleEndian.PutUint64(buf[8:16], from)
+	binary.LittleEndian.PutUint64(buf[16:24], through)
+	buf, err := AppendRecord(buf, 0, from, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ScanSegments(dir, from+1, func(seq uint64, raw []byte) error {
+		if seq <= through {
+			buf = append(buf, raw...)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapshotName(through)), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // writeChain appends records 1..n at Fsync and closes the log.
 func writeChain(t *testing.T, dir string, n int) {
 	t.Helper()
@@ -78,9 +119,7 @@ func TestSnapshotSupersedesDamagedChain(t *testing.T) {
 	for i := 1; i <= 30; i++ {
 		ops = append(ops, testOps(i)...)
 	}
-	if err := WriteSnapshotFS(nil, dir, 30, 30, ops); err != nil {
-		t.Fatal(err)
-	}
+	writeSnapshotOps(t, dir, 30, ops)
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
 	if err != nil || len(segs) != 3 {
 		t.Fatalf("want 3 segments for the middle-segment cut, have %v (%v)", segs, err)
@@ -176,9 +215,7 @@ func TestScanSegmentsCompacted(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		ops = append(ops, testOps(i)...)
 	}
-	if err := WriteSnapshotFS(nil, dir, 10, 10, ops); err != nil {
-		t.Fatal(err)
-	}
+	writeSnapshotOps(t, dir, 10, ops)
 	// Remove the segments as compaction would.
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
 	for _, sg := range segs {
@@ -431,5 +468,46 @@ func TestFollowAttachDuringWrite(t *testing.T) {
 	}
 	if next := scan(); next != 7 {
 		t.Fatalf("segment files end at %d once the write lands, want 7", next)
+	}
+}
+
+// TestCarriedSnapshotFeedsCheckpoint: a snapshot of an earlier version,
+// with records carried past its read state, ships whole through
+// LatestSnapshot and is the base a new checkpoint folds from; the new
+// snapshot is exact at its sequence, with nothing carried.
+func TestCarriedSnapshotFeedsCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	writeChain(t, dir, 40)
+	writeCarriedSnapshot(t, dir, 25, 30, []Op{{Kind: KindSet, Key: "read", Val: []byte("between 25 and 30")}})
+	seq, recs, err := LatestSnapshot(dir)
+	if err != nil || seq != 30 || len(recs) != 6 || recs[5].Seq != 30 {
+		t.Fatalf("LatestSnapshot: seq %d, %d records, %v; want 30, the chunk and 26..30", seq, len(recs), err)
+	}
+	if wrote, err := checkpoint(OSFS, dir, 40); !wrote || err != nil {
+		t.Fatalf("checkpoint through 40: wrote %v, %v", wrote, err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, snapshotName(40)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if from := binary.LittleEndian.Uint64(b[8:16]); from != 40 {
+		t.Fatalf("new snapshot reads from %d, want 40 (no carried records)", from)
+	}
+	recs, res := replayAll(t, dir)
+	if res.SnapshotSeq != 40 || res.LastSeq != 40 || res.Records != 0 {
+		t.Fatalf("recovered to %d via snapshot %d with %d records, want 40 via 40 with none", res.LastSeq, res.SnapshotSeq, res.Records)
+	}
+	got := make(map[string]string)
+	for _, rec := range recs {
+		for _, op := range rec.Ops {
+			got[op.Key] = fmt.Sprintf("%s %s %d", op.Kind, op.Val, op.N)
+		}
+	}
+	want := map[string]string{"read": "set between 25 and 30 0", "ctr": "cset  40"}
+	for i := 26; i <= 40; i++ {
+		want[fmt.Sprintf("k%d", i)] = fmt.Sprintf("set v%d 0", i)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("checkpoint state\n%v\nwant\n%v", got, want)
 	}
 }

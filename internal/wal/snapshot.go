@@ -2,31 +2,34 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 )
 
-// Snapshot files: snap-<through>.snap. A checkpoint reads the store
-// while writers keep committing: it takes the log position `from` before
-// it reads anything and `through` when it is done, so each key it read
-// holds its value as of some commit in between. On its own that is no
-// commit-order state at all. The file therefore carries the state it
-// read and then the log's own records from+1..through, and replaying
-// both in order gives the exact state at through — writes are logged
-// absolute, so a record the read already saw applies again harmlessly.
-// Recovery and replication treat the file as the state at through.
+// Snapshot files: snap-<seq>.snap, the state exact at log sequence seq:
+// each key present at seq with its last write, in absolute form. A
+// checkpoint makes one by the fold recovery runs — the newest usable
+// snapshot's records, then the segment records after it through seq —
+// so a snapshot holds what the log holds and nothing else: a write the
+// log never saw (a plain store into a privatized key, a key linked in
+// bulk and never written) is in no snapshot. It reads files only, never
+// the store the log belongs to.
 //
 // Layout: a 24-byte header (magic, from, through), then ordinary
-// records: chunks of absolute ops (KindSet / KindCounterSet) stamped
-// from, then the tail records from+1..through, dense. A snapshot is
-// only installed by rename, after the log is fsynced through `through`,
-// so on any crash the records it makes redundant are already durable.
+// records. A snapshot this code writes has from == through == seq and
+// holds chunks of absolute ops (KindSet / KindCounterSet) stamped seq.
+// Snapshots of earlier versions read the store beside its writers and
+// have from < through: chunks stamped from, then the log's records
+// from+1..through, dense; loadSnapshot still reads them, and replaying
+// one in order gives the state at through. A snapshot is installed by
+// rename, after the log is fsynced through seq, so on any crash the
+// records it makes redundant are already durable.
 const (
 	snapMagic     = "MTXSNP2\n"
 	snapHeaderLen = 24 // magic(8) + from(8) + through(8)
 	snapChunkOps  = 1024
+	snapWriteBuf  = 1 << 20 // bytes buffered between a snapshot's writes
 )
 
 // snapshotName returns the file name of the snapshot through seq.
@@ -34,51 +37,142 @@ func snapshotName(seq uint64) string {
 	return fmt.Sprintf("snap-%020d.snap", seq)
 }
 
-// errTailDone ends the tail scan at the snapshot's through.
-var errTailDone = errors.New("wal: snapshot tail complete")
+// Folded is a key's folded write: its last op in log order, made
+// absolute, and the hash the caller routed the key by. Fold carries the
+// hash and never computes it.
+type Folded struct {
+	Op   *Op
+	Hash uint64
+}
 
-// WriteSnapshotFS atomically writes a snapshot through the filesystem
-// seam fsys (nil = the real one): temp file, fsync, rename, directory
-// fsync. ops is the state read between the log positions from and
-// through, in absolute form; the log in dir must hold (on disk, not
-// only queued) every record through `through`.
-func WriteSnapshotFS(fsys FS, dir string, from, through uint64, ops []Op) error {
-	fsys = fsOrOS(fsys)
-	buf := make([]byte, snapHeaderLen, snapHeaderLen+64*len(ops))
-	copy(buf[:8], snapMagic)
-	binary.LittleEndian.PutUint64(buf[8:16], from)
-	binary.LittleEndian.PutUint64(buf[16:24], through)
-	for len(ops) > 0 {
-		chunk := ops[:min(len(ops), snapChunkOps)]
-		var err error
-		if buf, err = AppendRecord(buf, 0, from, chunk); err != nil {
-			return err
+// Fold folds f, the next op in log order of the keys final holds, into
+// final: each key's last write, made absolute in place (a counter add
+// becomes the counter set it amounts to), with a deleted key dropped.
+// Recovery, a syncing replica and a checkpoint fold their records this
+// way.
+func Fold(final map[string]Folded, f Folded) error {
+	switch op := f.Op; op.Kind {
+	case KindSet, KindCounterSet:
+		final[op.Key] = f
+	case KindCounterAdd:
+		if prev, ok := final[op.Key]; ok && prev.Op.Kind == KindCounterSet {
+			op.N += prev.Op.N
 		}
-		ops = ops[len(chunk):]
+		op.Kind = KindCounterSet
+		final[op.Key] = f
+	case KindDelete:
+		delete(final, op.Key)
+	default:
+		return fmt.Errorf("wal: fold: unknown op kind %d", op.Kind)
 	}
-	if through > from {
-		next, err := ScanSegments(dir, from+1, func(seq uint64, raw []byte) error {
-			if seq > through {
-				return errTailDone
+	return nil
+}
+
+// checkpoint writes the snapshot exact at through — the newest usable
+// snapshot's records and the segment records after it through through,
+// folded — and compacts. It reads and writes through fsys only. The log
+// must hold, on disk, every record through through. It reports false
+// when a snapshot at or past through already exists.
+func checkpoint(fsys FS, dir string, through uint64) (bool, error) {
+	snaps, segs, err := listDir(fsys, dir)
+	if err != nil || (len(snaps) > 0 && snaps[len(snaps)-1].seq >= through) {
+		return false, err
+	}
+	seq, recs, err := usableSnapshot(fsys, snaps, segs)
+	if err != nil || seq >= through {
+		return false, err
+	}
+	n := 0 // the snapshot's keys: the map's size, give or take the segments
+	for i := range recs {
+		n += len(recs[i].Ops)
+	}
+	final := make(map[string]Folded, n)
+	for i := range recs {
+		for j := range recs[i].Ops {
+			if err := Fold(final, Folded{Op: &recs[i].Ops[j]}); err != nil {
+				return false, err
 			}
-			buf = append(buf, raw...)
-			return nil
-		})
-		if err != nil && err != errTailDone {
-			return err
-		}
-		if next <= through {
-			return fmt.Errorf("wal: snapshot through %d: the log holds records only to %d", through, next-1)
 		}
 	}
+	next := seq + 1 // the next record to fold
+	for i, sg := range segs {
+		if next > through {
+			break
+		}
+		if i+1 < len(segs) && segs[i+1].seq <= next {
+			continue // every record of sg is folded already
+		}
+		b, err := fsys.ReadFile(sg.path)
+		if err != nil {
+			return false, err
+		}
+		if !segHeaderOK(b, sg.seq) {
+			return false, fmt.Errorf("%w: segment %d header", ErrCorrupt, sg.seq)
+		}
+		for off := segHeaderLen; off < len(b) && next <= through; {
+			rec, n, err := DecodeRecord(b[off:])
+			if err != nil {
+				return false, err
+			}
+			off += n
+			if rec.Seq < next {
+				continue
+			}
+			if rec.Seq != next {
+				return false, fmt.Errorf("%w: record %d where %d was due", ErrCorrupt, rec.Seq, next)
+			}
+			for j := range rec.Ops {
+				if err := Fold(final, Folded{Op: &rec.Ops[j]}); err != nil {
+					return false, err
+				}
+			}
+			next++
+		}
+	}
+	if next <= through {
+		return false, fmt.Errorf("wal: snapshot through %d: the log holds records only to %d", through, next-1)
+	}
+	if err := writeSnapshot(fsys, dir, through, final); err != nil {
+		return false, err
+	}
+	// Keep the previous snapshot as a fallback against bit rot in the
+	// new one; prune segments both already cover.
+	return true, compact(fsys, dir, 2)
+}
 
-	path := filepath.Join(dir, snapshotName(through))
+// writeSnapshot atomically writes the snapshot exact at seq through
+// fsys: temp file, fsync, rename, directory fsync. final is the state,
+// each key's folded write.
+func writeSnapshot(fsys FS, dir string, seq uint64, final map[string]Folded) error {
+	path := filepath.Join(dir, snapshotName(seq))
 	tmp := path + ".tmp"
 	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: create snapshot: %w", err)
 	}
-	if _, err = f.Write(buf); err == nil {
+	buf := make([]byte, snapHeaderLen, snapWriteBuf)
+	copy(buf[:8], snapMagic)
+	binary.LittleEndian.PutUint64(buf[8:16], seq)
+	binary.LittleEndian.PutUint64(buf[16:24], seq)
+	chunk := make([]Op, 0, snapChunkOps)
+	put := func(last bool) {
+		if len(chunk) > 0 && err == nil {
+			buf, err = AppendRecord(buf, 0, seq, chunk)
+			clear(chunk)
+			chunk = chunk[:0]
+		}
+		if (last || len(buf) >= snapWriteBuf) && err == nil {
+			_, err = f.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	for _, r := range final {
+		if chunk = append(chunk, *r.Op); len(chunk) == snapChunkOps {
+			put(false)
+		}
+	}
+	put(true)
+	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
@@ -131,17 +225,39 @@ func loadSnapshot(fsys FS, path string) (seq uint64, recs []Record, err error) {
 	return through, recs, nil
 }
 
-// CompactFS prunes the durability directory through the filesystem
-// seam fsys (nil = the real one): it keeps the newest keepSnaps
-// snapshots (older ones are deleted) and deletes every closed segment
-// whose records are all covered by the oldest retained snapshot (at or
-// below its through). The active (newest) segment is never touched, so
-// CompactFS is safe to run while a Log is appending.
-func CompactFS(fsys FS, dir string, keepSnaps int) error {
-	fsys = fsOrOS(fsys)
-	if keepSnaps < 1 {
-		keepSnaps = 1
+// usableSnapshot loads the newest loadable snapshot that leaves no gap
+// before the segment chain segs (seq+1 >= its first sequence; with no
+// chain, any). Recovery starts from it, a checkpoint folds from it and
+// a replica's catch-up ships it. seq == 0 and no error means there is
+// none and none is needed: the chain starts at the first record, or
+// nothing was ever logged.
+func usableSnapshot(fsys FS, snaps, segs []fileInfo) (seq uint64, recs []Record, err error) {
+	var chainStart uint64
+	if len(segs) > 0 {
+		chainStart = segs[0].seq
 	}
+	for i := len(snaps) - 1; i >= 0; i-- {
+		seq, recs, err := loadSnapshot(fsys, snaps[i].path)
+		if err != nil || (chainStart != 0 && seq+1 < chainStart) {
+			continue // corrupt, unreadable, or a gap before the chain: try an older one
+		}
+		return seq, recs, nil
+	}
+	switch {
+	case chainStart > 1:
+		return 0, nil, fmt.Errorf("wal: no usable snapshot and the log starts at seq %d — records 1..%d were compacted away", chainStart, chainStart-1)
+	case chainStart == 0 && len(snaps) > 0:
+		return 0, nil, fmt.Errorf("wal: every snapshot is corrupt and no log segments remain")
+	}
+	return 0, nil, nil
+}
+
+// compact prunes the durability directory through fsys: it keeps the
+// newest keepSnaps snapshots (older ones are deleted) and deletes every
+// closed segment whose records are all covered by the oldest retained
+// snapshot (at or below its through). The active (newest) segment is
+// never touched, so compact is safe to run while a Log is appending.
+func compact(fsys FS, dir string, keepSnaps int) error {
 	snaps, segs, err := listDir(fsys, dir)
 	if err != nil {
 		return err

@@ -18,10 +18,11 @@
 //     depending on the durability level — one fsync, so concurrent
 //     committers share both syscalls (group commit). Segments rotate
 //     at a size threshold.
-//   - Snapshots (snapshot.go): a full-state checkpoint read while
-//     writers commit, plus the log records that make it exact at one
-//     sequence, written atomically (temp file + rename), so recovery
-//     replays only the log tail.
+//   - Snapshots (snapshot.go): the state exact at one sequence, which
+//     the Log's checkpoint folds from the previous snapshot and the
+//     segment files — after each rotation, or when asked — and writes
+//     atomically (temp file + rename), so recovery replays only the log
+//     tail.
 //   - Recovery (recover.go): newest loadable snapshot + tail replay
 //     with strict sequence continuity; a torn or corrupt tail is
 //     truncated at the last valid record, never fatal. Recovered state
@@ -85,43 +86,49 @@ type Metrics struct {
 	AppendNs obs.Histogram // latency of one batched write(2)
 	FsyncNs  obs.Histogram // latency of one fsync
 
-	Appends        atomic.Uint64 // records appended to the log
-	Batches        atomic.Uint64 // physical writes (group-commit batches)
-	Fsyncs         atomic.Uint64 // fsyncs issued
-	Bytes          atomic.Uint64 // bytes written
-	Rotations      atomic.Uint64 // segment rotations
-	Truncations    atomic.Uint64 // torn tails truncated during recovery
-	TruncatedBytes atomic.Uint64 // bytes dropped by those truncations
-	Failures       atomic.Uint64 // Logs failed by a sticky I/O error
+	Appends         atomic.Uint64 // records appended to the log
+	Batches         atomic.Uint64 // physical writes (group-commit batches)
+	Fsyncs          atomic.Uint64 // fsyncs issued
+	Bytes           atomic.Uint64 // bytes written
+	Rotations       atomic.Uint64 // segment rotations
+	Truncations     atomic.Uint64 // torn tails truncated during recovery
+	TruncatedBytes  atomic.Uint64 // bytes dropped by those truncations
+	Failures        atomic.Uint64 // Logs failed by a sticky I/O error
+	Checkpoints     atomic.Uint64 // snapshots written by checkpoints
+	CheckpointFails atomic.Uint64 // checkpoints that failed
 }
 
 // MetricsSnapshot is a point-in-time copy of Metrics. The JSON names
 // are a stable wire format (STATS WAL and /debug/vars render it).
 type MetricsSnapshot struct {
-	Appends        uint64       `json:"appends"`
-	Batches        uint64       `json:"batches"`
-	Fsyncs         uint64       `json:"fsyncs"`
-	Bytes          uint64       `json:"bytes"`
-	Rotations      uint64       `json:"rotations"`
-	Truncations    uint64       `json:"truncations"`
-	TruncatedBytes uint64       `json:"truncated_bytes"`
-	Failures       uint64       `json:"failures"`
-	AppendNs       obs.Snapshot `json:"append_ns"`
-	FsyncNs        obs.Snapshot `json:"fsync_ns"`
+	Appends         uint64       `json:"appends"`
+	Batches         uint64       `json:"batches"`
+	Fsyncs          uint64       `json:"fsyncs"`
+	Bytes           uint64       `json:"bytes"`
+	Rotations       uint64       `json:"rotations"`
+	Truncations     uint64       `json:"truncations"`
+	TruncatedBytes  uint64       `json:"truncated_bytes"`
+	Failures        uint64       `json:"failures"`
+	Checkpoints     uint64       `json:"checkpoints"`
+	CheckpointFails uint64       `json:"checkpoint_fails"`
+	AppendNs        obs.Snapshot `json:"append_ns"`
+	FsyncNs         obs.Snapshot `json:"fsync_ns"`
 }
 
 // Snapshot copies the metrics.
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	return MetricsSnapshot{
-		Appends:        m.Appends.Load(),
-		Batches:        m.Batches.Load(),
-		Fsyncs:         m.Fsyncs.Load(),
-		Bytes:          m.Bytes.Load(),
-		Rotations:      m.Rotations.Load(),
-		Truncations:    m.Truncations.Load(),
-		TruncatedBytes: m.TruncatedBytes.Load(),
-		Failures:       m.Failures.Load(),
-		AppendNs:       m.AppendNs.Snapshot(),
-		FsyncNs:        m.FsyncNs.Snapshot(),
+		Appends:         m.Appends.Load(),
+		Batches:         m.Batches.Load(),
+		Fsyncs:          m.Fsyncs.Load(),
+		Bytes:           m.Bytes.Load(),
+		Rotations:       m.Rotations.Load(),
+		Truncations:     m.Truncations.Load(),
+		TruncatedBytes:  m.TruncatedBytes.Load(),
+		Failures:        m.Failures.Load(),
+		Checkpoints:     m.Checkpoints.Load(),
+		CheckpointFails: m.CheckpointFails.Load(),
+		AppendNs:        m.AppendNs.Snapshot(),
+		FsyncNs:         m.FsyncNs.Snapshot(),
 	}
 }

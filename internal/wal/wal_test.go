@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -174,9 +175,7 @@ func TestChainWithNoRecordsFallsBackToSnapshot(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		snapOps = append(snapOps, testOps(i)...)
 	}
-	if err := WriteSnapshotFS(nil, dir, 10, 10, snapOps); err != nil {
-		t.Fatal(err)
-	}
+	writeSnapshotOps(t, dir, 10, snapOps)
 	// Corrupt the first record: the whole chain survives zero records.
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
 	if err != nil || len(segs) != 1 {
@@ -346,12 +345,10 @@ func TestRotationAndSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	res0, _ := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
 	var m Metrics
-	rotated := make(chan uint64, 64)
 	l, err := OpenLog(dir, res0, Options{
 		Level:        Fsync,
 		SegmentBytes: 256, // rotate constantly
 		Metrics:      &m,
-		OnRotate:     func(last uint64) { rotated <- last },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -365,61 +362,107 @@ func TestRotationAndSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Rotations.Load() == 0 {
-		t.Fatal("no rotations at a 256-byte segment size")
-	}
-	select {
-	case <-rotated:
-	default:
-		t.Fatal("OnRotate never fired")
-	}
-
-	// Snapshot at seq 30, then compact: recovery must splice snapshot
-	// + tail and the early segments must be gone.
-	state := []Op{{Kind: KindSet, Key: "k30", Val: []byte("v30")}, {Kind: KindCounterSet, Key: "ctr", N: 30}}
-	if err := WriteSnapshotFS(nil, dir, 30, 30, state); err != nil {
-		t.Fatal(err)
-	}
-	if err := CompactFS(nil, dir, 1); err != nil {
-		t.Fatal(err)
-	}
+	// Close waits for the rotations' checkpoints.
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	recs, res := replayAll(t, dir)
-	if res.SnapshotSeq != 30 {
-		t.Fatalf("SnapshotSeq = %d, want 30", res.SnapshotSeq)
+	if m.Rotations.Load() == 0 {
+		t.Fatal("no rotations at a 256-byte segment size")
 	}
-	if res.LastSeq != n {
-		t.Fatalf("LastSeq = %d, want %d", res.LastSeq, n)
-	}
-	// Applied stream: snapshot chunks (seq 30) then records 31..n.
-	if recs[0].Seq != 30 {
-		t.Fatalf("first applied record has seq %d, want snapshot seq 30", recs[0].Seq)
-	}
-	wantSeq := uint64(31)
-	for _, rec := range recs[res.SnapshotRecords:] {
-		if rec.Seq != wantSeq {
-			t.Fatalf("replayed seq %d, want %d", rec.Seq, wantSeq)
-		}
-		wantSeq++
+	if m.Checkpoints.Load() == 0 || m.CheckpointFails.Load() != 0 {
+		t.Fatalf("%d checkpoints, %d failed", m.Checkpoints.Load(), m.CheckpointFails.Load())
 	}
 	snaps, segs, err := listDir(OSFS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) != 1 {
-		t.Fatalf("%d snapshots after compact, want 1", len(snaps))
+	if len(snaps) == 0 || len(snaps) > 2 {
+		t.Fatalf("%d snapshots after the rotations, want 1 or 2", len(snaps))
 	}
-	for _, sg := range segs {
-		if sg.seq > 1 && sg.seq <= 30 {
-			// Segments fully covered by the snapshot (next segment
-			// starts <= 31) must have been pruned.
-			if next := segAfter(segs, sg.seq); next != 0 && next <= 31 {
-				t.Fatalf("segment %d not pruned by Compact", sg.seq)
+	newest := snaps[len(snaps)-1].seq
+
+	// Recovery splices the newest snapshot, chunks stamped at its
+	// sequence, and the records after it, to the exact state at n.
+	recs, res := replayAll(t, dir)
+	if res.SnapshotSeq != newest || res.LastSeq != n {
+		t.Fatalf("recovered to %d via snapshot %d, want %d via %d", res.LastSeq, res.SnapshotSeq, n, newest)
+	}
+	final := make(map[string]Folded)
+	for i, rec := range recs {
+		if want := newest + uint64(max(0, i-res.SnapshotRecords+1)); rec.Seq != want {
+			t.Fatalf("applied record %d has seq %d, want %d", i, rec.Seq, want)
+		}
+		for j := range rec.Ops {
+			if err := Fold(final, Folded{Op: &rec.Ops[j]}); err != nil {
+				t.Fatal(err)
 			}
 		}
+	}
+	if len(final) != n+1 || final["ctr"].Op.N != n || string(final["k7"].Op.Val) != "v7" {
+		t.Fatalf("recovered %d keys, ctr %d, k7 %q", len(final), final["ctr"].Op.N, final["k7"].Op.Val)
+	}
+	// Segments wholly covered by the older kept snapshot are pruned.
+	for _, sg := range segs {
+		if next := segAfter(segs, sg.seq); next != 0 && next <= snaps[0].seq+1 {
+			t.Fatalf("segment %d not pruned (next starts at %d, oldest snapshot %d)", sg.seq, next, snaps[0].seq)
+		}
+	}
+}
+
+// gateFS holds every snapshot's create until release is closed,
+// reporting each on entered.
+type gateFS struct {
+	FS
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g gateFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	if strings.HasSuffix(name, ".snap.tmp") {
+		select {
+		case g.entered <- struct{}{}:
+		default:
+		}
+		<-g.release
+	}
+	return g.FS.OpenFile(name, flag, perm)
+}
+
+// TestCloseWaitsForRotationCheckpoint: a rotation's checkpoint runs on
+// its own goroutine, and Close returns only after it has finished — its
+// snapshot installed — so nothing of the log writes to the directory
+// once Close is back.
+func TestCloseWaitsForRotationCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	res0, _ := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
+	g := gateFS{FS: OSFS, entered: make(chan struct{}, 64), release: make(chan struct{})}
+	l, err := OpenLog(dir, res0, Options{Level: Fsync, SegmentBytes: 256, FS: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 20; i++ {
+		if err := l.Append(uint64(i), testOps(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.WaitDurable(uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-g.entered // a rotation's checkpoint is creating its snapshot
+	closed := make(chan error)
+	go func() { closed <- l.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) with a rotation checkpoint in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(g.release)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	snaps, _, err := listDir(OSFS, dir)
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshot once Close returned: %v, %v", snaps, err)
 	}
 }
 
@@ -449,9 +492,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSnapshotFS(nil, dir, 5, 5, []Op{{Kind: KindSet, Key: "snap", Val: []byte("state")}}); err != nil {
-		t.Fatal(err)
-	}
+	writeSnapshotOps(t, dir, 5, []Op{{Kind: KindSet, Key: "snap", Val: []byte("state")}})
 	// Flip a byte inside the snapshot body.
 	path := filepath.Join(dir, snapshotName(5))
 	b, err := os.ReadFile(path)
@@ -484,20 +525,15 @@ func TestLevelParse(t *testing.T) {
 	}
 }
 
-// TestFuzzySnapshotCarriesItsTail: a snapshot read between log
-// positions 25 and 30 carries records 26..30, so it recovers to the
-// exact state at 30 — with the log intact, and with the log cut below
-// 30, where the chain alone could not say what the read state means.
+// TestFuzzySnapshotCarriesItsTail: a snapshot of an earlier version,
+// read between log positions 25 and 30, carries records 26..30, so it
+// recovers to the exact state at 30 — with the log intact, and with the
+// log cut below 30, where the chain alone could not say what the read
+// state means.
 func TestFuzzySnapshotCarriesItsTail(t *testing.T) {
 	dir := t.TempDir()
 	writeChain(t, dir, 40)
-	state := []Op{{Kind: KindSet, Key: "read", Val: []byte("between 25 and 30")}}
-	if err := WriteSnapshotFS(nil, dir, 25, 45, state); err == nil {
-		t.Fatal("snapshot through 45 written over a log that ends at 40")
-	}
-	if err := WriteSnapshotFS(nil, dir, 25, 30, state); err != nil {
-		t.Fatal(err)
-	}
+	writeCarriedSnapshot(t, dir, 25, 30, []Op{{Kind: KindSet, Key: "read", Val: []byte("between 25 and 30")}})
 	recs, res := replayAll(t, dir)
 	if res.SnapshotSeq != 30 || res.LastSeq != 40 {
 		t.Fatalf("recovered to %d via snapshot %d, want 40 via 30", res.LastSeq, res.SnapshotSeq)
@@ -628,5 +664,63 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 	}
 	if m, _ = groupCommit(t, None, 200); m.Fsyncs != 0 {
 		t.Errorf("None level: %d fsyncs, want none", m.Fsyncs)
+	}
+}
+
+// writeGateFS holds every write to a snapshot's temp file until release
+// is closed, reporting each on entered.
+type writeGateFS struct {
+	FS
+	entered chan struct{}
+	release chan struct{}
+}
+
+type writeGateFile struct {
+	File
+	g writeGateFS
+}
+
+func (g writeGateFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err == nil && strings.HasSuffix(name, ".snap.tmp") {
+		return writeGateFile{f, g}, nil
+	}
+	return f, err
+}
+
+func (f writeGateFile) Write(p []byte) (int, error) {
+	f.g.entered <- struct{}{}
+	<-f.g.release
+	return f.File.Write(p)
+}
+
+// TestScanBesideCheckpoint: a catch-up scan and a snapshot listing run
+// beside a checkpoint writing its temp file, and must leave that file
+// alone; only recovery removes temp files, and it does.
+func TestScanBesideCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	writeChain(t, dir, 10)
+	g := writeGateFS{OSFS, make(chan struct{}), make(chan struct{})}
+	done := make(chan error)
+	go func() { _, err := checkpoint(g, dir, 10); done <- err }()
+	<-g.entered
+	if _, err := ScanSegments(dir, 1, func(uint64, []byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LatestSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	close(g.release)
+	if err := <-done; err != nil {
+		t.Fatalf("checkpoint beside a scan: %v", err)
+	}
+
+	tmp := filepath.Join(dir, snapshotName(11)+".tmp")
+	if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	replayAll(t, dir)
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("recovery left the temp file: %v", err)
 	}
 }
