@@ -54,6 +54,7 @@ func diffRecords(n, nkeys int, shardOf func(string) int) (recs []wal.Record, sta
 	rng := rand.New(rand.NewPCG(28, 1998))
 	type kstate struct {
 		kind    wal.Kind // 0 never written, KindDelete deleted, else the live kind
+		was     wal.Kind // the kind a deleted key had
 		val     string
 		counter int64
 	}
@@ -78,16 +79,16 @@ func diffRecords(n, nkeys int, shardOf func(string) int) (recs []wal.Record, sta
 			case live && r < 3:
 				op = wal.Op{Kind: wal.KindDelete, Key: key}
 				hits[map[bool]int{true: caseDeleteCounter, false: caseDeleteBytes}[k.kind == wal.KindCounterSet]]++
-				k.kind = wal.KindDelete
+				k.was, k.kind = k.kind, wal.KindDelete
 			case k.kind == wal.KindSet || (!live && r < 6):
-				if k.kind == wal.KindDelete && k.counter != 0 {
+				if k.kind == wal.KindDelete && k.was == wal.KindCounterSet {
 					hits[caseRecreateOtherKind]++
 				}
 				hits[map[bool]int{true: caseSetOverSet, false: caseSetAfterDelete}[live]]++
 				k.kind, k.val, k.counter = wal.KindSet, fmt.Sprintf("v%d", seq), 0
 				op = wal.Op{Kind: wal.KindSet, Key: key, Val: []byte(k.val)}
 			default: // a live counter, or a counter made where none is
-				if k.kind == wal.KindDelete && k.val != "" {
+				if k.kind == wal.KindDelete && k.was == wal.KindSet {
 					hits[caseRecreateOtherKind]++
 				}
 				if !live {
