@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"io"
 	"io/fs"
 	"math/rand/v2"
 	"os"
@@ -119,7 +120,7 @@ func (d *DiskFS) FailNextOpen(err error) {
 	d.mu.Unlock()
 }
 
-// FailNextRead scripts err for the next ReadFile.
+// FailNextRead scripts err for the next ReadFile or Open.
 func (d *DiskFS) FailNextRead(err error) {
 	d.mu.Lock()
 	d.nextRead = append(d.nextRead, err)
@@ -258,6 +259,14 @@ func (d *DiskFS) ReadFile(name string) ([]byte, error) {
 		return nil, err
 	}
 	return d.under.ReadFile(name)
+}
+
+// Open implements wal.FS; it fails as ReadFile does.
+func (d *DiskFS) Open(name string) (io.ReadCloser, error) {
+	if err := d.readFault(); err != nil {
+		return nil, err
+	}
+	return d.under.Open(name)
 }
 
 // ReadDir implements wal.FS.

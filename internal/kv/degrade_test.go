@@ -102,9 +102,14 @@ func TestDegradedBatchRefusesWrites(t *testing.T) {
 	if err := s.Set("stable", []byte("before")); err != nil {
 		t.Fatal(err)
 	}
+	// At the Batch level a write is acknowledged before its record is
+	// written: write this one's now, so the scripted fault fails the
+	// next one's write and not this one's.
+	if err := s.feed.log.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	dfs.FailNextWrite(fault.ErrIO)
-	// At the Batch level this write is acknowledged before its record is
-	// written; its failed write is what latches the log.
+	// This write's failed record is what latches the log.
 	if err := s.Set("torn", []byte("during")); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,8 @@ import (
 	"slices"
 )
 
-// Segment-cursor reads: the replication catch-up path. A streamer
+// Segment-cursor reads: the replication catch-up path, and a
+// checkpoint's read of the records after its base snapshot. A streamer
 // serving a follower from sequence N reads records N.. straight from
 // the segment files — read-only, concurrent with the live appender —
 // and stops cleanly at the first defect, which on a healthy log is
@@ -37,17 +38,21 @@ var ErrCompacted = errors.New("wal: requested records compacted away")
 // record at a time into one reused buffer, so a scan holds one record,
 // not one segment, and allocates per segment, not per record.
 func ScanSegments(dir string, fromSeq uint64, fn func(seq uint64, raw []byte) error) (next uint64, err error) {
-	if fromSeq == 0 {
-		fromSeq = 1
-	}
-	next = fromSeq
 	snaps, segs, err := listDir(OSFS, dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return next, nil // nothing logged yet
+			err = nil // nothing logged yet
 		}
-		return next, err
+		return max(fromSeq, 1), err
 	}
+	return scanSegments(OSFS, snaps, segs, fromSeq, fn)
+}
+
+// scanSegments is ScanSegments over the directory listing snaps, segs,
+// reading through fsys.
+func scanSegments(fsys FS, snaps, segs []fileInfo, fromSeq uint64, fn func(seq uint64, raw []byte) error) (next uint64, err error) {
+	fromSeq = max(fromSeq, 1)
+	next = fromSeq
 	if len(segs) == 0 {
 		for _, sn := range snaps {
 			if sn.seq >= fromSeq {
@@ -75,7 +80,7 @@ func ScanSegments(dir string, fromSeq uint64, fn func(seq uint64, raw []byte) er
 		if sg.seq != expected {
 			return next, nil // defect boundary: stop cleanly
 		}
-		f, err := os.Open(sg.path)
+		f, err := fsys.Open(sg.path)
 		if err != nil {
 			return next, err
 		}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 )
@@ -24,6 +25,9 @@ type FS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	// ReadFile reads name completely, like os.ReadFile.
 	ReadFile(name string) ([]byte, error)
+	// Open opens name for reading, like os.Open: a segment is read as a
+	// stream, a record at a time.
+	Open(name string) (io.ReadCloser, error)
 	// ReadDir lists dir, like os.ReadDir.
 	ReadDir(name string) ([]fs.DirEntry, error)
 	// Rename atomically replaces newpath with oldpath.
@@ -56,6 +60,7 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
 func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
+func (osFS) Open(name string) (io.ReadCloser, error)      { return os.Open(name) }
 func (osFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
 func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }

@@ -311,12 +311,10 @@ func (l *Log) Checkpoint() error {
 // Caller holds ckptMu.
 func (l *Log) checkpoint(through uint64) error {
 	wrote, err := checkpoint(l.fs, l.dir, through)
-	if l.m != nil {
-		if err != nil {
-			l.m.CheckpointFails.Add(1)
-		} else if wrote {
-			l.m.Checkpoints.Add(1)
-		}
+	if l.m != nil && err != nil {
+		l.m.CheckpointFails.Add(1)
+	} else if l.m != nil && wrote {
+		l.m.Checkpoints.Add(1)
 	}
 	if err != nil {
 		return fmt.Errorf("wal: checkpoint: %w", err)

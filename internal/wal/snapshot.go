@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -68,6 +69,9 @@ func Fold(final map[string]Folded, f Folded) error {
 	return nil
 }
 
+// errFolded ends a checkpoint's segment scan past its last record.
+var errFolded = errors.New("wal: checkpoint folded through its sequence")
+
 // checkpoint writes the snapshot exact at through — the newest usable
 // snapshot's records and the segment records after it through through,
 // folded — and compacts. It reads and writes through fsys only. The log
@@ -94,40 +98,23 @@ func checkpoint(fsys FS, dir string, through uint64) (bool, error) {
 			}
 		}
 	}
-	next := seq + 1 // the next record to fold
-	for i, sg := range segs {
-		if next > through {
-			break
+	next, err := scanSegments(fsys, snaps, segs, seq+1, func(s uint64, raw []byte) error {
+		if s > through {
+			return errFolded
 		}
-		if i+1 < len(segs) && segs[i+1].seq <= next {
-			continue // every record of sg is folded already
-		}
-		b, err := fsys.ReadFile(sg.path)
+		rec, _, err := DecodeRecord(raw)
 		if err != nil {
-			return false, err
+			return err
 		}
-		if !segHeaderOK(b, sg.seq) {
-			return false, fmt.Errorf("%w: segment %d header", ErrCorrupt, sg.seq)
+		for j := range rec.Ops {
+			if err := Fold(final, Folded{Op: &rec.Ops[j]}); err != nil {
+				return err
+			}
 		}
-		for off := segHeaderLen; off < len(b) && next <= through; {
-			rec, n, err := DecodeRecord(b[off:])
-			if err != nil {
-				return false, err
-			}
-			off += n
-			if rec.Seq < next {
-				continue
-			}
-			if rec.Seq != next {
-				return false, fmt.Errorf("%w: record %d where %d was due", ErrCorrupt, rec.Seq, next)
-			}
-			for j := range rec.Ops {
-				if err := Fold(final, Folded{Op: &rec.Ops[j]}); err != nil {
-					return false, err
-				}
-			}
-			next++
-		}
+		return nil
+	})
+	if err != nil && err != errFolded {
+		return false, err
 	}
 	if next <= through {
 		return false, fmt.Errorf("wal: snapshot through %d: the log holds records only to %d", through, next-1)
@@ -158,7 +145,6 @@ func writeSnapshot(fsys FS, dir string, seq uint64, final map[string]Folded) err
 	put := func(last bool) {
 		if len(chunk) > 0 && err == nil {
 			buf, err = AppendRecord(buf, 0, seq, chunk)
-			clear(chunk)
 			chunk = chunk[:0]
 		}
 		if (last || len(buf) >= snapWriteBuf) && err == nil {

@@ -409,8 +409,8 @@ func TestRotationAndSnapshot(t *testing.T) {
 	}
 }
 
-// gateFS holds every snapshot's create until release is closed,
-// reporting each on entered.
+// gateFS holds every snapshot's temp file, once created, until release
+// is closed, reporting each on entered when it has room.
 type gateFS struct {
 	FS
 	entered chan struct{}
@@ -418,14 +418,15 @@ type gateFS struct {
 }
 
 func (g gateFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	if strings.HasSuffix(name, ".snap.tmp") {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err == nil && strings.HasSuffix(name, ".snap.tmp") {
 		select {
 		case g.entered <- struct{}{}:
 		default:
 		}
 		<-g.release
 	}
-	return g.FS.OpenFile(name, flag, perm)
+	return f, err
 }
 
 // TestCloseWaitsForRotationCheckpoint: a rotation's checkpoint runs on
@@ -667,40 +668,13 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 	}
 }
 
-// writeGateFS holds every write to a snapshot's temp file until release
-// is closed, reporting each on entered.
-type writeGateFS struct {
-	FS
-	entered chan struct{}
-	release chan struct{}
-}
-
-type writeGateFile struct {
-	File
-	g writeGateFS
-}
-
-func (g writeGateFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	f, err := g.FS.OpenFile(name, flag, perm)
-	if err == nil && strings.HasSuffix(name, ".snap.tmp") {
-		return writeGateFile{f, g}, nil
-	}
-	return f, err
-}
-
-func (f writeGateFile) Write(p []byte) (int, error) {
-	f.g.entered <- struct{}{}
-	<-f.g.release
-	return f.File.Write(p)
-}
-
 // TestScanBesideCheckpoint: a catch-up scan and a snapshot listing run
 // beside a checkpoint writing its temp file, and must leave that file
 // alone; only recovery removes temp files, and it does.
 func TestScanBesideCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	writeChain(t, dir, 10)
-	g := writeGateFS{OSFS, make(chan struct{}), make(chan struct{})}
+	g := gateFS{OSFS, make(chan struct{}, 1), make(chan struct{})}
 	done := make(chan error)
 	go func() { _, err := checkpoint(g, dir, 10); done <- err }()
 	<-g.entered
