@@ -233,7 +233,7 @@ func usableSnapshot(fsys FS, snaps, segs []fileInfo) (seq uint64, recs []Record,
 	case chainStart > 1:
 		return 0, nil, fmt.Errorf("wal: no usable snapshot and the log starts at seq %d — records 1..%d were compacted away", chainStart, chainStart-1)
 	case chainStart == 0 && len(snaps) > 0:
-		return 0, nil, fmt.Errorf("wal: every snapshot is corrupt and no log segments remain")
+		return 0, nil, errors.New("wal: every snapshot is corrupt and no log segments remain")
 	}
 	return 0, nil, nil
 }
