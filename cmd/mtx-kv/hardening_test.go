@@ -236,7 +236,7 @@ func TestPanicRecovery(t *testing.T) {
 // the cause and /metrics exposes the degraded gauge, the shed-write
 // counter, and the admission-shed counter.
 func TestAdminDegraded(t *testing.T) {
-	dfs := fault.NewDiskFS(nil, fault.DiskPlan{})
+	dfs := fault.NewDiskFS(wal.OSFS, fault.DiskPlan{})
 	store, err := kv.Open(
 		kv.WithDurability(t.TempDir(), wal.Fsync),
 		kv.WithShards(4),

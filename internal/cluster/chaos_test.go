@@ -69,7 +69,7 @@ func runChaos(t *testing.T, eng stm.Engine) {
 	)
 
 	dir := t.TempDir()
-	dfs := fault.NewDiskFS(nil, fault.DiskPlan{
+	dfs := fault.NewDiskFS(wal.OSFS, fault.DiskPlan{
 		Seed:        chaosSeed,
 		Latency:     200 * time.Microsecond,
 		LatencyProb: 0.02,

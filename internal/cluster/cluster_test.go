@@ -336,7 +336,7 @@ func TestClusterShardMismatch(t *testing.T) {
 // whose log has failed gets a session that ends with the log's error,
 // at once, rather than one that waits for the log to reach the files.
 func TestStreamEndsOnFailedLog(t *testing.T) {
-	dfs := fault.NewDiskFS(nil, fault.DiskPlan{})
+	dfs := fault.NewDiskFS(wal.OSFS, fault.DiskPlan{})
 	p, err := kv.Open(kv.WithDurability(t.TempDir(), wal.Fsync), kv.WithWALFS(dfs))
 	if err != nil {
 		t.Fatal(err)
@@ -374,5 +374,47 @@ func TestStreamEndsOnFailedLog(t *testing.T) {
 		s.close()
 		<-done
 		t.Fatal("the session on a failed log did not end within 1s")
+	}
+}
+
+// TestCatchUpReadFault: a catch-up reads the primary's segment files
+// through the log's filesystem seam, so a read fault there reaches it.
+// A replica far enough behind to catch up from the files meets a
+// failing read: that session ends, and the replica reconnects and
+// converges to the primary's state.
+func TestCatchUpReadFault(t *testing.T) {
+	dfs := fault.NewDiskFS(wal.OSFS, fault.DiskPlan{})
+	p, st, addr, cleanup := testPrimary(t, kv.WithWALFS(dfs))
+	defer cleanup()
+	for i := 0; i < 200; i++ {
+		if err := p.Set(fmt.Sprintf("k%03d", i), []byte(fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := p.ReplPosition()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dfs.FailNextRead(fault.ErrIO)
+	r, err := kv.NewReplica(kv.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Store().Close()
+	stop := startClient(t, addr, r)
+	defer stop()
+	waitFor(t, "catch-up after the read fault", func() bool { return r.Ready() && r.Position() >= want })
+	if got := dfs.Stats().ReadErrs; got != 1 {
+		t.Fatalf("the seam failed %d catch-up reads, want 1", got)
+	}
+	if n := st.Stats().Served; n < 2 {
+		t.Fatalf("%d sessions served: the failed catch-up did not end its session", n)
+	}
+	for i := 0; i < 200; i++ {
+		k := fmt.Sprintf("k%03d", i)
+		if v, ok := r.Store().FastGet(k); !ok || string(v) != fmt.Sprint(i) {
+			t.Fatalf("%s = %q, %v on the replica", k, v, ok)
+		}
 	}
 }

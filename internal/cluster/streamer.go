@@ -19,10 +19,11 @@ import (
 //
 // Per session (one stream goroutine per connection) a pass is:
 //
-//  1. Catch-up: wal.ScanSegments from the replica's cursor — read-only
-//     against the live appender — sending raw records. If the cursor
-//     predates the oldest retained segment (ErrCompacted), ship the
-//     latest snapshot instead and resume from its sequence.
+//  1. Catch-up: the log's Scan from the replica's cursor — read-only
+//     against the live appender, through the log's filesystem seam —
+//     sending raw records. If the cursor predates the oldest retained
+//     segment (ErrCompacted), ship the log's Snapshot instead and
+//     resume from its sequence. A read error ends the session.
 //  2. Attach a wal.Follower, once. Every record below its low-water
 //     mark is in the segment files, so if the mark is above the scan's
 //     end (records were written between scan and attach), one more
@@ -35,6 +36,7 @@ import (
 //     replica's reconnect backoff is the only wait.
 type Streamer struct {
 	store *kv.Store
+	log   *wal.Log // the store's: every session reads it
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -61,10 +63,11 @@ const frameBatch = 32 << 10
 // NewStreamer wraps a durable store. Opening fails on a store with no
 // WAL — there is nothing to ship.
 func NewStreamer(s *kv.Store) (*Streamer, error) {
-	if !s.Durable() {
-		return nil, kv.ErrNotDurable
+	lg, err := s.ReplLog()
+	if err != nil {
+		return nil, err
 	}
-	return &Streamer{store: s, sessions: make(map[*session]struct{})}, nil
+	return &Streamer{store: s, log: lg, sessions: make(map[*session]struct{})}, nil
 }
 
 // Serve accepts replica connections on ln until Close (or a listener
@@ -296,22 +299,19 @@ func (st *Streamer) serveSession(s *session) {
 // stream runs the session's passes (see Streamer) until the session
 // dies or the log's error ends it.
 func (st *Streamer) stream(s *session, from uint64) error {
-	dir, err := st.store.ReplDir()
-	if err != nil {
-		return err
-	}
+	var err error
 	cursor := max(from, 1)
 	var tail []byte // follower batch buffer, recycled through Take
 	for s.ctx.Err() == nil {
-		if cursor, err = st.catchUp(s, dir, cursor); err != nil {
+		if cursor, err = st.catchUp(s, cursor); err != nil {
 			return err
 		}
-		f, low, err := st.store.ReplFollow(followLimit)
+		f, low, err := st.log.Follow(followLimit)
 		if err != nil {
 			return err
 		}
 		if low > cursor {
-			if cursor, err = st.catchUp(s, dir, cursor); err == nil && cursor < low {
+			if cursor, err = st.catchUp(s, cursor); err == nil && cursor < low {
 				err = fmt.Errorf("cluster: segment files end at %d, below the live tail's mark %d", cursor, low)
 			}
 			if err != nil {
@@ -342,25 +342,25 @@ func (st *Streamer) stream(s *session, from uint64) error {
 	return nil
 }
 
-// catchUp sends the records from cursor on that the segment files
-// hold and returns the sequence after the last one sent. When the
-// files no longer reach back to cursor it sends the latest snapshot
+// catchUp sends the records from cursor on that the log's segment
+// files hold and returns the sequence after the last one sent. When
+// the files no longer reach back to cursor it sends the log's snapshot
 // first and scans from the sequence after it.
-func (st *Streamer) catchUp(s *session, dir string, cursor uint64) (uint64, error) {
+func (st *Streamer) catchUp(s *session, cursor uint64) (uint64, error) {
 	send := func(_ uint64, raw []byte) error {
 		st.records.Add(1)
 		return s.queue(FrameRecord, raw)
 	}
-	next, err := wal.ScanSegments(dir, cursor, send)
+	next, err := st.log.Scan(cursor, send)
 	if errors.Is(err, wal.ErrCompacted) {
-		seq, recs, serr := wal.LatestSnapshot(dir)
+		seq, recs, serr := st.log.Snapshot()
 		if serr != nil {
 			return cursor, serr
 		}
 		if err := st.sendSnapshot(s, seq, recs); err != nil {
 			return cursor, err
 		}
-		next, err = wal.ScanSegments(dir, seq+1, send)
+		next, err = st.log.Scan(seq+1, send)
 	}
 	if ferr := s.flush(); err == nil {
 		err = ferr

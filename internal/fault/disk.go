@@ -28,7 +28,8 @@ type DiskPlan struct {
 	SyncErrProb float64
 	// OpenErrProb fails an OpenFile with EIO.
 	OpenErrProb float64
-	// ReadErrProb fails a ReadFile with EIO.
+	// ReadErrProb fails an Open (a read of a segment or snapshot) with
+	// EIO.
 	ReadErrProb float64
 
 	// WriteBudget, when > 0, is the total number of bytes accepted
@@ -60,7 +61,7 @@ func (s DiskStats) Total() int64 {
 }
 
 // DiskFS is a fault-injecting wal.FS. It wraps an inner filesystem
-// (the real one by default), drawing faults from its seeded plan plus
+// (usually the real one), drawing faults from its seeded plan plus
 // any scripted one-shots. All state is behind one mutex: decisions are
 // taken in call order, which is what makes a single-goroutine test
 // fully deterministic.
@@ -80,11 +81,9 @@ type DiskFS struct {
 	stats    DiskStats
 }
 
-// NewDiskFS wraps under (nil = the real filesystem) with plan.
+// NewDiskFS wraps under, the filesystem the faults stand in front of,
+// with plan.
 func NewDiskFS(under wal.FS, plan DiskPlan) *DiskFS {
-	if under == nil {
-		under = wal.OSFS
-	}
 	d := &DiskFS{under: under, plan: plan}
 	d.rng = newRNG(plan.Seed)
 	return d
@@ -120,7 +119,7 @@ func (d *DiskFS) FailNextOpen(err error) {
 	d.mu.Unlock()
 }
 
-// FailNextRead scripts err for the next ReadFile or Open.
+// FailNextRead scripts err for the next Open.
 func (d *DiskFS) FailNextRead(err error) {
 	d.mu.Lock()
 	d.nextRead = append(d.nextRead, err)
@@ -253,15 +252,8 @@ func (d *DiskFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, er
 	return &faultFile{f: f, d: d}, nil
 }
 
-// ReadFile implements wal.FS.
-func (d *DiskFS) ReadFile(name string) ([]byte, error) {
-	if err := d.readFault(); err != nil {
-		return nil, err
-	}
-	return d.under.ReadFile(name)
-}
-
-// Open implements wal.FS; it fails as ReadFile does.
+// Open implements wal.FS: every read of a segment or snapshot — by
+// recovery, a checkpoint or a catch-up — opens its file here.
 func (d *DiskFS) Open(name string) (io.ReadCloser, error) {
 	if err := d.readFault(); err != nil {
 		return nil, err

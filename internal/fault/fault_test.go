@@ -26,7 +26,7 @@ func openFile(t *testing.T, d *DiskFS, name string) wal.File {
 // TestDiskScripted pins the one-shot fault scripts: each fires exactly
 // once, in FIFO order, against the next matching operation.
 func TestDiskScripted(t *testing.T) {
-	d := NewDiskFS(nil, DiskPlan{})
+	d := NewDiskFS(wal.OSFS, DiskPlan{})
 	f := openFile(t, d, filepath.Join(t.TempDir(), "log"))
 
 	d.FailNextWrite(ErrIO)
@@ -60,7 +60,7 @@ func TestDiskScripted(t *testing.T) {
 // least one byte lands, the call errors, and the bytes on disk match
 // the reported short count.
 func TestDiskTornWrite(t *testing.T) {
-	d := NewDiskFS(nil, DiskPlan{})
+	d := NewDiskFS(wal.OSFS, DiskPlan{})
 	path := filepath.Join(t.TempDir(), "log")
 	f := openFile(t, d, path)
 
@@ -88,7 +88,7 @@ func TestDiskTornWrite(t *testing.T) {
 // TestDiskWriteBudget pins the disk-full story: writes succeed until
 // the byte budget is spent, then every write fails ENOSPC until Heal.
 func TestDiskWriteBudget(t *testing.T) {
-	d := NewDiskFS(nil, DiskPlan{WriteBudget: 10})
+	d := NewDiskFS(wal.OSFS, DiskPlan{WriteBudget: 10})
 	f := openFile(t, d, filepath.Join(t.TempDir(), "log"))
 
 	if _, err := f.Write([]byte("0123456789")); err != nil {
@@ -113,7 +113,7 @@ func TestDiskWriteBudget(t *testing.T) {
 // same plan inject faults at exactly the same call indices.
 func TestDiskDeterministic(t *testing.T) {
 	run := func() []int {
-		d := NewDiskFS(nil, DiskPlan{Seed: 42, WriteErrProb: 0.2})
+		d := NewDiskFS(wal.OSFS, DiskPlan{Seed: 42, WriteErrProb: 0.2})
 		f := openFile(t, d, filepath.Join(t.TempDir(), "log"))
 		var failed []int
 		for i := 0; i < 100; i++ {

@@ -71,7 +71,7 @@ func dirNames(t *testing.T, dir string) string {
 // write.
 func TestCheckpointFaultsThroughFS(t *testing.T) {
 	dir := t.TempDir()
-	d := fault.NewDiskFS(nil, fault.DiskPlan{})
+	d := fault.NewDiskFS(wal.OSFS, fault.DiskPlan{})
 	s := openDurable(t, dir, wal.None, WithWALFS(d))
 	want := map[string]string{}
 	set := func(from, to int, val string) {

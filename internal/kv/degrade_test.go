@@ -32,7 +32,7 @@ func waitDegraded(t *testing.T, s *Store) error {
 // disk recovers the durable prefix cleanly.
 func TestDegradedReadOnly(t *testing.T) {
 	dir := t.TempDir()
-	dfs := fault.NewDiskFS(nil, fault.DiskPlan{})
+	dfs := fault.NewDiskFS(wal.OSFS, fault.DiskPlan{})
 	s := openDurable(t, dir, wal.Fsync, WithWALFS(dfs))
 
 	if err := s.Set("stable", []byte("before")); err != nil {
@@ -95,7 +95,7 @@ func TestDegradedReadOnly(t *testing.T) {
 // latched, Set, CounterAdd and Update are refused with ErrDegraded, and
 // a read still sees the value from before the fault.
 func TestDegradedBatchRefusesWrites(t *testing.T) {
-	dfs := fault.NewDiskFS(nil, fault.DiskPlan{})
+	dfs := fault.NewDiskFS(wal.OSFS, fault.DiskPlan{})
 	s := openDurable(t, t.TempDir(), wal.Batch, WithWALFS(dfs))
 	defer s.Close()
 

@@ -40,14 +40,20 @@ const (
 	caseDeleteCounter
 	caseRecreateOtherKind
 	caseCrossShard
+	caseSetThenDelete // two ops on one key in one record
+	caseTwoAdds
+	caseDeleteThenSet
 	numCases
 )
 
 // diffRecords generates n records over nkeys keys from a fixed seed,
-// each one to three ops on distinct keys, as the store logs them: a
-// write of one kind over a live key of the other kind never happens (a
-// key changes kind only through a delete), but a counter add may arrive
-// relative (KindCounterAdd), as the record format allows. It also
+// each one to three keys with one op or, now and then, two on a key
+// (set then delete, two counter adds, delete then set), as the store
+// logs them: a write of one kind over a live key of the other kind
+// never happens (a key changes kind only through a delete, and not
+// within the transaction that deletes it), but a
+// counter add may arrive relative (KindCounterAdd), as the record
+// format allows. It also
 // returns, per prefix, the state a correct fold reaches (in storeState's
 // form) and counts the cases hit.
 func diffRecords(n, nkeys int, shardOf func(string) int) (recs []wal.Record, states []map[string]string, hits [numCases]int) {
@@ -76,6 +82,33 @@ func diffRecords(n, nkeys int, shardOf func(string) int) (recs []wal.Record, sta
 			live := k.kind == wal.KindSet || k.kind == wal.KindCounterSet
 			var op wal.Op
 			switch r := rng.IntN(10); {
+			case rng.IntN(6) == 0: // two ops on the key
+				pair := caseTwoAdds
+				switch {
+				case k.kind == wal.KindSet && r%2 == 0:
+					pair = caseDeleteThenSet
+				case k.kind == wal.KindSet || (!live && r%2 == 1):
+					pair = caseSetThenDelete
+				}
+				hits[pair]++
+				switch pair {
+				case caseDeleteThenSet:
+					k.kind, k.val, k.counter = wal.KindSet, fmt.Sprintf("v%d", seq), 0
+					ops = append(ops, wal.Op{Kind: wal.KindDelete, Key: key})
+					op = wal.Op{Kind: wal.KindSet, Key: key, Val: []byte(k.val)}
+				case caseSetThenDelete:
+					k.was, k.kind = wal.KindSet, wal.KindDelete
+					ops = append(ops, wal.Op{Kind: wal.KindSet, Key: key, Val: []byte(fmt.Sprintf("v%d", seq))})
+					op = wal.Op{Kind: wal.KindDelete, Key: key}
+				default:
+					if !live {
+						k.counter = 0
+					}
+					d, e := int64(rng.IntN(19)-9), int64(rng.IntN(19)-9)
+					k.kind, k.val, k.counter = wal.KindCounterSet, "", k.counter+d+e
+					ops = append(ops, wal.Op{Kind: wal.KindCounterAdd, Key: key, N: d})
+					op = wal.Op{Kind: wal.KindCounterAdd, Key: key, N: e}
+				}
 			case live && r < 3:
 				op = wal.Op{Kind: wal.KindDelete, Key: key}
 				hits[map[bool]int{true: caseDeleteCounter, false: caseDeleteBytes}[k.kind == wal.KindCounterSet]]++
@@ -163,11 +196,7 @@ func TestEveryPathAgrees(t *testing.T) {
 	// The segment the log writes for the whole stream; prefix m is its
 	// header plus the first m records.
 	tmpl := t.TempDir()
-	res, err := wal.RecoverFS(nil, tmpl, func(wal.Record) error { return nil }, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg, err := wal.OpenLog(tmpl, res, wal.Options{Level: wal.None, FS: noSyncFS{wal.OSFS}})
+	lg, _, err := wal.Open(tmpl, wal.Options{Level: wal.None, FS: noSyncFS{wal.OSFS}}, func(wal.Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +218,7 @@ func TestEveryPathAgrees(t *testing.T) {
 	}
 	ends := make([]int, n+1) // ends[m]: the segment's length through record m
 	body := 0
-	if _, err := wal.ScanSegments(tmpl, 1, func(seq uint64, raw []byte) error {
+	if _, err := lg.Scan(1, func(seq uint64, raw []byte) error {
 		body += len(raw)
 		ends[seq] = body
 		return nil

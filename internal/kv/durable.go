@@ -3,8 +3,6 @@ package kv
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -14,8 +12,10 @@ import (
 
 // Durability: the store's commits stream into one write-ahead log
 // (internal/wal), sequenced by the STM commit tap so log order is
-// commit order, and recovery replays snapshot + log tail back into the
-// store on Open.
+// commit order. Open opens that log with wal.Open, which recovers it
+// — snapshot + log tail, replayed back into the store — and every read
+// of its files, by recovery, a checkpoint or a replica's catch-up, goes
+// through the log and its filesystem seam.
 //
 // The flow of one durable write: the operation's transaction body
 // records its effects as wal.Ops in a pooled pendingOps and attaches it
@@ -55,7 +55,7 @@ import (
 // first write) and plain writes through Privatize'd handles. Publish IS
 // logged: its sentinel transaction carries the published values as SET
 // ops. Recovery writes plainly too, each shard on its own (see
-// Store.Recover).
+// Store.openLog).
 
 // ErrNotDurable reports a durability operation on a store opened
 // without WithDurability.
@@ -95,25 +95,15 @@ func (f *feed) position() uint64 {
 
 // durState is the store's durability state (nil when disabled).
 type durState struct {
-	dir   string
 	level wal.Level
-	opts  wal.Options // template for the log
 	m     wal.Metrics
-	res   wal.RecoverResult // consumed by attachLogs
 	info  RecoverInfo
-
-	recovered bool
-	attached  bool
 
 	// Degraded mode (degrade.go): the flag and first error latch on the
 	// WAL's OnFail hook; shed counts the commits the failed log refused.
 	degraded atomic.Bool
 	degErr   atomic.Pointer[error]
 	shed     atomic.Uint64
-
-	// fs is the filesystem seam threaded into every wal call (nil =
-	// the real filesystem); fault-injection tests swap it.
-	fs wal.FS
 }
 
 // RecoverInfo summarizes a store's boot-time recovery. The JSON names
@@ -127,25 +117,13 @@ type RecoverInfo struct {
 	LSN             uint64 `json:"lsn"` // the recovered commit sequence
 }
 
-// Recover replays the durability directory into the store: the newest
-// usable snapshot plus the log tail past it, with a torn tail truncated
-// (see wal.RecoverFS). Open calls it before attaching the log and the
-// commit taps, so nothing replayed is re-logged; calling it again
-// afterwards just returns the boot-time summary. Records route by key,
-// so a directory reopens at any shard count. The log is read in one
-// pass; the shards then replay their shares side by side (eachShard),
-// since each touches only its own table and STM instance. Of several
-// failing shards, the lowest-numbered one's error is returned.
-func (s *Store) Recover() (RecoverInfo, error) {
-	if s.dur == nil {
-		return RecoverInfo{}, ErrNotDurable
-	}
-	if s.dur.recovered {
-		return s.dur.info, nil
-	}
-	if _, err := os.Stat(filepath.Join(s.dur.dir, "store.meta")); err == nil {
-		return RecoverInfo{}, fmt.Errorf("kv: %s holds the per-shard logs of an earlier version, which this one does not read", s.dur.dir)
-	}
+// openLog opens the store's log with wal.Open, which recovers the
+// durability directory into the store, and then installs the commit
+// taps, so nothing replayed is re-logged. Records route by key, so a
+// directory reopens at any shard count; each shard replays only into
+// its own table and STM instance. Of several failing shards, the
+// lowest-numbered one's error is returned.
+func (s *Store) openLog(dir string, o wal.Options) error {
 	// The ops by shard, in log order: each shard then replays on its
 	// own, into a map sized for it and a table that stay in cache, and
 	// the shards replay side by side (eachShard). An op is routed by
@@ -153,16 +131,17 @@ func (s *Store) Recover() (RecoverInfo, error) {
 	// handed over once, and the hash is the one replay links by.
 	ops := make([][]wal.Folded, len(s.shards))
 	n := 0
-	res, err := wal.RecoverFS(s.dur.fs, s.dur.dir, func(rec wal.Record) error {
+	o.Metrics = &s.dur.m
+	log, res, err := wal.Open(dir, o, func(rec wal.Record) error {
 		for j := range rec.Ops {
 			h := fnv1a(rec.Ops[j].Key)
 			ops[h&s.mask] = append(ops[h&s.mask], wal.Folded{Op: &rec.Ops[j], Hash: h})
 		}
 		n += len(rec.Ops)
 		return nil
-	}, &s.dur.m)
+	})
 	if err != nil {
-		return RecoverInfo{}, fmt.Errorf("kv: recover: %w", err)
+		return fmt.Errorf("kv: recover: %w", err)
 	}
 	errs := make([]error, len(s.shards))
 	s.eachShard(n, func(i int) {
@@ -179,20 +158,20 @@ func (s *Store) Recover() (RecoverInfo, error) {
 	// The lowest-numbered shard's error, whatever order the shards ran in.
 	for _, err := range errs {
 		if err != nil {
-			return RecoverInfo{}, err
+			log.Close()
+			return err
 		}
 	}
-	s.feed.lsn = res.LastSeq
-	s.dur.res = res
-	info := RecoverInfo{Records: res.Records, SnapshotRecords: res.SnapshotRecords, TruncatedBytes: res.TruncatedBytes, LSN: res.LastSeq}
+	s.feed.lsn, s.feed.log = res.LastSeq, log
+	s.dur.info = RecoverInfo{Records: res.Records, SnapshotRecords: res.SnapshotRecords, TruncatedBytes: res.TruncatedBytes, LSN: res.LastSeq}
 	if res.SnapshotSeq != 0 {
-		info.Snapshots = 1
+		s.dur.info.Snapshots = 1
 	}
 	if res.Truncated {
-		info.Truncations = 1
+		s.dur.info.Truncations = 1
 	}
-	s.dur.recovered, s.dur.info = true, info
-	return info, nil
+	s.tapOnce.Do(s.installTaps)
+	return nil
 }
 
 // install links every key of final, sh's folded ops, into sh and gives
@@ -219,23 +198,6 @@ func (sh *shard) install(final map[string]wal.Folded) {
 	sh.bulk = nil
 	sh.mu.Unlock()
 	sh.stm.Touch(sh.kvers)
-}
-
-// attachLogs opens the log (continuing the repaired tail) and installs
-// the commit taps. Open-time only.
-func (s *Store) attachLogs() error {
-	o := s.dur.opts
-	o.Metrics = &s.dur.m
-	log, err := wal.OpenLog(s.dur.dir, s.dur.res, o)
-	if err != nil {
-		return err
-	}
-	s.feed.mu.Lock()
-	s.feed.log = log
-	s.feed.mu.Unlock()
-	s.dur.attached = true
-	s.tapOnce.Do(s.installTaps)
-	return nil
 }
 
 // installTaps installs the commit tap on every shard (idempotent via
@@ -317,7 +279,7 @@ func (s *Store) Checkpoint() error {
 // longer logged; Close is for orderly shutdown. Safe to call more than
 // once.
 func (s *Store) Close() error {
-	if s.dur == nil || s.feed.log == nil {
+	if s.dur == nil {
 		return nil
 	}
 	return s.feed.log.Close()
@@ -379,7 +341,7 @@ func (s *Store) WALStats() WALStats {
 			st.Err = derr.Error()
 		}
 	}
-	if st.Err == "" && s.feed.log != nil {
+	if st.Err == "" {
 		if err := s.feed.log.Err(); err != nil {
 			st.Err = err.Error()
 		}
@@ -405,7 +367,8 @@ func WithWALSegmentBytes(n int64) Option {
 }
 
 // WithWALFS threads a filesystem seam under the store's WAL — every
-// segment, snapshot and recovery file operation goes through it. The
+// segment, snapshot, recovery and catch-up file operation goes through
+// it. The
 // fault-injection tests pass a fault.DiskFS; production code never
 // needs this (nil means the real filesystem).
 func WithWALFS(fsys wal.FS) Option {

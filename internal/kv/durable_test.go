@@ -330,8 +330,8 @@ func TestWALStatsShape(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close on a plain store: %v", err)
 	}
-	if _, err := s.Recover(); err != ErrNotDurable {
-		t.Fatalf("Recover on a plain store: %v", err)
+	if _, err := s.ReplLog(); err != ErrNotDurable {
+		t.Fatalf("ReplLog on a plain store: %v", err)
 	}
 	if err := s.Checkpoint(); err != ErrNotDurable {
 		t.Fatalf("Checkpoint on a plain store: %v", err)

@@ -353,21 +353,13 @@ func Open(opts ...Option) (*Store, error) {
 	if c.durDir == "" {
 		return s, nil
 	}
-	s.dur = &durState{
-		dir:   c.durDir,
-		level: c.durLevel,
-		opts: wal.Options{
-			Level:        c.durLevel,
-			SegmentBytes: c.segmentBytes,
-			FS:           c.walFS,
-			OnFail:       s.noteWALFault,
-		},
-		fs: c.walFS,
-	}
-	if _, err := s.Recover(); err != nil {
-		return nil, err
-	}
-	if err := s.attachLogs(); err != nil {
+	s.dur = &durState{level: c.durLevel}
+	if err := s.openLog(c.durDir, wal.Options{
+		Level:        c.durLevel,
+		SegmentBytes: c.segmentBytes,
+		FS:           c.walFS,
+		OnFail:       s.noteWALFault,
+	}); err != nil {
 		return nil, err
 	}
 	return s, nil

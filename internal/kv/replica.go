@@ -248,7 +248,7 @@ func (r *Replica) installLocked() {
 }
 
 // Reset replaces the replica's state with a primary snapshot exact at
-// seq (wal.LatestSnapshot): the catch-up fallback when the replica's
+// seq (wal.Log.Snapshot): the catch-up fallback when the replica's
 // position predates the primary's oldest retained segment. It starts a
 // sync: every shard gets an empty table, kvers touched first (as
 // unlink does), what was folded before is dropped, and the snapshot's

@@ -447,6 +447,15 @@ func TestReplicaFromPrimaryLog(t *testing.T) {
 	dir := t.TempDir()
 	writePrimaryLog(t, dir)
 
+	p2, err := Open(WithDurability(dir, wal.Batch), WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	lg, err := p2.ReplLog()
+	if err != nil {
+		t.Fatal(err)
+	}
 	whole, err := NewReplica(WithShards(2))
 	if err != nil {
 		t.Fatal(err)
@@ -454,7 +463,7 @@ func TestReplicaFromPrimaryLog(t *testing.T) {
 	defer whole.Store().Close()
 	// Ship twice, to exercise duplicate suppression (reconnect overlap).
 	for range 2 {
-		if _, err := wal.ScanSegments(dir, 1, applyRaw(whole)); err != nil {
+		if _, err := lg.Scan(1, applyRaw(whole)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -463,22 +472,17 @@ func TestReplicaFromPrimaryLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fromSnap.Store().Close()
-	seq, recs, err := wal.LatestSnapshot(dir)
+	seq, recs, err := lg.Snapshot()
 	if err != nil || seq == 0 {
-		t.Fatalf("LatestSnapshot: %d, %v", seq, err)
+		t.Fatalf("Snapshot: %d, %v", seq, err)
 	}
 	if err := fromSnap.Reset(seq, recs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wal.ScanSegments(dir, seq+1, applyRaw(fromSnap)); err != nil {
+	if _, err := lg.Scan(seq+1, applyRaw(fromSnap)); err != nil {
 		t.Fatal(err)
 	}
 
-	p2, err := Open(WithDurability(dir, wal.Batch), WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
 	want := storeState(p2)
 	if want["reborn"] != "counter 42" || len(want) != 34 {
 		t.Fatalf("recovered %d keys, reborn %q", len(want), want["reborn"])
@@ -509,6 +513,10 @@ func TestReplicaSyncMatchesRecovery(t *testing.T) {
 	}
 	want := storeState(p2)
 	target := p2.WALStats().Recover.LSN
+	lg, err := p2.ReplLog()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := p2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +538,7 @@ func TestReplicaSyncMatchesRecovery(t *testing.T) {
 		seen <- storeState(r.Store())
 	}()
 	apply := applyRaw(r)
-	if _, err := wal.ScanSegments(dir, 1, func(seq uint64, raw []byte) error {
+	if _, err := lg.Scan(1, func(seq uint64, raw []byte) error {
 		if !r.Syncing() || r.Position() >= target || r.Ready() {
 			return fmt.Errorf("before record %d of %d: syncing %v, position %d, ready %v",
 				seq, target, r.Syncing(), r.Position(), r.Ready())

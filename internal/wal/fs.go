@@ -9,7 +9,8 @@ import (
 
 // FS is the seam between the WAL and the filesystem: every file
 // operation the package performs — segment and snapshot creation,
-// appends, fsyncs, directory scans, recovery repair — goes through one
+// appends, fsyncs, directory scans, the reads of recovery, checkpoints
+// and catch-up, recovery repair — goes through one
 // of these methods, so a test can interpose fault injection
 // (internal/fault) at exactly the syscall boundary without touching
 // real disks or monkey-patching. OSFS is the real implementation and
@@ -23,10 +24,8 @@ type FS interface {
 	// OpenFile opens name like os.OpenFile. The returned File is used
 	// for appends (segments) and whole-file writes (snapshot temps).
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
-	// ReadFile reads name completely, like os.ReadFile.
-	ReadFile(name string) ([]byte, error)
-	// Open opens name for reading, like os.Open: a segment is read as a
-	// stream, a record at a time.
+	// Open opens name for reading, like os.Open: segments and
+	// snapshots are read as streams, a record at a time.
 	Open(name string) (io.ReadCloser, error)
 	// ReadDir lists dir, like os.ReadDir.
 	ReadDir(name string) ([]fs.DirEntry, error)
@@ -59,7 +58,6 @@ type osFS struct{}
 func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
-func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
 func (osFS) Open(name string) (io.ReadCloser, error)      { return os.Open(name) }
 func (osFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
 func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }

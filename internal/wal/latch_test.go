@@ -20,11 +20,7 @@ import (
 // level with metrics attached.
 func openFaultLog(t *testing.T, fsys wal.FS, dir string, m *wal.Metrics) *wal.Log {
 	t.Helper()
-	res, err := wal.RecoverFS(fsys, dir, func(wal.Record) error { return nil }, m)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	l, err := wal.OpenLog(dir, res, wal.Options{Level: wal.Fsync, Metrics: m, FS: fsys})
+	l, _, err := wal.Open(dir, wal.Options{Level: wal.Fsync, Metrics: m, FS: fsys}, func(wal.Record) error { return nil })
 	if err != nil {
 		t.Fatalf("open log: %v", err)
 	}
@@ -44,7 +40,7 @@ func appendN(t *testing.T, l *wal.Log, from, to uint64) {
 // reports it.
 func TestLatchWriteError(t *testing.T) {
 	dir := t.TempDir()
-	dfs := fault.NewDiskFS(nil, fault.DiskPlan{})
+	dfs := fault.NewDiskFS(wal.OSFS, fault.DiskPlan{})
 	var m wal.Metrics
 	l := openFaultLog(t, dfs, dir, &m)
 
@@ -77,18 +73,14 @@ func TestLatchWriteError(t *testing.T) {
 	// Reopen over the healed disk: the durable prefix (1..3) survives.
 	dfs.Heal()
 	var recs []wal.Record
-	res, err := wal.RecoverFS(dfs, dir, func(r wal.Record) error { recs = append(recs, r); return nil }, &m)
+	l2, res, err := wal.Open(dir, wal.Options{Level: wal.Fsync, Metrics: &m, FS: dfs}, func(r wal.Record) error { recs = append(recs, r); return nil })
 	if err != nil {
 		t.Fatalf("recover after heal: %v", err)
 	}
+	defer l2.Close()
 	if res.LastSeq != 3 || len(recs) != 3 {
 		t.Fatalf("recovered LastSeq=%d records=%d, want 3/3", res.LastSeq, len(recs))
 	}
-	l2, err := wal.OpenLog(dir, res, wal.Options{Level: wal.Fsync, Metrics: &m, FS: dfs})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer l2.Close()
 	appendN(t, l2, 4, 4)
 	if err := l2.Sync(); err != nil {
 		t.Fatalf("sync after reopen: %v", err)
@@ -98,7 +90,7 @@ func TestLatchWriteError(t *testing.T) {
 // TestLatchSyncError: a failed fsync latches the same way.
 func TestLatchSyncError(t *testing.T) {
 	dir := t.TempDir()
-	dfs := fault.NewDiskFS(nil, fault.DiskPlan{})
+	dfs := fault.NewDiskFS(wal.OSFS, fault.DiskPlan{})
 	var m wal.Metrics
 	l := openFaultLog(t, dfs, dir, &m)
 	defer l.Close()
@@ -124,7 +116,7 @@ func TestLatchSyncError(t *testing.T) {
 // tail down to the durable prefix.
 func TestLatchTornWrite(t *testing.T) {
 	dir := t.TempDir()
-	dfs := fault.NewDiskFS(nil, fault.DiskPlan{})
+	dfs := fault.NewDiskFS(wal.OSFS, fault.DiskPlan{})
 	var m wal.Metrics
 	l := openFaultLog(t, dfs, dir, &m)
 
@@ -141,10 +133,11 @@ func TestLatchTornWrite(t *testing.T) {
 
 	dfs.Heal()
 	var recs []wal.Record
-	res, err := wal.RecoverFS(dfs, dir, func(r wal.Record) error { recs = append(recs, r); return nil }, &m)
+	l2, res, err := wal.Open(dir, wal.Options{Level: wal.Fsync, Metrics: &m, FS: dfs}, func(r wal.Record) error { recs = append(recs, r); return nil })
 	if err != nil {
 		t.Fatalf("recover after torn write: %v", err)
 	}
+	defer l2.Close()
 	if res.LastSeq != 5 || len(recs) != 5 {
 		t.Fatalf("recovered LastSeq=%d records=%d, want 5/5", res.LastSeq, len(recs))
 	}
@@ -157,18 +150,14 @@ func TestLatchTornWrite(t *testing.T) {
 // the OnFail hook fires exactly once, promptly.
 func TestLatchENOSPC(t *testing.T) {
 	dir := t.TempDir()
-	dfs := fault.NewDiskFS(nil, fault.DiskPlan{WriteBudget: 256})
+	dfs := fault.NewDiskFS(wal.OSFS, fault.DiskPlan{WriteBudget: 256})
 	var m wal.Metrics
 
-	res, err := wal.RecoverFS(dfs, dir, func(wal.Record) error { return nil }, &m)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
 	failed := make(chan error, 1)
-	l, err := wal.OpenLog(dir, res, wal.Options{
+	l, _, err := wal.Open(dir, wal.Options{
 		Level: wal.Fsync, Metrics: &m, FS: dfs,
 		OnFail: func(e error) { failed <- e },
-	})
+	}, func(wal.Record) error { return nil })
 	if err != nil {
 		t.Fatalf("open log: %v", err)
 	}

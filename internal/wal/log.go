@@ -43,9 +43,11 @@ type Options struct {
 	// Log; the kv layer uses it to flip the store into its degraded mode
 	// the moment the WAL fails rather than on the next append.
 	OnFail func(err error)
-	// FS is the filesystem seam (default OSFS). Fault-injection tests
-	// swap in an implementation that fails writes, syncs or opens on a
-	// seeded schedule.
+	// FS is the filesystem seam (default OSFS): every read and write of
+	// the log's files — Open's recovery, appends, checkpoints, Scan and
+	// Snapshot — goes through it. Fault-injection tests swap in an
+	// implementation that fails writes, syncs or opens on a seeded
+	// schedule.
 	FS FS
 }
 
@@ -117,11 +119,10 @@ type Log struct {
 	followers []*Follower
 }
 
-// OpenLog opens the log in dir for appending, continuing from the
-// state recovery established: the repaired tail segment if one exists,
-// a fresh segment at res.LastSeq+1 otherwise. Run RecoverFS first — it
-// owns truncation and directory repair; OpenLog assumes a clean tail.
-func OpenLog(dir string, res RecoverResult, o Options) (*Log, error) {
+// openLog opens the log in dir for appending after lastSeq, the state
+// recovery established: it continues tail, the repaired tail segment,
+// or starts a fresh segment at lastSeq+1 when tail.path is "".
+func openLog(dir string, lastSeq uint64, tail fileInfo, o Options) (*Log, error) {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = defaultSegmentBytes
 	}
@@ -134,21 +135,21 @@ func OpenLog(dir string, res RecoverResult, o Options) (*Log, error) {
 		fs:         fsOrOS(o.FS),
 		kick:       make(chan struct{}, 1),
 		done:       make(chan struct{}),
-		lastQueued: res.LastSeq,
-		written:    res.LastSeq,
-		synced:     res.LastSeq,
+		lastQueued: lastSeq,
+		written:    lastSeq,
+		synced:     lastSeq,
 
-		capturedFirst: res.LastSeq + 1,
+		capturedFirst: lastSeq + 1,
 	}
 	l.durCond = sync.NewCond(&l.durMu)
-	if res.tailPath != "" {
-		f, err := l.fs.OpenFile(res.tailPath, os.O_WRONLY|os.O_APPEND, 0o644)
+	if tail.path != "" {
+		f, err := l.fs.OpenFile(tail.path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("wal: reopen tail: %w", err)
 		}
-		l.f, l.fsize = f, res.tailSize
+		l.f, l.fsize = f, tail.size
 	} else {
-		f, err := createSegment(l.fs, dir, res.LastSeq+1)
+		f, err := createSegment(l.fs, dir, lastSeq+1)
 		if err != nil {
 			return nil, err
 		}

@@ -10,18 +10,26 @@ import (
 
 // Recovery: establish the longest usable commit-order prefix of what
 // was logged, repair the directory down to exactly that prefix, and
-// replay it. Two passes over the segments:
+// replay it. It reads every file through the log's FS, a record at a
+// time, in one pass over the segments:
 //
-//  1. Scan: walk the segments in order, decoding records and checking
-//     the dense-sequence chain (each record's seq is its predecessor's
-//     +1, each segment starts where the previous ended). The first
-//     defect — short record, bad checksum, wrong stamp, inter-segment
-//     gap — marks the truncation point; everything at and beyond it is
-//     discarded (the file truncated, later files deleted). A torn tail
-//     is therefore repaired, never fatal.
-//  2. Replay: pick the newest loadable snapshot the surviving chain
-//     leaves no gap after, apply it, then apply the chain's records
-//     past it.
+//  1. Snapshot: load the newest snapshot that parses and apply it. A
+//     snapshot is the state exact at its sequence whatever the segments
+//     hold, so it goes first.
+//  2. Scan: read the segments in order with the reader catch-up and the
+//     checkpoint use (readChain), checking each record and the
+//     dense-sequence chain (each record's seq is its predecessor's +1,
+//     each segment starts where the previous ended), and apply each
+//     record past the snapshot as it is read. The first defect — short
+//     record, bad checksum, wrong stamp, inter-segment gap — is where
+//     the scan stops; everything at and beyond it is discarded (the
+//     file truncated there, later files deleted). A torn tail is
+//     therefore repaired, never fatal.
+//  3. Join: the snapshot must leave no gap before the surviving chain.
+//     A chain that ends below the snapshot is superseded — every
+//     surviving record is already in it, which mid-log damage leaves,
+//     with or without compaction — so the segments go and appending
+//     resumes after the snapshot.
 //
 // The result is always a commit-order prefix: a snapshot replays to the
 // exact state at its seq (see snapshot.go), and replaying dense records
@@ -42,11 +50,6 @@ type RecoverResult struct {
 	// dropping TruncatedBytes bytes.
 	Truncated      bool
 	TruncatedBytes int64
-
-	// Tail of the repaired log, consumed by OpenLog: the segment to
-	// continue appending to, if any survived.
-	tailPath string
-	tailSize int64
 }
 
 // fileInfo is one parsed directory entry (snapshot or segment).
@@ -58,7 +61,8 @@ type fileInfo struct {
 
 // listDir parses the durability directory into snapshots and segments,
 // each sorted by sequence. Unrecognized names, temp files among them,
-// are ignored.
+// are ignored; a directory holding an earlier version's per-shard logs
+// (store.meta) is refused.
 func listDir(fsys FS, dir string) (snaps, segs []fileInfo, err error) {
 	ents, err := fsys.ReadDir(dir)
 	if err != nil {
@@ -69,6 +73,8 @@ func listDir(fsys FS, dir string) (snaps, segs []fileInfo, err error) {
 		var seq uint64
 		var list *[]fileInfo
 		switch {
+		case name == "store.meta":
+			return nil, nil, fmt.Errorf("wal: %s holds the per-shard logs of an earlier version, which this one does not read", dir)
 		case len(name) == len("snap-.snap")+20 && strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"):
 			if _, err := fmt.Sscanf(name, "snap-%020d.snap", &seq); err != nil {
 				continue
@@ -117,85 +123,78 @@ func segHeaderOK(b []byte, firstSeq uint64) bool {
 		binary.LittleEndian.Uint64(b[8:16]) == firstSeq
 }
 
-// RecoverFS repairs the durability directory and replays its state
-// into apply, in commit order: first the chosen snapshot's records, then
-// the log records past it. It creates dir if missing. fsys is the
-// filesystem seam (nil = the real one); m, when non-nil, receives
-// truncation metrics.
+// Open recovers the log in dir and opens it for appending. It creates
+// dir if missing, repairs it, replays its state into apply in commit
+// order — the snapshot's records, then the log records past it — and
+// continues the repaired tail segment, or starts a fresh one after the
+// recovered sequence. Every file operation goes through o.FS; o.Metrics,
+// when non-nil, also receives the truncation metrics.
 //
-// Recovery fails only on I/O errors, an apply error, or an
-// unrecoverable gap (every snapshot lost or corrupt after segments
-// were compacted away — state that no longer exists on disk). Torn and
-// corrupt tails are repaired, not errors.
-func RecoverFS(fsys FS, dir string, apply func(Record) error, m *Metrics) (RecoverResult, error) {
-	fsys = fsOrOS(fsys)
-	var res RecoverResult
+// Open fails only on I/O errors, an apply error, a directory of an
+// earlier version, or an unrecoverable gap (every snapshot lost or
+// corrupt after segments were compacted away — state that no longer
+// exists on disk). Torn and corrupt tails are repaired, not errors.
+func Open(dir string, o Options, apply func(Record) error) (*Log, RecoverResult, error) {
+	fsys := fsOrOS(o.FS)
+	res, tail, err := recoverDir(fsys, dir, apply, o.Metrics)
+	if err != nil {
+		return nil, res, err
+	}
+	l, err := openLog(dir, res.LastSeq, tail, o)
+	return l, res, err
+}
+
+// recoverDir is Open's recovery: it repairs dir and replays it into
+// apply, returning the segment to continue appending to (path "" when
+// none survived).
+func recoverDir(fsys FS, dir string, apply func(Record) error, m *Metrics) (res RecoverResult, tail fileInfo, err error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return res, fmt.Errorf("wal: create dir: %w", err)
+		return res, tail, fmt.Errorf("wal: create dir: %w", err)
 	}
 	if err := removeTemps(fsys, dir); err != nil {
-		return res, err
+		return res, tail, err
 	}
 	snaps, segs, err := listDir(fsys, dir)
 	if err != nil {
-		return res, err
+		return res, tail, err
 	}
 
-	// Pass 1 — scan the chain and repair. bodies[i] holds segment i's
-	// surviving record bytes for the replay pass.
-	bodies := make([][]byte, 0, len(segs))
-	var (
-		chainStart uint64 // first seq of the surviving chain (0 = empty)
-		lastValid  uint64 // last seq of the surviving chain
-		truncAt    = -1   // first segment index to repair (-1 = none)
-		truncOff   int64  // keep bytes [0, truncOff) of that segment
-	)
-scan:
-	for i, sg := range segs {
-		b, err := fsys.ReadFile(sg.path)
-		if err != nil {
-			return res, err
+	// 1. The snapshot.
+	snapSeq, snapRecs := newestSnapshot(fsys, snaps)
+	for _, rec := range snapRecs {
+		if err := apply(rec); err != nil {
+			return res, tail, err
 		}
-		headerOK := segHeaderOK(b, sg.seq)
-		expected := lastValid + 1
-		if !headerOK || (chainStart != 0 && sg.seq != expected) {
-			// Unreadable header or inter-segment gap: drop this file
-			// and everything after it.
-			truncAt, truncOff = i, 0
-			break
-		}
-		if chainStart == 0 {
-			chainStart = sg.seq
-			expected = sg.seq
-		}
-		off := int64(segHeaderLen)
-		for int(off) < len(b) {
-			seq, n, werr := WalkRecord(b[off:], nil)
-			if werr != nil || seq != expected {
-				truncAt, truncOff = i, off
-				bodies = append(bodies, b[segHeaderLen:off])
-				break scan
-			}
-			lastValid = expected
-			expected++
-			off += int64(n)
-		}
-		bodies = append(bodies, b[segHeaderLen:off])
 	}
-	if truncAt >= 0 {
-		for i := truncAt; i < len(segs); i++ {
+	res.SnapshotSeq, res.SnapshotRecords, res.LastSeq = snapSeq, len(snapRecs), snapSeq
+
+	// 2. The chain, each record past the snapshot applied as it is read.
+	end, err := readChain(fsys, segs, snapSeq+1, func(seq uint64, raw []byte) error {
+		rec, _, err := DecodeRecord(raw)
+		if err == nil {
+			err = apply(rec)
+		}
+		res.Records++
+		res.LastSeq = seq
+		return err
+	})
+	if err != nil {
+		return res, tail, err
+	}
+	if end.seg < len(segs) {
+		for i := end.seg; i < len(segs); i++ {
 			keep := int64(0)
-			if i == truncAt {
-				keep = truncOff
+			if i == end.seg {
+				keep = end.off
 			}
 			res.TruncatedBytes += segs[i].size - keep
 			if keep > 0 {
 				if err := fsys.Truncate(segs[i].path, keep); err != nil {
-					return res, fmt.Errorf("wal: truncate torn tail: %w", err)
+					return res, tail, fmt.Errorf("wal: truncate torn tail: %w", err)
 				}
 				segs[i].size = keep
 			} else if err := fsys.Remove(segs[i].path); err != nil {
-				return res, fmt.Errorf("wal: drop torn segment: %w", err)
+				return res, tail, fmt.Errorf("wal: drop torn segment: %w", err)
 			}
 		}
 		res.Truncated = true
@@ -203,86 +202,44 @@ scan:
 			m.Truncations.Add(1)
 			m.TruncatedBytes.Add(uint64(res.TruncatedBytes))
 		}
-		if truncOff > 0 {
-			segs = segs[:truncAt+1]
+		if end.off > 0 {
+			segs = segs[:end.seg+1]
 		} else {
-			segs = segs[:truncAt]
+			segs = segs[:end.seg]
 		}
 		if err := fsys.SyncDir(dir); err != nil {
-			return res, err
+			return res, tail, err
 		}
 	}
-	if len(bodies) > len(segs) {
-		bodies = bodies[:len(segs)]
+
+	// 3. The join. A chain that survived zero records is no chain at
+	// all: its segments are headers with nothing in them, stamped with
+	// first sequences a standalone snapshot cannot line up with. It goes,
+	// as a superseded one does, so the snapshot stands alone and
+	// appending restarts on a fresh segment at the snapshot's sequence.
+	var chainStart uint64
+	if len(segs) > 0 && end.next > segs[0].seq {
+		chainStart = segs[0].seq
 	}
-	dropChain := func(why string) error {
+	if err := joinsChain(snapSeq, len(snaps), chainStart); err != nil {
+		return res, tail, err
+	}
+	if len(segs) > 0 && (chainStart == 0 || snapSeq >= end.next) {
 		for _, sg := range segs {
 			if err := fsys.Remove(sg.path); err != nil {
-				return fmt.Errorf("wal: drop %s chain: %w", why, err)
+				return res, tail, fmt.Errorf("wal: drop superseded chain: %w", err)
 			}
 		}
-		segs, bodies, chainStart, lastValid = nil, nil, 0, 0
-		return fsys.SyncDir(dir)
-	}
-	// A chain that survived zero records is no chain at all: its
-	// segments are headers with nothing in them, stamped with first
-	// sequences a standalone snapshot cannot line up with. Drop them so
-	// the snapshot stands alone and appending restarts on a fresh
-	// segment at the snapshot's sequence.
-	if chainStart != 0 && lastValid == 0 {
-		if err := dropChain("empty"); err != nil {
-			return res, err
+		segs = nil
+		if err := fsys.SyncDir(dir); err != nil {
+			return res, tail, err
 		}
 	}
-
-	// Pass 2 — take the newest loadable snapshot the chain leaves no gap
-	// after (usableSnapshot). A chain that ends below it is superseded:
-	// every surviving record is already in the snapshot — mid-log
-	// damage, with or without compaction, leaves this — so the segments
-	// go and appending resumes after the snapshot.
-	snapSeq, snapRecs, err := usableSnapshot(fsys, snaps, segs)
-	if err != nil {
-		return res, err
-	}
-	if chainStart != 0 && snapSeq > lastValid {
-		if err := dropChain("superseded"); err != nil {
-			return res, err
-		}
-	}
-	res.SnapshotSeq = snapSeq
-	for _, rec := range snapRecs {
-		if err := apply(rec); err != nil {
-			return res, err
-		}
-		res.SnapshotRecords++
-	}
-	res.LastSeq = res.SnapshotSeq
-	for _, body := range bodies {
-		for off := 0; off < len(body); {
-			rec, n, derr := DecodeRecord(body[off:])
-			if derr != nil { // cannot happen: pass 1 validated these bytes
-				return res, derr
-			}
-			off += n
-			if rec.Seq <= res.SnapshotSeq {
-				continue
-			}
-			if err := apply(rec); err != nil {
-				return res, err
-			}
-			res.Records++
-			res.LastSeq = rec.Seq
-		}
-	}
-	if lastValid > res.LastSeq {
-		// Chain records at or below the snapshot seq need no replay
-		// but still position the appender.
-		res.LastSeq = lastValid
-	}
-
+	// Chain records at or below the snapshot seq need no replay but still
+	// position the appender.
 	if len(segs) > 0 {
-		tail := segs[len(segs)-1]
-		res.tailPath, res.tailSize = tail.path, tail.size
+		res.LastSeq = max(res.LastSeq, end.next-1)
+		tail = segs[len(segs)-1]
 	}
-	return res, nil
+	return res, tail, nil
 }

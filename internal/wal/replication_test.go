@@ -65,7 +65,7 @@ func writeCarriedSnapshot(t *testing.T, dir string, from, through uint64, state 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ScanSegments(dir, from+1, func(seq uint64, raw []byte) error {
+	if _, err := dirLog(dir).Scan(from+1, func(seq uint64, raw []byte) error {
 		if seq <= through {
 			buf = append(buf, raw...)
 		}
@@ -81,11 +81,7 @@ func writeCarriedSnapshot(t *testing.T, dir string, from, through uint64, state 
 // writeChain appends records 1..n at Fsync and closes the log.
 func writeChain(t *testing.T, dir string, n int) {
 	t.Helper()
-	res, err := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := OpenLog(dir, res, Options{Level: Fsync})
+	l, _, err := Open(dir, Options{Level: Fsync}, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +154,7 @@ func TestSnapshotSupersedesDamagedChain(t *testing.T) {
 		t.Fatalf("superseded chain not dropped: %v", left)
 	}
 	// And the log extends cleanly from the snapshot.
-	l, err := OpenLog(dir, res2, Options{Level: Fsync})
+	l, _, err := Open(dir, Options{Level: Fsync}, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +175,7 @@ func TestScanSegments(t *testing.T) {
 	writeChain(t, dir, 25)
 
 	var seen []uint64
-	next, err := ScanSegments(dir, 10, func(seq uint64, raw []byte) error {
+	next, err := dirLog(dir).Scan(10, func(seq uint64, raw []byte) error {
 		seen = append(seen, seq)
 		rec, n, err := DecodeRecord(raw)
 		if err != nil || n != len(raw) || rec.Seq != seq {
@@ -194,7 +190,7 @@ func TestScanSegments(t *testing.T) {
 		t.Fatalf("scan from 10: next %d, seen %v", next, seen)
 	}
 	// From beyond the end: nothing, cleanly.
-	next, err = ScanSegments(dir, 26, func(uint64, []byte) error {
+	next, err = dirLog(dir).Scan(26, func(uint64, []byte) error {
 		t.Fatal("unexpected record")
 		return nil
 	})
@@ -202,7 +198,7 @@ func TestScanSegments(t *testing.T) {
 		t.Fatalf("scan from 26: next %d, %v", next, err)
 	}
 	// Empty dir: nothing, cleanly.
-	next, err = ScanSegments(t.TempDir(), 1, func(uint64, []byte) error { return nil })
+	next, err = dirLog(t.TempDir()).Scan(1, func(uint64, []byte) error { return nil })
 	if err != nil || next != 1 {
 		t.Fatalf("scan of empty dir: next %d, %v", next, err)
 	}
@@ -223,22 +219,18 @@ func TestScanSegmentsCompacted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ScanSegments(dir, 1, func(uint64, []byte) error { return nil }); !errors.Is(err, ErrCompacted) {
+	if _, err := dirLog(dir).Scan(1, func(uint64, []byte) error { return nil }); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("scan of compacted range: %v, want ErrCompacted", err)
 	}
-	seq, recs, err := LatestSnapshot(dir)
+	seq, recs, err := dirLog(dir).Snapshot()
 	if err != nil || seq != 10 || len(recs) == 0 {
-		t.Fatalf("LatestSnapshot: seq %d, %d recs, %v", seq, len(recs), err)
+		t.Fatalf("Snapshot: seq %d, %d recs, %v", seq, len(recs), err)
 	}
 }
 
 func TestFollowerLiveTail(t *testing.T) {
 	dir := t.TempDir()
-	res, err := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := OpenLog(dir, res, Options{Level: None})
+	l, _, err := Open(dir, Options{Level: None}, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,11 +288,7 @@ func TestFollowerLiveTail(t *testing.T) {
 
 func TestFollowerOverflowDies(t *testing.T) {
 	dir := t.TempDir()
-	res, err := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := OpenLog(dir, res, Options{Level: None})
+	l, _, err := Open(dir, Options{Level: None}, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,11 +312,7 @@ func TestFollowerOverflowDies(t *testing.T) {
 
 func TestFollowerClosesWithLog(t *testing.T) {
 	dir := t.TempDir()
-	res, err := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := OpenLog(dir, res, Options{Level: None})
+	l, _, err := Open(dir, Options{Level: None}, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,11 +375,7 @@ func (f heldFile) Write(p []byte) (int, error) {
 func TestFollowAttachDuringWrite(t *testing.T) {
 	dir := t.TempDir()
 	fsys := &heldFS{armed: make(chan struct{}), entered: make(chan []byte, 1), release: make(chan struct{})}
-	res, err := RecoverFS(fsys, dir, func(Record) error { return nil }, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := OpenLog(dir, res, Options{Level: None, FS: fsys})
+	l, _, err := Open(dir, Options{Level: None, FS: fsys}, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +432,7 @@ func TestFollowAttachDuringWrite(t *testing.T) {
 	}
 
 	scan := func() uint64 {
-		next, err := ScanSegments(dir, 1, func(uint64, []byte) error { return nil })
+		next, err := dirLog(dir).Scan(1, func(uint64, []byte) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -473,15 +453,15 @@ func TestFollowAttachDuringWrite(t *testing.T) {
 
 // TestCarriedSnapshotFeedsCheckpoint: a snapshot of an earlier version,
 // with records carried past its read state, ships whole through
-// LatestSnapshot and is the base a new checkpoint folds from; the new
+// Log.Snapshot and is the base a new checkpoint folds from; the new
 // snapshot is exact at its sequence, with nothing carried.
 func TestCarriedSnapshotFeedsCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	writeChain(t, dir, 40)
 	writeCarriedSnapshot(t, dir, 25, 30, []Op{{Kind: KindSet, Key: "read", Val: []byte("between 25 and 30")}})
-	seq, recs, err := LatestSnapshot(dir)
+	seq, recs, err := dirLog(dir).Snapshot()
 	if err != nil || seq != 30 || len(recs) != 6 || recs[5].Seq != 30 {
-		t.Fatalf("LatestSnapshot: seq %d, %d records, %v; want 30, the chunk and 26..30", seq, len(recs), err)
+		t.Fatalf("Snapshot: seq %d, %d records, %v; want 30, the chunk and 26..30", seq, len(recs), err)
 	}
 	if wrote, err := checkpoint(OSFS, dir, 40); !wrote || err != nil {
 		t.Fatalf("checkpoint through 40: wrote %v, %v", wrote, err)

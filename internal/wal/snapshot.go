@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -174,26 +176,37 @@ func writeSnapshot(fsys FS, dir string, seq uint64, final map[string]Folded) err
 	return fsys.SyncDir(dir)
 }
 
-// loadSnapshot parses a snapshot file completely before returning, so
-// a caller never applies half of a corrupt snapshot. Any defect —
-// short file, wrong magic, bad record, a tail that does not run dense
-// to through — is an error; the caller falls back to an older snapshot.
-// seq is the snapshot's through; recs are the chunks, then the tail.
+// loadSnapshot reads a snapshot file through fsys, a record at a time,
+// and parses it completely before returning, so a caller never applies
+// half of a corrupt snapshot. Any defect — short file, wrong magic, bad
+// record, a tail that does not run dense to through — is an error; the
+// caller falls back to an older snapshot. seq is the snapshot's
+// through; recs are the chunks, then the tail.
 func loadSnapshot(fsys FS, path string) (seq uint64, recs []Record, err error) {
-	b, err := fsys.ReadFile(path)
+	f, err := fsys.Open(path)
 	if err != nil {
 		return 0, nil, err
 	}
-	if len(b) < snapHeaderLen || string(b[:8]) != snapMagic {
+	defer f.Close()
+	r := bufio.NewReaderSize(f, readBuf)
+	var hdr [snapHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil || string(hdr[:8]) != snapMagic {
 		return 0, nil, fmt.Errorf("%w: snapshot header", ErrCorrupt)
 	}
-	from := binary.LittleEndian.Uint64(b[8:16])
-	through := binary.LittleEndian.Uint64(b[16:24])
+	from := binary.LittleEndian.Uint64(hdr[8:16])
+	through := binary.LittleEndian.Uint64(hdr[16:24])
 	next := from + 1 // the tail's next record
-	for off := snapHeaderLen; off < len(b); {
-		rec, n, derr := DecodeRecord(b[off:])
-		if derr != nil {
-			return 0, nil, derr
+	var buf []byte
+	for {
+		b, err := readRecord(r, &buf)
+		if err == io.EOF {
+			break
+		} else if err != nil {
+			return 0, nil, err
+		}
+		rec, _, err := DecodeRecord(b)
+		if err != nil {
+			return 0, nil, err
 		}
 		switch {
 		case rec.Seq == from && next == from+1: // a chunk, before any tail record
@@ -203,7 +216,6 @@ func loadSnapshot(fsys FS, path string) (seq uint64, recs []Record, err error) {
 			return 0, nil, fmt.Errorf("%w: snapshot record stamp", ErrCorrupt)
 		}
 		recs = append(recs, rec)
-		off += n
 	}
 	if next != through+1 {
 		return 0, nil, fmt.Errorf("%w: snapshot tail ends at %d, not %d", ErrCorrupt, next-1, through)
@@ -211,31 +223,47 @@ func loadSnapshot(fsys FS, path string) (seq uint64, recs []Record, err error) {
 	return through, recs, nil
 }
 
-// usableSnapshot loads the newest loadable snapshot that leaves no gap
-// before the segment chain segs (seq+1 >= its first sequence; with no
-// chain, any). Recovery starts from it, a checkpoint folds from it and
-// a replica's catch-up ships it. seq == 0 and no error means there is
-// none and none is needed: the chain starts at the first record, or
-// nothing was ever logged.
+// newestSnapshot loads the newest snapshot of snaps that parses: the
+// one recovery starts from, a checkpoint folds from and a catch-up
+// ships, once joinsChain accepts it. seq == 0 means none does.
+func newestSnapshot(fsys FS, snaps []fileInfo) (seq uint64, recs []Record) {
+	for i := len(snaps) - 1; i >= 0; i-- {
+		if seq, recs, err := loadSnapshot(fsys, snaps[i].path); err == nil {
+			return seq, recs
+		}
+	}
+	return 0, nil
+}
+
+// joinsChain checks that the snapshot through seq (0: none of the
+// nsnaps snapshots parsed) leaves no gap before the segment chain that
+// starts at chainStart (0: no chain): seq+1 >= chainStart. No snapshot
+// is needed when the chain starts at the first record, or nothing was
+// ever logged.
+func joinsChain(seq uint64, nsnaps int, chainStart uint64) error {
+	switch {
+	case seq != 0 && seq+1 >= chainStart:
+		return nil
+	case chainStart > 1:
+		return fmt.Errorf("wal: no usable snapshot and the log starts at seq %d — records 1..%d were compacted away", chainStart, chainStart-1)
+	case chainStart == 0 && nsnaps > 0:
+		return errors.New("wal: every snapshot is corrupt and no log segments remain")
+	}
+	return nil
+}
+
+// usableSnapshot is newestSnapshot joined to the chain segs (see
+// joinsChain).
 func usableSnapshot(fsys FS, snaps, segs []fileInfo) (seq uint64, recs []Record, err error) {
 	var chainStart uint64
 	if len(segs) > 0 {
 		chainStart = segs[0].seq
 	}
-	for i := len(snaps) - 1; i >= 0; i-- {
-		seq, recs, err := loadSnapshot(fsys, snaps[i].path)
-		if err != nil || (chainStart != 0 && seq+1 < chainStart) {
-			continue // corrupt, unreadable, or a gap before the chain: try an older one
-		}
-		return seq, recs, nil
+	seq, recs = newestSnapshot(fsys, snaps)
+	if err := joinsChain(seq, len(snaps), chainStart); err != nil {
+		return 0, nil, err
 	}
-	switch {
-	case chainStart > 1:
-		return 0, nil, fmt.Errorf("wal: no usable snapshot and the log starts at seq %d — records 1..%d were compacted away", chainStart, chainStart-1)
-	case chainStart == 0 && len(snaps) > 0:
-		return 0, nil, errors.New("wal: every snapshot is corrupt and no log segments remain")
-	}
-	return 0, nil, nil
+	return seq, recs, nil
 }
 
 // compact prunes the durability directory through fsys: it keeps the

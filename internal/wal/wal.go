@@ -23,10 +23,16 @@
 //     segment files — after each rotation, or when asked — and writes
 //     atomically (temp file + rename), so recovery replays only the log
 //     tail.
-//   - Recovery (recover.go): newest loadable snapshot + tail replay
-//     with strict sequence continuity; a torn or corrupt tail is
-//     truncated at the last valid record, never fatal. Recovered state
-//     is always a commit-order prefix of what was logged.
+//   - Recovery (recover.go): Open, the one way in, recovers the
+//     directory and opens the Log on it: newest loadable snapshot +
+//     tail replay with strict sequence continuity; a torn or corrupt
+//     tail is truncated at the last valid record, never fatal.
+//     Recovered state is always a commit-order prefix of what was
+//     logged.
+//   - Reads (cursor.go): recovery, a checkpoint and a replica's
+//     catch-up (Log.Scan, Log.Snapshot) read the files one way — a
+//     record at a time, through the Log's FS (fs.go), the seam a fault
+//     test stands in — so nothing reads the directory around the Log.
 //
 // The log's ordering contract is inherited from the caller: Append
 // must be invoked in commit order (internal/kv drives it from the

@@ -23,7 +23,7 @@ func testOps(i int) []Op {
 func replayAll(t *testing.T, dir string) ([]Record, RecoverResult) {
 	t.Helper()
 	var recs []Record
-	res, err := RecoverFS(nil, dir, func(r Record) error {
+	res, _, err := recoverDir(OSFS, dir, func(r Record) error {
 		recs = append(recs, r)
 		return nil
 	}, nil)
@@ -110,11 +110,7 @@ func TestLogAppendRecover(t *testing.T) {
 	for _, level := range []Level{None, Batch, Fsync} {
 		t.Run(level.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			res0, err := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			l, err := OpenLog(dir, res0, Options{Level: level})
+			l, _, err := Open(dir, Options{Level: level}, func(Record) error { return nil })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,11 +151,7 @@ func TestLogAppendRecover(t *testing.T) {
 // the empty segments are dropped so appending restarts consistently.
 func TestChainWithNoRecordsFallsBackToSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	res0, err := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := OpenLog(dir, res0, Options{Level: Fsync})
+	l, _, err := Open(dir, Options{Level: Fsync}, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +193,7 @@ func TestChainWithNoRecordsFallsBackToSnapshot(t *testing.T) {
 		t.Fatalf("empty chain segments not dropped: %v", left)
 	}
 	// The log must extend cleanly from the snapshot.
-	l2, err := OpenLog(dir, res, Options{Level: Fsync})
+	l2, _, err := Open(dir, Options{Level: Fsync}, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +213,7 @@ func TestChainWithNoRecordsFallsBackToSnapshot(t *testing.T) {
 func TestLogGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	var m Metrics
-	res0, err := RecoverFS(nil, dir, func(Record) error { return nil }, &m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := OpenLog(dir, res0, Options{Level: Fsync, Metrics: &m})
+	l, _, err := Open(dir, Options{Level: Fsync, Metrics: &m}, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +273,7 @@ func TestLogGroupCommit(t *testing.T) {
 
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	res0, _ := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
-	l, err := OpenLog(dir, res0, Options{Level: Fsync})
+	l, _, err := Open(dir, Options{Level: Fsync}, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +297,7 @@ func TestTornTailTruncated(t *testing.T) {
 
 	var m Metrics
 	var recs []Record
-	res, err := RecoverFS(nil, dir, func(r Record) error { recs = append(recs, r); return nil }, &m)
+	res, _, err := recoverDir(OSFS, dir, func(r Record) error { recs = append(recs, r); return nil }, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +312,7 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 
 	// The repaired log accepts appends at the truncated position.
-	l2, err := OpenLog(dir, res, Options{Level: Fsync})
+	l2, _, err := Open(dir, Options{Level: Fsync}, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,13 +330,12 @@ func TestTornTailTruncated(t *testing.T) {
 
 func TestRotationAndSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	res0, _ := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
 	var m Metrics
-	l, err := OpenLog(dir, res0, Options{
+	l, _, err := Open(dir, Options{
 		Level:        Fsync,
 		SegmentBytes: 256, // rotate constantly
 		Metrics:      &m,
-	})
+	}, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,9 +421,8 @@ func (g gateFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) 
 // once Close is back.
 func TestCloseWaitsForRotationCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	res0, _ := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
 	g := gateFS{FS: OSFS, entered: make(chan struct{}, 64), release: make(chan struct{})}
-	l, err := OpenLog(dir, res0, Options{Level: Fsync, SegmentBytes: 256, FS: g})
+	l, _, err := Open(dir, Options{Level: Fsync, SegmentBytes: 256, FS: g}, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,8 +465,7 @@ func segAfter(segs []fileInfo, firstSeq uint64) uint64 {
 
 func TestCorruptSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	res0, _ := RecoverFS(nil, dir, func(Record) error { return nil }, nil)
-	l, err := OpenLog(dir, res0, Options{Level: Fsync})
+	l, _, err := Open(dir, Options{Level: Fsync}, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,11 +591,7 @@ func groupCommit(t *testing.T, level Level, n int) (MetricsSnapshot, time.Durati
 	dir := t.TempDir()
 	fsys := floorFS{OSFS, 2 * time.Millisecond}
 	var m Metrics
-	res, err := RecoverFS(fsys, dir, func(Record) error { return nil }, &m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := OpenLog(dir, res, Options{Level: level, Metrics: &m, FS: fsys})
+	l, _, err := Open(dir, Options{Level: level, Metrics: &m, FS: fsys}, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -678,10 +658,10 @@ func TestScanBesideCheckpoint(t *testing.T) {
 	done := make(chan error)
 	go func() { _, err := checkpoint(g, dir, 10); done <- err }()
 	<-g.entered
-	if _, err := ScanSegments(dir, 1, func(uint64, []byte) error { return nil }); err != nil {
+	if _, err := dirLog(dir).Scan(1, func(uint64, []byte) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LatestSnapshot(dir); err != nil {
+	if _, _, err := dirLog(dir).Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	close(g.release)
@@ -698,3 +678,7 @@ func TestScanBesideCheckpoint(t *testing.T) {
 		t.Fatalf("recovery left the temp file: %v", err)
 	}
 }
+
+// dirLog is a Log over dir that is never opened: its Scan and Snapshot
+// read dir's files as an open log's would.
+func dirLog(dir string) *Log { return &Log{dir: dir, fs: OSFS} }

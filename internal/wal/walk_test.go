@@ -55,7 +55,7 @@ func TestScanSegmentsStopsAtStructuralCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seen []uint64
-	next, err := ScanSegments(dir, 1, func(seq uint64, _ []byte) error {
+	next, err := dirLog(dir).Scan(1, func(seq uint64, _ []byte) error {
 		seen = append(seen, seq)
 		return nil
 	})
@@ -64,7 +64,7 @@ func TestScanSegmentsStopsAtStructuralCorruption(t *testing.T) {
 	}
 
 	var replayed []uint64
-	res, err := RecoverFS(nil, dir, func(r Record) error {
+	res, _, err := recoverDir(OSFS, dir, func(r Record) error {
 		replayed = append(replayed, r.Seq)
 		return nil
 	}, nil)
@@ -80,7 +80,7 @@ func TestScanSegmentsStopsAtStructuralCorruption(t *testing.T) {
 	}
 }
 
-// TestAllocsScanSegments: a scan allocates per call and per segment,
+// TestAllocsScanSegments: a Log.Scan allocates per call and per segment,
 // never per record, so ten times the records cost no more allocations.
 func TestAllocsScanSegments(t *testing.T) {
 	if raceEnabled {
@@ -89,8 +89,9 @@ func TestAllocsScanSegments(t *testing.T) {
 	scan := func(records uint64) float64 {
 		dir := t.TempDir()
 		writeSegFile(t, dir, 1, records)
+		lg := dirLog(dir)
 		return testing.AllocsPerRun(20, func() {
-			next, err := ScanSegments(dir, 1, func(uint64, []byte) error { return nil })
+			next, err := lg.Scan(1, func(uint64, []byte) error { return nil })
 			if err != nil || next != records+1 {
 				t.Fatalf("scan of %d records: next %d, %v", records, next, err)
 			}
